@@ -17,8 +17,6 @@ from .qstate import (DensityMatrix, PureState, ValidationError,
                      assert_normalized, assert_valid, partial_transpose)
 
 CLOSED_FORM = "closed_form"
-OPTIMIZER = "optimizer"
-ORACLE = "oracle"
 
 
 def _xlog2(x: float) -> float:

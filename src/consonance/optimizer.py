@@ -16,6 +16,13 @@ deterministically: among feasible candidates the lowest value wins, ties
 broken by lower L residual and then lower restart index; if no restart is
 feasible the minimal-L candidate is reported with ``feasible=False``.
 
+Every frame is evaluated by one batched evaluator: ``unitary.FrameBuilder``
+maps a stack of parameter vectors to circuit unitaries, and S and L of
+each conjugated state are fsum-ed over the masked |entries| in C order.
+Nelder-Mead calls it one frame at a time; the brute-force oracle calls it
+on chunks of ``ORACLE_CHUNK`` frames.  The public ``unitary.apply`` uses
+the same frame builder, so the search and a replay agree bit for bit.
+
 The reported value is recomputed from the winning circuit through the
 public ``unitary.apply`` / ``coherence.nonlocal_sum`` path, so it always
 matches what a caller would reproduce from the report.
@@ -24,16 +31,19 @@ matches what a caller would reproduce from the report.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import coherence, unitary
-from .qstate import DensityMatrix, PureState, assert_normalized, assert_valid
+from .qstate import (DensityMatrix, PureState, assert_normalized, assert_valid,
+                     density_from_pure)
 
 EPS_L = 1e-6
 TOL_VALUE = 1e-6
+ORACLE_CHUNK = 1024    # oracle frames per evaluator call; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,13 @@ class Preset:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Settings of the multi-start penalty search.
+
+    ``max_evals`` is a budget per restart, not a total: each of the
+    ``mu_stages`` penalty stages and the feasibility polish may use
+    ``max_evals // (mu_stages + 1)`` evaluations (at least 50).
+    """
+
     preset: Preset = field(default_factory=Preset)
     restarts: int = 32
     seed: int = 0
@@ -121,42 +138,33 @@ class ConsonanceReport:
 class _CircuitEvaluator:
     """S and L after conjugating rho by the parameterized circuit.
 
-    Works on bare arrays with the layer shapes precomputed, since this is
-    the optimizer's hot path; the embedding and chart code is shared with
-    the public unitary module, so the search and the reported replay give
-    the same numbers.
+    Frames come from the same ``unitary.FrameBuilder`` as the public
+    replay, and each row is summed like ``coherence.nonlocal_sum`` /
+    ``local_coherence``, so the search and the reported replay give the
+    same numbers.
     """
 
     def __init__(self, rho: DensityMatrix, template: unitary.LocalCircuit):
-        self.dims = rho.dims
+        self._frames = unitary.FrameBuilder(template, rho.dims)
+        self.n_theta = self._frames.n_theta
         self._rho = np.asarray(rho.entries)
-        self._slices = []
-        off = 0
-        for layer in template.layers:
-            k = layer.params.theta.size
-            self._slices.append((slice(off, off + k), layer.params.dim, layer.support))
-            off += k
-        self.n_theta = off
-        masks = coherence.class_masks(self.dims)
-        self._local = masks[1]
-        self._nonlocal = masks[2]
+        _, self._local, self._nonlocal = coherence.class_masks(rho.dims)
         self.evals = 0
 
-    def unitary_at(self, theta: np.ndarray) -> np.ndarray:
-        total = np.eye(self._rho.shape[0], dtype=np.complex128)
-        for sl, dim, support in self._slices:
-            u = unitary.expi_hermitian(unitary.hermitian_from_theta(dim, theta[sl]))
-            total = unitary.embed_matrix(u, support, self.dims) @ total
-        return total
-
-    def sums(self, theta: np.ndarray) -> tuple[float, float]:
-        u = self.unitary_at(theta)
-        rc = u @ self._rho @ u.conj().T
-        self.evals += 1
+    def sums(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """S and L arrays for a stack of parameter vectors (B, n_theta)."""
+        u = self._frames.unitaries(thetas)
+        rc = u @ self._rho @ u.conj().swapaxes(-1, -2)
+        self.evals += len(u)
         abs_rc = np.abs(rc)
-        s = math.fsum(abs_rc[self._nonlocal].tolist())
-        l = math.fsum(abs_rc[self._local].tolist())
-        return s, l
+        s = [math.fsum(row) for row in abs_rc[:, self._nonlocal].tolist()]
+        l = [math.fsum(row) for row in abs_rc[:, self._local].tolist()]
+        return np.array(s), np.array(l)
+
+    def at(self, theta: np.ndarray) -> tuple[float, float]:
+        """S and L of one frame."""
+        s, l = self.sums(theta[None])
+        return float(s[0]), float(l[0])
 
 
 def _search_one(ev: _CircuitEvaluator, x0: np.ndarray,
@@ -166,16 +174,16 @@ def _search_one(ev: _CircuitEvaluator, x0: np.ndarray,
     x = np.asarray(x0, dtype=np.float64)
     for mu in config.mus():
         def penalized(theta, _mu=mu):
-            s, l = ev.sums(theta)
+            s, l = ev.at(theta)
             return s + _mu * l
         res = minimize(penalized, x, method="Nelder-Mead",
                        options={"maxfev": budget, "xatol": 1e-8, "fatol": 1e-10,
                                 "adaptive": adaptive, "disp": False})
         x = res.x
-    _, l = ev.sums(x)
+    _, l = ev.at(x)
     if l > config.eps_l:
         def local_only(theta):
-            return ev.sums(theta)[1]
+            return ev.at(theta)[1]
         res = minimize(local_only, x, method="Nelder-Mead",
                        options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14,
                                 "adaptive": adaptive, "disp": False})
@@ -206,7 +214,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     true infimum whenever it is feasible.
     """
     if isinstance(rho, PureState):
-        rho = _as_density(rho)
+        rho = density_from_pure(rho)
     config = config or OptimizerConfig()
     assert_valid(rho)
     template = config.preset.build(rho.dims)
@@ -217,7 +225,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     for index, (kind, x0) in enumerate(_start_points(config, ev.n_theta)):
         before = ev.evals
         x = _search_one(ev, x0, config)
-        s, l = ev.sums(x)
+        s, l = ev.at(x)
         records.append(RestartRecord(index, kind, s, l, ev.evals - before))
         finals.append(x)
 
@@ -244,11 +252,6 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
         per_restart=tuple(records),
         n_evals=ev.evals,
     )
-
-
-def _as_density(psi: PureState) -> DensityMatrix:
-    assert_normalized(psi)
-    return DensityMatrix(psi.dims, np.outer(psi.amps, psi.amps.conj()))
 
 
 def consonance_pure_bipartite(psi: PureState) -> float:
@@ -284,9 +287,17 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
 
     Draws ``samples`` parameter vectors (the first is theta = 0) from a
     single Philox stream and keeps the minimum S among those with
-    L <= eps_l.  Slow and crude by design; used to confirm the optimizer
-    is not undershooting.
+    L <= eps_l.  The frames are drawn and evaluated in chunks of
+    ``ORACLE_CHUNK``, which gives the same numbers as drawing them one by
+    one.  Crude by design; used to confirm the optimizer is not
+    undershooting.
     """
+    if (isinstance(samples, bool) or not isinstance(samples, numbers.Integral)
+            or samples < 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = int(samples)
+    if isinstance(rho, PureState):
+        rho = density_from_pure(rho)
     assert_valid(rho)
     preset = preset or Preset()
     template = preset.build(rho.dims)
@@ -294,15 +305,19 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     best = math.inf
     feasible = 0
-    for k in range(int(samples)):
-        theta = (np.zeros(ev.n_theta) if k == 0
-                 else rng.uniform(-math.pi, math.pi, size=ev.n_theta))
-        s, l = ev.sums(theta)
-        if l <= eps_l:
-            feasible += 1
-            if s < best:
-                best = s
-    return OracleResult(best, feasible, int(samples))
+    for start in range(0, samples, ORACLE_CHUNK):
+        n = min(ORACLE_CHUNK, samples - start)
+        if start == 0:
+            thetas = np.zeros((n, ev.n_theta))
+            thetas[1:] = rng.uniform(-math.pi, math.pi, size=(n - 1, ev.n_theta))
+        else:
+            thetas = rng.uniform(-math.pi, math.pi, size=(n, ev.n_theta))
+        s, l = ev.sums(thetas)
+        ok = l <= eps_l
+        feasible += int(np.count_nonzero(ok))
+        if ok.any():
+            best = min(best, float(s[ok].min()))
+    return OracleResult(best, feasible, samples)
 
 
 # --- report serialization ------------------------------------------------

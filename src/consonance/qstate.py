@@ -22,7 +22,6 @@ TOL_NORM = 1e-10
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_PSD = 1e-8
-TOL_EIG = 1e-10
 
 
 class ValidationError(ValueError):

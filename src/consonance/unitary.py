@@ -9,6 +9,13 @@ A circuit is an ordered list of layers; each layer acts on a strict
 subset of the parties (its support) and is embedded in the full space as
 U_layer (x) identity.  Layers are applied first to last, so the overall
 unitary is U_L ... U_2 U_1.
+
+One frame builder, :class:`FrameBuilder`, turns a stack of parameter
+vectors (B, P) into the stacked circuit unitaries (B, D, D).  The replay
+(:func:`circuit_unitary`, :func:`apply`), the penalty search and the
+brute-force oracle all go through it.  The scalar functions
+(:func:`hermitian_from_theta`, :func:`expi_hermitian`,
+:func:`embed_matrix`) are the reference it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -178,13 +185,92 @@ def embed(layer: CircuitLayer, dims) -> np.ndarray:
     return embed_matrix(build_unitary(layer.params), layer.support, dims)
 
 
+@lru_cache(maxsize=None)
+def _chart_index(dim: int):
+    """Flat positions in a dim x dim matrix of the chart's diagonal, its
+    strict upper triangle in row-major order, and the mirrored lower one."""
+    iu = np.triu_indices(dim, k=1)
+    return np.arange(dim) * (dim + 1), iu[0] * dim + iu[1], iu[1] * dim + iu[0]
+
+
+def _hermitian_stack(dim: int, t: np.ndarray) -> np.ndarray:
+    """hermitian_from_theta over the last axis of t (..., dim^2)."""
+    diag, upper, lower = _chart_index(dim)
+    h = np.zeros(t.shape, dtype=np.complex128)
+    h[..., diag] = t[..., :dim]
+    off = t[..., dim::2] + 1j * t[..., dim + 1::2]
+    h[..., upper] = off
+    h[..., lower] = off.conj()
+    return h.reshape(t.shape[:-1] + (dim, dim))
+
+
+def _expi_stack(h: np.ndarray) -> np.ndarray:
+    """expi_hermitian over a stack of Hermitian matrices (..., d, d)."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+class FrameBuilder:
+    """The unitaries of one circuit shape at a stack of parameter vectors.
+
+    Built once per circuit and dims, which validates every layer;
+    ``unitaries(thetas)`` maps thetas (B, n_theta) to the circuit
+    unitaries (B, D, D).  The layers of each dimension share one scatter
+    of theta into H and one batched ``eigh``; each layer is embedded with
+    the kron-and-transpose plan of :func:`embed_matrix`, and the layers
+    are chained by stacked matmuls.  Each row is bit-identical to
+    chaining ``embed_matrix(build_unitary(...))`` layer by layer.
+    """
+
+    def __init__(self, circuit: LocalCircuit, dims):
+        dims = check_dims(dims)
+        self.d = math.prod(dims)
+        by_dim: dict[int, tuple[list, list]] = {}
+        embeds = []
+        off = 0
+        for pos, layer in enumerate(circuit.layers):
+            _check_layer(layer, dims)
+            dim = layer.params.dim
+            positions, cols = by_dim.setdefault(dim, ([], []))
+            positions.append(pos)
+            cols.extend(range(off, off + dim * dim))
+            off += dim * dim
+            d_rest, shape, axes, _ = _embed_plan(layer.support, dims)
+            embeds.append((np.eye(d_rest) if d_rest > 1 else None,
+                           (-1,) + shape + shape, (0,) + tuple(a + 1 for a in axes)))
+        self.n_theta = off
+        self._eye = np.eye(self.d, dtype=np.complex128)
+        self._groups = tuple((dim, tuple(positions), np.array(cols))
+                             for dim, (positions, cols) in by_dim.items())
+        self._embeds = tuple(embeds)
+
+    def unitaries(self, thetas) -> np.ndarray:
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if thetas.ndim != 2 or thetas.shape[1] != self.n_theta:
+            raise ValueError(f"thetas must have shape (B, {self.n_theta}), "
+                             f"got {thetas.shape}")
+        b, d = thetas.shape[0], self.d
+        layer_us = [None] * len(self._embeds)
+        for dim, positions, cols in self._groups:
+            t = thetas[:, cols].reshape(b, len(positions), dim * dim)
+            us = _expi_stack(_hermitian_stack(dim, t))
+            for k, pos in enumerate(positions):
+                layer_us[pos] = us[:, k]
+        total = self._eye
+        for u, (eye_rest, shape, axes) in zip(layer_us, self._embeds):
+            if eye_rest is not None:   # np.kron(u, eye_rest), row by row
+                u = u[:, :, None, :, None] * eye_rest[:, None, :]
+            big = np.ascontiguousarray(u.reshape(shape).transpose(axes))
+            total = big.reshape(b, d, d) @ total
+        if total.ndim == 2:   # no layers
+            total = np.repeat(total[None], b, axis=0)
+        return total
+
+
 def circuit_unitary(circuit: LocalCircuit, dims) -> np.ndarray:
-    dims = check_dims(dims)
-    total = np.eye(math.prod(dims), dtype=np.complex128)
-    for layer in circuit.layers:
-        _check_layer(layer, dims)
-        total = embed_matrix(build_unitary(layer.params), layer.support, dims) @ total
-    return total
+    """The circuit's unitary: the single-row case of :class:`FrameBuilder`."""
+    frames = FrameBuilder(circuit, dims)
+    return frames.unitaries(theta_vector(circuit)[None])[0]
 
 
 def apply(circuit: LocalCircuit, state):

@@ -222,6 +222,18 @@ def test_oracle_never_beats_optimizer():
     assert res.samples == 10_000
 
 
+def test_oracle_accepts_a_pure_state():
+    psi = states.bell_like(a2=0.8)
+    res = oracle_consonance(psi, samples=20, seed=2)
+    assert res == oracle_consonance(density_from_pure(psi), samples=20, seed=2)
+
+
+@pytest.mark.parametrize("samples", [0, -5, 2.7, 3.0, True, "10"])
+def test_oracle_rejects_bad_sample_counts(samples):
+    with pytest.raises(ValueError):
+        oracle_consonance(states.werner(0.5), samples=samples)
+
+
 def test_oracle_is_deterministic():
     rho = states.random_density((2, 2), seed=8)
     a = oracle_consonance(rho, samples=500, seed=4)
