@@ -40,8 +40,8 @@ def ghz_witness_theta() -> np.ndarray:
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", type=Path, default=Path("results"))
-    ap.add_argument("--restarts", type=int, default=16)
-    ap.add_argument("--max-evals", type=int, default=12000)
+    ap.add_argument("--restarts", type=int, default=8)
+    ap.add_argument("--max-evals", type=int, default=8000)
     ap.add_argument("--seed", type=int, default=0)
     return ap.parse_args(argv)
 

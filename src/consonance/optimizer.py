@@ -16,12 +16,26 @@ deterministically: among feasible candidates the lowest value wins, ties
 broken by lower L residual and then lower restart index; if no restart is
 feasible the minimal-L candidate is reported with ``feasible=False``.
 
+Every restart runs in lockstep with the others.  Each restart is a
+generator that yields the frames it needs next (its initial simplex, one
+reflect/expand/contract point, or a shrink) and receives their S and L.
+A round stacks the pending frames of every live restart and evaluates
+them in one call, in chunks of at most ``ORACLE_CHUNK`` frames.  A
+restart's path depends only on its own values, and each evaluated row is
+independent of the stack it sits in, so the lockstep search returns the
+same report as running the restarts one after another.
+
+The Nelder-Mead is the in-package generator ``_nelder_mead``.  It repeats
+scipy's ``minimize(method="Nelder-Mead")`` with no bounds operation for
+operation, including where its ``maxfev`` budget cuts the search, so its
+points and result equal scipy's bit for bit.
+
 Every frame is evaluated by one batched evaluator: ``unitary.FrameBuilder``
 maps a stack of parameter vectors to circuit unitaries, and S and L of
 each conjugated state are fsum-ed over the masked |entries| in C order.
-Nelder-Mead calls it one frame at a time; the brute-force oracle calls it
-on chunks of ``ORACLE_CHUNK`` frames.  The public ``unitary.apply`` uses
-the same frame builder, so the search and a replay agree bit for bit.
+The search and the brute-force oracle both call it on stacks of frames.
+The public ``unitary.apply`` uses the same frame builder, so the search
+and a replay agree bit for bit.
 
 The reported value is recomputed from the winning circuit through the
 public ``unitary.apply`` / ``coherence.nonlocal_sum`` path, so it always
@@ -35,7 +49,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import coherence, unitary
 from .qstate import (DensityMatrix, PureState, assert_normalized, assert_valid,
@@ -43,7 +56,7 @@ from .qstate import (DensityMatrix, PureState, assert_normalized, assert_valid,
 
 EPS_L = 1e-6
 TOL_VALUE = 1e-6
-ORACLE_CHUNK = 1024    # oracle frames per evaluator call; bounds peak memory
+ORACLE_CHUNK = 1024    # frames per FrameBuilder call; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -108,8 +121,10 @@ class OptimizerConfig:
             raise ValueError("tol_value must be positive")
         if self.max_evals < 100:
             raise ValueError(f"max_evals too small: {self.max_evals}")
-        object.__setattr__(self, "warm_starts",
-                           tuple(np.array(w, dtype=np.float64) for w in self.warm_starts))
+        warm = tuple(np.array(w, dtype=np.float64) for w in self.warm_starts)
+        if not all(np.isfinite(w).all() for w in warm):
+            raise ValueError("warm starts must hold finite parameters only")
+        object.__setattr__(self, "warm_starts", warm)
 
     def mus(self) -> list[float]:
         return [self.mu0 * self.mu_growth ** k for k in range(self.mu_stages)]
@@ -152,43 +167,137 @@ class _CircuitEvaluator:
         self.evals = 0
 
     def sums(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """S and L arrays for a stack of parameter vectors (B, n_theta)."""
-        u = self._frames.unitaries(thetas)
-        rc = u @ self._rho @ u.conj().swapaxes(-1, -2)
-        self.evals += len(u)
-        abs_rc = np.abs(rc)
-        s = [math.fsum(row) for row in abs_rc[:, self._nonlocal].tolist()]
-        l = [math.fsum(row) for row in abs_rc[:, self._local].tolist()]
+        """S and L arrays for a stack of parameter vectors (B, n_theta),
+        built ``ORACLE_CHUNK`` frames at a time."""
+        s: list[float] = []
+        l: list[float] = []
+        for start in range(0, len(thetas), ORACLE_CHUNK):
+            u = self._frames.unitaries(thetas[start:start + ORACLE_CHUNK])
+            abs_rc = np.abs(u @ self._rho @ u.conj().swapaxes(-1, -2))
+            s += [math.fsum(row) for row in abs_rc[:, self._nonlocal].tolist()]
+            l += [math.fsum(row) for row in abs_rc[:, self._local].tolist()]
+        self.evals += len(thetas)
         return np.array(s), np.array(l)
 
-    def at(self, theta: np.ndarray) -> tuple[float, float]:
-        """S and L of one frame."""
-        s, l = self.sums(theta[None])
-        return float(s[0]), float(l[0])
+
+def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
-def _search_one(ev: _CircuitEvaluator, x0: np.ndarray,
-                config: OptimizerConfig) -> np.ndarray:
+def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
+                 adaptive: bool):
+    """Nelder-Mead as a generator: yields stacks of points (k, n), receives
+    their k values, and returns the final simplex and its values, best
+    first (scipy's ``final_simplex``).
+
+    It is scipy's ``_minimize_neldermead`` with no bounds, no callback and
+    no ``maxiter``, operation for operation: the same coefficients (the
+    adaptive ones of Gao & Han, Comput. Optim. Appl. 51:259, 2012), the
+    same initial simplex, orderings and xatol/fatol test.  It stops where
+    scipy's maxfev wrapper raises: the initial simplex is cut at maxfev
+    vertices, no expand or contract point is asked for once the budget is
+    spent, and a shrink evaluates only what is left of the budget but
+    still moves the vertex at which scipy raised.  The initial simplex and
+    a shrink come as one stack each, every other point alone.
+    """
+    x0 = np.asarray(x0, dtype=np.float64).flatten()
+    n = len(x0)
+    if adaptive:
+        dim = float(n)
+        rho, chi, psi, sigma = 1, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
+    else:
+        rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+
+    nonzdelt, zdelt = 0.05, 0.00025
+    sim = np.tile(x0, (n + 1, 1))
+    sim[np.arange(1, n + 1), np.arange(n)] = np.where(x0 != 0, (1 + nonzdelt) * x0,
+                                                       zdelt)
+    fsim = np.full(n + 1, np.inf)
+    nfev = min(n + 1, maxfev)
+    fsim[:nfev] = yield sim[:nfev]
+    # scipy sorts twice here; the second pass can reorder ties
+    sim, fsim = _order(sim, fsim)
+    sim, fsim = _order(sim, fsim)
+
+    while nfev < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        (fxr,) = yield xr[None]
+        nfev += 1
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                (fxe,) = yield xe[None]
+                nfev += 1
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            doshrink = False
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                (fxc,) = yield xc[None]
+                nfev += 1
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                (fxcc,) = yield xcc[None]
+                nfev += 1
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                k = min(n, maxfev - nfev)      # vertices evaluated
+                moved = min(n, k + 1)          # scipy moves the one it raised at
+                sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
+                if k:
+                    fsim[1:k + 1] = yield sim[1:k + 1]
+                    nfev += k
+        sim, fsim = _order(sim, fsim)
+    return sim, fsim
+
+
+def _minimize(objective, x: np.ndarray, maxfev: int, xatol: float,
+              fatol: float, adaptive: bool):
+    """Nelder-Mead on ``objective(S, L)``: yields frame stacks, receives
+    their (S, L) arrays, and returns the best frame."""
+    nm = _nelder_mead(x, maxfev, xatol, fatol, adaptive)
+    points = next(nm)
+    while True:
+        s, l = yield points
+        try:
+            points = nm.send(objective(s, l))
+        except StopIteration as stop:
+            return stop.value[0][0]
+
+
+def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
+    """One restart: the penalty stages, the polish if L is still above
+    eps_L, and a last look at the final frame.  Yields frame stacks,
+    receives their (S, L) arrays, and returns (x, S, L) at the end."""
     budget = max(50, config.max_evals // (config.mu_stages + 1))
-    adaptive = ev.n_theta >= 10
+    adaptive = n_theta >= 10
     x = np.asarray(x0, dtype=np.float64)
     for mu in config.mus():
-        def penalized(theta, _mu=mu):
-            s, l = ev.at(theta)
-            return s + _mu * l
-        res = minimize(penalized, x, method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": 1e-8, "fatol": 1e-10,
-                                "adaptive": adaptive, "disp": False})
-        x = res.x
-    _, l = ev.at(x)
-    if l > config.eps_l:
-        def local_only(theta):
-            return ev.at(theta)[1]
-        res = minimize(local_only, x, method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14,
-                                "adaptive": adaptive, "disp": False})
-        x = res.x
-    return x
+        x = yield from _minimize(lambda s, l, mu=mu: s + mu * l, x, budget,
+                                 1e-8, 1e-10, adaptive)
+    _, l = yield x[None]
+    if l[0] > config.eps_l:
+        x = yield from _minimize(lambda s, l: l, x, budget, 1e-10, 1e-14,
+                                 adaptive)
+    s, l = yield x[None]
+    return x, float(s[0]), float(l[0])
 
 
 def _start_points(config: OptimizerConfig, n_theta: int):
@@ -220,14 +329,31 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     template = config.preset.build(rho.dims)
     ev = _CircuitEvaluator(rho, template)
 
-    records: list[RestartRecord] = []
-    finals: list[np.ndarray] = []
-    for index, (kind, x0) in enumerate(_start_points(config, ev.n_theta)):
-        before = ev.evals
-        x = _search_one(ev, x0, config)
-        s, l = ev.at(x)
-        records.append(RestartRecord(index, kind, s, l, ev.evals - before))
-        finals.append(x)
+    starts = list(_start_points(config, ev.n_theta))
+    searches = [_search_one(x0, ev.n_theta, config) for _, x0 in starts]
+    pending = [next(search) for search in searches]
+    evals = [0] * len(searches)
+    ends = [None] * len(searches)
+    live = list(range(len(searches)))
+    while live:
+        s, l = ev.sums(np.concatenate([pending[i] for i in live]))
+        still_live = []
+        row = 0
+        for i in live:
+            n = len(pending[i])
+            evals[i] += n
+            try:
+                pending[i] = searches[i].send((s[row:row + n], l[row:row + n]))
+                still_live.append(i)
+            except StopIteration as stop:
+                ends[i] = stop.value
+            row += n
+        live = still_live
+
+    records = [RestartRecord(index, kind, value, l_res, evals[index])
+               for index, ((kind, _), (_, value, l_res))
+               in enumerate(zip(starts, ends))]
+    finals = [x for x, _, _ in ends]
 
     feasible_idx = [r.index for r in records if r.l_residual <= config.eps_l]
     if feasible_idx:

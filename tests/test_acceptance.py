@@ -9,7 +9,6 @@ are fixed together with the seeds so the suite is reproducible.
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +26,6 @@ from consonance.optimizer import (OptimizerConfig, Preset, config_to_json,
 from consonance.unitary import NONGLOBAL
 from consonance.qstate import density_from_pure, tensor
 from consonance.unitary import apply
-
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 OPT_SMALL = OptimizerConfig(restarts=2, seed=11, max_evals=3000)
 OPT_PURE = OptimizerConfig(restarts=3, seed=23, max_evals=2500)
@@ -275,8 +272,7 @@ def test_criterion_8_ghz_witness_certificate():
     assert report.value <= 1e-4
 
 
-def test_criterion_8_w_state_reports_archived():
-    RESULTS_DIR.mkdir(exist_ok=True)
+def test_criterion_8_w_state_reports_archived(tmp_path):
     rho = density_from_pure(states.w_state(3))
     for preset, fname in ((Preset(), "w_report_single_party.json"),
                           (Preset(kind=NONGLOBAL, depth=3),
@@ -298,7 +294,7 @@ def test_criterion_8_w_state_reports_archived():
 
         blob = {"state": "w:3", "config": config_to_json(config),
                 "seed": config.seed, "report": report_to_json(report)}
-        (RESULTS_DIR / fname).write_text(json.dumps(blob, indent=1) + "\n")
+        (tmp_path / fname).write_text(json.dumps(blob, indent=1) + "\n")
 
 
 # --- 9: reported values replay and the oracle never beats them -----------

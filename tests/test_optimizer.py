@@ -177,6 +177,12 @@ def test_warm_start_shape_is_checked():
         consonance(states.werner(0.5), config)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_warm_start_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        OptimizerConfig(restarts=2, warm_starts=(np.zeros(8), [0.0, bad, 0.0]))
+
+
 def test_accepts_pure_state_input():
     report = consonance(states.bell_like(a2=0.5), CHEAP)
     assert report.value == pytest.approx(1.0, abs=1e-3)
