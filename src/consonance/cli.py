@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,152 +61,118 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
 
 
 def _looks_like_family(text: str) -> bool:
-    name = text.partition(":")[0].strip().lower()
-    return states._FAMILY_ALIASES.get(name, name) in states._FAMILIES
-
-
-def _normalize_pair_params(family, params):
-    """Rewrite the a2 weight parameterization as amplitudes (a, b) so the
-    closed-form evaluators see one canonical form."""
-    if family in ("bell_like", "psi_like") and "a2" in params:
-        params = dict(params)
-        a2 = float(params.pop("a2"))
-        params["a"] = math.sqrt(a2)
-        params["b"] = math.sqrt(max(0.0, 1.0 - a2))
-    return params
-
-
-def _load_source(args):
-    """Returns (state, family_name_or_None, family_params)."""
-    spec = args.family
-    if spec is None and args.state is not None and not os.path.exists(args.state) \
-            and _looks_like_family(args.state):
-        spec = args.state
-    if spec is not None:
-        state = states.parse_factory_spec(spec)
-        name, params = _family_fields(spec)
-        return state, name, _normalize_pair_params(name, params)
-    return load_state(args.state, validate_state=not args.no_validate), None, {}
-
-
-def _family_fields(spec: str):
-    name, _, arg_text = spec.strip().partition(":")
-    name = states._FAMILY_ALIASES.get(name.strip().lower(), name.strip().lower())
-    fn, param_names, bare, parsers = states._FAMILIES[name]
-    params = {}
-    if arg_text:
-        for chunk in arg_text.split(","):
-            chunk = chunk.strip()
-            if "=" in chunk:
-                k, _, v = chunk.partition("=")
-                params[k.strip()] = states._parse_value(v.strip(), parsers[k.strip()])
-            elif bare is not None:
-                params[bare] = states._parse_value(chunk, parsers[bare])
-    return name, params
-
-
-def _as_density(state) -> DensityMatrix:
-    return density_from_pure(state) if isinstance(state, PureState) else state
-
-
-# --- measure evaluation --------------------------------------------------
+    try:
+        states.get_family(text.partition(":")[0].strip().lower())
+    except FactorySpecError:
+        return False
+    return True
 
 
 @dataclass
 class MeasureContext:
+    """One state and what its measures share: the family name (None for a
+    state file), its resolved parameters, which the closed forms take, and
+    the density matrix and coherence profile, each built at most once."""
+
     state: object
-    family: str | None
-    params: dict
-    opt_config: optimizer.OptimizerConfig
+    family: str | None = None
+    params: dict = field(default_factory=dict)
+    opt_config: optimizer.OptimizerConfig | None = None
+
+    @cached_property
+    def density(self) -> DensityMatrix:
+        if isinstance(self.state, PureState):
+            return density_from_pure(self.state)
+        return self.state
+
+    @cached_property
+    def profile(self) -> coherence.CoherenceProfile:
+        return coherence.profile(self.density)
 
 
-def _closed_form_concurrence(family, params):
-    if family == "werner":
-        return measures.concurrence_werner(params["a"])
-    if family in ("bell_like", "psi_like"):
-        a = complex(params["a"])
-        b = params.get("b")
-        b = complex(b) if b is not None else math.sqrt(max(0.0, 1.0 - abs(a) ** 2))
-        return 2.0 * abs(a) * abs(complex(b))
-    if family == "bell":
-        return 1.0
-    return None
+def _load_source(args, opt_config=None) -> MeasureContext:
+    spec = args.family
+    if spec is None and not os.path.exists(args.state) \
+            and _looks_like_family(args.state):
+        spec = args.state
+    if spec is None:
+        state = load_state(args.state, validate_state=not args.no_validate)
+        return MeasureContext(state, opt_config=opt_config)
+    family, params = states.parse_spec(spec)
+    return MeasureContext(family.make(**params), family.name,
+                          family.resolve(**params), opt_config)
 
 
-def _eval_discord(ctx: MeasureContext) -> float:
-    fam, p = ctx.family, ctx.params
-    if fam == "werner":
-        return measures.discord_werner(p["a"])
-    if fam in ("bell_like", "psi_like"):
-        a = complex(p["a"])
-        b = p.get("b")
-        b = complex(b) if b is not None else complex(math.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
-        return measures.discord_bell_like(a, b)
-    if fam == "bell":
-        return 1.0
-    if fam == "two_param_2x3":
-        return measures.discord_2x3(p["alpha"], p["gamma"])
-    raise ValueError(f"no closed-form discord for family {fam!r}")
+# --- measure evaluation --------------------------------------------------
+
+_SEARCH_MEASURES = ("consonance", "consonance_opt")
 
 
-def _eval_eof(ctx: MeasureContext) -> float:
-    c = _closed_form_concurrence(ctx.family, ctx.params)
-    if c is not None:
-        return measures.eof_from_concurrence(c)
-    rho = _as_density(ctx.state)
-    if rho.dims != (2, 2):
+def _closed_form(ctx: MeasureContext, kind: str, fallback=None) -> float:
+    """The family's closed form ``kind`` at ctx.params, else ``fallback(ctx)``."""
+    fn = None if ctx.family is None else getattr(states.get_family(ctx.family), kind)
+    if fn is not None:
+        return fn(**ctx.params)
+    if fallback is None:
+        raise ValueError(f"no closed-form {kind} for family {ctx.family!r}")
+    return fallback(ctx)
+
+
+def _consonance_cf(ctx: MeasureContext) -> float:
+    if ctx.family is None:
+        raise ValueError("consonance_cf needs a --family state")
+    return _closed_form(ctx, "consonance")
+
+
+def _concurrence(ctx: MeasureContext) -> float:
+    # the family's closed form keeps differences with other closed forms
+    # exact (the general route leaves float dust where a gap closes to 0)
+    return _closed_form(ctx, "concurrence",
+                        lambda ctx: measures.concurrence_2x2(ctx.density))
+
+
+def _eof(ctx: MeasureContext) -> float:
+    if ctx.density.dims != (2, 2):
         raise ValueError("eof is implemented for two-qubit states only")
-    return measures.eof_2x2(rho)
+    return measures.eof_from_concurrence(_concurrence(ctx))
+
+
+def _negativity(ctx: MeasureContext) -> float:
+    if ctx.density.n_parties != 2:
+        raise ValueError("negativity here expects a bipartite state")
+    return measures.negativity(ctx.density)
+
+
+def _consonance_pure(ctx: MeasureContext) -> float:
+    if not isinstance(ctx.state, PureState):
+        raise ValueError("consonance_pure needs a pure state")
+    return optimizer.consonance_pure_bipartite(ctx.state)
+
+
+# every measure but the search: name -> its value at a context
+_MEASURES = {
+    "consonance_cf": _consonance_cf,
+    "consonance_pure": _consonance_pure,
+    "concurrence": lambda ctx: measures.concurrence_2x2(ctx.density),
+    "eof": _eof,
+    "negativity": _negativity,
+    "discord": lambda ctx: _closed_form(ctx, "discord"),
+    "nonlocal_sum": lambda ctx: ctx.profile.s_value,
+    "local_coherence": lambda ctx: ctx.profile.l_value,
+    "c_minus_concurrence": lambda ctx: _consonance_cf(ctx) - _concurrence(ctx),
+}
 
 
 def evaluate_measure(name: str, ctx: MeasureContext):
     """Returns (value, extras) where extras holds companion columns."""
     name = name.strip().lower()
-    if name == "consonance_cf":
-        if ctx.family is None:
-            raise ValueError("consonance_cf needs a --family state")
-        fam = "bell_like" if ctx.family == "bell" else ctx.family
-        params = dict(ctx.params)
-        if ctx.family == "bell":
-            params = {"a": 1.0 / math.sqrt(2.0), "b": 1.0 / math.sqrt(2.0)}
-        if fam in ("bell_like", "psi_like") and "b" not in params:
-            a = complex(params["a"])
-            params["b"] = complex(math.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
-        return measures.consonance_closed_form(fam, **params).value, {}
-    if name in ("consonance", "consonance_opt"):
-        report = optimizer.consonance(_as_density(ctx.state), ctx.opt_config)
+    if name in _SEARCH_MEASURES:
+        report = optimizer.consonance(ctx.density, ctx.opt_config)
         return report.value, {"feasible": report.feasible,
                               "l_residual": report.l_residual}
-    if name == "consonance_pure":
-        if not isinstance(ctx.state, PureState):
-            raise ValueError("consonance_pure needs a pure state")
-        return optimizer.consonance_pure_bipartite(ctx.state), {}
-    if name == "concurrence":
-        rho = _as_density(ctx.state)
-        return measures.concurrence_2x2(rho), {}
-    if name == "eof":
-        return _eval_eof(ctx), {}
-    if name == "negativity":
-        rho = _as_density(ctx.state)
-        if rho.n_parties != 2:
-            raise ValueError("negativity here expects a bipartite state")
-        return measures.negativity(rho), {}
-    if name == "discord":
-        return _eval_discord(ctx), {}
-    if name == "nonlocal_sum":
-        return coherence.profile(_as_density(ctx.state)).s_value, {}
-    if name == "local_coherence":
-        return coherence.profile(_as_density(ctx.state)).l_value, {}
-    if name == "c_minus_concurrence":
-        cf, _ = evaluate_measure("consonance_cf", ctx)
-        # prefer the family's closed-form concurrence so the difference is
-        # exact where both pieces are (the general route leaves float dust
-        # at points like werner a=1 where the gap closes to 0)
-        c = _closed_form_concurrence(ctx.family, ctx.params)
-        if c is None:
-            c = measures.concurrence_2x2(_as_density(ctx.state))
-        return cf - c, {}
-    raise ValueError(f"unknown measure {name!r}")
+    if name not in _MEASURES:
+        raise ValueError(f"unknown measure {name!r}")
+    return _MEASURES[name](ctx), {}
 
 
 # --- sweeps --------------------------------------------------------------
@@ -233,14 +199,18 @@ class SweepSpec:
             raise ValueError(f"a sweep needs at least 2 grid points, got {self.points}")
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
-        valid = set(states.family_parameters(self.family))
+        family = states.get_family(self.family)
         used = [self.axis] + [k for k, _ in self.fixed] + [k for k, _ in self.bindings]
         for k in used:
-            if k not in valid:
+            if k not in family.params:
                 raise ValueError(f"family {self.family!r} has no parameter {k!r}; "
-                                 f"valid: {sorted(valid)}")
+                                 f"valid: {sorted(family.params)}")
         if len(set(used)) != len(used):
             raise ValueError(f"parameter assigned more than once in {used}")
+        missing = [k for k in family.required if k not in used]
+        if missing:
+            raise ValueError(f"family {self.family!r} needs {', '.join(missing)}: "
+                             f"sweep it as the axis or give it with --fixed")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -295,7 +265,7 @@ def run_sweep(spec: SweepSpec, opt_config: optimizer.OptimizerConfig,
     columns = [spec.axis]
     for m in spec.measures:
         columns.append(m)
-        if m in ("consonance", "consonance_opt"):
+        if m in _SEARCH_MEASURES:
             columns.append(f"{m}_feasible")
 
     lines = []
@@ -309,17 +279,16 @@ def run_sweep(spec: SweepSpec, opt_config: optimizer.OptimizerConfig,
     lines.append(f"# seed = {seed}")
     lines.append(",".join(columns))
 
+    family = states.get_family(spec.family)
     for x in spec.grid():
         params = spec.params_at(x)
-        state = states.make_family(spec.family, **params)
-        ctx = MeasureContext(state=state, family=spec.family,
-                             params=_normalize_pair_params(spec.family, params),
-                             opt_config=opt_config)
+        ctx = MeasureContext(states.make_family(spec.family, **params), spec.family,
+                             family.resolve(**params), opt_config)
         row = [_fmt(float(x))]
         for m in spec.measures:
             value, extras = evaluate_measure(m, ctx)
             row.append(_fmt(value))
-            if m in ("consonance", "consonance_opt"):
+            if m in _SEARCH_MEASURES:
                 row.append("true" if extras.get("feasible") else "false")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -345,21 +314,18 @@ def _opt_config_from(args, seed: int) -> optimizer.OptimizerConfig:
 
 
 def cmd_measure(args) -> int:
-    state, family, params = _load_source(args)
-    seed = resolve_seed(args.seed)
-    ctx = MeasureContext(state=state, family=family, params=params,
-                         opt_config=_opt_config_from(args, seed))
+    ctx = _load_source(args, _opt_config_from(args, resolve_seed(args.seed)))
     value, extras = evaluate_measure(args.measure, ctx)
     if extras.get("feasible") is False:
         print(f"warning: no feasible frame found "
               f"(l_residual={extras['l_residual']:.3e})", file=sys.stderr)
     if args.json:
         out = {"measure": args.measure, "value": value}
-        if family is not None:
-            out["family"] = family
+        if ctx.family is not None:
+            out["family"] = ctx.family
             out["params"] = {k: (str(v) if isinstance(v, complex) else v)
-                             for k, v in params.items()}
-        out.update({k: v for k, v in extras.items()})
+                             for k, v in ctx.params.items()}
+        out.update(extras)
         print(json.dumps(out))
     else:
         print(value)
@@ -367,10 +333,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    state, _, _ = _load_source(args)
     seed = resolve_seed(args.seed)
     config = _opt_config_from(args, seed)
-    report = optimizer.consonance(_as_density(state), config)
+    report = optimizer.consonance(_load_source(args).density, config)
     obj = optimizer.report_to_json(report)
     obj["config"] = optimizer.config_to_json(config)
     obj["seed"] = seed
@@ -417,7 +382,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schmidt(args) -> int:
-    state, _, _ = _load_source(args)
+    state = _load_source(args).state
     if not isinstance(state, PureState):
         raise ValidationError("schmidt needs a pure state")
     dec = measures.schmidt_decompose(state)
@@ -431,8 +396,7 @@ def cmd_schmidt(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    state, _, _ = _load_source(args)
-    rho = _as_density(state)
+    rho = _load_source(args).density
     diag, local, nonloc = coherence.class_masks(rho.dims)
     names = np.where(diag, "diagonal", np.where(local, "local", "nonlocal"))
     print("row,col,row_parts,col_parts,class,modulus")
@@ -449,9 +413,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_remap(args) -> int:
-    state, _, _ = _load_source(args)
-    rho = _as_density(state)
-    out = states.tps_remap(rho, states.named_relabeling(args.relabeling))
+    out = states.tps_remap(_load_source(args).density, states.named_relabeling(args.relabeling))
     if args.out:
         save_state(out, args.out)
     else:

@@ -111,12 +111,17 @@ def concurrence_2x2(rho: DensityMatrix) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def concurrence_werner(a: float) -> float:
-    """Closed-form Werner concurrence max{0, (3a - 1)/2}."""
+def _werner_weight(a: float) -> float:
+    """The Werner parameter, checked and clamped to [0, 1]."""
     a = float(a)
     if not -1e-12 <= a <= 1.0 + 1e-12:
         raise ValidationError(f"Werner parameter out of [0, 1]: {a}")
-    return max(0.0, (3.0 * min(max(a, 0.0), 1.0) - 1.0) / 2.0)
+    return min(max(a, 0.0), 1.0)
+
+
+def concurrence_werner(a: float) -> float:
+    """Closed-form Werner concurrence max{0, (3a - 1)/2}."""
+    return max(0.0, (3.0 * _werner_weight(a) - 1.0) / 2.0)
 
 
 def eof_from_concurrence(c: float) -> float:
@@ -146,10 +151,7 @@ def negativity(rho: DensityMatrix, party: int = 0) -> float:
 
 def discord_werner(a: float) -> float:
     """Discord of the Werner family at mixing parameter a in [0, 1]."""
-    a = float(a)
-    if not -1e-12 <= a <= 1.0 + 1e-12:
-        raise ValidationError(f"Werner parameter out of [0, 1]: {a}")
-    a = min(max(a, 0.0), 1.0)
+    a = _werner_weight(a)
     return 0.25 * (_xlog2(1.0 - a) + _xlog2(1.0 + 3.0 * a)
                    - 2.0 * _xlog2(1.0 + a)) + 0.0
 
@@ -164,6 +166,15 @@ def discord_bell_like(a, b) -> float:
     return binary_entropy(p)
 
 
+def _qutrit_beta(alpha: float, gamma: float) -> float:
+    """The third weight of the qubit-qutrit family, after checking all three."""
+    beta = (1.0 - 2.0 * alpha - gamma) / 3.0
+    for name, w in (("alpha", alpha), ("gamma", gamma), ("beta", beta)):
+        if w < -1e-12:
+            raise ValidationError(f"{name} = {w} is negative; weights must be >= 0")
+    return beta
+
+
 def discord_2x3(alpha: float, gamma: float) -> float:
     """Discord of the two-parameter qubit-qutrit family.
 
@@ -171,11 +182,7 @@ def discord_2x3(alpha: float, gamma: float) -> float:
     all three weights must be nonnegative.
     """
     alpha, gamma = float(alpha), float(gamma)
-    beta = (1.0 - 2.0 * alpha - gamma) / 3.0
-    for name, w in (("alpha", alpha), ("gamma", gamma), ("beta", beta)):
-        if w < -1e-12:
-            raise ValidationError(f"{name} = {w} is negative; weights must be >= 0")
-    beta = max(beta, 0.0)
+    beta = max(_qutrit_beta(alpha, gamma), 0.0)
     gamma = max(gamma, 0.0)
     # beta log2(2 beta) + gamma log2(2 gamma) - (beta + gamma) log2(beta + gamma)
     return (beta + gamma + _xlog2(beta) + _xlog2(gamma) - _xlog2(beta + gamma))
@@ -195,45 +202,37 @@ class MeasureResult:
     note: str | None = None
 
 
-def _norm4(a, b, c, d):
-    return abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+def consonance_werner(a: float) -> float:
+    """Consonance of the Werner family: a itself, for a in [0, 1]."""
+    return _werner_weight(a)
+
+
+def consonance_pair(a, b) -> float:
+    """2|a||b|, the consonance (and the concurrence) of a|00> + b|11> or
+    a|01> + b|10>."""
+    return 2.0 * abs(a) * abs(b)
+
+
+def consonance_pure_2x2(a, b, c, d) -> float:
+    """2|ad - bc| for a|11> + b|10> + c|01> + d|00>."""
+    if abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 1.0) > 1e-10:
+        raise ValidationError("amplitudes must be normalized")
+    return 2.0 * abs(a * d - b * c)
+
+
+def consonance_2x3(alpha: float, gamma: float) -> float:
+    """|beta - gamma| for the two-parameter qubit-qutrit family."""
+    alpha, gamma = float(alpha), float(gamma)
+    return abs(_qutrit_beta(alpha, gamma) - gamma)
 
 
 def consonance_closed_form(family: str, **params) -> MeasureResult:
-    """Known consonance values by state family.
-
-    Supported families: ``werner`` (a), ``bell_like``/``psi_like`` (a, b),
-    ``pure_2x2`` (a, b, c, d), ``two_param_2x3`` (alpha, gamma), ``ghz``.
-    """
-    family = family.replace("-", "_").lower()
-    if family == "werner":
-        a = float(params["a"])
-        if not -1e-12 <= a <= 1.0 + 1e-12:
-            raise ValidationError(f"Werner parameter out of [0, 1]: {a}")
-        return MeasureResult("consonance", min(max(a, 0.0), 1.0),
-                             {"a": a}, CLOSED_FORM)
-    if family in ("bell_like", "psi_like"):
-        a, b = complex(params["a"]), complex(params["b"])
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
-            raise ValidationError("|a|^2 + |b|^2 must be 1")
-        return MeasureResult("consonance", 2.0 * abs(a) * abs(b),
-                             {"a": a, "b": b}, CLOSED_FORM)
-    if family == "pure_2x2":
-        a, b, c, d = (complex(params[k]) for k in "abcd")
-        if abs(_norm4(a, b, c, d) - 1.0) > 1e-10:
-            raise ValidationError("amplitudes must be normalized")
-        return MeasureResult("consonance", 2.0 * abs(a * d - b * c),
-                             {"a": a, "b": b, "c": c, "d": d}, CLOSED_FORM)
-    if family == "two_param_2x3":
-        alpha, gamma = float(params["alpha"]), float(params["gamma"])
-        beta = (1.0 - 2.0 * alpha - gamma) / 3.0
-        for name, w in (("alpha", alpha), ("gamma", gamma), ("beta", beta)):
-            if w < -1e-12:
-                raise ValidationError(f"{name} = {w} is negative")
-        return MeasureResult("consonance", abs(beta - gamma),
-                             {"alpha": alpha, "gamma": gamma}, CLOSED_FORM)
-    if family == "ghz":
-        return MeasureResult("consonance", 1.0, dict(params), CLOSED_FORM,
-                             note="attained by a depth-3 non-global circuit; "
-                                  "single-party frames do not reach it")
-    raise ValueError(f"no closed-form consonance for family {family!r}")
+    """Known consonance value of a state family, from the family table in
+    :mod:`consonance.states`: werner, bell, bell_like, psi_like, pure_2x2,
+    two_param_2x3 and ghz."""
+    from .states import get_family     # states imports this module
+    fam = get_family(family.replace("-", "_").lower())
+    if fam.consonance is None:
+        raise ValueError(f"no closed-form consonance for family {fam.name!r}")
+    return MeasureResult("consonance", fam.consonance(**fam.resolve(**params)),
+                         dict(params), CLOSED_FORM, note=fam.note)

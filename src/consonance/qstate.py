@@ -39,10 +39,6 @@ def check_dims(dims) -> tuple[int, ...]:
     return out
 
 
-def total_dim(dims) -> int:
-    return int(math.prod(check_dims(dims)))
-
-
 def _frozen_complex(data, shape, what: str) -> np.ndarray:
     arr = np.array(data, dtype=np.complex128)
     if arr.shape != shape:

@@ -8,12 +8,15 @@ parameter, builds states from the command line.
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import measures
 from .qstate import (DensityMatrix, PureState, ValidationError, assert_valid,
                      check_dims, density_from_pure)
 
@@ -22,17 +25,6 @@ _SQRT2 = math.sqrt(2.0)
 
 class FactorySpecError(ValueError):
     """The factory spec text is malformed or names an unknown family."""
-
-
-def _basis(d: int, k: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.complex128)
-    v[k] = 1.0
-    return v
-
-
-def _check_pair_norm(a: complex, b: complex) -> None:
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
-        raise ValidationError(f"|a|^2 + |b|^2 must be 1, got {abs(a)**2 + abs(b)**2}")
 
 
 # --- two-qubit families --------------------------------------------------
@@ -59,8 +51,10 @@ def bell(kind: str = "phi+") -> PureState:
     return PureState((2, 2), amps)
 
 
-def _pair_amps(a, b, a2) -> tuple[complex, complex]:
-    """Resolve the (a, b) amplitude pair; a2 = |a|^2 is an alternate spelling."""
+def _pair_amps(a=None, b=None, a2=None) -> tuple[complex, complex]:
+    """The (a, b) amplitudes of bell_like and psi_like, for the factories and
+    the closed forms alike: a2 = |a|^2 gives the real pair (sqrt(a2),
+    sqrt(1 - a2)), and b defaults to sqrt(1 - |a|^2)."""
     if a2 is not None:
         if a is not None or b is not None:
             raise ValidationError("give either a2 or the (a, b) pair, not both")
@@ -68,12 +62,13 @@ def _pair_amps(a, b, a2) -> tuple[complex, complex]:
         if not -1e-12 <= a2 <= 1.0 + 1e-12:
             raise ValidationError(f"a2 must lie in [0, 1], got {a2}")
         a2 = min(max(a2, 0.0), 1.0)
-        return complex(math.sqrt(a2)), complex(math.sqrt(1.0 - a2))
+        return math.sqrt(a2), math.sqrt(1.0 - a2)
     if a is None:
         raise ValidationError("parameter a (or a2) is required")
     a = complex(a)
     b = complex(b) if b is not None else complex(math.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
-    _check_pair_norm(a, b)
+    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
+        raise ValidationError(f"|a|^2 + |b|^2 must be 1, got {abs(a)**2 + abs(b)**2}")
     return a, b
 
 
@@ -102,18 +97,43 @@ def pure_2x2(a, b, c, d) -> PureState:
     return PureState((2, 2), np.array([d, c, b, a], dtype=np.complex128))
 
 
+_SINGLET = density_from_pure(bell("psi-")).entries       # read only
+
+
 def werner(a: float) -> DensityMatrix:
     """a |psi-><psi-| + (1 - a)/4 identity, a in [0, 1]."""
     a = float(a)
     if not -1e-12 <= a <= 1.0 + 1e-12:
         raise ValidationError(f"Werner parameter out of [0, 1]: {a}")
     a = min(max(a, 0.0), 1.0)
-    singlet = density_from_pure(bell("psi-")).entries
-    rho = a * singlet + (1.0 - a) / 4.0 * np.eye(4)
+    rho = a * _SINGLET + (1.0 - a) / 4.0 * np.eye(4)
     return DensityMatrix((2, 2), rho)
 
 
 # --- qubit-qutrit family -------------------------------------------------
+
+
+def _qutrit_family_operators():
+    """The operators the qubit-qutrit family weighs, read only.  The ket |ij>
+    is basis vector 3 i + j, the entries np.kron of the party vectors gives."""
+    def ket(i, j):
+        return np.eye(6, dtype=np.complex128)[3 * i + j]
+
+    def proj(v):
+        return np.outer(v, v.conj())
+
+    phi_p = (ket(0, 0) + ket(1, 1)) / _SQRT2
+    phi_m = (ket(0, 0) - ket(1, 1)) / _SQRT2
+    psi_p = (ket(0, 1) + ket(1, 0)) / _SQRT2
+    psi_m = (ket(0, 1) - ket(1, 0)) / _SQRT2
+    ops = (proj(ket(0, 2)) + proj(ket(1, 2)),
+           proj(phi_p) + proj(phi_m) + proj(psi_p), proj(psi_m))
+    for m in ops:
+        m.setflags(write=False)
+    return ops
+
+
+_QUTRIT_OPS = _qutrit_family_operators()
 
 
 def two_param_qubit_qutrit(alpha: float, gamma: float) -> DensityMatrix:
@@ -129,22 +149,9 @@ def two_param_qubit_qutrit(alpha: float, gamma: float) -> DensityMatrix:
         if w < -1e-12:
             raise ValidationError(f"{name} = {w} is negative; weights must be >= 0")
     alpha, gamma, beta = max(alpha, 0.0), max(gamma, 0.0), max(beta, 0.0)
-    d1, d2 = 2, 3
-
-    def ket(i, j):
-        return np.kron(_basis(d1, i), _basis(d2, j))
-
-    def proj(v):
-        return np.outer(v, v.conj())
-
-    phi_p = (ket(0, 0) + ket(1, 1)) / _SQRT2
-    phi_m = (ket(0, 0) - ket(1, 1)) / _SQRT2
-    psi_p = (ket(0, 1) + ket(1, 0)) / _SQRT2
-    psi_m = (ket(0, 1) - ket(1, 0)) / _SQRT2
-    rho = (alpha * (proj(ket(0, 2)) + proj(ket(1, 2)))
-           + beta * (proj(phi_p) + proj(phi_m) + proj(psi_p))
-           + gamma * proj(psi_m))
-    return assert_valid(DensityMatrix((d1, d2), rho))
+    pairs, symmetric, antisymmetric = _QUTRIT_OPS
+    rho = alpha * pairs + beta * symmetric + gamma * antisymmetric
+    return assert_valid(DensityMatrix((2, 3), rho))
 
 
 # --- multi-qubit families ------------------------------------------------
@@ -341,65 +348,114 @@ def random_density(dims, seed: int, rank: int | None = None) -> DensityMatrix:
     return assert_valid(DensityMatrix(dims, rho))
 
 
-# --- factory spec grammar ------------------------------------------------
+# --- family registry and factory spec grammar ---------------------------
 
-# every family: (callable, ordered parameter names, name of the bare
-# positional parameter or None, value parser overrides)
-_FLOAT = float
-_INT = int
-_STR = str
-_CPLX = complex
 
-_FAMILIES: dict[str, tuple] = {
-    "bell": (bell, ("kind",), "kind", {"kind": _STR}),
-    "bell_like": (bell_like, ("a", "b", "a2"), "a",
-                  {"a": _CPLX, "b": _CPLX, "a2": _FLOAT}),
-    "psi_like": (psi_like, ("a", "b", "a2"), "a",
-                 {"a": _CPLX, "b": _CPLX, "a2": _FLOAT}),
-    "pure_2x2": (pure_2x2, ("a", "b", "c", "d"), None,
-                 {k: _CPLX for k in "abcd"}),
-    "werner": (werner, ("a",), "a", {"a": _FLOAT}),
-    "two_param_2x3": (two_param_qubit_qutrit, ("alpha", "gamma"), None,
-                      {"alpha": _FLOAT, "gamma": _FLOAT}),
-    "ghz": (ghz, ("n",), "n", {"n": _INT}),
-    "w": (w_state, ("n",), "n", {"n": _INT}),
-}
+def _complex(text: str) -> complex:
+    return complex(text.replace("i", "j"))
 
-_FAMILY_ALIASES = {
-    "bell-like": "bell_like",
-    "psi-like": "psi_like",
-    "pure2x2": "pure_2x2",
-    "two_param_qubit_qutrit": "two_param_2x3",
-    "two-param-2x3": "two_param_2x3",
-    "w_state": "w",
-}
+
+def _one(**params) -> float:
+    return 1.0
+
+
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Everything the package knows about one state family: ``parsers`` turn
+    spec text into the factory's keyword parameters, in order, and ``bare``
+    is the one a bare value binds; ``resolve`` maps given parameters to the
+    keywords of the closed forms, each None where the family has none."""
+
+    name: str
+    factory: Callable
+    parsers: dict
+    bare: str | None = None
+    aliases: tuple[str, ...] = ()
+    resolve: Callable = dict
+    consonance: Callable | None = None
+    concurrence: Callable | None = None
+    discord: Callable | None = None
+    note: str | None = None          # caveat on the consonance closed form
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(self.parsers)
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        """Factory parameters that have no default."""
+        return tuple(name for name, p in inspect.signature(self.factory).parameters.items()
+                     if p.default is p.empty)
+
+    def make(self, **params):
+        try:
+            return self.factory(**params)
+        except TypeError as exc:
+            raise FactorySpecError(f"bad arguments for family {self.name!r}: {exc}") from exc
+
+
+# The closed forms look measures functions up when called, so wrappers
+# installed on the measures module (profilers, perfbench's tracer) see them.
+_PAIR = dict(parsers={"a": _complex, "b": _complex, "a2": float}, bare="a",
+             resolve=lambda **p: dict(zip("ab", _pair_amps(**p))),
+             consonance=lambda a, b: measures.consonance_pair(a, b),
+             concurrence=lambda a, b: measures.consonance_pair(a, b),
+             discord=lambda a, b: measures.discord_bell_like(a, b))
+
+FAMILIES = (
+    Family("bell", bell, {"kind": str}, "kind",
+           consonance=_one, concurrence=_one, discord=_one),
+    Family("bell_like", bell_like, aliases=("bell-like",), **_PAIR),
+    Family("psi_like", psi_like, aliases=("psi-like",), **_PAIR),
+    Family("pure_2x2", pure_2x2, {k: _complex for k in "abcd"}, aliases=("pure2x2",),
+           consonance=lambda a, b, c, d: measures.consonance_pure_2x2(a, b, c, d)),
+    Family("werner", werner, {"a": float}, "a",
+           consonance=lambda a: measures.consonance_werner(a),
+           concurrence=lambda a: measures.concurrence_werner(a),
+           discord=lambda a: measures.discord_werner(a)),
+    Family("two_param_2x3", two_param_qubit_qutrit, {"alpha": float, "gamma": float},
+           aliases=("two_param_qubit_qutrit", "two-param-2x3"),
+           consonance=lambda alpha, gamma: measures.consonance_2x3(alpha, gamma),
+           discord=lambda alpha, gamma: measures.discord_2x3(alpha, gamma)),
+    Family("ghz", ghz, {"n": int}, "n", consonance=_one,
+           note="attained in the state's own frame, where L = 0; non-global "
+                "circuits go lower: at depth 3, a CNOT then the inverse "
+                "Bell-basis change takes GHZ(3) to |000>, where S = 0"),
+    Family("w", w_state, {"n": int}, "n", aliases=("w_state",)),
+)
+
+_BY_NAME = {name: fam for fam in FAMILIES for name in (fam.name,) + fam.aliases}
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_+\-]+$")
 
 
 def family_names() -> list[str]:
-    return sorted(_FAMILIES)
+    return sorted(fam.name for fam in FAMILIES)
+
+
+def get_family(name: str) -> Family:
+    """The family record for a name or alias."""
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise FactorySpecError(f"unknown state family {name!r}; "
+                               f"known: {', '.join(family_names())}") from None
 
 
 def family_parameters(family: str) -> tuple[str, ...]:
-    key = _FAMILY_ALIASES.get(family, family)
-    if key not in _FAMILIES:
-        raise FactorySpecError(f"unknown state family {family!r}; "
-                               f"known: {', '.join(family_names())}")
-    return _FAMILIES[key][1]
+    return get_family(family).params
 
 
 def _parse_value(text: str, parser):
     try:
-        if parser is _CPLX:
-            return complex(text.replace("i", "j"))
         return parser(text)
     except ValueError as exc:
         raise FactorySpecError(f"cannot parse value {text!r}: {exc}") from exc
 
 
-def parse_factory_spec(spec: str):
-    """Build a state from ``name`` or ``name:arg,arg,...`` text.
+def parse_spec(spec: str) -> tuple[Family, dict]:
+    """Split ``name`` or ``name:arg,arg,...`` text into the family record
+    and its parsed parameters.
 
     Each arg is ``key=value``; a single bare value is accepted for the
     family's distinguished parameter (for example ``bell:psi-`` or
@@ -410,48 +466,32 @@ def parse_factory_spec(spec: str):
     name = name.strip().lower()
     if not _NAME_RE.match(name or ""):
         raise FactorySpecError(f"malformed factory spec {spec!r}")
-    key = _FAMILY_ALIASES.get(name, name)
-    if key not in _FAMILIES:
-        raise FactorySpecError(f"unknown state family {name!r}; "
-                               f"known: {', '.join(family_names())}")
-    fn, param_names, bare_param, parsers = _FAMILIES[key]
+    family = get_family(name)
     kwargs = {}
-    if arg_text:
-        for chunk in arg_text.split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                raise FactorySpecError(f"empty argument in factory spec {spec!r}")
-            if "=" in chunk:
-                k, _, v = chunk.partition("=")
-                k = k.strip()
-                if k not in param_names:
-                    raise FactorySpecError(
-                        f"family {name!r} has no parameter {k!r}; "
-                        f"expected one of {param_names}")
-                if k in kwargs:
-                    raise FactorySpecError(f"parameter {k!r} given twice")
-                kwargs[k] = _parse_value(v.strip(), parsers[k])
-            else:
-                if bare_param is None:
-                    raise FactorySpecError(
-                        f"family {name!r} takes key=value arguments only")
-                if bare_param in kwargs:
-                    raise FactorySpecError(
-                        f"parameter {bare_param!r} given twice")
-                kwargs[bare_param] = _parse_value(chunk, parsers[bare_param])
-    try:
-        return fn(**kwargs)
-    except TypeError as exc:
-        raise FactorySpecError(f"bad arguments for family {name!r}: {exc}") from exc
+    for chunk in arg_text.split(",") if arg_text else ():
+        chunk = chunk.strip()
+        if not chunk:
+            raise FactorySpecError(f"empty argument in factory spec {spec!r}")
+        k, keyed, v = chunk.partition("=")
+        k, v = (k.strip(), v.strip()) if keyed else (family.bare, chunk)
+        if k is None:
+            raise FactorySpecError(f"family {name!r} takes key=value arguments only")
+        if k not in family.params:
+            raise FactorySpecError(f"family {name!r} has no parameter {k!r}; "
+                                   f"expected one of {family.params}")
+        if k in kwargs:
+            raise FactorySpecError(f"parameter {k!r} given twice")
+        kwargs[k] = _parse_value(v, family.parsers[k])
+    return family, kwargs
+
+
+def parse_factory_spec(spec: str):
+    """Build a state from ``name`` or ``name:arg,arg,...`` text (see
+    :func:`parse_spec`)."""
+    family, params = parse_spec(spec)
+    return family.make(**params)
 
 
 def make_family(family: str, **params):
     """Build a family state from already-parsed parameters."""
-    key = _FAMILY_ALIASES.get(family, family)
-    if key not in _FAMILIES:
-        raise FactorySpecError(f"unknown state family {family!r}")
-    fn = _FAMILIES[key][0]
-    try:
-        return fn(**params)
-    except TypeError as exc:
-        raise FactorySpecError(f"bad arguments for family {family!r}: {exc}") from exc
+    return get_family(family).make(**params)
