@@ -16,8 +16,8 @@ from .qstate import (DensityMatrix, PureState, ValidationError, Violation,
 from .coherence import (CoherenceClass, CoherenceProfile, classify,
                         local_coherence, nonlocal_sum, profile)
 from .unitary import (CircuitLayer, LocalCircuit, UnitaryParams, apply,
-                      build_unitary, embed, nonglobal_circuit,
-                      params_for_unitary, single_party_circuit)
+                      build_unitary, nonglobal_circuit, params_for_unitary,
+                      single_party_circuit)
 from .optimizer import (ConsonanceReport, OptimizerConfig, Preset, consonance,
                         consonance_pure_bipartite, oracle_consonance)
 from .measures import (MeasureResult, SchmidtDecomposition, concurrence_2x2,

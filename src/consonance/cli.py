@@ -192,7 +192,6 @@ class SweepSpec:
     bindings: tuple = ()          # (param, fn(axis_value)) derived parameters
     recipe: str | None = None
     header_notes: tuple[str, ...] = ()
-    optimizer_config: optimizer.OptimizerConfig | None = None
 
     def __post_init__(self):
         if self.points < 2:
@@ -260,8 +259,6 @@ RECIPES = {"fig2": fig2_spec, "fig3": fig3_spec, "fig4": fig4_spec}
 def run_sweep(spec: SweepSpec, opt_config: optimizer.OptimizerConfig,
               seed: int) -> str:
     """Execute the sweep and render the CSV text."""
-    if spec.optimizer_config is not None:
-        opt_config = spec.optimizer_config
     columns = [spec.axis]
     for m in spec.measures:
         columns.append(m)
@@ -298,15 +295,15 @@ def run_sweep(spec: SweepSpec, opt_config: optimizer.OptimizerConfig,
 
 
 def _opt_config_from(args, seed: int) -> optimizer.OptimizerConfig:
-    preset = optimizer.Preset(kind=getattr(args, "preset", unitary.SINGLE_PARTY),
-                              depth=getattr(args, "depth", 3))
-    kwargs = dict(preset=preset, seed=seed)
-    if getattr(args, "restarts", None) is not None:
+    kwargs = dict(preset=optimizer.Preset(kind=args.preset, depth=args.depth),
+                  seed=seed)
+    if args.restarts is not None:
         kwargs["restarts"] = args.restarts
+    if args.max_evals is not None:
+        kwargs["max_evals"] = args.max_evals
+    # --eps-l and --warm-start exist on optimize only
     if getattr(args, "eps_l", None) is not None:
         kwargs["eps_l"] = args.eps_l
-    if getattr(args, "max_evals", None) is not None:
-        kwargs["max_evals"] = args.max_evals
     if getattr(args, "warm_start", None):
         circuit = unitary.load_circuit(args.warm_start)
         kwargs["warm_starts"] = (unitary.theta_vector(circuit),)
@@ -367,12 +364,7 @@ def cmd_sweep(args) -> int:
                          stop=args.stop, points=args.points,
                          measures=tuple(m.strip() for m in args.measures.split(",")),
                          fixed=tuple(fixed))
-    restarts = args.restarts if args.restarts is not None else 8
-    config = optimizer.OptimizerConfig(
-        preset=optimizer.Preset(kind=args.preset, depth=args.depth),
-        restarts=restarts, seed=seed,
-        max_evals=args.max_evals if args.max_evals is not None else 20000)
-    text = run_sweep(spec, config, seed)
+    text = run_sweep(spec, _opt_config_from(args, seed), seed)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -473,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated measure names")
     p.add_argument("--out", metavar="FILE")
     add_opt_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, restarts=8)
 
     p = sub.add_parser("schmidt", help="Schmidt coefficients of a pure state")
     _add_state_source(p)

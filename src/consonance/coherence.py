@@ -108,10 +108,6 @@ class CoherenceProfile:
     l_value: float
     diag_mass: float
 
-    def as_dict(self) -> dict:
-        return {"s_value": self.s_value, "l_value": self.l_value,
-                "diag_mass": self.diag_mass}
-
 
 def profile(rho, dims=None) -> CoherenceProfile:
     entries, dims = _entries_and_dims(rho, dims)

@@ -55,7 +55,7 @@ from .qstate import (DensityMatrix, PureState, assert_normalized, assert_valid,
                      density_from_pure)
 
 EPS_L = 1e-6
-TOL_VALUE = 1e-6
+PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, four stages
 ORACLE_CHUNK = 1024    # frames per FrameBuilder call; bounds peak memory
 
 
@@ -83,51 +83,34 @@ class Preset:
         return unitary.nonglobal_circuit(dims, depth=self.depth,
                                          supports=self.supports)
 
-    def tag(self) -> str:
-        if self.kind == unitary.SINGLE_PARTY:
-            return unitary.SINGLE_PARTY
-        return f"{unitary.NONGLOBAL}:depth={self.depth}"
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings of the multi-start penalty search.
 
-    ``max_evals`` is a budget per restart, not a total: each of the
-    ``mu_stages`` penalty stages and the feasibility polish may use
-    ``max_evals // (mu_stages + 1)`` evaluations (at least 50).
+    ``max_evals`` is a budget per restart, not a total: each of the four
+    penalty stages and the feasibility polish may use ``max_evals // 5``
+    evaluations (at least 50).
     """
 
     preset: Preset = field(default_factory=Preset)
     restarts: int = 32
     seed: int = 0
-    mu0: float = 10.0
-    mu_growth: float = 10.0
-    mu_stages: int = 4
     eps_l: float = EPS_L
-    tol_value: float = TOL_VALUE
     max_evals: int = 20000
     warm_starts: tuple = ()
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.mu0 <= 0 or self.mu_growth <= 1 or self.mu_stages < 1:
-            raise ValueError("penalty schedule must have mu0 > 0, growth > 1, "
-                             "stages >= 1")
         if not 0 < self.eps_l < 1e-3:
             raise ValueError(f"eps_l must lie in (0, 1e-3), got {self.eps_l}")
-        if self.tol_value <= 0:
-            raise ValueError("tol_value must be positive")
         if self.max_evals < 100:
             raise ValueError(f"max_evals too small: {self.max_evals}")
         warm = tuple(np.array(w, dtype=np.float64) for w in self.warm_starts)
         if not all(np.isfinite(w).all() for w in warm):
             raise ValueError("warm starts must hold finite parameters only")
         object.__setattr__(self, "warm_starts", warm)
-
-    def mus(self) -> list[float]:
-        return [self.mu0 * self.mu_growth ** k for k in range(self.mu_stages)]
 
 
 @dataclass(frozen=True)
@@ -286,10 +269,10 @@ def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
     """One restart: the penalty stages, the polish if L is still above
     eps_L, and a last look at the final frame.  Yields frame stacks,
     receives their (S, L) arrays, and returns (x, S, L) at the end."""
-    budget = max(50, config.max_evals // (config.mu_stages + 1))
+    budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
     adaptive = n_theta >= 10
     x = np.asarray(x0, dtype=np.float64)
-    for mu in config.mus():
+    for mu in PENALTY_MUS:
         x = yield from _minimize(lambda s, l, mu=mu: s + mu * l, x, budget,
                                  1e-8, 1e-10, adaptive)
     _, l = yield x[None]
@@ -374,7 +357,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
         l_residual=l_res,
         feasible=bool(l_res <= config.eps_l) and feasible,
         circuit=circuit,
-        preset=config.preset.tag(),
+        preset=template.preset,
         per_restart=tuple(records),
         n_evals=ev.evals,
     )
@@ -456,11 +439,10 @@ def config_to_json(config: OptimizerConfig) -> dict:
                                 else [list(s) for s in config.preset.supports])},
         "restarts": config.restarts,
         "seed": config.seed,
-        "mu0": config.mu0,
-        "mu_growth": config.mu_growth,
-        "mu_stages": config.mu_stages,
+        "mu0": PENALTY_MUS[0],
+        "mu_growth": PENALTY_MUS[1] / PENALTY_MUS[0],
+        "mu_stages": len(PENALTY_MUS),
         "eps_l": config.eps_l,
-        "tol_value": config.tol_value,
         "max_evals": config.max_evals,
         "warm_starts": [w.tolist() for w in config.warm_starts],
     }

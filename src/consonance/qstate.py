@@ -119,41 +119,41 @@ class Violation:
     residual: float
 
 
-def validate(rho: DensityMatrix, *, tol_herm: float = TOL_HERM,
-             tol_trace: float = TOL_TRACE, tol_psd: float = TOL_PSD) -> list[Violation]:
+def validate(rho: DensityMatrix) -> list[Violation]:
     """Return the list of physicality violations of ``rho`` (empty if none).
 
     Checks hermiticity, unit trace and positive semidefiniteness, each
-    against its own tolerance.  Residuals are reported in absolute terms:
-    max elementwise deviation for hermiticity, ``|tr - 1|`` for trace and
-    the magnitude of the most negative eigenvalue for positivity.
+    against its own tolerance (``TOL_HERM``, ``TOL_TRACE``, ``TOL_PSD``).
+    Residuals are reported in absolute terms: max elementwise deviation for
+    hermiticity, ``|tr - 1|`` for trace and the magnitude of the most
+    negative eigenvalue for positivity.
     """
     m = rho.entries
     out = []
     herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > tol_herm:
+    if herm > TOL_HERM:
         out.append(Violation("hermiticity", herm))
     tr = abs(complex(np.trace(m)) - 1.0)
-    if tr > tol_trace:
+    if tr > TOL_TRACE:
         out.append(Violation("trace", tr))
     lam_min = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-    if lam_min < -tol_psd:
+    if lam_min < -TOL_PSD:
         out.append(Violation("positivity", -lam_min))
     return out
 
 
-def assert_valid(rho: DensityMatrix, **tols) -> DensityMatrix:
+def assert_valid(rho: DensityMatrix) -> DensityMatrix:
     """Raise :class:`ValidationError` if ``rho`` is not a physical state."""
-    bad = validate(rho, **tols)
+    bad = validate(rho)
     if bad:
         detail = "; ".join(f"{v.invariant} residual {v.residual:.3e}" for v in bad)
         raise ValidationError(f"density matrix is not a physical state: {detail}")
     return rho
 
 
-def assert_normalized(psi: PureState, tol: float = TOL_NORM) -> PureState:
+def assert_normalized(psi: PureState) -> PureState:
     err = psi.norm_error()
-    if err > tol:
+    if err > TOL_NORM:
         raise ValidationError(f"pure state is not normalized: residual {err:.3e}")
     return psi
 
@@ -212,13 +212,13 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(axes).reshape(rho.dim, rho.dim))
 
 
-def hermitian_eigenvalues(matrix, *, tol: float = TOL_HERM) -> np.ndarray:
+def hermitian_eigenvalues(matrix) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, descending."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > tol:
+    if dev > TOL_HERM:
         raise ValidationError(f"matrix is not Hermitian: residual {dev:.3e}")
     return np.linalg.eigvalsh(m)[::-1].copy()
 

@@ -64,7 +64,7 @@ def _pair_amps(a=None, b=None, a2=None) -> tuple[complex, complex]:
         a2 = min(max(a2, 0.0), 1.0)
         return math.sqrt(a2), math.sqrt(1.0 - a2)
     if a is None:
-        raise ValidationError("parameter a (or a2) is required")
+        raise FactorySpecError("parameter a (or a2) is required")
     a = complex(a)
     b = complex(b) if b is not None else complex(math.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
     if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:

@@ -30,7 +30,7 @@ import scipy.linalg
 
 from .qstate import DensityMatrix, PureState, check_dims
 
-TOL_UNITARY = 1e-10
+TOL_UNITARY = 1e-8     # largest |u u^dagger - 1| entry params_for_unitary accepts
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -90,7 +90,7 @@ def build_unitary(params: UnitaryParams) -> np.ndarray:
     return expi_hermitian(hermitian_from_theta(params.dim, params.theta))
 
 
-def params_for_unitary(u, *, tol: float = 1e-8) -> UnitaryParams:
+def params_for_unitary(u) -> UnitaryParams:
     """Invert the chart: find theta with build_unitary(theta) ~ u.
 
     Uses the principal matrix logarithm, so it is defined for every
@@ -102,7 +102,7 @@ def params_for_unitary(u, *, tol: float = 1e-8) -> UnitaryParams:
         raise ValueError(f"expected a square matrix, got {u.shape}")
     d = u.shape[0]
     dev = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
-    if dev > tol:
+    if dev > TOL_UNITARY:
         raise ValueError(f"matrix is not unitary: residual {dev:.3e}")
     h = scipy.linalg.logm(u) / 1j
     h = (h + h.conj().T) / 2.0
@@ -177,12 +177,6 @@ def embed_matrix(u: np.ndarray, support: tuple[int, ...], dims: tuple[int, ...])
     big = np.kron(u, np.eye(d_rest)) if d_rest > 1 else u
     t = big.reshape(shape + shape).transpose(axes)
     return np.ascontiguousarray(t.reshape(d_full, d_full))
-
-
-def embed(layer: CircuitLayer, dims) -> np.ndarray:
-    dims = check_dims(dims)
-    _check_layer(layer, dims)
-    return embed_matrix(build_unitary(layer.params), layer.support, dims)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from consonance import states, unitary
-from consonance.cli import main
+from consonance.cli import _opt_config_from, build_parser, main
 from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
 from consonance.qstate import (density_from_pure, save_state, state_from_json,
@@ -377,3 +377,43 @@ def test_optimize_seed_flag_beats_environment(capsys, monkeypatch):
                        "--seed", "17")
     assert code == 0
     assert json.loads(out)["seed"] == 17
+
+
+# --- search config from flags --------------------------------------------
+
+
+def _parsed_config(*argv):
+    return _opt_config_from(build_parser().parse_args(list(argv)), 0)
+
+
+def test_sweep_config_defaults_to_eight_restarts():
+    config = _parsed_config("sweep", "--recipe", "fig3")
+    assert config.restarts == 8
+    assert config.max_evals == 20000
+    assert _parsed_config("sweep", "--recipe", "fig3", "--restarts", "3").restarts == 3
+
+
+def test_measure_config_keeps_the_config_default():
+    config = _parsed_config("measure", "--measure", "consonance_opt",
+                            "--family", "werner:0.5")
+    assert config.restarts == 32
+    assert config.max_evals == 20000
+
+
+@pytest.mark.parametrize("family", ["bell_like", "psi_like"])
+def test_pair_family_without_a_is_usage_error(capsys, family):
+    code, _, err = run(capsys, "measure", "--measure", "discord",
+                       "--family", f"{family}:b=0.6")
+    assert code == 2
+    assert "parameter a (or a2) is required" in err
+    code, _, err = run(capsys, "sweep", "--family", family, "--axis", "b",
+                       "--start", "0", "--stop", "1", "--points", "3",
+                       "--measures", "discord")
+    assert code == 2
+    assert "parameter a (or a2) is required" in err
+
+
+def test_pair_family_out_of_range_stays_invalid_state(capsys):
+    code, _, _ = run(capsys, "measure", "--measure", "discord",
+                     "--family", "bell_like:a2=1.5")
+    assert code == 1

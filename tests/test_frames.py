@@ -61,7 +61,7 @@ def _check_stack(dims, preset, b, seed):
 
 @pytest.mark.parametrize("b", [1, 7])
 @pytest.mark.parametrize("dims,preset", CASES,
-                         ids=[f"{d}-{p.tag()}-{p.supports}" for d, p in CASES])
+                         ids=[f"{d}-{p.build(d).preset}-{p.supports}" for d, p in CASES])
 def test_batched_frames_match_reference(dims, preset, b):
     _check_stack(dims, preset, b, seed=len(dims) + b)
 

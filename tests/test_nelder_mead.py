@@ -13,8 +13,8 @@ import pytest
 from scipy.optimize import minimize
 
 from consonance import states, unitary
-from consonance.optimizer import (OptimizerConfig, Preset, _CircuitEvaluator,
-                                  _nelder_mead, consonance)
+from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
+                                  _CircuitEvaluator, _nelder_mead, consonance)
 from consonance.qstate import density_from_pure
 
 
@@ -118,7 +118,7 @@ def test_every_budget_matches_scipy(f, x0, adaptive):
 def _scipy_restart(ev, x0, config):
     """One restart on scipy's Nelder-Mead, one frame per evaluator call:
     the search as it ran before the restarts were put in lockstep."""
-    budget = max(50, config.max_evals // (config.mu_stages + 1))
+    budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
     adaptive = ev.n_theta >= 10
 
     def at(theta):
@@ -136,7 +136,7 @@ def _scipy_restart(ev, x0, config):
 
     before = ev.evals
     x = np.asarray(x0, dtype=np.float64)
-    for mu in config.mus():
+    for mu in PENALTY_MUS:
         x = nelder_mead(lambda t, mu=mu: penalized(t, mu), x, 1e-8, 1e-10)
     if at(x)[1] > config.eps_l:
         x = nelder_mead(lambda t: at(t)[1], x, 1e-10, 1e-14)

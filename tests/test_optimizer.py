@@ -6,25 +6,26 @@ import pytest
 
 from consonance import states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
-from consonance.optimizer import (OptimizerConfig, Preset, config_to_json,
-                                  consonance, consonance_pure_bipartite,
-                                  oracle_consonance, report_to_json)
+from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
+                                  config_to_json, consonance,
+                                  consonance_pure_bipartite, oracle_consonance,
+                                  report_to_json)
 from consonance.qstate import DensityMatrix, density_from_pure, tensor
 from consonance.unitary import NONGLOBAL, SINGLE_PARTY, apply, with_theta
 
 CHEAP = OptimizerConfig(restarts=2, seed=7, max_evals=3000)
+TOL_VALUE = 1e-6       # tolerance on a searched value, added to the budget slack
 
 
 def test_preset_build_and_tag():
     p = Preset()
     assert p.kind == SINGLE_PARTY
-    assert p.tag() == "single_party"
     circ = p.build((2, 3))
+    assert circ.preset == "single_party"
     assert [l.support for l in circ.layers] == [(0,), (1,)]
-    q = Preset(kind=NONGLOBAL, depth=3)
-    assert q.tag() == "nonglobal:depth=3"
-    assert [l.support for l in q.build((2, 2, 2)).layers] == [
-        (0,), (0, 1), (0, 2)]
+    circ = Preset(kind=NONGLOBAL, depth=3).build((2, 2, 2))
+    assert circ.preset == "nonglobal:depth=3"
+    assert [l.support for l in circ.layers] == [(0,), (0, 1), (0, 2)]
 
 
 def test_config_validation():
@@ -39,8 +40,7 @@ def test_config_validation():
 
 
 def test_penalty_schedule():
-    mus = OptimizerConfig().mus()
-    assert list(mus) == [10.0, 100.0, 1000.0, 10000.0]
+    assert list(PENALTY_MUS) == [10.0, 100.0, 1000.0, 10000.0]
 
 
 def test_determinism_bit_for_bit():
@@ -125,18 +125,18 @@ def test_local_unitary_invariance():
     rotated = apply(frame, rho)
     a = consonance(rho, CHEAP)
     b = consonance(rotated, CHEAP)
-    assert abs(a.value - b.value) < 2 * CHEAP.tol_value + 2e-3
+    assert abs(a.value - b.value) < 2 * TOL_VALUE + 2e-3
 
 
 def test_no_value_below_closed_form():
     # regression guard: the search must not undercut the known infima
     for a in (0.3, 0.8):
         report = consonance(states.werner(a), CHEAP)
-        assert report.value >= a - CHEAP.tol_value - 1e-3
+        assert report.value >= a - TOL_VALUE - 1e-3
     rho = states.two_param_qubit_qutrit(0.2, 0.1)
     beta = (1 - 0.4 - 0.1) / 3
     report = consonance(rho, CHEAP)
-    assert report.value >= abs(beta - 0.1) - CHEAP.tol_value - 1e-3
+    assert report.value >= abs(beta - 0.1) - TOL_VALUE - 1e-3
 
 
 def test_restart_records():
@@ -256,6 +256,9 @@ def test_config_report_json():
     assert blob["restarts"] == 2
     assert blob["seed"] == 9
     assert blob["preset"]["kind"] == "single_party"
+    # the fixed penalty schedule is written out with every config
+    assert (blob["mu0"], blob["mu_growth"], blob["mu_stages"]) == (10.0, 10.0, 4)
+    assert "tol_value" not in blob
 
     report = consonance(states.werner(0.3), config)
     out = report_to_json(report)
