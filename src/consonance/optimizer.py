@@ -146,26 +146,27 @@ class _CircuitEvaluator:
         self._frames = unitary.FrameBuilder(template, rho.dims)
         self.n_theta = self._frames.n_theta
         self._rho = np.asarray(rho.entries)
-        _, self._local, self._nonlocal = coherence.class_masks(rho.dims)
+        _, local, nonlocal_ = coherence.class_masks(rho.dims)
+        self._local, self._nonlocal = np.flatnonzero(local), np.flatnonzero(nonlocal_)
         self.evals = 0
 
-    def sums(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """S and L arrays for a stack of parameter vectors (B, n_theta),
+    def sums(self, thetas: np.ndarray) -> tuple[list[float], list[float]]:
+        """S and L lists for a stack of parameter vectors (B, n_theta),
         built ``ORACLE_CHUNK`` frames at a time."""
         s: list[float] = []
         l: list[float] = []
         for start in range(0, len(thetas), ORACLE_CHUNK):
             u = self._frames.unitaries(thetas[start:start + ORACLE_CHUNK])
-            abs_rc = np.abs(u @ self._rho @ u.conj().swapaxes(-1, -2))
-            s += [math.fsum(row) for row in abs_rc[:, self._nonlocal].tolist()]
-            l += [math.fsum(row) for row in abs_rc[:, self._local].tolist()]
+            rows = np.abs(u @ self._rho @ u.conj().swapaxes(-1, -2)).reshape(len(u), -1)
+            s += map(math.fsum, rows[:, self._nonlocal].tolist())
+            l += map(math.fsum, rows[:, self._local].tolist())
         self.evals += len(thetas)
-        return np.array(s), np.array(l)
+        return s, l
 
 
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[ind], fsim[ind]
 
 
 def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
@@ -204,14 +205,15 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
     sim, fsim = _order(sim, fsim)
 
     while nfev < maxfev:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
             break
+        fbest, fnext, fworst = fsim[0], fsim[-2], fsim[-1]
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
         (fxr,) = yield xr[None]
         nfev += 1
-        if fxr < fsim[0]:
+        if fxr < fbest:
             if nfev < maxfev:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
                 (fxe,) = yield xe[None]
@@ -220,11 +222,11 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
                     sim[-1], fsim[-1] = xe, fxe
                 else:
                     sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
+        elif fxr < fnext:
             sim[-1], fsim[-1] = xr, fxr
         elif nfev < maxfev:
             doshrink = False
-            if fxr < fsim[-1]:
+            if fxr < fworst:
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
                 (fxc,) = yield xc[None]
                 nfev += 1
@@ -236,7 +238,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
                 xcc = (1 - psi) * xbar + psi * sim[-1]
                 (fxcc,) = yield xcc[None]
                 nfev += 1
-                if fxcc < fsim[-1]:
+                if fxcc < fworst:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     doshrink = True
@@ -273,8 +275,9 @@ def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
     adaptive = n_theta >= 10
     x = np.asarray(x0, dtype=np.float64)
     for mu in PENALTY_MUS:
-        x = yield from _minimize(lambda s, l, mu=mu: s + mu * l, x, budget,
-                                 1e-8, 1e-10, adaptive)
+        x = yield from _minimize(
+            lambda s, l, mu=mu: [a + mu * b for a, b in zip(s, l)], x, budget,
+            1e-8, 1e-10, adaptive)
     _, l = yield x[None]
     if l[0] > config.eps_l:
         x = yield from _minimize(lambda s, l: l, x, budget, 1e-10, 1e-14,
@@ -404,6 +407,9 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     if (isinstance(samples, bool) or not isinstance(samples, numbers.Integral)
             or samples < 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if (isinstance(eps_l, bool) or not isinstance(eps_l, numbers.Real)
+            or not 0 < eps_l < math.inf):
+        raise ValueError(f"eps_l must be a finite number > 0, got {eps_l!r}")
     samples = int(samples)
     if isinstance(rho, PureState):
         rho = density_from_pure(rho)
@@ -421,7 +427,7 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
             thetas[1:] = rng.uniform(-math.pi, math.pi, size=(n - 1, ev.n_theta))
         else:
             thetas = rng.uniform(-math.pi, math.pi, size=(n, ev.n_theta))
-        s, l = ev.sums(thetas)
+        s, l = map(np.array, ev.sums(thetas))
         ok = l <= eps_l
         feasible += int(np.count_nonzero(ok))
         if ok.any():

@@ -13,9 +13,12 @@ unitary is U_L ... U_2 U_1.
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
 vectors (B, P) into the stacked circuit unitaries (B, D, D).  The replay
 (:func:`circuit_unitary`, :func:`apply`), the penalty search and the
-brute-force oracle all go through it.  The scalar functions
-(:func:`hermitian_from_theta`, :func:`expi_hermitian`,
-:func:`embed_matrix`) are the reference it matches bit for bit.
+brute-force oracle all go through it, and :func:`build_unitary` is the
+single-row case of its chart.  It works from index plans laid out once
+per circuit shape: a gather builds each H from theta, and a gather lifts
+each layer unitary to the full space.  The scalar reference it matches
+entry for entry with == (chart, exp and a kron-and-transpose embed, one
+frame at a time) lives in the tests.
 """
 
 from __future__ import annotations
@@ -44,23 +47,31 @@ def n_params(dim: int) -> int:
     return dim * dim
 
 
-def hermitian_from_theta(dim: int, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (dim * dim,):
-        raise ValueError(f"a {dim}-dimensional unitary takes {dim * dim} parameters, "
-                         f"got shape {theta.shape}")
-    h = np.diag(theta[:dim].astype(np.complex128))
+@lru_cache(maxsize=None)
+def _chart_plan(dim: int) -> np.ndarray:
+    """Where each entry of H, row-major, sits in the chart's source row
+    [diagonal (dim), upper triangle (m), its conjugates (m)]."""
     iu = np.triu_indices(dim, k=1)
-    off = theta[dim::2] + 1j * theta[dim + 1::2]
-    h[iu] = off
-    h[(iu[1], iu[0])] = off.conj()
-    return h
+    m = len(iu[0])
+    plan = np.diag(np.arange(dim))
+    plan[iu] = dim + np.arange(m)
+    plan[iu[::-1]] = dim + m + np.arange(m)
+    return plan.ravel()
 
 
-def expi_hermitian(h: np.ndarray) -> np.ndarray:
-    """exp(iH) for Hermitian H via eigendecomposition (exactly unitary columns)."""
+def _hermitian_stack(dim: int, t: np.ndarray) -> np.ndarray:
+    """H(theta) over the last axis of t (..., dim^2): one gather from the
+    diagonal, the (re, im) pairs and their conjugates."""
+    off = t[..., dim::2] + 1j * t[..., dim + 1::2]
+    src = np.concatenate((t[..., :dim].astype(np.complex128), off, off.conj()), axis=-1)
+    return src[..., _chart_plan(dim)].reshape(t.shape[:-1] + (dim, dim))
+
+
+def _expi_stack(h: np.ndarray) -> np.ndarray:
+    """exp(iH) over a stack of Hermitian matrices (..., d, d), by
+    eigendecomposition, so the columns are exactly unitary."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +98,8 @@ class UnitaryParams:
 
 
 def build_unitary(params: UnitaryParams) -> np.ndarray:
-    return expi_hermitian(hermitian_from_theta(params.dim, params.theta))
+    """exp(iH(theta)): the single-row case of the frame builder's chart."""
+    return _expi_stack(_hermitian_stack(params.dim, params.theta))
 
 
 def params_for_unitary(u) -> UnitaryParams:
@@ -159,105 +171,74 @@ def _check_layer(layer: CircuitLayer, dims: tuple[int, ...]) -> None:
 
 
 @lru_cache(maxsize=None)
-def _embed_plan(support: tuple[int, ...], dims: tuple[int, ...]):
+def _embed_index(support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """Where each entry of u (x) identity, lifted to the full space and
+    read row-major, sits in u.ravel(); -1 where the entry is 0.
+
+    The kron-and-transpose of the lift, run once on an array of positions.
+    """
     n = len(dims)
     rest = [p for p in range(n) if p not in support]
     order = list(support) + rest
-    shape = [dims[p] for p in order]
+    shape = tuple(dims[p] for p in order)
     perm = [order.index(p) for p in range(n)]
-    axes = perm + [n + q for q in perm]
-    d_rest = math.prod(dims[p] for p in rest) if rest else 1
-    d_full = math.prod(dims)
-    return d_rest, tuple(shape), tuple(axes), d_full
-
-
-def embed_matrix(u: np.ndarray, support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
-    """Lift a support-space unitary to the full space as u (x) identity."""
-    d_rest, shape, axes, d_full = _embed_plan(tuple(support), tuple(dims))
-    big = np.kron(u, np.eye(d_rest)) if d_rest > 1 else u
-    t = big.reshape(shape + shape).transpose(axes)
-    return np.ascontiguousarray(t.reshape(d_full, d_full))
-
-
-@lru_cache(maxsize=None)
-def _chart_index(dim: int):
-    """Flat positions in a dim x dim matrix of the chart's diagonal, its
-    strict upper triangle in row-major order, and the mirrored lower one."""
-    iu = np.triu_indices(dim, k=1)
-    return np.arange(dim) * (dim + 1), iu[0] * dim + iu[1], iu[1] * dim + iu[0]
-
-
-def _hermitian_stack(dim: int, t: np.ndarray) -> np.ndarray:
-    """hermitian_from_theta over the last axis of t (..., dim^2)."""
-    diag, upper, lower = _chart_index(dim)
-    h = np.zeros(t.shape, dtype=np.complex128)
-    h[..., diag] = t[..., :dim]
-    off = t[..., dim::2] + 1j * t[..., dim + 1::2]
-    h[..., upper] = off
-    h[..., lower] = off.conj()
-    return h.reshape(t.shape[:-1] + (dim, dim))
-
-
-def _expi_stack(h: np.ndarray) -> np.ndarray:
-    """expi_hermitian over a stack of Hermitian matrices (..., d, d)."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    dim = math.prod(dims[p] for p in support)
+    d_rest = math.prod(dims[p] for p in rest)
+    marks = np.kron(np.arange(1, dim * dim + 1).reshape(dim, dim),
+                    np.eye(d_rest, dtype=np.intp))
+    return marks.reshape(shape + shape).transpose(perm + [n + q for q in perm]).ravel() - 1
 
 
 class FrameBuilder:
     """The unitaries of one circuit shape at a stack of parameter vectors.
 
-    Built once per circuit and dims, which validates every layer;
-    ``unitaries(thetas)`` maps thetas (B, n_theta) to the circuit
-    unitaries (B, D, D).  The layers of each dimension share one scatter
-    of theta into H and one batched ``eigh``; each layer is embedded with
-    the kron-and-transpose plan of :func:`embed_matrix`, and the layers
-    are chained by stacked matmuls.  Each row is bit-identical to
-    chaining ``embed_matrix(build_unitary(...))`` layer by layer.
+    Built once per circuit and dims, which validates every layer and lays
+    out the embed plans; ``unitaries(thetas)`` maps thetas (B, n_theta) to
+    the circuit unitaries (B, D, D).  The layers of each dimension share
+    one chart gather and one batched ``eigh``.  A layer's matrix takes the
+    columns of its theta, and one gather through the layers'
+    :func:`_embed_index` plans lifts them all to the full space.  The
+    first layer starts the chain; each later one multiplies it from the
+    left.  Each row equals the scalar reference of the tests (chart, exp,
+    kron-and-transpose embed, chained from the identity) up to the sign of
+    exact zeros.
     """
 
     def __init__(self, circuit: LocalCircuit, dims):
         dims = check_dims(dims)
         self.d = math.prod(dims)
-        by_dim: dict[int, tuple[list, list]] = {}
+        by_dim: dict[int, list[np.ndarray]] = {}
         embeds = []
         off = 0
-        for pos, layer in enumerate(circuit.layers):
+        for layer in circuit.layers:
             _check_layer(layer, dims)
             dim = layer.params.dim
-            positions, cols = by_dim.setdefault(dim, ([], []))
-            positions.append(pos)
-            cols.extend(range(off, off + dim * dim))
+            by_dim.setdefault(dim, []).append(np.arange(off, off + dim * dim))
+            index = _embed_index(layer.support, dims)
+            embeds.append(np.where(index < 0, -1, index + off))
             off += dim * dim
-            d_rest, shape, axes, _ = _embed_plan(layer.support, dims)
-            embeds.append((np.eye(d_rest) if d_rest > 1 else None,
-                           (-1,) + shape + shape, (0,) + tuple(a + 1 for a in axes)))
         self.n_theta = off
-        self._eye = np.eye(self.d, dtype=np.complex128)
-        self._groups = tuple((dim, tuple(positions), np.array(cols))
-                             for dim, (positions, cols) in by_dim.items())
-        self._embeds = tuple(embeds)
+        self._groups = tuple((dim, len(cols), np.concatenate(cols))
+                             for dim, cols in by_dim.items())
+        self._embed = np.array(embeds, dtype=np.intp).reshape(-1, self.d, self.d)
 
     def unitaries(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
         if thetas.ndim != 2 or thetas.shape[1] != self.n_theta:
             raise ValueError(f"thetas must have shape (B, {self.n_theta}), "
                              f"got {thetas.shape}")
-        b, d = thetas.shape[0], self.d
-        layer_us = [None] * len(self._embeds)
-        for dim, positions, cols in self._groups:
-            t = thetas[:, cols].reshape(b, len(positions), dim * dim)
-            us = _expi_stack(_hermitian_stack(dim, t))
-            for k, pos in enumerate(positions):
-                layer_us[pos] = us[:, k]
-        total = self._eye
-        for u, (eye_rest, shape, axes) in zip(layer_us, self._embeds):
-            if eye_rest is not None:   # np.kron(u, eye_rest), row by row
-                u = u[:, :, None, :, None] * eye_rest[:, None, :]
-            big = np.ascontiguousarray(u.reshape(shape).transpose(axes))
-            total = big.reshape(b, d, d) @ total
-        if total.ndim == 2:   # no layers
-            total = np.repeat(total[None], b, axis=0)
+        b = len(thetas)
+        if not self._groups:   # no layers
+            return np.repeat(np.eye(self.d, dtype=np.complex128)[None], b, axis=0)
+        # the layer matrices, then a last column of 0 that index -1 reads
+        stack = np.zeros((b, self.n_theta + 1), dtype=np.complex128)
+        for dim, k, cols in self._groups:
+            h = _hermitian_stack(dim, thetas[:, cols].reshape(b, k, dim * dim))
+            stack[:, cols] = _expi_stack(h).reshape(b, k * dim * dim)
+        mats = stack[:, self._embed]
+        total = mats[:, 0]
+        for k in range(1, len(self._embed)):
+            total = mats[:, k] @ total
         return total
 
 

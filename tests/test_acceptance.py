@@ -20,9 +20,10 @@ from consonance.measures import (concurrence_2x2, concurrence_werner,
                                  consonance_closed_form, discord_2x3,
                                  discord_bell_like, discord_werner, eof_2x2,
                                  eof_from_concurrence, negativity)
-from consonance.optimizer import (OptimizerConfig, Preset, config_to_json,
-                                  consonance, consonance_pure_bipartite,
-                                  oracle_consonance, report_to_json)
+from consonance.optimizer import (EPS_L, OptimizerConfig, Preset,
+                                  config_to_json, consonance,
+                                  consonance_pure_bipartite, oracle_consonance,
+                                  report_to_json)
 from consonance.unitary import NONGLOBAL
 from consonance.qstate import density_from_pure, tensor
 from consonance.unitary import apply
@@ -270,6 +271,35 @@ def test_criterion_8_ghz_witness_certificate():
     report = consonance(density_from_pure(states.ghz(3)), config)
     assert report.feasible
     assert report.value <= 1e-4
+
+
+def _w_witness_theta():
+    """Depth-3 frame at the default supports (0,), (0, 1), (0, 2) that takes
+    W(3) to |000>: the identity on (0,); on (0, 1) a gate taking psi+ to
+    |11>, then a CNOT, which leaves sqrt(2/3)|10>|0> + (1/sqrt 3)|00>|1>;
+    on (0, 2) a gate taking (1/sqrt 3)|01> + sqrt(2/3)|10> to |00>."""
+    ket = np.eye(4)
+    psi_plus, psi_minus = (ket[1] + ket[2]) / math.sqrt(2), (ket[1] - ket[2]) / math.sqrt(2)
+    g = (np.outer(ket[0], ket[0]) + np.outer(ket[3], psi_plus)
+         + np.outer(ket[1], psi_minus) + np.outer(ket[2], ket[3]))
+    cnot = np.zeros((4, 4))
+    cnot[0, 0] = cnot[1, 1] = cnot[2, 3] = cnot[3, 2] = 1.0
+    rest = np.array([0.0, 1.0, math.sqrt(2.0), 0.0]) / math.sqrt(3.0)
+    other = np.array([0.0, math.sqrt(2.0), -1.0, 0.0]) / math.sqrt(3.0)
+    to_zero = np.column_stack([rest, ket[0], other, ket[3]]).T
+    return np.concatenate([
+        np.zeros(4),
+        unitary.params_for_unitary(cnot @ g).theta,
+        unitary.params_for_unitary(to_zero).theta,
+    ])
+
+
+def test_criterion_8_w_witness_certificate():
+    witness = unitary.with_theta(unitary.nonglobal_circuit((2, 2, 2)),
+                                 _w_witness_theta())
+    final = density_from_pure(apply(witness, states.w_state(3)))
+    assert nonlocal_sum(final) <= 1e-12
+    assert local_coherence(final) <= EPS_L
 
 
 def test_criterion_8_w_state_reports_archived(tmp_path):

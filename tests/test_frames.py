@@ -1,12 +1,14 @@
 """The batched frame evaluator against a scalar reference built here.
 
-The reference chains the public scalar functions one frame at a time:
-hermitian_from_theta -> expi_hermitian -> embed_matrix, then conjugates
-and sums with coherence.nonlocal_sum / local_coherence.  The batched
-path must match it exactly (==), not just to a tolerance.
+The reference builds one frame at a time from scalar functions kept in
+this file: hermitian_from_theta -> expi_hermitian -> embed_matrix, chained
+from the identity, then conjugates and sums with coherence.nonlocal_sum /
+local_coherence.  The batched path must match it exactly (==), not just
+to a tolerance.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -14,9 +16,7 @@ import pytest
 from consonance import coherence, states, unitary
 from consonance.optimizer import (ORACLE_CHUNK, Preset, _CircuitEvaluator,
                                   oracle_consonance)
-from consonance.unitary import (FrameBuilder, LocalCircuit, circuit_unitary,
-                                embed_matrix, expi_hermitian,
-                                hermitian_from_theta)
+from consonance.unitary import FrameBuilder, LocalCircuit, circuit_unitary
 
 DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]
 PRESETS = ([Preset()] + [Preset(kind=unitary.NONGLOBAL, depth=k) for k in range(1, 5)])
@@ -26,6 +26,46 @@ CASES = [(dims, p) for dims in DIMS for p in PRESETS] + [
     ((2, 3, 2), Preset(kind=unitary.NONGLOBAL, depth=2, supports=((2,), (0, 1)))),
     ((3, 3), Preset(kind=unitary.NONGLOBAL, depth=4, supports=((1,), (1,), (0,)))),
 ]
+
+
+def hermitian_from_theta(dim: int, theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (dim * dim,):
+        raise ValueError(f"a {dim}-dimensional unitary takes {dim * dim} parameters, "
+                         f"got shape {theta.shape}")
+    h = np.diag(theta[:dim].astype(np.complex128))
+    iu = np.triu_indices(dim, k=1)
+    off = theta[dim::2] + 1j * theta[dim + 1::2]
+    h[iu] = off
+    h[(iu[1], iu[0])] = off.conj()
+    return h
+
+
+def expi_hermitian(h: np.ndarray) -> np.ndarray:
+    """exp(iH) for Hermitian H via eigendecomposition (exactly unitary columns)."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+@lru_cache(maxsize=None)
+def _embed_plan(support: tuple[int, ...], dims: tuple[int, ...]):
+    n = len(dims)
+    rest = [p for p in range(n) if p not in support]
+    order = list(support) + rest
+    shape = [dims[p] for p in order]
+    perm = [order.index(p) for p in range(n)]
+    axes = perm + [n + q for q in perm]
+    d_rest = math.prod(dims[p] for p in rest) if rest else 1
+    d_full = math.prod(dims)
+    return d_rest, tuple(shape), tuple(axes), d_full
+
+
+def embed_matrix(u: np.ndarray, support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
+    """Lift a support-space unitary to the full space as u (x) identity."""
+    d_rest, shape, axes, d_full = _embed_plan(tuple(support), tuple(dims))
+    big = np.kron(u, np.eye(d_rest)) if d_rest > 1 else u
+    t = big.reshape(shape + shape).transpose(axes)
+    return np.ascontiguousarray(t.reshape(d_full, d_full))
 
 
 def reference_unitary(template, dims, theta):
@@ -46,13 +86,17 @@ def reference_sums(rho, u):
 
 
 def _check_stack(dims, preset, b, seed):
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-math.pi, math.pi, size=(b, preset.build(dims).n_theta))
+    _check_rows(dims, preset, thetas, seed)
+
+
+def _check_rows(dims, preset, thetas, seed):
     rho = states.random_density(dims, seed=seed)
     template = preset.build(dims)
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-math.pi, math.pi, size=(b, template.n_theta))
     got_u = FrameBuilder(template, dims).unitaries(thetas)
     got_s, got_l = _CircuitEvaluator(rho, template).sums(thetas)
-    assert got_u.shape == (b,) + (math.prod(dims),) * 2
+    assert got_u.shape == (len(thetas),) + (math.prod(dims),) * 2
     for k, theta in enumerate(thetas):
         ref_u = reference_unitary(template, dims, theta)
         assert np.array_equal(got_u[k], ref_u)
@@ -72,6 +116,34 @@ def test_batched_frames_match_reference(dims, preset, b):
 ])
 def test_batched_frames_match_reference_past_one_chunk(dims, preset):
     _check_stack(dims, preset, ORACLE_CHUNK + 3, seed=5)
+
+
+def _edge_thetas(n_theta, seed):
+    """Rows where a wrong chart shows: all 0.0; 0.0 and -0.0 alternating,
+    in random signs and all -0.0; random entries scaled by 1e-300, one of
+    them also with signed zeros."""
+    rng = np.random.default_rng(seed)
+    signs = np.vstack([(-1.0) ** np.arange(n_theta),
+                       rng.choice([-1.0, 1.0], size=n_theta),
+                       -np.ones(n_theta)])
+    tiny = rng.uniform(-3, 3, size=(2, n_theta)) * 1e-300
+    tiny[1, ::3] = 0.0 * signs[1, ::3]
+    return np.vstack([np.zeros(n_theta), 0.0 * signs, tiny])
+
+
+@pytest.mark.parametrize("dims,preset", CASES,
+                         ids=[f"{d}-{p.build(d).preset}-{p.supports}" for d, p in CASES])
+def test_frames_match_reference_at_signed_zeros_and_tiny_thetas(dims, preset):
+    n_theta = preset.build(dims).n_theta
+    _check_rows(dims, preset, _edge_thetas(n_theta, seed=len(dims) + n_theta), len(dims))
+
+
+def test_build_unitary_is_the_single_row_chart():
+    rng = np.random.default_rng(8)
+    for dim in (2, 3, 4):
+        for theta in [rng.uniform(-3, 3, dim * dim), *_edge_thetas(dim * dim, dim)]:
+            assert np.array_equal(unitary.build_unitary(unitary.UnitaryParams(dim, theta)),
+                                  expi_hermitian(hermitian_from_theta(dim, theta)))
 
 
 def test_circuit_unitary_is_the_single_row_case():

@@ -1,5 +1,6 @@
 """The in-package Nelder-Mead against scipy's, and lockstep restarts
-against solo runs and against the search on scipy's Nelder-Mead.
+against solo runs and against the search on scipy's Nelder-Mead driving
+the scalar frame reference of ``test_frames``.
 
 Every comparison uses ``==``: the generator repeats scipy's arithmetic
 operation for operation, and a restart's path depends only on its own
@@ -14,8 +15,9 @@ from scipy.optimize import minimize
 
 from consonance import states, unitary
 from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
-                                  _CircuitEvaluator, _nelder_mead, consonance)
+                                  _nelder_mead, consonance)
 from consonance.qstate import density_from_pure
+from test_frames import reference_sums, reference_unitary
 
 
 def _drive(f, x0, maxfev, xatol, fatol, adaptive):
@@ -115,15 +117,18 @@ def test_every_budget_matches_scipy(f, x0, adaptive):
 # --- lockstep restarts against solo runs --------------------------------
 
 
-def _scipy_restart(ev, x0, config):
-    """One restart on scipy's Nelder-Mead, one frame per evaluator call:
-    the search as it ran before the restarts were put in lockstep."""
+def _scipy_restart(rho, template, x0, config):
+    """One restart on scipy's Nelder-Mead, one frame at a time through the
+    scalar reference: the search as it ran before the restarts were put
+    in lockstep, on none of the package's frame code."""
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
-    adaptive = ev.n_theta >= 10
+    adaptive = template.n_theta >= 10
+    evals = 0
 
     def at(theta):
-        s, l = ev.sums(theta[None])
-        return float(s[0]), float(l[0])
+        nonlocal evals
+        evals += 1
+        return reference_sums(rho, reference_unitary(template, rho.dims, theta))
 
     def penalized(theta, mu):
         s, l = at(theta)
@@ -134,14 +139,13 @@ def _scipy_restart(ev, x0, config):
                         options={"maxfev": budget, "xatol": xatol, "fatol": fatol,
                                  "adaptive": adaptive, "disp": False}).x
 
-    before = ev.evals
     x = np.asarray(x0, dtype=np.float64)
     for mu in PENALTY_MUS:
         x = nelder_mead(lambda t, mu=mu: penalized(t, mu), x, 1e-8, 1e-10)
     if at(x)[1] > config.eps_l:
         x = nelder_mead(lambda t: at(t)[1], x, 1e-10, 1e-14)
     s, l = at(x)
-    return s, l, ev.evals - before
+    return s, l, evals
 
 
 def _random_start(config, j, n_theta):
@@ -156,11 +160,12 @@ def _random_start(config, j, n_theta):
 def test_lockstep_restarts_match_solo_runs(rho, preset):
     config = OptimizerConfig(preset=preset, restarts=4, seed=9, max_evals=1000)
     lockstep = consonance(rho, config)
-    ev = _CircuitEvaluator(rho, preset.build(rho.dims))
+    template = preset.build(rho.dims)
     for j, record in enumerate(lockstep.per_restart):
-        x0 = _random_start(config, j, ev.n_theta) if j else np.zeros(ev.n_theta)
+        x0 = (_random_start(config, j, template.n_theta) if j
+              else np.zeros(template.n_theta))
         assert (record.value, record.l_residual, record.evals) == \
-            _scipy_restart(ev, x0, config)
+            _scipy_restart(rho, template, x0, config)
         if j == 0:
             continue
         solo = consonance(rho, OptimizerConfig(preset=preset, restarts=1,

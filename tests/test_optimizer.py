@@ -240,6 +240,22 @@ def test_oracle_rejects_bad_sample_counts(samples):
         oracle_consonance(states.werner(0.5), samples=samples)
 
 
+@pytest.mark.parametrize("eps_l", [math.nan, math.inf, -math.inf, -1.0, 0, 0.0, -0.0,
+                                   True, False, "1e-6", None, 1e-6 + 0j])
+def test_oracle_rejects_bad_eps_l(eps_l):
+    # eps_l must be a finite real > 0; with nan, 0 or a negative value no
+    # sample can be feasible, and the oracle used to return value=inf
+    with pytest.raises(ValueError):
+        oracle_consonance(states.werner(0.5), samples=4, eps_l=eps_l)
+
+
+@pytest.mark.parametrize("eps_l", [1e-300, 1e-6, 0.5, 2, np.float64(1e-6)])
+def test_oracle_accepts_any_finite_positive_eps_l(eps_l):
+    # no upper bound: a loose eps_l is how a test makes most samples feasible
+    res = oracle_consonance(states.werner(0.5), samples=4, eps_l=eps_l)
+    assert res.feasible_count >= 1    # theta = 0, where L = 0
+
+
 def test_oracle_is_deterministic():
     rho = states.random_density((2, 2), seed=8)
     a = oracle_consonance(rho, samples=500, seed=4)

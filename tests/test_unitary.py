@@ -10,11 +10,11 @@ from consonance.qstate import density_from_pure, hermitian_eigenvalues
 from consonance.unitary import (CircuitLayer, LocalCircuit, UnitaryParams,
                                 apply, build_unitary, circuit_from_json,
                                 circuit_to_json, circuit_unitary,
-                                default_supports, embed_matrix,
-                                hermitian_from_theta, load_circuit, n_params,
+                                default_supports, load_circuit, n_params,
                                 nonglobal_circuit, params_for_unitary,
                                 save_circuit, single_party_circuit,
                                 theta_vector, with_theta)
+from test_frames import embed_matrix, hermitian_from_theta
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 CNOT = np.array([[1, 0, 0, 0],
