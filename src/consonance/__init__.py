@@ -19,11 +19,11 @@ from .unitary import (CircuitLayer, LocalCircuit, UnitaryParams, apply,
                       build_unitary, nonglobal_circuit, params_for_unitary,
                       single_party_circuit)
 from .optimizer import (ConsonanceReport, OptimizerConfig, Preset, consonance,
-                        consonance_pure_bipartite, oracle_consonance)
+                        oracle_consonance)
 from .measures import (MeasureResult, SchmidtDecomposition, concurrence_2x2,
-                       consonance_closed_form, discord_2x3, discord_bell_like,
-                       discord_werner, eof_from_concurrence, negativity,
-                       schmidt_decompose)
+                       consonance_closed_form, consonance_pure_bipartite,
+                       discord_2x3, discord_bell_like, discord_werner,
+                       eof_from_concurrence, negativity, schmidt_decompose)
 from .states import (TpsRelabeling, bell, bell_like, ghz, parse_factory_spec,
                      permute_subsystems, psi_like, pure_2x2, random_density,
                      random_pure, regroup, tps_remap, two_param_qubit_qutrit,

@@ -146,7 +146,7 @@ def _negativity(ctx: MeasureContext) -> float:
 def _consonance_pure(ctx: MeasureContext) -> float:
     if not isinstance(ctx.state, PureState):
         raise ValueError("consonance_pure needs a pure state")
-    return optimizer.consonance_pure_bipartite(ctx.state)
+    return measures.consonance_pure_bipartite(ctx.state)
 
 
 # every measure but the search: name -> its value at a context

@@ -9,9 +9,10 @@ exactly one class once i and j are decoded to party multi-indices:
 
 The magnitudes summed over the last two classes give the local coherence
 value L and the nonlocal sum S.  S evaluated after the optimal local
-frame change is the consonance of the state.  Sums run over |entries| in
-row-major position order with compensated (fsum) accumulation, so a given
-matrix always produces bit-identical values.
+frame change is the consonance of the state.  Only :func:`class_sums`
+sums a class, for one matrix or a stack; S, L and :func:`profile` are its
+one-matrix calls.  Each sum is ``math.fsum``, which is correctly rounded,
+so a matrix gives the same bits alone or in any stack.
 """
 
 from __future__ import annotations
@@ -74,6 +75,29 @@ def class_masks(dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diag, local, nonloc
 
 
+@lru_cache(maxsize=None)
+def _class_positions(dims):
+    """The (D, D) shape and the flat row-major positions of each class."""
+    masks = class_masks(dims)
+    return masks[0].shape, dict(zip(CoherenceClass, map(np.flatnonzero, masks)))
+
+
+def class_sums(mats, dims, classes) -> list:
+    """The sum of |entries| of each :class:`CoherenceClass` in ``classes``,
+    in that order: one float per class for an array (D, D), one list of B
+    floats per class for a stack (B, D, D).  One ``abs`` pass serves every
+    class."""
+    shape, positions = _class_positions(dims)
+    if mats.shape == shape:
+        flat = np.abs(mats).ravel()
+        return [math.fsum(flat[positions[c]].tolist()) for c in classes]
+    if mats.ndim != 3 or mats.shape[1:] != shape:
+        raise ValueError(f"matrices of shape {mats.shape} do not match dims {dims}")
+    rows = np.abs(mats).reshape(len(mats), shape[0] * shape[1])
+    return [list(map(math.fsum, rows.take(positions[c], axis=1).tolist()))
+            for c in classes]
+
+
 def _entries_and_dims(rho, dims):
     if isinstance(rho, DensityMatrix):
         return rho.entries, rho.dims
@@ -82,22 +106,16 @@ def _entries_and_dims(rho, dims):
     return np.asarray(rho, dtype=np.complex128), check_dims(dims)
 
 
-def _masked_abs_sum(entries: np.ndarray, mask: np.ndarray) -> float:
-    # boolean-mask extraction walks the matrix in C order, giving fsum a
-    # fixed summation order regardless of how the entries were produced
-    return math.fsum(np.abs(entries[mask]).tolist())
-
-
 def nonlocal_sum(rho, dims=None) -> float:
     """S: sum of |entries| whose parties all differ between row and column."""
     entries, dims = _entries_and_dims(rho, dims)
-    return _masked_abs_sum(entries, class_masks(dims)[2])
+    return class_sums(entries, dims, (CoherenceClass.NONLOCAL,))[0]
 
 
 def local_coherence(rho, dims=None) -> float:
     """L: sum of |entries| where some but not all parties differ."""
     entries, dims = _entries_and_dims(rho, dims)
-    return _masked_abs_sum(entries, class_masks(dims)[1])
+    return class_sums(entries, dims, (CoherenceClass.LOCAL,))[0]
 
 
 @dataclass(frozen=True)
@@ -111,9 +129,5 @@ class CoherenceProfile:
 
 def profile(rho, dims=None) -> CoherenceProfile:
     entries, dims = _entries_and_dims(rho, dims)
-    diag, local, nonloc = class_masks(dims)
-    return CoherenceProfile(
-        s_value=_masked_abs_sum(entries, nonloc),
-        l_value=_masked_abs_sum(entries, local),
-        diag_mass=_masked_abs_sum(entries, diag),
-    )
+    return CoherenceProfile(*class_sums(entries, dims, (
+        CoherenceClass.NONLOCAL, CoherenceClass.LOCAL, CoherenceClass.DIAGONAL)))

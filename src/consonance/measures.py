@@ -76,6 +76,26 @@ def schmidt_coefficients(psi: PureState) -> np.ndarray:
     return schmidt_decompose(psi).coefficients
 
 
+def consonance_pure_bipartite(psi: PureState) -> float:
+    """Exact consonance of a bipartite pure state from its Schmidt form.
+
+    With Schmidt coefficients P_k (the singular values of the coefficient
+    matrix), the Schmidt-form density matrix has nonlocal sum
+    (sum_k P_k)^2 - sum_k P_k^2 = 2 sum_{k<l} P_k P_l, and that sum is
+    the same in every zero-L frame, so no search is needed.  For 2x2 it
+    reduces to 2 P_1 P_2 = 2|ad - bc|.
+    """
+    if psi.n_parties != 2:
+        raise ValueError(f"need exactly two parties, got dims {psi.dims}")
+    assert_normalized(psi)
+    m = psi.amps.reshape(psi.dims)
+    # not schmidt_decompose: its full svd's values differ in the last bits
+    p = np.linalg.svd(m, compute_uv=False)
+    total = math.fsum(p.tolist())
+    squares = math.fsum((p * p).tolist())
+    return total * total - squares
+
+
 # --- entanglement monotones ---------------------------------------------
 
 # sigma_y (x) sigma_y; real and symmetric

@@ -30,12 +30,13 @@ scipy's ``minimize(method="Nelder-Mead")`` with no bounds operation for
 operation, including where its ``maxfev`` budget cuts the search, so its
 points and result equal scipy's bit for bit.
 
-Every frame is evaluated by one batched evaluator: ``unitary.FrameBuilder``
-maps a stack of parameter vectors to circuit unitaries, and S and L of
-each conjugated state are fsum-ed over the masked |entries| in C order.
-The search and the brute-force oracle both call it on stacks of frames.
-The public ``unitary.apply`` uses the same frame builder, so the search
-and a replay agree bit for bit.
+Every frame is evaluated the same way: ``unitary.FrameBuilder`` maps a
+stack of parameter vectors to circuit unitaries, ``_frame_sums``
+conjugates rho by them, and ``coherence.class_sums`` gives S and L of
+each conjugated state; no other module sums a class.  The search and the
+brute-force oracle both evaluate stacks of frames this way.  The public
+``unitary.apply`` uses the same frame builder, so the search and a replay
+agree bit for bit.
 
 The reported value is recomputed from the winning circuit through the
 public ``unitary.apply`` / ``coherence.nonlocal_sum`` path, so it always
@@ -51,12 +52,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coherence, unitary
-from .qstate import (DensityMatrix, PureState, assert_normalized, assert_valid,
-                     density_from_pure)
+from .qstate import DensityMatrix, PureState, assert_valid, density_from_pure
 
 EPS_L = 1e-6
 PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, four stages
 ORACLE_CHUNK = 1024    # frames per FrameBuilder call; bounds peak memory
+_S_AND_L = (coherence.CoherenceClass.NONLOCAL, coherence.CoherenceClass.LOCAL)
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,11 @@ class OptimizerConfig:
     warm_starts: tuple = ()
 
     def __post_init__(self):
+        for name in ("restarts", "seed", "max_evals"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if not 0 < self.eps_l < 1e-3:
@@ -133,35 +139,19 @@ class ConsonanceReport:
     n_evals: int
 
 
-class _CircuitEvaluator:
-    """S and L after conjugating rho by the parameterized circuit.
-
-    Frames come from the same ``unitary.FrameBuilder`` as the public
-    replay, and each row is summed like ``coherence.nonlocal_sum`` /
-    ``local_coherence``, so the search and the reported replay give the
-    same numbers.
-    """
-
-    def __init__(self, rho: DensityMatrix, template: unitary.LocalCircuit):
-        self._frames = unitary.FrameBuilder(template, rho.dims)
-        self.n_theta = self._frames.n_theta
-        self._rho = np.asarray(rho.entries)
-        _, local, nonlocal_ = coherence.class_masks(rho.dims)
-        self._local, self._nonlocal = np.flatnonzero(local), np.flatnonzero(nonlocal_)
-        self.evals = 0
-
-    def sums(self, thetas: np.ndarray) -> tuple[list[float], list[float]]:
-        """S and L lists for a stack of parameter vectors (B, n_theta),
-        built ``ORACLE_CHUNK`` frames at a time."""
-        s: list[float] = []
-        l: list[float] = []
-        for start in range(0, len(thetas), ORACLE_CHUNK):
-            u = self._frames.unitaries(thetas[start:start + ORACLE_CHUNK])
-            rows = np.abs(u @ self._rho @ u.conj().swapaxes(-1, -2)).reshape(len(u), -1)
-            s += map(math.fsum, rows[:, self._nonlocal].tolist())
-            l += map(math.fsum, rows[:, self._local].tolist())
-        self.evals += len(thetas)
-        return s, l
+def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix,
+                thetas: np.ndarray) -> tuple[list[float], list[float]]:
+    """S and L lists of rho conjugated by the frames at a stack of
+    parameter vectors (B, n_theta), built ``ORACLE_CHUNK`` frames at a time."""
+    s: list[float] = []
+    l: list[float] = []
+    for start in range(0, len(thetas), ORACLE_CHUNK):
+        u = frames.unitaries(thetas[start:start + ORACLE_CHUNK])
+        rotated = u @ rho.entries @ u.conj().swapaxes(-1, -2)
+        chunk_s, chunk_l = coherence.class_sums(rotated, rho.dims, _S_AND_L)
+        s += chunk_s
+        l += chunk_l
+    return s, l
 
 
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,16 +303,17 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     config = config or OptimizerConfig()
     assert_valid(rho)
     template = config.preset.build(rho.dims)
-    ev = _CircuitEvaluator(rho, template)
+    frames = unitary.FrameBuilder(template, rho.dims)
 
-    starts = list(_start_points(config, ev.n_theta))
-    searches = [_search_one(x0, ev.n_theta, config) for _, x0 in starts]
+    starts = list(_start_points(config, frames.n_theta))
+    searches = [_search_one(x0, frames.n_theta, config) for _, x0 in starts]
     pending = [next(search) for search in searches]
     evals = [0] * len(searches)
     ends = [None] * len(searches)
     live = list(range(len(searches)))
     while live:
-        s, l = ev.sums(np.concatenate([pending[i] for i in live]))
+        s, l = _frame_sums(frames, rho,
+                           np.concatenate([pending[i] for i in live]))
         still_live = []
         row = 0
         for i in live:
@@ -362,27 +353,8 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
         circuit=circuit,
         preset=template.preset,
         per_restart=tuple(records),
-        n_evals=ev.evals,
+        n_evals=sum(evals),
     )
-
-
-def consonance_pure_bipartite(psi: PureState) -> float:
-    """Exact consonance of a bipartite pure state from its Schmidt form.
-
-    With Schmidt coefficients P_k (the singular values of the coefficient
-    matrix), the Schmidt-form density matrix has nonlocal sum
-    (sum_k P_k)^2 - sum_k P_k^2 = 2 sum_{k<l} P_k P_l, and that sum is
-    the same in every zero-L frame, so no search is needed.  For 2x2 it
-    reduces to 2 P_1 P_2 = 2|ad - bc|.
-    """
-    if psi.n_parties != 2:
-        raise ValueError(f"need exactly two parties, got dims {psi.dims}")
-    assert_normalized(psi)
-    m = psi.amps.reshape(psi.dims)
-    p = np.linalg.svd(m, compute_uv=False)
-    total = math.fsum(p.tolist())
-    squares = math.fsum((p * p).tolist())
-    return total * total - squares
 
 
 @dataclass(frozen=True)
@@ -415,19 +387,18 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
         rho = density_from_pure(rho)
     assert_valid(rho)
     preset = preset or Preset()
-    template = preset.build(rho.dims)
-    ev = _CircuitEvaluator(rho, template)
+    frames = unitary.FrameBuilder(preset.build(rho.dims), rho.dims)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     best = math.inf
     feasible = 0
     for start in range(0, samples, ORACLE_CHUNK):
         n = min(ORACLE_CHUNK, samples - start)
         if start == 0:
-            thetas = np.zeros((n, ev.n_theta))
-            thetas[1:] = rng.uniform(-math.pi, math.pi, size=(n - 1, ev.n_theta))
+            thetas = np.zeros((n, frames.n_theta))
+            thetas[1:] = rng.uniform(-math.pi, math.pi, size=(n - 1, frames.n_theta))
         else:
-            thetas = rng.uniform(-math.pi, math.pi, size=(n, ev.n_theta))
-        s, l = map(np.array, ev.sums(thetas))
+            thetas = rng.uniform(-math.pi, math.pi, size=(n, frames.n_theta))
+        s, l = map(np.array, _frame_sums(frames, rho, thetas))
         ok = l <= eps_l
         feasible += int(np.count_nonzero(ok))
         if ok.any():

@@ -102,10 +102,7 @@ _SINGLET = density_from_pure(bell("psi-")).entries       # read only
 
 def werner(a: float) -> DensityMatrix:
     """a |psi-><psi-| + (1 - a)/4 identity, a in [0, 1]."""
-    a = float(a)
-    if not -1e-12 <= a <= 1.0 + 1e-12:
-        raise ValidationError(f"Werner parameter out of [0, 1]: {a}")
-    a = min(max(a, 0.0), 1.0)
+    a = measures._werner_weight(a)
     rho = a * _SINGLET + (1.0 - a) / 4.0 * np.eye(4)
     return DensityMatrix((2, 2), rho)
 
@@ -144,10 +141,7 @@ def two_param_qubit_qutrit(alpha: float, gamma: float) -> DensityMatrix:
     gamma on the antisymmetric one, with beta = (1 - 2 alpha - gamma)/3.
     """
     alpha, gamma = float(alpha), float(gamma)
-    beta = (1.0 - 2.0 * alpha - gamma) / 3.0
-    for name, w in (("alpha", alpha), ("gamma", gamma), ("beta", beta)):
-        if w < -1e-12:
-            raise ValidationError(f"{name} = {w} is negative; weights must be >= 0")
+    beta = measures._qutrit_beta(alpha, gamma)
     alpha, gamma, beta = max(alpha, 0.0), max(gamma, 0.0), max(beta, 0.0)
     pairs, symmetric, antisymmetric = _QUTRIT_OPS
     rho = alpha * pairs + beta * symmetric + gamma * antisymmetric

@@ -17,13 +17,13 @@ from consonance import cli, states, unitary
 from consonance.coherence import (CoherenceClass, classify, local_coherence,
                                   nonlocal_sum, profile)
 from consonance.measures import (concurrence_2x2, concurrence_werner,
-                                 consonance_closed_form, discord_2x3,
+                                 consonance_closed_form,
+                                 consonance_pure_bipartite, discord_2x3,
                                  discord_bell_like, discord_werner, eof_2x2,
                                  eof_from_concurrence, negativity)
 from consonance.optimizer import (EPS_L, OptimizerConfig, Preset,
                                   config_to_json, consonance,
-                                  consonance_pure_bipartite, oracle_consonance,
-                                  report_to_json)
+                                  oracle_consonance, report_to_json)
 from consonance.unitary import NONGLOBAL
 from consonance.qstate import density_from_pure, tensor
 from consonance.unitary import apply

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consonance import coherence, states
-from consonance.coherence import (CoherenceClass, class_masks, classify,
-                                  local_coherence, nonlocal_sum, profile)
+from consonance.coherence import (CoherenceClass, class_masks, class_sums,
+                                  classify, local_coherence, nonlocal_sum,
+                                  profile)
 from consonance.qstate import DensityMatrix, density_from_pure, tensor
+from test_frames import DIMS, masked_l1
+
+CLASSES = (CoherenceClass.NONLOCAL, CoherenceClass.LOCAL, CoherenceClass.DIAGONAL)
+MASKS = (2, 1, 0)      # masked_l1's index of each class in CLASSES
 
 
 def delta_mask_class(row, col):
@@ -132,6 +137,43 @@ def test_maximally_mixed_has_no_coherence():
         rho = DensityMatrix(dims, np.eye(d) / d)
         assert nonlocal_sum(rho) == 0.0
         assert local_coherence(rho) == 0.0
+
+
+def _random_states(dims):
+    return ([states.random_density(dims, seed=s) for s in range(4)]
+            + [density_from_pure(states.random_pure(dims, seed=s)) for s in range(2)])
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_sums_equal_the_masked_reference(dims):
+    for rho in _random_states(dims):
+        want = tuple(masked_l1(rho.entries, dims, k) for k in MASKS)
+        for args in ((rho,), (rho.entries, dims), (rho.entries.tolist(), list(dims))):
+            p = profile(*args)
+            assert (p.s_value, p.l_value, p.diag_mass) == want
+            assert nonlocal_sum(*args) == want[0]
+            assert local_coherence(*args) == want[1]
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_class_sums_of_a_stack_equal_its_single_matrices(dims):
+    stack = np.stack([rho.entries for rho in _random_states(dims)])
+    got = class_sums(stack, dims, CLASSES)
+    assert [len(g) for g in got] == [len(stack)] * 3
+    assert class_sums(stack[:0], dims, CLASSES) == [[], [], []]
+    for k, m in enumerate(stack):
+        row = [g[k] for g in got]
+        assert row == class_sums(m, dims, CLASSES)
+        assert row == [masked_l1(m, dims, i) for i in MASKS]
+
+
+def test_sums_reject_matrices_of_other_dims():
+    with pytest.raises(ValueError):
+        nonlocal_sum(np.eye(8), (2, 2))
+    with pytest.raises(ValueError):
+        profile(np.eye(4), (2, 3))
+    with pytest.raises(ValueError):
+        class_sums(np.zeros((3, 4, 4)), (2, 3), CLASSES)
 
 
 def test_bare_array_needs_dims():

@@ -158,7 +158,7 @@ def test_pair_measures_match_direct_calls(name, a2):
     cf = measures.consonance_closed_form(name, a2=a2).value
     assert cf == 2.0 * a * b
     assert _value("consonance_cf", ctx) == cf
-    assert _value("consonance_pure", ctx) == optimizer.consonance_pure_bipartite(psi)
+    assert _value("consonance_pure", ctx) == measures.consonance_pure_bipartite(psi)
     assert _value("discord", ctx) == measures.discord_bell_like(a, b)
     assert _value("eof", ctx) == measures.eof_from_concurrence(2.0 * a * b)
     assert _value("c_minus_concurrence", ctx) == 0.0
@@ -190,7 +190,7 @@ def test_pure_2x2_measures_match_direct_calls():
     _sums_and_general(ctx, rho)
     cf = measures.consonance_closed_form("pure_2x2", **amps).value
     assert _value("consonance_cf", ctx) == cf
-    assert _value("consonance_pure", ctx) == optimizer.consonance_pure_bipartite(psi)
+    assert _value("consonance_pure", ctx) == measures.consonance_pure_bipartite(psi)
     assert _value("eof", ctx) == measures.eof_2x2(rho)
     assert _value("c_minus_concurrence", ctx) == cf - measures.concurrence_2x2(rho)
     with pytest.raises(ValueError, match="no closed-form discord"):

@@ -2,9 +2,9 @@
 
 The reference builds one frame at a time from scalar functions kept in
 this file: hermitian_from_theta -> expi_hermitian -> embed_matrix, chained
-from the identity, then conjugates and sums with coherence.nonlocal_sum /
-local_coherence.  The batched path must match it exactly (==), not just
-to a tolerance.
+from the identity, then conjugates and sums each class with its own
+boolean-mask fsum, masked_l1.  The batched path must match it exactly
+(==), not just to a tolerance.
 """
 
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from consonance import coherence, states, unitary
-from consonance.optimizer import (ORACLE_CHUNK, Preset, _CircuitEvaluator,
+from consonance.optimizer import (ORACLE_CHUNK, Preset, _frame_sums,
                                   oracle_consonance)
 from consonance.unitary import FrameBuilder, LocalCircuit, circuit_unitary
 
@@ -79,10 +79,15 @@ def reference_unitary(template, dims, theta):
     return total
 
 
+def masked_l1(entries, dims, mask_index):
+    """fsum of |entries| under one boolean class mask (0 diagonal, 1 local,
+    2 nonlocal), read in C order."""
+    return math.fsum(np.abs(entries[coherence.class_masks(dims)[mask_index]]).tolist())
+
+
 def reference_sums(rho, u):
     rc = u @ rho.entries @ u.conj().T
-    return (coherence.nonlocal_sum(rc, rho.dims),
-            coherence.local_coherence(rc, rho.dims))
+    return masked_l1(rc, rho.dims, 2), masked_l1(rc, rho.dims, 1)
 
 
 def _check_stack(dims, preset, b, seed):
@@ -94,8 +99,9 @@ def _check_stack(dims, preset, b, seed):
 def _check_rows(dims, preset, thetas, seed):
     rho = states.random_density(dims, seed=seed)
     template = preset.build(dims)
-    got_u = FrameBuilder(template, dims).unitaries(thetas)
-    got_s, got_l = _CircuitEvaluator(rho, template).sums(thetas)
+    frames = FrameBuilder(template, dims)
+    got_u = frames.unitaries(thetas)
+    got_s, got_l = _frame_sums(frames, rho, thetas)
     assert got_u.shape == (len(thetas),) + (math.prod(dims),) * 2
     for k, theta in enumerate(thetas):
         ref_u = reference_unitary(template, dims, theta)

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from consonance import states
 from consonance.measures import (CLOSED_FORM, binary_entropy, concurrence_2x2,
                                  concurrence_werner, consonance_closed_form,
-                                 discord_2x3, discord_bell_like,
-                                 discord_werner, eof_2x2,
+                                 consonance_pure_bipartite, discord_2x3,
+                                 discord_bell_like, discord_werner, eof_2x2,
                                  eof_from_concurrence, negativity,
                                  schmidt_coefficients, schmidt_decompose)
-from consonance.qstate import DensityMatrix, ValidationError, density_from_pure
+from consonance.qstate import (DensityMatrix, ValidationError, density_from_pure,
+                               tensor)
 
 # hand-checked reference values (40-digit arithmetic, rounded to double)
 EOF_AT_QUARTER = 0.1176188737709179
@@ -209,6 +210,25 @@ def test_schmidt_reconstruction(dims):
 def test_schmidt_requires_bipartite():
     with pytest.raises(ValueError):
         schmidt_decompose(states.ghz(3))
+
+
+def test_pure_bipartite_closed_form():
+    assert consonance_pure_bipartite(states.bell_like(a2=0.8)) == pytest.approx(
+        0.8, abs=1e-12)
+    psi = states.random_pure((2, 2), seed=19)
+    want = 2 * abs(psi.amps[0] * psi.amps[3] - psi.amps[1] * psi.amps[2])
+    assert consonance_pure_bipartite(psi) == pytest.approx(want, abs=1e-9)
+    zero = states.PureState((2, 2), np.array([1, 0, 0, 0], dtype=complex))
+    assert consonance_pure_bipartite(zero) == 0.0
+    with pytest.raises(ValueError):
+        consonance_pure_bipartite(states.ghz(3))
+
+
+def test_pure_bipartite_two_bell_pairs():
+    pair = states.bell()
+    four = states.regroup(
+        states.permute_subsystems(tensor(pair, pair), (0, 2, 1, 3)), (2, 2))
+    assert consonance_pure_bipartite(four) == pytest.approx(3.0, abs=1e-9)
 
 
 # --- closed-form consonance dispatch -------------------------------------

@@ -7,10 +7,9 @@ import pytest
 from consonance import states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
-                                  config_to_json, consonance,
-                                  consonance_pure_bipartite, oracle_consonance,
+                                  config_to_json, consonance, oracle_consonance,
                                   report_to_json)
-from consonance.qstate import DensityMatrix, density_from_pure, tensor
+from consonance.qstate import DensityMatrix, density_from_pure
 from consonance.unitary import NONGLOBAL, SINGLE_PARTY, apply, with_theta
 
 CHEAP = OptimizerConfig(restarts=2, seed=7, max_evals=3000)
@@ -37,6 +36,23 @@ def test_config_validation():
         OptimizerConfig(eps_l=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_evals=10)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"restarts": 2.5}, {"restarts": 2.0}, {"restarts": True}, {"restarts": "3"},
+    {"max_evals": 300.7}, {"max_evals": math.nan}, {"max_evals": math.inf},
+    {"max_evals": False}, {"seed": 1.5}, {"seed": None}, {"seed": True},
+])
+def test_config_rejects_non_integer_counts(kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        OptimizerConfig(**kwargs)
+
+
+def test_config_stores_numpy_integers_as_int():
+    config = OptimizerConfig(restarts=np.int64(3), seed=np.uint32(5),
+                             max_evals=np.int32(400))
+    assert [type(v) for v in (config.restarts, config.seed, config.max_evals)] == [int] * 3
+    assert json.loads(json.dumps(config_to_json(config)))["restarts"] == 3
 
 
 def test_penalty_schedule():
@@ -186,28 +202,6 @@ def test_warm_start_must_be_finite(bad):
 def test_accepts_pure_state_input():
     report = consonance(states.bell_like(a2=0.5), CHEAP)
     assert report.value == pytest.approx(1.0, abs=1e-3)
-
-
-# --- the Schmidt shortcut ------------------------------------------------
-
-
-def test_pure_bipartite_closed_form():
-    assert consonance_pure_bipartite(states.bell_like(a2=0.8)) == pytest.approx(
-        0.8, abs=1e-12)
-    psi = states.random_pure((2, 2), seed=19)
-    want = 2 * abs(psi.amps[0] * psi.amps[3] - psi.amps[1] * psi.amps[2])
-    assert consonance_pure_bipartite(psi) == pytest.approx(want, abs=1e-9)
-    zero = states.PureState((2, 2), np.array([1, 0, 0, 0], dtype=complex))
-    assert consonance_pure_bipartite(zero) == 0.0
-    with pytest.raises(ValueError):
-        consonance_pure_bipartite(states.ghz(3))
-
-
-def test_pure_bipartite_two_bell_pairs():
-    pair = states.bell()
-    four = states.regroup(
-        states.permute_subsystems(tensor(pair, pair), (0, 2, 1, 3)), (2, 2))
-    assert consonance_pure_bipartite(four) == pytest.approx(3.0, abs=1e-9)
 
 
 # --- the brute-force oracle ----------------------------------------------
