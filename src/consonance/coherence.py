@@ -10,7 +10,7 @@ exactly one class once i and j are decoded to party multi-indices:
 The magnitudes summed over the last two classes give the local coherence
 value L and the nonlocal sum S.  S evaluated after the optimal local
 frame change is the consonance of the state.  Only :func:`class_sums`
-sums a class, for one matrix or a stack; S, L and :func:`profile` are its
+sums a class, over a stack of matrices; S, L and :func:`profile` are its
 one-matrix calls.  Each sum is ``math.fsum``, which is correctly rounded,
 so a matrix gives the same bits alone or in any stack.
 """
@@ -77,45 +77,45 @@ def class_masks(dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _class_positions(dims):
-    """The (D, D) shape and the flat row-major positions of each class."""
+    """The (D, D) shape and the flat row-major positions of each class,
+    cached per dims and read only."""
     masks = class_masks(dims)
-    return masks[0].shape, dict(zip(CoherenceClass, map(np.flatnonzero, masks)))
+    positions = dict(zip(CoherenceClass, map(np.flatnonzero, masks)))
+    for p in positions.values():
+        p.setflags(write=False)
+    return masks[0].shape, positions
 
 
-def class_sums(mats, dims, classes) -> list:
-    """The sum of |entries| of each :class:`CoherenceClass` in ``classes``,
-    in that order: one float per class for an array (D, D), one list of B
-    floats per class for a stack (B, D, D).  One ``abs`` pass serves every
-    class."""
+def class_sums(mats, dims, classes) -> list[list[float]]:
+    """The sums of |entries| of each :class:`CoherenceClass` in ``classes``,
+    in that order, one float per matrix of a stack (B, D, D); an array
+    (D, D) is a stack of one.  One ``abs`` pass serves every class."""
     shape, positions = _class_positions(dims)
-    if mats.shape == shape:
-        flat = np.abs(mats).ravel()
-        return [math.fsum(flat[positions[c]].tolist()) for c in classes]
-    if mats.ndim != 3 or mats.shape[1:] != shape:
+    if mats.ndim not in (2, 3) or mats.shape[-2:] != shape:
         raise ValueError(f"matrices of shape {mats.shape} do not match dims {dims}")
-    rows = np.abs(mats).reshape(len(mats), shape[0] * shape[1])
+    rows = np.abs(mats).reshape(-1, shape[0] * shape[1])
     return [list(map(math.fsum, rows.take(positions[c], axis=1).tolist()))
             for c in classes]
 
 
-def _entries_and_dims(rho, dims):
+def _one_matrix_sums(rho, dims, classes) -> list[float]:
     if isinstance(rho, DensityMatrix):
-        return rho.entries, rho.dims
-    if dims is None:
+        entries, dims = rho.entries, rho.dims
+    elif dims is None:
         raise ValueError("dims are required when passing a bare array")
-    return np.asarray(rho, dtype=np.complex128), check_dims(dims)
+    else:
+        entries, dims = np.asarray(rho, dtype=np.complex128), check_dims(dims)
+    return [sums[0] for sums in class_sums(entries, dims, classes)]
 
 
 def nonlocal_sum(rho, dims=None) -> float:
     """S: sum of |entries| whose parties all differ between row and column."""
-    entries, dims = _entries_and_dims(rho, dims)
-    return class_sums(entries, dims, (CoherenceClass.NONLOCAL,))[0]
+    return _one_matrix_sums(rho, dims, (CoherenceClass.NONLOCAL,))[0]
 
 
 def local_coherence(rho, dims=None) -> float:
     """L: sum of |entries| where some but not all parties differ."""
-    entries, dims = _entries_and_dims(rho, dims)
-    return class_sums(entries, dims, (CoherenceClass.LOCAL,))[0]
+    return _one_matrix_sums(rho, dims, (CoherenceClass.LOCAL,))[0]
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,5 @@ class CoherenceProfile:
 
 
 def profile(rho, dims=None) -> CoherenceProfile:
-    entries, dims = _entries_and_dims(rho, dims)
-    return CoherenceProfile(*class_sums(entries, dims, (
+    return CoherenceProfile(*_one_matrix_sums(rho, dims, (
         CoherenceClass.NONLOCAL, CoherenceClass.LOCAL, CoherenceClass.DIAGONAL)))

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consonance import coherence, states
-from consonance.coherence import (CoherenceClass, class_masks, class_sums,
-                                  classify, local_coherence, nonlocal_sum,
-                                  profile)
+from consonance.coherence import (CoherenceClass, _class_positions,
+                                  class_masks, class_sums, classify,
+                                  local_coherence, nonlocal_sum, profile)
 from consonance.qstate import DensityMatrix, density_from_pure, tensor
 from test_frames import DIMS, masked_l1
 
@@ -90,6 +90,8 @@ def test_masks_are_cached_and_read_only():
     assert first[0] is second[0]
     with pytest.raises(ValueError):
         first[0][0, 0] = False
+    _, positions = _class_positions((2, 2))
+    assert not any(p.flags.writeable for p in positions.values())
 
 
 # --- the two functionals -------------------------------------------------
@@ -163,7 +165,7 @@ def test_class_sums_of_a_stack_equal_its_single_matrices(dims):
     assert class_sums(stack[:0], dims, CLASSES) == [[], [], []]
     for k, m in enumerate(stack):
         row = [g[k] for g in got]
-        assert row == class_sums(m, dims, CLASSES)
+        assert [[x] for x in row] == class_sums(m, dims, CLASSES)
         assert row == [masked_l1(m, dims, i) for i in MASKS]
 
 
