@@ -52,7 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coherence, unitary
-from .qstate import DensityMatrix, PureState, assert_valid, density_from_pure
+from .qstate import (DensityMatrix, PureState, assert_valid, check_integer,
+                     density_from_pure)
 
 EPS_L = 1e-6
 PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, four stages
@@ -71,18 +72,28 @@ class Preset:
     def __post_init__(self):
         if self.kind not in (unitary.SINGLE_PARTY, unitary.NONGLOBAL):
             raise ValueError(f"unknown preset kind {self.kind!r}")
-        if int(self.depth) < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        object.__setattr__(self, "depth", int(self.depth))
+        depth = check_integer(self.depth, "depth")
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        object.__setattr__(self, "depth", depth)
         if self.supports is not None:
-            object.__setattr__(self, "supports",
-                               tuple(tuple(int(p) for p in s) for s in self.supports))
+            object.__setattr__(self, "supports", tuple(
+                tuple(check_integer(p, "party index") for p in s) for s in self.supports))
 
     def build(self, dims) -> unitary.LocalCircuit:
         if self.kind == unitary.SINGLE_PARTY:
             return unitary.single_party_circuit(dims)
         return unitary.nonglobal_circuit(dims, depth=self.depth,
                                          supports=self.supports)
+
+
+def _check_seed(seed) -> int:
+    """The seed as an int: an integer key of the Philox stream, in
+    [0, 2**128)."""
+    seed = check_integer(seed, "seed")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -102,11 +113,9 @@ class OptimizerConfig:
     warm_starts: tuple = ()
 
     def __post_init__(self):
-        for name in ("restarts", "seed", "max_evals"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("restarts", "max_evals"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if not 0 < self.eps_l < 1e-3:
@@ -155,7 +164,7 @@ def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix,
 
 
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ind = np.argsort(fsim)
+    ind = fsim.argsort()
     return sim[ind], fsim[ind]
 
 
@@ -312,8 +321,9 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     ends = [None] * len(searches)
     live = list(range(len(searches)))
     while live:
-        s, l = _frame_sums(frames, rho,
-                           np.concatenate([pending[i] for i in live]))
+        batch = (pending[live[0]] if len(live) == 1
+                 else np.concatenate([pending[i] for i in live]))
+        s, l = _frame_sums(frames, rho, batch)
         still_live = []
         row = 0
         for i in live:
@@ -376,19 +386,19 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     one.  Crude by design; used to confirm the optimizer is not
     undershooting.
     """
-    if (isinstance(samples, bool) or not isinstance(samples, numbers.Integral)
-            or samples < 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = check_integer(samples, "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    seed = _check_seed(seed)
     if (isinstance(eps_l, bool) or not isinstance(eps_l, numbers.Real)
             or not 0 < eps_l < math.inf):
         raise ValueError(f"eps_l must be a finite number > 0, got {eps_l!r}")
-    samples = int(samples)
     if isinstance(rho, PureState):
         rho = density_from_pure(rho)
     assert_valid(rho)
     preset = preset or Preset()
     frames = unitary.FrameBuilder(preset.build(rho.dims), rho.dims)
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     best = math.inf
     feasible = 0
     for start in range(0, samples, ORACLE_CHUNK):

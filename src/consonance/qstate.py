@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ TOL_PSD = 1e-8
 
 class ValidationError(ValueError):
     """A state, parameter, or state file violates a physicality invariant."""
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int.  Raises ValueError naming ``name`` unless it is
+    an integral number and not a bool, so 2.7 or True never passes as 2
+    or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_dims(dims) -> tuple[int, ...]:

@@ -13,10 +13,12 @@ unitary is U_L ... U_2 U_1.
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
 vectors (B, P) into the stacked circuit unitaries (B, D, D).  The replay
 (:func:`circuit_unitary`, :func:`apply`), the penalty search and the
-brute-force oracle all go through it, and :func:`build_unitary` is the
-single-row case of its chart.  It works from index plans laid out once
-per circuit shape: a gather builds each H from theta, and a gather lifts
-each layer unitary to the full space.  The scalar reference it matches
+brute-force oracle all go through it, and :func:`build_unitary` is its
+chart for one layer and one row.  It works from index plans laid out
+once per circuit shape.  One chart pass builds every layer's H from
+theta, with the layers in dimension-group order; each group runs one
+batched eigh and exp into one stack of layer unitaries, and a gather
+lifts each of them to the full space.  The scalar reference it matches
 entry for entry with == (chart, exp and a kron-and-transpose embed, one
 frame at a time) lives in the tests.
 """
@@ -27,11 +29,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .qstate import DensityMatrix, PureState, check_dims
+from .qstate import DensityMatrix, PureState, check_dims, check_integer
 
 TOL_UNITARY = 1e-8     # largest |u u^dagger - 1| entry params_for_unitary accepts
 
@@ -47,24 +50,74 @@ def n_params(dim: int) -> int:
     return dim * dim
 
 
+class _ChartLayout(NamedTuple):
+    """One chart for a circuit's layers, in dimension-group order:
+    dimensions by first appearance, layers in circuit order within a
+    group.  Every array is read only."""
+
+    cols: np.ndarray       # theta columns: every diagonal, every Re, every Im part
+    n_diag: int            # length of the diagonal block of cols
+    n_off: int             # length of the Re block, and of the Im block
+    plan: np.ndarray       # where each H entry sits in [diag | off | conj(off)]
+    groups: tuple          # (dim, k, lo, hi): k layers fill columns lo:hi of H
+    positions: np.ndarray  # stack column of each layer's first entry, circuit order
+
+
 @lru_cache(maxsize=None)
-def _chart_plan(dim: int) -> np.ndarray:
-    """Where each entry of H, row-major, sits in the chart's source row
-    [diagonal (dim), upper triangle (m), its conjugates (m)]."""
-    iu = np.triu_indices(dim, k=1)
-    m = len(iu[0])
-    plan = np.diag(np.arange(dim))
-    plan[iu] = dim + np.arange(m)
-    plan[iu[::-1]] = dim + m + np.arange(m)
-    return plan.ravel()
+def _chart_layout(layer_dims: tuple[int, ...]) -> _ChartLayout:
+    """The chart of layers of the given dimensions, in circuit order."""
+    starts = np.cumsum((0,) + tuple(d * d for d in layer_dims)).tolist()
+    group_dims = list(dict.fromkeys(layer_dims))
+    order = sorted(range(len(layer_dims)), key=lambda j: group_dims.index(layer_dims[j]))
+    n_diag = sum(layer_dims)
+    n_off = sum(d * (d - 1) // 2 for d in layer_dims)
+    diag, re, plan = [], [], []
+    positions = [0] * len(layer_dims)
+    for j in order:
+        d, o = layer_dims[j], starts[j]
+        m = d * (d - 1) // 2
+        # this layer's source row: its diagonal, upper triangle, conjugates
+        src = np.concatenate((len(diag) + np.arange(d),
+                              n_diag + len(re) + np.arange(m),
+                              n_diag + n_off + len(re) + np.arange(m)))
+        iu = np.triu_indices(d, k=1)
+        h = np.diag(src[:d])
+        h[iu] = src[d:d + m]
+        h[iu[::-1]] = src[d + m:]
+        positions[j] = len(plan)
+        plan += h.ravel().tolist()
+        diag += range(o, o + d)
+        re += range(o + d, o + d * d, 2)
+    cols, plan, positions = (np.array(x, dtype=np.intp)
+                             for x in (diag + re + [r + 1 for r in re], plan, positions))
+    for arr in (cols, plan, positions):
+        arr.setflags(write=False)
+    groups, lo = [], 0
+    for d in group_dims:
+        hi = lo + layer_dims.count(d) * d * d
+        groups.append((d, layer_dims.count(d), lo, hi))
+        lo = hi
+    return _ChartLayout(cols, n_diag, n_off, plan, tuple(groups), positions)
 
 
-def _hermitian_stack(dim: int, t: np.ndarray) -> np.ndarray:
-    """H(theta) over the last axis of t (..., dim^2): one gather from the
-    diagonal, the (re, im) pairs and their conjugates."""
-    off = t[..., dim::2] + 1j * t[..., dim + 1::2]
-    src = np.concatenate((t[..., :dim].astype(np.complex128), off, off.conj()), axis=-1)
-    return src[..., _chart_plan(dim)].reshape(t.shape[:-1] + (dim, dim))
+def _layer_stack(layout: _ChartLayout, thetas: np.ndarray) -> np.ndarray:
+    """Every layer's exp(iH) at a stack of thetas (B, P), as rows (B, P + 1):
+    the unitaries row-major in the layout's group order, then a 0.
+
+    One chart pass builds every H: one gather of the diagonal, Re and Im
+    columns, ``off = re + 1j * im``, and one gather from the source row
+    [diag | off | conj(off)].  Each dimension group then runs one batched
+    ``eigh`` and exp on its column range.
+    """
+    b, n_diag, n_off = len(thetas), layout.n_diag, layout.n_off
+    t = thetas.take(layout.cols, axis=1)
+    off = t[:, n_diag:n_diag + n_off] + 1j * t[:, n_diag + n_off:]
+    h = np.concatenate((t[:, :n_diag], off, off.conj()), axis=1).take(layout.plan, axis=1)
+    stack = np.zeros((b, len(layout.plan) + 1), dtype=np.complex128)
+    for dim, k, lo, hi in layout.groups:
+        u = _expi_stack(h[:, lo:hi].reshape(b, k, dim, dim))
+        stack[:, lo:hi] = u.reshape(b, hi - lo)
+    return stack
 
 
 def _expi_stack(h: np.ndarray) -> np.ndarray:
@@ -98,8 +151,9 @@ class UnitaryParams:
 
 
 def build_unitary(params: UnitaryParams) -> np.ndarray:
-    """exp(iH(theta)): the single-row case of the frame builder's chart."""
-    return _expi_stack(_hermitian_stack(params.dim, params.theta))
+    """exp(iH(theta)): the frame builder's chart for one layer and one row."""
+    dim = params.dim
+    return _layer_stack(_chart_layout((dim,)), params.theta[None])[0, :-1].reshape(dim, dim)
 
 
 def params_for_unitary(u) -> UnitaryParams:
@@ -173,7 +227,8 @@ def _check_layer(layer: CircuitLayer, dims: tuple[int, ...]) -> None:
 @lru_cache(maxsize=None)
 def _embed_index(support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
     """Where each entry of u (x) identity, lifted to the full space and
-    read row-major, sits in u.ravel(); -1 where the entry is 0.
+    read row-major, sits in u.ravel(); -1 where the entry is 0.  Cached
+    per support and dims, and read only.
 
     The kron-and-transpose of the lift, run once on an array of positions.
     """
@@ -186,56 +241,48 @@ def _embed_index(support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
     d_rest = math.prod(dims[p] for p in rest)
     marks = np.kron(np.arange(1, dim * dim + 1).reshape(dim, dim),
                     np.eye(d_rest, dtype=np.intp))
-    return marks.reshape(shape + shape).transpose(perm + [n + q for q in perm]).ravel() - 1
+    index = marks.reshape(shape + shape).transpose(perm + [n + q for q in perm]).ravel() - 1
+    index.setflags(write=False)
+    return index
 
 
 class FrameBuilder:
     """The unitaries of one circuit shape at a stack of parameter vectors.
 
     Built once per circuit and dims, which validates every layer and lays
-    out the embed plans; ``unitaries(thetas)`` maps thetas (B, n_theta) to
-    the circuit unitaries (B, D, D).  The layers of each dimension share
-    one chart gather and one batched ``eigh``.  A layer's matrix takes the
-    columns of its theta, and one gather through the layers'
-    :func:`_embed_index` plans lifts them all to the full space.  The
-    first layer starts the chain; each later one multiplies it from the
-    left.  Each row equals the scalar reference of the tests (chart, exp,
-    kron-and-transpose embed, chained from the identity) up to the sign of
-    exact zeros.
+    out the plans; ``unitaries(thetas)`` maps thetas (B, n_theta) to the
+    circuit unitaries (B, D, D).  One chart pass (:func:`_layer_stack`)
+    builds every layer's H, each dimension group runs one batched ``eigh``
+    and exp, and the layer unitaries land in one stack in group order,
+    whose last column is 0.  One gather through the layers'
+    :func:`_embed_index` plans, pointed at their stack positions, lifts
+    them all to the full space.  The first layer starts the chain; each
+    later one multiplies it from the left.  Each row equals the scalar
+    reference of the tests (chart, exp, kron-and-transpose embed, chained
+    from the identity) up to the sign of exact zeros.
     """
 
     def __init__(self, circuit: LocalCircuit, dims):
         dims = check_dims(dims)
         self.d = math.prod(dims)
-        by_dim: dict[int, list[np.ndarray]] = {}
-        embeds = []
-        off = 0
         for layer in circuit.layers:
             _check_layer(layer, dims)
-            dim = layer.params.dim
-            by_dim.setdefault(dim, []).append(np.arange(off, off + dim * dim))
-            index = _embed_index(layer.support, dims)
-            embeds.append(np.where(index < 0, -1, index + off))
-            off += dim * dim
-        self.n_theta = off
-        self._groups = tuple((dim, len(cols), np.concatenate(cols))
-                             for dim, cols in by_dim.items())
-        self._embed = np.array(embeds, dtype=np.intp).reshape(-1, self.d, self.d)
+        self.n_theta = circuit.n_theta
+        self._chart = _chart_layout(tuple(layer.params.dim for layer in circuit.layers))
+        index = [_embed_index(layer.support, dims) for layer in circuit.layers]
+        self._embed = np.array([np.where(i < 0, -1, i + pos)
+                                for i, pos in zip(index, self._chart.positions)],
+                               dtype=np.intp).reshape(-1, self.d, self.d)
+        self._embed.setflags(write=False)
 
     def unitaries(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
         if thetas.ndim != 2 or thetas.shape[1] != self.n_theta:
             raise ValueError(f"thetas must have shape (B, {self.n_theta}), "
                              f"got {thetas.shape}")
-        b = len(thetas)
-        if not self._groups:   # no layers
-            return np.repeat(np.eye(self.d, dtype=np.complex128)[None], b, axis=0)
-        # the layer matrices, then a last column of 0 that index -1 reads
-        stack = np.zeros((b, self.n_theta + 1), dtype=np.complex128)
-        for dim, k, cols in self._groups:
-            h = _hermitian_stack(dim, thetas[:, cols].reshape(b, k, dim * dim))
-            stack[:, cols] = _expi_stack(h).reshape(b, k * dim * dim)
-        mats = stack[:, self._embed]
+        if not len(self._embed):   # no layers
+            return np.repeat(np.eye(self.d, dtype=np.complex128)[None], len(thetas), axis=0)
+        mats = _layer_stack(self._chart, thetas)[:, self._embed]
         total = mats[:, 0]
         for k in range(1, len(self._embed)):
             total = mats[:, k] @ total
@@ -290,7 +337,7 @@ def nonglobal_circuit(dims, depth: int = 3, supports=None) -> LocalCircuit:
     ``depth`` exceeds its length.
     """
     dims = check_dims(dims)
-    depth = int(depth)
+    depth = check_integer(depth, "depth")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     n = len(dims)
@@ -298,7 +345,7 @@ def nonglobal_circuit(dims, depth: int = 3, supports=None) -> LocalCircuit:
         pool = default_supports(n)
         chosen = [pool[k % len(pool)] for k in range(depth)]
     else:
-        chosen = [tuple(int(p) for p in s) for s in supports]
+        chosen = [tuple(check_integer(p, "party index") for p in s) for s in supports]
         if len(chosen) > depth:
             raise ValueError(f"{len(chosen)} supports exceed depth {depth}")
     layers = []

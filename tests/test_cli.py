@@ -330,6 +330,18 @@ def test_sweep_seed_from_environment(capsys, monkeypatch):
 # --- optimize ------------------------------------------------------------
 
 
+def test_optimize_rejects_a_negative_seed(capsys, monkeypatch):
+    code, out, err = run(capsys, "optimize", "--family", "werner:0.5", "--seed", "-1",
+                         "--restarts", "1", "--max-evals", "100")
+    assert (code, out) == (2, "")
+    assert "seed must lie in [0, 2**128), got -1" in err
+    monkeypatch.setenv("CONSONANCE_SEED", "-3")
+    code, out, err = run(capsys, "optimize", "--family", "werner:0.5",
+                         "--restarts", "1", "--max-evals", "100")
+    assert (code, out) == (2, "")
+    assert "got -3" in err
+
+
 def test_optimize_report_round_trip(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "optimize", "--family", "werner:0.5",

@@ -25,6 +25,9 @@ CASES = [(dims, p) for dims in DIMS for p in PRESETS] + [
                        supports=((1, 2), (0,), (0, 2)))),
     ((2, 3, 2), Preset(kind=unitary.NONGLOBAL, depth=2, supports=((2,), (0, 1)))),
     ((3, 3), Preset(kind=unitary.NONGLOBAL, depth=4, supports=((1,), (1,), (0,)))),
+    # layer dims 2, 3, 6, 2, 6: three dimension groups, interleaved
+    ((2, 3, 2), Preset(kind=unitary.NONGLOBAL, depth=5,
+                       supports=((0,), (1,), (0, 1), (2,), (1, 2)))),
 ]
 
 
@@ -159,6 +162,19 @@ def test_circuit_unitary_is_the_single_row_case():
     circuit = unitary.with_theta(template, theta)
     assert np.array_equal(circuit_unitary(circuit, dims),
                           reference_unitary(template, dims, theta))
+
+
+def test_frame_layout_is_cached_and_read_only():
+    dims, preset = CASES[-1]     # three interleaved dimension groups
+    template = preset.build(dims)
+    first, second = FrameBuilder(template, dims), FrameBuilder(template, dims)
+    assert first._chart is second._chart
+    arrays = [a for a in first._chart if isinstance(a, np.ndarray)] + [first._embed]
+    assert len(arrays) == 4
+    assert not any(a.flags.writeable for a in arrays)
+    index = unitary._embed_index((0, 1), dims)
+    assert index is unitary._embed_index((0, 1), dims)
+    assert not index.flags.writeable
 
 
 def test_frames_without_layers_are_identities():

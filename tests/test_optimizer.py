@@ -48,6 +48,43 @@ def test_config_rejects_non_integer_counts(kwargs):
         OptimizerConfig(**kwargs)
 
 
+BAD_SEEDS = [-1, 2 ** 128, 2.7, 2.0, True, False, "3", None]
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_config_rejects_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        OptimizerConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_oracle_rejects_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed"):
+        oracle_consonance(states.werner(0.5), samples=4, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 64 - 1)])
+def test_seeds_at_the_ends_of_the_range_run(seed):
+    assert OptimizerConfig(seed=seed).seed == int(seed)
+    assert oracle_consonance(states.werner(0.5), samples=4, seed=seed).samples == 4
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"depth": 2.7}, {"depth": 3.0}, {"depth": True}, {"depth": "3"},
+    {"supports": ((0.9,), (1.2,))}, {"supports": ((0,), (True,))},
+    {"supports": ((0, "1"),)},
+])
+def test_preset_rejects_non_integers(kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        Preset(kind=NONGLOBAL, **kwargs)
+
+
+def test_preset_stores_numpy_integers_as_int():
+    p = Preset(kind=NONGLOBAL, depth=np.int64(2), supports=((np.int32(1),), (0,)))
+    assert (p.depth, p.supports) == (2, ((1,), (0,)))
+    assert type(p.depth) is int and type(p.supports[0][0]) is int
+
+
 def test_config_stores_numpy_integers_as_int():
     config = OptimizerConfig(restarts=np.int64(3), seed=np.uint32(5),
                              max_evals=np.int32(400))

@@ -243,6 +243,15 @@ def test_nonglobal_explicit_supports():
         nonglobal_circuit((2, 2, 2), depth=1, supports=[(0, 1, 2)])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"depth": 3.9}, {"depth": 3.0}, {"depth": True}, {"depth": "3"},
+    {"supports": [(0.9,), (1.2,)]}, {"supports": [(False,)]},
+])
+def test_nonglobal_rejects_non_integers(kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        nonglobal_circuit((2, 2, 2), **kwargs)
+
+
 # --- flat parameters and serialization -----------------------------------
 
 
