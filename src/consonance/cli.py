@@ -215,9 +215,18 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
     def params_at(self, x: float) -> dict:
+        """The family's parameters at grid value x.  Sweep values are
+        floats, so an integer parameter (the party count of ghz and w)
+        takes a whole value as its int and rejects any other."""
         p = {self.axis: float(x)}
         p.update({k: v for k, v in self.fixed})
         p.update({k: fn(float(x)) for k, fn in self.bindings})
+        parsers = states.get_family(self.family).parsers
+        for k, v in p.items():
+            if parsers[k] is int:
+                if not float(v).is_integer():
+                    raise ValueError(f"{k} must be an integer, got {v}")
+                p[k] = int(v)
         return p
 
 
@@ -294,9 +303,23 @@ def run_sweep(spec: SweepSpec, opt_config: optimizer.OptimizerConfig,
 # --- subcommand handlers -------------------------------------------------
 
 
-def _opt_config_from(args, seed: int) -> optimizer.OptimizerConfig:
-    kwargs = dict(preset=optimizer.Preset(kind=args.preset, depth=args.depth),
-                  seed=seed)
+def _warm_start(path, template: unitary.LocalCircuit) -> np.ndarray:
+    """The parameters of a circuit file whose layers act on the search's
+    supports, in the search's order."""
+    circuit = unitary.load_circuit(path)
+    got = [layer.support for layer in circuit.layers]
+    want = [layer.support for layer in template.layers]
+    if got != want:
+        raise ValueError(f"warm-start circuit {path} acts on supports {got}, "
+                         f"but the search on {want}")
+    return unitary.theta_vector(circuit)
+
+
+def _opt_config_from(args, seed: int, dims=None) -> optimizer.OptimizerConfig:
+    """The search config of the flags; ``dims`` are the state's, needed
+    only to check a --warm-start circuit."""
+    preset = optimizer.Preset(kind=args.preset, depth=args.depth)
+    kwargs = dict(preset=preset, seed=seed)
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     if args.max_evals is not None:
@@ -305,8 +328,7 @@ def _opt_config_from(args, seed: int) -> optimizer.OptimizerConfig:
     if getattr(args, "eps_l", None) is not None:
         kwargs["eps_l"] = args.eps_l
     if getattr(args, "warm_start", None):
-        circuit = unitary.load_circuit(args.warm_start)
-        kwargs["warm_starts"] = (unitary.theta_vector(circuit),)
+        kwargs["warm_starts"] = (_warm_start(args.warm_start, preset.build(dims)),)
     return optimizer.OptimizerConfig(**kwargs)
 
 
@@ -331,8 +353,9 @@ def cmd_measure(args) -> int:
 
 def cmd_optimize(args) -> int:
     seed = resolve_seed(args.seed)
-    config = _opt_config_from(args, seed)
-    report = optimizer.consonance(_load_source(args).density, config)
+    rho = _load_source(args).density
+    config = _opt_config_from(args, seed, rho.dims)
+    report = optimizer.consonance(rho, config)
     obj = optimizer.report_to_json(report)
     obj["config"] = optimizer.config_to_json(config)
     obj["seed"] = seed

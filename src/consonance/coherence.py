@@ -10,9 +10,10 @@ exactly one class once i and j are decoded to party multi-indices:
 The magnitudes summed over the last two classes give the local coherence
 value L and the nonlocal sum S.  S evaluated after the optimal local
 frame change is the consonance of the state.  Only :func:`class_sums`
-sums a class, over a stack of matrices; S, L and :func:`profile` are its
-one-matrix calls.  Each sum is ``math.fsum``, which is correctly rounded,
-so a matrix gives the same bits alone or in any stack.
+sums a class, over a stack of bare arrays; S, L and :func:`profile` are
+its calls on one :class:`DensityMatrix`.  Each sum is ``math.fsum``,
+which is correctly rounded, so a matrix gives the same bits alone or in
+any stack.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import DensityMatrix, check_dims
+from .qstate import DensityMatrix, check_dims, check_integer
 
 
 class CoherenceClass(Enum):
@@ -42,8 +43,8 @@ def classify(row, col, dims) -> CoherenceClass:
     dims : subsystem dimensions.
     """
     dims = check_dims(dims)
-    row = tuple(int(i) for i in row)
-    col = tuple(int(j) for j in col)
+    row = tuple(check_integer(i, "row index") for i in row)
+    col = tuple(check_integer(j, "column index") for j in col)
     if len(row) != len(dims) or len(col) != len(dims):
         raise ValueError(f"multi-indices {row}, {col} do not match {len(dims)} parties")
     for name, multi in (("row", row), ("col", col)):
@@ -98,24 +99,18 @@ def class_sums(mats, dims, classes) -> list[list[float]]:
             for c in classes]
 
 
-def _one_matrix_sums(rho, dims, classes) -> list[float]:
-    if isinstance(rho, DensityMatrix):
-        entries, dims = rho.entries, rho.dims
-    elif dims is None:
-        raise ValueError("dims are required when passing a bare array")
-    else:
-        entries, dims = np.asarray(rho, dtype=np.complex128), check_dims(dims)
-    return [sums[0] for sums in class_sums(entries, dims, classes)]
+def _one_matrix_sums(rho: DensityMatrix, classes) -> list[float]:
+    return [sums[0] for sums in class_sums(rho.entries, rho.dims, classes)]
 
 
-def nonlocal_sum(rho, dims=None) -> float:
+def nonlocal_sum(rho: DensityMatrix) -> float:
     """S: sum of |entries| whose parties all differ between row and column."""
-    return _one_matrix_sums(rho, dims, (CoherenceClass.NONLOCAL,))[0]
+    return _one_matrix_sums(rho, (CoherenceClass.NONLOCAL,))[0]
 
 
-def local_coherence(rho, dims=None) -> float:
+def local_coherence(rho: DensityMatrix) -> float:
     """L: sum of |entries| where some but not all parties differ."""
-    return _one_matrix_sums(rho, dims, (CoherenceClass.LOCAL,))[0]
+    return _one_matrix_sums(rho, (CoherenceClass.LOCAL,))[0]
 
 
 @dataclass(frozen=True)
@@ -127,6 +122,6 @@ class CoherenceProfile:
     diag_mass: float
 
 
-def profile(rho, dims=None) -> CoherenceProfile:
-    return CoherenceProfile(*_one_matrix_sums(rho, dims, (
+def profile(rho: DensityMatrix) -> CoherenceProfile:
+    return CoherenceProfile(*_one_matrix_sums(rho, (
         CoherenceClass.NONLOCAL, CoherenceClass.LOCAL, CoherenceClass.DIAGONAL)))

@@ -157,10 +157,16 @@ def eof_2x2(rho: DensityMatrix) -> float:
     return eof_from_concurrence(concurrence_2x2(rho))
 
 
-def negativity(rho: DensityMatrix, party: int = 0) -> float:
-    """Trace norm of the partial transpose minus one, clamped at zero."""
+def negativity(rho: DensityMatrix) -> float:
+    """Trace norm of the partial transpose minus one, clamped at zero.
+
+    Transposes party 0, so with more than two parties it measures the cut
+    between party 0 and the rest.  With two parties the other partial
+    transpose is the full transpose of this one, rho^{T_B} = (rho^{T_A})^T,
+    with the same spectrum, so the choice of party cannot change the value.
+    """
     assert_valid(rho)
-    pt = partial_transpose(rho, party)
+    pt = partial_transpose(rho, 0)
     pt = (pt + pt.conj().T) / 2.0
     trace_norm = math.fsum(np.abs(np.linalg.eigvalsh(pt)).tolist())
     return max(0.0, trace_norm - 1.0)

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import coherence, unitary
 from .qstate import (DensityMatrix, PureState, assert_valid, check_integer,
-                     density_from_pure)
+                     check_seed, density_from_pure)
 
 EPS_L = 1e-6
 PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, four stages
@@ -67,7 +67,6 @@ class Preset:
 
     kind: str = unitary.SINGLE_PARTY
     depth: int = 3
-    supports: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if self.kind not in (unitary.SINGLE_PARTY, unitary.NONGLOBAL):
@@ -76,24 +75,11 @@ class Preset:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         object.__setattr__(self, "depth", depth)
-        if self.supports is not None:
-            object.__setattr__(self, "supports", tuple(
-                tuple(check_integer(p, "party index") for p in s) for s in self.supports))
 
     def build(self, dims) -> unitary.LocalCircuit:
         if self.kind == unitary.SINGLE_PARTY:
             return unitary.single_party_circuit(dims)
-        return unitary.nonglobal_circuit(dims, depth=self.depth,
-                                         supports=self.supports)
-
-
-def _check_seed(seed) -> int:
-    """The seed as an int: an integer key of the Philox stream, in
-    [0, 2**128)."""
-    seed = check_integer(seed, "seed")
-    if not 0 <= seed < 2 ** 128:
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
-    return seed
+        return unitary.nonglobal_circuit(dims, depth=self.depth)
 
 
 @dataclass(frozen=True)
@@ -115,7 +101,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name in ("restarts", "max_evals"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if not 0 < self.eps_l < 1e-3:
@@ -168,11 +154,12 @@ def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sim[ind], fsim[ind]
 
 
-def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
-                 adaptive: bool):
+def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
+                 fatol: float, adaptive: bool):
     """Nelder-Mead as a generator: yields stacks of points (k, n), receives
-    their k values, and returns the final simplex and its values, best
-    first (scipy's ``final_simplex``).
+    what the caller evaluated there, takes ``objective`` of it as the k
+    values, and returns the final simplex and its values, best first
+    (scipy's ``final_simplex``).
 
     It is scipy's ``_minimize_neldermead`` with no bounds, no callback and
     no ``maxiter``, operation for operation: the same coefficients (the
@@ -198,7 +185,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
                                                        zdelt)
     fsim = np.full(n + 1, np.inf)
     nfev = min(n + 1, maxfev)
-    fsim[:nfev] = yield sim[:nfev]
+    fsim[:nfev] = objective((yield sim[:nfev]))
     # scipy sorts twice here; the second pass can reorder ties
     sim, fsim = _order(sim, fsim)
     sim, fsim = _order(sim, fsim)
@@ -210,12 +197,12 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
         fbest, fnext, fworst = fsim[0], fsim[-2], fsim[-1]
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
-        (fxr,) = yield xr[None]
+        (fxr,) = objective((yield xr[None]))
         nfev += 1
         if fxr < fbest:
             if nfev < maxfev:
                 xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                (fxe,) = yield xe[None]
+                (fxe,) = objective((yield xe[None]))
                 nfev += 1
                 if fxe < fxr:
                     sim[-1], fsim[-1] = xe, fxe
@@ -227,7 +214,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
             doshrink = False
             if fxr < fworst:
                 xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                (fxc,) = yield xc[None]
+                (fxc,) = objective((yield xc[None]))
                 nfev += 1
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
@@ -235,7 +222,7 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
                     doshrink = True
             else:
                 xcc = (1 - psi) * xbar + psi * sim[-1]
-                (fxcc,) = yield xcc[None]
+                (fxcc,) = objective((yield xcc[None]))
                 nfev += 1
                 if fxcc < fworst:
                     sim[-1], fsim[-1] = xcc, fxcc
@@ -246,24 +233,10 @@ def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float,
                 moved = min(n, k + 1)          # scipy moves the one it raised at
                 sim[1:moved + 1] = sim[0] + sigma * (sim[1:moved + 1] - sim[0])
                 if k:
-                    fsim[1:k + 1] = yield sim[1:k + 1]
+                    fsim[1:k + 1] = objective((yield sim[1:k + 1]))
                     nfev += k
         sim, fsim = _order(sim, fsim)
     return sim, fsim
-
-
-def _minimize(objective, x: np.ndarray, maxfev: int, xatol: float,
-              fatol: float, adaptive: bool):
-    """Nelder-Mead on ``objective(S, L)``: yields frame stacks, receives
-    their (S, L) arrays, and returns the best frame."""
-    nm = _nelder_mead(x, maxfev, xatol, fatol, adaptive)
-    points = next(nm)
-    while True:
-        s, l = yield points
-        try:
-            points = nm.send(objective(s, l))
-        except StopIteration as stop:
-            return stop.value[0][0]
 
 
 def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
@@ -274,13 +247,15 @@ def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
     adaptive = n_theta >= 10
     x = np.asarray(x0, dtype=np.float64)
     for mu in PENALTY_MUS:
-        x = yield from _minimize(
-            lambda s, l, mu=mu: [a + mu * b for a, b in zip(s, l)], x, budget,
+        sim, _ = yield from _nelder_mead(
+            lambda sl, mu=mu: [s + mu * l for s, l in zip(*sl)], x, budget,
             1e-8, 1e-10, adaptive)
+        x = sim[0]
     _, l = yield x[None]
     if l[0] > config.eps_l:
-        x = yield from _minimize(lambda s, l: l, x, budget, 1e-10, 1e-14,
-                                 adaptive)
+        sim, _ = yield from _nelder_mead(lambda sl: sl[1], x, budget, 1e-10,
+                                         1e-14, adaptive)
+        x = sim[0]
     s, l = yield x[None]
     return x, float(s[0]), float(l[0])
 
@@ -389,7 +364,7 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     samples = check_integer(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    seed = _check_seed(seed)
+    seed = check_seed(seed)
     if (isinstance(eps_l, bool) or not isinstance(eps_l, numbers.Real)
             or not 0 < eps_l < math.inf):
         raise ValueError(f"eps_l must be a finite number > 0, got {eps_l!r}")
@@ -422,8 +397,7 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
 def config_to_json(config: OptimizerConfig) -> dict:
     return {
         "preset": {"kind": config.preset.kind, "depth": config.preset.depth,
-                   "supports": (None if config.preset.supports is None
-                                else [list(s) for s in config.preset.supports])},
+                   "supports": None},
         "restarts": config.restarts,
         "seed": config.seed,
         "mu0": PENALTY_MUS[0],

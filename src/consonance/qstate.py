@@ -38,10 +38,20 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
+def check_seed(seed) -> int:
+    """The seed as an int: an integer key of a Philox stream, in
+    [0, 2**128)."""
+    seed = check_integer(seed, "seed")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    return seed
+
+
 def check_dims(dims) -> tuple[int, ...]:
-    """Coerce ``dims`` to a tuple of ints and reject degenerate factors."""
+    """``dims`` as a tuple of ints; rejects non-integers and degenerate
+    factors."""
     try:
-        out = tuple(int(d) for d in dims)
+        out = tuple(check_integer(d, "dimension") for d in dims)
     except TypeError as exc:
         raise ValueError(f"dims must be an iterable of ints, got {dims!r}") from exc
     if not out or any(d < 2 for d in out):
@@ -190,7 +200,7 @@ def tensor(a: State, b: State) -> State:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every party not listed in ``keep`` (0-based indices)."""
     n = rho.n_parties
-    keep = sorted(set(int(p) for p in keep))
+    keep = sorted({check_integer(p, "party index") for p in keep})
     if not keep:
         raise ValueError("keep must name at least one party")
     if any(p < 0 or p >= n for p in keep):
@@ -213,7 +223,7 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     wrapped in :class:`DensityMatrix` semantics beyond the raw entries.
     """
     n = rho.n_parties
-    party = int(party)
+    party = check_integer(party, "party")
     if not 0 <= party < n:
         raise ValueError(f"party {party} out of range for {n} parties")
     t = rho.entries.reshape(rho.dims + rho.dims)

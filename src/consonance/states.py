@@ -18,7 +18,7 @@ import numpy as np
 
 from . import measures
 from .qstate import (DensityMatrix, PureState, ValidationError, assert_valid,
-                     check_dims, density_from_pure)
+                     check_dims, check_integer, check_seed, density_from_pure)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -152,7 +152,7 @@ def two_param_qubit_qutrit(alpha: float, gamma: float) -> DensityMatrix:
 
 
 def ghz(n: int = 3) -> PureState:
-    n = int(n)
+    n = check_integer(n, "n")
     if n < 2:
         raise ValidationError(f"GHZ needs at least 2 parties, got {n}")
     amps = np.zeros(2 ** n, dtype=np.complex128)
@@ -161,7 +161,7 @@ def ghz(n: int = 3) -> PureState:
 
 
 def w_state(n: int = 3) -> PureState:
-    n = int(n)
+    n = check_integer(n, "n")
     if n < 2:
         raise ValidationError(f"W state needs at least 2 parties, got {n}")
     amps = np.zeros(2 ** n, dtype=np.complex128)
@@ -176,7 +176,7 @@ def w_state(n: int = 3) -> PureState:
 def permute_subsystems(state, order):
     """Reorder the parties; ``order[k]`` is the old position of new party k."""
     n = len(state.dims)
-    order = tuple(int(p) for p in order)
+    order = tuple(check_integer(p, "party index") for p in order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
     new_dims = tuple(state.dims[p] for p in order)
@@ -198,7 +198,7 @@ def regroup(state, sizes):
     (2, 2) become a 4x4 bipartite state.
     """
     n = len(state.dims)
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(check_integer(s, "block size") for s in sizes)
     if any(s < 1 for s in sizes) or sum(sizes) != n:
         raise ValueError(f"sizes {sizes} do not partition {n} parties")
     new_dims, pos = [], 0
@@ -315,7 +315,7 @@ def tps_remap(rho: DensityMatrix, relabeling: TpsRelabeling) -> DensityMatrix:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
+    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
 
 
 def random_pure(dims, seed: int) -> PureState:
@@ -330,7 +330,7 @@ def random_density(dims, seed: int, rank: int | None = None) -> DensityMatrix:
     """Mixture of ``rank`` Haar-random pure states with random weights."""
     dims = check_dims(dims)
     d = math.prod(dims)
-    rank = d if rank is None else int(rank)
+    rank = d if rank is None else check_integer(rank, "rank")
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in 1..{d}, got {rank}")
     rng = _rng(seed)

@@ -44,7 +44,7 @@ NONGLOBAL = "nonglobal"
 
 def n_params(dim: int) -> int:
     """Number of real parameters of a dim-dimensional unitary chart."""
-    dim = int(dim)
+    dim = check_integer(dim, "dimension")
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     return dim * dim
@@ -135,7 +135,7 @@ class UnitaryParams:
     theta: np.ndarray
 
     def __post_init__(self):
-        dim = int(self.dim)
+        dim = check_integer(self.dim, "dimension")
         theta = np.array(self.theta, dtype=np.float64)
         if theta.shape != (dim * dim,):
             raise ValueError(f"theta must have shape ({dim * dim},), got {theta.shape}")
@@ -188,7 +188,7 @@ class CircuitLayer:
     params: UnitaryParams
 
     def __post_init__(self):
-        support = tuple(int(p) for p in self.support)
+        support = tuple(check_integer(p, "party index") for p in self.support)
         if not support:
             raise ValueError("layer support must not be empty")
         if any(p < 0 for p in support):
@@ -329,33 +329,21 @@ def single_party_circuit(dims) -> LocalCircuit:
     return LocalCircuit(layers, preset=SINGLE_PARTY)
 
 
-def nonglobal_circuit(dims, depth: int = 3, supports=None) -> LocalCircuit:
-    """At most ``depth`` layers drawn from the singleton-and-pair pool.
-
-    Without an explicit ``supports`` list the first ``depth`` entries of
-    :func:`default_supports` are used, cycling through the pool again if
-    ``depth`` exceeds its length.
-    """
+def nonglobal_circuit(dims, depth: int = 3) -> LocalCircuit:
+    """``depth`` layers on the first ``depth`` entries of
+    :func:`default_supports`, cycling through the pool again if ``depth``
+    exceeds its length."""
     dims = check_dims(dims)
     depth = check_integer(depth, "depth")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    n = len(dims)
-    if supports is None:
-        pool = default_supports(n)
-        chosen = [pool[k % len(pool)] for k in range(depth)]
-    else:
-        chosen = [tuple(check_integer(p, "party index") for p in s) for s in supports]
-        if len(chosen) > depth:
-            raise ValueError(f"{len(chosen)} supports exceed depth {depth}")
+    pool = default_supports(len(dims))
     layers = []
-    for s in chosen:
+    for k in range(depth):
+        s = pool[k % len(pool)]
         d = math.prod(dims[p] for p in s)
         layers.append(CircuitLayer(s, UnitaryParams.identity(d)))
-    circuit = LocalCircuit(tuple(layers), preset=f"{NONGLOBAL}:depth={depth}")
-    for layer in circuit.layers:
-        _check_layer(layer, dims)
-    return circuit
+    return LocalCircuit(tuple(layers), preset=f"{NONGLOBAL}:depth={depth}")
 
 
 # --- flat parameter vector <-> circuit ----------------------------------
@@ -396,16 +384,19 @@ def circuit_to_json(circuit: LocalCircuit) -> dict:
 
 
 def circuit_from_json(obj: dict) -> LocalCircuit:
-    if not isinstance(obj, dict) or "layers" not in obj:
-        raise ValueError("circuit JSON must be an object with a 'layers' field")
+    if not isinstance(obj, dict) or not isinstance(obj.get("layers"), list):
+        raise ValueError("circuit JSON must be an object with a 'layers' list")
     layers = []
     for entry in obj["layers"]:
-        support = tuple(int(p) for p in entry["support"])
+        if not (isinstance(entry, dict) and isinstance(entry.get("support"), list)
+                and isinstance(entry.get("theta"), list)):
+            raise ValueError(f"circuit layer must be an object with 'support' and "
+                             f"'theta' lists, got {entry!r}")
         theta = np.asarray(entry["theta"], dtype=np.float64)
         dim = math.isqrt(theta.size)
         if dim * dim != theta.size:
             raise ValueError(f"layer theta length {theta.size} is not a perfect square")
-        layers.append(CircuitLayer(support, UnitaryParams(dim, theta)))
+        layers.append(CircuitLayer(tuple(entry["support"]), UnitaryParams(dim, theta)))
     return LocalCircuit(tuple(layers), preset=str(obj.get("preset", "custom")))
 
 

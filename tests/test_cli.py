@@ -114,6 +114,18 @@ def test_state_flag_accepts_factory_specs(capsys):
     assert float(out) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("dims", [["2", 2.9], [2, 2.9], [2.0, 2]])
+def test_state_file_with_non_integer_dims_is_usage_error(tmp_path, capsys, dims):
+    obj = state_to_json(states.werner(0.5))
+    obj["dims"] = dims
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum",
+                         "--state", str(path))
+    assert (code, out) == (2, "")
+    assert "dimension must be an integer" in err
+
+
 def test_missing_state_file(capsys):
     code, _, err = run(capsys, "measure", "--measure", "nonlocal_sum",
                        "--state", "no_such_state.json")
@@ -294,6 +306,17 @@ def test_sweep_fixed_parameters(capsys):
     assert "# fixed alpha = 0.1" in out.splitlines()
 
 
+def test_sweep_along_the_party_count_takes_whole_values_only(capsys):
+    code, out, _ = run(capsys, "sweep", "--family", "ghz", "--axis", "n", "--start", "2",
+                       "--stop", "4", "--points", "3", "--measures", "nonlocal_sum")
+    assert code == 0
+    assert out.splitlines()[-4:] == ["n,nonlocal_sum", "2,1", "3,1", "4,1"]
+    code, out, err = run(capsys, "sweep", "--family", "w", "--axis", "n", "--start", "2",
+                         "--stop", "3", "--points", "3", "--measures", "nonlocal_sum")
+    assert (code, out) == (2, "")
+    assert "n must be an integer, got 2.5" in err
+
+
 def test_sweep_custom_needs_all_axis_flags(capsys):
     code, _, err = run(capsys, "sweep", "--family", "werner", "--axis", "a",
                        "--start", "0", "--stop", "1")
@@ -358,6 +381,33 @@ def test_optimize_report_round_trip(tmp_path, capsys):
     circuit = unitary.circuit_from_json(obj["circuit"])
     replayed = nonlocal_sum(unitary.apply(circuit, states.werner(0.5)))
     assert replayed == pytest.approx(obj["value"], abs=1e-9)
+
+
+def test_optimize_rejects_a_warm_start_on_other_supports(tmp_path, capsys):
+    # the same 36 parameters as the search's (0,), (0, 1), (0, 2), on other parties
+    layers = [{"support": s, "theta": [0.1] * (4 ** len(s))}
+              for s in ([2], [1, 2], [0, 1])]
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps({"layers": layers}))
+    code, out, err = run(capsys, "optimize", "--family", "ghz:3",
+                         "--preset", "nonglobal", "--restarts", "1",
+                         "--max-evals", "100", "--warm-start", str(path))
+    assert (code, out) == (2, "")
+    assert "[(2,), (1, 2), (0, 1)]" in err and "[(0,), (0, 1), (0, 2)]" in err
+
+
+@pytest.mark.parametrize("obj", [{"layers": 5},
+                                 {"layers": [{"support": 1, "theta": [0.0] * 4}]},
+                                 {"layers": [{"support": [0.9], "theta": [0.0] * 4},
+                                             {"support": [1], "theta": [0.0] * 4}]}])
+def test_optimize_rejects_a_malformed_warm_start(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "optimize", "--family", "werner:0.5",
+                         "--restarts", "1", "--max-evals", "100",
+                         "--warm-start", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_optimize_with_warm_start_circuit(tmp_path, capsys):

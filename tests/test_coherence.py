@@ -52,6 +52,10 @@ def test_classify_rejects_bad_indices():
         classify((0, 2), (0, 0), (2, 2))
     with pytest.raises(ValueError):
         classify((0,), (0, 0), (2, 2))
+    with pytest.raises(ValueError, match="integer"):
+        classify((0.5, 0), (0, 0), (2, 2))
+    with pytest.raises(ValueError, match="integer"):
+        classify((0, 0), (1, True), (2, 2))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (3, 3)])
@@ -150,11 +154,11 @@ def _random_states(dims):
 def test_sums_equal_the_masked_reference(dims):
     for rho in _random_states(dims):
         want = tuple(masked_l1(rho.entries, dims, k) for k in MASKS)
-        for args in ((rho,), (rho.entries, dims), (rho.entries.tolist(), list(dims))):
-            p = profile(*args)
-            assert (p.s_value, p.l_value, p.diag_mass) == want
-            assert nonlocal_sum(*args) == want[0]
-            assert local_coherence(*args) == want[1]
+        p = profile(rho)
+        assert (p.s_value, p.l_value, p.diag_mass) == want
+        assert nonlocal_sum(rho) == want[0]
+        assert local_coherence(rho) == want[1]
+        assert [[x] for x in want] == class_sums(rho.entries, dims, CLASSES)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -171,18 +175,11 @@ def test_class_sums_of_a_stack_equal_its_single_matrices(dims):
 
 def test_sums_reject_matrices_of_other_dims():
     with pytest.raises(ValueError):
-        nonlocal_sum(np.eye(8), (2, 2))
+        class_sums(np.eye(8), (2, 2), CLASSES)
     with pytest.raises(ValueError):
-        profile(np.eye(4), (2, 3))
+        class_sums(np.eye(4), (2, 3), CLASSES)
     with pytest.raises(ValueError):
         class_sums(np.zeros((3, 4, 4)), (2, 3), CLASSES)
-
-
-def test_bare_array_needs_dims():
-    rho = states.werner(0.5)
-    assert nonlocal_sum(rho.entries, (2, 2)) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        nonlocal_sum(rho.entries)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

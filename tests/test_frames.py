@@ -16,19 +16,31 @@ import pytest
 from consonance import coherence, states, unitary
 from consonance.optimizer import (ORACLE_CHUNK, Preset, _frame_sums,
                                   oracle_consonance)
-from consonance.unitary import FrameBuilder, LocalCircuit, circuit_unitary
+from consonance.unitary import (CircuitLayer, FrameBuilder, LocalCircuit,
+                                UnitaryParams, circuit_unitary)
+
+
+def explicit_circuit(dims, supports) -> LocalCircuit:
+    """Identity layers on the given supports, in that order."""
+    return LocalCircuit(tuple(
+        CircuitLayer(s, UnitaryParams.identity(math.prod(dims[p] for p in s)))
+        for s in supports))
+
 
 DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]
 PRESETS = ([Preset()] + [Preset(kind=unitary.NONGLOBAL, depth=k) for k in range(1, 5)])
-CASES = [(dims, p) for dims in DIMS for p in PRESETS] + [
-    ((2, 2, 2), Preset(kind=unitary.NONGLOBAL, depth=3,
-                       supports=((1, 2), (0,), (0, 2)))),
-    ((2, 3, 2), Preset(kind=unitary.NONGLOBAL, depth=2, supports=((2,), (0, 1)))),
-    ((3, 3), Preset(kind=unitary.NONGLOBAL, depth=4, supports=((1,), (1,), (0,)))),
-    # layer dims 2, 3, 6, 2, 6: three dimension groups, interleaved
-    ((2, 3, 2), Preset(kind=unitary.NONGLOBAL, depth=5,
-                       supports=((0,), (1,), (0, 1), (2,), (1, 2)))),
-]
+CASES = [(dims, p.build(dims)) for dims in DIMS for p in PRESETS] + [
+    (dims, explicit_circuit(dims, supports)) for dims, supports in [
+        ((2, 2, 2), ((1, 2), (0,), (0, 2))),
+        ((2, 3, 2), ((2,), (0, 1))),
+        ((3, 3), ((1,), (1,), (0,))),
+        # layer dims 2, 3, 6, 2, 6: three dimension groups, interleaved
+        ((2, 3, 2), ((0,), (1,), (0, 1), (2,), (1, 2))),
+    ]]
+# the last field names the explicit supports, None for a preset's circuit
+CASE_IDS = [f"{d}-{c.preset}-"
+            f"{tuple(layer.support for layer in c.layers) if c.preset == 'custom' else None}"
+            for d, c in CASES]
 
 
 def hermitian_from_theta(dim: int, theta) -> np.ndarray:
@@ -93,15 +105,14 @@ def reference_sums(rho, u):
     return masked_l1(rc, rho.dims, 2), masked_l1(rc, rho.dims, 1)
 
 
-def _check_stack(dims, preset, b, seed):
+def _check_stack(dims, template, b, seed):
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-math.pi, math.pi, size=(b, preset.build(dims).n_theta))
-    _check_rows(dims, preset, thetas, seed)
+    thetas = rng.uniform(-math.pi, math.pi, size=(b, template.n_theta))
+    _check_rows(dims, template, thetas, seed)
 
 
-def _check_rows(dims, preset, thetas, seed):
+def _check_rows(dims, template, thetas, seed):
     rho = states.random_density(dims, seed=seed)
-    template = preset.build(dims)
     frames = FrameBuilder(template, dims)
     got_u = frames.unitaries(thetas)
     got_s, got_l = _frame_sums(frames, rho, thetas)
@@ -113,10 +124,9 @@ def _check_rows(dims, preset, thetas, seed):
 
 
 @pytest.mark.parametrize("b", [1, 7])
-@pytest.mark.parametrize("dims,preset", CASES,
-                         ids=[f"{d}-{p.build(d).preset}-{p.supports}" for d, p in CASES])
-def test_batched_frames_match_reference(dims, preset, b):
-    _check_stack(dims, preset, b, seed=len(dims) + b)
+@pytest.mark.parametrize("dims,template", CASES, ids=CASE_IDS)
+def test_batched_frames_match_reference(dims, template, b):
+    _check_stack(dims, template, b, seed=len(dims) + b)
 
 
 @pytest.mark.parametrize("dims,preset", [
@@ -124,7 +134,7 @@ def test_batched_frames_match_reference(dims, preset, b):
     ((2, 2, 2), Preset(kind=unitary.NONGLOBAL, depth=3)),
 ])
 def test_batched_frames_match_reference_past_one_chunk(dims, preset):
-    _check_stack(dims, preset, ORACLE_CHUNK + 3, seed=5)
+    _check_stack(dims, preset.build(dims), ORACLE_CHUNK + 3, seed=5)
 
 
 def _edge_thetas(n_theta, seed):
@@ -140,11 +150,10 @@ def _edge_thetas(n_theta, seed):
     return np.vstack([np.zeros(n_theta), 0.0 * signs, tiny])
 
 
-@pytest.mark.parametrize("dims,preset", CASES,
-                         ids=[f"{d}-{p.build(d).preset}-{p.supports}" for d, p in CASES])
-def test_frames_match_reference_at_signed_zeros_and_tiny_thetas(dims, preset):
-    n_theta = preset.build(dims).n_theta
-    _check_rows(dims, preset, _edge_thetas(n_theta, seed=len(dims) + n_theta), len(dims))
+@pytest.mark.parametrize("dims,template", CASES, ids=CASE_IDS)
+def test_frames_match_reference_at_signed_zeros_and_tiny_thetas(dims, template):
+    n_theta = template.n_theta
+    _check_rows(dims, template, _edge_thetas(n_theta, seed=len(dims) + n_theta), len(dims))
 
 
 def test_build_unitary_is_the_single_row_chart():
@@ -165,8 +174,7 @@ def test_circuit_unitary_is_the_single_row_case():
 
 
 def test_frame_layout_is_cached_and_read_only():
-    dims, preset = CASES[-1]     # three interleaved dimension groups
-    template = preset.build(dims)
+    dims, template = CASES[-1]     # three interleaved dimension groups
     first, second = FrameBuilder(template, dims), FrameBuilder(template, dims)
     assert first._chart is second._chart
     arrays = [a for a in first._chart if isinstance(a, np.ndarray)] + [first._embed]

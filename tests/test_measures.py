@@ -128,12 +128,6 @@ def test_negativity_two_param_family():
             assert negativity(rho) == pytest.approx(want, abs=1e-8)
 
 
-def test_negativity_party_choice_is_equivalent():
-    rho = states.random_density((2, 3), seed=21)
-    assert negativity(rho, party=0) == pytest.approx(
-        negativity(rho, party=1), abs=1e-10)
-
-
 # --- discord closed forms ------------------------------------------------
 
 

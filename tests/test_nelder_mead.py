@@ -23,7 +23,8 @@ from test_frames import reference_sums, reference_unitary
 def _drive(f, x0, maxfev, xatol, fatol, adaptive):
     """Run the generator on f; return its final simplex and values, and
     every stack it asked for."""
-    nm = _nelder_mead(np.array(x0, dtype=float), maxfev, xatol, fatol, adaptive)
+    nm = _nelder_mead(lambda values: values, np.array(x0, dtype=float), maxfev,
+                      xatol, fatol, adaptive)
     stacks = []
     points = next(nm)
     while True:

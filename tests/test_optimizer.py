@@ -71,8 +71,6 @@ def test_seeds_at_the_ends_of_the_range_run(seed):
 
 @pytest.mark.parametrize("kwargs", [
     {"depth": 2.7}, {"depth": 3.0}, {"depth": True}, {"depth": "3"},
-    {"supports": ((0.9,), (1.2,))}, {"supports": ((0,), (True,))},
-    {"supports": ((0, "1"),)},
 ])
 def test_preset_rejects_non_integers(kwargs):
     with pytest.raises(ValueError, match="integer"):
@@ -80,9 +78,8 @@ def test_preset_rejects_non_integers(kwargs):
 
 
 def test_preset_stores_numpy_integers_as_int():
-    p = Preset(kind=NONGLOBAL, depth=np.int64(2), supports=((np.int32(1),), (0,)))
-    assert (p.depth, p.supports) == (2, ((1,), (0,)))
-    assert type(p.depth) is int and type(p.supports[0][0]) is int
+    p = Preset(kind=NONGLOBAL, depth=np.int64(2))
+    assert p.depth == 2 and type(p.depth) is int
 
 
 def test_config_stores_numpy_integers_as_int():
@@ -302,7 +299,7 @@ def test_config_report_json():
     blob = config_to_json(config)
     assert blob["restarts"] == 2
     assert blob["seed"] == 9
-    assert blob["preset"]["kind"] == "single_party"
+    assert blob["preset"] == {"kind": "single_party", "depth": 3, "supports": None}
     # the fixed penalty schedule is written out with every config
     assert (blob["mu0"], blob["mu_growth"], blob["mu_stages"]) == (10.0, 10.0, 4)
     assert "tol_value" not in blob

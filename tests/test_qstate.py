@@ -32,6 +32,26 @@ def test_dims_must_be_at_least_two():
         qstate.check_dims(())
 
 
+@pytest.mark.parametrize("fn,args", [
+    (qstate.check_dims, ((2.7, 3),)),
+    (qstate.check_dims, (["2", 2],)),
+    (qstate.check_dims, ((2, 2.0),)),
+    (partial_trace, (states.werner(0.5), [0.7])),
+    (partial_trace, (states.werner(0.5), [True])),
+    (partial_transpose, (states.werner(0.5), 0.9)),
+    (qstate.check_seed, (1.5,)),
+], ids=["dims-float", "dims-str", "dims-integral-float", "keep", "keep-bool",
+        "party", "seed"])
+def test_integer_inputs_reject_non_integers(fn, args):
+    with pytest.raises(ValueError, match="integer"):
+        fn(*args)
+
+
+def test_dims_store_numpy_integers_as_int():
+    dims = qstate.check_dims(np.array([2, 3]))
+    assert dims == (2, 3) and all(type(d) is int for d in dims)
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         PureState((2, 2), np.zeros(3, dtype=complex))
@@ -210,6 +230,15 @@ def test_partial_transpose_involution_exact():
     once = partial_transpose(rho, 1)
     twice = partial_transpose(DensityMatrix(rho.dims, once), 1)
     assert np.array_equal(twice, rho.entries)
+
+
+def test_partial_transposes_of_two_parties_share_their_spectrum():
+    # rho^{T_B} = (rho^{T_A})^T, so negativity may transpose party 0 alone
+    rho = states.random_density((2, 3), seed=21)
+    pt_a, pt_b = partial_transpose(rho, 0), partial_transpose(rho, 1)
+    assert np.array_equal(pt_b, pt_a.T)
+    assert np.allclose(hermitian_eigenvalues(pt_a), hermitian_eigenvalues(pt_b),
+                       atol=1e-12)
 
 
 def test_validate_flags_partial_transpose():

@@ -336,3 +336,18 @@ def test_make_family():
         make_family("nope")
     with pytest.raises(FactorySpecError):
         make_family("werner", q=1)
+
+
+@pytest.mark.parametrize("fn,args,kwargs", [
+    (states.ghz, (3.7,), {}),
+    (states.w_state, (3.0,), {}),
+    (states.permute_subsystems, (states.werner(0.5), (1.0, 0)), {}),
+    (states.regroup, (states.ghz(3), (1, 2.0)), {}),
+    (states.random_density, ((2, 2),), {"seed": 1, "rank": 1.9}),
+    (states.random_density, ((2.5, 2),), {"seed": 1}),
+    (states.random_density, ((2, 2),), {"seed": 1.5}),
+    (states.random_pure, ((2, 2),), {"seed": True}),
+], ids=["ghz", "w", "permute", "regroup", "rank", "dims", "seed", "seed-bool"])
+def test_integer_parameters_reject_non_integers(fn, args, kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        fn(*args, **kwargs)

@@ -234,22 +234,33 @@ def test_nonglobal_two_parties_has_no_pairs():
     assert [l.support for l in circ.layers] == [(0,), (1,), (0,)]
 
 
-def test_nonglobal_explicit_supports():
-    circ = nonglobal_circuit((2, 2, 2), depth=2, supports=[(1, 2), (0,)])
-    assert [l.support for l in circ.layers] == [(1, 2), (0,)]
-    with pytest.raises(ValueError):
-        nonglobal_circuit((2, 2, 2), depth=1, supports=[(0,), (1,)])
-    with pytest.raises(ValueError):
-        nonglobal_circuit((2, 2, 2), depth=1, supports=[(0, 1, 2)])
-
-
 @pytest.mark.parametrize("kwargs", [
     {"depth": 3.9}, {"depth": 3.0}, {"depth": True}, {"depth": "3"},
-    {"supports": [(0.9,), (1.2,)]}, {"supports": [(False,)]},
 ])
 def test_nonglobal_rejects_non_integers(kwargs):
     with pytest.raises(ValueError, match="integer"):
         nonglobal_circuit((2, 2, 2), **kwargs)
+
+
+@pytest.mark.parametrize("support", [(0.9,), (1.2,), (False,), (0, True), (0, "1"),
+                                     "01"])
+def test_layer_rejects_non_integer_party_indices(support):
+    with pytest.raises(ValueError, match="integer"):
+        CircuitLayer(support, UnitaryParams.identity(2))
+
+
+def test_layer_stores_numpy_integers_as_int():
+    layer = CircuitLayer((np.int64(0), np.int32(2)), UnitaryParams.identity(4))
+    assert layer.support == (0, 2)
+    assert all(type(p) is int for p in layer.support)
+
+
+@pytest.mark.parametrize("dim", [2.9, 2.0, True, "2"])
+def test_dimension_must_be_an_integer(dim):
+    with pytest.raises(ValueError, match="integer"):
+        n_params(dim)
+    with pytest.raises(ValueError, match="integer"):
+        UnitaryParams(dim, np.zeros(4))
 
 
 # --- flat parameters and serialization -----------------------------------
@@ -281,3 +292,19 @@ def test_circuit_json_round_trip(tmp_path):
     assert np.array_equal(theta_vector(loaded), theta_vector(circ))
     assert np.allclose(circuit_unitary(loaded, (2, 2, 2)),
                        circuit_unitary(circ, (2, 2, 2)), atol=1e-14)
+
+
+@pytest.mark.parametrize("support", [[1.7], [True], [0, 1.0]])
+def test_circuit_json_rejects_non_integer_supports(support):
+    with pytest.raises(ValueError, match="integer"):
+        circuit_from_json({"layers": [{"support": support, "theta": [0.0] * 4}]})
+
+
+@pytest.mark.parametrize("obj", [
+    {"layers": 5}, {"layers": [5]}, {"layers": [{"support": 1, "theta": [0.0] * 4}]},
+    {"layers": [{"support": "01", "theta": [0.0] * 16}]},
+    {"layers": [{"support": [0]}]}, {"layers": [{"support": [0], "theta": 1.0}]},
+])
+def test_circuit_json_rejects_malformed_layers(obj):
+    with pytest.raises(ValueError, match="'layers' list|'support' and 'theta' lists"):
+        circuit_from_json(obj)
