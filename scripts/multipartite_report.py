@@ -4,8 +4,15 @@
 For each (state, preset) pair the consonance search report is archived as
 JSON, including the winning circuit so the value can be replayed.  The W
 state admits no vanishing-local-coherence frame under single-party
-rotations, so that report is expected to come back infeasible; the
-non-global preset is the interesting one.
+rotations, so that report is expected to come back infeasible.  The
+depth-3 non-global values are upper bounds on 0: that preset takes both
+GHZ(3) and W(3) to |000>, where S = L = 0, so any larger value there
+describes the search, not the state.
+
+The budget is fixed (RESTARTS, MAX_EVALS, SEED); the committed
+results/multipartite_report.json was made with it.  Usage:
+
+    python3 scripts/multipartite_report.py [--out-dir DIR]
 """
 
 import argparse
@@ -21,6 +28,10 @@ from consonance.optimizer import (OptimizerConfig, Preset, config_to_json,
                                   consonance, report_to_json)
 from consonance.qstate import density_from_pure
 from consonance.unitary import NONGLOBAL, apply
+
+RESTARTS = 8
+MAX_EVALS = 8000
+SEED = 0
 
 
 def ghz_witness_theta() -> np.ndarray:
@@ -40,9 +51,6 @@ def ghz_witness_theta() -> np.ndarray:
 def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", type=Path, default=Path("results"))
-    ap.add_argument("--restarts", type=int, default=8)
-    ap.add_argument("--max-evals", type=int, default=8000)
-    ap.add_argument("--seed", type=int, default=0)
     return ap.parse_args(argv)
 
 
@@ -66,8 +74,8 @@ def main(argv=None) -> int:
         print(f"{state_name}: s={p.s_value:.6f} l={p.l_value:.6f}")
         for preset_name, (preset, warm) in presets.items():
             warm_starts = warm if state_name == "ghz" else ()
-            config = OptimizerConfig(preset=preset, restarts=args.restarts,
-                                     seed=args.seed, max_evals=args.max_evals,
+            config = OptimizerConfig(preset=preset, restarts=RESTARTS,
+                                     seed=SEED, max_evals=MAX_EVALS,
                                      warm_starts=warm_starts)
             report = consonance(rho, config)
             replayed = apply(report.circuit, rho)

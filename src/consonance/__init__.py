@@ -20,7 +20,7 @@ from .unitary import (CircuitLayer, LocalCircuit, UnitaryParams, apply,
                       single_party_circuit)
 from .optimizer import (ConsonanceReport, OptimizerConfig, Preset, consonance,
                         oracle_consonance)
-from .measures import (MeasureResult, SchmidtDecomposition, concurrence_2x2,
+from .measures import (SchmidtDecomposition, concurrence_2x2,
                        consonance_closed_form, consonance_pure_bipartite,
                        discord_2x3, discord_bell_like, discord_werner,
                        eof_from_concurrence, negativity, schmidt_decompose)

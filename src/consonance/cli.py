@@ -1,20 +1,20 @@
 """Command line interface.
 
-Subcommands: measure, optimize, sweep, schmidt, classify, remap.  States
-come either from a JSON file (--state) or from a factory spec
-(--family, e.g. ``werner:a=0.5`` or ``bell:psi-``).  Exit codes: 0 on
-success, 1 when a state or parameter fails validation, 2 on usage errors.
+Subcommands: measure, optimize, sweep, schmidt, classify, remap.  A
+state comes either from a JSON file (--state FILE) or from a factory spec
+(--family SPEC, e.g. ``werner:a=0.5`` or ``bell:psi-``).  Exit codes: 0
+on success, 1 when a state or parameter fails validation, 2 on usage
+errors.
 
-The random seed resolves as --seed, else the CONSONANCE_SEED environment
-variable, else 0.  CSV output serializes numbers with 9 significant
-digits and is byte-identical across runs for a fixed seed.
+The random seed is --seed, 0 by default.  CSV output serializes numbers
+with 9 significant digits and is byte-identical across runs for a fixed
+seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,25 +22,13 @@ from functools import cached_property
 import numpy as np
 
 from . import coherence, measures, optimizer, states, unitary
-from .qstate import (DensityMatrix, PureState, ValidationError,
+from .qstate import (DensityMatrix, PureState, ValidationError, check_integer,
                      density_from_pure, load_state, save_state, state_to_json)
 from .states import FactorySpecError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-
-
-def resolve_seed(explicit) -> int:
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("CONSONANCE_SEED", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"CONSONANCE_SEED must be an integer, got {env!r}") from exc
-    return 0
 
 
 def _fmt(x: float) -> str:
@@ -52,20 +40,11 @@ def _fmt(x: float) -> str:
 
 def _add_state_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--state", metavar="FILE_OR_SPEC",
-                       help="JSON state file, or a factory spec if no such file exists")
+    group.add_argument("--state", metavar="FILE", help="JSON state file")
     group.add_argument("--family", metavar="SPEC",
                        help="factory spec, e.g. werner:a=0.5 or bell:psi-")
     parser.add_argument("--no-validate", action="store_true",
                         help="skip physicality checks when loading a state file")
-
-
-def _looks_like_family(text: str) -> bool:
-    try:
-        states.get_family(text.partition(":")[0].strip().lower())
-    except FactorySpecError:
-        return False
-    return True
 
 
 @dataclass
@@ -91,14 +70,10 @@ class MeasureContext:
 
 
 def _load_source(args, opt_config=None) -> MeasureContext:
-    spec = args.family
-    if spec is None and not os.path.exists(args.state) \
-            and _looks_like_family(args.state):
-        spec = args.state
-    if spec is None:
+    if args.family is None:
         state = load_state(args.state, validate_state=not args.no_validate)
         return MeasureContext(state, opt_config=opt_config)
-    family, params = states.parse_spec(spec)
+    family, params = states.parse_spec(args.family)
     return MeasureContext(family.make(**params), family.name,
                           family.resolve(**params), opt_config)
 
@@ -194,8 +169,10 @@ class SweepSpec:
     header_notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ValueError(f"a sweep needs at least 2 grid points, got {self.points}")
+        points = check_integer(self.points, "points")
+        if points < 2:
+            raise ValueError(f"a sweep needs at least 2 grid points, got {points}")
+        object.__setattr__(self, "points", points)
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
         family = states.get_family(self.family)
@@ -315,25 +292,23 @@ def _warm_start(path, template: unitary.LocalCircuit) -> np.ndarray:
     return unitary.theta_vector(circuit)
 
 
-def _opt_config_from(args, seed: int, dims=None) -> optimizer.OptimizerConfig:
+def _opt_config_from(args, dims=None) -> optimizer.OptimizerConfig:
     """The search config of the flags; ``dims`` are the state's, needed
     only to check a --warm-start circuit."""
     preset = optimizer.Preset(kind=args.preset, depth=args.depth)
-    kwargs = dict(preset=preset, seed=seed)
+    kwargs = dict(preset=preset, seed=args.seed)
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     if args.max_evals is not None:
         kwargs["max_evals"] = args.max_evals
-    # --eps-l and --warm-start exist on optimize only
-    if getattr(args, "eps_l", None) is not None:
-        kwargs["eps_l"] = args.eps_l
+    # --warm-start exists on optimize only
     if getattr(args, "warm_start", None):
         kwargs["warm_starts"] = (_warm_start(args.warm_start, preset.build(dims)),)
     return optimizer.OptimizerConfig(**kwargs)
 
 
 def cmd_measure(args) -> int:
-    ctx = _load_source(args, _opt_config_from(args, resolve_seed(args.seed)))
+    ctx = _load_source(args, _opt_config_from(args))
     value, extras = evaluate_measure(args.measure, ctx)
     if extras.get("feasible") is False:
         print(f"warning: no feasible frame found "
@@ -352,13 +327,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    seed = resolve_seed(args.seed)
     rho = _load_source(args).density
-    config = _opt_config_from(args, seed, rho.dims)
+    config = _opt_config_from(args, rho.dims)
     report = optimizer.consonance(rho, config)
     obj = optimizer.report_to_json(report)
     obj["config"] = optimizer.config_to_json(config)
-    obj["seed"] = seed
+    obj["seed"] = args.seed
     text = json.dumps(obj, indent=1)
     if args.report:
         with open(args.report, "w") as fh:
@@ -368,10 +342,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = resolve_seed(args.seed)
     if args.recipe:
         maker = RECIPES[args.recipe]
-        spec = maker(args.points) if args.points else maker()
+        spec = maker() if args.points is None else maker(args.points)
     else:
         for required in ("family", "axis", "start", "stop", "points"):
             if getattr(args, required) is None:
@@ -387,7 +360,7 @@ def cmd_sweep(args) -> int:
                          stop=args.stop, points=args.points,
                          measures=tuple(m.strip() for m in args.measures.split(",")),
                          fixed=tuple(fixed))
-    text = run_sweep(spec, _opt_config_from(args, seed), seed)
+    text = run_sweep(spec, _opt_config_from(args), args.seed)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -428,7 +401,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_remap(args) -> int:
-    out = states.tps_remap(_load_source(args).density, states.named_relabeling(args.relabeling))
+    out = states.tps_remap(_load_source(args).density, states.werner_f_prime())
     if args.out:
         save_state(out, args.out)
     else:
@@ -453,10 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="layer budget for the nonglobal preset")
         p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--max-evals", type=int, default=None, dest="max_evals")
-        p.add_argument("--seed", type=int, default=None,
-                       help="defaults to CONSONANCE_SEED, then 0")
+        p.add_argument("--seed", type=int, default=0)
         if with_warm:
-            p.add_argument("--eps-l", type=float, default=None, dest="eps_l")
             p.add_argument("--warm-start", metavar="CIRCUIT_JSON", default=None,
                            help="circuit file whose parameters seed one restart")
 
@@ -499,10 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_source(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("remap", help="rewrite a state in a relabeled product structure")
+    p = sub.add_parser("remap", help="rewrite a two-qubit state in the Bell-basis "
+                                     "product structure (states.werner_f_prime)")
     _add_state_source(p)
-    p.add_argument("--relabeling", default="werner-F-prime",
-                   help=f"one of: {', '.join(sorted(states.RELABELINGS))}")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=cmd_remap)
 

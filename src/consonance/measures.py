@@ -9,14 +9,12 @@ families.  All logarithms are base 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qstate import (DensityMatrix, PureState, ValidationError,
                      assert_normalized, assert_valid, partial_transpose)
-
-CLOSED_FORM = "closed_form"
 
 
 def _xlog2(x: float) -> float:
@@ -217,17 +215,6 @@ def discord_2x3(alpha: float, gamma: float) -> float:
 # --- closed-form consonance ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    """One evaluated measure, tagged with how it was obtained."""
-
-    name: str
-    value: float
-    params: dict = field(default_factory=dict)
-    method: str = CLOSED_FORM
-    note: str | None = None
-
-
 def consonance_werner(a: float) -> float:
     """Consonance of the Werner family: a itself, for a in [0, 1]."""
     return _werner_weight(a)
@@ -252,13 +239,13 @@ def consonance_2x3(alpha: float, gamma: float) -> float:
     return abs(_qutrit_beta(alpha, gamma) - gamma)
 
 
-def consonance_closed_form(family: str, **params) -> MeasureResult:
+def consonance_closed_form(family: str, **params) -> float:
     """Known consonance value of a state family, from the family table in
     :mod:`consonance.states`: werner, bell, bell_like, psi_like, pure_2x2,
-    two_param_2x3 and ghz."""
+    two_param_2x3 and ghz.  A caveat on the value, if any, is the family
+    record's ``note``."""
     from .states import get_family     # states imports this module
     fam = get_family(family.replace("-", "_").lower())
     if fam.consonance is None:
         raise ValueError(f"no closed-form consonance for family {fam.name!r}")
-    return MeasureResult("consonance", fam.consonance(**fam.resolve(**params)),
-                         dict(params), CLOSED_FORM, note=fam.note)
+    return fam.consonance(**fam.resolve(**params))

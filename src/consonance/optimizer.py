@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,14 +89,15 @@ class OptimizerConfig:
 
     ``max_evals`` is a budget per restart, not a total: each of the four
     penalty stages and the feasibility polish may use ``max_evals // 5``
-    evaluations (at least 50).
+    evaluations (at least 50).  ``eps_l`` reads the fixed feasibility
+    tolerance ``EPS_L``.
     """
 
     preset: Preset = field(default_factory=Preset)
     restarts: int = 32
     seed: int = 0
-    eps_l: float = EPS_L
     max_evals: int = 20000
+    eps_l: ClassVar[float] = EPS_L
     warm_starts: tuple = ()
 
     def __post_init__(self):
@@ -104,8 +106,6 @@ class OptimizerConfig:
         object.__setattr__(self, "seed", check_seed(self.seed))
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not 0 < self.eps_l < 1e-3:
-            raise ValueError(f"eps_l must lie in (0, 1e-3), got {self.eps_l}")
         if self.max_evals < 100:
             raise ValueError(f"max_evals too small: {self.max_evals}")
         warm = tuple(np.array(w, dtype=np.float64) for w in self.warm_starts)
@@ -252,7 +252,7 @@ def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
             1e-8, 1e-10, adaptive)
         x = sim[0]
     _, l = yield x[None]
-    if l[0] > config.eps_l:
+    if l[0] > EPS_L:
         sim, _ = yield from _nelder_mead(lambda sl: sl[1], x, budget, 1e-10,
                                          1e-14, adaptive)
         x = sim[0]
@@ -317,7 +317,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
                in enumerate(zip(starts, ends))]
     finals = [x for x, _, _ in ends]
 
-    feasible_idx = [r.index for r in records if r.l_residual <= config.eps_l]
+    feasible_idx = [r.index for r in records if r.l_residual <= EPS_L]
     if feasible_idx:
         best = min(feasible_idx,
                    key=lambda i: (records[i].value, records[i].l_residual, i))
@@ -334,7 +334,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     return ConsonanceReport(
         value=value,
         l_residual=l_res,
-        feasible=bool(l_res <= config.eps_l) and feasible,
+        feasible=bool(l_res <= EPS_L) and feasible,
         circuit=circuit,
         preset=template.preset,
         per_restart=tuple(records),
@@ -403,7 +403,7 @@ def config_to_json(config: OptimizerConfig) -> dict:
         "mu0": PENALTY_MUS[0],
         "mu_growth": PENALTY_MUS[1] / PENALTY_MUS[0],
         "mu_stages": len(PENALTY_MUS),
-        "eps_l": config.eps_l,
+        "eps_l": EPS_L,
         "max_evals": config.max_evals,
         "warm_starts": [w.tolist() for w in config.warm_starts],
     }

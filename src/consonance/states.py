@@ -252,7 +252,7 @@ def index_relabeling(source_dims, target_dims, mapping) -> TpsRelabeling:
     """Relabeling that permutes product basis labels.
 
     ``mapping`` sends source multi-indices to target multi-indices and
-    must be a bijection over the whole basis.
+    must be a bijection over the whole basis; every index is an integer.
     """
     src = check_dims(source_dims)
     tgt = check_dims(target_dims)
@@ -261,10 +261,12 @@ def index_relabeling(source_dims, target_dims, mapping) -> TpsRelabeling:
     seen = set()
     items = mapping.items() if isinstance(mapping, dict) else mapping
     for s_multi, t_multi in items:
-        s = int(np.ravel_multi_index(tuple(s_multi), src))
-        t = int(np.ravel_multi_index(tuple(t_multi), tgt))
+        s_multi = tuple(check_integer(i, "basis index") for i in s_multi)
+        t_multi = tuple(check_integer(i, "basis index") for i in t_multi)
+        s = int(np.ravel_multi_index(s_multi, src))
+        t = int(np.ravel_multi_index(t_multi, tgt))
         if t in seen:
-            raise ValueError(f"target index {tuple(t_multi)} assigned twice")
+            raise ValueError(f"target index {t_multi} assigned twice")
         seen.add(t)
         m[s, t] = 1.0
     if len(seen) != d:
@@ -287,19 +289,6 @@ def werner_f_prime() -> TpsRelabeling:
     cols = [bell("psi+").amps, bell("psi-").amps,
             bell("phi+").amps, bell("phi-").amps]
     return TpsRelabeling((2, 2), (2, 2), np.column_stack(cols))
-
-
-RELABELINGS = {
-    "werner-F-prime": werner_f_prime,
-}
-
-
-def named_relabeling(name: str) -> TpsRelabeling:
-    for key, maker in RELABELINGS.items():
-        if key.lower() == str(name).lower():
-            return maker()
-    raise ValueError(f"unknown relabeling {name!r}; "
-                     f"known: {', '.join(sorted(RELABELINGS))}")
 
 
 def tps_remap(rho: DensityMatrix, relabeling: TpsRelabeling) -> DensityMatrix:

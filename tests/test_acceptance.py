@@ -41,7 +41,7 @@ def _xlog2(x):
 
 def test_criterion_1_werner_closed_forms():
     for a in [k / 10 for k in range(11)]:
-        assert consonance_closed_form("werner", a=a).value == a
+        assert consonance_closed_form("werner", a=a) == a
 
         report = consonance(states.werner(a), OPT_SMALL)
         assert report.feasible
@@ -113,7 +113,7 @@ def test_criterion_4_qubit_qutrit_family():
         want_n = max(0.0, 2 * alpha + 2 * gamma - 1)
         assert abs(negativity(rho) - want_n) <= 1e-8
         assert consonance_closed_form(
-            "two_param_2x3", alpha=alpha, gamma=gamma).value == abs(beta - gamma)
+            "two_param_2x3", alpha=alpha, gamma=gamma) == abs(beta - gamma)
 
     # coincidence lines of the closed forms
     for alpha in np.linspace(0.0, 0.5, 11):
@@ -121,14 +121,14 @@ def test_criterion_4_qubit_qutrit_family():
         # gamma = 0: consonance and discord both (1 - 2 alpha)/3
         want = (1 - 2 * alpha) / 3
         assert abs(consonance_closed_form(
-            "two_param_2x3", alpha=alpha, gamma=0.0).value - want) <= 1e-9
+            "two_param_2x3", alpha=alpha, gamma=0.0) - want) <= 1e-9
         assert abs(discord_2x3(alpha, 0.0) - want) <= 1e-9
 
         # beta = 0 (gamma = 1 - 2 alpha): all of c, discord, negativity
         gamma = 1 - 2 * alpha
         want = gamma
         assert abs(consonance_closed_form(
-            "two_param_2x3", alpha=alpha, gamma=gamma).value - want) <= 1e-9
+            "two_param_2x3", alpha=alpha, gamma=gamma) - want) <= 1e-9
         assert abs(discord_2x3(alpha, gamma) - want) <= 1e-9
         rho = states.two_param_qubit_qutrit(alpha, gamma)
         assert abs(negativity(rho) - want) <= 1e-9
@@ -136,7 +136,7 @@ def test_criterion_4_qubit_qutrit_family():
         # beta = gamma (gamma = (1 - 2 alpha)/4): everything vanishes
         gamma = (1 - 2 * alpha) / 4
         assert abs(consonance_closed_form(
-            "two_param_2x3", alpha=alpha, gamma=gamma).value) <= 1e-9
+            "two_param_2x3", alpha=alpha, gamma=gamma)) <= 1e-9
         assert abs(discord_2x3(alpha, gamma)) <= 1e-9
         rho = states.two_param_qubit_qutrit(alpha, gamma)
         assert negativity(rho) <= 1e-9
@@ -173,7 +173,7 @@ def test_criterion_5_dominance_and_monotonicity():
     for g in gammas:
         alpha = (0.79 - g) / 2
         cons4.append(consonance_closed_form(
-            "two_param_2x3", alpha=alpha, gamma=float(g)).value)
+            "two_param_2x3", alpha=alpha, gamma=float(g)))
         disc4.append(discord_2x3(alpha, float(g)))
     for k in range(len(gammas) - 1):
         assert np.sign(cons4[k + 1] - cons4[k]) == np.sign(disc4[k + 1] - disc4[k])
@@ -199,7 +199,7 @@ def test_criterion_6_gap_curve():
 
 
 def test_criterion_7_tps_remapping():
-    rel = states.named_relabeling("werner-F-prime")
+    rel = states.werner_f_prime()
     for a in [k / 10 for k in range(11)]:
         out = states.tps_remap(states.werner(a), rel)
         assert nonlocal_sum(out) <= 1e-12

@@ -1,10 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from consonance import states, unitary
-from consonance.cli import _opt_config_from, build_parser, main
+from consonance.cli import SweepSpec, _opt_config_from, build_parser, main
 from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
 from consonance.qstate import (density_from_pure, save_state, state_from_json,
@@ -107,11 +109,12 @@ def test_measure_from_state_file(tmp_path, capsys):
     assert float(out) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_state_flag_accepts_factory_specs(capsys):
-    code, out, _ = run(capsys, "measure", "--measure", "nonlocal_sum",
-                       "--state", "werner:0.25")
-    assert code == 0
-    assert float(out) == pytest.approx(0.25, abs=1e-12)
+def test_state_flag_takes_a_file_only(capsys):
+    # a spec goes through --family; --state never reads it as one
+    code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum",
+                         "--state", "werner:0.25")
+    assert (code, out) == (2, "")
+    assert "werner:0.25" in err
 
 
 @pytest.mark.parametrize("dims", [["2", 2.9], [2, 2.9], [2.0, 2]])
@@ -150,7 +153,7 @@ def test_no_validate_skips_physicality(tmp_path, capsys):
 
 
 def test_schmidt_csv(capsys):
-    code, out, _ = run(capsys, "schmidt", "--state", "bell-like:a2=0.8")
+    code, out, _ = run(capsys, "schmidt", "--family", "bell-like:a2=0.8")
     assert code == 0
     assert out.splitlines() == ["k,coefficient",
                                 "0,0.894427191",
@@ -202,7 +205,7 @@ def test_classify_qutrit_pair_size(capsys):
 
 
 def test_remap_werner_to_stdout(capsys):
-    code, out, _ = run(capsys, "remap", "--state", "werner:0.2")
+    code, out, _ = run(capsys, "remap", "--family", "werner:0.2")
     assert code == 0
     rho = state_from_json(json.loads(out))
     assert rho.dims == (2, 2)
@@ -221,12 +224,6 @@ def test_remap_to_file(tmp_path, capsys):
 
 def test_remap_dimension_mismatch(capsys):
     code, _, err = run(capsys, "remap", "--family", "ghz:3")
-    assert code == 2
-
-
-def test_remap_unknown_relabeling(capsys):
-    code, _, err = run(capsys, "remap", "--family", "werner:0.5",
-                       "--relabeling", "nope")
     assert code == 2
 
 
@@ -340,26 +337,58 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert path.read_text().startswith("# recipe = fig3")
 
 
-def test_sweep_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CONSONANCE_SEED", "99")
-    code, out, _ = run(capsys, "sweep", "--recipe", "fig3", "--points", "3")
+@pytest.mark.parametrize("points", ["0", "1"])
+def test_recipe_sweep_rejects_too_few_points(capsys, points):
+    # --points 0 used to fall back to the recipe's default grid
+    code, out, err = run(capsys, "sweep", "--recipe", "fig3", "--points", points)
+    assert (code, out) == (2, "")
+    assert f"at least 2 grid points, got {points}" in err
+
+
+def test_recipe_sweep_without_points_keeps_the_recipe_grid(capsys):
+    code, out, _ = run(capsys, "sweep", "--recipe", "fig3")
+    assert code == 0
+    assert len([l for l in out.splitlines() if not l.startswith("#")]) == 1 + 301
+
+
+@pytest.mark.parametrize("points", [3.0, True, "3", np.float64(3.0)],
+                         ids=["float", "bool", "str", "numpy_float"])
+def test_sweep_spec_points_must_be_an_integer(points):
+    with pytest.raises(ValueError, match="points must be an integer"):
+        SweepSpec("werner", "a", 0.0, 1.0, points, ("consonance_cf",))
+
+
+def test_sweep_spec_stores_numpy_integer_points_as_int():
+    spec = SweepSpec("werner", "a", 0.0, 1.0, np.int64(3), ("consonance_cf",))
+    assert type(spec.points) is int
+    assert spec.grid().tolist() == [0.0, 0.5, 1.0]
+
+
+def test_seed_flag_reaches_the_outputs(capsys):
+    code, out, _ = run(capsys, "sweep", "--recipe", "fig3", "--points", "3",
+                       "--seed", "99")
     assert code == 0
     assert "# seed = 99" in out.splitlines()
-    monkeypatch.setenv("CONSONANCE_SEED", "banana")
-    code, _, err = run(capsys, "sweep", "--recipe", "fig3", "--points", "3")
-    assert code == 2
+    code, out, _ = run(capsys, "optimize", "--family", "werner:0.3",
+                       "--restarts", "2", "--max-evals", "2000", "--seed", "17")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["seed"] == obj["config"]["seed"] == 17
+    code, out, err = run(capsys, "sweep", "--recipe", "fig3", "--points", "3",
+                         "--seed", "-3")
+    assert (code, out) == (2, "")
+    assert "got -3" in err
 
 
 # --- optimize ------------------------------------------------------------
 
 
-def test_optimize_rejects_a_negative_seed(capsys, monkeypatch):
+def test_optimize_rejects_a_negative_seed(capsys):
     code, out, err = run(capsys, "optimize", "--family", "werner:0.5", "--seed", "-1",
                          "--restarts", "1", "--max-evals", "100")
     assert (code, out) == (2, "")
     assert "seed must lie in [0, 2**128), got -1" in err
-    monkeypatch.setenv("CONSONANCE_SEED", "-3")
-    code, out, err = run(capsys, "optimize", "--family", "werner:0.5",
+    code, out, err = run(capsys, "optimize", "--family", "werner:0.5", "--seed", "-3",
                          "--restarts", "1", "--max-evals", "100")
     assert (code, out) == (2, "")
     assert "got -3" in err
@@ -432,20 +461,11 @@ def test_optimize_with_warm_start_circuit(tmp_path, capsys):
     assert obj["value"] <= 1e-4
 
 
-def test_optimize_seed_flag_beats_environment(capsys, monkeypatch):
-    monkeypatch.setenv("CONSONANCE_SEED", "5")
-    code, out, _ = run(capsys, "optimize", "--family", "werner:0.3",
-                       "--restarts", "2", "--max-evals", "2000",
-                       "--seed", "17")
-    assert code == 0
-    assert json.loads(out)["seed"] == 17
-
-
 # --- search config from flags --------------------------------------------
 
 
 def _parsed_config(*argv):
-    return _opt_config_from(build_parser().parse_args(list(argv)), 0)
+    return _opt_config_from(build_parser().parse_args(list(argv)))
 
 
 def test_sweep_config_defaults_to_eight_restarts():
@@ -479,3 +499,23 @@ def test_pair_family_out_of_range_stays_invalid_state(capsys):
     code, _, _ = run(capsys, "measure", "--measure", "discord",
                      "--family", "bell_like:a2=1.5")
     assert code == 1
+
+
+# --- the README's examples -----------------------------------------------
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """Each ``consonance ...`` line of the README's CLI block, with its
+    backslash continuations joined, as an argv without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("consonance ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) >= 8
+    parser = build_parser()
+    for argv in examples:
+        assert callable(parser.parse_args(argv).func), argv

@@ -108,7 +108,7 @@ def test_pair_parameters_resolve_in_one_place():
 
 
 def test_ghz_note_does_not_claim_a_lower_bound():
-    note = measures.consonance_closed_form("ghz").note
+    note = states.get_family("ghz").note
     assert "own frame" in note and "S = 0" in note
 
 
@@ -140,7 +140,7 @@ def _sums_and_general(ctx, rho):
 def test_werner_measures_match_direct_calls(a):
     ctx = _ctx("werner", a=a)
     _sums_and_general(ctx, states.werner(a))
-    cf = measures.consonance_closed_form("werner", a=a).value
+    cf = measures.consonance_closed_form("werner", a=a)
     assert _value("consonance_cf", ctx) == cf
     assert _value("discord", ctx) == measures.discord_werner(a)
     c = measures.concurrence_werner(a)
@@ -155,7 +155,7 @@ def test_pair_measures_match_direct_calls(name, a2):
     psi = states.make_family(name, a2=a2)
     _sums_and_general(ctx, density_from_pure(psi))
     a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
-    cf = measures.consonance_closed_form(name, a2=a2).value
+    cf = measures.consonance_closed_form(name, a2=a2)
     assert cf == 2.0 * a * b
     assert _value("consonance_cf", ctx) == cf
     assert _value("consonance_pure", ctx) == measures.consonance_pure_bipartite(psi)
@@ -176,7 +176,7 @@ def test_qubit_qutrit_measures_match_direct_calls(alpha, gamma):
     ctx = _ctx("two_param_2x3", alpha=alpha, gamma=gamma)
     _sums_and_general(ctx, states.two_param_qubit_qutrit(alpha, gamma))
     assert _value("consonance_cf", ctx) == measures.consonance_closed_form(
-        "two_param_2x3", alpha=alpha, gamma=gamma).value
+        "two_param_2x3", alpha=alpha, gamma=gamma)
     assert _value("discord", ctx) == measures.discord_2x3(alpha, gamma)
     with pytest.raises(ValueError):
         evaluate_measure("eof", ctx)
@@ -188,7 +188,7 @@ def test_pure_2x2_measures_match_direct_calls():
     psi = states.pure_2x2(**amps)
     rho = density_from_pure(psi)
     _sums_and_general(ctx, rho)
-    cf = measures.consonance_closed_form("pure_2x2", **amps).value
+    cf = measures.consonance_closed_form("pure_2x2", **amps)
     assert _value("consonance_cf", ctx) == cf
     assert _value("consonance_pure", ctx) == measures.consonance_pure_bipartite(psi)
     assert _value("eof", ctx) == measures.eof_2x2(rho)

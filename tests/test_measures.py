@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consonance import states
-from consonance.measures import (CLOSED_FORM, binary_entropy, concurrence_2x2,
+from consonance.measures import (binary_entropy, concurrence_2x2,
                                  concurrence_werner, consonance_closed_form,
                                  consonance_pure_bipartite, discord_2x3,
                                  discord_bell_like, discord_werner, eof_2x2,
@@ -230,36 +230,34 @@ def test_pure_bipartite_two_bell_pairs():
 
 def test_closed_form_werner():
     res = consonance_closed_form("werner", a=0.3)
-    assert res.value == pytest.approx(0.3, abs=1e-15)
-    assert res.method == CLOSED_FORM
-    assert res.name == "consonance"
+    assert type(res) is float
+    assert res == pytest.approx(0.3, abs=1e-15)
 
 
 def test_closed_form_pair_families():
     a, b = math.sqrt(0.8), math.sqrt(0.2)
     for fam in ("bell_like", "psi_like", "bell-like"):
         res = consonance_closed_form(fam, a=a, b=b)
-        assert res.value == pytest.approx(0.8, abs=1e-12)
+        assert res == pytest.approx(0.8, abs=1e-12)
     with pytest.raises(ValidationError):
         consonance_closed_form("bell_like", a=1.0, b=1.0)
 
 
 def test_closed_form_pure_2x2():
     res = consonance_closed_form("pure_2x2", a=0.5, b=0.5, c=0.5, d=-0.5)
-    assert res.value == pytest.approx(2 * abs(0.5 * -0.5 - 0.25), abs=1e-12)
+    assert res == pytest.approx(2 * abs(0.5 * -0.5 - 0.25), abs=1e-12)
 
 
 def test_closed_form_two_param_2x3():
     res = consonance_closed_form("two_param_2x3", alpha=0.1, gamma=0.3)
     beta = (1 - 0.2 - 0.3) / 3
-    assert res.value == pytest.approx(abs(beta - 0.3), abs=1e-15)
+    assert res == pytest.approx(abs(beta - 0.3), abs=1e-15)
     with pytest.raises(ValidationError):
         consonance_closed_form("two_param_2x3", alpha=0.5, gamma=0.5)
 
 
 def test_closed_form_ghz_and_unknown():
-    res = consonance_closed_form("ghz")
-    assert res.value == 1.0
-    assert res.note is not None
+    assert consonance_closed_form("ghz") == 1.0
+    assert states.get_family("ghz").note is not None
     with pytest.raises(ValueError):
         consonance_closed_form("heisenberg")

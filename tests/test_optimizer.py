@@ -6,7 +6,7 @@ import pytest
 
 from consonance import states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
-from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
+from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
                                   config_to_json, consonance, oracle_consonance,
                                   report_to_json)
 from consonance.qstate import DensityMatrix, density_from_pure
@@ -30,10 +30,6 @@ def test_preset_build_and_tag():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(eps_l=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(eps_l=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_evals=10)
 
@@ -303,6 +299,10 @@ def test_config_report_json():
     # the fixed penalty schedule is written out with every config
     assert (blob["mu0"], blob["mu_growth"], blob["mu_stages"]) == (10.0, 10.0, 4)
     assert "tol_value" not in blob
+    # eps_l is the fixed tolerance, written out but not a setting
+    assert blob["eps_l"] == config.eps_l == EPS_L == 1e-6
+    with pytest.raises(TypeError):
+        OptimizerConfig(eps_l=1e-4)
 
     report = consonance(states.werner(0.3), config)
     out = report_to_json(report)

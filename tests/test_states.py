@@ -13,7 +13,7 @@ from consonance.qstate import (DensityMatrix, PureState, ValidationError,
 from consonance.states import (FactorySpecError, TpsRelabeling, bell,
                                bell_like, family_names, family_parameters,
                                ghz, identity_relabeling, index_relabeling,
-                               make_family, named_relabeling,
+                               make_family,
                                parse_factory_spec, permute_subsystems,
                                psi_like, pure_2x2, random_density,
                                random_pure, regroup, tps_remap, two_param_qubit_qutrit,
@@ -208,6 +208,24 @@ def test_index_relabeling_must_be_bijective():
         index_relabeling((2, 2), (2, 2), {(0, 0): (0, 0)})
 
 
+@pytest.mark.parametrize("source,target", [
+    ((0.5, 0), (0, 0)), ((True, 0), (0, 0)), ((0, 0), (0, "1")), ((0, 0), (False, 0)),
+    ((np.float64(1.0), 0), (0, 0)), ((0, 0), (1.0, 1)),
+])
+def test_index_relabeling_rejects_non_integer_indices(source, target):
+    # (True, 0) would pass as (1, 0), and 0.5 raised a TypeError from numpy
+    # a list of pairs, since a dict would merge (True, 0) with (1, 0)
+    mapping = [((0, 1), (0, 1)), ((1, 0), (1, 0)), ((1, 1), (1, 1)), (source, target)]
+    with pytest.raises(ValueError, match="basis index must be an integer"):
+        index_relabeling((2, 2), (2, 2), mapping)
+
+
+def test_index_relabeling_accepts_numpy_integers():
+    rel = index_relabeling((2, 2), (2, 2), {
+        (np.int64(i), np.int32(j)): (i, j) for i in range(2) for j in range(2)})
+    assert np.array_equal(rel.matrix, np.eye(4))
+
+
 def test_werner_remap_diagonalizes():
     rel = werner_f_prime()
     rho = werner(0.2)
@@ -229,15 +247,6 @@ def test_remap_preserves_spectrum():
     out = tps_remap(rho, werner_f_prime())
     assert np.allclose(hermitian_eigenvalues(out.entries),
                        hermitian_eigenvalues(rho.entries), atol=1e-12)
-
-
-def test_named_relabeling_lookup():
-    assert np.allclose(named_relabeling("werner-F-prime").matrix,
-                       werner_f_prime().matrix)
-    assert np.allclose(named_relabeling("WERNER-f-PRIME").matrix,
-                       werner_f_prime().matrix)
-    with pytest.raises(ValueError):
-        named_relabeling("bogus")
 
 
 def test_remap_checks_dims():
