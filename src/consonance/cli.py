@@ -99,6 +99,12 @@ def _consonance_cf(ctx: MeasureContext) -> float:
     return _closed_form(ctx, "consonance")
 
 
+def _discord(ctx: MeasureContext) -> float:
+    if ctx.family is None:
+        raise ValueError("discord needs a --family state")
+    return _closed_form(ctx, "discord")
+
+
 def _concurrence(ctx: MeasureContext) -> float:
     # the family's closed form keeps differences with other closed forms
     # exact (the general route leaves float dust where a gap closes to 0)
@@ -131,22 +137,28 @@ _MEASURES = {
     "concurrence": lambda ctx: measures.concurrence_2x2(ctx.density),
     "eof": _eof,
     "negativity": _negativity,
-    "discord": lambda ctx: _closed_form(ctx, "discord"),
+    "discord": _discord,
     "nonlocal_sum": lambda ctx: ctx.profile.s_value,
     "local_coherence": lambda ctx: ctx.profile.l_value,
     "c_minus_concurrence": lambda ctx: _consonance_cf(ctx) - _concurrence(ctx),
 }
 
 
+def _measure_name(name: str) -> str:
+    """A measure name stripped and lower-cased; an unknown one raises."""
+    name = name.strip().lower()
+    if name not in _SEARCH_MEASURES and name not in _MEASURES:
+        raise ValueError(f"unknown measure {name!r}")
+    return name
+
+
 def evaluate_measure(name: str, ctx: MeasureContext):
     """Returns (value, extras) where extras holds companion columns."""
-    name = name.strip().lower()
+    name = _measure_name(name)
     if name in _SEARCH_MEASURES:
         report = optimizer.consonance(ctx.density, ctx.opt_config)
         return report.value, {"feasible": report.feasible,
                               "l_residual": report.l_residual}
-    if name not in _MEASURES:
-        raise ValueError(f"unknown measure {name!r}")
     return _MEASURES[name](ctx), {}
 
 
@@ -175,6 +187,7 @@ class SweepSpec:
         object.__setattr__(self, "points", points)
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
+        object.__setattr__(self, "measures", tuple(map(_measure_name, self.measures)))
         family = states.get_family(self.family)
         used = [self.axis] + [k for k, _ in self.fixed] + [k for k, _ in self.bindings]
         for k in used:
@@ -343,6 +356,9 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.recipe:
+        for name in ("family", "axis", "start", "stop", "fixed", "measures"):
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} does not go with --recipe")
         maker = RECIPES[args.recipe]
         spec = maker() if args.points is None else maker(args.points)
     else:
@@ -356,10 +372,10 @@ def cmd_sweep(args) -> int:
                 if not _ or not k.strip():
                     raise ValueError(f"bad --fixed entry {chunk!r}; use key=value")
                 fixed.append((k.strip(), float(v)))
+        names = "consonance_cf" if args.measures is None else args.measures
         spec = SweepSpec(family=args.family, axis=args.axis, start=args.start,
                          stop=args.stop, points=args.points,
-                         measures=tuple(m.strip() for m in args.measures.split(",")),
-                         fixed=tuple(fixed))
+                         measures=tuple(names.split(",")), fixed=tuple(fixed))
     text = run_sweep(spec, _opt_config_from(args), args.seed)
     if args.out:
         with open(args.out, "w") as fh:
@@ -455,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--fixed", help="comma-separated key=value pairs")
-    p.add_argument("--measures", default="consonance_cf",
-                   help="comma-separated measure names")
+    p.add_argument("--measures",
+                   help="comma-separated measure names (default consonance_cf)")
     p.add_argument("--out", metavar="FILE")
     add_opt_flags(p)
     p.set_defaults(func=cmd_sweep, restarts=8)

@@ -58,40 +58,37 @@ def classify(row, col, dims) -> CoherenceClass:
     return CoherenceClass.LOCAL
 
 
-@lru_cache(maxsize=None)
 def class_masks(dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boolean (D, D) masks (diagonal, local, nonlocal) over flat indices.
 
     Cached per dims; the returned arrays are read only.
     """
+    return _class_positions(check_dims(dims))[0]
+
+
+@lru_cache(maxsize=None)
+def _class_positions(dims: tuple):
+    """The class masks and the flat row-major positions of each class,
+    cached per dims and read only."""
     dims = check_dims(dims)
     d = math.prod(dims)
     multi = np.array(np.unravel_index(np.arange(d), dims)).T  # (D, n)
     agree = multi[:, None, :] == multi[None, :, :]            # (D, D, n)
     diag = agree.all(axis=2)
     nonloc = (~agree).all(axis=2)
-    local = ~(diag | nonloc)
-    for m in (diag, local, nonloc):
-        m.setflags(write=False)
-    return diag, local, nonloc
-
-
-@lru_cache(maxsize=None)
-def _class_positions(dims):
-    """The (D, D) shape and the flat row-major positions of each class,
-    cached per dims and read only."""
-    masks = class_masks(dims)
+    masks = (diag, ~(diag | nonloc), nonloc)
     positions = dict(zip(CoherenceClass, map(np.flatnonzero, masks)))
-    for p in positions.values():
-        p.setflags(write=False)
-    return masks[0].shape, positions
+    for m in masks + tuple(positions.values()):
+        m.setflags(write=False)
+    return masks, positions
 
 
 def class_sums(mats, dims, classes) -> list[list[float]]:
     """The sums of |entries| of each :class:`CoherenceClass` in ``classes``,
     in that order, one float per matrix of a stack (B, D, D); an array
     (D, D) is a stack of one.  One ``abs`` pass serves every class."""
-    shape, positions = _class_positions(dims)
+    masks, positions = _class_positions(tuple(dims))
+    shape = masks[0].shape
     if mats.ndim not in (2, 3) or mats.shape[-2:] != shape:
         raise ValueError(f"matrices of shape {mats.shape} do not match dims {dims}")
     rows = np.abs(mats).reshape(-1, shape[0] * shape[1])

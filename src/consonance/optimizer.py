@@ -46,7 +46,6 @@ matches what a caller would reproduce from the report.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -350,24 +349,20 @@ class OracleResult:
 
 
 def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
-                      samples: int = 10000, seed: int = 0,
-                      eps_l: float = EPS_L) -> OracleResult:
+                      samples: int = 10000, seed: int = 0) -> OracleResult:
     """Brute-force cross-check: best feasible S over random frames.
 
     Draws ``samples`` parameter vectors (the first is theta = 0) from a
     single Philox stream and keeps the minimum S among those with
-    L <= eps_l.  The frames are drawn and evaluated in chunks of
-    ``ORACLE_CHUNK``, which gives the same numbers as drawing them one by
-    one.  Crude by design; used to confirm the optimizer is not
-    undershooting.
+    L <= ``EPS_L``, the search's feasibility tolerance.  The frames are
+    drawn and evaluated in chunks of ``ORACLE_CHUNK``, which gives the
+    same numbers as drawing them one by one.  Crude by design; used to
+    confirm the optimizer is not undershooting.
     """
     samples = check_integer(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     seed = check_seed(seed)
-    if (isinstance(eps_l, bool) or not isinstance(eps_l, numbers.Real)
-            or not 0 < eps_l < math.inf):
-        raise ValueError(f"eps_l must be a finite number > 0, got {eps_l!r}")
     if isinstance(rho, PureState):
         rho = density_from_pure(rho)
     assert_valid(rho)
@@ -384,7 +379,7 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
         else:
             thetas = rng.uniform(-math.pi, math.pi, size=(n, frames.n_theta))
         s, l = map(np.array, _frame_sums(frames, rho, thetas))
-        ok = l <= eps_l
+        ok = l <= EPS_L
         feasible += int(np.count_nonzero(ok))
         if ok.any():
             best = min(best, float(s[ok].min()))

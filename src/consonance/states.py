@@ -265,6 +265,8 @@ def index_relabeling(source_dims, target_dims, mapping) -> TpsRelabeling:
         t_multi = tuple(check_integer(i, "basis index") for i in t_multi)
         s = int(np.ravel_multi_index(s_multi, src))
         t = int(np.ravel_multi_index(t_multi, tgt))
+        if m[s].any():
+            raise ValueError(f"source index {s_multi} mapped twice")
         if t in seen:
             raise ValueError(f"target index {t_multi} assigned twice")
         seen.add(t)

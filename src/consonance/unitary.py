@@ -11,16 +11,17 @@ U_layer (x) identity.  Layers are applied first to last, so the overall
 unitary is U_L ... U_2 U_1.
 
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
-vectors (B, P) into the stacked circuit unitaries (B, D, D).  The replay
+vectors (B, P) into the stacked circuit unitaries (B, D, D); the replay
 (:func:`circuit_unitary`, :func:`apply`), the penalty search and the
-brute-force oracle all go through it, and :func:`build_unitary` is its
-chart for one layer and one row.  It works from index plans laid out
-once per circuit shape.  One chart pass builds every layer's H from
-theta, with the layers in dimension-group order; each group runs one
-batched eigh and exp into one stack of layer unitaries, and a gather
-lifts each of them to the full space.  The scalar reference it matches
-entry for entry with == (chart, exp and a kron-and-transpose embed, one
-frame at a time) lives in the tests.
+brute-force oracle all go through it.  It works from index plans laid
+out once per circuit shape.  Its chart reads theta in place:
+``off = re + 1j * im`` over every layer's upper triangle, and one gather
+from the source row [theta | off | conj(off)] builds every layer's H,
+with the layers in dimension-group order.  Each group runs one batched eigh and
+exp, and a gather lifts every layer unitary to the full space.
+:func:`build_unitary` is the chart for one layer and one row.  The
+scalar reference that every row matches with == (chart, exp and a
+kron-and-transpose embed, one frame at a time) lives in the tests.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ class _ChartLayout(NamedTuple):
     dimensions by first appearance, layers in circuit order within a
     group.  Every array is read only."""
 
-    cols: np.ndarray       # theta columns: every diagonal, every Re, every Im part
-    n_diag: int            # length of the diagonal block of cols
-    n_off: int             # length of the Re block, and of the Im block
-    plan: np.ndarray       # where each H entry sits in [diag | off | conj(off)]
+    re: np.ndarray         # theta column of each Re part; its Im part is the next
+    plan: np.ndarray       # where each H entry sits in [theta | off | conj(off)]
     groups: tuple          # (dim, k, lo, hi): k layers fill columns lo:hi of H
     positions: np.ndarray  # stack column of each layer's first entry, circuit order
 
@@ -69,50 +68,43 @@ def _chart_layout(layer_dims: tuple[int, ...]) -> _ChartLayout:
     starts = np.cumsum((0,) + tuple(d * d for d in layer_dims)).tolist()
     group_dims = list(dict.fromkeys(layer_dims))
     order = sorted(range(len(layer_dims)), key=lambda j: group_dims.index(layer_dims[j]))
-    n_diag = sum(layer_dims)
-    n_off = sum(d * (d - 1) // 2 for d in layer_dims)
-    diag, re, plan = [], [], []
+    n_theta = starts[-1]
+    n_off = (n_theta - sum(layer_dims)) // 2
+    re, plan = [], []
     positions = [0] * len(layer_dims)
     for j in order:
         d, o = layer_dims[j], starts[j]
         m = d * (d - 1) // 2
         # this layer's source row: its diagonal, upper triangle, conjugates
-        src = np.concatenate((len(diag) + np.arange(d),
-                              n_diag + len(re) + np.arange(m),
-                              n_diag + n_off + len(re) + np.arange(m)))
+        src = np.concatenate((o + np.arange(d),
+                              n_theta + len(re) + np.arange(m),
+                              n_theta + n_off + len(re) + np.arange(m)))
         iu = np.triu_indices(d, k=1)
         h = np.diag(src[:d])
         h[iu] = src[d:d + m]
         h[iu[::-1]] = src[d + m:]
         positions[j] = len(plan)
         plan += h.ravel().tolist()
-        diag += range(o, o + d)
         re += range(o + d, o + d * d, 2)
-    cols, plan, positions = (np.array(x, dtype=np.intp)
-                             for x in (diag + re + [r + 1 for r in re], plan, positions))
-    for arr in (cols, plan, positions):
+    re, plan, positions = (np.array(x, dtype=np.intp) for x in (re, plan, positions))
+    for arr in (re, plan, positions):
         arr.setflags(write=False)
     groups, lo = [], 0
     for d in group_dims:
         hi = lo + layer_dims.count(d) * d * d
         groups.append((d, layer_dims.count(d), lo, hi))
         lo = hi
-    return _ChartLayout(cols, n_diag, n_off, plan, tuple(groups), positions)
+    return _ChartLayout(re, plan, tuple(groups), positions)
 
 
 def _layer_stack(layout: _ChartLayout, thetas: np.ndarray) -> np.ndarray:
     """Every layer's exp(iH) at a stack of thetas (B, P), as rows (B, P + 1):
-    the unitaries row-major in the layout's group order, then a 0.
-
-    One chart pass builds every H: one gather of the diagonal, Re and Im
-    columns, ``off = re + 1j * im``, and one gather from the source row
-    [diag | off | conj(off)].  Each dimension group then runs one batched
-    ``eigh`` and exp on its column range.
-    """
-    b, n_diag, n_off = len(thetas), layout.n_diag, layout.n_off
-    t = thetas.take(layout.cols, axis=1)
-    off = t[:, n_diag:n_diag + n_off] + 1j * t[:, n_diag + n_off:]
-    h = np.concatenate((t[:, :n_diag], off, off.conj()), axis=1).take(layout.plan, axis=1)
+    the unitaries row-major in the layout's group order, then a 0.  H is
+    gathered from [theta | off | conj(off)]; each dimension group runs one
+    batched ``eigh`` and exp on its column range."""
+    b = len(thetas)
+    off = thetas.take(layout.re, axis=1) + 1j * thetas[:, 1:].take(layout.re, axis=1)
+    h = np.concatenate((thetas, off, off.conj()), axis=1).take(layout.plan, axis=1)
     stack = np.zeros((b, len(layout.plan) + 1), dtype=np.complex128)
     for dim, k, lo, hi in layout.groups:
         u = _expi_stack(h[:, lo:hi].reshape(b, k, dim, dim))
@@ -251,15 +243,12 @@ class FrameBuilder:
 
     Built once per circuit and dims, which validates every layer and lays
     out the plans; ``unitaries(thetas)`` maps thetas (B, n_theta) to the
-    circuit unitaries (B, D, D).  One chart pass (:func:`_layer_stack`)
-    builds every layer's H, each dimension group runs one batched ``eigh``
-    and exp, and the layer unitaries land in one stack in group order,
-    whose last column is 0.  One gather through the layers'
-    :func:`_embed_index` plans, pointed at their stack positions, lifts
-    them all to the full space.  The first layer starts the chain; each
-    later one multiplies it from the left.  Each row equals the scalar
-    reference of the tests (chart, exp, kron-and-transpose embed, chained
-    from the identity) up to the sign of exact zeros.
+    circuit unitaries (B, D, D).  The chart pass (:func:`_layer_stack`)
+    reads H from [theta | off | conj(off)] and leaves the layer unitaries
+    in one stack in group order, whose last column is 0.  One gather
+    through the layers' :func:`_embed_index` plans, pointed at their stack
+    positions, lifts them all to the full space.  The first layer starts
+    the chain; each later one multiplies it from the left.
     """
 
     def __init__(self, circuit: LocalCircuit, dims):

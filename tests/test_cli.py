@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consonance import states, unitary
+from consonance import optimizer, states, unitary
 from consonance.cli import SweepSpec, _opt_config_from, build_parser, main
 from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
@@ -107,6 +107,15 @@ def test_measure_from_state_file(tmp_path, capsys):
                        "--state", str(path))
     assert code == 0
     assert float(out) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_closed_form_discord_of_a_state_file_needs_a_family(tmp_path, capsys):
+    # it used to name "family None"
+    path = tmp_path / "w.json"
+    save_state(states.werner(0.5), path)
+    code, out, err = run(capsys, "measure", "--measure", "discord", "--state", str(path))
+    assert (code, out) == (2, "")
+    assert "discord needs a --family state" in err
 
 
 def test_state_flag_takes_a_file_only(capsys):
@@ -283,6 +292,28 @@ def test_sweep_custom(capsys):
     assert lines[3] == "1,1,1"
 
 
+def test_sweep_normalizes_measure_names(capsys):
+    # the feasible column used to go missing for a mixed-case search name
+    code, out, _ = run(capsys, "sweep", "--family", "werner", "--axis", "a",
+                       "--start", "0", "--stop", "1", "--points", "2",
+                       "--restarts", "1", "--max-evals", "100",
+                       "--measures", "Consonance_opt, DISCORD")
+    assert code == 0
+    lines = [l for l in out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "a,consonance_opt,consonance_opt_feasible,discord"
+    assert SweepSpec("werner", "a", 0.0, 1.0, 2, (" Discord",)).measures == ("discord",)
+
+
+def test_sweep_rejects_an_unknown_measure_before_any_row(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(optimizer, "consonance", lambda *a, **k: calls.append(a))
+    code, out, err = run(capsys, "sweep", "--family", "werner", "--axis", "a",
+                         "--start", "0", "--stop", "1", "--points", "2",
+                         "--measures", "consonance_opt,discrod")
+    assert (code, out, calls) == (2, "", [])
+    assert "unknown measure 'discrod'" in err
+
+
 def test_sweep_weight_axis_reaches_closed_forms(capsys):
     # the a2 weight axis must feed the amplitude-based closed forms
     code, out, _ = run(capsys, "sweep", "--family", "bell_like",
@@ -343,6 +374,17 @@ def test_recipe_sweep_rejects_too_few_points(capsys, points):
     code, out, err = run(capsys, "sweep", "--recipe", "fig3", "--points", points)
     assert (code, out) == (2, "")
     assert f"at least 2 grid points, got {points}" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--family", "ghz"), ("--axis", "n"), ("--start", "0"), ("--stop", "1"),
+    ("--fixed", "x=1"), ("--measures", "discord")])
+def test_recipe_sweep_rejects_custom_sweep_flags(capsys, flag, value):
+    # the recipe table used to print, with the flag ignored
+    code, out, err = run(capsys, "sweep", "--recipe", "fig3", "--points", "3",
+                         flag, value)
+    assert (code, out) == (2, "")
+    assert f"{flag} does not go with --recipe" in err
 
 
 def test_recipe_sweep_without_points_keeps_the_recipe_grid(capsys):

@@ -182,6 +182,18 @@ def test_sums_reject_matrices_of_other_dims():
         class_sums(np.zeros((3, 4, 4)), (2, 3), CLASSES)
 
 
+def test_masks_and_sums_take_list_dims():
+    # a list used to fail the cache lookup with "unhashable type: 'list'"
+    rho = states.werner(0.4)
+    assert all(a is b for a, b in zip(class_masks([2, 2]), class_masks((2, 2))))
+    assert class_sums(rho.entries, [2, 2], CLASSES) == class_sums(rho.entries, (2, 2), CLASSES)
+    for bad in ([2.5, 2], (2.5, 2), [1, 2]):
+        with pytest.raises(ValueError):
+            class_masks(bad)
+        with pytest.raises(ValueError):
+            class_sums(np.eye(5), bad, CLASSES)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_partition_identity_on_random_states(seed):

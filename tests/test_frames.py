@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from consonance import coherence, states, unitary
+from consonance import coherence, optimizer, states, unitary
 from consonance.optimizer import (ORACLE_CHUNK, Preset, _frame_sums,
                                   oracle_consonance)
 from consonance.unitary import (CircuitLayer, FrameBuilder, LocalCircuit,
@@ -203,7 +203,7 @@ def test_frames_reject_a_misshapen_stack():
     (states.random_density((2, 3), seed=4), Preset()),
     (states.random_density((2, 2, 2), seed=6), Preset(kind=unitary.NONGLOBAL, depth=3)),
 ], ids=["werner", "2x3", "2x2x2-nonglobal"])
-def test_oracle_matches_per_sample_loop(rho, preset):
+def test_oracle_matches_per_sample_loop(rho, preset, monkeypatch):
     samples, seed = ORACLE_CHUNK + 3, 12
     template = preset.build(rho.dims)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -211,11 +211,12 @@ def test_oracle_matches_per_sample_loop(rho, preset):
               else rng.uniform(-math.pi, math.pi, size=template.n_theta)
               for k in range(samples)]
     ref = [reference_sums(rho, reference_unitary(template, rho.dims, t)) for t in thetas]
-    # a loose eps_l makes about half the samples feasible, so the minimum
+    # a loose EPS_L makes about half the samples feasible, so the minimum
     # and the count both depend on every chunk
     eps_l = float(np.median([l for _, l in ref]))
     feasible = [s for s, l in ref if l <= eps_l]
-    res = oracle_consonance(rho, preset, samples=samples, seed=seed, eps_l=eps_l)
+    monkeypatch.setattr(optimizer, "EPS_L", eps_l)
+    res = oracle_consonance(rho, preset, samples=samples, seed=seed)
     assert res.value == min(feasible)
     assert res.feasible_count == len(feasible)
     assert res.samples == samples

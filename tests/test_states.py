@@ -220,6 +220,14 @@ def test_index_relabeling_rejects_non_integer_indices(source, target):
         index_relabeling((2, 2), (2, 2), mapping)
 
 
+def test_index_relabeling_rejects_a_repeated_source():
+    # targets distinct and complete, but source (0, 0) twice and (0, 1)
+    # never: this used to fail later as a non-unitary relabeling matrix
+    mapping = [((0, 0), (0, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 0)), ((1, 1), (1, 1))]
+    with pytest.raises(ValueError, match=r"source index \(0, 0\) mapped twice"):
+        index_relabeling((2, 2), (2, 2), mapping)
+
+
 def test_index_relabeling_accepts_numpy_integers():
     rel = index_relabeling((2, 2), (2, 2), {
         (np.int64(i), np.int32(j)): (i, j) for i in range(2) for j in range(2)})
