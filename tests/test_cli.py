@@ -314,6 +314,12 @@ def test_sweep_rejects_an_unknown_measure_before_any_row(capsys, monkeypatch):
     assert "unknown measure 'discrod'" in err
 
 
+@pytest.mark.parametrize("name", ["discrod", "consonance-opt", "", " "])
+def test_sweep_spec_rejects_an_unknown_measure(name):
+    with pytest.raises(ValueError, match="unknown measure"):
+        SweepSpec("werner", "a", 0.0, 1.0, 2, ("discord", name))
+
+
 def test_sweep_weight_axis_reaches_closed_forms(capsys):
     # the a2 weight axis must feed the amplitude-based closed forms
     code, out, _ = run(capsys, "sweep", "--family", "bell_like",

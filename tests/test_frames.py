@@ -185,6 +185,28 @@ def test_frame_layout_is_cached_and_read_only():
     assert not index.flags.writeable
 
 
+@pytest.mark.parametrize("layer_dims", [(2,), (3,), (2, 2), (4, 2), (2, 3, 6, 2, 6)],
+                         ids=str)
+def test_chart_reads_theta_in_place(layer_dims):
+    # the plan points each diagonal entry straight at its theta column, and
+    # each off-diagonal pair at off, or at conj(off) below the diagonal
+    layout = unitary._chart_layout(layer_dims)
+    n_theta = sum(d * d for d in layer_dims)
+    n_off = len(layout.re)
+    assert n_off == (n_theta - sum(layer_dims)) // 2
+    assert layout.groups[-1][3] == len(layout.plan) == n_theta
+    o = 0
+    for d, pos in zip(layer_dims, layout.positions.tolist()):
+        h = layout.plan[pos:pos + d * d].reshape(d, d)
+        assert h.diagonal().tolist() == list(range(o, o + d))
+        iu = np.triu_indices(d, k=1)
+        upper = h[iu] - n_theta
+        assert 0 <= upper.min() and upper.max() < n_off
+        assert layout.re[upper].tolist() == list(range(o + d, o + d * d, 2))
+        assert (h[iu[::-1]] - h[iu]).tolist() == [n_off] * len(upper)
+        o += d * d
+
+
 def test_frames_without_layers_are_identities():
     u = FrameBuilder(LocalCircuit(()), (2, 3)).unitaries(np.zeros((3, 0)))
     assert np.array_equal(u, np.broadcast_to(np.eye(6), (3, 6, 6)))

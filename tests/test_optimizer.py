@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from consonance import states, unitary
+from consonance import optimizer, states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
                                   config_to_json, consonance, oracle_consonance,
@@ -262,6 +262,18 @@ def test_oracle_accepts_a_pure_state():
 def test_oracle_rejects_bad_sample_counts(samples):
     with pytest.raises(ValueError):
         oracle_consonance(states.werner(0.5), samples=samples)
+
+
+def test_oracle_reads_eps_l_at_call_time(monkeypatch):
+    # the oracle keeps the search's one tolerance, with no setting of its own
+    rho = states.random_density((2, 2), seed=8)
+    with pytest.raises(TypeError):
+        oracle_consonance(rho, samples=4, eps_l=1.0)
+    strict = oracle_consonance(rho, samples=64, seed=3)
+    monkeypatch.setattr(optimizer, "EPS_L", math.inf)
+    loose = oracle_consonance(rho, samples=64, seed=3)
+    assert strict.feasible_count < loose.feasible_count == 64
+    assert loose.value <= strict.value
 
 
 def test_oracle_is_deterministic():
