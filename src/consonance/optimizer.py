@@ -30,13 +30,16 @@ scipy's ``minimize(method="Nelder-Mead")`` with no bounds operation for
 operation, including where its ``maxfev`` budget cuts the search, so its
 points and result equal scipy's bit for bit.
 
-Every frame is evaluated the same way: ``unitary.FrameBuilder`` maps a
-stack of parameter vectors to circuit unitaries, ``_frame_sums``
-conjugates rho by them, and ``coherence.class_sums`` gives S and L of
-each conjugated state; no other module sums a class.  The search and the
-brute-force oracle both evaluate stacks of frames this way.  The public
-``unitary.apply`` uses the same frame builder, so the search and a replay
-agree bit for bit.
+Every frame is evaluated in two steps.  ``_conjugate`` is the one
+conjugation: ``unitary.FrameBuilder`` maps a stack of parameter vectors
+to circuit unitaries and rho is conjugated by them, U rho U†.  Each
+caller then reduces the conjugated stack itself.  The search gives every
+row to ``coherence.class_sums`` for S and L (``_frame_sums``).  The
+brute-force oracle wants only the rows with L <= EPS_L, so it first runs
+``coherence.local_screen``, a float64 estimate of L that keeps every such
+row, and sums only the survivors with ``class_sums``; only ``class_sums``
+reports a class sum.  The public ``unitary.apply`` uses the same frame
+builder, so the search and a replay agree bit for bit.
 
 The reported value is recomputed from the winning circuit through the
 public ``unitary.apply`` / ``coherence.nonlocal_sum`` path, so it always
@@ -82,6 +85,11 @@ class Preset:
         return unitary.nonglobal_circuit(dims, depth=self.depth)
 
 
+def _check_preset(preset) -> None:
+    if not isinstance(preset, Preset):
+        raise ValueError(f"preset must be a Preset, got {preset!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Settings of the multi-start penalty search.
@@ -100,6 +108,7 @@ class OptimizerConfig:
     warm_starts: tuple = ()
 
     def __post_init__(self):
+        _check_preset(self.preset)
         for name in ("restarts", "max_evals"):
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
         object.__setattr__(self, "seed", check_seed(self.seed))
@@ -133,15 +142,22 @@ class ConsonanceReport:
     n_evals: int
 
 
+def _conjugate(frames: unitary.FrameBuilder, rho: DensityMatrix,
+               thetas: np.ndarray) -> np.ndarray:
+    """rho conjugated by the frames at a stack of parameter vectors
+    (B, n_theta): U rho U† for each, as a stack (B, D, D)."""
+    u = frames.unitaries(thetas)
+    return u @ rho.entries @ u.conj().swapaxes(-1, -2)
+
+
 def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix,
                 thetas: np.ndarray) -> tuple[list[float], list[float]]:
     """S and L lists of rho conjugated by the frames at a stack of
-    parameter vectors (B, n_theta), built ``ORACLE_CHUNK`` frames at a time."""
+    parameter vectors (B, n_theta), ``ORACLE_CHUNK`` frames at a time."""
     s: list[float] = []
     l: list[float] = []
     for start in range(0, len(thetas), ORACLE_CHUNK):
-        u = frames.unitaries(thetas[start:start + ORACLE_CHUNK])
-        rotated = u @ rho.entries @ u.conj().swapaxes(-1, -2)
+        rotated = _conjugate(frames, rho, thetas[start:start + ORACLE_CHUNK])
         chunk_s, chunk_l = coherence.class_sums(rotated, rho.dims, _S_AND_L)
         s += chunk_s
         l += chunk_l
@@ -354,10 +370,13 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
 
     Draws ``samples`` parameter vectors (the first is theta = 0) from a
     single Philox stream and keeps the minimum S among those with
-    L <= ``EPS_L``, the search's feasibility tolerance.  The frames are
-    drawn and evaluated in chunks of ``ORACLE_CHUNK``, which gives the
-    same numbers as drawing them one by one.  Crude by design; used to
-    confirm the optimizer is not undershooting.
+    L <= ``EPS_L``, the search's feasibility tolerance, read at call time.
+    The frames are drawn and evaluated in chunks of ``ORACLE_CHUNK``,
+    which gives the same numbers as drawing them one by one.  Only the
+    frames that pass ``coherence.local_screen`` are summed exactly; the
+    screen keeps every frame with L <= EPS_L, so the result is the same
+    as summing them all.  Crude by design; used to confirm the optimizer
+    is not undershooting.
     """
     samples = check_integer(samples, "samples")
     if samples < 1:
@@ -365,8 +384,10 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     seed = check_seed(seed)
     if isinstance(rho, PureState):
         rho = density_from_pure(rho)
+    if preset is None:
+        preset = Preset()
+    _check_preset(preset)
     assert_valid(rho)
-    preset = preset or Preset()
     frames = unitary.FrameBuilder(preset.build(rho.dims), rho.dims)
     rng = np.random.Generator(np.random.Philox(key=seed))
     best = math.inf
@@ -378,7 +399,9 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
             thetas[1:] = rng.uniform(-math.pi, math.pi, size=(n - 1, frames.n_theta))
         else:
             thetas = rng.uniform(-math.pi, math.pi, size=(n, frames.n_theta))
-        s, l = map(np.array, _frame_sums(frames, rho, thetas))
+        rotated = _conjugate(frames, rho, thetas)
+        screened = rotated[coherence.local_screen(rotated, rho.dims, EPS_L)]
+        s, l = map(np.array, coherence.class_sums(screened, rho.dims, _S_AND_L))
         ok = l <= EPS_L
         feasible += int(np.count_nonzero(ok))
         if ok.any():

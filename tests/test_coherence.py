@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consonance import coherence, states
+from consonance import coherence, optimizer, states, unitary
 from consonance.coherence import (CoherenceClass, _class_positions,
                                   class_masks, class_sums, classify,
-                                  local_coherence, nonlocal_sum, profile)
+                                  local_coherence, local_screen, nonlocal_sum,
+                                  profile)
 from consonance.qstate import DensityMatrix, density_from_pure, tensor
 from test_frames import DIMS, masked_l1
 
@@ -94,7 +95,7 @@ def test_masks_are_cached_and_read_only():
     assert first[0] is second[0]
     with pytest.raises(ValueError):
         first[0][0, 0] = False
-    _, positions = _class_positions((2, 2))
+    _, positions = _class_positions(2, 2)
     assert not any(p.flags.writeable for p in positions.values())
 
 
@@ -192,6 +193,90 @@ def test_masks_and_sums_take_list_dims():
             class_masks(bad)
         with pytest.raises(ValueError):
             class_sums(np.eye(5), bad, CLASSES)
+
+
+def test_float_dims_are_rejected_whatever_the_cache_holds():
+    # (2.0, 2) == (2, 2) with equal hashes, so a cache keyed on values
+    # alone let float dims through once (2, 2) had been looked up
+    m = states.werner(0.3).entries
+    _class_positions.cache_clear()
+    for _ in range(2):     # first with nothing cached, then with (2, 2) cached
+        for bad in ((2.0, 2), (2, 2.0), (True, 2), (np.float64(2), 2)):
+            with pytest.raises(ValueError):
+                class_sums(m, bad, CLASSES)
+            with pytest.raises(ValueError):
+                local_screen(m, bad, 1.0)
+            with pytest.raises(ValueError):
+                class_masks(bad)
+        assert class_sums(m, (2, 2), CLASSES) == class_sums(m, (np.int64(2), 2), CLASSES)
+    class_masks((2, 2))
+    with pytest.raises(ValueError):
+        class_sums(m, (2.0, 2), CLASSES)
+
+
+# --- the screen ----------------------------------------------------------
+
+
+def _local_sums(stack, dims):
+    return np.array(class_sums(stack, dims, (CoherenceClass.LOCAL,))[0])
+
+
+def _random_stack(dims, seed, b=64):
+    """Random complex (B, D, D) rows spread over 24 decades, so that the
+    L of the rows spans a wide range."""
+    rng = np.random.default_rng(seed)
+    d = math.prod(dims)
+    z = rng.normal(size=(b, d, d)) + 1j * rng.normal(size=(b, d, d))
+    return z * 10.0 ** rng.uniform(-16, 8, size=(b, 1, 1))
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_screen_keeps_every_row_within_the_bound(dims):
+    for seed in range(3):
+        stack = _random_stack(dims, seed)
+        l = _local_sums(stack, dims)
+        for bound in np.concatenate([l, [0.0, 1e-6, 1.0, np.inf]]):
+            kept = local_screen(stack, dims, bound)
+            assert set(np.flatnonzero(l <= bound)) <= set(kept.tolist())
+            # and it screens: nothing kept lies far above twice the bound
+            assert (l[kept] <= 2.0 * bound * (1 + 1e-12)).all()
+
+
+def test_screen_at_the_edges():
+    dims = (2, 3)
+    local = class_masks(dims)[1]
+    n_local = int(local.sum())
+    rng = np.random.default_rng(4)
+    tie = np.zeros((6, 6), dtype=np.complex128)
+    tie[local] = rng.uniform(0, 1, n_local) + 1j * rng.uniform(0, 1, n_local)
+    subnormal = np.zeros((6, 6), dtype=np.complex128)
+    subnormal[local] = 5e-324 * rng.integers(1, 9, n_local)
+    nan = tie.copy()
+    nan[0, 1] = np.nan
+    stack = np.stack([tie, np.zeros((6, 6)), subnormal, nan])
+    l = _local_sums(stack, dims)
+    assert l[1] == 0.0 and 0.0 < l[2] < 1e-320
+    assert math.isnan(l[3])
+    # a row whose fsum L equals the bound survives, as do the all-zero rows
+    assert local_screen(stack, dims, l[0]).tolist() == [0, 1, 2]
+    assert local_screen(stack, dims, l[2]).tolist() == [1, 2]
+    assert local_screen(stack, dims, 0.0).tolist() == [1]
+    # a NaN row is never kept, as its L is never at most any bound
+    assert local_screen(stack, dims, np.inf).tolist() == [0, 1, 2]
+    assert local_screen(stack[:0], dims, 1.0).tolist() == []
+    assert local_screen(stack[0], dims, l[0]).tolist() == [0]
+    with pytest.raises(ValueError):
+        local_screen(np.zeros((2, 4, 4)), dims, 1.0)
+
+
+def test_screen_keeps_a_zero_l_state_in_its_own_frame():
+    # theta = 0 in the standard frame: the identity frame leaves the Werner
+    # state's local entries exactly zero
+    rho = states.werner(0.4)
+    frames = unitary.FrameBuilder(unitary.single_party_circuit(rho.dims), rho.dims)
+    rotated = optimizer._conjugate(frames, rho, np.zeros((3, frames.n_theta)))
+    assert _local_sums(rotated, rho.dims).tolist() == [0.0] * 3
+    assert local_screen(rotated, rho.dims, 0.0).tolist() == [0, 1, 2]
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

@@ -242,3 +242,48 @@ def test_oracle_matches_per_sample_loop(rho, preset, monkeypatch):
     assert res.value == min(feasible)
     assert res.feasible_count == len(feasible)
     assert res.samples == samples
+
+
+def _reference_oracle_samples(rho, preset, samples, seed):
+    template = preset.build(rho.dims)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    thetas = [np.zeros(template.n_theta)] + [
+        rng.uniform(-math.pi, math.pi, size=template.n_theta) for _ in range(samples - 1)]
+    return [reference_sums(rho, reference_unitary(template, rho.dims, t)) for t in thetas]
+
+
+@pytest.mark.parametrize("rho,preset", [
+    (states.random_density((2, 3), seed=4), Preset()),
+    (states.random_density((2, 2, 2), seed=6), Preset(kind=unitary.NONGLOBAL, depth=2)),
+], ids=["2x3", "2x2x2-nonglobal"])
+def test_oracle_counts_a_tie_with_eps_l_as_feasible(rho, preset, monkeypatch):
+    samples, seed = 300, 21
+    ref = _reference_oracle_samples(rho, preset, samples, seed)
+    # the sample of least S among the lower half in L decides the value
+    # when EPS_L is exactly its L, and only if the tie counts
+    low = [k for k, (_, l) in enumerate(ref) if l <= np.median([l for _, l in ref])]
+    k = min(low, key=lambda k: ref[k][0])
+    eps_l = ref[k][1]
+    feasible = [s for s, l in ref if l <= eps_l]
+    monkeypatch.setattr(optimizer, "EPS_L", eps_l)
+    res = oracle_consonance(rho, preset, samples=samples, seed=seed)
+    assert res.value == ref[k][0] == min(feasible)
+    assert res.feasible_count == len(feasible)
+
+
+def test_oracle_sums_exactly_only_the_screened_frames(monkeypatch):
+    rho = states.werner(0.6)
+    s0 = coherence.nonlocal_sum(rho)
+    rows = []
+    class_sums = coherence.class_sums
+
+    def counted(mats, dims, classes):
+        rows.append(len(mats))
+        return class_sums(mats, dims, classes)
+
+    monkeypatch.setattr(coherence, "class_sums", counted)
+    # theta = 0 is the only feasible sample of a Werner state here; the
+    # random frames have L far above EPS_L and are screened out
+    res = oracle_consonance(rho, samples=ORACLE_CHUNK + 3, seed=1)
+    assert (res.value, res.feasible_count) == (s0, 1)
+    assert rows == [1, 0]

@@ -73,6 +73,23 @@ def test_preset_rejects_non_integers(kwargs):
         Preset(kind=NONGLOBAL, **kwargs)
 
 
+NOT_PRESETS = ["nonglobal", "single_party", "", {"kind": NONGLOBAL}, 3]
+
+
+@pytest.mark.parametrize("preset", NOT_PRESETS)
+def test_config_rejects_a_preset_that_is_not_a_preset(preset):
+    # a string used to construct and fail later in consonance() with
+    # AttributeError: 'str' object has no attribute 'build'
+    with pytest.raises(ValueError, match="Preset"):
+        OptimizerConfig(preset=preset)
+
+
+@pytest.mark.parametrize("preset", NOT_PRESETS)
+def test_oracle_rejects_a_preset_that_is_not_a_preset(preset):
+    with pytest.raises(ValueError, match="Preset"):
+        oracle_consonance(states.werner(0.5), preset=preset, samples=4)
+
+
 def test_preset_stores_numpy_integers_as_int():
     p = Preset(kind=NONGLOBAL, depth=np.int64(2))
     assert p.depth == 2 and type(p.depth) is int
