@@ -115,10 +115,11 @@ def class_sums(mats, dims, classes) -> list[list[float]]:
 
 
 # A float64 sum of n non-negative terms, in any order, is within
-# (n - 1) * 2**-53 of the exact sum relative to it (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., sec. 4.2), and n <= D^2
-# keeps that far below 1.  So an estimate above twice the bound means an
-# exact sum, and its correctly rounded fsum, above the bound.
+# (n - 1) * 2**-53 of the exact sum relative to it, to first order
+# (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# sec. 4.2), and n <= D^2 keeps that far below 1.  So an estimate above
+# twice the bound means an exact sum, and its correctly rounded fsum,
+# above the bound.
 _SCREEN_FACTOR = 2.0
 
 

@@ -220,6 +220,15 @@ def test_frames_reject_a_misshapen_stack():
         frames.unitaries(np.zeros((2, 7)))
 
 
+def _reference_oracle_samples(rho, preset, samples, seed):
+    """(S, L) of each oracle sample, theta = 0 first, by the reference."""
+    template = preset.build(rho.dims)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    thetas = [np.zeros(template.n_theta)] + [
+        rng.uniform(-math.pi, math.pi, size=template.n_theta) for _ in range(samples - 1)]
+    return [reference_sums(rho, reference_unitary(template, rho.dims, t)) for t in thetas]
+
+
 @pytest.mark.parametrize("rho,preset", [
     (states.werner(0.3), Preset()),
     (states.random_density((2, 3), seed=4), Preset()),
@@ -227,12 +236,7 @@ def test_frames_reject_a_misshapen_stack():
 ], ids=["werner", "2x3", "2x2x2-nonglobal"])
 def test_oracle_matches_per_sample_loop(rho, preset, monkeypatch):
     samples, seed = ORACLE_CHUNK + 3, 12
-    template = preset.build(rho.dims)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    thetas = [np.zeros(template.n_theta) if k == 0
-              else rng.uniform(-math.pi, math.pi, size=template.n_theta)
-              for k in range(samples)]
-    ref = [reference_sums(rho, reference_unitary(template, rho.dims, t)) for t in thetas]
+    ref = _reference_oracle_samples(rho, preset, samples, seed)
     # a loose EPS_L makes about half the samples feasible, so the minimum
     # and the count both depend on every chunk
     eps_l = float(np.median([l for _, l in ref]))
@@ -244,14 +248,6 @@ def test_oracle_matches_per_sample_loop(rho, preset, monkeypatch):
     assert res.samples == samples
 
 
-def _reference_oracle_samples(rho, preset, samples, seed):
-    template = preset.build(rho.dims)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    thetas = [np.zeros(template.n_theta)] + [
-        rng.uniform(-math.pi, math.pi, size=template.n_theta) for _ in range(samples - 1)]
-    return [reference_sums(rho, reference_unitary(template, rho.dims, t)) for t in thetas]
-
-
 @pytest.mark.parametrize("rho,preset", [
     (states.random_density((2, 3), seed=4), Preset()),
     (states.random_density((2, 2, 2), seed=6), Preset(kind=unitary.NONGLOBAL, depth=2)),
@@ -261,8 +257,8 @@ def test_oracle_counts_a_tie_with_eps_l_as_feasible(rho, preset, monkeypatch):
     ref = _reference_oracle_samples(rho, preset, samples, seed)
     # the sample of least S among the lower half in L decides the value
     # when EPS_L is exactly its L, and only if the tie counts
-    low = [k for k, (_, l) in enumerate(ref) if l <= np.median([l for _, l in ref])]
-    k = min(low, key=lambda k: ref[k][0])
+    median_l = np.median([l for _, l in ref])
+    k = min((k for k, (_, l) in enumerate(ref) if l <= median_l), key=lambda k: ref[k][0])
     eps_l = ref[k][1]
     feasible = [s for s, l in ref if l <= eps_l]
     monkeypatch.setattr(optimizer, "EPS_L", eps_l)
