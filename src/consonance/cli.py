@@ -2,7 +2,9 @@
 
 Subcommands: measure, optimize, sweep, schmidt, classify, remap.  A
 state comes either from a JSON file (--state FILE) or from a factory spec
-(--family SPEC, e.g. ``werner:a=0.5`` or ``bell:psi-``).  Exit codes: 0
+(--family SPEC, e.g. ``werner:a=0.5`` or ``bell:psi-``).  Family names,
+there and in ``sweep --family``, are normalized once, in
+``states.get_family``, so ``Werner`` and ``bell-like`` work.  Exit codes: 0
 on success, 1 when a state or parameter fails validation, 2 on usage
 errors.
 
@@ -49,12 +51,12 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
 
 @dataclass
 class MeasureContext:
-    """One state and what its measures share: the family name (None for a
-    state file), its resolved parameters, which the closed forms take, and
-    the density matrix and coherence profile, each built at most once."""
+    """One state and what its measures share: the family record (None for
+    a state file), its resolved parameters, which the closed forms take,
+    and the density matrix and coherence profile, each built at most once."""
 
     state: object
-    family: str | None = None
+    family: states.Family | None = None
     params: dict = field(default_factory=dict)
     opt_config: optimizer.OptimizerConfig | None = None
 
@@ -69,13 +71,19 @@ class MeasureContext:
         return coherence.profile(self.density)
 
 
+def _family_context(family: states.Family, params: dict,
+                    opt_config=None) -> MeasureContext:
+    """The context of one family state, built by one ``states.make_family``
+    call, so that call marks where a sweep row begins."""
+    return MeasureContext(states.make_family(family.name, **params), family,
+                          family.resolve(**params), opt_config)
+
+
 def _load_source(args, opt_config=None) -> MeasureContext:
     if args.family is None:
         state = load_state(args.state, validate_state=not args.no_validate)
         return MeasureContext(state, opt_config=opt_config)
-    family, params = states.parse_spec(args.family)
-    return MeasureContext(family.make(**params), family.name,
-                          family.resolve(**params), opt_config)
+    return _family_context(*states.parse_spec(args.family), opt_config)
 
 
 # --- measure evaluation --------------------------------------------------
@@ -83,33 +91,26 @@ def _load_source(args, opt_config=None) -> MeasureContext:
 _SEARCH_MEASURES = ("consonance", "consonance_opt")
 
 
-def _closed_form(ctx: MeasureContext, kind: str, fallback=None) -> float:
-    """The family's closed form ``kind`` at ctx.params, else ``fallback(ctx)``."""
-    fn = None if ctx.family is None else getattr(states.get_family(ctx.family), kind)
-    if fn is not None:
-        return fn(**ctx.params)
-    if fallback is None:
-        raise ValueError(f"no closed-form {kind} for family {ctx.family!r}")
-    return fallback(ctx)
+def _closed_form(kind: str, general=None):
+    """The measure that takes the family's closed form ``kind`` (an
+    attribute of ``states.Family``) at the context's parameters; where the
+    family has none, ``general(ctx)`` if given."""
+    def value(ctx: MeasureContext) -> float:
+        fn = None if ctx.family is None else getattr(ctx.family, kind)
+        if fn is not None:
+            return fn(**ctx.params)
+        if general is not None:
+            return general(ctx)
+        if ctx.family is None:
+            raise ValueError(f"closed-form {kind} needs a --family state")
+        raise ValueError(f"no closed-form {kind} for family {ctx.family.name!r}")
+    return value
 
 
-def _consonance_cf(ctx: MeasureContext) -> float:
-    if ctx.family is None:
-        raise ValueError("consonance_cf needs a --family state")
-    return _closed_form(ctx, "consonance")
-
-
-def _discord(ctx: MeasureContext) -> float:
-    if ctx.family is None:
-        raise ValueError("discord needs a --family state")
-    return _closed_form(ctx, "discord")
-
-
-def _concurrence(ctx: MeasureContext) -> float:
-    # the family's closed form keeps differences with other closed forms
-    # exact (the general route leaves float dust where a gap closes to 0)
-    return _closed_form(ctx, "concurrence",
-                        lambda ctx: measures.concurrence_2x2(ctx.density))
+_consonance_cf = _closed_form("consonance")
+# the family's closed form keeps differences with other closed forms
+# exact (the general route leaves float dust where a gap closes to 0)
+_concurrence = _closed_form("concurrence", lambda ctx: measures.concurrence_2x2(ctx.density))
 
 
 def _eof(ctx: MeasureContext) -> float:
@@ -137,7 +138,7 @@ _MEASURES = {
     "concurrence": lambda ctx: measures.concurrence_2x2(ctx.density),
     "eof": _eof,
     "negativity": _negativity,
-    "discord": _discord,
+    "discord": _closed_form("discord"),
     "nonlocal_sum": lambda ctx: ctx.profile.s_value,
     "local_coherence": lambda ctx: ctx.profile.l_value,
     "c_minus_concurrence": lambda ctx: _consonance_cf(ctx) - _concurrence(ctx),
@@ -188,18 +189,13 @@ class SweepSpec:
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
         object.__setattr__(self, "measures", tuple(map(_measure_name, self.measures)))
-        family = states.get_family(self.family)
-        used = [self.axis] + [k for k, _ in self.fixed] + [k for k, _ in self.bindings]
-        for k in used:
-            if k not in family.params:
-                raise ValueError(f"family {self.family!r} has no parameter {k!r}; "
-                                 f"valid: {sorted(family.params)}")
-        if len(set(used)) != len(used):
-            raise ValueError(f"parameter assigned more than once in {used}")
-        missing = [k for k in family.required if k not in used]
-        if missing:
-            raise ValueError(f"family {self.family!r} needs {', '.join(missing)}: "
-                             f"sweep it as the axis or give it with --fixed")
+        self.record.check_params([self.axis] + [k for k, _ in self.fixed]
+                                 + [k for k, _ in self.bindings])
+
+    @cached_property
+    def record(self) -> states.Family:
+        """The family record; ``family`` keeps the name as given."""
+        return states.get_family(self.family)
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
@@ -211,7 +207,7 @@ class SweepSpec:
         p = {self.axis: float(x)}
         p.update({k: v for k, v in self.fixed})
         p.update({k: fn(float(x)) for k, fn in self.bindings})
-        parsers = states.get_family(self.family).parsers
+        parsers = self.record.parsers
         for k, v in p.items():
             if parsers[k] is int:
                 if not float(v).is_integer():
@@ -275,11 +271,8 @@ def run_sweep(spec: SweepSpec, opt_config: optimizer.OptimizerConfig,
     lines.append(f"# seed = {seed}")
     lines.append(",".join(columns))
 
-    family = states.get_family(spec.family)
     for x in spec.grid():
-        params = spec.params_at(x)
-        ctx = MeasureContext(states.make_family(spec.family, **params), spec.family,
-                             family.resolve(**params), opt_config)
+        ctx = _family_context(spec.record, spec.params_at(x), opt_config)
         row = [_fmt(float(x))]
         for m in spec.measures:
             value, extras = evaluate_measure(m, ctx)
@@ -329,7 +322,7 @@ def cmd_measure(args) -> int:
     if args.json:
         out = {"measure": args.measure, "value": value}
         if ctx.family is not None:
-            out["family"] = ctx.family
+            out["family"] = ctx.family.name
             out["params"] = {k: (str(v) if isinstance(v, complex) else v)
                              for k, v in ctx.params.items()}
         out.update(extras)

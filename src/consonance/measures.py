@@ -184,7 +184,7 @@ def discord_bell_like(a, b) -> float:
     """Discord of a|01> + b|10> (or the |00>/|11> version): equals the EoF."""
     a, b = complex(a), complex(b)
     p = abs(a) ** 2
-    if abs(p + abs(b) ** 2 - 1.0) > 1e-10:
+    if not abs(p + abs(b) ** 2 - 1.0) <= 1e-10:     # NaN fails too
         raise ValidationError(f"|a|^2 + |b|^2 must be 1, got {p + abs(b) ** 2}")
     # h(|a|^2), the EoF of the same state written through C = 2|a||b|
     return binary_entropy(p)
@@ -194,8 +194,8 @@ def _qutrit_beta(alpha: float, gamma: float) -> float:
     """The third weight of the qubit-qutrit family, after checking all three."""
     beta = (1.0 - 2.0 * alpha - gamma) / 3.0
     for name, w in (("alpha", alpha), ("gamma", gamma), ("beta", beta)):
-        if w < -1e-12:
-            raise ValidationError(f"{name} = {w} is negative; weights must be >= 0")
+        if not w >= -1e-12:                    # NaN fails too
+            raise ValidationError(f"weight {name} must be >= 0, got {w}")
     return beta
 
 
@@ -228,7 +228,7 @@ def consonance_pair(a, b) -> float:
 
 def consonance_pure_2x2(a, b, c, d) -> float:
     """2|ad - bc| for a|11> + b|10> + c|01> + d|00>."""
-    if abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 1.0) <= 1e-10:
         raise ValidationError("amplitudes must be normalized")
     return 2.0 * abs(a * d - b * c)
 
@@ -243,9 +243,9 @@ def consonance_closed_form(family: str, **params) -> float:
     """Known consonance value of a state family, from the family table in
     :mod:`consonance.states`: werner, bell, bell_like, psi_like, pure_2x2,
     two_param_2x3 and ghz.  A caveat on the value, if any, is the family
-    record's ``note``."""
+    record's ``note``.  ``family`` is any name ``states.get_family`` takes."""
     from .states import get_family     # states imports this module
-    fam = get_family(family.replace("-", "_").lower())
+    fam = get_family(family)
     if fam.consonance is None:
         raise ValueError(f"no closed-form consonance for family {fam.name!r}")
     return fam.consonance(**fam.resolve(**params))

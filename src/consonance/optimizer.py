@@ -142,6 +142,17 @@ class ConsonanceReport:
     n_evals: int
 
 
+def _search_setup(rho, preset: Preset):
+    """What both searches start from: ``rho`` as a checked density matrix,
+    the preset's circuit on its dims, and the frame builder for it."""
+    if isinstance(rho, PureState):
+        rho = density_from_pure(rho)
+    _check_preset(preset)
+    assert_valid(rho)
+    template = preset.build(rho.dims)
+    return rho, template, unitary.FrameBuilder(template, rho.dims)
+
+
 def _conjugate(frames: unitary.FrameBuilder, rho: DensityMatrix,
                thetas: np.ndarray) -> np.ndarray:
     """rho conjugated by the frames at a stack of parameter vectors
@@ -297,12 +308,8 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     coherence residual meets eps_L.  The estimate is an upper bound on the
     true infimum whenever it is feasible.
     """
-    if isinstance(rho, PureState):
-        rho = density_from_pure(rho)
     config = config or OptimizerConfig()
-    assert_valid(rho)
-    template = config.preset.build(rho.dims)
-    frames = unitary.FrameBuilder(template, rho.dims)
+    rho, template, frames = _search_setup(rho, config.preset)
 
     starts = list(_start_points(config, frames.n_theta))
     searches = [_search_one(x0, frames.n_theta, config) for _, x0 in starts]
@@ -382,13 +389,7 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     seed = check_seed(seed)
-    if isinstance(rho, PureState):
-        rho = density_from_pure(rho)
-    if preset is None:
-        preset = Preset()
-    _check_preset(preset)
-    assert_valid(rho)
-    frames = unitary.FrameBuilder(preset.build(rho.dims), rho.dims)
+    rho, _, frames = _search_setup(rho, Preset() if preset is None else preset)
     rng = np.random.Generator(np.random.Philox(key=seed))
     best = math.inf
     feasible = 0

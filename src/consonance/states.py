@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,7 +66,7 @@ def _pair_amps(a=None, b=None, a2=None) -> tuple[complex, complex]:
         raise FactorySpecError("parameter a (or a2) is required")
     a = complex(a)
     b = complex(b) if b is not None else complex(math.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-10:    # NaN fails too
         raise ValidationError(f"|a|^2 + |b|^2 must be 1, got {abs(a)**2 + abs(b)**2}")
     return a, b
 
@@ -372,6 +371,21 @@ class Family:
         return tuple(name for name, p in inspect.signature(self.factory).parameters.items()
                      if p.default is p.empty)
 
+    def check_params(self, names) -> None:
+        """The one check of parameter names, the spec grammar's and a
+        sweep's alike: each must be a parameter of this family, none may
+        come twice, and every required one must be there."""
+        names = list(names)
+        for k in names:
+            if k not in self.parsers:
+                raise FactorySpecError(f"family {self.name!r} has no parameter {k!r}; "
+                                       f"expected one of {self.params}")
+            if names.count(k) > 1:
+                raise FactorySpecError(f"parameter {k!r} given twice")
+        missing = [k for k in self.required if k not in names]
+        if missing:
+            raise FactorySpecError(f"family {self.name!r} needs {', '.join(missing)}")
+
     def make(self, **params):
         try:
             return self.factory(**params)
@@ -390,8 +404,8 @@ _PAIR = dict(parsers={"a": _complex, "b": _complex, "a2": float}, bare="a",
 FAMILIES = (
     Family("bell", bell, {"kind": str}, "kind",
            consonance=_one, concurrence=_one, discord=_one),
-    Family("bell_like", bell_like, aliases=("bell-like",), **_PAIR),
-    Family("psi_like", psi_like, aliases=("psi-like",), **_PAIR),
+    Family("bell_like", bell_like, **_PAIR),
+    Family("psi_like", psi_like, **_PAIR),
     Family("pure_2x2", pure_2x2, {k: _complex for k in "abcd"}, aliases=("pure2x2",),
            consonance=lambda a, b, c, d: measures.consonance_pure_2x2(a, b, c, d)),
     Family("werner", werner, {"a": float}, "a",
@@ -399,19 +413,20 @@ FAMILIES = (
            concurrence=lambda a: measures.concurrence_werner(a),
            discord=lambda a: measures.discord_werner(a)),
     Family("two_param_2x3", two_param_qubit_qutrit, {"alpha": float, "gamma": float},
-           aliases=("two_param_qubit_qutrit", "two-param-2x3"),
+           aliases=("two_param_qubit_qutrit",),
            consonance=lambda alpha, gamma: measures.consonance_2x3(alpha, gamma),
            discord=lambda alpha, gamma: measures.discord_2x3(alpha, gamma)),
     Family("ghz", ghz, {"n": int}, "n", consonance=_one,
            note="attained in the state's own frame, where L = 0; non-global "
                 "circuits go lower: at depth 3, a CNOT then the inverse "
                 "Bell-basis change takes GHZ(3) to |000>, where S = 0"),
-    Family("w", w_state, {"n": int}, "n", aliases=("w_state",)),
+    Family("w", w_state, {"n": int}, "n", aliases=("w_state",),
+           note="no closed form is implemented for W; under the nonglobal "
+                "depth-3 preset W(3) reaches S = L = 0 (criterion 8's witness), "
+                "so search values there are upper bounds on 0"),
 )
 
 _BY_NAME = {name: fam for fam in FAMILIES for name in (fam.name,) + fam.aliases}
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9_+\-]+$")
 
 
 def family_names() -> list[str]:
@@ -419,16 +434,13 @@ def family_names() -> list[str]:
 
 
 def get_family(name: str) -> Family:
-    """The family record for a name or alias."""
+    """The family record for a name or alias.  This is the one place a
+    family name is normalized: stripped, lower-cased, ``-`` read as ``_``."""
     try:
-        return _BY_NAME[name]
+        return _BY_NAME[name.strip().lower().replace("-", "_")]
     except KeyError:
         raise FactorySpecError(f"unknown state family {name!r}; "
                                f"known: {', '.join(family_names())}") from None
-
-
-def family_parameters(family: str) -> tuple[str, ...]:
-    return get_family(family).params
 
 
 def _parse_value(text: str, parser):
@@ -446,13 +458,9 @@ def parse_spec(spec: str) -> tuple[Family, dict]:
     family's distinguished parameter (for example ``bell:psi-`` or
     ``werner:0.5``).
     """
-    spec = spec.strip()
     name, _, arg_text = spec.partition(":")
-    name = name.strip().lower()
-    if not _NAME_RE.match(name or ""):
-        raise FactorySpecError(f"malformed factory spec {spec!r}")
     family = get_family(name)
-    kwargs = {}
+    pairs = []
     for chunk in arg_text.split(",") if arg_text else ():
         chunk = chunk.strip()
         if not chunk:
@@ -460,14 +468,10 @@ def parse_spec(spec: str) -> tuple[Family, dict]:
         k, keyed, v = chunk.partition("=")
         k, v = (k.strip(), v.strip()) if keyed else (family.bare, chunk)
         if k is None:
-            raise FactorySpecError(f"family {name!r} takes key=value arguments only")
-        if k not in family.params:
-            raise FactorySpecError(f"family {name!r} has no parameter {k!r}; "
-                                   f"expected one of {family.params}")
-        if k in kwargs:
-            raise FactorySpecError(f"parameter {k!r} given twice")
-        kwargs[k] = _parse_value(v, family.parsers[k])
-    return family, kwargs
+            raise FactorySpecError(f"family {family.name!r} takes key=value arguments only")
+        pairs.append((k, v))
+    family.check_params(k for k, _ in pairs)
+    return family, {k: _parse_value(v, family.parsers[k]) for k, v in pairs}
 
 
 def parse_factory_spec(spec: str):

@@ -1,5 +1,6 @@
 """The family table, the factories built on it and the per-row measure context."""
 
+import json
 import math
 
 import numpy as np
@@ -77,7 +78,6 @@ def test_every_name_and_alias_finds_its_record():
     for fam in states.FAMILIES:
         for name in (fam.name,) + fam.aliases:
             assert states.get_family(name) is fam
-        assert states.family_parameters(fam.name) == fam.params
     with pytest.raises(states.FactorySpecError):
         states.get_family("heisenberg")
 
@@ -112,12 +112,78 @@ def test_ghz_note_does_not_claim_a_lower_bound():
     assert "own frame" in note and "S = 0" in note
 
 
+def test_w_note_says_there_is_no_closed_form_and_nonglobal_values_bound_zero():
+    note = states.get_family("w").note
+    assert "no closed form" in note
+    assert "nonglobal depth-3" in note and "S = L = 0" in note
+    assert "upper bounds on 0" in note
+
+
+# --- one lookup: every way in normalizes the name the same way -----------
+
+
+@pytest.mark.parametrize("spelling,name,params", [
+    ("Werner", "werner", {"a": 0.5}),
+    (" werner ", "werner", {"a": 0.5}),
+    ("bell-like", "bell_like", {"a2": 0.36}),
+    ("PURE-2x2", "pure_2x2", {"a": 0.6, "b": 0.0, "c": 0.0, "d": 0.8}),
+])
+def test_every_way_in_reaches_the_same_record(capsys, spelling, name, params):
+    fam = states.get_family(spelling)
+    assert fam is states.get_family(name)
+    want = fam.consonance(**fam.resolve(**params))
+    assert measures.consonance_closed_form(spelling, **params) == want
+
+    args = ",".join(f"{k}={v}" for k, v in params.items())
+    assert cli.main(["measure", "--json", "--measure", "consonance_cf",
+                     "--family", f"{spelling}:{args}"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["family"] == name and out["value"] == want
+
+    (axis, x), *fixed = params.items()
+    argv = ["sweep", "--family", spelling, "--axis", axis, "--start", str(x),
+            "--stop", str(x), "--points", "2", "--measures", "consonance_cf"]
+    if fixed:
+        argv += ["--fixed", ",".join(f"{k}={v}" for k, v in fixed)]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"# family = {spelling}"       # the name as given
+    assert lines[-2:] == [f"{cli._fmt(x)},{cli._fmt(want)}"] * 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--measure", "consonance_cf", "--family", "heisenberg:0.5"],
+    ["sweep", "--family", "heisenberg", "--axis", "a", "--start", "0", "--stop", "1",
+     "--points", "2"],
+])
+def test_unknown_family_is_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "unknown state family 'heisenberg'" in capsys.readouterr().err
+
+
+def test_spec_missing_a_required_parameter_names_it(capsys):
+    assert cli.main(["measure", "--measure", "discord",
+                     "--family", "two_param_2x3:alpha=0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "gamma" in err and "missing 1 required positional argument" not in err
+
+
+def test_one_parameter_check():
+    fam = states.get_family("two_param_2x3")
+    fam.check_params(["gamma", "alpha"])
+    for names, message in ((["alpha", "beta", "gamma"], "no parameter 'beta'"),
+                           (["alpha", "gamma", "alpha"], "'alpha' given twice"),
+                           (["alpha"], "needs gamma")):
+        with pytest.raises(states.FactorySpecError, match=message):
+            fam.check_params(names)
+
+
 # --- evaluate_measure against direct calls -------------------------------
 
 
 def _ctx(name, **params):
     fam = states.get_family(name)
-    return MeasureContext(states.make_family(name, **params), name,
+    return MeasureContext(states.make_family(name, **params), fam,
                           fam.resolve(**params))
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from consonance import states
 from consonance.measures import (binary_entropy, concurrence_2x2,
-                                 concurrence_werner, consonance_closed_form,
+                                 concurrence_werner, consonance_2x3,
+                                 consonance_closed_form, consonance_pure_2x2,
                                  consonance_pure_bipartite, discord_2x3,
                                  discord_bell_like, discord_werner, eof_2x2,
                                  eof_from_concurrence, negativity,
@@ -254,6 +255,17 @@ def test_closed_form_two_param_2x3():
     assert res == pytest.approx(abs(beta - 0.3), abs=1e-15)
     with pytest.raises(ValidationError):
         consonance_closed_form("two_param_2x3", alpha=0.5, gamma=0.5)
+
+
+@pytest.mark.parametrize("fn,args,kwargs", [
+    (consonance_closed_form, ("bell_like",), {"a": math.nan}),
+    (consonance_2x3, (0.1, math.nan), {}),
+    (discord_2x3, (0.1, math.nan), {}),
+    (consonance_pure_2x2, (math.nan, 0, 0, 1), {}),
+], ids=["closed_form_bell_like", "consonance_2x3", "discord_2x3", "consonance_pure_2x2"])
+def test_closed_forms_reject_nan(fn, args, kwargs):
+    with pytest.raises(ValidationError):
+        fn(*args, **kwargs)
 
 
 def test_closed_form_ghz_and_unknown():

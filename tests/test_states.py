@@ -11,7 +11,7 @@ from consonance.qstate import (DensityMatrix, PureState, ValidationError,
                                density_from_pure, hermitian_eigenvalues,
                                partial_trace, validate)
 from consonance.states import (FactorySpecError, TpsRelabeling, bell,
-                               bell_like, family_names, family_parameters,
+                               bell_like, family_names, get_family,
                                ghz, identity_relabeling, index_relabeling,
                                make_family,
                                parse_factory_spec, permute_subsystems,
@@ -296,10 +296,10 @@ def test_family_registry():
     for name in ("bell", "bell_like", "psi_like", "pure_2x2", "werner",
                  "two_param_2x3", "ghz", "w"):
         assert name in names
-    assert family_parameters("werner") == ("a",)
-    assert family_parameters("two-param-2x3") == ("alpha", "gamma")
+    assert get_family("werner").params == ("a",)
+    assert get_family("two-param-2x3").params == ("alpha", "gamma")
     with pytest.raises(FactorySpecError):
-        family_parameters("nope")
+        get_family("nope")
 
 
 def test_parse_bare_and_keyed_specs():
