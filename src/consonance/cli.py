@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -116,7 +117,8 @@ _concurrence = _closed_form("concurrence", lambda ctx: measures.concurrence_2x2(
 def _eof(ctx: MeasureContext) -> float:
     if ctx.density.dims != (2, 2):
         raise ValueError("eof is implemented for two-qubit states only")
-    return measures.eof_from_concurrence(_concurrence(ctx))
+    # a pair's closed form 2|a||b| can pass 1 by up to the norm tolerance
+    return measures.eof_from_concurrence(min(_concurrence(ctx), 1.0))
 
 
 def _negativity(ctx: MeasureContext) -> float:
@@ -186,6 +188,8 @@ class SweepSpec:
         if points < 2:
             raise ValueError(f"a sweep needs at least 2 grid points, got {points}")
         object.__setattr__(self, "points", points)
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"sweep bounds must be finite, got {self.start} and {self.stop}")
         if not self.measures:
             raise ValueError("a sweep needs at least one measure")
         object.__setattr__(self, "measures", tuple(map(_measure_name, self.measures)))

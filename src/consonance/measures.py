@@ -13,23 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (DensityMatrix, PureState, ValidationError,
-                     assert_normalized, assert_valid, partial_transpose)
+from .qstate import (TOL_UNIT, DensityMatrix, PureState, assert_normalized, assert_valid,
+                     check_normalized, check_residual, check_unit_interval, partial_transpose)
 
 
 def _xlog2(x: float) -> float:
-    """x * log2(x) continued by 0 at x = 0."""
-    if x < 0.0:
-        if x > -1e-12:
-            return 0.0
-        raise ValueError(f"xlog2 argument must be >= 0, got {x}")
+    """x * log2(x) continued by 0 at x = 0; every caller clamps x >= 0."""
     return 0.0 if x == 0.0 else x * math.log2(x)
 
 
 def binary_entropy(p: float) -> float:
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError(f"probability out of [0, 1]: {p}")
-    p = min(max(p, 0.0), 1.0)
+    p = check_unit_interval(p, "probability")
     return (-_xlog2(p) - _xlog2(1.0 - p)) + 0.0   # + 0.0 folds -0.0 into 0.0
 
 
@@ -108,7 +102,7 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     if w.size and w[-1] > 0.0:
         # zero eigenvalues of rank-deficient inputs surface as O(eps) noise;
-        # sqrt would amplify that to O(1e-8), so cut well above the noise floor
+        # sqrt would amplify that to O(sqrt(eps)), so cut well above the noise floor
         w[w < 1e-13 * w[-1]] = 0.0
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -129,25 +123,14 @@ def concurrence_2x2(rho: DensityMatrix) -> float:
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def _werner_weight(a: float) -> float:
-    """The Werner parameter, checked and clamped to [0, 1]."""
-    a = float(a)
-    if not -1e-12 <= a <= 1.0 + 1e-12:
-        raise ValidationError(f"Werner parameter out of [0, 1]: {a}")
-    return min(max(a, 0.0), 1.0)
-
-
 def concurrence_werner(a: float) -> float:
     """Closed-form Werner concurrence max{0, (3a - 1)/2}."""
-    return max(0.0, (3.0 * _werner_weight(a) - 1.0) / 2.0)
+    return max(0.0, (3.0 * check_unit_interval(a, "Werner parameter") - 1.0) / 2.0)
 
 
 def eof_from_concurrence(c: float) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) in ebits."""
-    c = float(c)
-    if not -1e-12 <= c <= 1.0 + 1e-12:
-        raise ValueError(f"concurrence out of [0, 1]: {c}")
-    c = min(max(c, 0.0), 1.0)
+    c = check_unit_interval(c, "concurrence")
     return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
 
 
@@ -175,7 +158,7 @@ def negativity(rho: DensityMatrix) -> float:
 
 def discord_werner(a: float) -> float:
     """Discord of the Werner family at mixing parameter a in [0, 1]."""
-    a = _werner_weight(a)
+    a = check_unit_interval(a, "Werner parameter")
     return 0.25 * (_xlog2(1.0 - a) + _xlog2(1.0 + 3.0 * a)
                    - 2.0 * _xlog2(1.0 + a)) + 0.0
 
@@ -183,19 +166,16 @@ def discord_werner(a: float) -> float:
 def discord_bell_like(a, b) -> float:
     """Discord of a|01> + b|10> (or the |00>/|11> version): equals the EoF."""
     a, b = complex(a), complex(b)
-    p = abs(a) ** 2
-    if not abs(p + abs(b) ** 2 - 1.0) <= 1e-10:     # NaN fails too
-        raise ValidationError(f"|a|^2 + |b|^2 must be 1, got {p + abs(b) ** 2}")
-    # h(|a|^2), the EoF of the same state written through C = 2|a||b|
-    return binary_entropy(p)
+    check_normalized(a, b)
+    # h(|a|^2), the EoF; the norm check lets |a|^2 pass 1 by up to TOL_NORM
+    return binary_entropy(min(abs(a) ** 2, 1.0))
 
 
 def _qutrit_beta(alpha: float, gamma: float) -> float:
     """The third weight of the qubit-qutrit family, after checking all three."""
     beta = (1.0 - 2.0 * alpha - gamma) / 3.0
     for name, w in (("alpha", alpha), ("gamma", gamma), ("beta", beta)):
-        if not w >= -1e-12:                    # NaN fails too
-            raise ValidationError(f"weight {name} must be >= 0, got {w}")
+        check_residual(-w, TOL_UNIT, f"weight {name} must be >= 0")
     return beta
 
 
@@ -217,19 +197,19 @@ def discord_2x3(alpha: float, gamma: float) -> float:
 
 def consonance_werner(a: float) -> float:
     """Consonance of the Werner family: a itself, for a in [0, 1]."""
-    return _werner_weight(a)
+    return check_unit_interval(a, "Werner parameter")
 
 
 def consonance_pair(a, b) -> float:
     """2|a||b|, the consonance (and the concurrence) of a|00> + b|11> or
     a|01> + b|10>."""
+    check_normalized(a, b)
     return 2.0 * abs(a) * abs(b)
 
 
 def consonance_pure_2x2(a, b, c, d) -> float:
     """2|ad - bc| for a|11> + b|10> + c|01> + d|00>."""
-    if not abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 1.0) <= 1e-10:
-        raise ValidationError("amplitudes must be normalized")
+    check_normalized(a, b, c, d)
     return 2.0 * abs(a * d - b * c)
 
 

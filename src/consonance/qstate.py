@@ -8,6 +8,9 @@ multi-index with the first party slowest,
 
 which is the ordering produced by ``numpy.kron`` and C-order reshapes.
 All operations return new values; stored arrays are marked read only.
+
+This module is the one home of the physicality checks and their tolerances;
+each helper compares so that NaN fails, and raises :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -19,14 +22,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TOL_NORM = 1e-10
-TOL_HERM = 1e-10
+TOL_NORM = 1e-10       # |sum |z|^2 - 1| of amplitudes
+TOL_HERM = 1e-10       # max |m - m^dagger| entry
 TOL_TRACE = 1e-10
-TOL_PSD = 1e-8
+TOL_PSD = 1e-8         # most negative eigenvalue
+TOL_UNIT = 1e-12       # slack of a weight or probability past [0, 1]
+TOL_UNITARY = 1e-8     # max |u u^dagger - 1| entry params_for_unitary accepts
+TOL_RELABEL = 1e-10    # the same for a TpsRelabeling matrix
 
 
 class ValidationError(ValueError):
     """A state, parameter, or state file violates a physicality invariant."""
+
+
+def check_residual(residual: float, tol: float, what: str) -> None:
+    """ValidationError unless ``residual`` is at most ``tol`` (NaN is not)."""
+    if not residual <= tol:
+        raise ValidationError(f"{what}: residual {residual:.3e}")
+
+
+def check_normalized(*amps) -> None:
+    """Scalar amplitudes whose sum |z|^2, in order, is within TOL_NORM of 1."""
+    check_residual(abs(sum(abs(z) ** 2 for z in amps) - 1.0), TOL_NORM,
+                   "amplitudes are not normalized")
+
+
+def check_unit_interval(x, what: str) -> float:
+    """``float(x)`` clamped to [0, 1]; it must lie within TOL_UNIT of it."""
+    x = float(x)
+    if not -TOL_UNIT <= x <= 1.0 + TOL_UNIT:
+        raise ValidationError(f"{what} out of [0, 1]: {x}")
+    return min(max(x, 0.0), 1.0)
+
+
+def check_unitary(m: np.ndarray, tol: float, what: str) -> None:
+    """A square matrix whose entries of m m^dagger - 1 are all within tol."""
+    with np.errstate(invalid="ignore"):     # inf entries give NaN, which fails
+        dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
+    check_residual(dev, tol, f"{what} is not unitary")
+
+
+def _hermiticity_residual(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
 def check_integer(value, name: str) -> int:
@@ -59,7 +96,8 @@ def check_dims(dims) -> tuple[int, ...]:
     return out
 
 
-def _frozen_complex(data, shape, what: str) -> np.ndarray:
+def frozen_complex(data, shape, what: str) -> np.ndarray:
+    """A read-only complex copy of ``data``, checked for shape and finiteness."""
     arr = np.array(data, dtype=np.complex128)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
@@ -69,8 +107,20 @@ def _frozen_complex(data, shape, what: str) -> np.ndarray:
     return arr
 
 
+class _Parties:
+    """What a state's ``dims`` give: the dimension and the party count."""
+
+    @property
+    def dim(self) -> int:
+        return math.prod(self.dims)
+
+    @property
+    def n_parties(self) -> int:
+        return len(self.dims)
+
+
 @dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Parties):
     """Amplitude vector over the product basis of ``dims``.
 
     The constructor checks structure (shape, finiteness) only; norm is
@@ -84,24 +134,16 @@ class PureState:
 
     def __post_init__(self):
         dims = check_dims(self.dims)
-        amps = _frozen_complex(self.amps, (math.prod(dims),), "amplitude vector")
+        amps = frozen_complex(self.amps, (math.prod(dims),), "amplitude vector")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.dims)
 
     def norm_error(self) -> float:
         return abs(float(np.vdot(self.amps, self.amps).real) - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Parties):
     """Operator entries over the product basis of ``dims``.
 
     Structure (shape, finiteness) is checked on construction; hermiticity,
@@ -117,17 +159,9 @@ class DensityMatrix:
     def __post_init__(self):
         dims = check_dims(self.dims)
         d = math.prod(dims)
-        entries = _frozen_complex(self.entries, (d, d), "density matrix")
+        entries = frozen_complex(self.entries, (d, d), "density matrix")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.dims)
 
 
 State = PureState | DensityMatrix
@@ -149,17 +183,11 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     negative eigenvalue for positivity.
     """
     m = rho.entries
-    out = []
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    if herm > TOL_HERM:
-        out.append(Violation("hermiticity", herm))
-    tr = abs(complex(np.trace(m)) - 1.0)
-    if tr > TOL_TRACE:
-        out.append(Violation("trace", tr))
     lam_min = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-    if lam_min < -TOL_PSD:
-        out.append(Violation("positivity", -lam_min))
-    return out
+    residuals = (("hermiticity", _hermiticity_residual(m), TOL_HERM),
+                 ("trace", abs(complex(np.trace(m)) - 1.0), TOL_TRACE),
+                 ("positivity", -lam_min, TOL_PSD))
+    return [Violation(name, r) for name, r, tol in residuals if not r <= tol]
 
 
 def assert_valid(rho: DensityMatrix) -> DensityMatrix:
@@ -172,9 +200,7 @@ def assert_valid(rho: DensityMatrix) -> DensityMatrix:
 
 
 def assert_normalized(psi: PureState) -> PureState:
-    err = psi.norm_error()
-    if err > TOL_NORM:
-        raise ValidationError(f"pure state is not normalized: residual {err:.3e}")
+    check_residual(psi.norm_error(), TOL_NORM, "pure state is not normalized")
     return psi
 
 
@@ -237,9 +263,8 @@ def hermitian_eigenvalues(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if dev > TOL_HERM:
-        raise ValidationError(f"matrix is not Hermitian: residual {dev:.3e}")
+    with np.errstate(invalid="ignore"):     # inf entries give NaN, which fails
+        check_residual(_hermiticity_residual(m), TOL_HERM, "matrix is not Hermitian")
     return np.linalg.eigvalsh(m)[::-1].copy()
 
 
@@ -288,9 +313,13 @@ def state_from_json(obj: dict, *, validate_state: bool = True) -> State:
     d = math.prod(dims)
     kind = obj["kind"]
     data = obj["data"]
-    if not isinstance(data, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in data):
+    if not isinstance(data, list):
         raise ValidationError("state JSON data must be a list of [re, im] pairs")
+    for k, p in enumerate(data):     # numbers only: a JSON true is no amplitude
+        if not (isinstance(p, (list, tuple)) and len(p) == 2) or any(
+                isinstance(x, bool) or not isinstance(x, (int, float)) for x in p):
+            raise ValidationError(f"state JSON data entry {k} is not an [re, im] "
+                                  f"pair of numbers: {p!r}")
     values = np.array([complex(p[0], p[1]) for p in data], dtype=np.complex128)
     if kind == "pure":
         if values.shape != (d,):

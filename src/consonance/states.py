@@ -16,8 +16,9 @@ from typing import Callable
 import numpy as np
 
 from . import measures
-from .qstate import (DensityMatrix, PureState, ValidationError, assert_valid,
-                     check_dims, check_integer, check_seed, density_from_pure)
+from .qstate import (TOL_RELABEL, DensityMatrix, PureState, ValidationError, assert_valid,
+                     check_dims, check_integer, check_normalized, check_seed,
+                     check_unit_interval, check_unitary, density_from_pure, frozen_complex)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -57,17 +58,13 @@ def _pair_amps(a=None, b=None, a2=None) -> tuple[complex, complex]:
     if a2 is not None:
         if a is not None or b is not None:
             raise ValidationError("give either a2 or the (a, b) pair, not both")
-        a2 = float(a2)
-        if not -1e-12 <= a2 <= 1.0 + 1e-12:
-            raise ValidationError(f"a2 must lie in [0, 1], got {a2}")
-        a2 = min(max(a2, 0.0), 1.0)
+        a2 = check_unit_interval(a2, "a2")
         return math.sqrt(a2), math.sqrt(1.0 - a2)
     if a is None:
         raise FactorySpecError("parameter a (or a2) is required")
     a = complex(a)
     b = complex(b) if b is not None else complex(math.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
-    if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-10:    # NaN fails too
-        raise ValidationError(f"|a|^2 + |b|^2 must be 1, got {abs(a)**2 + abs(b)**2}")
+    check_normalized(a, b)
     return a, b
 
 
@@ -90,9 +87,7 @@ def psi_like(a=None, b=None, a2=None) -> PureState:
 def pure_2x2(a, b, c, d) -> PureState:
     """a|11> + b|10> + c|01> + d|00> (note the descending bit order)."""
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    total = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    if abs(total - 1.0) > 1e-10:
-        raise ValidationError(f"amplitudes must be normalized, got norm^2 {total}")
+    check_normalized(a, b, c, d)
     return PureState((2, 2), np.array([d, c, b, a], dtype=np.complex128))
 
 
@@ -101,9 +96,8 @@ _SINGLET = density_from_pure(bell("psi-")).entries       # read only
 
 def werner(a: float) -> DensityMatrix:
     """a |psi-><psi-| + (1 - a)/4 identity, a in [0, 1]."""
-    a = measures._werner_weight(a)
-    rho = a * _SINGLET + (1.0 - a) / 4.0 * np.eye(4)
-    return DensityMatrix((2, 2), rho)
+    a = check_unit_interval(a, "Werner parameter")
+    return DensityMatrix((2, 2), a * _SINGLET + (1.0 - a) / 4.0 * np.eye(4))
 
 
 # --- qubit-qutrit family -------------------------------------------------
@@ -235,13 +229,8 @@ class TpsRelabeling:
             raise ValueError(f"source dims {src} and target dims {tgt} have "
                              f"different total dimension")
         d = math.prod(src)
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (d, d):
-            raise ValueError(f"matrix must have shape ({d}, {d}), got {m.shape}")
-        dev = float(np.max(np.abs(m @ m.conj().T - np.eye(d))))
-        if dev > 1e-10:
-            raise ValidationError(f"relabeling matrix is not unitary: residual {dev:.3e}")
-        m.setflags(write=False)
+        m = frozen_complex(self.matrix, (d, d), "relabeling matrix")
+        check_unitary(m, TOL_RELABEL, "relabeling matrix")
         object.__setattr__(self, "source_dims", src)
         object.__setattr__(self, "target_dims", tgt)
         object.__setattr__(self, "matrix", m)

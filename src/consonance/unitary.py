@@ -35,9 +35,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .qstate import DensityMatrix, PureState, check_dims, check_integer
-
-TOL_UNITARY = 1e-8     # largest |u u^dagger - 1| entry params_for_unitary accepts
+from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims,
+                     check_integer, check_unitary)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -153,15 +152,13 @@ def params_for_unitary(u) -> UnitaryParams:
 
     Uses the principal matrix logarithm, so it is defined for every
     unitary; branch choices make the round trip exact only up to the
-    principal branch.  Raises ValueError if ``u`` is not unitary.
+    principal branch.  Raises ValidationError if ``u`` is not unitary.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got {u.shape}")
     d = u.shape[0]
-    dev = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
-    if dev > TOL_UNITARY:
-        raise ValueError(f"matrix is not unitary: residual {dev:.3e}")
+    check_unitary(u, TOL_UNITARY, "matrix")
     h = scipy.linalg.logm(u) / 1j
     h = (h + h.conj().T) / 2.0
     theta = np.empty(d * d)

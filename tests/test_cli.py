@@ -1,5 +1,7 @@
 import json
+import math
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -547,6 +549,48 @@ def test_pair_family_out_of_range_stays_invalid_state(capsys):
     code, _, _ = run(capsys, "measure", "--measure", "discord",
                      "--family", "bell_like:a2=1.5")
     assert code == 1
+
+
+@pytest.mark.parametrize("spec, want", [("bell_like:a=1.00000000004,b=0", 0.0),
+                                        ("psi_like:a=1.00000000004,b=0", 0.0),
+                                        ("bell_like:a=0.70710678122,b=0.70710678122", 1.0)])
+def test_every_accepted_pair_has_a_discord_and_an_eof(capsys, spec, want):
+    """The pair's norm allows |a|^2 + |b|^2 up to 1 + 1e-10, past the unit
+    interval's 1e-12 slack; the discord and EoF of such a pair are the
+    values at the clamped weight."""
+    for measure in ("discord", "eof"):
+        code, out, err = run(capsys, "measure", "--measure", measure, "--family", spec)
+        assert (code, err) == (0, "")
+        assert float(out) == want
+
+
+@pytest.mark.parametrize("bounds", [("0", "inf"), ("0", "-inf"), ("0", "nan"),
+                                    ("inf", "1"), ("-inf", "1"), ("nan", "1")])
+def test_sweep_rejects_non_finite_bounds_before_any_row(capsys, bounds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "--family", "werner", "--axis", "a",
+                             f"--start={bounds[0]}", f"--stop={bounds[1]}", "--points", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: sweep bounds must be finite")
+
+
+@pytest.mark.parametrize("start, stop", [(0.0, math.inf), (0.0, -math.inf), (0.0, math.nan),
+                                         (math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0)])
+def test_sweep_spec_rejects_non_finite_bounds(start, stop):
+    with pytest.raises(ValueError, match="sweep bounds must be finite"):
+        SweepSpec("werner", "a", start, stop, 3, ("discord",))
+
+
+@pytest.mark.parametrize("entry", ['["a", 0]', "[1, null]", "[true, 0]"])
+def test_state_file_entries_must_be_numbers(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dims": [2, 2], "kind": "pure", "data": [%s, [0, 0], [0, 0], [0, 0]]}'
+                    % entry)
+    code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum", "--state", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: state JSON data entry 0 is not an [re, im] "
+                                f"pair of numbers: {json.loads(entry)!r}"]
 
 
 # --- the README's examples -----------------------------------------------
