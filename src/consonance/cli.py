@@ -27,7 +27,6 @@ import numpy as np
 from . import coherence, measures, optimizer, states, unitary
 from .qstate import (DensityMatrix, PureState, ValidationError, check_integer,
                      density_from_pure, load_state, save_state, state_to_json)
-from .states import FactorySpecError
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -361,7 +360,7 @@ def cmd_sweep(args) -> int:
     else:
         for required in ("family", "axis", "start", "stop", "points"):
             if getattr(args, required) is None:
-                raise ValueError(f"custom sweeps need --{required.replace('_', '-')}")
+                raise ValueError(f"custom sweeps need --{required}")
         fixed = []
         if args.fixed:
             for chunk in args.fixed.split(","):
@@ -500,9 +499,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except FactorySpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

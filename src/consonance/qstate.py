@@ -96,6 +96,18 @@ def check_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def json_float(x, what: str, error: type = ValidationError) -> float:
+    """A number read from a JSON file, as a float.  A bool (a JSON true) or
+    a string is no number, and an int too large for a float does not fit;
+    either raises ``error`` naming ``what``."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise error(f"{what} is not a number: {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
+
+
 def frozen_complex(data, shape, what: str) -> np.ndarray:
     """A read-only complex copy of ``data``, checked for shape and finiteness."""
     arr = np.array(data, dtype=np.complex128)
@@ -315,12 +327,13 @@ def state_from_json(obj: dict, *, validate_state: bool = True) -> State:
     data = obj["data"]
     if not isinstance(data, list):
         raise ValidationError("state JSON data must be a list of [re, im] pairs")
+    values = np.empty(len(data), dtype=np.complex128)
     for k, p in enumerate(data):     # numbers only: a JSON true is no amplitude
+        what = f"state JSON data entry {k}"
         if not (isinstance(p, (list, tuple)) and len(p) == 2) or any(
                 isinstance(x, bool) or not isinstance(x, (int, float)) for x in p):
-            raise ValidationError(f"state JSON data entry {k} is not an [re, im] "
-                                  f"pair of numbers: {p!r}")
-    values = np.array([complex(p[0], p[1]) for p in data], dtype=np.complex128)
+            raise ValidationError(f"{what} is not an [re, im] pair of numbers: {p!r}")
+        values[k] = complex(json_float(p[0], what), json_float(p[1], what))
     if kind == "pure":
         if values.shape != (d,):
             raise ValidationError(f"pure state over dims {dims} needs {d} amplitudes, "

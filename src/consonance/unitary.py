@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims,
-                     check_integer, check_unitary)
+                     check_integer, check_unitary, json_float)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -378,7 +378,8 @@ def circuit_from_json(obj: dict) -> LocalCircuit:
                 and isinstance(entry.get("theta"), list)):
             raise ValueError(f"circuit layer must be an object with 'support' and "
                              f"'theta' lists, got {entry!r}")
-        theta = np.asarray(entry["theta"], dtype=np.float64)
+        theta = np.array([json_float(x, f"circuit layer theta entry {k}", ValueError)
+                          for k, x in enumerate(entry["theta"])], dtype=np.float64)
         dim = math.isqrt(theta.size)
         if dim * dim != theta.size:
             raise ValueError(f"layer theta length {theta.size} is not a perfect square")
@@ -394,4 +395,8 @@ def save_circuit(circuit: LocalCircuit, path) -> None:
 
 def load_circuit(path) -> LocalCircuit:
     with open(path) as fh:
-        return circuit_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not a JSON circuit file: {exc}") from exc
+    return circuit_from_json(obj)

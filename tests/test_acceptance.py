@@ -9,6 +9,7 @@ are fixed together with the seeds so the suite is reproducible.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,7 @@ from consonance.measures import (concurrence_2x2, concurrence_werner,
                                  consonance_pure_bipartite, discord_2x3,
                                  discord_bell_like, discord_werner, eof_2x2,
                                  eof_from_concurrence, negativity)
-from consonance.optimizer import (EPS_L, OptimizerConfig, Preset,
-                                  config_to_json, consonance,
+from consonance.optimizer import (EPS_L, OptimizerConfig, Preset, consonance,
                                   oracle_consonance, report_to_json)
 from consonance.unitary import NONGLOBAL
 from consonance.qstate import density_from_pure, tensor
@@ -232,7 +232,14 @@ def _delta_class(row, col):
     return CoherenceClass.LOCAL
 
 
+# the committed GHZ(3) certificate, which `optimize --warm-start` reads
+GHZ3_WITNESS = Path(__file__).resolve().parents[1] / "results" / "ghz3_witness.json"
+
+
 def _ghz_witness_theta():
+    """Depth-3 frame at the default supports (0,), (0, 1), (0, 2) that takes
+    GHZ(3) to |000>: the identity on (0,), a CNOT on (0, 1), then the
+    inverse Bell-basis change on (0, 2)."""
     u_bell = np.column_stack([states.bell(k).amps
                               for k in ("phi+", "phi-", "psi+", "psi-")])
     cnot = np.zeros((4, 4), dtype=complex)
@@ -241,7 +248,7 @@ def _ghz_witness_theta():
         np.zeros(4),
         unitary.params_for_unitary(cnot).theta,
         unitary.params_for_unitary(u_bell.conj().T).theta,
-    ]), cnot, u_bell
+    ])
 
 
 def test_criterion_8_classifier_and_profiles():
@@ -258,8 +265,12 @@ def test_criterion_8_classifier_and_profiles():
 
 
 def test_criterion_8_ghz_witness_certificate():
-    theta, cnot, u_bell = _ghz_witness_theta()
-    witness = unitary.with_theta(unitary.nonglobal_circuit((2, 2, 2)), theta)
+    witness = unitary.load_circuit(GHZ3_WITNESS)
+    preset = unitary.nonglobal_circuit((2, 2, 2))
+    assert [l.support for l in witness.layers] == [l.support for l in preset.layers]
+    # a tolerance, not ==: the chart inverse goes through scipy's logm
+    theta = unitary.theta_vector(witness)
+    assert np.max(np.abs(theta - _ghz_witness_theta())) <= 1e-12
     final = apply(witness, states.ghz(3))
     target = np.zeros(8)
     target[0] = 1.0
@@ -302,29 +313,24 @@ def test_criterion_8_w_witness_certificate():
     assert local_coherence(final) <= EPS_L
 
 
-def test_criterion_8_w_state_reports_archived(tmp_path):
-    rho = density_from_pure(states.w_state(3))
-    for preset, fname in ((Preset(), "w_report_single_party.json"),
-                          (Preset(kind=NONGLOBAL, depth=3),
-                           "w_report_nonglobal_depth3.json")):
-        config = OptimizerConfig(preset=preset, restarts=2, seed=11,
-                                 max_evals=2000)
-        report = consonance(rho, config)
+def test_criterion_8_three_qubit_reports_replay():
+    for state in (states.ghz(3), states.w_state(3)):
+        rho = density_from_pure(state)
+        for preset in (Preset(), Preset(kind=NONGLOBAL, depth=3)):
+            config = OptimizerConfig(preset=preset, restarts=2, seed=11,
+                                     max_evals=2000)
+            report = consonance(rho, config)
 
-        # soundness: the report must be re-derivable from its own circuit
-        replay = apply(report.circuit, rho)
-        assert abs(report.value - nonlocal_sum(replay)) <= 1e-9
-        assert abs(report.l_residual - local_coherence(replay)) <= 1e-9
-        assert report.feasible == (report.l_residual <= config.eps_l)
+            # soundness: the report must be re-derivable from its own circuit
+            replay = apply(report.circuit, rho)
+            assert abs(report.value - nonlocal_sum(replay)) <= 1e-9
+            assert abs(report.l_residual - local_coherence(replay)) <= 1e-9
+            assert report.feasible == (report.l_residual <= config.eps_l)
 
-        # reproducibility per seed
-        again = consonance(rho, config)
-        assert json.dumps(report_to_json(report), sort_keys=True) == \
-            json.dumps(report_to_json(again), sort_keys=True)
-
-        blob = {"state": "w:3", "config": config_to_json(config),
-                "seed": config.seed, "report": report_to_json(report)}
-        (tmp_path / fname).write_text(json.dumps(blob, indent=1) + "\n")
+            # reproducibility per seed
+            again = consonance(rho, config)
+            assert json.dumps(report_to_json(report), sort_keys=True) == \
+                json.dumps(report_to_json(again), sort_keys=True)
 
 
 # --- 9: reported values replay and the oracle never beats them -----------

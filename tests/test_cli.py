@@ -13,6 +13,7 @@ from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
 from consonance.qstate import (density_from_pure, save_state, state_from_json,
                                state_to_json)
+from test_acceptance import GHZ3_WITNESS
 
 
 def run(capsys, *argv):
@@ -489,22 +490,29 @@ def test_optimize_rejects_a_malformed_warm_start(tmp_path, capsys, obj):
     assert err.startswith("error: ")
 
 
-def test_optimize_with_warm_start_circuit(tmp_path, capsys):
-    u_bell = np.column_stack([states.bell(k).amps
-                              for k in ("phi+", "phi-", "psi+", "psi-")])
-    cnot = np.zeros((4, 4), dtype=complex)
-    cnot[0, 0] = cnot[1, 1] = cnot[2, 3] = cnot[3, 2] = 1.0
-    circ = unitary.nonglobal_circuit((2, 2, 2))
-    theta = np.concatenate([
-        np.zeros(4),
-        unitary.params_for_unitary(cnot).theta,
-        unitary.params_for_unitary(u_bell.conj().T).theta,
-    ])
-    path = tmp_path / "witness.json"
-    unitary.save_circuit(unitary.with_theta(circ, theta), path)
+@pytest.mark.parametrize("text, why", [
+    ("not json", "not a JSON circuit file: Expecting value: line 1 column 1 (char 0)"),
+    ('{"layers": [{"support": [0], "theta": [0, "0.5", 0, 0]}]}',
+     "circuit layer theta entry 1 is not a number: '0.5'"),
+    ('{"layers": [{"support": [0], "theta": [0, 0, true, 0]}]}',
+     "circuit layer theta entry 2 is not a number: True"),
+    ('{"layers": [{"support": [0], "theta": [1%s, 0, 0, 0]}]}' % ("0" * 400),
+     "circuit layer theta entry 0 is too large for a float"),
+], ids=["not-json", "string", "bool", "huge"])
+def test_optimize_names_the_fault_of_a_warm_start_file(tmp_path, capsys, text, why):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "optimize", "--family", "werner:0.5",
+                         "--restarts", "1", "--max-evals", "100",
+                         "--warm-start", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {why}"]
+
+
+def test_optimize_with_warm_start_circuit(capsys):
     code, out, _ = run(capsys, "optimize", "--family", "ghz:3",
                        "--preset", "nonglobal", "--restarts", "2",
-                       "--max-evals", "2000", "--warm-start", str(path))
+                       "--max-evals", "2000", "--warm-start", str(GHZ3_WITNESS))
     assert code == 0
     obj = json.loads(out)
     assert obj["feasible"] is True
@@ -591,6 +599,15 @@ def test_state_file_entries_must_be_numbers(tmp_path, capsys, entry):
     assert (code, out) == (1, "")
     assert err.splitlines() == [f"error: state JSON data entry 0 is not an [re, im] "
                                 f"pair of numbers: {json.loads(entry)!r}"]
+
+
+def test_state_file_entry_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"dims": [2, 2], "kind": "pure", "data": [[1%s, 0], [0, 0], [0, 0], [0, 0]]}'
+                    % ("0" * 400))
+    code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum", "--state", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: state JSON data entry 0 is too large for a float"]
 
 
 # --- the README's examples -----------------------------------------------

@@ -11,6 +11,7 @@ from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
                                   report_to_json)
 from consonance.qstate import DensityMatrix, density_from_pure
 from consonance.unitary import NONGLOBAL, SINGLE_PARTY, apply, with_theta
+from test_acceptance import GHZ3_WITNESS
 
 CHEAP = OptimizerConfig(restarts=2, seed=7, max_evals=3000)
 TOL_VALUE = 1e-6       # tolerance on a searched value, added to the budget slack
@@ -214,15 +215,7 @@ def test_restart_records():
 
 def test_warm_start_is_used():
     # hand the GHZ witness parameters to the non-global search
-    u_bell = np.column_stack([states.bell(k).amps
-                              for k in ("phi+", "phi-", "psi+", "psi-")])
-    cnot = np.zeros((4, 4), dtype=complex)
-    cnot[0, 0] = cnot[1, 1] = cnot[2, 3] = cnot[3, 2] = 1.0
-    witness = np.concatenate([
-        np.zeros(4),
-        unitary.params_for_unitary(cnot).theta,
-        unitary.params_for_unitary(u_bell.conj().T).theta,
-    ])
+    witness = unitary.theta_vector(unitary.load_circuit(GHZ3_WITNESS))
     config = OptimizerConfig(preset=Preset(kind=NONGLOBAL, depth=3),
                              restarts=2, seed=0, max_evals=4000,
                              warm_starts=(witness,))

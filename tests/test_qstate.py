@@ -335,6 +335,13 @@ def test_state_json_validation_override():
     assert np.allclose(loaded.entries, pt)
 
 
+@pytest.mark.parametrize("pair", [[10 ** 400, 0], [0, -10 ** 400]])
+def test_state_json_rejects_an_entry_too_large_for_a_float(pair):
+    obj = {"dims": [2, 2], "kind": "pure", "data": [[1, 0], pair, [0, 0], [0, 0]]}
+    with pytest.raises(ValidationError, match="^state JSON data entry 1 is too large for a float$"):
+        state_from_json(obj)
+
+
 def test_state_json_rejects_garbage_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")

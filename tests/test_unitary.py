@@ -14,6 +14,7 @@ from consonance.unitary import (CircuitLayer, LocalCircuit, UnitaryParams,
                                 nonglobal_circuit, params_for_unitary,
                                 save_circuit, single_party_circuit,
                                 theta_vector, with_theta)
+from test_acceptance import GHZ3_WITNESS
 from test_frames import embed_matrix, hermitian_from_theta
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -168,21 +169,8 @@ def test_apply_commutes_with_density_from_pure():
     assert np.allclose(left.entries, right.entries, atol=1e-12)
 
 
-def ghz_witness_circuit():
-    """Three-layer circuit on supports (0,), (0,1), (0,2) that maps the
-    GHZ state to |000>: identity, then CNOT, then the Bell-basis unmapper."""
-    u_bell = np.column_stack([states.bell(k).amps
-                              for k in ("phi+", "phi-", "psi+", "psi-")])
-    layers = (
-        CircuitLayer((0,), UnitaryParams.identity(2)),
-        CircuitLayer((0, 1), params_for_unitary(CNOT)),
-        CircuitLayer((0, 2), params_for_unitary(u_bell.conj().T)),
-    )
-    return LocalCircuit(layers, preset="nonglobal:depth=3")
-
-
 def test_ghz_witness_reaches_product_state():
-    out = apply(ghz_witness_circuit(), states.ghz(3))
+    out = apply(load_circuit(GHZ3_WITNESS), states.ghz(3))
     target = np.zeros(8)
     target[0] = 1.0
     assert abs(abs(out.amps[0]) - 1.0) < 1e-8
@@ -298,6 +286,31 @@ def test_circuit_json_round_trip(tmp_path):
 def test_circuit_json_rejects_non_integer_supports(support):
     with pytest.raises(ValueError, match="integer"):
         circuit_from_json({"layers": [{"support": support, "theta": [0.0] * 4}]})
+
+
+@pytest.mark.parametrize("bad, why", [("0.5", "is not a number: '0.5'"),
+                                      (True, "is not a number: True"),
+                                      (None, "is not a number: None"),
+                                      ([0.5], r"is not a number: \[0.5\]"),
+                                      (10 ** 400, "is too large for a float"),
+                                      (-10 ** 400, "is too large for a float")],
+                         ids=["string", "bool", "null", "list", "huge", "huge-negative"])
+def test_circuit_json_theta_entries_must_be_floats(bad, why):
+    theta = [0.0, 0.0, bad, 0.0]
+    with pytest.raises(ValueError, match=f"^circuit layer theta entry 2 {why}$"):
+        circuit_from_json({"layers": [{"support": [0], "theta": theta}]})
+
+
+def test_circuit_json_keeps_integer_theta_entries():
+    circ = circuit_from_json({"layers": [{"support": [0], "theta": [1, 0, -2, 0]}]})
+    assert theta_vector(circ).tolist() == [1.0, 0.0, -2.0, 0.0]
+
+
+def test_load_circuit_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("not json at all")
+    with pytest.raises(ValueError, match="^not a JSON circuit file: Expecting value"):
+        load_circuit(path)
 
 
 @pytest.mark.parametrize("obj", [
