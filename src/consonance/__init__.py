@@ -21,13 +21,13 @@ from .unitary import (CircuitLayer, LocalCircuit, UnitaryParams, apply,
 from .optimizer import (ConsonanceReport, OptimizerConfig, Preset, consonance,
                         oracle_consonance)
 from .measures import (SchmidtDecomposition, concurrence_2x2,
-                       consonance_closed_form, consonance_pure_bipartite,
-                       discord_2x3, discord_bell_like, discord_werner,
-                       eof_from_concurrence, negativity, schmidt_decompose)
-from .states import (TpsRelabeling, bell, bell_like, ghz, parse_factory_spec,
-                     permute_subsystems, psi_like, pure_2x2, random_density,
-                     random_pure, regroup, tps_remap, two_param_qubit_qutrit,
-                     w_state, werner, werner_f_prime)
+                       consonance_pure_bipartite, discord_2x3,
+                       discord_bell_like, discord_werner, eof_from_concurrence,
+                       negativity, schmidt_decompose)
+from .states import (TpsRelabeling, bell, bell_like, consonance_closed_form,
+                     ghz, parse_factory_spec, permute_subsystems, psi_like,
+                     pure_2x2, random_density, random_pure, regroup, tps_remap,
+                     two_param_qubit_qutrit, w_state, werner, werner_f_prime)
 
 __version__ = "0.1.0"
 

@@ -217,15 +217,3 @@ def consonance_2x3(alpha: float, gamma: float) -> float:
     """|beta - gamma| for the two-parameter qubit-qutrit family."""
     alpha, gamma = float(alpha), float(gamma)
     return abs(_qutrit_beta(alpha, gamma) - gamma)
-
-
-def consonance_closed_form(family: str, **params) -> float:
-    """Known consonance value of a state family, from the family table in
-    :mod:`consonance.states`: werner, bell, bell_like, psi_like, pure_2x2,
-    two_param_2x3 and ghz.  A caveat on the value, if any, is the family
-    record's ``note``.  ``family`` is any name ``states.get_family`` takes."""
-    from .states import get_family     # states imports this module
-    fam = get_family(family)
-    if fam.consonance is None:
-        raise ValueError(f"no closed-form consonance for family {fam.name!r}")
-    return fam.consonance(**fam.resolve(**params))

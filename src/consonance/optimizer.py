@@ -30,20 +30,21 @@ scipy's ``minimize(method="Nelder-Mead")`` with no bounds operation for
 operation, including where its ``maxfev`` budget cuts the search, so its
 points and result equal scipy's bit for bit.
 
-Every frame is evaluated in two steps.  ``_conjugate`` is the one
-conjugation: ``unitary.FrameBuilder`` maps a stack of parameter vectors
-to circuit unitaries and rho is conjugated by them, U rho U†.  Each
-caller then reduces the conjugated stack itself.  The search gives every
-row to ``coherence.class_sums`` for S and L (``_frame_sums``).  The
-brute-force oracle wants only the rows with L <= EPS_L, so it first runs
-``coherence.local_screen``, a float64 estimate of L that keeps every such
-row, and sums only the survivors with ``class_sums``; only ``class_sums``
-reports a class sum.  The public ``unitary.apply`` uses the same frame
-builder, so the search and a replay agree bit for bit.
+Every frame is evaluated in two steps, and this module does no linear
+algebra of its own.  ``_conjugated`` is the one chunk loop: it yields rho
+conjugated by the frames, U rho U† from ``unitary.conjugate``, in stacks
+of at most ``ORACLE_CHUNK`` frames.  Each caller then reduces the stacks
+itself.  The search gives every row to ``coherence.class_sums`` for S
+and L (``_frame_sums``).  The brute-force oracle wants only the rows with
+L <= EPS_L, so it first runs ``coherence.local_screen``, a float64
+estimate of L that keeps every such row, and sums only the survivors
+with ``class_sums``; only ``class_sums`` reports a class sum.
 
 The reported value is recomputed from the winning circuit through the
-public ``unitary.apply`` / ``coherence.nonlocal_sum`` path, so it always
-matches what a caller would reproduce from the report.
+public ``unitary.apply``, whose density branch is one row of the same
+``unitary.conjugate``, and one ``class_sums`` call, so it always matches
+what a caller would reproduce from the report and equals the winning
+restart's record.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .qstate import (DensityMatrix, PureState, assert_valid, check_integer,
 
 EPS_L = 1e-6
 PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, four stages
-ORACLE_CHUNK = 1024    # frames per FrameBuilder call; bounds peak memory
+ORACLE_CHUNK = 1024    # frames per unitary.conjugate call; bounds peak memory
 _S_AND_L = (coherence.CoherenceClass.NONLOCAL, coherence.CoherenceClass.LOCAL)
 
 
@@ -153,22 +154,20 @@ def _search_setup(rho, preset: Preset):
     return rho, template, unitary.FrameBuilder(template, rho.dims)
 
 
-def _conjugate(frames: unitary.FrameBuilder, rho: DensityMatrix,
-               thetas: np.ndarray) -> np.ndarray:
+def _conjugated(frames: unitary.FrameBuilder, rho: DensityMatrix, thetas: np.ndarray):
     """rho conjugated by the frames at a stack of parameter vectors
-    (B, n_theta): U rho U† for each, as a stack (B, D, D)."""
-    u = frames.unitaries(thetas)
-    return u @ rho.entries @ u.conj().swapaxes(-1, -2)
+    (B, n_theta), yielded as stacks of at most ``ORACLE_CHUNK`` frames."""
+    for start in range(0, len(thetas), ORACLE_CHUNK):
+        yield unitary.conjugate(frames, rho.entries, thetas[start:start + ORACLE_CHUNK])
 
 
 def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix,
                 thetas: np.ndarray) -> tuple[list[float], list[float]]:
     """S and L lists of rho conjugated by the frames at a stack of
-    parameter vectors (B, n_theta), ``ORACLE_CHUNK`` frames at a time."""
+    parameter vectors (B, n_theta)."""
     s: list[float] = []
     l: list[float] = []
-    for start in range(0, len(thetas), ORACLE_CHUNK):
-        rotated = _conjugate(frames, rho, thetas[start:start + ORACLE_CHUNK])
+    for rotated in _conjugated(frames, rho, thetas):
         chunk_s, chunk_l = coherence.class_sums(rotated, rho.dims, _S_AND_L)
         s += chunk_s
         l += chunk_l
@@ -351,8 +350,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
 
     circuit = unitary.with_theta(template, finals[best])
     rotated = unitary.apply(circuit, rho)
-    value = coherence.nonlocal_sum(rotated)
-    l_res = coherence.local_coherence(rotated)
+    (value,), (l_res,) = coherence.class_sums(rotated.entries, rho.dims, _S_AND_L)
     return ConsonanceReport(
         value=value,
         l_residual=l_res,
@@ -378,8 +376,8 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     Draws ``samples`` parameter vectors (the first is theta = 0) from a
     single Philox stream and keeps the minimum S among those with
     L <= ``EPS_L``, the search's feasibility tolerance, read at call time.
-    The frames are drawn and evaluated in chunks of ``ORACLE_CHUNK``,
-    which gives the same numbers as drawing them one by one.  Only the
+    All frames are drawn at once, which gives the same numbers as drawing
+    them one by one, and evaluated in chunks of ``ORACLE_CHUNK``.  Only the
     frames that pass ``coherence.local_screen`` are summed exactly; the
     screen keeps every frame with L <= EPS_L, so the result is the same
     as summing them all.  Crude by design; used to confirm the optimizer
@@ -391,16 +389,11 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     seed = check_seed(seed)
     rho, _, frames = _search_setup(rho, Preset() if preset is None else preset)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    thetas = np.zeros((samples, frames.n_theta))
+    thetas[1:] = rng.uniform(-math.pi, math.pi, size=(samples - 1, frames.n_theta))
     best = math.inf
     feasible = 0
-    for start in range(0, samples, ORACLE_CHUNK):
-        n = min(ORACLE_CHUNK, samples - start)
-        if start == 0:
-            thetas = np.zeros((n, frames.n_theta))
-            thetas[1:] = rng.uniform(-math.pi, math.pi, size=(n - 1, frames.n_theta))
-        else:
-            thetas = rng.uniform(-math.pi, math.pi, size=(n, frames.n_theta))
-        rotated = _conjugate(frames, rho, thetas)
+    for rotated in _conjugated(frames, rho, thetas):
         screened = rotated[coherence.local_screen(rotated, rho.dims, EPS_L)]
         s, l = map(np.array, coherence.class_sums(screened, rho.dims, _S_AND_L))
         ok = l <= EPS_L

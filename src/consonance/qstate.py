@@ -355,10 +355,19 @@ def save_state(state: State, path) -> None:
         fh.write("\n")
 
 
-def load_state(path, *, validate_state: bool = True) -> State:
-    with open(path) as fh:
+def read_json(path, what: str, error: type):
+    """The JSON value of the file at ``path``, the one reader of state and
+    circuit files.  Text that is not UTF-8 JSON, an integer past Python's
+    digit limit and nesting past the recursion limit all raise ``error``
+    as "not a JSON ``what`` file"; a path that cannot be opened raises
+    ``OSError``."""
+    with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"not a JSON state file: {exc}") from exc
-    return state_from_json(obj, validate_state=validate_state)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"not a JSON {what} file: {exc}") from exc
+
+
+def load_state(path, *, validate_state: bool = True) -> State:
+    return state_from_json(read_json(path, "state", ValidationError),
+                           validate_state=validate_state)

@@ -432,6 +432,17 @@ def get_family(name: str) -> Family:
                                f"known: {', '.join(family_names())}") from None
 
 
+def consonance_closed_form(family: str, **params) -> float:
+    """Known consonance value of a state family, from the family table:
+    werner, bell, bell_like, psi_like, pure_2x2, two_param_2x3 and ghz.  A
+    caveat on the value, if any, is the family record's ``note``.
+    ``family`` is any name :func:`get_family` takes."""
+    fam = get_family(family)
+    if fam.consonance is None:
+        raise ValueError(f"no closed-form consonance for family {fam.name!r}")
+    return fam.consonance(**fam.resolve(**params))
+
+
 def _parse_value(text: str, parser):
     try:
         return parser(text)

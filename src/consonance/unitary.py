@@ -11,10 +11,13 @@ U_layer (x) identity.  Layers are applied first to last, so the overall
 unitary is U_L ... U_2 U_1.
 
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
-vectors (B, P) into the stacked circuit unitaries (B, D, D); the replay
-(:func:`circuit_unitary`, :func:`apply`), the penalty search and the
-brute-force oracle all go through it.  It works from index plans laid
-out once per circuit shape.  Its chart reads theta in place:
+vectors (B, P) into the stacked circuit unitaries (B, D, D), and one
+conjugation, :func:`conjugate`, turns them into U X U† (B, D, D).  The
+penalty search, the brute-force oracle and the replay all go through
+both: the density branch of :func:`apply` is the one-row case of
+:func:`conjugate`, so a report's value and its search record are the same
+arithmetic.  The frame builder works from index plans laid out once per
+circuit shape.  Its chart reads theta in place:
 ``off = re + 1j * im`` over every layer's upper triangle, and one gather
 from the source row [theta | off | conj(off)] builds every layer's H,
 with the layers in dimension-group order.  Each group runs one batched eigh and
@@ -36,7 +39,7 @@ import numpy as np
 import scipy.linalg
 
 from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims,
-                     check_integer, check_unitary, json_float)
+                     check_integer, check_unitary, json_float, read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -281,14 +284,23 @@ def circuit_unitary(circuit: LocalCircuit, dims) -> np.ndarray:
     return frames.unitaries(theta_vector(circuit)[None])[0]
 
 
+def conjugate(frames: FrameBuilder, entries, thetas) -> np.ndarray:
+    """``entries`` (D, D) conjugated by the frames at a stack of parameter
+    vectors (B, n_theta): U X U† for each, as a stack (B, D, D)."""
+    u = frames.unitaries(thetas)
+    return u @ entries @ u.conj().swapaxes(-1, -2)
+
+
 def apply(circuit: LocalCircuit, state):
-    """Conjugate a state by the circuit unitary (or rotate a pure vector)."""
-    u = circuit_unitary(circuit, state.dims)
+    """Conjugate a state by the circuit unitary (or rotate a pure vector):
+    one row of :func:`conjugate`, the conjugation the search runs."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise ValueError(f"not a state value: {state!r}")
+    frames = FrameBuilder(circuit, state.dims)
+    thetas = theta_vector(circuit)[None]
     if isinstance(state, PureState):
-        return PureState(state.dims, u @ state.amps)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(state.dims, u @ state.entries @ u.conj().T)
-    raise ValueError(f"not a state value: {state!r}")
+        return PureState(state.dims, frames.unitaries(thetas)[0] @ state.amps)
+    return DensityMatrix(state.dims, conjugate(frames, state.entries, thetas)[0])
 
 
 # --- presets -------------------------------------------------------------
@@ -394,9 +406,4 @@ def save_circuit(circuit: LocalCircuit, path) -> None:
 
 
 def load_circuit(path) -> LocalCircuit:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not a JSON circuit file: {exc}") from exc
-    return circuit_from_json(obj)
+    return circuit_from_json(read_json(path, "circuit", ValueError))

@@ -12,13 +12,11 @@ import math
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from consonance import cli, states, unitary
 from consonance.coherence import (CoherenceClass, classify, local_coherence,
                                   nonlocal_sum, profile)
 from consonance.measures import (concurrence_2x2, concurrence_werner,
-                                 consonance_closed_form,
                                  consonance_pure_bipartite, discord_2x3,
                                  discord_bell_like, discord_werner, eof_2x2,
                                  eof_from_concurrence, negativity)
@@ -26,6 +24,7 @@ from consonance.optimizer import (EPS_L, OptimizerConfig, Preset, consonance,
                                   oracle_consonance, report_to_json)
 from consonance.unitary import NONGLOBAL
 from consonance.qstate import density_from_pure, tensor
+from consonance.states import consonance_closed_form
 from consonance.unitary import apply
 
 OPT_SMALL = OptimizerConfig(restarts=2, seed=11, max_evals=3000)

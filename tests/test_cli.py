@@ -11,9 +11,9 @@ from consonance import optimizer, states, unitary
 from consonance.cli import SweepSpec, _opt_config_from, build_parser, main
 from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
-from consonance.qstate import (density_from_pure, save_state, state_from_json,
-                               state_to_json)
+from consonance.qstate import save_state, state_from_json, state_to_json
 from test_acceptance import GHZ3_WITNESS
+from test_qstate import UNREADABLE
 
 
 def run(capsys, *argv):
@@ -145,6 +145,31 @@ def test_missing_state_file(capsys):
     code, _, err = run(capsys, "measure", "--measure", "nonlocal_sum",
                        "--state", "no_such_state.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("raw", UNREADABLE.values(), ids=UNREADABLE)
+def test_an_unreadable_file_fails_in_one_line(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum",
+                         "--state", str(path))
+    assert (code, out, len(err.splitlines())) == (1, "", 1)
+    assert err.startswith("error: not a JSON state file: ")
+    code, out, err = run(capsys, "optimize", "--family", "werner:0.5", "--restarts", "1",
+                         "--max-evals", "100", "--warm-start", str(path))
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    assert err.startswith("error: not a JSON circuit file: ")
+
+
+def test_a_directory_for_a_file_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum",
+                         "--state", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: [Errno 21] Is a directory: {str(tmp_path)!r}"]
+    code, _, err = run(capsys, "optimize", "--family", "werner:0.5", "--restarts", "1",
+                       "--max-evals", "100", "--report", str(tmp_path))
+    assert code == 2
+    assert err.splitlines() == [f"error: [Errno 21] Is a directory: {str(tmp_path)!r}"]
 
 
 def test_no_validate_skips_physicality(tmp_path, capsys):

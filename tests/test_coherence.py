@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consonance import coherence, optimizer, states, unitary
+from consonance import states, unitary
 from consonance.coherence import (CoherenceClass, _class_positions,
                                   class_masks, class_sums, classify,
                                   local_coherence, local_screen, nonlocal_sum,
@@ -274,7 +274,7 @@ def test_screen_keeps_a_zero_l_state_in_its_own_frame():
     # state's local entries exactly zero
     rho = states.werner(0.4)
     frames = unitary.FrameBuilder(unitary.single_party_circuit(rho.dims), rho.dims)
-    rotated = optimizer._conjugate(frames, rho, np.zeros((3, frames.n_theta)))
+    rotated = unitary.conjugate(frames, rho.entries, np.zeros((3, frames.n_theta)))
     assert _local_sums(rotated, rho.dims).tolist() == [0.0] * 3
     assert local_screen(rotated, rho.dims, 0.0).tolist() == [0, 1, 2]
 

@@ -132,7 +132,7 @@ def test_every_way_in_reaches_the_same_record(capsys, spelling, name, params):
     fam = states.get_family(spelling)
     assert fam is states.get_family(name)
     want = fam.consonance(**fam.resolve(**params))
-    assert measures.consonance_closed_form(spelling, **params) == want
+    assert states.consonance_closed_form(spelling, **params) == want
 
     args = ",".join(f"{k}={v}" for k, v in params.items())
     assert cli.main(["measure", "--json", "--measure", "consonance_cf",
@@ -206,7 +206,7 @@ def _sums_and_general(ctx, rho):
 def test_werner_measures_match_direct_calls(a):
     ctx = _ctx("werner", a=a)
     _sums_and_general(ctx, states.werner(a))
-    cf = measures.consonance_closed_form("werner", a=a)
+    cf = states.consonance_closed_form("werner", a=a)
     assert _value("consonance_cf", ctx) == cf
     assert _value("discord", ctx) == measures.discord_werner(a)
     c = measures.concurrence_werner(a)
@@ -221,7 +221,7 @@ def test_pair_measures_match_direct_calls(name, a2):
     psi = states.make_family(name, a2=a2)
     _sums_and_general(ctx, density_from_pure(psi))
     a, b = math.sqrt(a2), math.sqrt(1.0 - a2)
-    cf = measures.consonance_closed_form(name, a2=a2)
+    cf = states.consonance_closed_form(name, a2=a2)
     assert cf == 2.0 * a * b
     assert _value("consonance_cf", ctx) == cf
     assert _value("consonance_pure", ctx) == measures.consonance_pure_bipartite(psi)
@@ -241,7 +241,7 @@ def test_pair_with_complex_amplitudes():
 def test_qubit_qutrit_measures_match_direct_calls(alpha, gamma):
     ctx = _ctx("two_param_2x3", alpha=alpha, gamma=gamma)
     _sums_and_general(ctx, states.two_param_qubit_qutrit(alpha, gamma))
-    assert _value("consonance_cf", ctx) == measures.consonance_closed_form(
+    assert _value("consonance_cf", ctx) == states.consonance_closed_form(
         "two_param_2x3", alpha=alpha, gamma=gamma)
     assert _value("discord", ctx) == measures.discord_2x3(alpha, gamma)
     with pytest.raises(ValueError):
@@ -254,7 +254,7 @@ def test_pure_2x2_measures_match_direct_calls():
     psi = states.pure_2x2(**amps)
     rho = density_from_pure(psi)
     _sums_and_general(ctx, rho)
-    cf = measures.consonance_closed_form("pure_2x2", **amps)
+    cf = states.consonance_closed_form("pure_2x2", **amps)
     assert _value("consonance_cf", ctx) == cf
     assert _value("consonance_pure", ctx) == measures.consonance_pure_bipartite(psi)
     assert _value("eof", ctx) == measures.eof_2x2(rho)

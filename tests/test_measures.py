@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from consonance import states
 from consonance.measures import (binary_entropy, concurrence_2x2,
                                  concurrence_werner, consonance_2x3,
-                                 consonance_closed_form, consonance_pure_2x2,
-                                 consonance_pure_bipartite, discord_2x3,
-                                 discord_bell_like, discord_werner, eof_2x2,
-                                 eof_from_concurrence, negativity,
+                                 consonance_pure_2x2, consonance_pure_bipartite,
+                                 discord_2x3, discord_bell_like, discord_werner,
+                                 eof_2x2, eof_from_concurrence, negativity,
                                  schmidt_coefficients, schmidt_decompose)
 from consonance.qstate import (DensityMatrix, ValidationError, density_from_pure,
                                tensor)
+from consonance.states import consonance_closed_form
 
 # hand-checked reference values (40-digit arithmetic, rounded to double)
 EOF_AT_QUARTER = 0.1176188737709179

@@ -173,6 +173,35 @@ def test_report_is_sound():
         report.l_residual, abs=1e-9)
 
 
+def _merged_restart(report):
+    """The restart the merge picks: least S among the feasible ones, else
+    least L; ties go to the lower L, S, then index."""
+    feasible = [r for r in report.per_restart if r.l_residual <= EPS_L]
+    if feasible:
+        return min(feasible, key=lambda r: (r.value, r.l_residual, r.index))
+    return min(report.per_restart, key=lambda r: (r.l_residual, r.value, r.index))
+
+
+def _behind_a_frame(rho, seed):
+    frame = unitary.single_party_circuit(rho.dims)
+    rng = np.random.default_rng(seed)
+    return apply(with_theta(frame, rng.uniform(-math.pi, math.pi, frame.n_theta)), rho)
+
+
+@pytest.mark.parametrize("rho,preset", [
+    (states.werner(0.5), Preset()),
+    (_behind_a_frame(states.two_param_qubit_qutrit(0.1, 0.3), seed=3), Preset()),
+    (states.ghz(3), Preset(kind=NONGLOBAL, depth=3)),
+], ids=["werner", "2x3-random-frame", "ghz3-nonglobal"])
+def test_report_is_the_winning_restarts_record(rho, preset):
+    # the replay and the search run one conjugation, so the report's
+    # value and residual are the chosen restart's own, bit for bit
+    config = OptimizerConfig(preset=preset, restarts=3, seed=7, max_evals=3000)
+    report = consonance(rho, config)
+    chosen = _merged_restart(report)
+    assert (report.value, report.l_residual) == (chosen.value, chosen.l_residual)
+
+
 def test_upper_bound_chain():
     rho = states.werner(0.6)
     report = consonance(rho, CHEAP)

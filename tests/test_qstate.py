@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consonance import qstate, states
+from consonance import qstate, states, unitary
 from consonance.qstate import (DensityMatrix, PureState, ValidationError,
                                density_from_pure, hermitian_eigenvalues,
                                partial_trace, partial_transpose,
@@ -347,6 +346,26 @@ def test_state_json_rejects_garbage_file(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ValidationError):
         qstate.load_state(path)
+
+
+# files json cannot read: nested past the recursion limit, an integer past
+# Python's digit limit, bytes that are not UTF-8
+UNREADABLE = {
+    "deep": b"[" * 200_000 + b"]" * 200_000,
+    "digits": b'{"dims": [2, 2], "kind": "pure", "data": [[' + b"1" * 5001 + b", 0]]}",
+    "not-utf8": b'{"dims": [2, 2], "kind": "pure", "data": "\xe9"}',
+}
+
+
+@pytest.mark.parametrize("raw", UNREADABLE.values(), ids=UNREADABLE)
+def test_one_reader_names_the_kind_of_an_unreadable_file(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(ValidationError, match="^not a JSON state file: "):
+        qstate.load_state(path)
+    with pytest.raises(ValueError, match="^not a JSON circuit file: ") as exc:
+        unitary.load_circuit(path)
+    assert not isinstance(exc.value, ValidationError)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from consonance import states
 from consonance.coherence import local_coherence, nonlocal_sum
-from consonance.qstate import (DensityMatrix, PureState, ValidationError,
-                               density_from_pure, hermitian_eigenvalues,
-                               partial_trace, validate)
+from consonance.qstate import (DensityMatrix, ValidationError, density_from_pure,
+                               hermitian_eigenvalues, partial_trace, validate)
 from consonance.states import (FactorySpecError, TpsRelabeling, bell,
                                bell_like, family_names, get_family,
                                ghz, identity_relabeling, index_relabeling,

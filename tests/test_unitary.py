@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consonance import states, unitary
+from consonance import states
 from consonance.qstate import density_from_pure, hermitian_eigenvalues
 from consonance.unitary import (CircuitLayer, LocalCircuit, UnitaryParams,
                                 apply, build_unitary, circuit_from_json,
@@ -167,6 +167,12 @@ def test_apply_commutes_with_density_from_pure():
     left = density_from_pure(apply(circ, psi))
     right = apply(circ, density_from_pure(psi))
     assert np.allclose(left.entries, right.entries, atol=1e-12)
+
+
+@pytest.mark.parametrize("value", [states.werner(0.5).entries, "werner", None])
+def test_apply_rejects_what_is_not_a_state(value):
+    with pytest.raises(ValueError, match="^not a state value: "):
+        apply(single_party_circuit((2, 2)), value)
 
 
 def test_ghz_witness_reaches_product_state():
