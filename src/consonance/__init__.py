@@ -15,10 +15,9 @@ from .qstate import (DensityMatrix, PureState, ValidationError, Violation,
                      singular_values, tensor, validate)
 from .coherence import (CoherenceClass, CoherenceProfile, classify,
                         local_coherence, nonlocal_sum, profile)
-from .unitary import (CircuitLayer, LocalCircuit, UnitaryParams, apply,
-                      build_unitary, nonglobal_circuit, params_for_unitary,
-                      single_party_circuit)
-from .optimizer import (ConsonanceReport, OptimizerConfig, Preset, consonance,
+from .unitary import (CircuitLayer, LocalCircuit, Preset, UnitaryParams, apply,
+                      build_unitary, params_for_unitary)
+from .optimizer import (ConsonanceReport, OptimizerConfig, consonance,
                         oracle_consonance)
 from .measures import (SchmidtDecomposition, concurrence_2x2,
                        consonance_pure_bipartite, discord_2x3,

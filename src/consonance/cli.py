@@ -6,7 +6,9 @@ state comes either from a JSON file (--state FILE) or from a factory spec
 there and in ``sweep --family``, are normalized once, in
 ``states.get_family``, so ``Werner`` and ``bell-like`` work.  Exit codes: 0
 on success, 1 when a state or parameter fails validation, 2 on usage
-errors.
+errors.  An output file (--report, --out) is opened before the work
+that fills it, by ``_claim_output``, so a path that cannot be written
+exits 2 at once.
 
 The random seed is --seed, 0 by default.  CSV output serializes numbers
 with 9 significant digits and is byte-identical across runs for a fixed
@@ -16,8 +18,10 @@ seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import coherence, measures, optimizer, states, unitary
 from .qstate import (DensityMatrix, PureState, ValidationError, check_integer,
-                     density_from_pure, load_state, save_state, state_to_json)
+                     density_from_pure, load_state, state_to_json)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -289,12 +293,42 @@ def run_sweep(spec: SweepSpec, opt_config: optimizer.OptimizerConfig,
 # --- subcommand handlers -------------------------------------------------
 
 
-def _warm_start(path, template: unitary.LocalCircuit) -> np.ndarray:
+@contextlib.contextmanager
+def _claim_output(path):
+    """Open the output file ``path`` before the work that fills it, so a
+    path that cannot be written (a directory, a missing parent, a
+    read-only file) fails at once, with exit 2.  Yields ``save(text)``,
+    which replaces the file's bytes with ``text``; with no path it does
+    nothing.  The file is not truncated before ``save``, so when the work
+    fails an existing file keeps its bytes and a file made by the claim is
+    removed.  A pipe, such as ``/dev/stdout`` on a pipe, cannot seek and is
+    only written."""
+    if not path:
+        yield lambda text: None
+        return
+    try:
+        fd, made = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, made = os.open(path, os.O_WRONLY), False
+    with open(fd, "w") as fh:
+        def save(text: str) -> None:
+            if fh.seekable():
+                fh.seek(0)
+                fh.truncate()
+            fh.write(text)
+        try:
+            yield save
+        except BaseException:
+            if made:
+                os.remove(path)
+            raise
+
+
+def _warm_start(path, want: list[tuple[int, ...]]) -> np.ndarray:
     """The parameters of a circuit file whose layers act on the search's
-    supports, in the search's order."""
+    supports ``want``, in the search's order."""
     circuit = unitary.load_circuit(path)
     got = [layer.support for layer in circuit.layers]
-    want = [layer.support for layer in template.layers]
     if got != want:
         raise ValueError(f"warm-start circuit {path} acts on supports {got}, "
                          f"but the search on {want}")
@@ -304,7 +338,7 @@ def _warm_start(path, template: unitary.LocalCircuit) -> np.ndarray:
 def _opt_config_from(args, dims=None) -> optimizer.OptimizerConfig:
     """The search config of the flags; ``dims`` are the state's, needed
     only to check a --warm-start circuit."""
-    preset = optimizer.Preset(kind=args.preset, depth=args.depth)
+    preset = unitary.Preset(kind=args.preset, depth=args.depth)
     kwargs = dict(preset=preset, seed=args.seed)
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
@@ -312,7 +346,7 @@ def _opt_config_from(args, dims=None) -> optimizer.OptimizerConfig:
         kwargs["max_evals"] = args.max_evals
     # --warm-start exists on optimize only
     if getattr(args, "warm_start", None):
-        kwargs["warm_starts"] = (_warm_start(args.warm_start, preset.build(dims)),)
+        kwargs["warm_starts"] = (_warm_start(args.warm_start, preset.supports(len(dims))),)
     return optimizer.OptimizerConfig(**kwargs)
 
 
@@ -336,16 +370,15 @@ def cmd_measure(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    rho = _load_source(args).density
-    config = _opt_config_from(args, rho.dims)
-    report = optimizer.consonance(rho, config)
-    obj = optimizer.report_to_json(report)
-    obj["config"] = optimizer.config_to_json(config)
-    obj["seed"] = args.seed
-    text = json.dumps(obj, indent=1)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
+    with _claim_output(args.report) as save:
+        rho = _load_source(args).density
+        config = _opt_config_from(args, rho.dims)
+        report = optimizer.consonance(rho, config)
+        obj = optimizer.report_to_json(report)
+        obj["config"] = optimizer.config_to_json(config)
+        obj["seed"] = args.seed
+        text = json.dumps(obj, indent=1)
+        save(text + "\n")
     print(text)
     return EXIT_OK
 
@@ -372,11 +405,10 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec(family=args.family, axis=args.axis, start=args.start,
                          stop=args.stop, points=args.points,
                          measures=tuple(names.split(",")), fixed=tuple(fixed))
-    text = run_sweep(spec, _opt_config_from(args), args.seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    with _claim_output(args.out) as save:
+        text = run_sweep(spec, _opt_config_from(args), args.seed)
+        save(text)
+    if not args.out:
         sys.stdout.write(text)
     return EXIT_OK
 
@@ -413,10 +445,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_remap(args) -> int:
-    out = states.tps_remap(_load_source(args).density, states.werner_f_prime())
-    if args.out:
-        save_state(out, args.out)
-    else:
+    with _claim_output(args.out) as save:
+        out = states.tps_remap(_load_source(args).density, states.werner_f_prime())
+        save(json.dumps(state_to_json(out), indent=1) + "\n")   # save_state's bytes
+    if not args.out:
         print(json.dumps(state_to_json(out)))
     return EXIT_OK
 
@@ -432,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_opt_flags(p, with_warm=False):
-        p.add_argument("--preset", choices=(unitary.SINGLE_PARTY, unitary.NONGLOBAL),
-                       default=unitary.SINGLE_PARTY)
-        p.add_argument("--depth", type=int, default=3,
+        default = unitary.Preset()
+        p.add_argument("--preset", choices=default.KINDS, default=default.kind)
+        p.add_argument("--depth", type=int, default=default.depth,
                        help="layer budget for the nonglobal preset")
         p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--max-evals", type=int, default=None, dest="max_evals")
@@ -446,9 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate one measure of one state")
     _add_state_source(p)
     p.add_argument("--measure", required=True,
-                   help="consonance_cf, consonance_opt, consonance_pure, "
-                        "concurrence, eof, negativity, discord, nonlocal_sum, "
-                        "local_coherence, c_minus_concurrence")
+                   help=", ".join(_SEARCH_MEASURES + tuple(_MEASURES)))
     p.add_argument("--json", action="store_true")
     add_opt_flags(p)
     p.set_defaults(func=cmd_measure)

@@ -2,7 +2,10 @@
 
 The consonance of a state is the infimum of the nonlocal coherence sum S
 over circuits of local unitaries whose output has vanishing local
-coherence L.  The search runs an exterior penalty scheme,
+coherence L.  The circuits are those of a ``unitary.Preset`` (also
+importable from here): the search builds the preset's circuit at
+theta = 0 and moves only its parameters; it decides no support.  The
+search runs an exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 
@@ -58,32 +61,12 @@ import numpy as np
 from . import coherence, unitary
 from .qstate import (DensityMatrix, PureState, assert_valid, check_integer,
                      check_seed, density_from_pure)
+from .unitary import Preset
 
 EPS_L = 1e-6
 PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, four stages
 ORACLE_CHUNK = 1024    # frames per unitary.conjugate call; bounds peak memory
 _S_AND_L = (coherence.CoherenceClass.NONLOCAL, coherence.CoherenceClass.LOCAL)
-
-
-@dataclass(frozen=True)
-class Preset:
-    """Which circuit family the search optimizes over."""
-
-    kind: str = unitary.SINGLE_PARTY
-    depth: int = 3
-
-    def __post_init__(self):
-        if self.kind not in (unitary.SINGLE_PARTY, unitary.NONGLOBAL):
-            raise ValueError(f"unknown preset kind {self.kind!r}")
-        depth = check_integer(self.depth, "depth")
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        object.__setattr__(self, "depth", depth)
-
-    def build(self, dims) -> unitary.LocalCircuit:
-        if self.kind == unitary.SINGLE_PARTY:
-            return unitary.single_party_circuit(dims)
-        return unitary.nonglobal_circuit(dims, depth=self.depth)
 
 
 def _check_preset(preset) -> None:

@@ -410,9 +410,13 @@ FAMILIES = (
                 "circuits go lower: at depth 3, a CNOT then the inverse "
                 "Bell-basis change takes GHZ(3) to |000>, where S = 0"),
     Family("w", w_state, {"n": int}, "n", aliases=("w_state",),
-           note="no closed form is implemented for W; under the nonglobal "
-                "depth-3 preset W(3) reaches S = L = 0 (criterion 8's witness), "
-                "so search values there are upper bounds on 0"),
+           note="no closed form is implemented for W; for n >= 3 W(n) has no "
+                "zero-L single_party frame, since an L = 0 frame of a pure state "
+                "is a generalized Schmidt form sum_k c_k |k...k> and W(n) is not "
+                "LU-equivalent to any (Dur, Vidal & Cirac, PRA 62, 062314 "
+                "(2000)); W(2) is psi+; under the nonglobal depth-3 preset W(3) "
+                "reaches S = L = 0 (criterion 8's witness), so search values "
+                "there are upper bounds on 0"),
 )
 
 _BY_NAME = {name: fam for fam in FAMILIES for name in (fam.name,) + fam.aliases}

@@ -10,6 +10,12 @@ subset of the parties (its support) and is embedded in the full space as
 U_layer (x) identity.  Layers are applied first to last, so the overall
 unitary is U_L ... U_2 U_1.
 
+A search ranges over the circuits of one :class:`Preset`, and only the
+preset knows its shape: it checks its kind and depth once, lists its
+layer supports in circuit order (:meth:`Preset.supports`, the one place
+the supports are chosen) and builds its circuit at theta = 0 with its tag
+(:meth:`Preset.build`).
+
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
 vectors (B, P) into the stacked circuit unitaries (B, D, D), and one
 conjugation, :func:`conjugate`, turns them into U X U† (B, D, D).  The
@@ -33,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -317,31 +323,45 @@ def default_supports(n: int) -> list[tuple[int, ...]]:
     return sorted(pool)
 
 
-def single_party_circuit(dims) -> LocalCircuit:
-    """One singleton layer per party, in party order, at theta = 0."""
-    dims = check_dims(dims)
-    if len(dims) < 2:
-        raise ValueError("need at least two parties")
-    layers = tuple(CircuitLayer((p,), UnitaryParams.identity(d))
-                   for p, d in enumerate(dims))
-    return LocalCircuit(layers, preset=SINGLE_PARTY)
+@dataclass(frozen=True)
+class Preset:
+    """The circuit shape a search optimizes over, decided here alone.
 
-
-def nonglobal_circuit(dims, depth: int = 3) -> LocalCircuit:
-    """``depth`` layers on the first ``depth`` entries of
+    ``single_party`` is one layer per party, in party order.  ``nonglobal``
+    is ``depth`` layers on the first ``depth`` entries of
     :func:`default_supports`, cycling through the pool again if ``depth``
-    exceeds its length."""
-    dims = check_dims(dims)
-    depth = check_integer(depth, "depth")
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    pool = default_supports(len(dims))
-    layers = []
-    for k in range(depth):
-        s = pool[k % len(pool)]
-        d = math.prod(dims[p] for p in s)
-        layers.append(CircuitLayer(s, UnitaryParams.identity(d)))
-    return LocalCircuit(tuple(layers), preset=f"{NONGLOBAL}:depth={depth}")
+    exceeds its length.  ``depth`` is checked for both kinds but read only
+    by ``nonglobal``.
+    """
+
+    KINDS: ClassVar[tuple[str, ...]] = (SINGLE_PARTY, NONGLOBAL)
+
+    kind: str = SINGLE_PARTY
+    depth: int = 3
+
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown preset kind {self.kind!r}")
+        depth = check_integer(self.depth, "depth")
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
+        object.__setattr__(self, "depth", depth)
+
+    def supports(self, n: int) -> list[tuple[int, ...]]:
+        """The layer supports for n parties, in circuit order."""
+        pool = default_supports(n)
+        if self.kind == SINGLE_PARTY:
+            return [s for s in pool if len(s) == 1]
+        return [pool[k % len(pool)] for k in range(self.depth)]
+
+    def build(self, dims) -> LocalCircuit:
+        """The preset's circuit on ``dims`` at theta = 0, tagged
+        ``single_party`` or ``nonglobal:depth=N``."""
+        dims = check_dims(dims)
+        layers = tuple(CircuitLayer(s, UnitaryParams.identity(math.prod(dims[p] for p in s)))
+                       for s in self.supports(len(dims)))
+        tag = self.kind if self.kind == SINGLE_PARTY else f"{NONGLOBAL}:depth={self.depth}"
+        return LocalCircuit(layers, preset=tag)
 
 
 # --- flat parameter vector <-> circuit ----------------------------------

@@ -265,8 +265,7 @@ def test_criterion_8_classifier_and_profiles():
 
 def test_criterion_8_ghz_witness_certificate():
     witness = unitary.load_circuit(GHZ3_WITNESS)
-    preset = unitary.nonglobal_circuit((2, 2, 2))
-    assert [l.support for l in witness.layers] == [l.support for l in preset.layers]
+    assert [l.support for l in witness.layers] == Preset(kind=NONGLOBAL).supports(3)
     # a tolerance, not ==: the chart inverse goes through scipy's logm
     theta = unitary.theta_vector(witness)
     assert np.max(np.abs(theta - _ghz_witness_theta())) <= 1e-12
@@ -305,7 +304,7 @@ def _w_witness_theta():
 
 
 def test_criterion_8_w_witness_certificate():
-    witness = unitary.with_theta(unitary.nonglobal_circuit((2, 2, 2)),
+    witness = unitary.with_theta(Preset(kind=NONGLOBAL, depth=3).build((2, 2, 2)),
                                  _w_witness_theta())
     final = density_from_pure(apply(witness, states.w_state(3)))
     assert nonlocal_sum(final) <= 1e-12

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from consonance import optimizer, states, unitary
+from consonance import cli, optimizer, states, unitary
 from consonance.cli import SweepSpec, _opt_config_from, build_parser, main
 from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
@@ -30,6 +33,15 @@ def test_measure_discord_werner(capsys):
                        "--family", "werner:0.5")
     assert code == 0
     assert float(out) == pytest.approx(discord_werner(0.5), abs=1e-15)
+
+
+def test_measure_help_lists_every_measure(capsys):
+    with pytest.raises(SystemExit):
+        main(["measure", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    listed = text.split("--measure MEASURE ")[-1].split(" --json")[0].split(", ")
+    assert listed == [*cli._SEARCH_MEASURES, *cli._MEASURES]
+    assert "consonance" in listed
 
 
 def test_measure_closed_form_consonance(capsys):
@@ -400,6 +412,105 @@ def test_sweep_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert path.read_text().startswith("# recipe = fig3")
+
+
+# --- output files --------------------------------------------------------
+
+FIG3_SMALL = ("sweep", "--recipe", "fig3", "--points", "4")
+OPT_SMALL = ("optimize", "--family", "werner:0.5", "--restarts", "1", "--max-evals", "100")
+
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """The searches and sweeps a command runs, recorded as they start."""
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(optimizer, "consonance", spy("consonance", optimizer.consonance))
+    monkeypatch.setattr(cli, "run_sweep", spy("run_sweep", cli.run_sweep))
+    return calls
+
+
+@pytest.mark.parametrize("command", [OPT_SMALL + ("--report",), FIG3_SMALL + ("--out",),
+                                     ("remap", "--family", "werner:0.5", "--out")])
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_an_unwritable_output_fails_before_the_work(tmp_path, capsys, work_calls,
+                                                    command, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out, work_calls) == (2, "", [])
+    assert err.startswith("error: [Errno ")
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                    reason="root writes read-only files")
+@pytest.mark.parametrize("command", [OPT_SMALL + ("--report",), FIG3_SMALL + ("--out",)])
+def test_a_read_only_output_fails_before_the_work(tmp_path, capsys, work_calls, command):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    path.chmod(0o444)
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out, work_calls) == (2, "", [])
+    assert "Permission denied" in err
+    assert path.read_text() == "old\n"
+
+
+@pytest.mark.parametrize("command, target", [(OPT_SMALL + ("--report",), (optimizer, "consonance")),
+                                             (FIG3_SMALL + ("--out",), (cli, "run_sweep"))])
+def test_a_failed_command_leaves_its_output_as_it_was(tmp_path, capsys, monkeypatch,
+                                                       command, target):
+    def fail(*args, **kwargs):
+        raise ValueError("the work failed")
+
+    monkeypatch.setattr(*target, fail)
+    old = tmp_path / "old.txt"
+    old.write_text("old\n")
+    for path in (old, tmp_path / "new.txt"):
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out, err) == (2, "", "error: the work failed\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert old.read_text() == "old\n"
+    # a state that fails validation after the claim leaves nothing behind too
+    code, _, _ = run(capsys, "remap", "--family", "ghz:3", "--out", str(tmp_path / "new.txt"))
+    assert code == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+
+
+def test_an_output_file_holds_exactly_the_text(tmp_path, capsys):
+    # a longer file in the way is cut to the new text
+    path = tmp_path / "out.txt"
+    for command, printed in [(FIG3_SMALL + ("--out",), FIG3_SMALL),
+                             (OPT_SMALL + ("--report",), OPT_SMALL)]:
+        path.write_text("x" * 100_000)
+        assert run(capsys, *command, str(path))[0] == 0
+        code, out, _ = run(capsys, *printed)
+        assert code == 0
+        assert path.read_text() == out
+    path.write_text("x" * 100_000)
+    assert run(capsys, "remap", "--family", "werner:0.9", "--out", str(path))[0] == 0
+    save_state(states.tps_remap(states.werner(0.9), states.werner_f_prime()),
+               tmp_path / "saved.json")
+    assert path.read_bytes() == (tmp_path / "saved.json").read_bytes()
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_sweep_out_dev_stdout(tmp_path, stdout):
+    if not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
+    argv = [sys.executable, "-m", "consonance.cli", *FIG3_SMALL]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    plain = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    sink = tmp_path / "stdout.csv"
+    with open(sink, "w") as fh:
+        got = subprocess.run(argv + ["--out", "/dev/stdout"], env=env, text=True, check=True,
+                             stdout=subprocess.PIPE if stdout == "pipe" else fh).stdout
+    assert (got if stdout == "pipe" else sink.read_text()) == plain.stdout
 
 
 @pytest.mark.parametrize("points", ["0", "1"])

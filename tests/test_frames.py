@@ -213,7 +213,7 @@ def test_frames_without_layers_are_identities():
 
 
 def test_frames_reject_a_misshapen_stack():
-    frames = FrameBuilder(unitary.single_party_circuit((2, 2)), (2, 2))
+    frames = FrameBuilder(unitary.Preset().build((2, 2)), (2, 2))
     with pytest.raises(ValueError):
         frames.unitaries(np.zeros(8))
     with pytest.raises(ValueError):

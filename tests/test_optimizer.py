@@ -10,22 +10,11 @@ from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
                                   config_to_json, consonance, oracle_consonance,
                                   report_to_json)
 from consonance.qstate import DensityMatrix, density_from_pure
-from consonance.unitary import NONGLOBAL, SINGLE_PARTY, apply, with_theta
+from consonance.unitary import NONGLOBAL, apply, with_theta
 from test_acceptance import GHZ3_WITNESS
 
 CHEAP = OptimizerConfig(restarts=2, seed=7, max_evals=3000)
 TOL_VALUE = 1e-6       # tolerance on a searched value, added to the budget slack
-
-
-def test_preset_build_and_tag():
-    p = Preset()
-    assert p.kind == SINGLE_PARTY
-    circ = p.build((2, 3))
-    assert circ.preset == "single_party"
-    assert [l.support for l in circ.layers] == [(0,), (1,)]
-    circ = Preset(kind=NONGLOBAL, depth=3).build((2, 2, 2))
-    assert circ.preset == "nonglobal:depth=3"
-    assert [l.support for l in circ.layers] == [(0,), (0, 1), (0, 2)]
 
 
 def test_config_validation():
@@ -66,14 +55,6 @@ def test_seeds_at_the_ends_of_the_range_run(seed):
     assert oracle_consonance(states.werner(0.5), samples=4, seed=seed).samples == 4
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"depth": 2.7}, {"depth": 3.0}, {"depth": True}, {"depth": "3"},
-])
-def test_preset_rejects_non_integers(kwargs):
-    with pytest.raises(ValueError, match="integer"):
-        Preset(kind=NONGLOBAL, **kwargs)
-
-
 NOT_PRESETS = ["nonglobal", "single_party", "", {"kind": NONGLOBAL}, 3]
 
 
@@ -89,11 +70,6 @@ def test_config_rejects_a_preset_that_is_not_a_preset(preset):
 def test_oracle_rejects_a_preset_that_is_not_a_preset(preset):
     with pytest.raises(ValueError, match="Preset"):
         oracle_consonance(states.werner(0.5), preset=preset, samples=4)
-
-
-def test_preset_stores_numpy_integers_as_int():
-    p = Preset(kind=NONGLOBAL, depth=np.int64(2))
-    assert p.depth == 2 and type(p.depth) is int
 
 
 def test_config_stores_numpy_integers_as_int():
@@ -183,7 +159,7 @@ def _merged_restart(report):
 
 
 def _behind_a_frame(rho, seed):
-    frame = unitary.single_party_circuit(rho.dims)
+    frame = Preset().build(rho.dims)
     rng = np.random.default_rng(seed)
     return apply(with_theta(frame, rng.uniform(-math.pi, math.pi, frame.n_theta)), rho)
 
@@ -213,7 +189,7 @@ def test_upper_bound_chain():
 
 def test_local_unitary_invariance():
     rho = states.werner(0.6)
-    frame = with_theta(unitary.single_party_circuit((2, 2)),
+    frame = with_theta(Preset().build((2, 2)),
                        np.array([0.3, -0.9, 0.4, 1.1, -0.2, 0.7, 0.05, -1.3]))
     rotated = apply(frame, rho)
     a = consonance(rho, CHEAP)

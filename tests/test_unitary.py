@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consonance import states
+import consonance
+from consonance import optimizer, states
 from consonance.qstate import density_from_pure, hermitian_eigenvalues
-from consonance.unitary import (CircuitLayer, LocalCircuit, UnitaryParams,
-                                apply, build_unitary, circuit_from_json,
+from consonance.unitary import (NONGLOBAL, SINGLE_PARTY, CircuitLayer,
+                                LocalCircuit, Preset, UnitaryParams, apply,
+                                build_unitary, circuit_from_json,
                                 circuit_to_json, circuit_unitary,
                                 default_supports, load_circuit, n_params,
-                                nonglobal_circuit, params_for_unitary,
-                                save_circuit, single_party_circuit,
+                                params_for_unitary, save_circuit,
                                 theta_vector, with_theta)
 from test_acceptance import GHZ3_WITNESS
 from test_frames import embed_matrix, hermitian_from_theta
@@ -147,7 +148,7 @@ def test_layer_support_must_be_sorted():
 
 
 def test_apply_preserves_norm_and_spectrum():
-    circ = nonglobal_circuit((2, 2, 2))
+    circ = Preset(NONGLOBAL).build((2, 2, 2))
     theta = np.random.Generator(np.random.Philox(key=11)).uniform(
         -np.pi, np.pi, circ.n_theta)
     circ = with_theta(circ, theta)
@@ -161,7 +162,7 @@ def test_apply_preserves_norm_and_spectrum():
 
 
 def test_apply_commutes_with_density_from_pure():
-    circ = with_theta(single_party_circuit((2, 3)),
+    circ = with_theta(Preset().build((2, 3)),
                       np.linspace(-1.0, 1.0, 13))
     psi = states.random_pure((2, 3), seed=8)
     left = density_from_pure(apply(circ, psi))
@@ -172,7 +173,7 @@ def test_apply_commutes_with_density_from_pure():
 @pytest.mark.parametrize("value", [states.werner(0.5).entries, "werner", None])
 def test_apply_rejects_what_is_not_a_state(value):
     with pytest.raises(ValueError, match="^not a state value: "):
-        apply(single_party_circuit((2, 2)), value)
+        apply(Preset().build((2, 2)), value)
 
 
 def test_ghz_witness_reaches_product_state():
@@ -201,39 +202,81 @@ def test_default_supports():
     assert default_supports(3) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
 
 
-def test_single_party_preset():
-    circ = single_party_circuit((2, 3, 2))
-    assert circ.preset == "single_party"
-    assert [l.support for l in circ.layers] == [(0,), (1,), (2,)]
-    assert [l.params.dim for l in circ.layers] == [2, 3, 2]
-    assert circ.n_theta == 4 + 9 + 4
-    assert np.allclose(circuit_unitary(circ, (2, 3, 2)), np.eye(12))
+# every singleton and pair support in lexicographic order; a pair is
+# global, so left out, at two parties
+POOLS = {
+    2: [(0,), (1,)],
+    3: [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)],
+    4: [(0,), (0, 1), (0, 2), (0, 3), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)],
+}
 
 
-def test_nonglobal_preset_depth_three():
-    circ = nonglobal_circuit((2, 2, 2))
-    assert circ.preset == "nonglobal:depth=3"
-    assert [l.support for l in circ.layers] == [(0,), (0, 1), (0, 2)]
-    assert circ.n_theta == 4 + 16 + 16
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 3, 2, 3)])
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_preset_builds_its_supports_at_theta_zero(dims, depth):
+    n = len(dims)
+    pool = POOLS[n]
+    want = {SINGLE_PARTY: [(p,) for p in range(n)],
+            NONGLOBAL: [pool[k % len(pool)] for k in range(depth)]}
+    tags = {SINGLE_PARTY: "single_party", NONGLOBAL: f"nonglobal:depth={depth}"}
+    for kind in (SINGLE_PARTY, NONGLOBAL):
+        preset = Preset(kind, depth)
+        assert preset.supports(n) == want[kind]
+        circ = preset.build(dims)
+        assert circ.preset == tags[kind]
+        assert [l.support for l in circ.layers] == want[kind]
+        assert [l.params.dim for l in circ.layers] == [
+            math.prod(dims[p] for p in s) for s in want[kind]]
+        assert circ.n_theta == sum(l.params.dim ** 2 for l in circ.layers)
+        assert np.array_equal(theta_vector(circ), np.zeros(circ.n_theta))
+        assert np.allclose(circuit_unitary(circ, dims), np.eye(math.prod(dims)),
+                           atol=1e-15)
+    # depth is read by nonglobal only: single_party is the same circuit at every depth
+    assert circuit_to_json(Preset(SINGLE_PARTY, depth).build(dims)) == \
+        circuit_to_json(Preset().build(dims))
 
 
-def test_nonglobal_preset_cycles_pool():
-    circ = nonglobal_circuit((2, 2, 2), depth=7)
-    assert [l.support for l in circ.layers] == [
-        (0,), (0, 1), (0, 2), (1,), (1, 2), (2,), (0,)]
+def test_preset_defaults_and_equality():
+    assert optimizer.Preset is consonance.Preset is Preset
+    assert (Preset().kind, Preset().depth) == (SINGLE_PARTY, 3)
+    assert Preset(NONGLOBAL).build((2, 2, 2)).n_theta == 4 + 16 + 16
+    # equal presets are equal keys (the benchmark keys its cases by preset)
+    same = Preset(NONGLOBAL, np.int64(3))
+    assert same == Preset(kind=NONGLOBAL, depth=3)
+    assert hash(same) == hash(Preset(kind=NONGLOBAL, depth=3))
+    assert len({Preset(), Preset(SINGLE_PARTY, 3), same, Preset(NONGLOBAL, 4)}) == 3
+    assert Preset(SINGLE_PARTY, 2) != Preset()
 
 
-def test_nonglobal_two_parties_has_no_pairs():
-    circ = nonglobal_circuit((2, 2), depth=3)
-    assert [l.support for l in circ.layers] == [(0,), (1,), (0,)]
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"depth": 3.9}, {"depth": 3.0}, {"depth": True}, {"depth": "3"},
-])
-def test_nonglobal_rejects_non_integers(kwargs):
+@pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
+@pytest.mark.parametrize("depth", [2.7, 3.9, 3.0, True, "3"])
+def test_preset_rejects_non_integer_depths(kind, depth):
     with pytest.raises(ValueError, match="integer"):
-        nonglobal_circuit((2, 2, 2), **kwargs)
+        Preset(kind, depth)
+
+
+@pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_preset_rejects_depths_below_one(kind, depth):
+    with pytest.raises(ValueError, match=f"^depth must be >= 1, got {depth}$"):
+        Preset(kind, depth)
+
+
+@pytest.mark.parametrize("kind", ["global", "", "Single_Party", None])
+def test_preset_rejects_unknown_kinds(kind):
+    with pytest.raises(ValueError, match="unknown preset kind"):
+        Preset(kind)
+
+
+def test_preset_stores_numpy_integers_as_int():
+    p = Preset(NONGLOBAL, depth=np.int64(2))
+    assert p.depth == 2 and type(p.depth) is int
+
+
+@pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
+def test_preset_needs_two_parties(kind):
+    with pytest.raises(ValueError, match="at least two parties"):
+        Preset(kind).build((2,))
 
 
 @pytest.mark.parametrize("support", [(0.9,), (1.2,), (False,), (0, True), (0, "1"),
@@ -261,7 +304,7 @@ def test_dimension_must_be_an_integer(dim):
 
 
 def test_theta_vector_round_trip():
-    circ = nonglobal_circuit((2, 2))
+    circ = Preset(NONGLOBAL).build((2, 2))
     assert np.array_equal(theta_vector(circ), np.zeros(circ.n_theta))
     theta = np.arange(circ.n_theta, dtype=float) / 7.0
     again = theta_vector(with_theta(circ, theta))
@@ -271,7 +314,7 @@ def test_theta_vector_round_trip():
 
 
 def test_circuit_json_round_trip(tmp_path):
-    circ = with_theta(nonglobal_circuit((2, 2, 2)),
+    circ = with_theta(Preset(NONGLOBAL).build((2, 2, 2)),
                       np.linspace(-2.0, 2.0, 36))
     obj = circuit_to_json(circ)
     assert obj["preset"] == "nonglobal:depth=3"
