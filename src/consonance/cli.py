@@ -324,29 +324,18 @@ def _claim_output(path):
             raise
 
 
-def _warm_start(path, want: list[tuple[int, ...]]) -> np.ndarray:
-    """The parameters of a circuit file whose layers act on the search's
-    supports ``want``, in the search's order."""
-    circuit = unitary.load_circuit(path)
-    got = [layer.support for layer in circuit.layers]
-    if got != want:
-        raise ValueError(f"warm-start circuit {path} acts on supports {got}, "
-                         f"but the search on {want}")
-    return unitary.theta_vector(circuit)
-
-
-def _opt_config_from(args, dims=None) -> optimizer.OptimizerConfig:
-    """The search config of the flags; ``dims`` are the state's, needed
-    only to check a --warm-start circuit."""
-    preset = unitary.Preset(kind=args.preset, depth=args.depth)
-    kwargs = dict(preset=preset, seed=args.seed)
+def _opt_config_from(args) -> optimizer.OptimizerConfig:
+    """The search config of the flags; a --warm-start circuit is checked
+    by the search, against its own circuit."""
+    kwargs = dict(preset=unitary.Preset(kind=args.preset, depth=args.depth),
+                  seed=args.seed)
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     if args.max_evals is not None:
         kwargs["max_evals"] = args.max_evals
     # --warm-start exists on optimize only
     if getattr(args, "warm_start", None):
-        kwargs["warm_starts"] = (_warm_start(args.warm_start, preset.supports(len(dims))),)
+        kwargs["warm_starts"] = (unitary.load_circuit(args.warm_start),)
     return optimizer.OptimizerConfig(**kwargs)
 
 
@@ -372,7 +361,7 @@ def cmd_measure(args) -> int:
 def cmd_optimize(args) -> int:
     with _claim_output(args.report) as save:
         rho = _load_source(args).density
-        config = _opt_config_from(args, rho.dims)
+        config = _opt_config_from(args)
         report = optimizer.consonance(rho, config)
         obj = optimizer.report_to_json(report)
         obj["config"] = optimizer.config_to_json(config)
@@ -416,7 +405,7 @@ def cmd_sweep(args) -> int:
 def cmd_schmidt(args) -> int:
     state = _load_source(args).state
     if not isinstance(state, PureState):
-        raise ValidationError("schmidt needs a pure state")
+        raise ValueError("schmidt needs a pure state")
     dec = measures.schmidt_decompose(state)
     if args.json:
         print(json.dumps({"coefficients": [float(c) for c in dec.coefficients]}))

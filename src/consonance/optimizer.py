@@ -13,11 +13,15 @@ with mu escalating through a fixed stage schedule, Nelder-Mead as the
 inner search, and multiple restarts: the identity frame first (theta = 0),
 then optional caller-supplied warm starts, then uniform random draws in
 [-pi, pi]^P from a counter-based Philox stream keyed by the seed, one
-jump per restart index.  A restart whose final L still exceeds eps_L gets
-a feasibility polish that minimizes L alone.  Results are merged
-deterministically: among feasible candidates the lowest value wins, ties
-broken by lower L residual and then lower restart index; if no restart is
-feasible the minimal-L candidate is reported with ``feasible=False``.
+jump per restart index.  A warm start is a circuit, such as a circuit
+file or an earlier report's circuit; the search starts from its
+parameters only if its layers have the same (support, dimension) list as
+the preset's circuit, and otherwise raises before it evaluates a frame.
+A restart whose final L still exceeds eps_L gets a feasibility polish
+that minimizes L alone.  Results are merged deterministically: among
+feasible candidates the lowest value wins, ties broken by lower L
+residual and then lower restart index; if no restart is feasible the
+minimal-L candidate is reported with ``feasible=False``.
 
 Every restart runs in lockstep with the others.  Each restart is a
 generator that yields the frames it needs next (its initial simplex, one
@@ -81,7 +85,9 @@ class OptimizerConfig:
     ``max_evals`` is a budget per restart, not a total: each of the four
     penalty stages and the feasibility polish may use ``max_evals // 5``
     evaluations (at least 50).  ``eps_l`` reads the fixed feasibility
-    tolerance ``EPS_L``.
+    tolerance ``EPS_L``.  ``warm_starts`` holds ``unitary.LocalCircuit``
+    values; ``consonance()`` checks each against its own circuit, layer
+    by layer, by support and dimension.
     """
 
     preset: Preset = field(default_factory=Preset)
@@ -100,10 +106,7 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_evals < 100:
             raise ValueError(f"max_evals too small: {self.max_evals}")
-        warm = tuple(np.array(w, dtype=np.float64) for w in self.warm_starts)
-        if not all(np.isfinite(w).all() for w in warm):
-            raise ValueError("warm starts must hold finite parameters only")
-        object.__setattr__(self, "warm_starts", warm)
+        object.__setattr__(self, "warm_starts", tuple(self.warm_starts))
 
 
 @dataclass(frozen=True)
@@ -268,15 +271,26 @@ def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
     return x, float(s[0]), float(l[0])
 
 
-def _start_points(config: OptimizerConfig, n_theta: int):
+def _layer_shape(circuit) -> list | str:
+    """The (support, dimension) of each layer of a circuit; for anything
+    else, its type name."""
+    if not isinstance(circuit, unitary.LocalCircuit):
+        return type(circuit).__name__
+    return [(layer.support, layer.params.dim) for layer in circuit.layers]
+
+
+def _start_points(config: OptimizerConfig, template: unitary.LocalCircuit):
     """Yield (kind, theta0) per restart; random streams depend only on
-    (seed, restart position), so warm starts never shift them."""
+    (seed, restart position), so warm starts never shift them.  A warm
+    start must have the template's layers, by support and dimension."""
+    n_theta = template.n_theta
     yield "identity", np.zeros(n_theta)
+    want = _layer_shape(template)
     for w in config.warm_starts:
-        if w.shape != (n_theta,):
-            raise ValueError(f"warm start must have shape ({n_theta},), "
-                             f"got {w.shape}")
-        yield "warm", w
+        if _layer_shape(w) != want:
+            raise ValueError(f"a warm start must have the search's layers (support, "
+                             f"dimension) {want}, got {_layer_shape(w)}")
+        yield "warm", unitary.theta_vector(w)
     for j in range(1, config.restarts):
         stream = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
         yield "random", stream.uniform(-math.pi, math.pi, size=n_theta)
@@ -293,7 +307,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     config = config or OptimizerConfig()
     rho, template, frames = _search_setup(rho, config.preset)
 
-    starts = list(_start_points(config, frames.n_theta))
+    starts = list(_start_points(config, template))
     searches = [_search_one(x0, frames.n_theta, config) for _, x0 in starts]
     pending = [next(search) for search in searches]
     evals = [0] * len(searches)
@@ -400,7 +414,7 @@ def config_to_json(config: OptimizerConfig) -> dict:
         "mu_stages": len(PENALTY_MUS),
         "eps_l": EPS_L,
         "max_evals": config.max_evals,
-        "warm_starts": [w.tolist() for w in config.warm_starts],
+        "warm_starts": [unitary.theta_vector(w).tolist() for w in config.warm_starts],
     }
 
 

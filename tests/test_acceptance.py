@@ -231,8 +231,9 @@ def _delta_class(row, col):
     return CoherenceClass.LOCAL
 
 
-# the committed GHZ(3) certificate, which `optimize --warm-start` reads
+# the committed GHZ(3) and W(3) certificates, which `optimize --warm-start` reads
 GHZ3_WITNESS = Path(__file__).resolve().parents[1] / "results" / "ghz3_witness.json"
+W3_WITNESS = GHZ3_WITNESS.with_name("w3_witness.json")
 
 
 def _ghz_witness_theta():
@@ -276,7 +277,7 @@ def test_criterion_8_ghz_witness_certificate():
 
     config = OptimizerConfig(preset=Preset(kind=NONGLOBAL, depth=3),
                              restarts=2, seed=11, max_evals=3000,
-                             warm_starts=(theta,))
+                             warm_starts=(witness,))
     report = consonance(density_from_pure(states.ghz(3)), config)
     assert report.feasible
     assert report.value <= 1e-4
@@ -304,8 +305,11 @@ def _w_witness_theta():
 
 
 def test_criterion_8_w_witness_certificate():
-    witness = unitary.with_theta(Preset(kind=NONGLOBAL, depth=3).build((2, 2, 2)),
-                                 _w_witness_theta())
+    witness = unitary.load_circuit(W3_WITNESS)
+    assert [l.support for l in witness.layers] == Preset(kind=NONGLOBAL).supports(3)
+    # a tolerance, not ==: the chart inverse goes through scipy's logm
+    theta = unitary.theta_vector(witness)
+    assert np.max(np.abs(theta - _w_witness_theta())) <= 1e-12
     final = density_from_pure(apply(witness, states.w_state(3)))
     assert nonlocal_sum(final) <= 1e-12
     assert local_coherence(final) <= EPS_L

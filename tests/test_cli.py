@@ -16,6 +16,7 @@ from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
 from consonance.qstate import save_state, state_from_json, state_to_json
 from test_acceptance import GHZ3_WITNESS
+from test_optimizer import no_frames
 from test_qstate import UNREADABLE
 
 
@@ -217,8 +218,15 @@ def test_schmidt_json(capsys):
 
 
 def test_schmidt_rejects_density(capsys):
+    # a state of the wrong kind for the command is a usage error, as for
+    # every other command
     code, _, err = run(capsys, "schmidt", "--family", "werner:0.5")
-    assert code == 1
+    assert code == 2
+    assert err == "error: schmidt needs a pure state\n"
+    code, _, err = run(capsys, "measure", "--measure", "consonance_pure",
+                       "--family", "werner:0.5")
+    assert code == 2
+    assert err == "error: consonance_pure needs a pure state\n"
 
 
 # --- classify ------------------------------------------------------------
@@ -609,7 +617,38 @@ def test_optimize_rejects_a_warm_start_on_other_supports(tmp_path, capsys):
                          "--preset", "nonglobal", "--restarts", "1",
                          "--max-evals", "100", "--warm-start", str(path))
     assert (code, out) == (2, "")
-    assert "[(2,), (1, 2), (0, 1)]" in err and "[(0,), (0, 1), (0, 2)]" in err
+    assert "[((2,), 2), ((1, 2), 4), ((0, 1), 4)]" in err
+    assert "[((0,), 2), ((0, 1), 4), ((0, 2), 4)]" in err
+
+
+def test_optimize_rejects_a_warm_start_of_other_layer_dimensions(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the search's supports and 36 parameters, cut 16, 4, 16 instead of 4, 16, 16
+    layers = [{"support": s, "theta": [0.1] * n}
+              for s, n in (([0], 16), ([0, 1], 4), ([0, 2], 16))]
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps({"layers": layers}))
+    no_frames(monkeypatch)
+    code, out, err = run(capsys, "optimize", "--family", "ghz:3",
+                         "--preset", "nonglobal", "--restarts", "1",
+                         "--max-evals", "100", "--warm-start", str(path))
+    assert (code, out) == (2, "")
+    assert "[((0,), 4), ((0, 1), 2), ((0, 2), 4)]" in err
+    assert "[((0,), 2), ((0, 1), 4), ((0, 2), 4)]" in err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_optimize_rejects_a_non_finite_warm_start(tmp_path, capsys, monkeypatch, bad):
+    # Python's json reads these literals as floats
+    path = tmp_path / "bad.json"
+    path.write_text('{"layers": [{"support": [0], "theta": [0, %s, 0, 0]}, '
+                    '{"support": [1], "theta": [0, 0, 0, 0]}]}' % bad)
+    no_frames(monkeypatch)
+    code, out, err = run(capsys, "optimize", "--family", "werner:0.5",
+                         "--restarts", "1", "--max-evals", "100",
+                         "--warm-start", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: theta contains non-finite entries\n"
 
 
 @pytest.mark.parametrize("obj", [{"layers": 5},

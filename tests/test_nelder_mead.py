@@ -169,10 +169,11 @@ def test_lockstep_restarts_match_solo_runs(rho, preset):
             _scipy_restart(rho, template, x0, config)
         if j == 0:
             continue
+        warm = unitary.with_theta(template, x0)
         solo = consonance(rho, OptimizerConfig(preset=preset, restarts=1,
                                                seed=config.seed,
                                                max_evals=config.max_evals,
-                                               warm_starts=(x0,)))
+                                               warm_starts=(warm,)))
         assert solo.per_restart[0] == lockstep.per_restart[0]
         got = solo.per_restart[1]
         assert (got.value, got.l_residual, got.evals) == \

@@ -219,11 +219,10 @@ def test_restart_records():
 
 
 def test_warm_start_is_used():
-    # hand the GHZ witness parameters to the non-global search
-    witness = unitary.theta_vector(unitary.load_circuit(GHZ3_WITNESS))
+    # hand the GHZ witness circuit to the non-global search
     config = OptimizerConfig(preset=Preset(kind=NONGLOBAL, depth=3),
                              restarts=2, seed=0, max_evals=4000,
-                             warm_starts=(witness,))
+                             warm_starts=(unitary.load_circuit(GHZ3_WITNESS),))
     report = consonance(density_from_pure(states.ghz(3)), config)
     assert report.feasible
     assert report.value <= 1e-4
@@ -232,16 +231,35 @@ def test_warm_start_is_used():
     assert [r.kind for r in report.per_restart] == ["identity", "warm", "random"]
 
 
-def test_warm_start_shape_is_checked():
-    config = OptimizerConfig(restarts=2, warm_starts=(np.zeros(3),))
-    with pytest.raises(ValueError):
-        consonance(states.werner(0.5), config)
+def no_frames(monkeypatch):
+    """Make any frame evaluation of the search fail the test."""
+    def evaluate(*args):
+        raise AssertionError("a frame was evaluated")
+    monkeypatch.setattr(optimizer, "_frame_sums", evaluate)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_warm_start_must_be_finite(bad):
-    with pytest.raises(ValueError, match="finite"):
-        OptimizerConfig(restarts=2, warm_starts=(np.zeros(8), [0.0, bad, 0.0]))
+def _circuit_of(shape):
+    """A circuit with the given (support, dimension) layers, theta = 0.1."""
+    return unitary.LocalCircuit(tuple(
+        unitary.CircuitLayer(s, unitary.UnitaryParams(d, np.full(d * d, 0.1)))
+        for s, d in shape))
+
+
+@pytest.mark.parametrize("warm", [
+    # the search's 36 parameters, on other parties
+    _circuit_of([((2,), 2), ((1, 2), 4), ((0, 1), 4)]),
+    # the search's supports, with the first two layer dimensions swapped
+    _circuit_of([((0,), 4), ((0, 1), 2), ((0, 2), 4)]),
+    # a raw parameter vector of the right length
+    np.zeros(36),
+], ids=["other-supports", "other-dimensions", "raw-array"])
+def test_warm_start_must_match_the_search_circuit(monkeypatch, warm):
+    no_frames(monkeypatch)
+    config = OptimizerConfig(preset=Preset(kind=NONGLOBAL, depth=3), restarts=2,
+                             warm_starts=(warm,))
+    with pytest.raises(ValueError) as err:
+        consonance(density_from_pure(states.ghz(3)), config)
+    assert "[((0,), 2), ((0, 1), 4), ((0, 2), 4)]" in str(err.value)
 
 
 def test_accepts_pure_state_input():
