@@ -9,8 +9,8 @@ closed-form discord) and tensor-product-structure remapping round out the
 toolkit; the ``consonance`` CLI exposes all of it.
 """
 
-from .qstate import (DensityMatrix, PureState, ValidationError, Violation,
-                     assert_valid, density_from_pure, hermitian_eigenvalues,
+from .qstate import (DensityMatrix, PureState, ValidationError, Violation, as_density,
+                     assert_valid, check_state, density_from_pure, hermitian_eigenvalues,
                      load_state, partial_trace, partial_transpose, save_state,
                      singular_values, tensor, validate)
 from .coherence import (CoherenceClass, CoherenceProfile, classify,

@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import coherence, measures, optimizer, states, unitary
-from .qstate import (DensityMatrix, PureState, ValidationError, check_integer,
-                     density_from_pure, load_state, state_to_json)
+from .qstate import (DensityMatrix, ValidationError, as_density, check_integer, json_text,
+                     load_state, state_to_json)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -66,9 +66,7 @@ class MeasureContext:
 
     @cached_property
     def density(self) -> DensityMatrix:
-        if isinstance(self.state, PureState):
-            return density_from_pure(self.state)
-        return self.state
+        return as_density(self.state)
 
     @cached_property
     def profile(self) -> coherence.CoherenceProfile:
@@ -130,16 +128,10 @@ def _negativity(ctx: MeasureContext) -> float:
     return measures.negativity(ctx.density)
 
 
-def _consonance_pure(ctx: MeasureContext) -> float:
-    if not isinstance(ctx.state, PureState):
-        raise ValueError("consonance_pure needs a pure state")
-    return measures.consonance_pure_bipartite(ctx.state)
-
-
 # every measure but the search: name -> its value at a context
 _MEASURES = {
     "consonance_cf": _consonance_cf,
-    "consonance_pure": _consonance_pure,
+    "consonance_pure": lambda ctx: measures.consonance_pure_bipartite(ctx.state),
     "concurrence": lambda ctx: measures.concurrence_2x2(ctx.density),
     "eof": _eof,
     "negativity": _negativity,
@@ -366,9 +358,9 @@ def cmd_optimize(args) -> int:
         obj = optimizer.report_to_json(report)
         obj["config"] = optimizer.config_to_json(config)
         obj["seed"] = args.seed
-        text = json.dumps(obj, indent=1)
-        save(text + "\n")
-    print(text)
+        text = json_text(obj)
+        save(text)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -403,10 +395,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_schmidt(args) -> int:
-    state = _load_source(args).state
-    if not isinstance(state, PureState):
-        raise ValueError("schmidt needs a pure state")
-    dec = measures.schmidt_decompose(state)
+    dec = measures.schmidt_decompose(_load_source(args).state)
     if args.json:
         print(json.dumps({"coefficients": [float(c) for c in dec.coefficients]}))
     else:
@@ -436,7 +425,7 @@ def cmd_classify(args) -> int:
 def cmd_remap(args) -> int:
     with _claim_output(args.out) as save:
         out = states.tps_remap(_load_source(args).density, states.werner_f_prime())
-        save(json.dumps(state_to_json(out), indent=1) + "\n")   # save_state's bytes
+        save(json_text(state_to_json(out)))
     if not args.out:
         print(json.dumps(state_to_json(out)))
     return EXIT_OK

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import DensityMatrix, check_dims, check_integer
+from .qstate import DensityMatrix, as_density, check_dims, check_integer
 
 
 class CoherenceClass(Enum):
@@ -135,6 +135,7 @@ def local_screen(mats, dims, bound: float) -> np.ndarray:
 
 
 def _one_matrix_sums(rho: DensityMatrix, classes) -> list[float]:
+    rho = as_density(rho)
     return [sums[0] for sums in class_sums(rho.entries, rho.dims, classes)]
 
 

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (TOL_UNIT, DensityMatrix, PureState, assert_normalized, assert_valid,
-                     check_normalized, check_residual, check_unit_interval, partial_transpose)
+from .qstate import (TOL_UNIT, DensityMatrix, PureState, as_density, assert_normalized,
+                     assert_valid, check_normalized, check_residual, check_unit_interval,
+                     partial_transpose)
 
 
 def _xlog2(x: float) -> float:
@@ -51,10 +52,9 @@ class SchmidtDecomposition:
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtDecomposition:
-    if psi.n_parties != 2:
+    if assert_normalized(psi).n_parties != 2:
         raise ValueError(f"Schmidt decomposition needs exactly two parties, "
                          f"got dims {psi.dims}")
-    assert_normalized(psi)
     d1, d2 = psi.dims
     m = psi.amps.reshape(d1, d2)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -77,9 +77,8 @@ def consonance_pure_bipartite(psi: PureState) -> float:
     the same in every zero-L frame, so no search is needed.  For 2x2 it
     reduces to 2 P_1 P_2 = 2|ad - bc|.
     """
-    if psi.n_parties != 2:
+    if assert_normalized(psi).n_parties != 2:
         raise ValueError(f"need exactly two parties, got dims {psi.dims}")
-    assert_normalized(psi)
     m = psi.amps.reshape(psi.dims)
     # not schmidt_decompose: its full svd's values differ in the last bits
     p = np.linalg.svd(m, compute_uv=False)
@@ -115,9 +114,9 @@ def concurrence_2x2(rho: DensityMatrix) -> float:
     near-zero eigenvalues of rho rho~, which would cap the accuracy at
     sqrt(machine eps) for rank-deficient states.
     """
+    rho = assert_valid(as_density(rho))
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence is defined for dims (2, 2), got {rho.dims}")
-    assert_valid(rho)
     root = _psd_sqrt(rho.entries)
     lam = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
     return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
@@ -146,7 +145,7 @@ def negativity(rho: DensityMatrix) -> float:
     transpose is the full transpose of this one, rho^{T_B} = (rho^{T_A})^T,
     with the same spectrum, so the choice of party cannot change the value.
     """
-    assert_valid(rho)
+    rho = assert_valid(as_density(rho))
     pt = partial_transpose(rho, 0)
     pt = (pt + pt.conj().T) / 2.0
     trace_norm = math.fsum(np.abs(np.linalg.eigvalsh(pt)).tolist())

@@ -56,6 +56,7 @@ restart's record.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -63,8 +64,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import coherence, unitary
-from .qstate import (DensityMatrix, PureState, assert_valid, check_integer,
-                     check_seed, density_from_pure)
+from .qstate import DensityMatrix, as_density, assert_valid, check_integer, check_seed
 from .unitary import Preset
 
 EPS_L = 1e-6
@@ -132,10 +132,8 @@ class ConsonanceReport:
 def _search_setup(rho, preset: Preset):
     """What both searches start from: ``rho`` as a checked density matrix,
     the preset's circuit on its dims, and the frame builder for it."""
-    if isinstance(rho, PureState):
-        rho = density_from_pure(rho)
     _check_preset(preset)
-    assert_valid(rho)
+    rho = assert_valid(as_density(rho))
     template = preset.build(rho.dims)
     return rho, template, unitary.FrameBuilder(template, rho.dims)
 
@@ -425,10 +423,6 @@ def report_to_json(report: ConsonanceReport) -> dict:
         "feasible": report.feasible,
         "preset": report.preset,
         "n_evals": report.n_evals,
-        "per_restart": [
-            {"index": r.index, "kind": r.kind, "value": r.value,
-             "l_residual": r.l_residual, "evals": r.evals}
-            for r in report.per_restart
-        ],
+        "per_restart": [dataclasses.asdict(r) for r in report.per_restart],
         "circuit": unitary.circuit_to_json(report.circuit),
     }

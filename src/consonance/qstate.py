@@ -11,14 +11,24 @@ All operations return new values; stored arrays are marked read only.
 
 This module is the one home of the physicality checks and their tolerances;
 each helper compares so that NaN fails, and raises :class:`ValidationError`.
+
+It alone decides a state's kind.  Both kinds share one shape: ``dims``, the
+array ``data`` (``amps`` or ``entries``) with one axis per copy of the
+party indices, and the ``KIND`` a state file names.  :func:`check_state`
+is the one place that rejects a value that is no state, or a state of the
+wrong kind, with ``ValueError``; :func:`as_density` turns either kind into
+a density matrix.  Every other module reads states through these.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
+import pathlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -119,8 +129,22 @@ def frozen_complex(data, shape, what: str) -> np.ndarray:
     return arr
 
 
-class _Parties:
-    """What a state's ``dims`` give: the dimension and the party count."""
+class _State:
+    """What both kinds of state share: ``dims``, and the array ``data``,
+    named ``amps`` or ``entries`` in ``_FIELD`` alone, with one axis per
+    copy of the party indices.  ``KIND`` is the kind a state file names."""
+
+    def _freeze(self, axes: int, what: str) -> None:
+        """Check ``dims`` and the array's shape and finiteness; store both,
+        the array as a read-only copy."""
+        dims = check_dims(self.dims)
+        data = frozen_complex(self.data, (math.prod(dims),) * axes, what)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, self._FIELD, data)
+
+    @property
+    def data(self) -> np.ndarray:
+        return getattr(self, self._FIELD)
 
     @property
     def dim(self) -> int:
@@ -132,7 +156,7 @@ class _Parties:
 
 
 @dataclass(frozen=True, eq=False)
-class PureState(_Parties):
+class PureState(_State):
     """Amplitude vector over the product basis of ``dims``.
 
     The constructor checks structure (shape, finiteness) only; norm is
@@ -141,21 +165,21 @@ class PureState(_Parties):
     directly when needed.
     """
 
+    KIND: ClassVar[str] = "pure"
+    _FIELD: ClassVar[str] = "amps"
+
     dims: tuple[int, ...]
     amps: np.ndarray
 
     def __post_init__(self):
-        dims = check_dims(self.dims)
-        amps = frozen_complex(self.amps, (math.prod(dims),), "amplitude vector")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amps", amps)
+        self._freeze(1, "amplitude vector")
 
     def norm_error(self) -> float:
         return abs(float(np.vdot(self.amps, self.amps).real) - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix(_Parties):
+class DensityMatrix(_State):
     """Operator entries over the product basis of ``dims``.
 
     Structure (shape, finiteness) is checked on construction; hermiticity,
@@ -165,18 +189,36 @@ class DensityMatrix(_Parties):
     such as partial transposes.
     """
 
+    KIND: ClassVar[str] = "density"
+    _FIELD: ClassVar[str] = "entries"
+
     dims: tuple[int, ...]
     entries: np.ndarray
 
     def __post_init__(self):
-        dims = check_dims(self.dims)
-        d = math.prod(dims)
-        entries = frozen_complex(self.entries, (d, d), "density matrix")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
+        self._freeze(2, "density matrix")
 
 
 State = PureState | DensityMatrix
+
+
+def check_state(value, kind: type | None = None) -> State:
+    """``value``, if it is a state, and one of ``kind`` (``PureState`` or
+    ``DensityMatrix``) if given; anything else raises ValueError.  The one
+    place that decides whether a value is a state."""
+    if not isinstance(value, (PureState, DensityMatrix)):
+        raise ValueError(f"not a state value: {value!r}")
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"expected a {kind.__name__}, got a {type(value).__name__}")
+    return value
+
+
+def as_density(state: State) -> DensityMatrix:
+    """The state as a density matrix: |psi><psi| for a pure state (checked
+    for norm), a density matrix as itself."""
+    if isinstance(check_state(state), PureState):
+        return density_from_pure(state)
+    return state
 
 
 @dataclass(frozen=True)
@@ -194,7 +236,7 @@ def validate(rho: DensityMatrix) -> list[Violation]:
     hermiticity, ``|tr - 1|`` for trace and the magnitude of the most
     negative eigenvalue for positivity.
     """
-    m = rho.entries
+    m = check_state(rho, DensityMatrix).entries
     lam_min = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
     residuals = (("hermiticity", _hermiticity_residual(m), TOL_HERM),
                  ("trace", abs(complex(np.trace(m)) - 1.0), TOL_TRACE),
@@ -212,7 +254,9 @@ def assert_valid(rho: DensityMatrix) -> DensityMatrix:
 
 
 def assert_normalized(psi: PureState) -> PureState:
-    check_residual(psi.norm_error(), TOL_NORM, "pure state is not normalized")
+    """Raise unless ``psi`` is a pure state within TOL_NORM of unit norm."""
+    check_residual(check_state(psi, PureState).norm_error(), TOL_NORM,
+                   "pure state is not normalized")
     return psi
 
 
@@ -228,16 +272,14 @@ def tensor(a: State, b: State) -> State:
     The result's parties are ``a``'s followed by ``b``'s, consistent with
     the row-major flat ordering.
     """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.dims + b.dims, np.kron(a.amps, b.amps))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(a.dims + b.dims, np.kron(a.entries, b.entries))
-    raise ValueError("tensor expects two PureState or two DensityMatrix values")
+    kind = type(check_state(a))
+    check_state(b, kind)
+    return kind(a.dims + b.dims, np.kron(a.data, b.data))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every party not listed in ``keep`` (0-based indices)."""
-    n = rho.n_parties
+    n = check_state(rho, DensityMatrix).n_parties
     keep = sorted({check_integer(p, "party index") for p in keep})
     if not keep:
         raise ValueError("keep must name at least one party")
@@ -260,7 +302,7 @@ def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:
     The result is generally not positive semidefinite, so it is not
     wrapped in :class:`DensityMatrix` semantics beyond the raw entries.
     """
-    n = rho.n_parties
+    n = check_state(rho, DensityMatrix).n_parties
     party = check_integer(party, "party")
     if not 0 <= party < n:
         raise ValueError(f"party {party} out of range for {n} parties")
@@ -302,11 +344,8 @@ def _pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def state_to_json(state: State) -> dict:
-    if isinstance(state, PureState):
-        return {"dims": list(state.dims), "kind": "pure", "data": _pairs(state.amps)}
-    if isinstance(state, DensityMatrix):
-        return {"dims": list(state.dims), "kind": "density", "data": _pairs(state.entries)}
-    raise ValueError(f"not a state value: {state!r}")
+    return {"dims": list(check_state(state).dims), "kind": state.KIND,
+            "data": _pairs(state.data)}
 
 
 def state_from_json(obj: dict, *, validate_state: bool = True) -> State:
@@ -349,25 +388,42 @@ def state_from_json(obj: dict, *, validate_state: bool = True) -> State:
     raise ValidationError(f"unknown state kind {kind!r}")
 
 
+def json_text(obj) -> str:
+    """The one text form of the JSON files the package writes (state,
+    circuit and report files): indent 1 and a final newline."""
+    return json.dumps(obj, indent=1) + "\n"
+
+
 def save_state(state: State, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_json(state), fh, indent=1)
-        fh.write("\n")
+    pathlib.Path(path).write_text(json_text(state_to_json(state)))
 
 
-def read_json(path, what: str, error: type):
-    """The JSON value of the file at ``path``, the one reader of state and
-    circuit files.  Text that is not UTF-8 JSON, an integer past Python's
-    digit limit and nesting past the recursion limit all raise ``error``
-    as "not a JSON ``what`` file"; a path that cannot be opened raises
-    ``OSError``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"not a JSON {what} file: {exc}") from exc
+@contextlib.contextmanager
+def errors_at(place):
+    """Prefix ``place`` to the message of a ValueError raised inside; its
+    type, and with it the CLI's exit code, stays."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{place}: {exc}",)
+        raise
+
+
+def read_json(path, what: str, error: type, build):
+    """``build`` of the JSON value of the file at ``path``: the one reader
+    of state and circuit files, whose every ValueError names the path.
+    Text that is not UTF-8 JSON, an integer past Python's digit limit and
+    nesting past the recursion limit all raise ``error`` as "not a JSON
+    ``what`` file"; a path that cannot be opened raises ``OSError``."""
+    with errors_at(path):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise error(f"not a JSON {what} file: {exc}") from exc
+        return build(obj)
 
 
 def load_state(path, *, validate_state: bool = True) -> State:
-    return state_from_json(read_json(path, "state", ValidationError),
-                           validate_state=validate_state)
+    return read_json(path, "state", ValidationError,
+                     lambda obj: state_from_json(obj, validate_state=validate_state))

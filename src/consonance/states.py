@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures
 from .qstate import (TOL_RELABEL, DensityMatrix, PureState, ValidationError, assert_valid,
-                     check_dims, check_integer, check_normalized, check_seed,
+                     check_dims, check_integer, check_normalized, check_seed, check_state,
                      check_unit_interval, check_unitary, density_from_pure, frozen_complex)
 
 _SQRT2 = math.sqrt(2.0)
@@ -167,20 +167,17 @@ def w_state(n: int = 3) -> PureState:
 
 
 def permute_subsystems(state, order):
-    """Reorder the parties; ``order[k]`` is the old position of new party k."""
-    n = len(state.dims)
+    """Reorder the parties; ``order[k]`` is the old position of new party k.
+    Each axis of the state's array carries one copy of the party indices,
+    and every copy moves the same way."""
+    n = check_state(state).n_parties
     order = tuple(check_integer(p, "party index") for p in order)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    new_dims = tuple(state.dims[p] for p in order)
-    if isinstance(state, PureState):
-        t = state.amps.reshape(state.dims).transpose(order)
-        return PureState(new_dims, t.reshape(-1))
-    if isinstance(state, DensityMatrix):
-        axes = list(order) + [n + p for p in order]
-        t = state.entries.reshape(state.dims + state.dims).transpose(axes)
-        return DensityMatrix(new_dims, t.reshape(state.dim, state.dim))
-    raise ValueError(f"not a state value: {state!r}")
+    copies = state.data.ndim
+    axes = [k * n + p for k in range(copies) for p in order]
+    t = state.data.reshape(state.dims * copies).transpose(axes)
+    return type(state)(tuple(state.dims[p] for p in order), t.reshape(state.data.shape))
 
 
 def regroup(state, sizes):
@@ -190,7 +187,7 @@ def regroup(state, sizes):
     only the dims annotation changes, e.g. four qubits regrouped by
     (2, 2) become a 4x4 bipartite state.
     """
-    n = len(state.dims)
+    n = check_state(state).n_parties
     sizes = tuple(check_integer(s, "block size") for s in sizes)
     if any(s < 1 for s in sizes) or sum(sizes) != n:
         raise ValueError(f"sizes {sizes} do not partition {n} parties")
@@ -198,12 +195,7 @@ def regroup(state, sizes):
     for s in sizes:
         new_dims.append(math.prod(state.dims[pos:pos + s]))
         pos += s
-    new_dims = tuple(new_dims)
-    if isinstance(state, PureState):
-        return PureState(new_dims, state.amps)
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(new_dims, state.entries)
-    raise ValueError(f"not a state value: {state!r}")
+    return type(state)(tuple(new_dims), state.data)
 
 
 # --- tensor product structure relabeling ---------------------------------
@@ -283,7 +275,7 @@ def werner_f_prime() -> TpsRelabeling:
 
 def tps_remap(rho: DensityMatrix, relabeling: TpsRelabeling) -> DensityMatrix:
     """Express ``rho`` in the relabeled tensor product structure."""
-    if rho.dims != relabeling.source_dims:
+    if check_state(rho, DensityMatrix).dims != relabeling.source_dims:
         raise ValueError(f"state dims {rho.dims} do not match relabeling source "
                          f"dims {relabeling.source_dims}")
     m = relabeling.matrix

@@ -35,8 +35,8 @@ kron-and-transpose embed, one frame at a time) lives in the tests.
 
 from __future__ import annotations
 
-import json
 import math
+import pathlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, NamedTuple
@@ -44,8 +44,9 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims,
-                     check_integer, check_unitary, json_float, read_json)
+from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims, check_integer,
+                     check_state, check_unitary, errors_at, json_float, json_text,
+                     read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -300,9 +301,7 @@ def conjugate(frames: FrameBuilder, entries, thetas) -> np.ndarray:
 def apply(circuit: LocalCircuit, state):
     """Conjugate a state by the circuit unitary (or rotate a pure vector):
     one row of :func:`conjugate`, the conjugation the search runs."""
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise ValueError(f"not a state value: {state!r}")
-    frames = FrameBuilder(circuit, state.dims)
+    frames = FrameBuilder(circuit, check_state(state).dims)
     thetas = theta_vector(circuit)[None]
     if isinstance(state, PureState):
         return PureState(state.dims, frames.unitaries(thetas)[0] @ state.amps)
@@ -402,28 +401,29 @@ def circuit_to_json(circuit: LocalCircuit) -> dict:
 
 
 def circuit_from_json(obj: dict) -> LocalCircuit:
+    """The circuit of a parsed JSON object; an error in a layer names the
+    layer's index."""
     if not isinstance(obj, dict) or not isinstance(obj.get("layers"), list):
         raise ValueError("circuit JSON must be an object with a 'layers' list")
     layers = []
-    for entry in obj["layers"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("support"), list)
-                and isinstance(entry.get("theta"), list)):
-            raise ValueError(f"circuit layer must be an object with 'support' and "
-                             f"'theta' lists, got {entry!r}")
-        theta = np.array([json_float(x, f"circuit layer theta entry {k}", ValueError)
-                          for k, x in enumerate(entry["theta"])], dtype=np.float64)
-        dim = math.isqrt(theta.size)
-        if dim * dim != theta.size:
-            raise ValueError(f"layer theta length {theta.size} is not a perfect square")
-        layers.append(CircuitLayer(tuple(entry["support"]), UnitaryParams(dim, theta)))
+    for k, entry in enumerate(obj["layers"]):
+        with errors_at(f"circuit layer {k}"):
+            if not (isinstance(entry, dict) and isinstance(entry.get("support"), list)
+                    and isinstance(entry.get("theta"), list)):
+                raise ValueError(f"must be an object with 'support' and 'theta' lists, "
+                                 f"got {entry!r}")
+            theta = np.array([json_float(x, f"theta entry {j}", ValueError)
+                              for j, x in enumerate(entry["theta"])], dtype=np.float64)
+            dim = math.isqrt(theta.size)
+            if dim * dim != theta.size:
+                raise ValueError(f"theta length {theta.size} is not a perfect square")
+            layers.append(CircuitLayer(tuple(entry["support"]), UnitaryParams(dim, theta)))
     return LocalCircuit(tuple(layers), preset=str(obj.get("preset", "custom")))
 
 
 def save_circuit(circuit: LocalCircuit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(circuit_to_json(circuit), fh, indent=1)
-        fh.write("\n")
+    pathlib.Path(path).write_text(json_text(circuit_to_json(circuit)))
 
 
 def load_circuit(path) -> LocalCircuit:
-    return circuit_from_json(read_json(path, "circuit", ValueError))
+    return read_json(path, "circuit", ValueError, circuit_from_json)

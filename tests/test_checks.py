@@ -4,11 +4,12 @@ at the edge of each tolerance return the values pinned here, and inputs
 just past it are rejected."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from consonance import measures, qstate, states, unitary
+from consonance import coherence, measures, optimizer, qstate, states, unitary
 from consonance.qstate import ValidationError
 
 # --- unit interval: TOL_UNIT = 1e-12 of slack, then clamped ---------------
@@ -161,3 +162,93 @@ def test_qutrit_weight_edges_keep_their_values(alpha, gamma):
 def test_qutrit_weights_reject(fn, alpha, gamma):
     with pytest.raises(ValidationError, match="must be >= 0"):
         fn(alpha, gamma)
+
+
+# --- state kinds: qstate alone decides one --------------------------------
+
+PSI = states.bell("phi+")
+RHO = states.werner(0.5)
+NOT_STATES = {"array": np.eye(4) / 4, "none": None, "json": qstate.state_to_json(PSI)}
+SEARCH = optimizer.OptimizerConfig(restarts=1, max_evals=100)
+
+# every public function that takes a state, on one state argument, beside
+# the kind of state it does not take (None where it takes both)
+TAKES_A_STATE = {
+    "check_state": (qstate.check_state, None),
+    "as_density": (qstate.as_density, None),
+    "assert_normalized": (qstate.assert_normalized, RHO),
+    "density_from_pure": (qstate.density_from_pure, RHO),
+    "validate": (qstate.validate, PSI),
+    "assert_valid": (qstate.assert_valid, PSI),
+    "tensor_left": (lambda s: qstate.tensor(s, PSI), RHO),
+    "tensor_right": (lambda s: qstate.tensor(PSI, s), RHO),
+    "partial_trace": (lambda s: qstate.partial_trace(s, [0]), PSI),
+    "partial_transpose": (lambda s: qstate.partial_transpose(s, 0), PSI),
+    "state_to_json": (qstate.state_to_json, None),
+    "save_state": (lambda s: qstate.save_state(s, os.devnull), None),
+    "permute_subsystems": (lambda s: states.permute_subsystems(s, (1, 0)), None),
+    "regroup": (lambda s: states.regroup(s, (2,)), None),
+    "tps_remap": (lambda s: states.tps_remap(s, states.werner_f_prime()), PSI),
+    "apply": (lambda s: unitary.apply(unitary.Preset().build((2, 2)), s), None),
+    "consonance": (lambda s: optimizer.consonance(s, SEARCH), None),
+    "oracle_consonance": (lambda s: optimizer.oracle_consonance(s, samples=2), None),
+    "nonlocal_sum": (coherence.nonlocal_sum, None),
+    "local_coherence": (coherence.local_coherence, None),
+    "profile": (coherence.profile, None),
+    "schmidt_decompose": (measures.schmidt_decompose, RHO),
+    "schmidt_coefficients": (measures.schmidt_coefficients, RHO),
+    "consonance_pure_bipartite": (measures.consonance_pure_bipartite, RHO),
+    "concurrence_2x2": (measures.concurrence_2x2, None),
+    "eof_2x2": (measures.eof_2x2, None),
+    "negativity": (measures.negativity, None),
+}
+WRONG_INPUTS = [(name, bad) for name, (_, other) in TAKES_A_STATE.items()
+                for bad in list(NOT_STATES) + ["other kind"] * (other is not None)]
+
+
+@pytest.mark.parametrize("name, bad", WRONG_INPUTS, ids=[f"{n}-{b}" for n, b in WRONG_INPUTS])
+def test_a_wrong_state_is_a_value_error(name, bad):
+    fn, other = TAKES_A_STATE[name]
+    value = other if bad == "other kind" else NOT_STATES[bad]
+    with pytest.raises(ValueError, match="^not a state value: |^expected a "):
+        fn(value)
+
+
+# every function of one state that takes either kind
+EITHER_KIND = {
+    "nonlocal_sum": coherence.nonlocal_sum,
+    "local_coherence": coherence.local_coherence,
+    "profile": coherence.profile,
+    "concurrence_2x2": measures.concurrence_2x2,
+    "eof_2x2": measures.eof_2x2,
+    "negativity": measures.negativity,
+}
+
+
+@pytest.mark.parametrize("name", EITHER_KIND)
+def test_a_pure_state_gives_what_its_density_matrix_gives(name):
+    fn = EITHER_KIND[name]
+    for psi in (PSI, states.psi_like(a2=0.3), states.random_pure((2, 2), 7)):
+        assert fn(psi) == fn(qstate.density_from_pure(psi))
+
+
+# amplitudes that are 0, 1/2 or 1 in modulus, so every product of them is
+# exact, and the density of a result equals the result on densities
+DYADIC = qstate.tensor(qstate.PureState((2, 2), [0.5, 0.5j, -0.5, 0.5]),
+                       qstate.PureState((2,), [0.0, 1.0j]))
+REARRANGED = {
+    "permute_subsystems": lambda s: states.permute_subsystems(s, (2, 0, 1)),
+    "regroup": lambda s: states.regroup(s, (2, 1)),
+    "tensor": lambda s: qstate.tensor(s, s),
+    "state_to_json": lambda s: qstate.state_from_json(qstate.state_to_json(s)),
+}
+
+
+@pytest.mark.parametrize("name", REARRANGED)
+def test_both_kinds_rearrange_alike(name):
+    fn = REARRANGED[name]
+    pure = fn(DYADIC)
+    mixed = fn(qstate.density_from_pure(DYADIC))
+    assert type(pure) is qstate.PureState and type(mixed) is qstate.DensityMatrix
+    assert mixed.dims == pure.dims
+    assert np.array_equal(mixed.entries, qstate.density_from_pure(pure).entries)

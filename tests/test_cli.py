@@ -167,11 +167,11 @@ def test_an_unreadable_file_fails_in_one_line(tmp_path, capsys, raw):
     code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum",
                          "--state", str(path))
     assert (code, out, len(err.splitlines())) == (1, "", 1)
-    assert err.startswith("error: not a JSON state file: ")
+    assert err.startswith(f"error: {path}: not a JSON state file: ")
     code, out, err = run(capsys, "optimize", "--family", "werner:0.5", "--restarts", "1",
                          "--max-evals", "100", "--warm-start", str(path))
     assert (code, out, len(err.splitlines())) == (2, "", 1)
-    assert err.startswith("error: not a JSON circuit file: ")
+    assert err.startswith(f"error: {path}: not a JSON circuit file: ")
 
 
 def test_a_directory_for_a_file_is_a_usage_error(tmp_path, capsys):
@@ -222,11 +222,11 @@ def test_schmidt_rejects_density(capsys):
     # every other command
     code, _, err = run(capsys, "schmidt", "--family", "werner:0.5")
     assert code == 2
-    assert err == "error: schmidt needs a pure state\n"
+    assert err == "error: expected a PureState, got a DensityMatrix\n"
     code, _, err = run(capsys, "measure", "--measure", "consonance_pure",
                        "--family", "werner:0.5")
     assert code == 2
-    assert err == "error: consonance_pure needs a pure state\n"
+    assert err == "error: expected a PureState, got a DensityMatrix\n"
 
 
 # --- classify ------------------------------------------------------------
@@ -648,7 +648,7 @@ def test_optimize_rejects_a_non_finite_warm_start(tmp_path, capsys, monkeypatch,
                          "--restarts", "1", "--max-evals", "100",
                          "--warm-start", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: theta contains non-finite entries\n"
+    assert err == f"error: {path}: circuit layer 0: theta contains non-finite entries\n"
 
 
 @pytest.mark.parametrize("obj", [{"layers": 5},
@@ -668,12 +668,18 @@ def test_optimize_rejects_a_malformed_warm_start(tmp_path, capsys, obj):
 @pytest.mark.parametrize("text, why", [
     ("not json", "not a JSON circuit file: Expecting value: line 1 column 1 (char 0)"),
     ('{"layers": [{"support": [0], "theta": [0, "0.5", 0, 0]}]}',
-     "circuit layer theta entry 1 is not a number: '0.5'"),
+     "circuit layer 0: theta entry 1 is not a number: '0.5'"),
     ('{"layers": [{"support": [0], "theta": [0, 0, true, 0]}]}',
-     "circuit layer theta entry 2 is not a number: True"),
+     "circuit layer 0: theta entry 2 is not a number: True"),
     ('{"layers": [{"support": [0], "theta": [1%s, 0, 0, 0]}]}' % ("0" * 400),
-     "circuit layer theta entry 0 is too large for a float"),
-], ids=["not-json", "string", "bool", "huge"])
+     "circuit layer 0: theta entry 0 is too large for a float"),
+    ('{"layers": [{"support": [0], "theta": [0, 0, 0, 0]}, '
+     '{"support": [1], "theta": [0, NaN, 0, 0]}]}',
+     "circuit layer 1: theta contains non-finite entries"),
+    ('{"layers": [{"support": [0], "theta": [0, 0, 0]}]}',
+     "circuit layer 0: theta length 3 is not a perfect square"),
+    ('{"layers": [', "not a JSON circuit file: Expecting value: line 1 column 13 (char 12)"),
+], ids=["not-json", "string", "bool", "huge", "nan-in-layer-1", "length", "truncated"])
 def test_optimize_names_the_fault_of_a_warm_start_file(tmp_path, capsys, text, why):
     path = tmp_path / "bad.json"
     path.write_text(text)
@@ -681,7 +687,28 @@ def test_optimize_names_the_fault_of_a_warm_start_file(tmp_path, capsys, text, w
                          "--restarts", "1", "--max-evals", "100",
                          "--warm-start", str(path))
     assert (code, out) == (2, "")
-    assert err.splitlines() == [f"error: {why}"]
+    assert err.splitlines() == [f"error: {path}: {why}"]
+
+
+# every fault of a state file names the file; a fault of its form or its
+# physics exits 1, a bad dimension 2, as elsewhere
+_PURE = '{"dims": %s, "kind": "pure", "data": %s}'
+
+
+@pytest.mark.parametrize("text, code, why", [
+    ('{"dims": [2, 2], ', 1, "not a JSON state file: Expecting property name enclosed "
+                             "in double quotes: line 1 column 18 (char 17)"),
+    (_PURE % ("[2, 2]", "[[1, 0]]"), 1, "pure state over dims (2, 2) needs 4 amplitudes, got 1"),
+    (_PURE % ("[2, 2]", "[[1, 0], [1, 0], [0, 0], [0, 0]]"), 1,
+     "pure state is not normalized: residual 1.000e+00"),
+    (_PURE % ("[1, 2]", "[[1, 0], [0, 0]]"), 2,
+     "every subsystem dimension must be >= 2, got (1, 2)"),
+], ids=["truncated", "length", "norm", "dims"])
+def test_measure_names_the_fault_of_a_state_file(tmp_path, capsys, text, code, why):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(capsys, "measure", "--measure", "nonlocal_sum", "--state", str(path)) == (
+        code, "", f"error: {path}: {why}\n")
 
 
 def test_optimize_with_warm_start_circuit(capsys):
@@ -772,8 +799,8 @@ def test_state_file_entries_must_be_numbers(tmp_path, capsys, entry):
                     % entry)
     code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum", "--state", str(path))
     assert (code, out) == (1, "")
-    assert err.splitlines() == [f"error: state JSON data entry 0 is not an [re, im] "
-                                f"pair of numbers: {json.loads(entry)!r}"]
+    assert err.splitlines() == [f"error: {path}: state JSON data entry 0 is not an "
+                                f"[re, im] pair of numbers: {json.loads(entry)!r}"]
 
 
 def test_state_file_entry_too_large_for_a_float(tmp_path, capsys):
@@ -782,7 +809,8 @@ def test_state_file_entry_too_large_for_a_float(tmp_path, capsys):
                     % ("0" * 400))
     code, out, err = run(capsys, "measure", "--measure", "nonlocal_sum", "--state", str(path))
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["error: state JSON data entry 0 is too large for a float"]
+    assert err.splitlines() == [f"error: {path}: state JSON data entry 0 is too large "
+                                f"for a float"]
 
 
 # --- the README's examples -----------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from consonance import cli, coherence, measures, optimizer, states
+from consonance import cli, coherence, measures, optimizer, qstate, states
 from consonance.cli import MeasureContext, evaluate_measure
 from consonance.qstate import density_from_pure
 
@@ -340,7 +340,7 @@ def test_sweep_builds_each_row_once(monkeypatch, spec):
 
 def test_pure_family_sweep_forms_one_density_per_row(monkeypatch):
     spec = cli.SweepSpec("psi_like", "a2", 0.1, 0.9, 4, PAIR_MEASURES)
-    outer = _counting(monkeypatch, cli, "density_from_pure")
+    outer = _counting(monkeypatch, qstate, "density_from_pure")
     cli.run_sweep(spec, optimizer.OptimizerConfig(), 0)
     assert len(outer) == spec.points
 

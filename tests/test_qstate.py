@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,9 +362,10 @@ UNREADABLE = {
 def test_one_reader_names_the_kind_of_an_unreadable_file(tmp_path, raw):
     path = tmp_path / "bad.json"
     path.write_bytes(raw)
-    with pytest.raises(ValidationError, match="^not a JSON state file: "):
+    named = f"^{re.escape(str(path))}: not a JSON"
+    with pytest.raises(ValidationError, match=f"{named} state file: "):
         qstate.load_state(path)
-    with pytest.raises(ValueError, match="^not a JSON circuit file: ") as exc:
+    with pytest.raises(ValueError, match=f"{named} circuit file: ") as exc:
         unitary.load_circuit(path)
     assert not isinstance(exc.value, ValidationError)
 

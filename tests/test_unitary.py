@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -346,7 +347,7 @@ def test_circuit_json_rejects_non_integer_supports(support):
                          ids=["string", "bool", "null", "list", "huge", "huge-negative"])
 def test_circuit_json_theta_entries_must_be_floats(bad, why):
     theta = [0.0, 0.0, bad, 0.0]
-    with pytest.raises(ValueError, match=f"^circuit layer theta entry 2 {why}$"):
+    with pytest.raises(ValueError, match=f"^circuit layer 0: theta entry 2 {why}$"):
         circuit_from_json({"layers": [{"support": [0], "theta": theta}]})
 
 
@@ -358,7 +359,8 @@ def test_circuit_json_keeps_integer_theta_entries():
 def test_load_circuit_names_a_file_that_is_not_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")
-    with pytest.raises(ValueError, match="^not a JSON circuit file: Expecting value"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a JSON circuit file: "
+                                         f"Expecting value"):
         load_circuit(path)
 
 
