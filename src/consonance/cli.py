@@ -50,7 +50,11 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--family", metavar="SPEC",
                        help="factory spec, e.g. werner:a=0.5 or bell:psi-")
     parser.add_argument("--no-validate", action="store_true",
-                        help="skip physicality checks when loading a state file")
+                        help="skip only the loader's physicality check of a --state "
+                             "file (the norm of a pure state; hermiticity, trace and "
+                             "positivity of a density matrix); a pure state is still "
+                             "checked for norm where it becomes |psi><psi| or a "
+                             "Schmidt form")
 
 
 @dataclass

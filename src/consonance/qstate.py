@@ -183,14 +183,24 @@ class DensityMatrix(_State):
     """Operator entries over the product basis of ``dims``.
 
     Structure (shape, finiteness) is checked on construction; hermiticity,
-    unit trace and positivity are checked by :func:`validate` /
-    :func:`assert_valid`, which every factory and the file loader call.
-    The split keeps an escape hatch for deliberately non-physical inputs
-    such as partial transposes.
+    unit trace and positivity are checked by :func:`assert_valid`, through
+    :func:`validate`.  It is called by the file loader, the factories
+    ``states.two_param_qubit_qutrit`` and ``states.random_density``, the
+    measures ``concurrence_2x2`` and ``negativity``, and the search's
+    setup.  No other builder calls it; among them are ``states.werner``,
+    ``states.tps_remap``, ``unitary.apply``, :func:`partial_trace`,
+    :func:`tensor` and :func:`density_from_pure`.  The split keeps an
+    escape hatch for deliberately non-physical inputs such as partial
+    transposes.
+
+    :func:`assert_valid` records its verdict per object: a state that
+    several measures share is checked once, for as long as ``entries``
+    stays read only.
     """
 
     KIND: ClassVar[str] = "density"
     _FIELD: ClassVar[str] = "entries"
+    _physical = False     # set on an instance by assert_valid alone
 
     dims: tuple[int, ...]
     entries: np.ndarray
@@ -245,11 +255,20 @@ def validate(rho: DensityMatrix) -> list[Violation]:
 
 
 def assert_valid(rho: DensityMatrix) -> DensityMatrix:
-    """Raise :class:`ValidationError` if ``rho`` is not a physical state."""
+    """Raise :class:`ValidationError` if ``rho`` is not a physical state.
+
+    A pass is recorded on ``rho``, and a later call returns at once while
+    ``rho.entries`` is still read only: the state is frozen, so the verdict
+    cannot change.  An array made writable again (by ``copy.deepcopy`` or
+    ``setflags``) is checked afresh, and a failing state raises every time.
+    """
+    if check_state(rho, DensityMatrix)._physical and not rho.entries.flags.writeable:
+        return rho
     bad = validate(rho)
     if bad:
         detail = "; ".join(f"{v.invariant} residual {v.residual:.3e}" for v in bad)
         raise ValidationError(f"density matrix is not a physical state: {detail}")
+    object.__setattr__(rho, "_physical", True)
     return rho
 
 

@@ -3,6 +3,7 @@ invariant: NaN (and inf where it applies) raises ValidationError, inputs
 at the edge of each tolerance return the values pinned here, and inputs
 just past it are rejected."""
 
+import copy
 import math
 import os
 
@@ -252,3 +253,37 @@ def test_both_kinds_rearrange_alike(name):
     assert type(pure) is qstate.PureState and type(mixed) is qstate.DensityMatrix
     assert mixed.dims == pure.dims
     assert np.array_equal(mixed.entries, qstate.density_from_pure(pure).entries)
+
+
+# --- physicality: assert_valid records a pass on the read-only state ------
+
+NOT_PSD = np.diag([1.5, -0.5, 0.0, 0.0])    # unit trace, one negative eigenvalue
+
+
+def test_a_non_physical_state_raises_on_every_check():
+    rho = qstate.DensityMatrix((2, 2), NOT_PSD)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="positivity"):
+            qstate.assert_valid(rho)
+
+
+def _made_writable(rho):
+    rho.entries.setflags(write=True)
+    return rho
+
+
+@pytest.mark.parametrize("unfreeze", [_made_writable, copy.deepcopy],
+                         ids=["setflags", "deepcopy"])
+def test_a_checked_state_is_checked_again_once_its_entries_can_change(unfreeze):
+    rho = unfreeze(qstate.assert_valid(states.werner(0.5)))
+    rho.entries[...] = NOT_PSD
+    with pytest.raises(ValidationError, match="positivity"):
+        qstate.assert_valid(rho)
+
+
+def test_a_check_leaves_repr_and_json_alone():
+    checked = qstate.assert_valid(states.werner(0.3))
+    assert qstate.assert_valid(checked) is checked
+    fresh = states.werner(0.3)
+    assert repr(checked) == repr(fresh)
+    assert qstate.state_to_json(checked) == qstate.state_to_json(fresh)

@@ -14,7 +14,7 @@ from consonance import cli, optimizer, states, unitary
 from consonance.cli import SweepSpec, _opt_config_from, build_parser, main
 from consonance.coherence import nonlocal_sum
 from consonance.measures import discord_werner, eof_from_concurrence
-from consonance.qstate import save_state, state_from_json, state_to_json
+from consonance.qstate import PureState, save_state, state_from_json, state_to_json
 from test_acceptance import GHZ3_WITNESS
 from test_optimizer import no_frames
 from test_qstate import UNREADABLE
@@ -197,6 +197,25 @@ def test_no_validate_skips_physicality(tmp_path, capsys):
     code, out, _ = run(capsys, "measure", "--measure", "nonlocal_sum",
                        "--state", str(path), "--no-validate")
     assert code == 0
+    assert float(out) == pytest.approx(nonlocal_sum(state_from_json(obj, validate_state=False)),
+                                       rel=1e-8)
+
+
+@pytest.mark.parametrize("command", [("measure", "--measure", "nonlocal_sum"),
+                                     ("measure", "--measure", "consonance_pure"),
+                                     ("schmidt",)])
+def test_no_validate_keeps_the_norm_check_of_a_pure_state(tmp_path, capsys, command):
+    """The flag skips the loader's check only: a pure state is checked for
+    norm again where it becomes |psi><psi| or a Schmidt form."""
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(state_to_json(
+        PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0])))))
+    code, _, err = run(capsys, *command, "--state", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {path}: pure state is not normalized")
+    code, out, err = run(capsys, *command, "--state", str(path), "--no-validate")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: pure state is not normalized: residual 1.000e+00"]
 
 
 # --- schmidt -------------------------------------------------------------

@@ -331,11 +331,14 @@ PAIR_MEASURES = ("consonance_cf", "consonance_pure", "discord", "concurrence", "
     cli.SweepSpec("bell_like", "a2", 0.0, 1.0, 6, PAIR_MEASURES),
 ])
 def test_sweep_builds_each_row_once(monkeypatch, spec):
+    """One state, one profile and one physicality check per row."""
     made = _counting(monkeypatch, states, "make_family")
     profiles = _counting(monkeypatch, coherence, "profile")
+    checks = _counting(monkeypatch, qstate, "validate")
     cli.run_sweep(spec, optimizer.OptimizerConfig(), 0)
     assert len(made) == spec.points
     assert len(profiles) == spec.points
+    assert len(checks) == spec.points
 
 
 def test_pure_family_sweep_forms_one_density_per_row(monkeypatch):
