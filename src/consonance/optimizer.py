@@ -18,10 +18,10 @@ file or an earlier report's circuit; the search starts from its
 parameters only if its layers have the same (support, dimension) list as
 the preset's circuit, and otherwise raises before it evaluates a frame.
 A restart whose final L still exceeds eps_L gets a feasibility polish
-that minimizes L alone.  Results are merged deterministically: among
-feasible candidates the lowest value wins, ties broken by lower L
-residual and then lower restart index; if no restart is feasible the
-minimal-L candidate is reported with ``feasible=False``.
+that minimizes L alone.  ``consonance()`` then takes three steps: it
+steps every restart to its end, ranks the restarts with one key
+(feasible ones first, by S, then L, then index; the rest by L, then S,
+then index) and replays the circuit of the one ranked first.
 
 Every restart runs in lockstep with the others.  Each restart is a
 generator that yields the frames it needs next (its initial simplex, one
@@ -47,11 +47,12 @@ L <= EPS_L, so it first runs ``coherence.local_screen``, a float64
 estimate of L that keeps every such row, and sums only the survivors
 with ``class_sums``; only ``class_sums`` reports a class sum.
 
-The reported value is recomputed from the winning circuit through the
-public ``unitary.apply``, whose density branch is one row of the same
-``unitary.conjugate``, and one ``class_sums`` call, so it always matches
-what a caller would reproduce from the report and equals the winning
-restart's record.
+The replay runs the winning circuit through the public ``unitary.apply``,
+whose density branch is one row of the same ``unitary.conjugate``, and
+one ``class_sums`` call.  The report holds that S and L, the circuit and
+the restart records, and derives the rest from them, so its value always
+matches what a caller would reproduce from it, its feasibility is the
+replay's L against eps_L, and both equal the winning restart's record.
 """
 
 from __future__ import annotations
@@ -120,13 +121,31 @@ class RestartRecord:
 
 @dataclass(frozen=True, eq=False)
 class ConsonanceReport:
+    """What ``consonance()`` found: the replay of the winning restart's
+    circuit and every restart's record.
+
+    ``value`` and ``l_residual`` are S and L of ``apply(circuit, rho)``,
+    from one ``class_sums`` call.  The rest follows from these four
+    fields: ``feasible`` is ``l_residual <= EPS_L``, ``preset`` is the
+    circuit's tag, and ``n_evals`` is the sum of the restarts' ``evals``.
+    """
+
     value: float
     l_residual: float
-    feasible: bool
     circuit: unitary.LocalCircuit
-    preset: str
     per_restart: tuple[RestartRecord, ...]
-    n_evals: int
+
+    @property
+    def feasible(self) -> bool:
+        return bool(self.l_residual <= EPS_L)
+
+    @property
+    def preset(self) -> str:
+        return self.circuit.preset
+
+    @property
+    def n_evals(self) -> int:
+        return sum(r.evals for r in self.per_restart)
 
 
 def _search_setup(rho, preset: Preset):
@@ -294,67 +313,52 @@ def _start_points(config: OptimizerConfig, template: unitary.LocalCircuit):
         yield "random", stream.uniform(-math.pi, math.pi, size=n_theta)
 
 
+def _rank(record: RestartRecord) -> tuple:
+    """The restarts' one order: feasible ones first, by (S, L, index),
+    then the rest by (L, S, index)."""
+    if record.l_residual <= EPS_L:
+        return (0, record.value, record.l_residual, record.index)
+    return (1, record.l_residual, record.value, record.index)
+
+
 def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> ConsonanceReport:
     """Estimate the consonance of ``rho`` under the configured preset.
 
-    Returns a report whose ``value`` is exactly the nonlocal sum of
-    ``apply(report.circuit, rho)``; ``feasible`` records whether the local
-    coherence residual meets eps_L.  The estimate is an upper bound on the
-    true infimum whenever it is feasible.
+    Steps every restart to its end, ranks the restarts with ``_rank`` and
+    replays the winner's circuit.  The report's ``value`` is exactly the
+    nonlocal sum of ``apply(report.circuit, rho)`` and its ``l_residual``
+    the local sum there; it is feasible when that residual meets eps_L,
+    and then the value is an upper bound on the true infimum.
     """
     config = config or OptimizerConfig()
     rho, template, frames = _search_setup(rho, config.preset)
 
     starts = list(_start_points(config, template))
     searches = [_search_one(x0, frames.n_theta, config) for _, x0 in starts]
-    pending = [next(search) for search in searches]
-    evals = [0] * len(searches)
-    ends = [None] * len(searches)
-    live = list(range(len(searches)))
+    live = {i: next(search) for i, search in enumerate(searches)}   # index: its frames
+    evals = [0] * len(starts)
+    ends = [None] * len(starts)
     while live:
-        batch = (pending[live[0]] if len(live) == 1
-                 else np.concatenate([pending[i] for i in live]))
-        s, l = _frame_sums(frames, rho, batch)
-        still_live = []
+        s, l = _frame_sums(frames, rho, np.concatenate(list(live.values())))
         row = 0
-        for i in live:
-            n = len(pending[i])
+        for i, points in list(live.items()):
+            n = len(points)
             evals[i] += n
             try:
-                pending[i] = searches[i].send((s[row:row + n], l[row:row + n]))
-                still_live.append(i)
+                live[i] = searches[i].send((s[row:row + n], l[row:row + n]))
             except StopIteration as stop:
+                del live[i]
                 ends[i] = stop.value
             row += n
-        live = still_live
 
-    records = [RestartRecord(index, kind, value, l_res, evals[index])
-               for index, ((kind, _), (_, value, l_res))
-               in enumerate(zip(starts, ends))]
-    finals = [x for x, _, _ in ends]
+    records = [RestartRecord(i, kind, value, l_res, evals[i])
+               for i, ((kind, _), (_, value, l_res)) in enumerate(zip(starts, ends))]
+    best = min(records, key=_rank)
 
-    feasible_idx = [r.index for r in records if r.l_residual <= EPS_L]
-    if feasible_idx:
-        best = min(feasible_idx,
-                   key=lambda i: (records[i].value, records[i].l_residual, i))
-        feasible = True
-    else:
-        best = min(range(len(records)),
-                   key=lambda i: (records[i].l_residual, records[i].value, i))
-        feasible = False
-
-    circuit = unitary.with_theta(template, finals[best])
+    circuit = unitary.with_theta(template, ends[best.index][0])
     rotated = unitary.apply(circuit, rho)
     (value,), (l_res,) = coherence.class_sums(rotated.entries, rho.dims, _S_AND_L)
-    return ConsonanceReport(
-        value=value,
-        l_residual=l_res,
-        feasible=bool(l_res <= EPS_L) and feasible,
-        circuit=circuit,
-        preset=template.preset,
-        per_restart=tuple(records),
-        n_evals=sum(evals),
-    )
+    return ConsonanceReport(value, l_res, circuit, tuple(records))
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,11 @@ class _State:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, self._FIELD, data)
 
+    def __reduce__(self):
+        """Copies and pickles rebuild the state through its constructor, so
+        their array is read only too and they carry no recorded verdict."""
+        return type(self), (self.dims, self.data)
+
     @property
     def data(self) -> np.ndarray:
         return getattr(self, self._FIELD)
@@ -259,8 +264,10 @@ def assert_valid(rho: DensityMatrix) -> DensityMatrix:
 
     A pass is recorded on ``rho``, and a later call returns at once while
     ``rho.entries`` is still read only: the state is frozen, so the verdict
-    cannot change.  An array made writable again (by ``copy.deepcopy`` or
-    ``setflags``) is checked afresh, and a failing state raises every time.
+    cannot change.  Only ``setflags`` can make the array writable again;
+    such an array is checked afresh, and a failing state raises every
+    time.  A copy or an unpickled state is a new object with no verdict
+    recorded, so it is checked once on its own.
     """
     if check_state(rho, DensityMatrix)._physical and not rho.entries.flags.writeable:
         return rho

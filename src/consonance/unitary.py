@@ -137,9 +137,10 @@ class UnitaryParams:
 
     def __post_init__(self):
         dim = check_integer(self.dim, "dimension")
+        size = n_params(dim)
         theta = np.array(self.theta, dtype=np.float64)
-        if theta.shape != (dim * dim,):
-            raise ValueError(f"theta must have shape ({dim * dim},), got {theta.shape}")
+        if theta.shape != (size,):
+            raise ValueError(f"theta must have shape ({size},), got {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta contains non-finite entries")
         theta.setflags(write=False)

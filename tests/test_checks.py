@@ -272,7 +272,8 @@ def _made_writable(rho):
     return rho
 
 
-@pytest.mark.parametrize("unfreeze", [_made_writable, copy.deepcopy],
+@pytest.mark.parametrize("unfreeze", [_made_writable,
+                                      lambda rho: _made_writable(copy.deepcopy(rho))],
                          ids=["setflags", "deepcopy"])
 def test_a_checked_state_is_checked_again_once_its_entries_can_change(unfreeze):
     rho = unfreeze(qstate.assert_valid(states.werner(0.5)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,9 +7,9 @@ import pytest
 
 from consonance import optimizer, states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
-from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
-                                  config_to_json, consonance, oracle_consonance,
-                                  report_to_json)
+from consonance.optimizer import (EPS_L, PENALTY_MUS, ConsonanceReport,
+                                  OptimizerConfig, Preset, config_to_json,
+                                  consonance, oracle_consonance, report_to_json)
 from consonance.qstate import DensityMatrix, density_from_pure
 from consonance.unitary import NONGLOBAL, apply, with_theta
 from test_acceptance import GHZ3_WITNESS
@@ -150,7 +151,7 @@ def test_report_is_sound():
 
 
 def _merged_restart(report):
-    """The restart the merge picks: least S among the feasible ones, else
+    """The restart the rank picks: least S among the feasible ones, else
     least L; ties go to the lower L, S, then index."""
     feasible = [r for r in report.per_restart if r.l_residual <= EPS_L]
     if feasible:
@@ -164,18 +165,36 @@ def _behind_a_frame(rho, seed):
     return apply(with_theta(frame, rng.uniform(-math.pi, math.pi, frame.n_theta)), rho)
 
 
-@pytest.mark.parametrize("rho,preset", [
-    (states.werner(0.5), Preset()),
-    (_behind_a_frame(states.two_param_qubit_qutrit(0.1, 0.3), seed=3), Preset()),
-    (states.ghz(3), Preset(kind=NONGLOBAL, depth=3)),
-], ids=["werner", "2x3-random-frame", "ghz3-nonglobal"])
-def test_report_is_the_winning_restarts_record(rho, preset):
+@pytest.mark.parametrize("rho,preset,feasible", [
+    (states.werner(0.5), Preset(), True),
+    (_behind_a_frame(states.two_param_qubit_qutrit(0.1, 0.3), seed=3), Preset(), False),
+    (states.ghz(3), Preset(kind=NONGLOBAL, depth=3), True),
+    (states.w_state(3), Preset(), False),
+], ids=["werner", "2x3-random-frame", "ghz3-nonglobal", "w3-single-party"])
+def test_report_is_the_winning_restarts_record(rho, preset, feasible):
     # the replay and the search run one conjugation, so the report's
-    # value and residual are the chosen restart's own, bit for bit
+    # value and residual are the chosen restart's own, bit for bit; the
+    # cases reach both arms of the rank, with and without a feasible restart
     config = OptimizerConfig(preset=preset, restarts=3, seed=7, max_evals=3000)
     report = consonance(rho, config)
+    assert any(r.l_residual <= EPS_L for r in report.per_restart) == feasible
     chosen = _merged_restart(report)
     assert (report.value, report.l_residual) == (chosen.value, chosen.l_residual)
+    # what the report derives follows from its four fields
+    assert report.feasible == (report.l_residual <= EPS_L) == feasible
+    assert report.preset == report.circuit.preset == preset.build(rho.dims).preset
+    assert report.n_evals == sum(r.evals for r in report.per_restart)
+
+
+@pytest.mark.parametrize("derived", ["feasible", "preset", "n_evals"])
+def test_a_report_takes_no_derived_field(derived):
+    report = consonance(states.werner(0.5), CHEAP)
+    fields = dict(value=report.value, l_residual=report.l_residual,
+                  circuit=report.circuit, per_restart=report.per_restart)
+    assert [f.name for f in dataclasses.fields(report)] == list(fields)
+    assert ConsonanceReport(**fields).feasible == report.feasible
+    with pytest.raises(TypeError):
+        ConsonanceReport(**fields, **{derived: getattr(report, derived)})
 
 
 def test_upper_bound_chain():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 
 import numpy as np
@@ -72,6 +74,41 @@ def test_stored_arrays_are_read_only():
     rho = states.werner(0.5)
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 2.0
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda state: pickle.loads(pickle.dumps(state)),
+}
+KINDS = {
+    "pure": lambda: states.bell_like(a2=0.3),
+    "density": lambda: qstate.assert_valid(states.werner(0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("route", COPIES)
+def test_copies_of_a_state_stay_frozen(route, kind):
+    state = KINDS[kind]()
+    twin = COPIES[route](state)
+    assert twin is not state and type(twin) is type(state)
+    assert twin.dims == state.dims
+    assert twin.data.tobytes() == state.data.tobytes()
+    assert not twin.data.flags.writeable
+    with pytest.raises(ValueError):
+        twin.data[0] = 0.0
+
+
+@pytest.mark.parametrize("route", COPIES)
+def test_a_copied_density_matrix_is_checked_once_on_its_own(monkeypatch, route):
+    twin = COPIES[route](qstate.assert_valid(states.werner(0.5)))
+    calls = []
+    real = qstate.validate
+    monkeypatch.setattr(qstate, "validate", lambda rho: calls.append(rho) or real(rho))
+    assert qstate.assert_valid(twin) is twin
+    assert qstate.assert_valid(twin) is twin
+    assert calls == [twin]
 
 
 def test_density_from_pure_basis_state():

@@ -301,6 +301,14 @@ def test_dimension_must_be_an_integer(dim):
         UnitaryParams(dim, np.zeros(4))
 
 
+@pytest.mark.parametrize("dim,theta", [(0, []), (-1, [0.3]), (-2, np.zeros(4))])
+def test_dimension_must_be_positive(dim, theta):
+    with pytest.raises(ValueError, match=f"dimension must be positive, got {dim}"):
+        n_params(dim)
+    with pytest.raises(ValueError, match=f"dimension must be positive, got {dim}"):
+        UnitaryParams(dim, theta)
+
+
 # --- flat parameters and serialization -----------------------------------
 
 
