@@ -4,19 +4,28 @@ The consonance of a state is the infimum of the nonlocal coherence sum S
 over circuits of local unitaries whose output has vanishing local
 coherence L.  The circuits are those of a ``unitary.Preset`` (also
 importable from here): the search builds the preset's circuit at
-theta = 0 and moves only its parameters; it decides no support.  The
-search runs an exterior penalty scheme,
+theta = 0 and moves only the parameters ``Preset.moved`` lists; it
+decides no support.  S and L read only moduli, so a diagonal unitary on
+the left of a circuit changes neither, and under ``single_party`` every
+layer is leftmost: its search moves only each layer's off-diagonal
+columns (d..d^2-1 of the layer's d^2) and holds the diagonal ones at
+their start values.  At d = 2 a zero diagonal loses no frame, since
+every U is D exp(iO) with D diagonal and O off-diagonal; at d >= 3 the
+reduced chart is a heuristic.  ``nonglobal`` moves every column.  The search
+runs an exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 
-with mu escalating through a fixed stage schedule, Nelder-Mead as the
-inner search, and multiple restarts: the identity frame first (theta = 0),
-then optional caller-supplied warm starts, then uniform random draws in
-[-pi, pi]^P from a counter-based Philox stream keyed by the seed, one
-jump per restart index.  A warm start is a circuit, such as a circuit
-file or an earlier report's circuit; the search starts from its
-parameters only if its layers have the same (support, dimension) list as
-the preset's circuit, and otherwise raises before it evaluates a frame.
+with mu escalating through a fixed stage schedule, Nelder-Mead over the
+moved columns as the inner search, and multiple restarts: the identity
+frame first (theta = 0), then optional caller-supplied warm starts, then
+uniform random draws in [-pi, pi]^P from a counter-based Philox stream
+keyed by the seed, one jump per restart index, with the unmoved columns
+set to 0.  A warm start is a circuit, such as a circuit file or an
+earlier report's circuit; the search starts from its parameters, keeping
+its unmoved columns as they are, only if its layers have the same
+(support, dimension) list as the preset's circuit, and otherwise raises
+before it evaluates a frame.
 A restart whose final L still exceeds eps_L gets a feasibility polish
 that minimizes L alone.  ``consonance()`` then takes three steps: it
 steps every restart to its end, ranks the restarts with one key
@@ -24,13 +33,15 @@ steps every restart to its end, ranks the restarts with one key
 then index) and replays the circuit of the one ranked first.
 
 Every restart runs in lockstep with the others.  Each restart is a
-generator that yields the frames it needs next (its initial simplex, one
+generator that yields the points it needs next (its initial simplex, one
 reflect/expand/contract point, or a shrink) and receives their S and L.
-A round stacks the pending frames of every live restart and evaluates
-them in one call, in chunks of at most ``ORACLE_CHUNK`` frames.  A
-restart's path depends only on its own values, and each evaluated row is
-independent of the stack it sits in, so the lockstep search returns the
-same report as running the restarts one after another.
+A round stacks the pending points of every live restart and writes the
+stack into its restarts' start rows with one gather and one scatter.  It
+evaluates the frames in one call, in chunks of at most ``ORACLE_CHUNK``
+frames.  A restart's path depends only on its own values, and each
+evaluated row is independent of the stack it sits in, so the lockstep
+search returns the same report as running the restarts one after
+another.
 
 The Nelder-Mead is the in-package generator ``_nelder_mead``.  It repeats
 scipy's ``minimize(method="Nelder-Mead")`` with no bounds operation for
@@ -85,10 +96,14 @@ class OptimizerConfig:
 
     ``max_evals`` is a budget per restart, not a total: each of the four
     penalty stages and the feasibility polish may use ``max_evals // 5``
-    evaluations (at least 50).  ``eps_l`` reads the fixed feasibility
-    tolerance ``EPS_L``.  ``warm_starts`` holds ``unitary.LocalCircuit``
-    values; ``consonance()`` checks each against its own circuit, layer
-    by layer, by support and dimension.
+    evaluations (at least 50).  Nelder-Mead runs over the columns
+    ``preset.moved`` lists, and is adaptive from 10 of them up: each
+    ``single_party`` layer's off-diagonal columns, since its diagonal is
+    gauge (exact at d = 2, a heuristic at d >= 3), and every column under
+    ``nonglobal``.  ``eps_l`` reads the fixed feasibility tolerance
+    ``EPS_L``.  ``warm_starts`` holds ``unitary.LocalCircuit`` values;
+    ``consonance()`` checks each against its own circuit, layer by layer,
+    by support and dimension, and keeps its unmoved columns as they are.
     """
 
     preset: Preset = field(default_factory=Preset)
@@ -267,12 +282,13 @@ def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
     return sim, fsim
 
 
-def _search_one(x0: np.ndarray, n_theta: int, config: OptimizerConfig):
-    """One restart: the penalty stages, the polish if L is still above
-    eps_L, and a last look at the final frame.  Yields frame stacks,
-    receives their (S, L) arrays, and returns (x, S, L) at the end."""
+def _search_one(x0: np.ndarray, config: OptimizerConfig):
+    """One restart over the moved columns ``x0``: the penalty stages, the
+    polish if L is still above eps_L, and a last look at the final frame.
+    Yields stacks of moved columns, receives their (S, L) arrays, and
+    returns (x, S, L) at the end."""
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
-    adaptive = n_theta >= 10
+    adaptive = len(x0) >= 10
     x = np.asarray(x0, dtype=np.float64)
     for mu in PENALTY_MUS:
         sim, _ = yield from _nelder_mead(
@@ -296,10 +312,13 @@ def _layer_shape(circuit) -> list | str:
     return [(layer.support, layer.params.dim) for layer in circuit.layers]
 
 
-def _start_points(config: OptimizerConfig, template: unitary.LocalCircuit):
+def _start_points(config: OptimizerConfig, template: unitary.LocalCircuit,
+                  moved: np.ndarray):
     """Yield (kind, theta0) per restart; random streams depend only on
-    (seed, restart position), so warm starts never shift them.  A warm
-    start must have the template's layers, by support and dimension."""
+    (seed, restart position), so warm starts never shift them.  A random
+    start draws every column and keeps only the ``moved`` ones, the rest
+    0; a warm start keeps all of its own.  A warm start must have the
+    template's layers, by support and dimension."""
     n_theta = template.n_theta
     yield "identity", np.zeros(n_theta)
     want = _layer_shape(template)
@@ -310,7 +329,9 @@ def _start_points(config: OptimizerConfig, template: unitary.LocalCircuit):
         yield "warm", unitary.theta_vector(w)
     for j in range(1, config.restarts):
         stream = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
-        yield "random", stream.uniform(-math.pi, math.pi, size=n_theta)
+        theta0 = np.zeros(n_theta)
+        theta0[moved] = stream.uniform(-math.pi, math.pi, size=n_theta)[moved]
+        yield "random", theta0
 
 
 def _rank(record: RestartRecord) -> tuple:
@@ -333,13 +354,18 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     config = config or OptimizerConfig()
     rho, template, frames = _search_setup(rho, config.preset)
 
-    starts = list(_start_points(config, template))
-    searches = [_search_one(x0, frames.n_theta, config) for _, x0 in starts]
-    live = {i: next(search) for i, search in enumerate(searches)}   # index: its frames
-    evals = [0] * len(starts)
-    ends = [None] * len(starts)
+    moved = config.preset.moved(rho.dims)
+    kinds, thetas0 = zip(*_start_points(config, template, moved))
+    thetas0 = np.array(thetas0)
+    searches = [_search_one(theta0[moved], config) for theta0 in thetas0]
+    live = {i: next(search) for i, search in enumerate(searches)}   # index: its points
+    evals = [0] * len(kinds)
+    ends = [None] * len(kinds)
     while live:
-        s, l = _frame_sums(frames, rho, np.concatenate(list(live.values())))
+        owners = [i for i, points in live.items() for _ in range(len(points))]
+        thetas = thetas0.take(owners, axis=0)
+        thetas[:, moved] = np.concatenate(list(live.values()))
+        s, l = _frame_sums(frames, rho, thetas)
         row = 0
         for i, points in list(live.items()):
             n = len(points)
@@ -352,10 +378,12 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
             row += n
 
     records = [RestartRecord(i, kind, value, l_res, evals[i])
-               for i, ((kind, _), (_, value, l_res)) in enumerate(zip(starts, ends))]
+               for i, (kind, (_, value, l_res)) in enumerate(zip(kinds, ends))]
     best = min(records, key=_rank)
 
-    circuit = unitary.with_theta(template, ends[best.index][0])
+    theta = thetas0[best.index].copy()
+    theta[moved] = ends[best.index][0]
+    circuit = unitary.with_theta(template, theta)
     rotated = unitary.apply(circuit, rho)
     (value,), (l_res,) = coherence.class_sums(rotated.entries, rho.dims, _S_AND_L)
     return ConsonanceReport(value, l_res, circuit, tuple(records))

@@ -13,8 +13,9 @@ unitary is U_L ... U_2 U_1.
 A search ranges over the circuits of one :class:`Preset`, and only the
 preset knows its shape: it checks its kind and depth once, lists its
 layer supports in circuit order (:meth:`Preset.supports`, the one place
-the supports are chosen) and builds its circuit at theta = 0 with its tag
-(:meth:`Preset.build`).
+the supports are chosen), builds its circuit at theta = 0 with its tag
+(:meth:`Preset.build`) and lists the theta columns its search moves
+(:meth:`Preset.moved`).
 
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
 vectors (B, P) into the stacked circuit unitaries (B, D, D), and one
@@ -332,6 +333,18 @@ class Preset:
     :func:`default_supports`, cycling through the pool again if ``depth``
     exceeds its length.  ``depth`` is checked for both kinds but read only
     by ``nonglobal``.
+
+    :meth:`moved` lists the theta columns a search moves.  S and L read
+    only moduli, so a diagonal unitary multiplied onto a circuit from the
+    left changes neither.  In ``single_party`` every layer is leftmost, so
+    each layer's diagonal is gauge and its search moves only the layer's
+    off-diagonal columns (d..d^2-1), the upper-triangle (re, im) pairs.
+    At d = 2 a zero diagonal loses no frame: every U is D exp(iO), D a
+    diagonal unitary and O off-diagonal.  At d >= 3 the off-diagonal columns have
+    the quotient's dimension, d^2 - d, but that they reach every frame is
+    a heuristic.  ``nonglobal`` moves every column.  The unmoved columns
+    stay at their start values: 0 from the identity and random starts, a
+    warm start's own values from a warm start.
     """
 
     KINDS: ClassVar[tuple[str, ...]] = (SINGLE_PARTY, NONGLOBAL)
@@ -354,14 +367,29 @@ class Preset:
             return [s for s in pool if len(s) == 1]
         return [pool[k % len(pool)] for k in range(self.depth)]
 
+    def _layers(self, dims) -> list[tuple[tuple[int, ...], int]]:
+        """(support, dimension) of each layer on ``dims``, in circuit order."""
+        dims = check_dims(dims)
+        return [(s, math.prod(dims[p] for p in s)) for s in self.supports(len(dims))]
+
     def build(self, dims) -> LocalCircuit:
         """The preset's circuit on ``dims`` at theta = 0, tagged
         ``single_party`` or ``nonglobal:depth=N``."""
-        dims = check_dims(dims)
-        layers = tuple(CircuitLayer(s, UnitaryParams.identity(math.prod(dims[p] for p in s)))
-                       for s in self.supports(len(dims)))
+        layers = tuple(CircuitLayer(s, UnitaryParams.identity(d))
+                       for s, d in self._layers(dims))
         tag = self.kind if self.kind == SINGLE_PARTY else f"{NONGLOBAL}:depth={self.depth}"
         return LocalCircuit(layers, preset=tag)
+
+    def moved(self, dims) -> np.ndarray:
+        """The theta columns of ``build(dims)`` that a search moves, in
+        increasing order: each layer's off-diagonal columns for
+        ``single_party``, every column for ``nonglobal``."""
+        sizes = [d for _, d in self._layers(dims)]
+        offsets = np.cumsum([0] + [d * d for d in sizes])
+        if self.kind == NONGLOBAL:
+            return np.arange(offsets[-1], dtype=np.intp)
+        return np.concatenate([np.arange(o + d, o + d * d, dtype=np.intp)
+                               for o, d in zip(offsets, sizes)])
 
 
 # --- flat parameter vector <-> circuit ----------------------------------

@@ -18,6 +18,7 @@ from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
                                   _nelder_mead, consonance)
 from consonance.qstate import density_from_pure
 from test_frames import reference_sums, reference_unitary
+from test_unitary import moved_columns
 
 
 def _drive(f, x0, maxfev, xatol, fatol, adaptive):
@@ -121,37 +122,46 @@ def test_every_budget_matches_scipy(f, x0, adaptive):
 def _scipy_restart(rho, template, x0, config):
     """One restart on scipy's Nelder-Mead, one frame at a time through the
     scalar reference: the search as it ran before the restarts were put
-    in lockstep, on none of the package's frame code."""
+    in lockstep, on none of the package's frame code.  Scipy moves the
+    search's columns; the others stay at their values in ``x0``."""
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
-    adaptive = template.n_theta >= 10
+    moved = moved_columns(template)
+    adaptive = len(moved) >= 10
     evals = 0
 
-    def at(theta):
+    def at(y):
         nonlocal evals
         evals += 1
+        theta = np.array(x0, dtype=np.float64)
+        theta[moved] = y
         return reference_sums(rho, reference_unitary(template, rho.dims, theta))
 
-    def penalized(theta, mu):
-        s, l = at(theta)
+    def penalized(y, mu):
+        s, l = at(y)
         return s + mu * l
 
-    def nelder_mead(f, x, xatol, fatol):
-        return minimize(f, x, method="Nelder-Mead",
+    def nelder_mead(f, y, xatol, fatol):
+        return minimize(f, y, method="Nelder-Mead",
                         options={"maxfev": budget, "xatol": xatol, "fatol": fatol,
                                  "adaptive": adaptive, "disp": False}).x
 
-    x = np.asarray(x0, dtype=np.float64)
+    y = np.asarray(x0, dtype=np.float64)[moved]
     for mu in PENALTY_MUS:
-        x = nelder_mead(lambda t, mu=mu: penalized(t, mu), x, 1e-8, 1e-10)
-    if at(x)[1] > config.eps_l:
-        x = nelder_mead(lambda t: at(t)[1], x, 1e-10, 1e-14)
-    s, l = at(x)
+        y = nelder_mead(lambda t, mu=mu: penalized(t, mu), y, 1e-8, 1e-10)
+    if at(y)[1] > config.eps_l:
+        y = nelder_mead(lambda t: at(t)[1], y, 1e-10, 1e-14)
+    s, l = at(y)
     return s, l, evals
 
 
-def _random_start(config, j, n_theta):
+def _random_start(config, j, template):
+    """Restart j's start: the seed's j-th Philox jump draws every column,
+    and the columns the search does not move are set to 0."""
     stream = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
-    return stream.uniform(-math.pi, math.pi, size=n_theta)
+    x0 = np.zeros(template.n_theta)
+    moved = moved_columns(template)
+    x0[moved] = stream.uniform(-math.pi, math.pi, size=template.n_theta)[moved]
+    return x0
 
 
 @pytest.mark.parametrize("rho,preset", [
@@ -163,8 +173,7 @@ def test_lockstep_restarts_match_solo_runs(rho, preset):
     lockstep = consonance(rho, config)
     template = preset.build(rho.dims)
     for j, record in enumerate(lockstep.per_restart):
-        x0 = (_random_start(config, j, template.n_theta) if j
-              else np.zeros(template.n_theta))
+        x0 = _random_start(config, j, template) if j else np.zeros(template.n_theta)
         assert (record.value, record.l_residual, record.evals) == \
             _scipy_restart(rho, template, x0, config)
         if j == 0:
@@ -178,3 +187,16 @@ def test_lockstep_restarts_match_solo_runs(rho, preset):
         got = solo.per_restart[1]
         assert (got.value, got.l_residual, got.evals) == \
             (record.value, record.l_residual, record.evals)
+
+
+def test_a_warm_start_keeps_the_columns_the_search_does_not_move():
+    # every column of the start is apart from 0, the diagonal ones too
+    rho = states.random_density((2, 3), seed=4)
+    template = Preset().build(rho.dims)
+    x0 = np.linspace(-1.0, 1.1, template.n_theta)
+    config = OptimizerConfig(restarts=1, seed=9, max_evals=1000,
+                             warm_starts=(unitary.with_theta(template, x0),))
+    got = consonance(rho, config).per_restart[1]
+    assert got.kind == "warm"
+    assert (got.value, got.l_residual, got.evals) == \
+        _scipy_restart(rho, template, x0, config)

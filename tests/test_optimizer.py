@@ -165,25 +165,67 @@ def _behind_a_frame(rho, seed):
     return apply(with_theta(frame, rng.uniform(-math.pi, math.pi, frame.n_theta)), rho)
 
 
-@pytest.mark.parametrize("rho,preset,feasible", [
-    (states.werner(0.5), Preset(), True),
-    (_behind_a_frame(states.two_param_qubit_qutrit(0.1, 0.3), seed=3), Preset(), False),
-    (states.ghz(3), Preset(kind=NONGLOBAL, depth=3), True),
-    (states.w_state(3), Preset(), False),
-], ids=["werner", "2x3-random-frame", "ghz3-nonglobal", "w3-single-party"])
-def test_report_is_the_winning_restarts_record(rho, preset, feasible):
+@pytest.mark.parametrize("rho,preset,feasible,want", [
+    (states.werner(0.5), Preset(), True, 0.5),
+    (_behind_a_frame(states.two_param_qubit_qutrit(0.1, 0.3), seed=3), Preset(), True,
+     2 / 15),
+    (states.random_density((2, 3), seed=4), Preset(), False, None),
+    (states.ghz(3), Preset(kind=NONGLOBAL, depth=3), True, None),
+    (states.w_state(3), Preset(), False, None),
+], ids=["werner", "2x3-random-frame", "2x3-random-state", "ghz3-nonglobal",
+        "w3-single-party"])
+def test_report_is_the_winning_restarts_record(rho, preset, feasible, want):
     # the replay and the search run one conjugation, so the report's
     # value and residual are the chosen restart's own, bit for bit; the
-    # cases reach both arms of the rank, with and without a feasible restart
+    # cases reach both arms of the rank, with and without a feasible
+    # restart (a generic full-rank mixed state has no zero-L frame)
     config = OptimizerConfig(preset=preset, restarts=3, seed=7, max_evals=3000)
     report = consonance(rho, config)
     assert any(r.l_residual <= EPS_L for r in report.per_restart) == feasible
+    if want is not None:
+        assert abs(report.value - want) <= 1e-6
     chosen = _merged_restart(report)
     assert (report.value, report.l_residual) == (chosen.value, chosen.l_residual)
     # what the report derives follows from its four fields
     assert report.feasible == (report.l_residual <= EPS_L) == feasible
     assert report.preset == report.circuit.preset == preset.build(rho.dims).preset
     assert report.n_evals == sum(r.evals for r in report.per_restart)
+
+
+def _inverse(circuit):
+    """The circuit undoing a single_party ``circuit``, through the chart
+    inverse, so its diagonal columns are not 0."""
+    return unitary.LocalCircuit(tuple(
+        unitary.CircuitLayer(layer.support, unitary.params_for_unitary(
+            unitary.build_unitary(layer.params).conj().T))
+        for layer in circuit.layers), preset=circuit.preset)
+
+
+def _diagonals(circuit):
+    return [layer.params.theta[:layer.params.dim].tolist() for layer in circuit.layers]
+
+
+@pytest.mark.parametrize("kind", ["identity", "random", "warm"])
+def test_a_single_party_report_keeps_each_layers_start_diagonal(kind):
+    # the diagonal of a single_party layer is gauge, so the search never
+    # moves it: the winner's circuit has its start's diagonal columns
+    rho = states.werner(0.5)
+    config = OptimizerConfig(restarts=1, seed=7, max_evals=3000)
+    if kind == "random":
+        config = dataclasses.replace(config, restarts=3)
+    if kind == "warm":
+        frame = Preset().build((2, 3))
+        frame = with_theta(frame, np.random.default_rng(3).uniform(-math.pi, math.pi,
+                                                                   frame.n_theta))
+        rho = apply(frame, states.two_param_qubit_qutrit(0.1, 0.3))
+        config = dataclasses.replace(config, warm_starts=(_inverse(frame),))
+    report = consonance(rho, config)
+    assert _merged_restart(report).kind == kind
+    want = [[0.0] * d for d in rho.dims]
+    if kind == "warm":
+        want = _diagonals(config.warm_starts[0])
+        assert 0.0 not in sum(want, [])
+    assert _diagonals(report.circuit) == want
 
 
 @pytest.mark.parametrize("derived", ["feasible", "preset", "n_evals"])

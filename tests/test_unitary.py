@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -272,6 +273,50 @@ def test_preset_rejects_unknown_kinds(kind):
 def test_preset_stores_numpy_integers_as_int():
     p = Preset(NONGLOBAL, depth=np.int64(2))
     assert p.depth == 2 and type(p.depth) is int
+
+
+def moved_columns(circuit) -> list[int]:
+    """The theta columns a search over ``circuit`` moves, from its layer
+    dimensions alone: a single_party layer's upper-triangle (re, im)
+    pairs, d..d^2-1 of its d^2, since its diagonal is gauge; every column
+    of any other circuit."""
+    moved, offset = [], 0
+    for layer in circuit.layers:
+        d = layer.params.dim
+        moved += range(offset + (d if circuit.preset == SINGLE_PARTY else 0),
+                       offset + d * d)
+        offset += d * d
+    return moved
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2), (2, 3, 2, 3)])
+@pytest.mark.parametrize("depth", [1, 3, 7])
+def test_preset_moves_the_columns_its_objective_sees(dims, depth):
+    for kind in (SINGLE_PARTY, NONGLOBAL):
+        preset = Preset(kind, depth)
+        moved = preset.moved(dims)
+        assert moved.dtype == np.intp
+        assert moved.tolist() == moved_columns(preset.build(dims))
+    assert len(Preset().moved((2, 3))) == 2 + 6 < Preset().build((2, 3)).n_theta == 13
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_every_qubit_unitary_is_a_diagonal_times_an_off_diagonal_exp(seed):
+    # U = D exp(iO), D a diagonal unitary and O = [[0, z], [z*, 0]] with
+    # z = t e^{i phi}: exp(iO) = [[cos t, i sin t e^{i phi}],
+    # [i sin t e^{-i phi}, cos t]].  D on the left changes no modulus, so
+    # the single_party search, which moves only the off-diagonal columns,
+    # loses no frame of a qubit layer, and so no Werner frame
+    u = scipy.stats.unitary_group.rvs(2, random_state=seed)
+    t = math.acos(min(1.0, abs(u[0, 0])))
+    phi = np.angle(u[0, 1] * np.conj(u[0, 0]) / 1j)
+    e = np.array([[math.cos(t), 1j * math.sin(t) * np.exp(1j * phi)],
+                  [1j * math.sin(t) * np.exp(-1j * phi), math.cos(t)]])
+    d = np.diag(np.exp(1j * np.angle(np.diag(u))))
+    assert np.abs(d @ e - u).max() <= 1e-12
+    off = [t * math.cos(phi), t * math.sin(phi)]     # (re, im) of z, diagonal 0
+    chart = build_unitary(UnitaryParams(2, [0.0, 0.0] + off))
+    assert np.abs(chart - e).max() <= 1e-12
 
 
 @pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
