@@ -4,15 +4,15 @@ The consonance of a state is the infimum of the nonlocal coherence sum S
 over circuits of local unitaries whose output has vanishing local
 coherence L.  The circuits are those of a ``unitary.Preset`` (also
 importable from here): the search builds the preset's circuit at
-theta = 0 and moves only the parameters ``Preset.moved`` lists; it
-decides no support.  S and L read only moduli, so a diagonal unitary on
-the left of a circuit changes neither, and under ``single_party`` every
-layer is leftmost: its search moves only each layer's off-diagonal
-columns (d..d^2-1 of the layer's d^2) and holds the diagonal ones at
-their start values.  At d = 2 a zero diagonal loses no frame, since
-every U is D exp(iO) with D diagonal and O off-diagonal; at d >= 3 the
-reduced chart is a heuristic.  ``nonglobal`` moves every column.  The search
-runs an exterior penalty scheme,
+theta = 0 and runs in the frame ``Preset.search_frame`` decides for the
+state; it decides no support and builds no circuit.  Under
+``single_party`` that frame is the marginals' eigenframe: the search
+runs on V† rho V, V the product of each party's marginal eigenvectors
+(the identity where a marginal needs no rotation), and moves only the
+upper-triangle (re, im) pairs inside one eigenvalue group, holding every
+other column, the gauge diagonal among them, at its start value.
+``nonglobal`` runs on rho and moves every column.  The search runs an
+exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 
@@ -21,16 +21,19 @@ moved columns as the inner search, and multiple restarts: the identity
 frame first (theta = 0), then optional caller-supplied warm starts, then
 uniform random draws in [-pi, pi]^P from a counter-based Philox stream
 keyed by the seed, one jump per restart index, with the unmoved columns
-set to 0.  A warm start is a circuit, such as a circuit file or an
-earlier report's circuit; the search starts from its parameters, keeping
-its unmoved columns as they are, only if its layers have the same
-(support, dimension) list as the preset's circuit, and otherwise raises
-before it evaluates a frame.
+set to 0.  A warm start is a circuit on rho, such as a circuit file or
+an earlier report's circuit; the search starts from it, moved into its
+frame (U V on a rotated layer) and keeping its unmoved columns as they
+are, only if its layers have the same (support, dimension) list as the
+preset's circuit, and otherwise raises before it evaluates a frame.
 A restart whose final L still exceeds eps_L gets a feasibility polish
-that minimizes L alone.  ``consonance()`` then takes three steps: it
+that minimizes L alone.  Where no column moves, each identity or warm
+start is evaluated once and there are no random restarts, which would
+repeat the identity.  ``consonance()`` then takes three steps: it
 steps every restart to its end, ranks the restarts with one key
 (feasible ones first, by S, then L, then index; the rest by L, then S,
-then index) and replays the circuit of the one ranked first.
+then index) and replays the circuit of the one ranked first, W V† on a
+rotated layer.
 
 Every restart runs in lockstep with the others.  Each restart is a
 generator that yields the points it needs next (its initial simplex, one
@@ -58,12 +61,15 @@ L <= EPS_L, so it first runs ``coherence.local_screen``, a float64
 estimate of L that keeps every such row, and sums only the survivors
 with ``class_sums``; only ``class_sums`` reports a class sum.
 
-The replay runs the winning circuit through the public ``unitary.apply``,
-whose density branch is one row of the same ``unitary.conjugate``, and
-one ``class_sums`` call.  The report holds that S and L, the circuit and
-the restart records, and derives the rest from them, so its value always
-matches what a caller would reproduce from it, its feasibility is the
-replay's L against eps_L, and both equal the winning restart's record.
+The replay runs the winning circuit on rho through the public
+``unitary.apply``, whose density branch is one row of the same
+``unitary.conjugate``, and one ``class_sums`` call.  The report holds
+that S and L, the circuit and the restart records, and derives the rest
+from them, so its value always matches what a caller would reproduce
+from it and its feasibility is the replay's L against eps_L.  Where no
+layer rotates, both equal the winning restart's record bit for bit;
+where one does, its circuit passes through the chart inverse, and they
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -96,12 +102,14 @@ class OptimizerConfig:
 
     ``max_evals`` is a budget per restart, not a total: each of the four
     penalty stages and the feasibility polish may use ``max_evals // 5``
-    evaluations (at least 50).  Nelder-Mead runs over the columns
-    ``preset.moved`` lists, and is adaptive from 10 of them up: each
-    ``single_party`` layer's off-diagonal columns, since its diagonal is
-    gauge (exact at d = 2, a heuristic at d >= 3), and every column under
-    ``nonglobal``.  ``eps_l`` reads the fixed feasibility tolerance
-    ``EPS_L``.  ``warm_starts`` holds ``unitary.LocalCircuit`` values;
+    evaluations (at least 50).  Nelder-Mead runs over the columns the
+    state's ``preset.search_frame`` moves, and is adaptive from 10 of them
+    up: under ``single_party``, the (re, im) pairs inside each marginal
+    eigenvalue group, in the marginals' eigenframe; under ``nonglobal``,
+    every column.  Where no column moves, ``restarts`` and ``max_evals``
+    go unused: each identity or warm start is evaluated once.  ``eps_l``
+    reads the fixed feasibility tolerance ``EPS_L``.  ``warm_starts``
+    holds ``unitary.LocalCircuit`` values on the input state;
     ``consonance()`` checks each against its own circuit, layer by layer,
     by support and dimension, and keeps its unmoved columns as they are.
     """
@@ -284,9 +292,13 @@ def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
 
 def _search_one(x0: np.ndarray, config: OptimizerConfig):
     """One restart over the moved columns ``x0``: the penalty stages, the
-    polish if L is still above eps_L, and a last look at the final frame.
-    Yields stacks of moved columns, receives their (S, L) arrays, and
-    returns (x, S, L) at the end."""
+    polish if L is still above eps_L, and a last look at the final frame;
+    with no moved column, that look alone.  Yields stacks of moved
+    columns, receives their (S, L) arrays, and returns (x, S, L) at the
+    end."""
+    if not len(x0):
+        s, l = yield x0[None]
+        return x0, float(s[0]), float(l[0])
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
     adaptive = len(x0) >= 10
     x = np.asarray(x0, dtype=np.float64)
@@ -313,20 +325,24 @@ def _layer_shape(circuit) -> list | str:
 
 
 def _start_points(config: OptimizerConfig, template: unitary.LocalCircuit,
-                  moved: np.ndarray):
-    """Yield (kind, theta0) per restart; random streams depend only on
-    (seed, restart position), so warm starts never shift them.  A random
-    start draws every column and keeps only the ``moved`` ones, the rest
-    0; a warm start keeps all of its own.  A warm start must have the
-    template's layers, by support and dimension."""
-    n_theta = template.n_theta
+                  frame: unitary.SearchFrame):
+    """Yield (kind, theta0) per restart, in the search's frame; random
+    streams depend only on (seed, restart position), so warm starts never
+    shift them.  A random start draws every column and keeps only the
+    moved ones, the rest 0; with no moved column it would repeat the
+    identity start, so there is none.  A warm start must have the
+    template's layers, by support and dimension, and keeps all of its own
+    columns once moved into the search's frame."""
+    n_theta, moved = template.n_theta, frame.moved
     yield "identity", np.zeros(n_theta)
     want = _layer_shape(template)
     for w in config.warm_starts:
         if _layer_shape(w) != want:
             raise ValueError(f"a warm start must have the search's layers (support, "
                              f"dimension) {want}, got {_layer_shape(w)}")
-        yield "warm", unitary.theta_vector(w)
+        yield "warm", unitary.theta_vector(frame.to_search(w))
+    if not len(moved):
+        return
     for j in range(1, config.restarts):
         stream = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
         theta0 = np.zeros(n_theta)
@@ -345,8 +361,9 @@ def _rank(record: RestartRecord) -> tuple:
 def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> ConsonanceReport:
     """Estimate the consonance of ``rho`` under the configured preset.
 
-    Steps every restart to its end, ranks the restarts with ``_rank`` and
-    replays the winner's circuit.  The report's ``value`` is exactly the
+    Steps every restart to its end in the frame ``search_frame`` decides
+    for ``rho``, ranks the restarts with ``_rank`` and replays the
+    winner's circuit on ``rho``.  The report's ``value`` is exactly the
     nonlocal sum of ``apply(report.circuit, rho)`` and its ``l_residual``
     the local sum there; it is feasible when that residual meets eps_L,
     and then the value is an upper bound on the true infimum.
@@ -354,8 +371,9 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     config = config or OptimizerConfig()
     rho, template, frames = _search_setup(rho, config.preset)
 
-    moved = config.preset.moved(rho.dims)
-    kinds, thetas0 = zip(*_start_points(config, template, moved))
+    frame = config.preset.search_frame(rho)
+    moved, searched = frame.moved, frame.state(rho)
+    kinds, thetas0 = zip(*_start_points(config, template, frame))
     thetas0 = np.array(thetas0)
     searches = [_search_one(theta0[moved], config) for theta0 in thetas0]
     live = {i: next(search) for i, search in enumerate(searches)}   # index: its points
@@ -365,7 +383,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
         owners = [i for i, points in live.items() for _ in range(len(points))]
         thetas = thetas0.take(owners, axis=0)
         thetas[:, moved] = np.concatenate(list(live.values()))
-        s, l = _frame_sums(frames, rho, thetas)
+        s, l = _frame_sums(frames, searched, thetas)
         row = 0
         for i, points in list(live.items()):
             n = len(points)
@@ -383,7 +401,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
 
     theta = thetas0[best.index].copy()
     theta[moved] = ends[best.index][0]
-    circuit = unitary.with_theta(template, theta)
+    circuit = frame.to_state(unitary.with_theta(template, theta))
     rotated = unitary.apply(circuit, rho)
     (value,), (l_res,) = coherence.class_sums(rotated.entries, rho.dims, _S_AND_L)
     return ConsonanceReport(value, l_res, circuit, tuple(records))

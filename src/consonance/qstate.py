@@ -39,6 +39,13 @@ TOL_PSD = 1e-8         # most negative eigenvalue
 TOL_UNIT = 1e-12       # slack of a weight or probability past [0, 1]
 TOL_UNITARY = 1e-8     # max |u u^dagger - 1| entry params_for_unitary accepts
 TOL_RELABEL = 1e-10    # the same for a TpsRelabeling matrix
+# Marginal eigenvalues closer than TOL_DEGENERATE share one eigenspace in
+# unitary.Preset.search_frame.  eigh's eigenvectors across a gap g are off
+# by about eps * |rho_k| / g <= 2.2e-16 / g (a marginal has norm <= 1): at
+# g >= 1e-7 that is 2.2e-9, 450 times below the search's EPS_L = 1e-6, and
+# twice it summed over the few dozen local entries of these sizes stays
+# under EPS_L.  An exact degeneracy shows as a gap of order eps.
+TOL_DEGENERATE = 1e-7
 
 
 class ValidationError(ValueError):

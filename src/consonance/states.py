@@ -403,10 +403,12 @@ FAMILIES = (
                 "Bell-basis change takes GHZ(3) to |000>, where S = 0"),
     Family("w", w_state, {"n": int}, "n", aliases=("w_state",),
            note="no closed form is implemented for W; for n >= 3 W(n) has no "
-                "zero-L single_party frame, since an L = 0 frame of a pure state "
-                "is a generalized Schmidt form sum_k c_k |k...k> and W(n) is not "
-                "LU-equivalent to any (Dur, Vidal & Cirac, PRA 62, 062314 "
-                "(2000)); W(2) is psi+; under the nonglobal depth-3 preset W(3) "
+                "zero-L single_party frame: an L = 0 frame diagonalizes every "
+                "marginal, W(n)'s marginals diag((n-1)/n, 1/n) fix that frame up "
+                "to permutations and phases, and L = n - 1 there (as background, "
+                "an L = 0 frame of a pure state is a generalized Schmidt form "
+                "sum_k c_k |k...k>, and W(n) is not LU-equivalent to any: Dur, "
+                "Vidal & Cirac, PRA 62, 062314 (2000)); W(2) is psi+; under the nonglobal depth-3 preset W(3) "
                 "reaches S = L = 0 (criterion 8's witness), so search values "
                 "there are upper bounds on 0"),
 )

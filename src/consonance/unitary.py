@@ -14,8 +14,9 @@ A search ranges over the circuits of one :class:`Preset`, and only the
 preset knows its shape: it checks its kind and depth once, lists its
 layer supports in circuit order (:meth:`Preset.supports`, the one place
 the supports are chosen), builds its circuit at theta = 0 with its tag
-(:meth:`Preset.build`) and lists the theta columns its search moves
-(:meth:`Preset.moved`).
+(:meth:`Preset.build`) and decides, for a state, the frame its search
+runs in and the theta columns it moves there (:meth:`Preset.search_frame`,
+a :class:`SearchFrame`).
 
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
 vectors (B, P) into the stacked circuit unitaries (B, D, D), and one
@@ -45,9 +46,9 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims, check_integer,
-                     check_state, check_unitary, errors_at, json_float, json_text,
-                     read_json)
+from .qstate import (TOL_DEGENERATE, TOL_UNITARY, DensityMatrix, PureState, check_dims,
+                     check_integer, check_state, check_unitary, errors_at, json_float,
+                     json_text, partial_trace, read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -334,17 +335,34 @@ class Preset:
     exceeds its length.  ``depth`` is checked for both kinds but read only
     by ``nonglobal``.
 
-    :meth:`moved` lists the theta columns a search moves.  S and L read
-    only moduli, so a diagonal unitary multiplied onto a circuit from the
-    left changes neither.  In ``single_party`` every layer is leftmost, so
-    each layer's diagonal is gauge and its search moves only the layer's
-    off-diagonal columns (d..d^2-1), the upper-triangle (re, im) pairs.
-    At d = 2 a zero diagonal loses no frame: every U is D exp(iO), D a
-    diagonal unitary and O off-diagonal.  At d >= 3 the off-diagonal columns have
-    the quotient's dimension, d^2 - d, but that they reach every frame is
-    a heuristic.  ``nonglobal`` moves every column.  The unmoved columns
-    stay at their start values: 0 from the identity and random starts, a
-    warm start's own values from a warm start.
+    :meth:`search_frame` decides, for one state, the frame a search runs
+    in and the theta columns it moves there.  S and L read only moduli,
+    so a diagonal unitary multiplied onto a circuit from the left changes
+    neither.  In ``single_party`` every layer is leftmost, so each layer's
+    diagonal is gauge and never moves.  A frame with L = 0 also
+    diagonalizes every party's marginal rho_k: an off-diagonal entry of
+    rho_k sums entries of rho that differ in party k alone, which are
+    local.  So every zero-L frame maps rho_k's eigenvectors to basis
+    vectors, up to a permutation and phases, which change neither S nor L,
+    and within each eigenspace by any unitary.  The search therefore runs
+    on rho in the marginals' eigenframe and moves only the upper-triangle
+    (re, im) pairs (i, j) of basis vectors in one eigenvalue group,
+    eigenvalues closer than ``TOL_DEGENERATE`` sharing a group.  A pair
+    spans a two-dimensional eigenspace exactly: every U(2) is D exp(iO),
+    D a diagonal unitary and O off-diagonal.  So where every eigenspace has
+    dimension <= 2 the restriction loses no zero-L frame; that the
+    off-diagonal columns of a larger eigenspace reach every unitary on it
+    is a heuristic.  A marginal with one group, or exactly diagonal, needs
+    no rotation, and its layer is searched as it is.  ``nonglobal`` rotates
+    nothing and moves every column, since its pair layers do not keep the
+    marginals.  The unmoved columns stay at their start values: 0 from the
+    identity and random starts, a warm start's own values from a warm
+    start.
+
+    :meth:`moved` lists the columns where every marginal is one group, as
+    for Werner, GHZ and isotropic states: each layer's off-diagonal
+    columns (d..d^2-1) for ``single_party``, every column for
+    ``nonglobal``.
     """
 
     KINDS: ClassVar[tuple[str, ...]] = (SINGLE_PARTY, NONGLOBAL)
@@ -381,15 +399,100 @@ class Preset:
         return LocalCircuit(layers, preset=tag)
 
     def moved(self, dims) -> np.ndarray:
-        """The theta columns of ``build(dims)`` that a search moves, in
-        increasing order: each layer's off-diagonal columns for
-        ``single_party``, every column for ``nonglobal``."""
+        """The theta columns of ``build(dims)`` that a search moves where
+        every marginal is one eigenvalue group, in increasing order."""
         sizes = [d for _, d in self._layers(dims)]
-        offsets = np.cumsum([0] + [d * d for d in sizes])
         if self.kind == NONGLOBAL:
-            return np.arange(offsets[-1], dtype=np.intp)
-        return np.concatenate([np.arange(o + d, o + d * d, dtype=np.intp)
-                               for o, d in zip(offsets, sizes)])
+            return np.arange(sum(d * d for d in sizes), dtype=np.intp)
+        return _pair_columns([np.zeros(d, dtype=np.intp) for d in sizes])
+
+    def search_frame(self, rho: DensityMatrix) -> SearchFrame:
+        """The frame a search on ``rho`` runs in, and its moved columns."""
+        if self.kind == NONGLOBAL:
+            n_layers = len(self.supports(rho.n_parties))
+            return SearchFrame((None,) * n_layers, self.moved(rho.dims))
+        rotations, groups = zip(*(_eigenframe(partial_trace(rho, [k]).entries)
+                                  for k in range(rho.n_parties)))
+        return SearchFrame(rotations, _pair_columns(groups))
+
+
+def _groups(w: np.ndarray) -> np.ndarray:
+    """The group number of each of the ascending values ``w``: a value
+    closer than ``TOL_DEGENERATE`` to the one before joins its group."""
+    return np.concatenate(([0], np.cumsum(np.diff(w) > TOL_DEGENERATE)))
+
+
+def _eigenframe(m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(V, groups) of one party's marginal ``m``: ``groups[i]`` numbers the
+    eigenvalue group of basis vector i of the frame V, the eigenvectors of
+    ``m`` from ``eigh``.  V is None, the basis kept, where ``m`` has one
+    group or is exactly diagonal; the groups then come from its diagonal."""
+    w, v = np.linalg.eigh(m)
+    groups = _groups(w)
+    if not groups.any():
+        return None, groups
+    if np.any(m[~np.eye(len(m), dtype=bool)]):
+        return v, groups
+    diag = np.diag(m).real
+    order = np.argsort(diag, kind="stable")
+    groups[order] = _groups(diag[order])
+    return None, groups
+
+
+def _pair_columns(groups) -> np.ndarray:
+    """The theta columns of consecutive layers, one per entry of
+    ``groups`` (each layer's group numbers), that hold the (re, im) pair of
+    an upper-triangle entry (i, j) with i and j in one group."""
+    columns, offset = [], 0
+    for g in groups:
+        d = len(g)
+        i, j = np.triu_indices(d, k=1)
+        pairs = np.flatnonzero(g[i] == g[j])
+        columns.append((offset + d + 2 * pairs[:, None] + np.arange(2)).ravel())
+        offset += d * d
+    return np.concatenate(columns).astype(np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class SearchFrame:
+    """The frame a search on one state runs in, from
+    :meth:`Preset.search_frame`: ``rotations`` holds each layer's V_k, or
+    None for a layer searched as it is, and ``moved`` the theta columns
+    the search moves.  The search runs on V† rho V, V the product of the
+    rotations, so a circuit W found there is W V† on rho, layer by layer.
+    The chart inverse that turns a product back into a layer's theta
+    (:func:`params_for_unitary`) runs on rotated layers alone."""
+
+    rotations: tuple
+    moved: np.ndarray
+
+    def state(self, rho: DensityMatrix) -> DensityMatrix:
+        """``rho`` in the search's frame, V† rho V; ``rho`` itself where no
+        layer rotates."""
+        if all(r is None for r in self.rotations):
+            return rho
+        v = np.eye(1)
+        for d, r in zip(rho.dims, self.rotations):
+            v = np.kron(v, np.eye(d) if r is None else r)
+        return DensityMatrix(rho.dims, v.conj().T @ rho.entries @ v)
+
+    def to_search(self, circuit: LocalCircuit) -> LocalCircuit:
+        """A circuit U on rho as a search start: W = U V."""
+        return _times(circuit, self.rotations)
+
+    def to_state(self, circuit: LocalCircuit) -> LocalCircuit:
+        """A circuit W the search found as the circuit on rho: U = W V†."""
+        return _times(circuit, [None if r is None else r.conj().T for r in self.rotations])
+
+
+def _times(circuit: LocalCircuit, mats) -> LocalCircuit:
+    """``circuit`` with each layer's unitary multiplied from the right by
+    its entry of ``mats``; a layer whose entry is None is kept as it is."""
+    layers = tuple(
+        layer if m is None else CircuitLayer(
+            layer.support, params_for_unitary(build_unitary(layer.params) @ m))
+        for layer, m in zip(circuit.layers, mats))
+    return LocalCircuit(layers, preset=circuit.preset)
 
 
 # --- flat parameter vector <-> circuit ----------------------------------

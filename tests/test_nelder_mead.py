@@ -18,7 +18,7 @@ from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
                                   _nelder_mead, consonance)
 from consonance.qstate import density_from_pure
 from test_frames import reference_sums, reference_unitary
-from test_unitary import moved_columns
+from test_unitary import mixed_marginals, moved_columns
 
 
 def _drive(f, x0, maxfev, xatol, fatol, adaptive):
@@ -119,13 +119,14 @@ def test_every_budget_matches_scipy(f, x0, adaptive):
 # --- lockstep restarts against solo runs --------------------------------
 
 
-def _scipy_restart(rho, template, x0, config):
+def _scipy_restart(rho, template, x0, config, groups=None):
     """One restart on scipy's Nelder-Mead, one frame at a time through the
     scalar reference: the search as it ran before the restarts were put
     in lockstep, on none of the package's frame code.  Scipy moves the
-    search's columns; the others stay at their values in ``x0``."""
+    search's columns (``moved_columns`` of ``groups``); the others stay at
+    their values in ``x0``."""
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
-    moved = moved_columns(template)
+    moved = moved_columns(template, groups)
     adaptive = len(moved) >= 10
     evals = 0
 
@@ -154,28 +155,42 @@ def _scipy_restart(rho, template, x0, config):
     return s, l, evals
 
 
-def _random_start(config, j, template):
+def _random_start(config, j, template, groups=None):
     """Restart j's start: the seed's j-th Philox jump draws every column,
     and the columns the search does not move are set to 0."""
     stream = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
     x0 = np.zeros(template.n_theta)
-    moved = moved_columns(template)
+    moved = moved_columns(template, groups)
     x0[moved] = stream.uniform(-math.pi, math.pi, size=template.n_theta)[moved]
     return x0
 
 
 @pytest.mark.parametrize("rho,preset", [
-    (states.random_density((2, 3), seed=4), Preset()),
+    # marginals I/2 and I/3: every off-diagonal column moves
+    (mixed_marginals((2, 3), seed=4), Preset()),
     (density_from_pure(states.w_state(3)), Preset(kind=unitary.NONGLOBAL, depth=2)),
 ])
 def test_lockstep_restarts_match_solo_runs(rho, preset):
+    _lockstep_matches_solo_runs(rho, preset)
+
+
+def test_lockstep_restarts_match_solo_runs_on_a_degenerate_marginal():
+    # the qutrit marginal is diag(0.4, 0.4, 0.2), exactly diagonal, so no
+    # layer rotates and only the qubit's pair and the qutrit's (0, 1) move
+    _lockstep_matches_solo_runs(states.two_param_qubit_qutrit(0.1, 0.3), Preset(),
+                                groups=[[0, 0], [0, 0, 1]])
+
+
+def _lockstep_matches_solo_runs(rho, preset, groups=None):
     config = OptimizerConfig(preset=preset, restarts=4, seed=9, max_evals=1000)
     lockstep = consonance(rho, config)
     template = preset.build(rho.dims)
+    assert preset.search_frame(rho).moved.tolist() == moved_columns(template, groups)
     for j, record in enumerate(lockstep.per_restart):
-        x0 = _random_start(config, j, template) if j else np.zeros(template.n_theta)
+        x0 = (_random_start(config, j, template, groups) if j
+              else np.zeros(template.n_theta))
         assert (record.value, record.l_residual, record.evals) == \
-            _scipy_restart(rho, template, x0, config)
+            _scipy_restart(rho, template, x0, config, groups)
         if j == 0:
             continue
         warm = unitary.with_theta(template, x0)
@@ -191,7 +206,7 @@ def test_lockstep_restarts_match_solo_runs(rho, preset):
 
 def test_a_warm_start_keeps_the_columns_the_search_does_not_move():
     # every column of the start is apart from 0, the diagonal ones too
-    rho = states.random_density((2, 3), seed=4)
+    rho = mixed_marginals((2, 3), seed=4)
     template = Preset().build(rho.dims)
     x0 = np.linspace(-1.0, 1.1, template.n_theta)
     config = OptimizerConfig(restarts=1, seed=9, max_evals=1000,

@@ -10,9 +10,10 @@ from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.optimizer import (EPS_L, PENALTY_MUS, ConsonanceReport,
                                   OptimizerConfig, Preset, config_to_json,
                                   consonance, oracle_consonance, report_to_json)
-from consonance.qstate import DensityMatrix, density_from_pure
+from consonance.qstate import DensityMatrix, as_density, density_from_pure
 from consonance.unitary import NONGLOBAL, apply, with_theta
 from test_acceptance import GHZ3_WITNESS
+from test_unitary import mixed_marginals
 
 CHEAP = OptimizerConfig(restarts=2, seed=7, max_evals=3000)
 TOL_VALUE = 1e-6       # tolerance on a searched value, added to the budget slack
@@ -92,7 +93,8 @@ def test_determinism_bit_for_bit():
 
 
 def test_seed_changes_the_random_restarts():
-    rho = states.random_density((2, 2), seed=3)
+    # marginals I/2: every off-diagonal column moves, so random restarts run
+    rho = mixed_marginals((2, 2), seed=3)
     a = consonance(rho, OptimizerConfig(restarts=3, seed=1, max_evals=2000))
     b = consonance(rho, OptimizerConfig(restarts=3, seed=2, max_evals=2000))
     # identity restart is shared; the random ones should explore differently
@@ -175,17 +177,27 @@ def _behind_a_frame(rho, seed):
 ], ids=["werner", "2x3-random-frame", "2x3-random-state", "ghz3-nonglobal",
         "w3-single-party"])
 def test_report_is_the_winning_restarts_record(rho, preset, feasible, want):
-    # the replay and the search run one conjugation, so the report's
-    # value and residual are the chosen restart's own, bit for bit; the
-    # cases reach both arms of the rank, with and without a feasible
+    # the report is the replay of its circuit; where no layer rotates, the
+    # replay and the search run one conjugation, so the report's value and
+    # residual are the chosen restart's own, bit for bit, and where one
+    # does, the replay's circuit passes through the chart inverse of W V†;
+    # the cases reach both arms of the rank, with and without a feasible
     # restart (a generic full-rank mixed state has no zero-L frame)
     config = OptimizerConfig(preset=preset, restarts=3, seed=7, max_evals=3000)
     report = consonance(rho, config)
     assert any(r.l_residual <= EPS_L for r in report.per_restart) == feasible
     if want is not None:
         assert abs(report.value - want) <= 1e-6
+    replayed = apply(report.circuit, rho)
+    assert (report.value, report.l_residual) == (nonlocal_sum(replayed),
+                                                 local_coherence(replayed))
     chosen = _merged_restart(report)
-    assert (report.value, report.l_residual) == (chosen.value, chosen.l_residual)
+    frame = preset.search_frame(as_density(rho))
+    if all(r is None for r in frame.rotations):
+        assert (report.value, report.l_residual) == (chosen.value, chosen.l_residual)
+    else:
+        assert abs(report.value - chosen.value) <= 1e-12
+        assert abs(report.l_residual - chosen.l_residual) <= 1e-12
     # what the report derives follows from its four fields
     assert report.feasible == (report.l_residual <= EPS_L) == feasible
     assert report.preset == report.circuit.preset == preset.build(rho.dims).preset
@@ -208,17 +220,19 @@ def _diagonals(circuit):
 @pytest.mark.parametrize("kind", ["identity", "random", "warm"])
 def test_a_single_party_report_keeps_each_layers_start_diagonal(kind):
     # the diagonal of a single_party layer is gauge, so the search never
-    # moves it: the winner's circuit has its start's diagonal columns
+    # moves it: where no layer rotates (Werner's marginals are I/2, in any
+    # frame), the winner's circuit has its start's diagonal columns
     rho = states.werner(0.5)
     config = OptimizerConfig(restarts=1, seed=7, max_evals=3000)
     if kind == "random":
         config = dataclasses.replace(config, restarts=3)
     if kind == "warm":
-        frame = Preset().build((2, 3))
+        frame = Preset().build((2, 2))
         frame = with_theta(frame, np.random.default_rng(3).uniform(-math.pi, math.pi,
                                                                    frame.n_theta))
-        rho = apply(frame, states.two_param_qubit_qutrit(0.1, 0.3))
+        rho = apply(frame, rho)
         config = dataclasses.replace(config, warm_starts=(_inverse(frame),))
+    assert all(r is None for r in Preset().search_frame(rho).rotations)
     report = consonance(rho, config)
     assert _merged_restart(report).kind == kind
     want = [[0.0] * d for d in rho.dims]

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import consonance
 from consonance import optimizer, states
-from consonance.qstate import density_from_pure, hermitian_eigenvalues
+from consonance.qstate import (DensityMatrix, assert_valid, density_from_pure,
+                               hermitian_eigenvalues)
 from consonance.unitary import (NONGLOBAL, SINGLE_PARTY, CircuitLayer,
                                 LocalCircuit, Preset, UnitaryParams, apply,
                                 build_unitary, circuit_from_json,
@@ -275,18 +276,42 @@ def test_preset_stores_numpy_integers_as_int():
     assert p.depth == 2 and type(p.depth) is int
 
 
-def moved_columns(circuit) -> list[int]:
+def moved_columns(circuit, groups=None) -> list[int]:
     """The theta columns a search over ``circuit`` moves, from its layer
     dimensions alone: a single_party layer's upper-triangle (re, im)
     pairs, d..d^2-1 of its d^2, since its diagonal is gauge; every column
-    of any other circuit."""
+    of any other circuit.  ``groups``, one list per single_party layer,
+    keeps only the pairs (i, j) with groups[i] == groups[j]."""
     moved, offset = [], 0
-    for layer in circuit.layers:
+    for k, layer in enumerate(circuit.layers):
         d = layer.params.dim
-        moved += range(offset + (d if circuit.preset == SINGLE_PARTY else 0),
-                       offset + d * d)
+        if circuit.preset != SINGLE_PARTY:
+            moved += range(offset, offset + d * d)
+        else:
+            g = groups[k] if groups else [0] * d
+            pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+            for p, (i, j) in enumerate(pairs):
+                if g[i] == g[j]:
+                    moved += [offset + d + 2 * p, offset + d + 2 * p + 1]
         offset += d * d
     return moved
+
+
+def mixed_marginals(dims, seed) -> DensityMatrix:
+    """A generic bipartite state whose marginals are I/d_A and I/d_B:
+    I/D plus a small sum of products of traceless Hermitian matrices, so
+    every marginal is one eigenvalue group and nothing rotates."""
+    rng = np.random.default_rng(seed)
+
+    def traceless(d):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = z + z.conj().T
+        h -= np.trace(h).real / d * np.eye(d)
+        return h / np.linalg.norm(h, 2)
+
+    d = math.prod(dims)
+    x = sum(np.kron(traceless(dims[0]), traceless(dims[1])) for _ in range(3))
+    return assert_valid(DensityMatrix(tuple(dims), np.eye(d) / d + x / (4 * d)))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2), (2, 3, 2, 3)])
@@ -298,6 +323,45 @@ def test_preset_moves_the_columns_its_objective_sees(dims, depth):
         assert moved.dtype == np.intp
         assert moved.tolist() == moved_columns(preset.build(dims))
     assert len(Preset().moved((2, 3))) == 2 + 6 < Preset().build((2, 3)).n_theta == 13
+
+
+@pytest.mark.parametrize("depth", [1, 3, 7])
+def test_a_nonglobal_search_frame_rotates_nothing(depth):
+    rho = density_from_pure(states.w_state(3))
+    preset = Preset(NONGLOBAL, depth)
+    frame = preset.search_frame(rho)
+    assert frame.rotations == (None,) * depth
+    assert frame.moved.tolist() == preset.moved(rho.dims).tolist()
+    assert frame.state(rho) is rho
+
+
+def test_an_unrotated_search_frame_keeps_the_state_and_the_circuit():
+    rho = mixed_marginals((2, 3), seed=1)
+    frame = Preset().search_frame(rho)
+    assert frame.rotations == (None, None)
+    assert frame.moved.tolist() == Preset().moved((2, 3)).tolist()
+    assert frame.state(rho) is rho
+    circuit = with_theta(Preset().build((2, 3)), np.linspace(-1.0, 1.0, 13))
+    for convert in (frame.to_search, frame.to_state):
+        assert convert(circuit).layers == circuit.layers
+
+
+def test_a_rotated_search_frame_moves_rho_and_circuits_between_frames():
+    # W found on V† rho V is W V† on rho, and a start U on rho is U V
+    rng = np.random.default_rng(2)
+    rho = states.random_density((2, 3), seed=2)
+    frame = Preset().search_frame(rho)
+    assert all(r is not None for r in frame.rotations)
+    assert frame.moved.size == 0       # distinct marginal eigenvalues
+    v = np.kron(*frame.rotations)
+    assert np.abs(frame.state(rho).entries - v.conj().T @ rho.entries @ v).max() <= 1e-15
+    w = with_theta(Preset().build((2, 3)), rng.uniform(-1.0, 1.0, 13))
+    on_rho = frame.to_state(w)
+    assert np.abs(circuit_unitary(on_rho, (2, 3))
+                  - circuit_unitary(w, (2, 3)) @ v.conj().T).max() <= 1e-12
+    back = frame.to_search(on_rho)
+    assert np.abs(circuit_unitary(back, (2, 3))
+                  - circuit_unitary(w, (2, 3))).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(16))
