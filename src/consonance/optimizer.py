@@ -16,9 +16,15 @@ exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 
-with mu escalating through a fixed stage schedule, Nelder-Mead over the
-moved columns as the inner search, and multiple restarts: the identity
-frame first (theta = 0), then optional caller-supplied warm starts, then
+with mu escalating through a fixed stage schedule only while the
+constraint is violated: after each stage the search looks at its end
+frame, and a restart whose stage ends with L <= eps_L ends there.
+L >= 0, so S + mu' L >= S + mu L for every mu' > mu, with equality where
+L = 0: a stage minimizer with L = 0 minimizes every later stage too.  A
+restart whose last stage still ends with L above eps_L gets a
+feasibility polish that minimizes L alone.  Nelder-Mead over the moved
+columns is the inner search, with multiple restarts: the identity frame
+first (theta = 0), then optional caller-supplied warm starts, then
 uniform random draws in [-pi, pi]^P from a counter-based Philox stream
 keyed by the seed, one jump per restart index, with the unmoved columns
 set to 0.  A warm start is a circuit on rho, such as a circuit file or
@@ -26,14 +32,12 @@ an earlier report's circuit; the search starts from it, moved into its
 frame (U V on a rotated layer) and keeping its unmoved columns as they
 are, only if its layers have the same (support, dimension) list as the
 preset's circuit, and otherwise raises before it evaluates a frame.
-A restart whose final L still exceeds eps_L gets a feasibility polish
-that minimizes L alone.  Where no column moves, each identity or warm
-start is evaluated once and there are no random restarts, which would
-repeat the identity.  ``consonance()`` then takes three steps: it
-steps every restart to its end, ranks the restarts with one key
-(feasible ones first, by S, then L, then index; the rest by L, then S,
-then index) and replays the circuit of the one ranked first, W V† on a
-rotated layer.
+Where no column moves, each identity or warm start is evaluated once and
+there are no random restarts, which would repeat the identity.
+``consonance()`` then takes three steps: it steps every restart to its
+end, ranks the restarts with one key (feasible ones first, by S, then L,
+then index; the rest by L, then S, then index) and replays the circuit
+of the one ranked first, W V† on a rotated layer.
 
 Every restart runs in lockstep with the others.  Each restart is a
 generator that yields the points it needs next (its initial simplex, one
@@ -86,7 +90,7 @@ from .qstate import DensityMatrix, as_density, assert_valid, check_integer, chec
 from .unitary import Preset
 
 EPS_L = 1e-6
-PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, four stages
+PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, at most four stages
 ORACLE_CHUNK = 1024    # frames per unitary.conjugate call; bounds peak memory
 _S_AND_L = (coherence.CoherenceClass.NONLOCAL, coherence.CoherenceClass.LOCAL)
 
@@ -102,16 +106,20 @@ class OptimizerConfig:
 
     ``max_evals`` is a budget per restart, not a total: each of the four
     penalty stages and the feasibility polish may use ``max_evals // 5``
-    evaluations (at least 50).  Nelder-Mead runs over the columns the
-    state's ``preset.search_frame`` moves, and is adaptive from 10 of them
-    up: under ``single_party``, the (re, im) pairs inside each marginal
-    eigenvalue group, in the marginals' eigenframe; under ``nonglobal``,
-    every column.  Where no column moves, ``restarts`` and ``max_evals``
-    go unused: each identity or warm start is evaluated once.  ``eps_l``
-    reads the fixed feasibility tolerance ``EPS_L``.  ``warm_starts``
-    holds ``unitary.LocalCircuit`` values on the input state;
-    ``consonance()`` checks each against its own circuit, layer by layer,
-    by support and dimension, and keeps its unmoved columns as they are.
+    evaluations (at least 50), and each stage end costs one more look.  A
+    restart stops at the first stage that ends with L <= eps_L, since a
+    stage minimizer with L = 0 minimizes every later, larger-mu stage as
+    well, and runs the polish only when all four end above it.
+    Nelder-Mead runs over the columns the state's ``preset.search_frame``
+    moves, and is adaptive from 10 of them up: under ``single_party``, the
+    (re, im) pairs inside each marginal eigenvalue group, in the
+    marginals' eigenframe; under ``nonglobal``, every column.  Where no
+    column moves, ``restarts`` and ``max_evals`` go unused: each identity
+    or warm start is evaluated once.  ``eps_l`` reads the fixed
+    feasibility tolerance ``EPS_L``.  ``warm_starts`` holds
+    ``unitary.LocalCircuit`` values on the input state; ``consonance()``
+    checks each against its own circuit, layer by layer, by support and
+    dimension, and keeps its unmoved columns as they are.
     """
 
     preset: Preset = field(default_factory=Preset)
@@ -291,11 +299,15 @@ def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
 
 
 def _search_one(x0: np.ndarray, config: OptimizerConfig):
-    """One restart over the moved columns ``x0``: the penalty stages, the
-    polish if L is still above eps_L, and a last look at the final frame;
-    with no moved column, that look alone.  Yields stacks of moved
-    columns, receives their (S, L) arrays, and returns (x, S, L) at the
-    end."""
+    """One restart over the moved columns ``x0``: the penalty stages, each
+    followed by a look at its end frame, until one ends with L <= eps_L,
+    which ends the restart there; if none does, the polish and a last look
+    at its frame.  With no moved column, one look alone.  Yields stacks of
+    moved columns, receives their (S, L) arrays, and returns (x, S, L) at
+    the end.
+
+    A stage minimizer with L = 0 minimizes every later stage too: L >= 0,
+    so S + mu' L >= S + mu L for mu' > mu, with equality where L = 0."""
     if not len(x0):
         s, l = yield x0[None]
         return x0, float(s[0]), float(l[0])
@@ -307,11 +319,12 @@ def _search_one(x0: np.ndarray, config: OptimizerConfig):
             lambda sl, mu=mu: [s + mu * l for s, l in zip(*sl)], x, budget,
             1e-8, 1e-10, adaptive)
         x = sim[0]
-    _, l = yield x[None]
-    if l[0] > EPS_L:
-        sim, _ = yield from _nelder_mead(lambda sl: sl[1], x, budget, 1e-10,
-                                         1e-14, adaptive)
-        x = sim[0]
+        s, l = yield x[None]
+        if l[0] <= EPS_L:
+            return x, float(s[0]), float(l[0])
+    sim, _ = yield from _nelder_mead(lambda sl: sl[1], x, budget, 1e-10, 1e-14,
+                                     adaptive)
+    x = sim[0]
     s, l = yield x[None]
     return x, float(s[0]), float(l[0])
 
@@ -452,6 +465,9 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
 
 
 def config_to_json(config: OptimizerConfig) -> dict:
+    """The search's settings as a report records them.  ``mu_stages`` is
+    the most penalty stages a restart runs: one stops at its first stage
+    that ends with L <= eps_L."""
     return {
         "preset": {"kind": config.preset.kind, "depth": config.preset.depth,
                    "supports": None},

@@ -165,14 +165,17 @@ def params_for_unitary(u) -> UnitaryParams:
 
     Uses the principal matrix logarithm, so it is defined for every
     unitary; branch choices make the round trip exact only up to the
-    principal branch.  Raises ValidationError if ``u`` is not unitary.
+    principal branch.  A unitary is normal, so its complex Schur form
+    Z T Z† has T diagonal, and H = Z diag(arg t_ii) Z† with each arg in
+    (-pi, pi].  Raises ValidationError if ``u`` is not unitary.
     """
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got {u.shape}")
     d = u.shape[0]
     check_unitary(u, TOL_UNITARY, "matrix")
-    h = scipy.linalg.logm(u) / 1j
+    t, z = scipy.linalg.schur(u, output="complex")
+    h = (z * np.angle(np.diag(t))) @ z.conj().T
     h = (h + h.conj().T) / 2.0
     theta = np.empty(d * d)
     theta[:d] = np.diag(h).real

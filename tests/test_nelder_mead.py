@@ -14,9 +14,10 @@ import pytest
 from scipy.optimize import minimize
 
 from consonance import states, unitary
-from consonance.optimizer import (PENALTY_MUS, OptimizerConfig, Preset,
+from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
                                   _nelder_mead, consonance)
 from consonance.qstate import density_from_pure
+from test_acceptance import OPT_SMALL
 from test_frames import reference_sums, reference_unitary
 from test_unitary import mixed_marginals, moved_columns
 
@@ -119,12 +120,15 @@ def test_every_budget_matches_scipy(f, x0, adaptive):
 # --- lockstep restarts against solo runs --------------------------------
 
 
-def _scipy_restart(rho, template, x0, config, groups=None):
+def _scipy_restart(rho, template, x0, config, groups=None, stage_ls=None):
     """One restart on scipy's Nelder-Mead, one frame at a time through the
     scalar reference: the search as it ran before the restarts were put
     in lockstep, on none of the package's frame code.  Scipy moves the
     search's columns (``moved_columns`` of ``groups``); the others stay at
-    their values in ``x0``."""
+    their values in ``x0``.  The restart ends at the first stage whose end
+    has L <= eps_L, and runs the polish only if none does; ``stage_ls``,
+    if given, gets each stage end's L."""
+    stage_ls = [] if stage_ls is None else stage_ls
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
     moved = moved_columns(template, groups)
     adaptive = len(moved) >= 10
@@ -149,8 +153,11 @@ def _scipy_restart(rho, template, x0, config, groups=None):
     y = np.asarray(x0, dtype=np.float64)[moved]
     for mu in PENALTY_MUS:
         y = nelder_mead(lambda t, mu=mu: penalized(t, mu), y, 1e-8, 1e-10)
-    if at(y)[1] > config.eps_l:
-        y = nelder_mead(lambda t: at(t)[1], y, 1e-10, 1e-14)
+        s, l = at(y)
+        stage_ls.append(l)
+        if l <= config.eps_l:
+            return s, l, evals
+    y = nelder_mead(lambda t: at(t)[1], y, 1e-10, 1e-14)
     s, l = at(y)
     return s, l, evals
 
@@ -215,3 +222,37 @@ def test_a_warm_start_keeps_the_columns_the_search_does_not_move():
     assert got.kind == "warm"
     assert (got.value, got.l_residual, got.evals) == \
         _scipy_restart(rho, template, x0, config)
+
+
+# --- the stop rule: a restart ends at its first feasible stage ----------
+
+
+def test_a_restart_stops_at_the_first_stage_that_ends_feasible():
+    # Werner(0.5) in its own frame: the mu = 10 stage already ends at L = 0
+    rho = states.werner(0.5)
+    record = consonance(rho, OPT_SMALL).per_restart[0]
+    assert record.kind == "identity"
+    assert record.evals <= OPT_SMALL.max_evals // (len(PENALTY_MUS) + 1) + 1
+    assert record.l_residual <= EPS_L
+    assert abs(record.value - 0.5) <= 1e-12
+    template = Preset().build(rho.dims)
+    stage_ls = []
+    assert (record.value, record.l_residual, record.evals) == \
+        _scipy_restart(rho, template, np.zeros(template.n_theta), OPT_SMALL,
+                       stage_ls=stage_ls)
+    assert len(stage_ls) == 1
+
+
+def test_a_restart_whose_stages_all_end_infeasible_runs_them_all_and_the_polish():
+    # 60 evaluations a stage cut every stage short of L <= eps_L
+    rho = mixed_marginals((2, 2), seed=2)
+    config = OptimizerConfig(restarts=2, seed=9, max_evals=300)
+    template = Preset().build(rho.dims)
+    for j, record in enumerate(consonance(rho, config).per_restart):
+        x0 = _random_start(config, j, template) if j else np.zeros(template.n_theta)
+        stage_ls = []
+        assert (record.value, record.l_residual, record.evals) == \
+            _scipy_restart(rho, template, x0, config, stage_ls=stage_ls)
+        assert len(stage_ls) == len(PENALTY_MUS) and min(stage_ls) > EPS_L
+        # four stages and the polish on their whole budget, and five looks
+        assert record.evals == 5 * 60 + 5

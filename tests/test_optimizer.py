@@ -231,7 +231,12 @@ def test_a_single_party_report_keeps_each_layers_start_diagonal(kind):
         frame = with_theta(frame, np.random.default_rng(3).uniform(-math.pi, math.pi,
                                                                    frame.n_theta))
         rho = apply(frame, rho)
-        config = dataclasses.replace(config, warm_starts=(_inverse(frame),))
+        # the warm start is the frame's inverse, already at the optimum; at
+        # 50 evaluations a stage the identity restart ends infeasible, so
+        # the win does not hang on a last-bit race in S between two restarts
+        # that both solve the state
+        config = dataclasses.replace(config, max_evals=100,
+                                     warm_starts=(_inverse(frame),))
     assert all(r is None for r in Preset().search_frame(rho).rotations)
     report = consonance(rho, config)
     assert _merged_restart(report).kind == kind

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -76,6 +79,27 @@ def test_params_round_trip_phase_gate():
 def test_params_round_trip_cnot():
     p = params_for_unitary(CNOT)
     assert np.allclose(build_unitary(p), CNOT, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_params_round_trip_haar_unitaries_and_an_eigenvalue_at_minus_one(dim):
+    rng = np.random.default_rng(dim)
+    for seed in range(20):
+        u = scipy.stats.unitary_group.rvs(dim, random_state=seed)
+        # a Haar unitary, and one on its columns with an eigenvalue at -1
+        phases = np.exp(1j * rng.uniform(-math.pi, math.pi, dim))
+        phases[0] = -1.0
+        for target in (u, (u * phases) @ u.conj().T):
+            assert np.abs(build_unitary(params_for_unitary(target)) - target).max() <= 1e-12
+
+
+def test_params_for_unitary_imports_no_sparse_module():
+    code = ("import sys, numpy as np; from consonance.unitary import params_for_unitary; "
+            "params_for_unitary(np.eye(3)); print('scipy.sparse' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_params_for_unitary_rejects_non_unitary():
