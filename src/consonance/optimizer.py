@@ -3,16 +3,18 @@
 The consonance of a state is the infimum of the nonlocal coherence sum S
 over circuits of local unitaries whose output has vanishing local
 coherence L.  The circuits are those of a ``unitary.Preset`` (also
-importable from here): the search builds the preset's circuit at
-theta = 0 and runs in the frame ``Preset.search_frame`` decides for the
-state; it decides no support and builds no circuit.  Under
-``single_party`` that frame is the marginals' eigenframe: the search
-runs on V† rho V, V the product of each party's marginal eigenvectors
-(the identity where a marginal needs no rotation), and moves only the
+importable from here): the search runs over the circuit and in the
+frame that ``Preset.search_frame`` decides for the state; it decides no
+support and builds no circuit.  Under ``single_party`` the circuit is the
+preset's and the frame is the marginals' eigenframe: the search runs on
+V† rho V, V the product of each party's marginal eigenvectors (the
+identity where a marginal needs no rotation), and moves only the
 upper-triangle (re, im) pairs inside one eigenvalue group, holding every
 other column, the gauge diagonal among them, at its start value.
-``nonglobal`` runs on rho and moves every column.  The search runs an
-exterior penalty scheme,
+``nonglobal`` runs on rho over the preset's circuit without its absorbed
+layers (those whose support lies inside the next layer's) and moves
+every column but each layer's last diagonal one, which carries only the
+trace.  The search runs an exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 
@@ -29,15 +31,17 @@ uniform random draws in [-pi, pi]^P from a counter-based Philox stream
 keyed by the seed, one jump per restart index, with the unmoved columns
 set to 0.  A warm start is a circuit on rho, such as a circuit file or
 an earlier report's circuit; the search starts from it, moved into its
-frame (U V on a rotated layer) and keeping its unmoved columns as they
-are, only if its layers have the same (support, dimension) list as the
-preset's circuit, and otherwise raises before it evaluates a frame.
+frame (U V on a rotated layer, an absorbed layer multiplied into the
+next) and keeping its unmoved columns as they are, only if its layers
+have the same (support, dimension) list as the preset's circuit, and
+otherwise raises before it evaluates a frame.
 Where no column moves, each identity or warm start is evaluated once and
 there are no random restarts, which would repeat the identity.
 ``consonance()`` then takes three steps: it steps every restart to its
 end, ranks the restarts with one key (feasible ones first, by S, then L,
 then index; the rest by L, then S, then index) and replays the circuit
-of the one ranked first, W V† on a rotated layer.
+of the one ranked first, W V† on a rotated layer and each absorbed layer
+back at theta = 0, so the report's circuit has the preset's layers.
 
 Every restart runs in lockstep with the others.  Each restart is a
 generator that yields the points it needs next (its initial simplex, one
@@ -71,9 +75,9 @@ The replay runs the winning circuit on rho through the public
 that S and L, the circuit and the restart records, and derives the rest
 from them, so its value always matches what a caller would reproduce
 from it and its feasibility is the replay's L against eps_L.  Where no
-layer rotates, both equal the winning restart's record bit for bit;
-where one does, its circuit passes through the chart inverse, and they
-agree to rounding.
+layer rotates, both equal the winning restart's record bit for bit (an
+absorbed layer comes back as the exact identity); where one does, its
+circuit passes through the chart inverse, and they agree to rounding.
 """
 
 from __future__ import annotations
@@ -113,13 +117,14 @@ class OptimizerConfig:
     Nelder-Mead runs over the columns the state's ``preset.search_frame``
     moves, and is adaptive from 10 of them up: under ``single_party``, the
     (re, im) pairs inside each marginal eigenvalue group, in the
-    marginals' eigenframe; under ``nonglobal``, every column.  Where no
+    marginals' eigenframe; under ``nonglobal``, every column of each layer
+    that is not absorbed into the next but its last diagonal one.  Where no
     column moves, ``restarts`` and ``max_evals`` go unused: each identity
     or warm start is evaluated once.  ``eps_l`` reads the fixed
     feasibility tolerance ``EPS_L``.  ``warm_starts`` holds
     ``unitary.LocalCircuit`` values on the input state; ``consonance()``
-    checks each against its own circuit, layer by layer, by support and
-    dimension, and keeps its unmoved columns as they are.
+    checks each against the preset's circuit, layer by layer, by support
+    and dimension, and keeps its unmoved columns as they are.
     """
 
     preset: Preset = field(default_factory=Preset)
@@ -177,15 +182,6 @@ class ConsonanceReport:
     @property
     def n_evals(self) -> int:
         return sum(r.evals for r in self.per_restart)
-
-
-def _search_setup(rho, preset: Preset):
-    """What both searches start from: ``rho`` as a checked density matrix,
-    the preset's circuit on its dims, and the frame builder for it."""
-    _check_preset(preset)
-    rho = assert_valid(as_density(rho))
-    template = preset.build(rho.dims)
-    return rho, template, unitary.FrameBuilder(template, rho.dims)
 
 
 def _conjugated(frames: unitary.FrameBuilder, rho: DensityMatrix, thetas: np.ndarray):
@@ -337,18 +333,17 @@ def _layer_shape(circuit) -> list | str:
     return [(layer.support, layer.params.dim) for layer in circuit.layers]
 
 
-def _start_points(config: OptimizerConfig, template: unitary.LocalCircuit,
-                  frame: unitary.SearchFrame):
-    """Yield (kind, theta0) per restart, in the search's frame; random
-    streams depend only on (seed, restart position), so warm starts never
-    shift them.  A random start draws every column and keeps only the
-    moved ones, the rest 0; with no moved column it would repeat the
-    identity start, so there is none.  A warm start must have the
-    template's layers, by support and dimension, and keeps all of its own
-    columns once moved into the search's frame."""
-    n_theta, moved = template.n_theta, frame.moved
+def _start_points(config: OptimizerConfig, frame: unitary.SearchFrame):
+    """Yield (kind, theta0) per restart, over the search's circuit in its
+    frame; random streams depend only on (seed, restart position), so warm
+    starts never shift them.  A random start draws every column and keeps
+    only the moved ones, the rest 0; with no moved column it would repeat
+    the identity start, so there is none.  A warm start must have the
+    preset's layers, by support and dimension, and keeps all of its own
+    columns once moved into the search's circuit and frame."""
+    n_theta, moved = frame.circuit.n_theta, frame.moved
     yield "identity", np.zeros(n_theta)
-    want = _layer_shape(template)
+    want = _layer_shape(frame.template)
     for w in config.warm_starts:
         if _layer_shape(w) != want:
             raise ValueError(f"a warm start must have the search's layers (support, "
@@ -374,19 +369,21 @@ def _rank(record: RestartRecord) -> tuple:
 def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> ConsonanceReport:
     """Estimate the consonance of ``rho`` under the configured preset.
 
-    Steps every restart to its end in the frame ``search_frame`` decides
-    for ``rho``, ranks the restarts with ``_rank`` and replays the
-    winner's circuit on ``rho``.  The report's ``value`` is exactly the
+    Steps every restart to its end over the circuit and in the frame
+    ``search_frame`` decides for ``rho``, ranks the restarts with
+    ``_rank`` and replays the winner's circuit, with the preset's layers,
+    on ``rho``.  The report's ``value`` is exactly the
     nonlocal sum of ``apply(report.circuit, rho)`` and its ``l_residual``
     the local sum there; it is feasible when that residual meets eps_L,
     and then the value is an upper bound on the true infimum.
     """
     config = config or OptimizerConfig()
-    rho, template, frames = _search_setup(rho, config.preset)
-
+    rho = assert_valid(as_density(rho))
     frame = config.preset.search_frame(rho)
+    template = frame.circuit
+    frames = unitary.FrameBuilder(template, rho.dims)
     moved, searched = frame.moved, frame.state(rho)
-    kinds, thetas0 = zip(*_start_points(config, template, frame))
+    kinds, thetas0 = zip(*_start_points(config, frame))
     thetas0 = np.array(thetas0)
     searches = [_search_one(theta0[moved], config) for theta0 in thetas0]
     live = {i: next(search) for i, search in enumerate(searches)}   # index: its points
@@ -445,7 +442,10 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     seed = check_seed(seed)
-    rho, _, frames = _search_setup(rho, Preset() if preset is None else preset)
+    preset = Preset() if preset is None else preset
+    _check_preset(preset)
+    rho = assert_valid(as_density(rho))
+    frames = unitary.FrameBuilder(preset.build(rho.dims), rho.dims)
     rng = np.random.Generator(np.random.Philox(key=seed))
     thetas = np.zeros((samples, frames.n_theta))
     thetas[1:] = rng.uniform(-math.pi, math.pi, size=(samples - 1, frames.n_theta))

@@ -14,9 +14,9 @@ A search ranges over the circuits of one :class:`Preset`, and only the
 preset knows its shape: it checks its kind and depth once, lists its
 layer supports in circuit order (:meth:`Preset.supports`, the one place
 the supports are chosen), builds its circuit at theta = 0 with its tag
-(:meth:`Preset.build`) and decides, for a state, the frame its search
-runs in and the theta columns it moves there (:meth:`Preset.search_frame`,
-a :class:`SearchFrame`).
+(:meth:`Preset.build`) and decides, for a state, the circuit its search
+runs over, the frame it runs in and the theta columns it moves there
+(:meth:`Preset.search_frame`, a :class:`SearchFrame`).
 
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
 vectors (B, P) into the stacked circuit unitaries (B, D, D), and one
@@ -356,16 +356,27 @@ class Preset:
     dimension <= 2 the restriction loses no zero-L frame; that the
     off-diagonal columns of a larger eigenspace reach every unitary on it
     is a heuristic.  A marginal with one group, or exactly diagonal, needs
-    no rotation, and its layer is searched as it is.  ``nonglobal`` rotates
-    nothing and moves every column, since its pair layers do not keep the
-    marginals.  The unmoved columns stay at their start values: 0 from the
-    identity and random starts, a warm start's own values from a warm
-    start.
+    no rotation, and its layer is searched as it is.  The unmoved columns
+    stay at their start values: 0 from the identity and random starts, a
+    warm start's own values from a warm start.
 
-    :meth:`moved` lists the columns where every marginal is one group, as
-    for Werner, GHZ and isotropic states: each layer's off-diagonal
-    columns (d..d^2-1) for ``single_party``, every column for
-    ``nonglobal``.
+    ``nonglobal`` rotates nothing, since its pair layers do not keep the
+    marginals; it leaves out what S and L cannot see instead.  A layer
+    whose support lies inside the next layer's support, the one applied
+    right after it, is absorbed: U_next (U_k (x) 1) ranges over the same
+    unitaries as U_next alone.  The search runs over the circuit without
+    its absorbed layers, and moves every column of each remaining layer but
+    its last diagonal one: the trace of H is a global phase, and any
+    exp(iH) is a phase times exp(iH') with that entry of H' zero.  At depth
+    3 on three or more parties the leading ``(0,)`` is absorbed, and three
+    qubits move 30 of 36 columns.  ``single_party`` absorbs nothing, as no
+    party's support holds another's.
+
+    :meth:`moved` lists the columns of :meth:`build` where every marginal
+    is one group, as for Werner, GHZ and isotropic states: each layer's
+    off-diagonal columns (d..d^2-1) for ``single_party``; for
+    ``nonglobal``, every column of each remaining layer but its last
+    diagonal one, and none of an absorbed layer.
     """
 
     KINDS: ClassVar[tuple[str, ...]] = (SINGLE_PARTY, NONGLOBAL)
@@ -404,19 +415,42 @@ class Preset:
     def moved(self, dims) -> np.ndarray:
         """The theta columns of ``build(dims)`` that a search moves where
         every marginal is one eigenvalue group, in increasing order."""
-        sizes = [d for _, d in self._layers(dims)]
+        supports, sizes = zip(*self._layers(dims))
         if self.kind == NONGLOBAL:
-            return np.arange(sum(d * d for d in sizes), dtype=np.intp)
+            return _trace_free_columns(sizes, _absorbed(supports))
         return _pair_columns([np.zeros(d, dtype=np.intp) for d in sizes])
 
     def search_frame(self, rho: DensityMatrix) -> SearchFrame:
-        """The frame a search on ``rho`` runs in, and its moved columns."""
+        """The frame a search on ``rho`` runs in: its circuit, its rotations
+        and its moved columns."""
+        template = self.build(rho.dims)
+        absorbed = _absorbed([layer.support for layer in template.layers])
         if self.kind == NONGLOBAL:
-            n_layers = len(self.supports(rho.n_parties))
-            return SearchFrame((None,) * n_layers, self.moved(rho.dims))
+            kept = [layer.params.dim for layer, gone in zip(template.layers, absorbed)
+                    if not gone]
+            return SearchFrame(template, rho.dims, absorbed, (None,) * len(absorbed),
+                               _trace_free_columns(kept, [False] * len(kept)))
         rotations, groups = zip(*(_eigenframe(partial_trace(rho, [k]).entries)
                                   for k in range(rho.n_parties)))
-        return SearchFrame(rotations, _pair_columns(groups))
+        return SearchFrame(template, rho.dims, absorbed, rotations, _pair_columns(groups))
+
+
+def _absorbed(supports) -> tuple[bool, ...]:
+    """Whether each layer, given the supports in circuit order, is absorbed:
+    its support lies inside the next layer's.  The last layer never is."""
+    return tuple(set(s) <= set(t) for s, t in zip(supports, supports[1:])) + (False,)
+
+
+def _trace_free_columns(sizes, absorbed) -> np.ndarray:
+    """The theta columns of consecutive layers of the given dimensions that
+    a nonglobal search moves: every column of a kept layer but its last
+    diagonal one, which carries the trace, and none of an absorbed one."""
+    columns, offset = [], 0
+    for d, gone in zip(sizes, absorbed):
+        if not gone:
+            columns.append(np.delete(np.arange(offset, offset + d * d), d - 1))
+        offset += d * d
+    return np.concatenate(columns).astype(np.intp)
 
 
 def _groups(w: np.ndarray) -> np.ndarray:
@@ -459,15 +493,28 @@ def _pair_columns(groups) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SearchFrame:
     """The frame a search on one state runs in, from
-    :meth:`Preset.search_frame`: ``rotations`` holds each layer's V_k, or
-    None for a layer searched as it is, and ``moved`` the theta columns
-    the search moves.  The search runs on V† rho V, V the product of the
-    rotations, so a circuit W found there is W V† on rho, layer by layer.
-    The chart inverse that turns a product back into a layer's theta
-    (:func:`params_for_unitary`) runs on rotated layers alone."""
+    :meth:`Preset.search_frame`.  ``template`` is the preset's circuit at
+    theta = 0 on ``dims``, and ``absorbed`` and ``rotations`` hold, per
+    template layer, whether the search leaves it out and its V_k (None for
+    a layer searched as it is).  The search runs over :attr:`circuit`, the
+    template without its absorbed layers, and moves its columns
+    ``moved``.  It runs on V† rho V, V the product of the rotations, so a
+    circuit W found there is W V† on rho, layer by layer.  The chart
+    inverse (:func:`params_for_unitary`) runs only where a layer rotates
+    or a start's absorbed layer is not at theta = 0."""
 
+    template: LocalCircuit
+    dims: tuple[int, ...]
+    absorbed: tuple[bool, ...]
     rotations: tuple
     moved: np.ndarray
+
+    @property
+    def circuit(self) -> LocalCircuit:
+        """The circuit the search runs over, at theta = 0."""
+        return LocalCircuit(tuple(layer for layer, gone
+                                  in zip(self.template.layers, self.absorbed) if not gone),
+                            preset=self.template.preset)
 
     def state(self, rho: DensityMatrix) -> DensityMatrix:
         """``rho`` in the search's frame, V† rho V; ``rho`` itself where no
@@ -480,12 +527,28 @@ class SearchFrame:
         return DensityMatrix(rho.dims, v.conj().T @ rho.entries @ v)
 
     def to_search(self, circuit: LocalCircuit) -> LocalCircuit:
-        """A circuit U on rho as a search start: W = U V."""
-        return _times(circuit, self.rotations)
+        """A circuit U on rho, with the template's layers, as a search
+        start: W = U V, each absorbed layer U_k multiplied into the next
+        one as U_next (U_k (x) 1).  An absorbed layer at theta = 0 is
+        dropped and leaves the next one as it is."""
+        layers, below = [], None
+        for layer, gone in zip(_times(circuit, self.rotations).layers, self.absorbed):
+            if below is not None:
+                product = build_unitary(layer.params) @ _lift(below, layer.support, self.dims)
+                layer = CircuitLayer(layer.support, params_for_unitary(product))
+            below = layer if gone and layer.params.theta.any() else None
+            if not gone:
+                layers.append(layer)
+        return LocalCircuit(tuple(layers), preset=circuit.preset)
 
     def to_state(self, circuit: LocalCircuit) -> LocalCircuit:
-        """A circuit W the search found as the circuit on rho: U = W V†."""
-        return _times(circuit, [None if r is None else r.conj().T for r in self.rotations])
+        """A circuit W the search found as the circuit on rho: U = W V†,
+        each absorbed layer back in its place at theta = 0."""
+        found = iter(circuit.layers)
+        layers = tuple(layer if gone else next(found)
+                       for layer, gone in zip(self.template.layers, self.absorbed))
+        return _times(LocalCircuit(layers, preset=circuit.preset),
+                      [None if r is None else r.conj().T for r in self.rotations])
 
 
 def _times(circuit: LocalCircuit, mats) -> LocalCircuit:
@@ -496,6 +559,15 @@ def _times(circuit: LocalCircuit, mats) -> LocalCircuit:
             layer.support, params_for_unitary(build_unitary(layer.params) @ m))
         for layer, m in zip(circuit.layers, mats))
     return LocalCircuit(layers, preset=circuit.preset)
+
+
+def _lift(layer: CircuitLayer, support: tuple[int, ...], dims) -> np.ndarray:
+    """The unitary of ``layer`` on the larger ``support``: U (x) identity,
+    read in ``support``'s party order."""
+    sub = tuple(dims[p] for p in support)
+    d = math.prod(sub)
+    index = _embed_index(tuple(support.index(p) for p in layer.support), sub)
+    return np.append(build_unitary(layer.params).ravel(), 0)[index].reshape(d, d)
 
 
 # --- flat parameter vector <-> circuit ----------------------------------

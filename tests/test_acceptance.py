@@ -267,7 +267,7 @@ def test_criterion_8_classifier_and_profiles():
 def test_criterion_8_ghz_witness_certificate():
     witness = unitary.load_circuit(GHZ3_WITNESS)
     assert [l.support for l in witness.layers] == Preset(kind=NONGLOBAL).supports(3)
-    # a tolerance, not ==: the chart inverse goes through scipy's logm
+    # a tolerance, not ==: the chart inverse goes through the complex Schur form
     theta = unitary.theta_vector(witness)
     assert np.max(np.abs(theta - _ghz_witness_theta())) <= 1e-12
     final = apply(witness, states.ghz(3))
@@ -307,7 +307,7 @@ def _w_witness_theta():
 def test_criterion_8_w_witness_certificate():
     witness = unitary.load_circuit(W3_WITNESS)
     assert [l.support for l in witness.layers] == Preset(kind=NONGLOBAL).supports(3)
-    # a tolerance, not ==: the chart inverse goes through scipy's logm
+    # a tolerance, not ==: the chart inverse goes through the complex Schur form
     theta = unitary.theta_vector(witness)
     assert np.max(np.abs(theta - _w_witness_theta())) <= 1e-12
     final = density_from_pure(apply(witness, states.w_state(3)))

@@ -627,7 +627,7 @@ def test_optimize_report_round_trip(tmp_path, capsys):
 
 
 def test_optimize_rejects_a_warm_start_on_other_supports(tmp_path, capsys):
-    # the same 36 parameters as the search's (0,), (0, 1), (0, 2), on other parties
+    # the same 36 parameters as the preset's (0,), (0, 1), (0, 2), on other parties
     layers = [{"support": s, "theta": [0.1] * (4 ** len(s))}
               for s in ([2], [1, 2], [0, 1])]
     path = tmp_path / "other.json"
@@ -642,7 +642,7 @@ def test_optimize_rejects_a_warm_start_on_other_supports(tmp_path, capsys):
 
 def test_optimize_rejects_a_warm_start_of_other_layer_dimensions(tmp_path, capsys,
                                                                   monkeypatch):
-    # the search's supports and 36 parameters, cut 16, 4, 16 instead of 4, 16, 16
+    # the preset's supports and 36 parameters, cut 16, 4, 16 instead of 4, 16, 16
     layers = [{"support": s, "theta": [0.1] * n}
               for s, n in (([0], 16), ([0, 1], 4), ([0, 2], 16))]
     path = tmp_path / "cut.json"

@@ -19,7 +19,7 @@ from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
 from consonance.qstate import density_from_pure
 from test_acceptance import OPT_SMALL
 from test_frames import reference_sums, reference_unitary
-from test_unitary import mixed_marginals, moved_columns
+from test_unitary import absorbed_layers, mixed_marginals, moved_columns, search_circuit
 
 
 def _drive(f, x0, maxfev, xatol, fatol, adaptive):
@@ -123,9 +123,10 @@ def test_every_budget_matches_scipy(f, x0, adaptive):
 def _scipy_restart(rho, template, x0, config, groups=None, stage_ls=None):
     """One restart on scipy's Nelder-Mead, one frame at a time through the
     scalar reference: the search as it ran before the restarts were put
-    in lockstep, on none of the package's frame code.  Scipy moves the
-    search's columns (``moved_columns`` of ``groups``); the others stay at
-    their values in ``x0``.  The restart ends at the first stage whose end
+    in lockstep, on none of the package's frame code.  ``template`` is the
+    search's circuit (``search_circuit`` of a nonglobal preset's).  Scipy
+    moves the search's columns (``moved_columns`` of ``groups``); the
+    others stay at their values in ``x0``.  The restart ends at the first stage whose end
     has L <= eps_L, and runs the polish only if none does; ``stage_ls``,
     if given, gets each stage end's L."""
     stage_ls = [] if stage_ls is None else stage_ls
@@ -191,8 +192,13 @@ def test_lockstep_restarts_match_solo_runs_on_a_degenerate_marginal():
 def _lockstep_matches_solo_runs(rho, preset, groups=None):
     config = OptimizerConfig(preset=preset, restarts=4, seed=9, max_evals=1000)
     lockstep = consonance(rho, config)
-    template = preset.build(rho.dims)
+    layers = preset.build(rho.dims)
+    template = search_circuit(layers)
     assert preset.search_frame(rho).moved.tolist() == moved_columns(template, groups)
+    # a start over the search's circuit is a warm start on the preset's
+    # layers with each absorbed layer at theta = 0
+    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
+                           for layer, gone in zip(layers.layers, absorbed_layers(layers))])
     for j, record in enumerate(lockstep.per_restart):
         x0 = (_random_start(config, j, template, groups) if j
               else np.zeros(template.n_theta))
@@ -200,7 +206,9 @@ def _lockstep_matches_solo_runs(rho, preset, groups=None):
             _scipy_restart(rho, template, x0, config, groups)
         if j == 0:
             continue
-        warm = unitary.with_theta(template, x0)
+        theta = np.zeros(layers.n_theta)
+        theta[kept] = x0
+        warm = unitary.with_theta(layers, theta)
         solo = consonance(rho, OptimizerConfig(preset=preset, restarts=1,
                                                seed=config.seed,
                                                max_evals=config.max_evals,

@@ -326,7 +326,7 @@ def _circuit_of(shape):
 
 
 @pytest.mark.parametrize("warm", [
-    # the search's 36 parameters, on other parties
+    # the preset's 36 parameters, on other parties
     _circuit_of([((2,), 2), ((1, 2), 4), ((0, 1), 4)]),
     # the search's supports, with the first two layer dimensions swapped
     _circuit_of([((0,), 4), ((0, 1), 2), ((0, 2), 4)]),

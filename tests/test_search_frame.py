@@ -1,9 +1,13 @@
-"""The single_party search in the marginals' eigenframe.
+"""The circuit and frame a search runs in.
 
 Every zero-L single_party frame diagonalizes every party's marginal, so
 the search runs on rho in the marginals' eigenframe and moves only the
 pairs inside one eigenvalue group.  Where every group is one eigenvalue,
 nothing moves and the eigenframe alone decides the state.
+
+A nonglobal search leaves out what S and L cannot see: each layer whose
+support lies inside the next layer's, and each remaining layer's last
+diagonal column, which carries only the trace.
 """
 
 import math
@@ -11,10 +15,11 @@ import math
 import numpy as np
 import pytest
 
-from consonance import measures, states, unitary
+from consonance import measures, optimizer, states, unitary
 from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance
 from consonance.qstate import TOL_DEGENERATE, PureState, density_from_pure, partial_trace
-from test_acceptance import OPT_SMALL
+from consonance.unitary import NONGLOBAL, circuit_unitary
+from test_acceptance import GHZ3_WITNESS, OPT_SMALL, W3_WITNESS
 from test_optimizer import _behind_a_frame, _inverse
 
 
@@ -98,3 +103,99 @@ def test_a_warm_start_on_a_rotated_layer_starts_from_its_frame():
     warm = report.per_restart[1]
     assert warm.l_residual <= 1e-12
     assert abs(warm.value - measures.consonance_pure_bipartite(psi)) <= 1e-12
+
+
+# --- nonglobal: no absorbed layer and no trace column moves --------------
+
+
+def _shape(circuit):
+    return [(layer.support, layer.params.dim) for layer in circuit.layers]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_nonglobal_search_circuit_loses_no_frame(dims, depth, seed):
+    # a start's absorbed layer is multiplied into the next one, and a
+    # found circuit gets it back at theta = 0: the circuit unitary is kept
+    preset = Preset(NONGLOBAL, depth)
+    frame = preset.search_frame(states.random_density(dims, seed=seed))
+    assert frame.absorbed[0] and not any(frame.absorbed[1:])
+    rng = np.random.default_rng(seed)
+    circuit = unitary.with_theta(preset.build(dims),
+                                 rng.uniform(-math.pi, math.pi, frame.template.n_theta))
+    search = frame.to_search(circuit)
+    assert _shape(search) == _shape(frame.circuit)
+    back = frame.to_state(search)
+    assert _shape(back) == _shape(circuit) and back.preset == circuit.preset
+    assert np.abs(circuit_unitary(back, dims) - circuit_unitary(circuit, dims)).max() <= 1e-12
+    for layer, gone in zip(back.layers, frame.absorbed):
+        assert layer.params.theta.any() != gone
+
+
+@pytest.mark.parametrize("path", [GHZ3_WITNESS, W3_WITNESS])
+def test_a_witness_enters_the_nonglobal_search_bit_for_bit(path):
+    # the witnesses hold their (0,) layer at theta = 0, so no product is taken
+    witness = unitary.load_circuit(path)
+    frame = Preset(NONGLOBAL).search_frame(states.random_density((2, 2, 2), seed=1))
+    search = frame.to_search(witness)
+    assert (unitary.theta_vector(search) == unitary.theta_vector(witness)[4:]).all()
+    assert (unitary.theta_vector(frame.to_state(search))
+            == unitary.theta_vector(witness)).all()
+
+
+def test_a_depth_3_search_on_three_qubits_moves_30_of_36_columns():
+    preset = Preset(NONGLOBAL, 3)
+    moved = preset.moved((2, 2, 2))
+    assert preset.build((2, 2, 2)).n_theta == 36
+    # none in the absorbed (0,) layer, none at a layer's last diagonal entry
+    assert moved.tolist() == [c for c in range(4, 36) if c not in (4 + 3, 20 + 3)]
+    frame = preset.search_frame(density_from_pure(states.ghz(3)))
+    assert frame.absorbed == (True, False, False)
+    assert _shape(frame.circuit) == [((0, 1), 4), ((0, 2), 4)]
+    assert frame.moved.tolist() == [c for c in range(32) if c not in (3, 19)]
+
+
+@pytest.mark.parametrize("dims,depth", [((2, 2, 2), 1), ((2, 3, 2, 2), 1), ((2, 2), 1),
+                                        ((2, 2), 4), ((3, 2), 3)])
+def test_depth_one_and_two_parties_absorb_nothing(dims, depth):
+    # a two-party preset cycles (0,), (1,), and neither holds the other
+    preset = Preset(NONGLOBAL, depth)
+    frame = preset.search_frame(states.random_density(dims, seed=3))
+    assert not any(frame.absorbed)
+    assert _shape(frame.circuit) == _shape(preset.build(dims))
+    columns, offset = [], 0
+    for _, d in _shape(frame.circuit):
+        columns += [offset + k for k in range(d * d) if k != d - 1]
+        offset += d * d
+    assert preset.moved(dims).tolist() == frame.moved.tolist() == columns
+
+
+def test_the_single_party_moved_columns_are_unchanged():
+    assert Preset().moved((2, 2)).tolist() == [2, 3, 6, 7]
+    assert Preset().moved((2, 3)).tolist() == [2, 3, 7, 8, 9, 10, 11, 12]
+    assert Preset().moved((2, 2, 2)).tolist() == [2, 3, 6, 7, 10, 11]
+    frame = Preset().search_frame(states.werner(0.5))
+    assert not any(frame.absorbed)
+    assert _shape(frame.circuit) == _shape(Preset().build((2, 2)))
+
+
+def test_the_nonglobal_search_evaluates_its_own_circuit(monkeypatch):
+    # frames of 32 columns, not 36; the report has the preset's layers,
+    # the absorbed one at theta = 0 and each trace column at its start, 0
+    widths = set()
+    frame_sums = optimizer._frame_sums
+
+    def spy(frames, rho, thetas):
+        widths.add(thetas.shape[1])
+        return frame_sums(frames, rho, thetas)
+
+    monkeypatch.setattr(optimizer, "_frame_sums", spy)
+    config = OptimizerConfig(preset=Preset(NONGLOBAL, 3), restarts=3, seed=1,
+                             max_evals=300)
+    report = consonance(states.ghz(3), config)
+    assert widths == {32}
+    assert _shape(report.circuit) == _shape(Preset(NONGLOBAL, 3).build((2, 2, 2)))
+    layers = [layer.params.theta for layer in report.circuit.layers]
+    assert not layers[0].any()
+    assert layers[1][3] == layers[2][3] == 0.0

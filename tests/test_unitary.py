@@ -300,17 +300,37 @@ def test_preset_stores_numpy_integers_as_int():
     assert p.depth == 2 and type(p.depth) is int
 
 
+def absorbed_layers(circuit) -> list[bool]:
+    """Whether each layer's support lies inside the next layer's, the one
+    applied right after it: U_next (U_k (x) 1) ranges over the same
+    unitaries as U_next alone, so a nonglobal search leaves it out."""
+    layers = circuit.layers
+    return [k + 1 < len(layers) and set(layer.support) <= set(layers[k + 1].support)
+            for k, layer in enumerate(layers)]
+
+
+def search_circuit(circuit) -> LocalCircuit:
+    """The circuit a nonglobal search runs over: ``circuit`` without its
+    absorbed layers."""
+    return LocalCircuit(tuple(layer for layer, gone
+                              in zip(circuit.layers, absorbed_layers(circuit)) if not gone),
+                        preset=circuit.preset)
+
+
 def moved_columns(circuit, groups=None) -> list[int]:
     """The theta columns a search over ``circuit`` moves, from its layer
-    dimensions alone: a single_party layer's upper-triangle (re, im)
-    pairs, d..d^2-1 of its d^2, since its diagonal is gauge; every column
-    of any other circuit.  ``groups``, one list per single_party layer,
-    keeps only the pairs (i, j) with groups[i] == groups[j]."""
+    supports and dimensions alone: a single_party layer's upper-triangle
+    (re, im) pairs, d..d^2-1 of its d^2, since its diagonal is gauge; in
+    any other circuit, none of an absorbed layer and every column of the
+    others but the last diagonal one, d - 1, since the trace is a global
+    phase.  ``groups``, one list per single_party layer, keeps only the
+    pairs (i, j) with groups[i] == groups[j]."""
     moved, offset = [], 0
-    for k, layer in enumerate(circuit.layers):
+    for k, (layer, gone) in enumerate(zip(circuit.layers, absorbed_layers(circuit))):
         d = layer.params.dim
         if circuit.preset != SINGLE_PARTY:
-            moved += range(offset, offset + d * d)
+            if not gone:
+                moved += [c for c in range(offset, offset + d * d) if c != offset + d - 1]
         else:
             g = groups[k] if groups else [0] * d
             pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -354,8 +374,18 @@ def test_a_nonglobal_search_frame_rotates_nothing(depth):
     rho = density_from_pure(states.w_state(3))
     preset = Preset(NONGLOBAL, depth)
     frame = preset.search_frame(rho)
+    template = preset.build(rho.dims)
     assert frame.rotations == (None,) * depth
-    assert frame.moved.tolist() == preset.moved(rho.dims).tolist()
+    assert frame.absorbed == tuple(absorbed_layers(template))
+    assert [(layer.support, layer.params.dim, layer.params.theta.any())
+            for layer in frame.circuit.layers] == \
+        [(layer.support, layer.params.dim, False) for layer in search_circuit(template).layers]
+    assert frame.circuit.preset == template.preset
+    assert frame.moved.tolist() == moved_columns(frame.circuit)
+    # the moved columns are the preset's, read on the kept layers
+    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
+                           for layer, gone in zip(template.layers, frame.absorbed)])
+    assert np.flatnonzero(kept)[frame.moved].tolist() == preset.moved(rho.dims).tolist()
     assert frame.state(rho) is rho
 
 
