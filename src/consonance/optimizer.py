@@ -3,18 +3,11 @@
 The consonance of a state is the infimum of the nonlocal coherence sum S
 over circuits of local unitaries whose output has vanishing local
 coherence L.  The circuits are those of a ``unitary.Preset`` (also
-importable from here): the search runs over the circuit and in the
-frame that ``Preset.search_frame`` decides for the state; it decides no
-support and builds no circuit.  Under ``single_party`` the circuit is the
-preset's and the frame is the marginals' eigenframe: the search runs on
-V† rho V, V the product of each party's marginal eigenvectors (the
-identity where a marginal needs no rotation), and moves only the
-upper-triangle (re, im) pairs inside one eigenvalue group, holding every
-other column, the gauge diagonal among them, at its start value.
-``nonglobal`` runs on rho over the preset's circuit without its absorbed
-layers (those whose support lies inside the next layer's) and moves
-every column but each layer's last diagonal one, which carries only the
-trace.  The search runs an exterior penalty scheme,
+importable from here): ``Preset.search_frame`` decides, for the state,
+the circuit the search runs over, the frame it runs in and the columns
+it moves, and the search holds every other column at its start value.
+This module decides no support, builds no circuit and reads no layer
+list.  The search runs an exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 
@@ -30,18 +23,16 @@ first (theta = 0), then optional caller-supplied warm starts, then
 uniform random draws in [-pi, pi]^P from a counter-based Philox stream
 keyed by the seed, one jump per restart index, with the unmoved columns
 set to 0.  A warm start is a circuit on rho, such as a circuit file or
-an earlier report's circuit; the search starts from it, moved into its
-frame (U V on a rotated layer, an absorbed layer multiplied into the
-next) and keeping its unmoved columns as they are, only if its layers
-have the same (support, dimension) list as the preset's circuit, and
-otherwise raises before it evaluates a frame.
+an earlier report's circuit: ``SearchFrame.to_search`` checks its layers
+and moves it into the search's circuit and frame before any frame is
+evaluated, and the search keeps its unmoved columns as they are.
 Where no column moves, each identity or warm start is evaluated once and
 there are no random restarts, which would repeat the identity.
 ``consonance()`` then takes three steps: it steps every restart to its
 end, ranks the restarts with one key (feasible ones first, by S, then L,
 then index; the rest by L, then S, then index) and replays the circuit
-of the one ranked first, W V† on a rotated layer and each absorbed layer
-back at theta = 0, so the report's circuit has the preset's layers.
+of the one ranked first, moved back onto rho by ``SearchFrame.to_state``,
+so the report's circuit has the preset's layers.
 
 Every restart runs in lockstep with the others.  Each restart is a
 generator that yields the points it needs next (its initial simplex, one
@@ -114,17 +105,14 @@ class OptimizerConfig:
     restart stops at the first stage that ends with L <= eps_L, since a
     stage minimizer with L = 0 minimizes every later, larger-mu stage as
     well, and runs the polish only when all four end above it.
-    Nelder-Mead runs over the columns the state's ``preset.search_frame``
-    moves, and is adaptive from 10 of them up: under ``single_party``, the
-    (re, im) pairs inside each marginal eigenvalue group, in the
-    marginals' eigenframe; under ``nonglobal``, every column of each layer
-    that is not absorbed into the next but its last diagonal one.  Where no
-    column moves, ``restarts`` and ``max_evals`` go unused: each identity
-    or warm start is evaluated once.  ``eps_l`` reads the fixed
-    feasibility tolerance ``EPS_L``.  ``warm_starts`` holds
-    ``unitary.LocalCircuit`` values on the input state; ``consonance()``
-    checks each against the preset's circuit, layer by layer, by support
-    and dimension, and keeps its unmoved columns as they are.
+    Nelder-Mead runs over the columns that ``Preset.search_frame`` moves
+    for the state, and is adaptive from 10 of them up.  Where no column
+    moves, ``restarts`` and ``max_evals`` go unused: each identity or warm
+    start is evaluated once.  ``eps_l`` reads the fixed feasibility
+    tolerance ``EPS_L``.  ``warm_starts`` holds ``unitary.LocalCircuit``
+    values on the input state; ``SearchFrame.to_search`` checks each one's
+    layers and moves it into the search's frame, and the search keeps its
+    unmoved columns as they are.
     """
 
     preset: Preset = field(default_factory=Preset)
@@ -325,29 +313,17 @@ def _search_one(x0: np.ndarray, config: OptimizerConfig):
     return x, float(s[0]), float(l[0])
 
 
-def _layer_shape(circuit) -> list | str:
-    """The (support, dimension) of each layer of a circuit; for anything
-    else, its type name."""
-    if not isinstance(circuit, unitary.LocalCircuit):
-        return type(circuit).__name__
-    return [(layer.support, layer.params.dim) for layer in circuit.layers]
-
-
 def _start_points(config: OptimizerConfig, frame: unitary.SearchFrame):
     """Yield (kind, theta0) per restart, over the search's circuit in its
     frame; random streams depend only on (seed, restart position), so warm
     starts never shift them.  A random start draws every column and keeps
     only the moved ones, the rest 0; with no moved column it would repeat
-    the identity start, so there is none.  A warm start must have the
-    preset's layers, by support and dimension, and keeps all of its own
-    columns once moved into the search's circuit and frame."""
+    the identity start, so there is none.  A warm start keeps all of its
+    own columns once ``frame.to_search`` has checked it and moved it into
+    the search's circuit and frame."""
     n_theta, moved = frame.circuit.n_theta, frame.moved
     yield "identity", np.zeros(n_theta)
-    want = _layer_shape(frame.template)
     for w in config.warm_starts:
-        if _layer_shape(w) != want:
-            raise ValueError(f"a warm start must have the search's layers (support, "
-                             f"dimension) {want}, got {_layer_shape(w)}")
         yield "warm", unitary.theta_vector(frame.to_search(w))
     if not len(moved):
         return

@@ -371,12 +371,6 @@ class Preset:
     3 on three or more parties the leading ``(0,)`` is absorbed, and three
     qubits move 30 of 36 columns.  ``single_party`` absorbs nothing, as no
     party's support holds another's.
-
-    :meth:`moved` lists the columns of :meth:`build` where every marginal
-    is one group, as for Werner, GHZ and isotropic states: each layer's
-    off-diagonal columns (d..d^2-1) for ``single_party``; for
-    ``nonglobal``, every column of each remaining layer but its last
-    diagonal one, and none of an absorbed layer.
     """
 
     KINDS: ClassVar[tuple[str, ...]] = (SINGLE_PARTY, NONGLOBAL)
@@ -399,26 +393,14 @@ class Preset:
             return [s for s in pool if len(s) == 1]
         return [pool[k % len(pool)] for k in range(self.depth)]
 
-    def _layers(self, dims) -> list[tuple[tuple[int, ...], int]]:
-        """(support, dimension) of each layer on ``dims``, in circuit order."""
-        dims = check_dims(dims)
-        return [(s, math.prod(dims[p] for p in s)) for s in self.supports(len(dims))]
-
     def build(self, dims) -> LocalCircuit:
         """The preset's circuit on ``dims`` at theta = 0, tagged
         ``single_party`` or ``nonglobal:depth=N``."""
-        layers = tuple(CircuitLayer(s, UnitaryParams.identity(d))
-                       for s, d in self._layers(dims))
+        dims = check_dims(dims)
+        layers = tuple(CircuitLayer(s, UnitaryParams.identity(math.prod(dims[p] for p in s)))
+                       for s in self.supports(len(dims)))
         tag = self.kind if self.kind == SINGLE_PARTY else f"{NONGLOBAL}:depth={self.depth}"
         return LocalCircuit(layers, preset=tag)
-
-    def moved(self, dims) -> np.ndarray:
-        """The theta columns of ``build(dims)`` that a search moves where
-        every marginal is one eigenvalue group, in increasing order."""
-        supports, sizes = zip(*self._layers(dims))
-        if self.kind == NONGLOBAL:
-            return _trace_free_columns(sizes, _absorbed(supports))
-        return _pair_columns([np.zeros(d, dtype=np.intp) for d in sizes])
 
     def search_frame(self, rho: DensityMatrix) -> SearchFrame:
         """The frame a search on ``rho`` runs in: its circuit, its rotations
@@ -429,7 +411,7 @@ class Preset:
             kept = [layer.params.dim for layer, gone in zip(template.layers, absorbed)
                     if not gone]
             return SearchFrame(template, rho.dims, absorbed, (None,) * len(absorbed),
-                               _trace_free_columns(kept, [False] * len(kept)))
+                               _trace_free_columns(kept))
         rotations, groups = zip(*(_eigenframe(partial_trace(rho, [k]).entries)
                                   for k in range(rho.n_parties)))
         return SearchFrame(template, rho.dims, absorbed, rotations, _pair_columns(groups))
@@ -441,14 +423,13 @@ def _absorbed(supports) -> tuple[bool, ...]:
     return tuple(set(s) <= set(t) for s, t in zip(supports, supports[1:])) + (False,)
 
 
-def _trace_free_columns(sizes, absorbed) -> np.ndarray:
+def _trace_free_columns(sizes) -> np.ndarray:
     """The theta columns of consecutive layers of the given dimensions that
-    a nonglobal search moves: every column of a kept layer but its last
-    diagonal one, which carries the trace, and none of an absorbed one."""
+    a nonglobal search moves: every column of each layer but its last
+    diagonal one, which carries the trace."""
     columns, offset = [], 0
-    for d, gone in zip(sizes, absorbed):
-        if not gone:
-            columns.append(np.delete(np.arange(offset, offset + d * d), d - 1))
+    for d in sizes:
+        columns.append(np.delete(np.arange(offset, offset + d * d), d - 1))
         offset += d * d
     return np.concatenate(columns).astype(np.intp)
 
@@ -529,12 +510,20 @@ class SearchFrame:
     def to_search(self, circuit: LocalCircuit) -> LocalCircuit:
         """A circuit U on rho, with the template's layers, as a search
         start: W = U V, each absorbed layer U_k multiplied into the next
-        one as U_next (U_k (x) 1).  An absorbed layer at theta = 0 is
-        dropped and leaves the next one as it is."""
+        one as U_next (U_k (x) 1), the lift being the circuit unitary of
+        U_k alone on the next layer's parties.  An absorbed layer at
+        theta = 0 is dropped and leaves the next one as it is.  Raises
+        ValueError, naming both layer lists, unless ``circuit`` has the
+        template's layers by support and dimension."""
+        _check_layers(circuit, self.template, "a warm start must have the search's layers")
         layers, below = [], None
         for layer, gone in zip(_times(circuit, self.rotations).layers, self.absorbed):
             if below is not None:
-                product = build_unitary(layer.params) @ _lift(below, layer.support, self.dims)
+                inside = CircuitLayer(tuple(map(layer.support.index, below.support)),
+                                      below.params)
+                lifted = circuit_unitary(LocalCircuit((inside,)),
+                                         [self.dims[p] for p in layer.support])
+                product = build_unitary(layer.params) @ lifted
                 layer = CircuitLayer(layer.support, params_for_unitary(product))
             below = layer if gone and layer.params.theta.any() else None
             if not gone:
@@ -543,12 +532,32 @@ class SearchFrame:
 
     def to_state(self, circuit: LocalCircuit) -> LocalCircuit:
         """A circuit W the search found as the circuit on rho: U = W V†,
-        each absorbed layer back in its place at theta = 0."""
+        each absorbed layer back in its place at theta = 0.  Raises
+        ValueError, naming both layer lists, unless ``circuit`` has the
+        layers of :attr:`circuit` by support and dimension."""
+        _check_layers(circuit, self.circuit,
+                      "a found circuit must have the search circuit's layers")
         found = iter(circuit.layers)
         layers = tuple(layer if gone else next(found)
                        for layer, gone in zip(self.template.layers, self.absorbed))
         return _times(LocalCircuit(layers, preset=circuit.preset),
                       [None if r is None else r.conj().T for r in self.rotations])
+
+
+def _layer_list(circuit) -> list | str:
+    """The (support, dimension) of each layer of a circuit; for anything
+    else, its type name."""
+    if not isinstance(circuit, LocalCircuit):
+        return type(circuit).__name__
+    return [(layer.support, layer.params.dim) for layer in circuit.layers]
+
+
+def _check_layers(circuit, want: LocalCircuit, rule: str) -> None:
+    """Raise ValueError, stating ``rule`` and both layer lists, unless
+    ``circuit`` has the layers of ``want`` by support and dimension."""
+    if _layer_list(circuit) != _layer_list(want):
+        raise ValueError(f"{rule} (support, dimension) {_layer_list(want)}, "
+                         f"got {_layer_list(circuit)}")
 
 
 def _times(circuit: LocalCircuit, mats) -> LocalCircuit:
@@ -559,15 +568,6 @@ def _times(circuit: LocalCircuit, mats) -> LocalCircuit:
             layer.support, params_for_unitary(build_unitary(layer.params) @ m))
         for layer, m in zip(circuit.layers, mats))
     return LocalCircuit(layers, preset=circuit.preset)
-
-
-def _lift(layer: CircuitLayer, support: tuple[int, ...], dims) -> np.ndarray:
-    """The unitary of ``layer`` on the larger ``support``: U (x) identity,
-    read in ``support``'s party order."""
-    sub = tuple(dims[p] for p in support)
-    d = math.prod(sub)
-    index = _embed_index(tuple(support.index(p) for p in layer.support), sub)
-    return np.append(build_unitary(layer.params).ravel(), 0)[index].reshape(d, d)
 
 
 # --- flat parameter vector <-> circuit ----------------------------------

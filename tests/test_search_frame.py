@@ -20,7 +20,8 @@ from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance
 from consonance.qstate import TOL_DEGENERATE, PureState, density_from_pure, partial_trace
 from consonance.unitary import NONGLOBAL, circuit_unitary
 from test_acceptance import GHZ3_WITNESS, OPT_SMALL, W3_WITNESS
-from test_optimizer import _behind_a_frame, _inverse
+from test_optimizer import _behind_a_frame, _circuit_of, _inverse
+from test_unitary import maximally_mixed, mixed_marginals, template_columns
 
 
 def _schmidt_2x3(p0):
@@ -145,12 +146,10 @@ def test_a_witness_enters_the_nonglobal_search_bit_for_bit(path):
 
 
 def test_a_depth_3_search_on_three_qubits_moves_30_of_36_columns():
-    preset = Preset(NONGLOBAL, 3)
-    moved = preset.moved((2, 2, 2))
-    assert preset.build((2, 2, 2)).n_theta == 36
+    frame = Preset(NONGLOBAL, 3).search_frame(density_from_pure(states.ghz(3)))
+    assert frame.template.n_theta == 36
     # none in the absorbed (0,) layer, none at a layer's last diagonal entry
-    assert moved.tolist() == [c for c in range(4, 36) if c not in (4 + 3, 20 + 3)]
-    frame = preset.search_frame(density_from_pure(states.ghz(3)))
+    assert template_columns(frame) == [c for c in range(4, 36) if c not in (4 + 3, 20 + 3)]
     assert frame.absorbed == (True, False, False)
     assert _shape(frame.circuit) == [((0, 1), 4), ((0, 2), 4)]
     assert frame.moved.tolist() == [c for c in range(32) if c not in (3, 19)]
@@ -161,23 +160,50 @@ def test_a_depth_3_search_on_three_qubits_moves_30_of_36_columns():
 def test_depth_one_and_two_parties_absorb_nothing(dims, depth):
     # a two-party preset cycles (0,), (1,), and neither holds the other
     preset = Preset(NONGLOBAL, depth)
-    frame = preset.search_frame(states.random_density(dims, seed=3))
+    frame = preset.search_frame(maximally_mixed(dims))
     assert not any(frame.absorbed)
     assert _shape(frame.circuit) == _shape(preset.build(dims))
     columns, offset = [], 0
     for _, d in _shape(frame.circuit):
         columns += [offset + k for k in range(d * d) if k != d - 1]
         offset += d * d
-    assert preset.moved(dims).tolist() == frame.moved.tolist() == columns
+    assert frame.moved.tolist() == template_columns(frame) == columns
 
 
 def test_the_single_party_moved_columns_are_unchanged():
-    assert Preset().moved((2, 2)).tolist() == [2, 3, 6, 7]
-    assert Preset().moved((2, 3)).tolist() == [2, 3, 7, 8, 9, 10, 11, 12]
-    assert Preset().moved((2, 2, 2)).tolist() == [2, 3, 6, 7, 10, 11]
+    # every marginal of these states is one eigenvalue group
+    for rho, columns in [(states.werner(0.5), [2, 3, 6, 7]),
+                         (mixed_marginals((2, 3), seed=1), [2, 3, 7, 8, 9, 10, 11, 12]),
+                         (density_from_pure(states.ghz(3)), [2, 3, 6, 7, 10, 11])]:
+        assert Preset().search_frame(rho).moved.tolist() == columns
     frame = Preset().search_frame(states.werner(0.5))
     assert not any(frame.absorbed)
     assert _shape(frame.circuit) == _shape(Preset().build((2, 2)))
+
+
+@pytest.mark.parametrize("preset,dims,side,layers", [
+    # the search's own 2 layers, which came back as 1 layer and 16 columns
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", [((0, 1), 4), ((0, 2), 4)]),
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", [((0,), 4), ((0, 1), 2), ((0, 2), 4)]),
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", np.zeros(36)),
+    # one layer of the search's two, which ran out of layers mid-circuit
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_state", [((0, 2), 4)]),
+    (Preset(), (2, 3), "to_state", [((0,), 3), ((1,), 2)]),
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_state", np.zeros(32)),
+    (Preset(), (2, 3), "to_search", [((0,), 2)]),
+    (Preset(), (2, 3), "to_search", [((0,), 3), ((1,), 2)]),
+], ids=["to_search-fewer", "to_search-swapped", "to_search-raw-array",
+        "to_state-fewer", "to_state-swapped", "to_state-raw-array",
+        "to_search-single-party-fewer", "to_search-single-party-swapped"])
+def test_a_frame_converts_only_circuits_of_its_layers(preset, dims, side, layers):
+    # to_search takes the preset's layers and to_state the search's
+    frame = preset.search_frame(maximally_mixed(dims))
+    want = frame.template if side == "to_search" else frame.circuit
+    given = layers if isinstance(layers, np.ndarray) else _circuit_of(layers)
+    with pytest.raises(ValueError) as err:
+        getattr(frame, side)(given)
+    assert str(_shape(want)) in str(err.value)
+    assert str(layers if isinstance(layers, list) else "ndarray") in str(err.value)
 
 
 def test_the_nonglobal_search_evaluates_its_own_circuit(monkeypatch):

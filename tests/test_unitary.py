@@ -358,42 +358,59 @@ def mixed_marginals(dims, seed) -> DensityMatrix:
     return assert_valid(DensityMatrix(tuple(dims), np.eye(d) / d + x / (4 * d)))
 
 
+def maximally_mixed(dims) -> DensityMatrix:
+    """I/D: every marginal is I/d_k, one eigenvalue group."""
+    d = math.prod(dims)
+    return DensityMatrix(tuple(dims), np.eye(d) / d)
+
+
+def template_columns(frame) -> list[int]:
+    """The frame's moved columns read on its template: the search's
+    circuit is the template without its absorbed layers, so a column of
+    the one is the column of the same kept layer in the other."""
+    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
+                           for layer, gone in zip(frame.template.layers, frame.absorbed)])
+    return np.flatnonzero(kept)[frame.moved].tolist()
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2), (2, 3, 2, 3)])
 @pytest.mark.parametrize("depth", [1, 3, 7])
 def test_preset_moves_the_columns_its_objective_sees(dims, depth):
+    # every marginal of I/D is one eigenvalue group, so the moved columns
+    # follow from the layer supports and dimensions alone
     for kind in (SINGLE_PARTY, NONGLOBAL):
         preset = Preset(kind, depth)
-        moved = preset.moved(dims)
-        assert moved.dtype == np.intp
-        assert moved.tolist() == moved_columns(preset.build(dims))
-    assert len(Preset().moved((2, 3))) == 2 + 6 < Preset().build((2, 3)).n_theta == 13
+        frame = preset.search_frame(maximally_mixed(dims))
+        assert frame.moved.dtype == np.intp
+        assert template_columns(frame) == moved_columns(preset.build(dims))
+    frame = Preset().search_frame(mixed_marginals((2, 3), seed=1))
+    assert len(frame.moved) == 2 + 6 < frame.circuit.n_theta == 13
 
 
 @pytest.mark.parametrize("depth", [1, 3, 7])
 def test_a_nonglobal_search_frame_rotates_nothing(depth):
-    rho = density_from_pure(states.w_state(3))
+    # W(3)'s marginals have two eigenvalue groups and GHZ(3)'s one
     preset = Preset(NONGLOBAL, depth)
-    frame = preset.search_frame(rho)
-    template = preset.build(rho.dims)
-    assert frame.rotations == (None,) * depth
-    assert frame.absorbed == tuple(absorbed_layers(template))
-    assert [(layer.support, layer.params.dim, layer.params.theta.any())
-            for layer in frame.circuit.layers] == \
-        [(layer.support, layer.params.dim, False) for layer in search_circuit(template).layers]
-    assert frame.circuit.preset == template.preset
-    assert frame.moved.tolist() == moved_columns(frame.circuit)
-    # the moved columns are the preset's, read on the kept layers
-    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
-                           for layer, gone in zip(template.layers, frame.absorbed)])
-    assert np.flatnonzero(kept)[frame.moved].tolist() == preset.moved(rho.dims).tolist()
-    assert frame.state(rho) is rho
+    for rho in (density_from_pure(states.w_state(3)), density_from_pure(states.ghz(3))):
+        frame = preset.search_frame(rho)
+        template = preset.build(rho.dims)
+        assert frame.rotations == (None,) * depth
+        assert frame.absorbed == tuple(absorbed_layers(template))
+        assert [(layer.support, layer.params.dim, layer.params.theta.any())
+                for layer in frame.circuit.layers] == \
+            [(layer.support, layer.params.dim, False)
+             for layer in search_circuit(template).layers]
+        assert frame.circuit.preset == template.preset
+        assert frame.moved.tolist() == moved_columns(frame.circuit)
+        assert template_columns(frame) == moved_columns(template)
+        assert frame.state(rho) is rho
 
 
 def test_an_unrotated_search_frame_keeps_the_state_and_the_circuit():
     rho = mixed_marginals((2, 3), seed=1)
     frame = Preset().search_frame(rho)
     assert frame.rotations == (None, None)
-    assert frame.moved.tolist() == Preset().moved((2, 3)).tolist()
+    assert frame.moved.tolist() == moved_columns(Preset().build((2, 3)))
     assert frame.state(rho) is rho
     circuit = with_theta(Preset().build((2, 3)), np.linspace(-1.0, 1.0, 13))
     for convert in (frame.to_search, frame.to_state):
