@@ -178,6 +178,18 @@ def _qutrit_beta(alpha: float, gamma: float) -> float:
     return beta
 
 
+def _bell_diagonal_weights(c_x: float, c_y: float, c_z: float) -> tuple[float, ...]:
+    """The weights of phi+, phi-, psi+ and psi- in (I + sum_i c_i σ_i (x) σ_i)/4,
+    each (1 +- c_x +- c_y +- c_z)/4, after checking that all four are
+    >= -TOL_UNIT (NaN fails), each then clamped at 0."""
+    c_x, c_y, c_z = float(c_x), float(c_y), float(c_z)
+    weights = {"phi+": (1.0 + c_x - c_y + c_z) / 4.0, "phi-": (1.0 - c_x + c_y + c_z) / 4.0,
+               "psi+": (1.0 + c_x + c_y - c_z) / 4.0, "psi-": (1.0 - c_x - c_y - c_z) / 4.0}
+    for name, w in weights.items():
+        check_residual(-w, TOL_UNIT, f"Bell-diagonal weight of {name} must be >= 0")
+    return tuple(max(w, 0.0) for w in weights.values())
+
+
 def discord_2x3(alpha: float, gamma: float) -> float:
     """Discord of the two-parameter qubit-qutrit family.
 
@@ -216,3 +228,11 @@ def consonance_2x3(alpha: float, gamma: float) -> float:
     """|beta - gamma| for the two-parameter qubit-qutrit family."""
     alpha, gamma = float(alpha), float(gamma)
     return abs(_qutrit_beta(alpha, gamma) - gamma)
+
+
+def consonance_bell_diagonal(c_x: float, c_y: float, c_z: float) -> float:
+    """The middle |c_i| for (I + sum_i c_i σ_i (x) σ_i)/4: its correlation
+    matrix is diag(c), and the least-S zero-L frame puts both z axes along
+    the largest |c_i|, where S is the larger of the other two."""
+    _bell_diagonal_weights(c_x, c_y, c_z)
+    return sorted(abs(float(c)) for c in (c_x, c_y, c_z))[1]

@@ -27,7 +27,10 @@ an earlier report's circuit: ``SearchFrame.to_search`` checks its layers
 and moves it into the search's circuit and frame before any frame is
 evaluated, and the search keeps its unmoved columns as they are.
 Where no column moves, each identity or warm start is evaluated once and
-there are no random restarts, which would repeat the identity.
+there are no random restarts, which would repeat the identity.  That
+covers states whose marginals have distinct eigenvalues, and two-qubit
+states, whose zero-L frame of least S ``search_frame`` finds in closed
+form wherever one exists.
 ``consonance()`` then takes three steps: it steps every restart to its
 end, ranks the restarts with one key (feasible ones first, by S, then L,
 then index; the rest by L, then S, then index) and replays the circuit

@@ -46,6 +46,19 @@ TOL_RELABEL = 1e-10    # the same for a TpsRelabeling matrix
 # twice it summed over the few dozen local entries of these sizes stays
 # under EPS_L.  An exact degeneracy shows as a gap of order eps.
 TOL_DEGENERATE = 1e-7
+# A singular pair (n_A, n_B) of a two-qubit correlation matrix T is
+# compatible with the Bloch vectors a and b in unitary.Preset.search_frame
+# when |a x n_A|, |b x n_B|, |n_A x T n_B| and |n_B x T^T n_A| are all at
+# most TOL_COMPATIBLE.  In the frame whose z axes are n_A and n_B, A's four
+# local entries are (a_perp +- (T n_B)_perp)/4 and their conjugates, so A's
+# local sum is at most |a x n_A| + |n_A x T n_B|, and likewise for B: the
+# frame has L <= 4e-9, or <= 2.04e-7 where a marginal whose eigenvalue gap
+# |a| is at most TOL_DEGENERATE counts as a = 0, both below the search's
+# EPS_L = 1e-6.  The residual of an exactly compatible pair is that of a
+# rounded SVD, a few eps |T| <= 1e-15, 10^6 below it.  Two pairs whose
+# values (S in their frames) differ by at most it count as tied, so a
+# reported S exceeds the least by at most 1e-9.
+TOL_COMPATIBLE = 1e-9
 
 
 class ValidationError(ValueError):

@@ -92,12 +92,23 @@ def pure_2x2(a, b, c, d) -> PureState:
 
 
 _SINGLET = density_from_pure(bell("psi-")).entries       # read only
+_BELL_PROJECTORS = tuple(density_from_pure(bell(k)).entries
+                         for k in ("phi+", "phi-", "psi+", "psi-"))
 
 
 def werner(a: float) -> DensityMatrix:
     """a |psi-><psi-| + (1 - a)/4 identity, a in [0, 1]."""
     a = check_unit_interval(a, "Werner parameter")
     return DensityMatrix((2, 2), a * _SINGLET + (1.0 - a) / 4.0 * np.eye(4))
+
+
+def bell_diagonal(c_x: float, c_y: float, c_z: float) -> DensityMatrix:
+    """(I + c_x σ_x (x) σ_x + c_y σ_y (x) σ_y + c_z σ_z (x) σ_z)/4: the mixture
+    of the four Bell states with weights (1 +- c_x +- c_y +- c_z)/4, each
+    of which must be >= 0."""
+    weights = measures._bell_diagonal_weights(c_x, c_y, c_z)
+    rho = sum(w * p for w, p in zip(weights, _BELL_PROJECTORS))
+    return assert_valid(DensityMatrix((2, 2), rho))
 
 
 # --- qubit-qutrit family -------------------------------------------------
@@ -393,6 +404,8 @@ FAMILIES = (
            consonance=lambda a: measures.consonance_werner(a),
            concurrence=lambda a: measures.concurrence_werner(a),
            discord=lambda a: measures.discord_werner(a)),
+    Family("bell_diagonal", bell_diagonal, {"c_x": float, "c_y": float, "c_z": float},
+           consonance=lambda c_x, c_y, c_z: measures.consonance_bell_diagonal(c_x, c_y, c_z)),
     Family("two_param_2x3", two_param_qubit_qutrit, {"alpha": float, "gamma": float},
            aliases=("two_param_qubit_qutrit",),
            consonance=lambda alpha, gamma: measures.consonance_2x3(alpha, gamma),
@@ -432,8 +445,8 @@ def get_family(name: str) -> Family:
 
 def consonance_closed_form(family: str, **params) -> float:
     """Known consonance value of a state family, from the family table:
-    werner, bell, bell_like, psi_like, pure_2x2, two_param_2x3 and ghz.  A
-    caveat on the value, if any, is the family record's ``note``.
+    werner, bell, bell_like, psi_like, pure_2x2, bell_diagonal, two_param_2x3
+    and ghz.  A caveat on the value, if any, is the family record's ``note``.
     ``family`` is any name :func:`get_family` takes."""
     fam = get_family(family)
     if fam.consonance is None:

@@ -46,9 +46,9 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .qstate import (TOL_DEGENERATE, TOL_UNITARY, DensityMatrix, PureState, check_dims,
-                     check_integer, check_state, check_unitary, errors_at, json_float,
-                     json_text, partial_trace, read_json)
+from .qstate import (TOL_COMPATIBLE, TOL_DEGENERATE, TOL_UNITARY, DensityMatrix, PureState,
+                     check_dims, check_integer, check_state, check_unitary, errors_at,
+                     json_float, json_text, partial_trace, read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -360,6 +360,12 @@ class Preset:
     stay at their start values: 0 from the identity and random starts, a
     warm start's own values from a warm start.
 
+    Two qubits are decided in closed form wherever the eigenframe still
+    leaves a moved column (:func:`_two_qubit_rotations`): the zero-L
+    frames are the singular pairs of the correlation matrix T compatible
+    with the Bloch vectors, and the frame is the pair of least S, with no
+    moved column.  Only where no pair is compatible does the search run.
+
     ``nonglobal`` rotates nothing, since its pair layers do not keep the
     marginals; it leaves out what S and L cannot see instead.  A layer
     whose support lies inside the next layer's support, the one applied
@@ -414,7 +420,12 @@ class Preset:
                                _trace_free_columns(kept))
         rotations, groups = zip(*(_eigenframe(partial_trace(rho, [k]).entries)
                                   for k in range(rho.n_parties)))
-        return SearchFrame(template, rho.dims, absorbed, rotations, _pair_columns(groups))
+        moved = _pair_columns(groups)
+        if len(moved) and rho.dims == (2, 2):
+            rule = _two_qubit_rotations(rho, [not g.any() for g in groups])
+            if rule is not None:
+                return SearchFrame(template, rho.dims, absorbed, rule, moved[:0])
+        return SearchFrame(template, rho.dims, absorbed, rotations, moved)
 
 
 def _absorbed(supports) -> tuple[bool, ...]:
@@ -455,6 +466,66 @@ def _eigenframe(m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
     order = np.argsort(diag, kind="stable")
     groups[order] = _groups(diag[order])
     return None, groups
+
+
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
+_Z = np.array([0.0, 0.0, 1.0])
+
+
+def _two_qubit_rotations(rho: DensityMatrix, one_group) -> tuple | None:
+    """The rotations (V_A, V_B) of the two-qubit frame with L = 0 and the
+    least S, or None where no frame has L = 0.
+
+    Write rho = (I + a.σ (x) I + I (x) b.σ + sum_ij T_ij σ_i (x) σ_j)/4.
+    A frame whose z axes are n_A and n_B has L = 0 exactly when a is along
+    n_A, b along n_B, T n_B along n_A and T^T n_A along n_B: (n_A, n_B) is
+    a singular pair of T compatible with a and b.  S there is the larger
+    singular value of T on the planes normal to the axes, the larger of
+    T's other two singular values (R. & M. Horodecki, PRA 54, 1838 (1996)
+    for the T picture).  A party whose marginal is one eigenvalue group
+    (``one_group``) counts as a = 0, and any singular pair of T is then
+    compatible on its side; a forced axis fixes its partner as T b̂ (or
+    T^T â), normalized, or a null vector of T where that is 0.  A pair is
+    compatible, and two values are tied, within ``TOL_COMPATIBLE``.  The
+    identity frame is kept, as (None, None), where it is a compatible pair
+    tied with the least value; otherwise V_k are the eigenvectors of
+    n_k.σ."""
+    r = np.einsum("pqrs,irp,jsq->ij", rho.entries.reshape(2, 2, 2, 2), _PAULI, _PAULI).real
+    a, b = (np.zeros(3) if zero else v for v, zero in zip((r[1:, 0], r[0, 1:]), one_group))
+    t = r[1:, 1:]
+    u, _, vh = np.linalg.svd(t)
+    if all(one_group):
+        pairs = list(zip(u.T, vh))
+    elif one_group[1]:
+        n_a = a / np.linalg.norm(a)
+        pairs = [(n_a, _partner(t.T @ n_a, vh[-1]))]
+    else:
+        n_b = b / np.linalg.norm(b)
+        pairs = [(_partner(t @ n_b, u[:, -1]), n_b)]
+
+    def residual(n_a, n_b):
+        return max(np.linalg.norm(np.cross(x, y))
+                   for x, y in ((a, n_a), (b, n_b), (n_a, t @ n_b), (n_b, t.T @ n_a)))
+
+    def value(n_a, n_b):
+        return np.linalg.norm((np.eye(3) - np.outer(n_a, n_a)) @ t
+                              @ (np.eye(3) - np.outer(n_b, n_b)), 2)
+
+    found = [(value(*p), k) for k, p in enumerate(pairs) if residual(*p) <= TOL_COMPATIBLE]
+    if not found:
+        return None
+    least, k = min(found)
+    if residual(_Z, _Z) <= TOL_COMPATIBLE and value(_Z, _Z) <= least + TOL_COMPATIBLE:
+        return None, None
+    return tuple(np.linalg.eigh(np.tensordot(n, _PAULI[1:], 1))[1] for n in pairs[k])
+
+
+def _partner(w: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """The axis ``w`` (T b̂ or T^T â) normalized, or the null vector ``null``
+    of T where ``w`` is within ``TOL_COMPATIBLE`` of 0."""
+    size = np.linalg.norm(w)
+    return w / size if size > TOL_COMPATIBLE else null
 
 
 def _pair_columns(groups) -> np.ndarray:

@@ -236,24 +236,27 @@ def test_a_warm_start_keeps_the_columns_the_search_does_not_move():
 
 
 def test_a_restart_stops_at_the_first_stage_that_ends_feasible():
-    # Werner(0.5) in its own frame: the mu = 10 stage already ends at L = 0
-    rho = states.werner(0.5)
+    # the qubit-qutrit state in its own frame, where L = 0 and S = |beta -
+    # gamma| = 2/15: the mu = 10 stage already ends at L = 0 (a two-qubit
+    # state with an I/2 marginal runs no search: its frame is decided in
+    # closed form)
+    rho = states.two_param_qubit_qutrit(0.1, 0.3)
     record = consonance(rho, OPT_SMALL).per_restart[0]
     assert record.kind == "identity"
     assert record.evals <= OPT_SMALL.max_evals // (len(PENALTY_MUS) + 1) + 1
     assert record.l_residual <= EPS_L
-    assert abs(record.value - 0.5) <= 1e-12
+    assert abs(record.value - 2 / 15) <= 1e-12
     template = Preset().build(rho.dims)
     stage_ls = []
     assert (record.value, record.l_residual, record.evals) == \
         _scipy_restart(rho, template, np.zeros(template.n_theta), OPT_SMALL,
-                       stage_ls=stage_ls)
+                       groups=[[0, 0], [0, 0, 1]], stage_ls=stage_ls)
     assert len(stage_ls) == 1
 
 
 def test_a_restart_whose_stages_all_end_infeasible_runs_them_all_and_the_polish():
     # 60 evaluations a stage cut every stage short of L <= eps_L
-    rho = mixed_marginals((2, 2), seed=2)
+    rho = mixed_marginals((2, 3), seed=2)
     config = OptimizerConfig(restarts=2, seed=9, max_evals=300)
     template = Preset().build(rho.dims)
     for j, record in enumerate(consonance(rho, config).per_restart):

@@ -93,8 +93,9 @@ def test_determinism_bit_for_bit():
 
 
 def test_seed_changes_the_random_restarts():
-    # marginals I/2: every off-diagonal column moves, so random restarts run
-    rho = mixed_marginals((2, 2), seed=3)
+    # marginals I/2 and I/3: every off-diagonal column moves, so random
+    # restarts run
+    rho = mixed_marginals((2, 3), seed=3)
     a = consonance(rho, OptimizerConfig(restarts=3, seed=1, max_evals=2000))
     b = consonance(rho, OptimizerConfig(restarts=3, seed=2, max_evals=2000))
     # identity restart is shared; the random ones should explore differently
@@ -220,17 +221,21 @@ def _diagonals(circuit):
 @pytest.mark.parametrize("kind", ["identity", "random", "warm"])
 def test_a_single_party_report_keeps_each_layers_start_diagonal(kind):
     # the diagonal of a single_party layer is gauge, so the search never
-    # moves it: where no layer rotates (Werner's marginals are I/2, in any
-    # frame), the winner's circuit has its start's diagonal columns
-    rho = states.werner(0.5)
+    # moves it: where no layer rotates (at alpha = 1/6 the qubit-qutrit
+    # state's marginals are I/2 and I/3, in any frame), the winner's
+    # circuit has its start's diagonal columns
+    rho = states.two_param_qubit_qutrit(1 / 6, 0.3)
     config = OptimizerConfig(restarts=1, seed=7, max_evals=3000)
+    if kind != "identity":
+        # in its own frame the identity start is already at the optimum;
+        # behind the first frame a random restart ends nearer to L = 0
+        frame = Preset().build(rho.dims)
+        rng = np.random.default_rng(1 if kind == "random" else 3)
+        frame = with_theta(frame, rng.uniform(-math.pi, math.pi, frame.n_theta))
+        rho = apply(frame, rho)
     if kind == "random":
         config = dataclasses.replace(config, restarts=3)
     if kind == "warm":
-        frame = Preset().build((2, 2))
-        frame = with_theta(frame, np.random.default_rng(3).uniform(-math.pi, math.pi,
-                                                                   frame.n_theta))
-        rho = apply(frame, rho)
         # the warm start is the frame's inverse, already at the optimum; at
         # 50 evaluations a stage the identity restart ends infeasible, so
         # the win does not hang on a last-bit race in S between two restarts
@@ -289,7 +294,9 @@ def test_no_value_below_closed_form():
 
 
 def test_restart_records():
-    report = consonance(states.werner(0.5), CHEAP)
+    # a qubit-qutrit state, where the search moves columns and random
+    # restarts run (a two-qubit state with an I/2 marginal runs none)
+    report = consonance(states.two_param_qubit_qutrit(0.1, 0.3), CHEAP)
     kinds = [r.kind for r in report.per_restart]
     assert kinds[0] == "identity"
     assert all(k == "random" for k in kinds[1:])
@@ -413,11 +420,12 @@ def test_config_report_json():
     with pytest.raises(TypeError):
         OptimizerConfig(eps_l=1e-4)
 
-    report = consonance(states.werner(0.3), config)
+    rho = states.two_param_qubit_qutrit(0.1, 0.3)
+    report = consonance(rho, config)
     out = report_to_json(report)
     assert set(out) >= {"value", "l_residual", "feasible", "circuit",
                         "preset", "per_restart", "n_evals"}
     assert len(out["per_restart"]) == 2
     circ = unitary.circuit_from_json(out["circuit"])
-    assert nonlocal_sum(apply(circ, states.werner(0.3))) == pytest.approx(
+    assert nonlocal_sum(apply(circ, rho)) == pytest.approx(
         out["value"], abs=1e-9)

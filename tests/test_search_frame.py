@@ -171,14 +171,17 @@ def test_depth_one_and_two_parties_absorb_nothing(dims, depth):
 
 
 def test_the_single_party_moved_columns_are_unchanged():
-    # every marginal of these states is one eigenvalue group
-    for rho, columns in [(states.werner(0.5), [2, 3, 6, 7]),
+    # every marginal of these states is one eigenvalue group; a two-qubit
+    # state is decided in closed form from its correlation matrix, and
+    # moves none
+    for rho, columns in [(states.werner(0.5), []),
+                         (maximally_mixed((3, 3)), [3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17]),
                          (mixed_marginals((2, 3), seed=1), [2, 3, 7, 8, 9, 10, 11, 12]),
                          (density_from_pure(states.ghz(3)), [2, 3, 6, 7, 10, 11])]:
         assert Preset().search_frame(rho).moved.tolist() == columns
-    frame = Preset().search_frame(states.werner(0.5))
+    frame = Preset().search_frame(maximally_mixed((3, 3)))
     assert not any(frame.absorbed)
-    assert _shape(frame.circuit) == _shape(Preset().build((2, 2)))
+    assert _shape(frame.circuit) == _shape(Preset().build((3, 3)))
 
 
 @pytest.mark.parametrize("preset,dims,side,layers", [

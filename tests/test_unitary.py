@@ -373,11 +373,12 @@ def template_columns(frame) -> list[int]:
     return np.flatnonzero(kept)[frame.moved].tolist()
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2, 2), (2, 3, 2, 3)])
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2, 2), (2, 3, 2, 3)])
 @pytest.mark.parametrize("depth", [1, 3, 7])
 def test_preset_moves_the_columns_its_objective_sees(dims, depth):
     # every marginal of I/D is one eigenvalue group, so the moved columns
-    # follow from the layer supports and dimensions alone
+    # follow from the layer supports and dimensions alone (two qubits are
+    # decided in closed form and move none under single_party)
     for kind in (SINGLE_PARTY, NONGLOBAL):
         preset = Preset(kind, depth)
         frame = preset.search_frame(maximally_mixed(dims))
