@@ -42,15 +42,25 @@ class CoherenceClass(Enum):
     NONLOCAL = "nonlocal"
 
 
+def _check_parties(dims) -> tuple[int, ...]:
+    """``dims`` checked, with at least two parties: the classes split
+    coherence between parties, so one system's coherence is neither local
+    nor nonlocal.  Raises ValueError otherwise."""
+    dims = check_dims(dims)
+    if len(dims) < 2:
+        raise ValueError(f"coherence classes need at least two parties, got dims {dims}")
+    return dims
+
+
 def classify(row, col, dims) -> CoherenceClass:
     """Class of the element at multi-index ``(row, col)``.
 
     Parameters
     ----------
     row, col : sequences of per-party basis indices, one per party.
-    dims : subsystem dimensions.
+    dims : subsystem dimensions, at least two parties.
     """
-    dims = check_dims(dims)
+    dims = _check_parties(dims)
     row = tuple(check_integer(i, "row index") for i in row)
     col = tuple(check_integer(j, "column index") for j in col)
     if len(row) != len(dims) or len(col) != len(dims):
@@ -81,7 +91,7 @@ def _class_positions(*dims):
     dimension beside its value, so dims that compare equal to cached ones
     but are not ints, such as (2.0, 2) beside (2, 2), miss the cache and
     meet ``check_dims``."""
-    dims = check_dims(dims)
+    dims = _check_parties(dims)
     d = math.prod(dims)
     multi = np.array(np.unravel_index(np.arange(d), dims)).T  # (D, n)
     agree = multi[:, None, :] == multi[None, :, :]            # (D, D, n)

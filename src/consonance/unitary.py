@@ -28,8 +28,9 @@ arithmetic.  The frame builder works from index plans laid out once per
 circuit shape.  Its chart reads theta in place:
 ``off = re + 1j * im`` over every layer's upper triangle, and one gather
 from the source row [theta | off | conj(off)] builds every layer's H,
-with the layers in dimension-group order.  Each group runs one batched eigh and
-exp, and a gather lifts every layer unitary to the full space.
+with the layers in circuit order, each at its own theta offset.  Each run
+of adjacent layers of one dimension runs one batched eigh and exp, and a
+gather lifts every layer unitary to the full space.
 :func:`build_unitary` is the chart for one layer and one row.  The
 scalar reference that every row matches with == (chart, exp and a
 kron-and-transpose embed, one frame at a time) lives in the tests.
@@ -37,6 +38,7 @@ kron-and-transpose embed, one frame at a time) lives in the tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import pathlib
 from dataclasses import dataclass
@@ -63,29 +65,23 @@ def n_params(dim: int) -> int:
 
 
 class _ChartLayout(NamedTuple):
-    """One chart for a circuit's layers, in dimension-group order:
-    dimensions by first appearance, layers in circuit order within a
-    group.  Every array is read only."""
+    """One chart for a circuit's layers, in circuit order: each layer's H
+    entries, and its unitary in the stack, sit at its own theta offset.
+    Every array is read only."""
 
-    re: np.ndarray         # theta column of each Re part; its Im part is the next
-    plan: np.ndarray       # where each H entry sits in [theta | off | conj(off)]
-    groups: tuple          # (dim, k, lo, hi): k layers fill columns lo:hi of H
-    positions: np.ndarray  # stack column of each layer's first entry, circuit order
+    re: np.ndarray    # theta column of each Re part; its Im part is the next
+    plan: np.ndarray  # where each H entry sits in [theta | off | conj(off)]
+    groups: tuple     # (dim, k, lo, hi): a run of k adjacent layers fills columns lo:hi
 
 
 @lru_cache(maxsize=None)
 def _chart_layout(layer_dims: tuple[int, ...]) -> _ChartLayout:
     """The chart of layers of the given dimensions, in circuit order."""
-    starts = np.cumsum((0,) + tuple(d * d for d in layer_dims)).tolist()
-    group_dims = list(dict.fromkeys(layer_dims))
-    order = sorted(range(len(layer_dims)), key=lambda j: group_dims.index(layer_dims[j]))
-    n_theta = starts[-1]
+    n_theta = sum(d * d for d in layer_dims)
     n_off = (n_theta - sum(layer_dims)) // 2
     re, plan = [], []
-    positions = [0] * len(layer_dims)
-    for j in order:
-        d, o = layer_dims[j], starts[j]
-        m = d * (d - 1) // 2
+    for d in layer_dims:
+        o, m = len(plan), d * (d - 1) // 2
         # this layer's source row: its diagonal, upper triangle, conjugates
         src = np.concatenate((o + np.arange(d),
                               n_theta + len(re) + np.arange(m),
@@ -94,25 +90,24 @@ def _chart_layout(layer_dims: tuple[int, ...]) -> _ChartLayout:
         h = np.diag(src[:d])
         h[iu] = src[d:d + m]
         h[iu[::-1]] = src[d + m:]
-        positions[j] = len(plan)
         plan += h.ravel().tolist()
         re += range(o + d, o + d * d, 2)
-    re, plan, positions = (np.array(x, dtype=np.intp) for x in (re, plan, positions))
-    for arr in (re, plan, positions):
+    re, plan = (np.array(x, dtype=np.intp) for x in (re, plan))
+    for arr in (re, plan):
         arr.setflags(write=False)
     groups, lo = [], 0
-    for d in group_dims:
-        hi = lo + layer_dims.count(d) * d * d
-        groups.append((d, layer_dims.count(d), lo, hi))
-        lo = hi
-    return _ChartLayout(re, plan, tuple(groups), positions)
+    for d, run in itertools.groupby(layer_dims):
+        k = len(list(run))
+        groups.append((d, k, lo, lo + k * d * d))
+        lo += k * d * d
+    return _ChartLayout(re, plan, tuple(groups))
 
 
 def _layer_stack(layout: _ChartLayout, thetas: np.ndarray) -> np.ndarray:
     """Every layer's exp(iH) at a stack of thetas (B, P), as rows (B, P + 1):
-    the unitaries row-major in the layout's group order, then a 0.  H is
-    gathered from [theta | off | conj(off)]; each dimension group runs one
-    batched ``eigh`` and exp on its column range."""
+    the unitaries row-major, each at its layer's theta offset, then a 0.  H
+    is gathered from [theta | off | conj(off)]; each run of adjacent layers
+    of one dimension runs one batched ``eigh`` and exp on its column range."""
     b = len(thetas)
     off = thetas.take(layout.re, axis=1) + 1j * thetas[:, 1:].take(layout.re, axis=1)
     h = np.concatenate((thetas, off, off.conj()), axis=1).take(layout.plan, axis=1)
@@ -258,10 +253,11 @@ class FrameBuilder:
     out the plans; ``unitaries(thetas)`` maps thetas (B, n_theta) to the
     circuit unitaries (B, D, D).  The chart pass (:func:`_layer_stack`)
     reads H from [theta | off | conj(off)] and leaves the layer unitaries
-    in one stack in group order, whose last column is 0.  One gather
-    through the layers' :func:`_embed_index` plans, pointed at their stack
-    positions, lifts them all to the full space.  The first layer starts
-    the chain; each later one multiplies it from the left.
+    in one stack in circuit order, each at its layer's theta offset, whose
+    last column is 0.  One gather through the layers' :func:`_embed_index`
+    plans, each pointed at its layer's theta offset, lifts them all to the
+    full space.  The first layer starts the chain; each later one
+    multiplies it from the left.
     """
 
     def __init__(self, circuit: LocalCircuit, dims):
@@ -271,10 +267,12 @@ class FrameBuilder:
             _check_layer(layer, dims)
         self.n_theta = circuit.n_theta
         self._chart = _chart_layout(tuple(layer.params.dim for layer in circuit.layers))
-        index = [_embed_index(layer.support, dims) for layer in circuit.layers]
-        self._embed = np.array([np.where(i < 0, -1, i + pos)
-                                for i, pos in zip(index, self._chart.positions)],
-                               dtype=np.intp).reshape(-1, self.d, self.d)
+        index, offset = [], 0
+        for layer in circuit.layers:
+            i = _embed_index(layer.support, dims)
+            index.append(np.where(i < 0, -1, i + offset))
+            offset += layer.params.theta.size
+        self._embed = np.array(index, dtype=np.intp).reshape(-1, self.d, self.d)
         self._embed.setflags(write=False)
 
     def unitaries(self, thetas) -> np.ndarray:
@@ -339,17 +337,22 @@ class Preset:
     by ``nonglobal``.
 
     :meth:`search_frame` decides, for one state, the frame a search runs
-    in and the theta columns it moves there.  S and L read only moduli,
-    so a diagonal unitary multiplied onto a circuit from the left changes
-    neither.  In ``single_party`` every layer is leftmost, so each layer's
-    diagonal is gauge and never moves.  A frame with L = 0 also
-    diagonalizes every party's marginal rho_k: an off-diagonal entry of
-    rho_k sums entries of rho that differ in party k alone, which are
-    local.  So every zero-L frame maps rho_k's eigenvectors to basis
+    in and the theta columns it moves there.  Each kind states its columns
+    as one mask over each searched layer's H, which :func:`_moved_columns`
+    reads through the chart: ``single_party`` marks the upper-triangle
+    entries inside one eigenvalue group, ``nonglobal`` every entry but the
+    last diagonal one.
+
+    S and L read only moduli, so a diagonal unitary multiplied onto a
+    circuit from the left changes neither.  In ``single_party`` every
+    layer is leftmost, so each layer's diagonal is gauge and never moves.
+    A frame with L = 0 also diagonalizes every party's marginal rho_k: an
+    off-diagonal entry of rho_k sums entries of rho that differ in party k
+    alone, which are local.  So every zero-L frame maps rho_k's eigenvectors to basis
     vectors, up to a permutation and phases, which change neither S nor L,
     and within each eigenspace by any unitary.  The search therefore runs
-    on rho in the marginals' eigenframe and moves only the upper-triangle
-    (re, im) pairs (i, j) of basis vectors in one eigenvalue group,
+    on rho in the marginals' eigenframe, and its mask marks only the
+    upper-triangle entries (i, j) of basis vectors in one eigenvalue group,
     eigenvalues closer than ``TOL_DEGENERATE`` sharing a group.  A pair
     spans a two-dimensional eigenspace exactly: every U(2) is D exp(iO),
     D a diagonal unitary and O off-diagonal.  So where every eigenspace has
@@ -371,11 +374,11 @@ class Preset:
     whose support lies inside the next layer's support, the one applied
     right after it, is absorbed: U_next (U_k (x) 1) ranges over the same
     unitaries as U_next alone.  The search runs over the circuit without
-    its absorbed layers, and moves every column of each remaining layer but
-    its last diagonal one: the trace of H is a global phase, and any
-    exp(iH) is a phase times exp(iH') with that entry of H' zero.  At depth
-    3 on three or more parties the leading ``(0,)`` is absorbed, and three
-    qubits move 30 of 36 columns.  ``single_party`` absorbs nothing, as no
+    its absorbed layers, and its mask marks every entry of each remaining
+    layer's H but its last diagonal one: the trace of H is a global phase,
+    and any exp(iH) is a phase times exp(iH') with that entry of H' zero.
+    At depth 3 on three or more parties the leading ``(0,)`` is absorbed,
+    and three qubits move 30 of 36 columns.  ``single_party`` absorbs nothing, as no
     party's support holds another's.
     """
 
@@ -416,11 +419,14 @@ class Preset:
         if self.kind == NONGLOBAL:
             kept = [layer.params.dim for layer, gone in zip(template.layers, absorbed)
                     if not gone]
+            # every entry of each kept layer's H but its last diagonal one, the trace
+            masks = [np.arange(d * d).reshape(d, d) != d * d - 1 for d in kept]
             return SearchFrame(template, rho.dims, absorbed, (None,) * len(absorbed),
-                               _trace_free_columns(kept))
+                               _moved_columns(masks))
         rotations, groups = zip(*(_eigenframe(partial_trace(rho, [k]).entries)
                                   for k in range(rho.n_parties)))
-        moved = _pair_columns(groups)
+        # the upper-triangle pairs inside one eigenvalue group
+        moved = _moved_columns([np.triu(g[:, None] == g, k=1) for g in groups])
         if len(moved) and rho.dims == (2, 2):
             rule = _two_qubit_rotations(rho, [not g.any() for g in groups])
             if rule is not None:
@@ -434,15 +440,18 @@ def _absorbed(supports) -> tuple[bool, ...]:
     return tuple(set(s) <= set(t) for s, t in zip(supports, supports[1:])) + (False,)
 
 
-def _trace_free_columns(sizes) -> np.ndarray:
-    """The theta columns of consecutive layers of the given dimensions that
-    a nonglobal search moves: every column of each layer but its last
-    diagonal one, which carries the trace."""
-    columns, offset = [], 0
-    for d in sizes:
-        columns.append(np.delete(np.arange(offset, offset + d * d), d - 1))
-        offset += d * d
-    return np.concatenate(columns).astype(np.intp)
+def _moved_columns(masks) -> np.ndarray:
+    """The theta columns a search moves in consecutive layers, from a
+    boolean mask over each layer's H: the column of each marked diagonal
+    entry and the (re, im) columns of each marked upper-triangle entry,
+    found through the layers' chart, ascending.  So each layer's diagonal
+    columns come first, then its pairs in row-major order.  Entries below
+    the diagonal are not read."""
+    layout = _chart_layout(tuple(len(m) for m in masks))
+    n_theta = len(layout.plan)
+    marked = layout.plan[np.concatenate([np.triu(m).ravel() for m in masks])]
+    pairs = layout.re[marked[marked >= n_theta] - n_theta]
+    return np.sort(np.concatenate((marked[marked < n_theta], pairs, pairs + 1)))
 
 
 def _groups(w: np.ndarray) -> np.ndarray:
@@ -526,20 +535,6 @@ def _partner(w: np.ndarray, null: np.ndarray) -> np.ndarray:
     of T where ``w`` is within ``TOL_COMPATIBLE`` of 0."""
     size = np.linalg.norm(w)
     return w / size if size > TOL_COMPATIBLE else null
-
-
-def _pair_columns(groups) -> np.ndarray:
-    """The theta columns of consecutive layers, one per entry of
-    ``groups`` (each layer's group numbers), that hold the (re, im) pair of
-    an upper-triangle entry (i, j) with i and j in one group."""
-    columns, offset = [], 0
-    for g in groups:
-        d = len(g)
-        i, j = np.triu_indices(d, k=1)
-        pairs = np.flatnonzero(g[i] == g[j])
-        columns.append((offset + d + 2 * pairs[:, None] + np.arange(2)).ravel())
-        offset += d * d
-    return np.concatenate(columns).astype(np.intp)
 
 
 @dataclass(frozen=True, eq=False)

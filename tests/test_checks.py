@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from consonance import coherence, measures, optimizer, qstate, states, unitary
+from consonance import cli, coherence, measures, optimizer, qstate, states, unitary
 from consonance.qstate import ValidationError
 
 # --- unit interval: TOL_UNIT = 1e-12 of slack, then clamped ---------------
@@ -288,3 +288,58 @@ def test_a_check_leaves_repr_and_json_alone():
     fresh = states.werner(0.3)
     assert repr(checked) == repr(fresh)
     assert qstate.state_to_json(checked) == qstate.state_to_json(fresh)
+
+
+# --- input checks: each raises its own type -------------------------------
+
+# one call per input check, beside the type it raises and its message; a
+# ValidationError is a ValueError, so the type is compared exactly
+INPUT_CHECKS = {
+    "check_dims-not_iterable": (lambda: qstate.check_dims(2), ValueError,
+                                "^dims must be an iterable of ints, got 2$"),
+    "partial_trace-keep": (lambda: qstate.partial_trace(RHO, [2]), ValueError,
+                           r"^keep=\[2\] out of range for 2 parties$"),
+    "partial_transpose-party": (lambda: qstate.partial_transpose(RHO, 2), ValueError,
+                                "^party 2 out of range for 2 parties$"),
+    "hermitian_eigenvalues-not_square": (lambda: qstate.hermitian_eigenvalues(np.zeros((2, 3))),
+                                         ValueError, r"^expected a square matrix, got shape"),
+    "singular_values-not_a_matrix": (lambda: qstate.singular_values(np.zeros(3)), ValueError,
+                                     r"^expected a matrix, got shape \(3,\)$"),
+    "state_from_json-not_an_object": (lambda: qstate.state_from_json([]), ValidationError,
+                                      "^state JSON must be an object$"),
+    "state_from_json-missing_field": (
+        lambda: qstate.state_from_json({"dims": [2, 2], "kind": "pure"}), ValidationError,
+        "^state JSON is missing the 'data' field$"),
+    "state_from_json-data_not_a_list": (
+        lambda: qstate.state_from_json({"dims": [2, 2], "kind": "pure", "data": {}}),
+        ValidationError, r"^state JSON data must be a list of \[re, im\] pairs$"),
+    "state_from_json-density_entries": (
+        lambda: qstate.state_from_json({"dims": [2, 2], "kind": "density", "data": [[1, 0]]}),
+        ValidationError, r"^density matrix over dims \(2, 2\) needs 16 entries, got 1$"),
+    "w_state-one_party": (lambda: states.w_state(1), ValidationError,
+                          "^W state needs at least 2 parties, got 1$"),
+    "TpsRelabeling-total_dims": (lambda: states.TpsRelabeling((2, 2), (2, 3), np.eye(4)),
+                                 ValueError, "different total dimension$"),
+    "random_density-rank": (lambda: states.random_density((2, 2), seed=1, rank=5), ValueError,
+                            r"^rank must be in 1\.\.4, got 5$"),
+    "consonance_closed_form-w": (lambda: states.consonance_closed_form("w"), ValueError,
+                                 "^no closed-form consonance for family 'w'$"),
+    "UnitaryParams-shape": (lambda: unitary.UnitaryParams(2, np.zeros(3)), ValueError,
+                            r"^theta must have shape \(4,\), got \(3,\)$"),
+    "params_for_unitary-not_square": (lambda: unitary.params_for_unitary(np.eye(2, 3)),
+                                      ValueError, r"^expected a square matrix, got \(2, 3\)$"),
+    "CircuitLayer-negative_party": (
+        lambda: unitary.CircuitLayer((-1,), unitary.UnitaryParams.identity(2)), ValueError,
+        r"^negative party index in support \(-1,\)$"),
+    "SweepSpec-no_measures": (
+        lambda: cli.SweepSpec(family="werner", axis="a", start=0.0, stop=1.0, points=3,
+                              measures=()), ValueError, "^a sweep needs at least one measure$"),
+}
+
+
+@pytest.mark.parametrize("name", INPUT_CHECKS)
+def test_an_input_check_raises_its_type(name):
+    call, kind, message = INPUT_CHECKS[name]
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert type(exc.value) is kind

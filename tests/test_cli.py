@@ -74,6 +74,19 @@ def test_measure_optimizer_backend(capsys):
     assert obj["feasible"] is True
 
 
+def test_measure_warns_when_the_search_finds_no_feasible_frame(capsys):
+    # W(3) has no zero-L single-party frame; its eigenframe is the one
+    # evaluation, at S = 0 and L = 2
+    argv = ("measure", "--measure", "consonance_opt", "--family", "w:3")
+    warning = "warning: no feasible frame found (l_residual=2.000e+00)\n"
+    assert run(capsys, *argv) == (0, "0.0\n", warning)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, warning)
+    obj = json.loads(out)
+    assert (obj["value"], obj["feasible"]) == (0.0, False)
+    assert obj["l_residual"] == pytest.approx(2.0, abs=1e-12)
+
+
 def test_measure_eof_and_entropy_pair(capsys):
     code, out, _ = run(capsys, "measure", "--measure", "eof",
                        "--family", "bell_like:a2=0.8")
@@ -88,6 +101,11 @@ def test_measure_local_sums(capsys):
     code, out, _ = run(capsys, "measure", "--measure", "local_coherence",
                        "--family", "ghz:3")
     assert code == 0 and float(out) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_measure_negativity_needs_two_parties(capsys):
+    assert run(capsys, "measure", "--measure", "negativity", "--family", "ghz:3") == (
+        2, "", "error: negativity here expects a bipartite state\n")
 
 
 def test_measure_unknown_measure(capsys):
@@ -268,6 +286,17 @@ def test_classify_bell_table(capsys):
     assert sum(r[4] == "diagonal" for r in bright) == 2
     # multi-index rendering: composite index 3 is parties (1, 1)
     assert rows[3][:4] == ["0", "3", "0.0", "1.1"]
+
+
+@pytest.mark.parametrize("command", [("classify",),
+                                     ("measure", "--measure", "nonlocal_sum"),
+                                     ("measure", "--measure", "local_coherence")],
+                         ids=["classify", "nonlocal_sum", "local_coherence"])
+def test_a_one_party_state_has_no_coherence_classes(tmp_path, capsys, command):
+    path = tmp_path / "plus.json"
+    save_state(PureState((2,), [math.sqrt(0.5), math.sqrt(0.5)]), path)
+    assert run(capsys, *command, "--state", str(path)) == (
+        2, "", "error: coherence classes need at least two parties, got dims (2,)\n")
 
 
 def test_classify_qutrit_pair_size(capsys):
@@ -722,7 +751,13 @@ _PURE = '{"dims": %s, "kind": "pure", "data": %s}'
      "pure state is not normalized: residual 1.000e+00"),
     (_PURE % ("[1, 2]", "[[1, 0], [0, 0]]"), 2,
      "every subsystem dimension must be >= 2, got (1, 2)"),
-], ids=["truncated", "length", "norm", "dims"])
+    ("[]", 1, "state JSON must be an object"),
+    ('{"dims": [2, 2], "kind": "pure"}', 1, "state JSON is missing the 'data' field"),
+    (_PURE % ("[2, 2]", "{}"), 1, "state JSON data must be a list of [re, im] pairs"),
+    ('{"dims": [2, 2], "kind": "density", "data": [[1, 0]]}', 1,
+     "density matrix over dims (2, 2) needs 16 entries, got 1"),
+], ids=["truncated", "length", "norm", "dims", "not-an-object", "missing-field",
+        "data-not-a-list", "density-length"])
 def test_measure_names_the_fault_of_a_state_file(tmp_path, capsys, text, code, why):
     path = tmp_path / "bad.json"
     path.write_text(text)

@@ -99,6 +99,29 @@ def test_masks_are_cached_and_read_only():
     assert not any(p.flags.writeable for p in positions.values())
 
 
+PLUS = DensityMatrix((2,), np.full((2, 2), 0.5))     # |+><+|, one party
+# every function of the classes, on a one-party state
+ONE_PARTY = {
+    "classify": lambda rho: classify((0,), (1,), rho.dims),
+    "class_masks": lambda rho: class_masks(rho.dims),
+    "class_sums": lambda rho: class_sums(rho.entries, rho.dims, CLASSES),
+    "local_screen": lambda rho: local_screen(rho.entries[None], rho.dims, 1.0),
+    "nonlocal_sum": nonlocal_sum,
+    "local_coherence": local_coherence,
+    "profile": profile,
+}
+
+
+@pytest.mark.parametrize("name", ONE_PARTY)
+@pytest.mark.parametrize("rho", [PLUS, states.regroup(states.werner(0.5), (2,))],
+                         ids=["plus", "werner-regrouped"])
+def test_one_party_has_no_coherence_classes(name, rho):
+    # a single system's coherence is neither local nor nonlocal
+    with pytest.raises(ValueError, match=r"^coherence classes need at least two parties, "
+                                         rf"got dims \({rho.dims[0]},\)$"):
+        ONE_PARTY[name](rho)
+
+
 # --- the two functionals -------------------------------------------------
 
 

@@ -34,7 +34,7 @@ CASES = [(dims, p.build(dims)) for dims in DIMS for p in PRESETS] + [
         ((2, 2, 2), ((1, 2), (0,), (0, 2))),
         ((2, 3, 2), ((2,), (0, 1))),
         ((3, 3), ((1,), (1,), (0,))),
-        # layer dims 2, 3, 6, 2, 6: three dimension groups, interleaved
+        # layer dims 2, 3, 6, 2, 6: no two adjacent layers share a dimension
         ((2, 3, 2), ((0,), (1,), (0, 1), (2,), (1, 2))),
     ]]
 # the last field names the explicit supports, None for a preset's circuit
@@ -174,37 +174,44 @@ def test_circuit_unitary_is_the_single_row_case():
 
 
 def test_frame_layout_is_cached_and_read_only():
-    dims, template = CASES[-1]     # three interleaved dimension groups
+    dims, template = CASES[-1]     # five runs of adjacent layers, dims interleaved
     first, second = FrameBuilder(template, dims), FrameBuilder(template, dims)
     assert first._chart is second._chart
     arrays = [a for a in first._chart if isinstance(a, np.ndarray)] + [first._embed]
-    assert len(arrays) == 4
+    assert len(arrays) == 3
     assert not any(a.flags.writeable for a in arrays)
     index = unitary._embed_index((0, 1), dims)
     assert index is unitary._embed_index((0, 1), dims)
     assert not index.flags.writeable
 
 
-@pytest.mark.parametrize("layer_dims", [(2,), (3,), (2, 2), (4, 2), (2, 3, 6, 2, 6)],
-                         ids=str)
+@pytest.mark.parametrize("layer_dims", [(2,), (3,), (2, 2), (4, 2), (2, 3, 6, 2, 6),
+                                        (2, 2, 3, 3, 2)], ids=str)
 def test_chart_reads_theta_in_place(layer_dims):
-    # the plan points each diagonal entry straight at its theta column, and
-    # each off-diagonal pair at off, or at conj(off) below the diagonal
+    # each layer's plan block sits at its theta offset; the plan points each
+    # diagonal entry straight at its theta column, and each off-diagonal
+    # pair at off, or at conj(off) below the diagonal
     layout = unitary._chart_layout(layer_dims)
     n_theta = sum(d * d for d in layer_dims)
     n_off = len(layout.re)
     assert n_off == (n_theta - sum(layer_dims)) // 2
-    assert layout.groups[-1][3] == len(layout.plan) == n_theta
-    o = 0
-    for d, pos in zip(layer_dims, layout.positions.tolist()):
-        h = layout.plan[pos:pos + d * d].reshape(d, d)
+    assert len(layout.plan) == n_theta
+    runs, o = [], 0
+    for d in layer_dims:
+        h = layout.plan[o:o + d * d].reshape(d, d)
         assert h.diagonal().tolist() == list(range(o, o + d))
         iu = np.triu_indices(d, k=1)
         upper = h[iu] - n_theta
         assert 0 <= upper.min() and upper.max() < n_off
         assert layout.re[upper].tolist() == list(range(o + d, o + d * d, 2))
         assert (h[iu[::-1]] - h[iu]).tolist() == [n_off] * len(upper)
+        if runs and runs[-1][0] == d:
+            runs[-1] = (d, runs[-1][1] + 1, runs[-1][2], o + d * d)
+        else:
+            runs.append((d, 1, o, o + d * d))
         o += d * d
+    # the groups are the runs of adjacent layers of one dimension
+    assert layout.groups == tuple(runs)
 
 
 def test_frames_without_layers_are_identities():

@@ -501,6 +501,10 @@ def test_theta_vector_round_trip():
     assert np.array_equal(again, theta)
     with pytest.raises(ValueError):
         with_theta(circ, theta[:-1])
+    # a circuit without layers has the empty vector, and takes it back
+    empty = LocalCircuit(())
+    assert theta_vector(empty).shape == (0,) and theta_vector(empty).dtype == np.float64
+    assert with_theta(empty, theta_vector(empty)).layers == ()
 
 
 def test_circuit_json_round_trip(tmp_path):
