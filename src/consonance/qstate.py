@@ -59,6 +59,27 @@ TOL_DEGENERATE = 1e-7
 # values (S in their frames) differ by at most it count as tied, so a
 # reported S exceeds the least by at most 1e-9.
 TOL_COMPATIBLE = 1e-9
+# The Jacobi projection in unitary.Preset.search_frame has decided a frame
+# once its local sum, a float64 sum of |entries|, is at most TOL_ZERO_L.
+# Rounding leaves each local entry of a frame with L = 0 at a few eps
+# |rho|: on 69 decided inputs at D = 6 to 32 (the qubit-qutrit, isotropic
+# and GHZ states of the tests and the benchmark) the largest was 4.4e-15,
+# about 20 eps, and the sum at most 4.3e-14.  It is 10^7 below the
+# search's EPS_L = 1e-6, so a decided frame stays feasible after the
+# replay's chart inverse adds its own rounding.  Where a larger state's
+# rounding alone exceeds it, a round cannot halve L, the projection
+# stalls, and the search runs as without it: a lost speed-up, not a
+# wrong value.
+TOL_ZERO_L = 1e-13
+# A frame the projection decides is kept only where every zero-L frame is
+# shown to have the least S (unitary._least_turn), and one step of that proof
+# asks which local Hermitian h keep the decided state A.  An h of unit
+# entries counts as keeping A where |[h, A]|, read as the singular values
+# of the map h -> [h, A], is at most TOL_STABILIZER; such an h turns A by
+# at most pi * TOL_STABILIZER in the Frobenius norm, which moves S by at
+# most D times that, as little as the tie of TOL_COMPATIBLE.  An exact
+# symmetry shows as a singular value of a few eps |A|, about 1e-16.
+TOL_STABILIZER = 1e-9
 
 
 class ValidationError(ValueError):

@@ -48,9 +48,10 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .qstate import (TOL_COMPATIBLE, TOL_DEGENERATE, TOL_UNITARY, DensityMatrix, PureState,
-                     check_dims, check_integer, check_state, check_unitary, errors_at,
-                     json_float, json_text, partial_trace, read_json)
+from .coherence import class_masks
+from .qstate import (TOL_COMPATIBLE, TOL_DEGENERATE, TOL_STABILIZER, TOL_UNITARY, TOL_ZERO_L,
+                     DensityMatrix, PureState, check_dims, check_integer, check_state,
+                     check_unitary, errors_at, json_float, json_text, partial_trace, read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -363,11 +364,25 @@ class Preset:
     stay at their start values: 0 from the identity and random starts, a
     warm start's own values from a warm start.
 
-    Two qubits are decided in closed form wherever the eigenframe still
-    leaves a moved column (:func:`_two_qubit_rotations`): the zero-L
-    frames are the singular pairs of the correlation matrix T compatible
-    with the Bloch vectors, and the frame is the pair of least S, with no
-    moved column.  Only where no pair is compatible does the search run.
+    Where the eigenframe still leaves a moved column, two more decisions
+    come before any search, each giving a frame with no moved column.
+    Two qubits are decided in closed form (:func:`_two_qubit_rotations`):
+    the zero-L frames are the singular pairs of the correlation matrix T
+    compatible with the Bloch vectors, and the frame is the pair of least
+    S; where no pair is compatible, no frame has L = 0 and the search
+    runs.  Any other state goes through a Jacobi projection onto L = 0
+    (:func:`_projected_rotations`), which rotates the pairs inside one
+    eigenvalue group until L <= ``TOL_ZERO_L``.  Frames with L = 0 can
+    differ in S, so the frame is decided only where :func:`_least_turn`
+    shows which zero-L frame has the least S: where every one has the S
+    of the frame reached, or where the few left are tried in turn.  Where
+    a round does not halve L, or where that is not shown, the search runs
+    in the eigenframe, as without the projection.  So the chain is
+    eigenframe, two-qubit rule, projection, search, and "no column moves"
+    covers marginals with distinct eigenvalues, two qubits with a zero-L
+    frame, and every other state the projection decides (the
+    qubit-qutrit family, isotropic and GHZ states in most frames, and a
+    Bell-diagonal block beside a qutrit level).
 
     ``nonglobal`` rotates nothing, since its pair layers do not keep the
     marginals; it leaves out what S and L cannot see instead.  A layer
@@ -425,13 +440,17 @@ class Preset:
                                _moved_columns(masks))
         rotations, groups = zip(*(_eigenframe(partial_trace(rho, [k]).entries)
                                   for k in range(rho.n_parties)))
-        # the upper-triangle pairs inside one eigenvalue group
-        moved = _moved_columns([np.triu(g[:, None] == g, k=1) for g in groups])
-        if len(moved) and rho.dims == (2, 2):
-            rule = _two_qubit_rotations(rho, [not g.any() for g in groups])
-            if rule is not None:
-                return SearchFrame(template, rho.dims, absorbed, rule, moved[:0])
-        return SearchFrame(template, rho.dims, absorbed, rotations, moved)
+        moved = _moved_columns([_same_group(g) for g in groups])
+        frame = SearchFrame(template, rho.dims, absorbed, rotations, moved)
+        if not len(moved):
+            return frame
+        if rho.dims == (2, 2):
+            decided = _two_qubit_rotations(rho, [not g.any() for g in groups])
+        else:
+            decided = _projected_rotations(frame.state(rho), rotations, groups)
+        if decided is None:
+            return frame
+        return SearchFrame(template, rho.dims, absorbed, decided, moved[:0])
 
 
 def _absorbed(supports) -> tuple[bool, ...]:
@@ -452,6 +471,12 @@ def _moved_columns(masks) -> np.ndarray:
     marked = layout.plan[np.concatenate([np.triu(m).ravel() for m in masks])]
     pairs = layout.re[marked[marked >= n_theta] - n_theta]
     return np.sort(np.concatenate((marked[marked < n_theta], pairs, pairs + 1)))
+
+
+def _same_group(groups: np.ndarray) -> np.ndarray:
+    """The upper-triangle pairs (p, q) of basis vectors in one eigenvalue
+    group, as a boolean mask over a layer's H."""
+    return np.triu(groups[:, None] == groups, k=1)
 
 
 def _groups(w: np.ndarray) -> np.ndarray:
@@ -500,7 +525,7 @@ def _two_qubit_rotations(rho: DensityMatrix, one_group) -> tuple | None:
     identity frame is kept, as (None, None), where it is a compatible pair
     tied with the least value; otherwise V_k are the eigenvectors of
     n_k.σ."""
-    r = np.einsum("pqrs,irp,jsq->ij", rho.entries.reshape(2, 2, 2, 2), _PAULI, _PAULI).real
+    r = _pauli_traces(rho.entries)
     a, b = (np.zeros(3) if zero else v for v, zero in zip((r[1:, 0], r[0, 1:]), one_group))
     t = r[1:, 1:]
     u, _, vh = np.linalg.svd(t)
@@ -527,7 +552,18 @@ def _two_qubit_rotations(rho: DensityMatrix, one_group) -> tuple | None:
     least, k = min(found)
     if residual(_Z, _Z) <= TOL_COMPATIBLE and value(_Z, _Z) <= least + TOL_COMPATIBLE:
         return None, None
-    return tuple(np.linalg.eigh(np.tensordot(n, _PAULI[1:], 1))[1] for n in pairs[k])
+    return tuple(_axis_frame(n) for n in pairs[k])
+
+
+def _pauli_traces(block: np.ndarray) -> np.ndarray:
+    """r_ij = tr(B σ_i (x) σ_j) of a 4 x 4 two-qubit operator B, σ_0 = I."""
+    return np.einsum("pqrs,irp,jsq->ij", block.reshape(2, 2, 2, 2), _PAULI, _PAULI).real
+
+
+def _axis_frame(n: np.ndarray) -> np.ndarray:
+    """The qubit frame whose z axis is the unit vector n: the eigenvectors
+    of n.σ."""
+    return np.linalg.eigh(np.tensordot(n, _PAULI[1:], 1))[1]
 
 
 def _partner(w: np.ndarray, null: np.ndarray) -> np.ndarray:
@@ -535,6 +571,291 @@ def _partner(w: np.ndarray, null: np.ndarray) -> np.ndarray:
     of T where ``w`` is within ``TOL_COMPATIBLE`` of 0."""
     size = np.linalg.norm(w)
     return w / size if size > TOL_COMPATIBLE else null
+
+
+# N'_pp - N'_qq = h.x for h = B (N_pp - N_qq, N_pq, N_qp), N' = G† N G
+_JACOBI_B = np.array([[1, 0, 0], [0, 1, 1], [0, -1j, 1j]])
+_JACOBI_B.setflags(write=False)
+
+
+def _projected_rotations(start: DensityMatrix, rotations, groups) -> tuple | None:
+    """The rotations V_k X_k of a frame with L = 0 and the least S that a
+    Jacobi projection reaches from the eigenframe, where ``start`` is
+    A = V† rho V and V the product of ``rotations``; None where it stalls
+    or where :func:`_least_turn` cannot show which zero-L frame has the
+    least S.
+
+    Each round visits every party k and every pair (p, q) of its basis
+    vectors in one eigenvalue group (``groups``: a zero-L frame is
+    block-diagonal in the eigenframe), and rotates the pair by the G of
+    :func:`_jacobi_rotation`: A <- G_k† A G_k and X_k <- X_k G.  The
+    entries that differ in party k alone are the off-diagonal entries of
+    its blocks at equal indices of the other parties, so L = 0 needs one
+    X_k that diagonalizes all of them, and G is the rotation of Cardoso &
+    Souloumiac (SIAM J. Matrix Anal. Appl. 17, 161 (1996)) for that joint
+    diagonalization, with one more term for the local entries G moves on
+    the diagonals of the blocks apart in every other party.  The frame is
+    reached once the local sum of A is at most ``TOL_ZERO_L``, at the
+    start with the rotations as they are, and the projection stalls at
+    the first round that does not halve the sum.  Every other round
+    halves it, and it starts at most at D, the largest sum of |entries|
+    of a state, so the projection ends within log2(D / TOL_ZERO_L)
+    rounds."""
+    dims = start.dims
+    local = class_masks(dims)[1]
+    a = start.entries
+    level = np.abs(a[local]).sum()
+    pairs = [np.argwhere(_same_group(g)) for g in groups]
+    # the block pairs (m, m') whose off-diagonal entries are nonlocal: m
+    # and m' apart in every other party
+    apart = [np.nonzero(~_party_last(local, dims, k)[:, 0, :, 1]) for k in range(len(dims))]
+    turns = [None] * len(dims)
+    while level > TOL_ZERO_L:
+        for k, party in enumerate(pairs):
+            if not len(party):
+                continue
+            t = _party_last(a, dims, k)
+            for p, q in party:
+                g = _jacobi_rotation(t, apart[k], p, q)
+                if g is not None:
+                    t = np.einsum("ji,ajbl,lk->aibk", g.conj(), t, g)
+                    turns[k] = g if turns[k] is None else turns[k] @ g
+            a = _party_back(t, dims, k)
+        last, level = level, np.abs(a[local]).sum()
+        if level > max(last / 2, TOL_ZERO_L):
+            return None
+    least = _least_turn(a, dims, groups)
+    if least is None:
+        return None
+    turns = [x if w is None else w if x is None else x @ w for x, w in zip(turns, least)]
+    return tuple(x if v is None else v if x is None else v @ x
+                 for v, x in zip(rotations, turns))
+
+
+def _least_turn(a: np.ndarray, dims: tuple[int, ...], groups) -> tuple | None:
+    """The turn W_k of each party (None for none) that takes A, a frame
+    with L = 0 inside the eigenvalue groups ``groups``, to the zero-L
+    frame with the least S; None where that is not shown, as on a
+    Bell-diagonal block with two equal |c_i|, whose zero-L axes form a
+    circle beside a third axis.
+
+    :func:`_classes` splits the groups into classes such that every zero-L
+    frame is, up to a permutation of each party's basis, A's frame turned
+    inside the classes, then by a local unitary that keeps A and so S.
+    Where every class holds one vector, such a turn is a phase, which
+    keeps S too: A's frame has the least S, and no party turns.  Where
+    two classes of two vectors are left, on two parties, the zero-L
+    frames are among those of :func:`_pair_turn`, and the least S among
+    them is read off."""
+    classes = _classes(a, dims, groups)
+    if all(len(np.unique(c)) == len(c) for c in classes):
+        return (None,) * len(dims)
+    return _pair_turn(a, dims, classes)
+
+
+def _classes(a: np.ndarray, dims: tuple[int, ...], groups) -> list[np.ndarray]:
+    """Each party's classes (a class number per basis vector): ``groups``
+    split by three rules, each of which holds for every zero-L frame
+    turned from A inside the classes (:func:`_class_rows`,
+    :func:`_reached`).
+    - Every zero-L frame keeps diagonal A's blocks at equal indices of the
+      other parties, and so their sums over one class of each, which a
+      turn inside the classes leaves as they are.  Vectors whose diagonal
+      entries in these sums differ are split.
+    - On three or more parties, every reduced state of A on a proper
+      subset of the parties is diagonal in every zero-L frame: its
+      off-diagonal entries are sums of entries that agree in the parties
+      traced out, and so are local.  Its partial traces against every
+      operator of the subset's other parties then span one space of
+      diagonal matrices in every frame.  Vectors whose diagonal entries
+      differ at some index of those parties are split.
+    - Where neither rule splits, a party all of whose classes the local
+      unitaries that keep A reach is fixed in A's frame, each vector a
+      class of its own: any zero-L frame is one with that party in A's
+      frame, turned by such a unitary."""
+    classes = [np.asarray(g) for g in groups]
+    diag = a.diagonal().real.reshape(dims)
+    while True:
+        counts = [len(np.unique(c)) for c in classes]
+        classes = [_split(c, _class_rows(diag, classes, k)) for k, c in enumerate(classes)]
+        if [len(np.unique(c)) for c in classes] != counts:
+            continue
+        loose = [k for k, c in enumerate(classes) if len(np.unique(c)) < len(c)]
+        k = next((k for k in loose if _reached(a, dims, classes, k)), None)
+        if k is None:
+            return classes
+        classes[k] = np.arange(dims[k])
+
+
+def _pair_turn(a: np.ndarray, dims: tuple[int, ...], classes) -> tuple | None:
+    """The turns of the zero-L frame with the least S where one class of
+    two vectors is left on each of two parties j < k, and all others hold
+    one vector; None where the classes are not so, or where the zero-L
+    frames are not a few points.
+
+    The block B of A's reduced state on (j, k) that the two classes span
+    then turns as a two-qubit operator, and has L = 0 in every zero-L
+    frame.
+    Its Bloch vectors are 0, as the first rule of :func:`_classes` left
+    its marginals on the classes a multiple of I, so the zero-L frames'
+    axes are singular pairs of its correlation matrix T
+    (:func:`_two_qubit_rotations`).  Where T's singular values differ by
+    more than ``TOL_COMPATIBLE``, those are three pairs of axes: each is
+    tried on A, and the least S among those at L <= ``TOL_ZERO_L`` is
+    kept, A's own frame where it is tied with the least."""
+    loose = [(k, np.flatnonzero(c == label)) for k, c in enumerate(classes)
+             for label in np.unique(c) if np.count_nonzero(c == label) > 1]
+    if [len(vectors) for _, vectors in loose] != [2, 2] or loose[0][0] == loose[1][0]:
+        return None
+    (j, vj), (k, vk) = loose
+    reduced = partial_trace(DensityMatrix(dims, a), [j, k]).entries
+    block = reduced[np.ix_(*[(vj[:, None] * dims[k] + vk).ravel()] * 2)]
+    r = _pauli_traces(block)
+    u, singular, vh = np.linalg.svd(r[1:, 1:])
+    if np.any(-np.diff(singular) <= TOL_COMPATIBLE * r[0, 0]):
+        return None
+    _, local, nonlocal_ = class_masks(dims)
+    best, least = None, np.abs(a[nonlocal_]).sum() - TOL_COMPATIBLE
+    for axes in zip(u.T, vh):
+        turn = [None] * len(dims)
+        for party, vectors, n in zip((j, k), (vj, vk), axes):
+            turn[party] = np.eye(dims[party], dtype=np.complex128)
+            turn[party][np.ix_(vectors, vectors)] = _axis_frame(n)
+        w = np.eye(1)
+        for d, x in zip(dims, turn):
+            w = np.kron(w, np.eye(d) if x is None else x)
+        turned = w.conj().T @ a @ w
+        s = np.abs(turned[nonlocal_]).sum()
+        if np.abs(turned[local]).sum() <= TOL_ZERO_L and s < least:
+            best, least = tuple(turn), s - TOL_COMPATIBLE
+    return best or (None,) * len(dims)
+
+
+def _class_rows(diag: np.ndarray, classes, k: int) -> np.ndarray:
+    """Each of party k's basis vectors' diagonal entries of A (``diag``, by
+    party) summed over one class of every other party; on three or more
+    parties also summed over every index of one other party: (d_k, ...)."""
+    n = len(classes)
+    sums = diag
+    for j in range(n):
+        if j != k:
+            onehot = (classes[j][:, None] == np.unique(classes[j])).astype(float)
+            sums = np.moveaxis(np.tensordot(sums, onehot, axes=([j], [0])), -1, j)
+    rows = [np.moveaxis(sums, k, 0).reshape(diag.shape[k], -1)]
+    if n > 2:
+        rows += [np.moveaxis(diag.sum(axis=j), k - (j < k), 0).reshape(diag.shape[k], -1)
+                 for j in range(n) if j != k]
+    return np.concatenate(rows, axis=1)
+
+
+def _split(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``labels`` split so that two vectors share a class where they shared
+    one and their ``rows`` agree within ``TOL_DEGENERATE``."""
+    firsts = []
+    split = np.empty_like(labels)
+    for p, (label, row) in enumerate(zip(labels, rows)):
+        split[p] = next((c for c, q in enumerate(firsts) if labels[q] == label
+                         and np.abs(rows[q] - row).max() <= TOL_DEGENERATE), len(firsts))
+        if split[p] == len(firsts):
+            firsts.append(p)
+    return split
+
+
+def _reached(a: np.ndarray, dims: tuple[int, ...], classes, k: int) -> bool:
+    """Whether the local unitaries inside ``classes`` that keep A reach
+    every turn of party k's classes: whether the Lie algebra of the
+    Hermitian h = sum_j h_j, each h_j on party j inside its classes, with
+    [h, A] = 0, projected on party k's traceless class blocks, holds su(n)
+    of each of them.  A unit h whose commutator is within
+    ``TOL_STABILIZER`` of 0 counts as keeping A."""
+    n = len(dims)
+    t = a.reshape(dims + dims)
+    columns, units = [], []
+    for j, labels in enumerate(classes):
+        pairs = [(label, p, q) for label in np.unique(labels)
+                 for p, q in itertools.combinations_with_replacement(np.flatnonzero(labels == label), 2)]
+        h = np.array([u for _, p, q in pairs for u in _hermitian_units(dims[j], p, q)])
+        units += [(j, label, p == q) for label, p, q in pairs for _ in range(1 if p == q else 2)]
+        left = np.moveaxis(np.tensordot(h, t, axes=([2], [j])), 1, 1 + j)
+        right = np.moveaxis(np.tensordot(t, h, axes=([n + j], [1])), (-2, -1), (0, 1 + n + j))
+        c = (left - right).reshape(len(h), -1)
+        columns.append(np.concatenate((c.real, c.imag), axis=1))
+    s, vh = np.linalg.svd(np.concatenate(columns).T, full_matrices=False)[1:]
+    keep = vh[s <= TOL_STABILIZER]
+    blocks, want = [], 0
+    for label in np.unique(classes[k]):
+        size = np.count_nonzero(classes[k] == label)
+        if size > 1:
+            own = [u[:2] == (k, label) for u in units]
+            diagonal = keep[:, [o and u[2] for o, u in zip(own, units)]]
+            blocks += [keep[:, [o and not u[2] for o, u in zip(own, units)]],
+                       diagonal - diagonal.mean(axis=1, keepdims=True)]
+            want += size * size - 1
+    return np.linalg.matrix_rank(np.hstack(blocks), tol=TOL_STABILIZER) == want
+
+
+def _hermitian_units(d: int, p: int, q: int) -> list[np.ndarray]:
+    """The Hermitian units on basis vectors p <= q of a d-level party: the
+    projector E_pp, or E_pq + E_qp and i (E_pq - E_qp)."""
+    unit = np.zeros((d, d), dtype=np.complex128)
+    unit[p, q] = 1.0
+    if p == q:
+        return [unit]
+    return [unit + unit.T, 1j * (unit - unit.T)]
+
+
+def _jacobi_rotation(t: np.ndarray, apart, p: int, q: int) -> np.ndarray | None:
+    """The rotation G of party k's pair (p, q) that leaves the least sum of
+    |.|^2 over the local entries of A it moves; None where those are all
+    0.  ``t`` is A laid out by :func:`_party_last`, so N = t[m, :, m', :]
+    is the block of A between the other parties' indices m and m', and
+    ``apart`` lists the (m, m') apart in every other party.
+
+    G is the identity but for G_pp = G_qq = c = sqrt((1 + x_0)/2),
+    G_qp = s = (x_1 - i x_2)/(2c) and G_pq = -conj(s), for a real unit
+    x with x_0 >= 0, and N' = G† N G has N'_pp - N'_qq = h.x.  G keeps
+    N'_pp + N'_qq and, with them, |N'_pp|^2 + |N'_qq|^2 + |N'_pq|^2 +
+    |N'_qp|^2, and the sum of |.|^2 over rows p and q of each other
+    column, and over columns p and q of each other row.  In a block at
+    equal indices m = m', the entries (p, q) and (q, p) are local and the
+    diagonal is not: their |.|^2 is a constant less |h.x|^2 / 2.  In a
+    block apart in every other party, the diagonal is local and the rest
+    is not: its |.|^2 is a constant plus |h.x|^2 / 2.  In any other block
+    every entry is local, and so are both entries of each row or column
+    pair in a block at equal indices, and neither in a block apart.  So x
+    is the top eigenvector of Re sum h h† over the blocks at equal indices
+    less the same over the blocks apart."""
+    m = np.arange(len(t))
+    a, b = apart
+    if not (t[m, p, m, q].any() or t[a, p, b, p].any() or t[a, q, b, q].any()):
+        return None
+    h_equal, h_apart = (_JACOBI_B @ np.array([t[i, p, j, p] - t[i, q, j, q], t[i, p, j, q],
+                                              t[i, q, j, p]])
+                        for i, j in ((m, m), (a, b)))
+    x = np.linalg.eigh((h_equal @ h_equal.conj().T - h_apart @ h_apart.conj().T).real)[1][:, -1]
+    x = x if x[0] >= 0 else -x
+    c = math.sqrt((1.0 + x[0]) / 2.0)
+    s = (x[1] - 1j * x[2]) / (2.0 * c)
+    g = np.eye(t.shape[1], dtype=np.complex128)
+    g[p, p] = g[q, q] = c
+    g[p, q], g[q, p] = -s.conjugate(), s
+    return g
+
+
+def _party_last(a: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """A (D, D) as (r, d_k, r, d_k): party k's row and column axes moved
+    last on each side, the other parties' r = D / d_k indices first."""
+    n, d = len(dims), dims[k]
+    r = len(a) // d
+    return np.moveaxis(a.reshape(dims + dims), (k, n + k), (n - 1, 2 * n - 1)).reshape(r, d, r, d)
+
+
+def _party_back(t: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
+    """The inverse of :func:`_party_last`."""
+    n = len(dims)
+    side = dims[:k] + dims[k + 1:] + dims[k:k + 1]
+    d = math.prod(dims)
+    return np.moveaxis(t.reshape(side + side), (n - 1, 2 * n - 1), (k, n + k)).reshape(d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,10 +866,12 @@ class SearchFrame:
     template layer, whether the search leaves it out and its V_k (None for
     a layer searched as it is).  The search runs over :attr:`circuit`, the
     template without its absorbed layers, and moves its columns
-    ``moved``.  It runs on V† rho V, V the product of the rotations, so a
-    circuit W found there is W V† on rho, layer by layer.  The chart
-    inverse (:func:`params_for_unitary`) runs only where a layer rotates
-    or a start's absorbed layer is not at theta = 0."""
+    ``moved``: none where the eigenframe, the two-qubit rule or the
+    projection decided the state, whose frame of least S the rotations
+    then hold, and which is evaluated once.  It runs on V† rho V, V the product of the
+    rotations, so a circuit W found there is W V† on rho, layer by layer.
+    The chart inverse (:func:`params_for_unitary`) runs only where a layer
+    rotates or a start's absorbed layer is not at theta = 0."""
 
     template: LocalCircuit
     dims: tuple[int, ...]

@@ -19,7 +19,8 @@ from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
 from consonance.qstate import density_from_pure
 from test_acceptance import OPT_SMALL
 from test_frames import reference_sums, reference_unitary
-from test_unitary import absorbed_layers, mixed_marginals, moved_columns, search_circuit
+from test_unitary import (absorbed_layers, mixed_marginals, moved_columns, search_circuit,
+                          with_local_noise)
 
 
 def _drive(f, x0, maxfev, xatol, fatol, adaptive):
@@ -184,9 +185,10 @@ def test_lockstep_restarts_match_solo_runs(rho, preset):
 
 def test_lockstep_restarts_match_solo_runs_on_a_degenerate_marginal():
     # the qutrit marginal is diag(0.4, 0.4, 0.2), exactly diagonal, so no
-    # layer rotates and only the qubit's pair and the qutrit's (0, 1) move
-    _lockstep_matches_solo_runs(states.two_param_qubit_qutrit(0.1, 0.3), Preset(),
-                                groups=[[0, 0], [0, 0, 1]])
+    # layer rotates and only the qubit's pair and the qutrit's (0, 1) move;
+    # the local noise keeps the projection from deciding the state
+    rho = with_local_noise(states.two_param_qubit_qutrit(0.1, 0.3), 0.05, seed=1)
+    _lockstep_matches_solo_runs(rho, Preset(), groups=[[0, 0], [0, 0, 1]])
 
 
 def _lockstep_matches_solo_runs(rho, preset, groups=None):
@@ -237,10 +239,12 @@ def test_a_warm_start_keeps_the_columns_the_search_does_not_move():
 
 def test_a_restart_stops_at_the_first_stage_that_ends_feasible():
     # the qubit-qutrit state in its own frame, where L = 0 and S = |beta -
-    # gamma| = 2/15: the mu = 10 stage already ends at L = 0 (a two-qubit
-    # state with an I/2 marginal runs no search: its frame is decided in
-    # closed form)
-    rho = states.two_param_qubit_qutrit(0.1, 0.3)
+    # gamma| = 2/15, with local noise of weight 5e-12, so S there is 2/15 to
+    # 1e-12 and L is near 5e-12: too little L for the mu = 10 stage to
+    # see, which ends feasible, and too much for the projection, which
+    # stalls (the state alone, like a two-qubit state with an I/2
+    # marginal, runs no search: its frame is decided)
+    rho = with_local_noise(states.two_param_qubit_qutrit(0.1, 0.3), 5e-12, seed=1)
     record = consonance(rho, OPT_SMALL).per_restart[0]
     assert record.kind == "identity"
     assert record.evals <= OPT_SMALL.max_evals // (len(PENALTY_MUS) + 1) + 1

@@ -13,7 +13,7 @@ from consonance.optimizer import (EPS_L, PENALTY_MUS, ConsonanceReport,
 from consonance.qstate import DensityMatrix, as_density, density_from_pure
 from consonance.unitary import NONGLOBAL, apply, with_theta
 from test_acceptance import GHZ3_WITNESS
-from test_unitary import mixed_marginals
+from test_unitary import mixed_marginals, with_local_noise
 
 CHEAP = OptimizerConfig(restarts=2, seed=7, max_evals=3000)
 TOL_VALUE = 1e-6       # tolerance on a searched value, added to the budget slack
@@ -223,8 +223,9 @@ def test_a_single_party_report_keeps_each_layers_start_diagonal(kind):
     # the diagonal of a single_party layer is gauge, so the search never
     # moves it: where no layer rotates (at alpha = 1/6 the qubit-qutrit
     # state's marginals are I/2 and I/3, in any frame), the winner's
-    # circuit has its start's diagonal columns
-    rho = states.two_param_qubit_qutrit(1 / 6, 0.3)
+    # circuit has its start's diagonal columns; local noise of weight
+    # 1e-10 keeps the projection from deciding the state
+    rho = with_local_noise(states.two_param_qubit_qutrit(1 / 6, 0.3), 1e-10, seed=1)
     config = OptimizerConfig(restarts=1, seed=7, max_evals=3000)
     if kind != "identity":
         # in its own frame the identity start is already at the optimum;
@@ -294,9 +295,11 @@ def test_no_value_below_closed_form():
 
 
 def test_restart_records():
-    # a qubit-qutrit state, where the search moves columns and random
-    # restarts run (a two-qubit state with an I/2 marginal runs none)
-    report = consonance(states.two_param_qubit_qutrit(0.1, 0.3), CHEAP)
+    # a qubit-qutrit state with local noise, on which the projection
+    # stalls, so the search moves columns and random restarts run (the
+    # state alone, like a two-qubit state with an I/2 marginal, runs none)
+    report = consonance(with_local_noise(states.two_param_qubit_qutrit(0.1, 0.3), 1e-3, seed=1),
+                        CHEAP)
     kinds = [r.kind for r in report.per_restart]
     assert kinds[0] == "identity"
     assert all(k == "random" for k in kinds[1:])
@@ -420,7 +423,7 @@ def test_config_report_json():
     with pytest.raises(TypeError):
         OptimizerConfig(eps_l=1e-4)
 
-    rho = states.two_param_qubit_qutrit(0.1, 0.3)
+    rho = with_local_noise(states.two_param_qubit_qutrit(0.1, 0.3), 1e-3, seed=1)
     report = consonance(rho, config)
     out = report_to_json(report)
     assert set(out) >= {"value", "l_residual", "feasible", "circuit",

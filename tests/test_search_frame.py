@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from consonance import measures, optimizer, states, unitary
+from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance
 from consonance.qstate import TOL_DEGENERATE, PureState, density_from_pure, partial_trace
 from consonance.unitary import NONGLOBAL, circuit_unitary
 from test_acceptance import GHZ3_WITNESS, OPT_SMALL, W3_WITNESS
 from test_optimizer import _behind_a_frame, _circuit_of, _inverse
-from test_unitary import maximally_mixed, mixed_marginals, template_columns
+from test_unitary import maximally_mixed, mixed_marginals, template_columns, with_local_noise
 
 
 def _schmidt_2x3(p0):
@@ -59,10 +60,12 @@ def test_qubit_qutrit_in_random_frames_matches_closed_form(alpha, gamma):
 
 
 def test_an_exact_degeneracy_behind_a_random_frame_is_grouped():
-    # the qubit's marginal is I/2 and the qutrit's diag(0.4, 0.4, 0.2),
-    # both seen through a random frame, where eigh splits the doubled
-    # eigenvalue by rounding alone
-    rho = _behind_a_frame(states.two_param_qubit_qutrit(0.1, 0.3), seed=3)
+    # the qubit's marginal is I/2 and the qutrit's diag(0.4, 0.4, 0.2) (to
+    # 1e-10), both seen through a random frame, where eigh splits the
+    # doubled eigenvalue by rounding alone; the local noise, 1e-10 of the
+    # state, keeps the projection from deciding it, so the search runs
+    rho = _behind_a_frame(with_local_noise(states.two_param_qubit_qutrit(0.1, 0.3), 1e-10,
+                                           seed=1), seed=3)
     w = np.linalg.eigvalsh(partial_trace(rho, [1]).entries)
     assert 0.0 < w[2] - w[1] < 1e-14
     frame = Preset().search_frame(rho)
@@ -74,14 +77,35 @@ def test_an_exact_degeneracy_behind_a_random_frame_is_grouped():
     assert abs(report.value - measures.consonance_2x3(0.1, 0.3)) <= 1e-9
 
 
+def test_a_qubit_qutrit_state_with_maximally_mixed_marginals_is_decided():
+    # at alpha = 1/6 the marginals are I/2 and I/3, so the eigenframe moves
+    # all 8 off-diagonal columns, and behind this frame the search ended
+    # infeasible at OPT_SMALL (L = 1.8e-4, S = 0.17796, 6010 evaluations);
+    # the projection reaches L = 0, and that frame is evaluated once
+    circuit = unitary.with_theta(Preset().build((2, 3)),
+                                 np.random.default_rng(2).uniform(-math.pi, math.pi, 13))
+    rho = unitary.apply(circuit, states.two_param_qubit_qutrit(1 / 6, 0.3))
+    assert Preset().search_frame(rho).moved.tolist() == []
+    report = consonance(rho, OPT_SMALL)
+    assert report.n_evals == 1 and report.feasible
+    assert report.l_residual <= 1e-12
+    assert abs(measures.consonance_2x3(1 / 6, 0.3) - 8 / 45) <= 1e-15
+    assert abs(report.value - 8 / 45) <= 1e-12
+    replayed = unitary.apply(report.circuit, rho)
+    assert (report.value, report.l_residual) == (nonlocal_sum(replayed),
+                                                 local_coherence(replayed))
+
+
 @pytest.mark.parametrize("gap,moved", [(2 * TOL_DEGENERATE, 0),
                                        (TOL_DEGENERATE / 2, 4)])
 def test_a_gap_beside_the_tolerance_is_split_or_grouped_and_solved(gap, moved):
     # Schmidt weights (1 +- gap) / 2: the qubit's marginal has that gap,
-    # and so do the qutrit's two nonzero eigenvalues; split, nothing moves
+    # and so do the qutrit's two largest eigenvalues; split, nothing moves
     # and the eigenframe decides; grouped, each pair moves and is searched
+    # (the local noise, 1e-10 of the state, keeps the projection from
+    # deciding it)
     psi = _schmidt_2x3((1.0 + gap) / 2.0)
-    rho = _behind_a_frame(density_from_pure(psi), seed=5)
+    rho = _behind_a_frame(with_local_noise(density_from_pure(psi), 1e-10, seed=1), seed=5)
     assert len(Preset().search_frame(rho).moved) == moved
     report = consonance(rho, OPT_SMALL)
     assert report.feasible and report.l_residual <= EPS_L
@@ -173,11 +197,13 @@ def test_depth_one_and_two_parties_absorb_nothing(dims, depth):
 def test_the_single_party_moved_columns_are_unchanged():
     # every marginal of these states is one eigenvalue group; a two-qubit
     # state is decided in closed form from its correlation matrix, and
-    # moves none
+    # moves none; the projection stalls on mixed_marginals, so its search
+    # moves every pair
     for rho, columns in [(states.werner(0.5), []),
-                         (maximally_mixed((3, 3)), [3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17]),
+                         (mixed_marginals((3, 3), seed=1),
+                          [3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17]),
                          (mixed_marginals((2, 3), seed=1), [2, 3, 7, 8, 9, 10, 11, 12]),
-                         (density_from_pure(states.ghz(3)), [2, 3, 6, 7, 10, 11])]:
+                         (mixed_marginals((2, 2, 2), seed=1), [2, 3, 6, 7, 10, 11])]:
         assert Preset().search_frame(rho).moved.tolist() == columns
     frame = Preset().search_frame(maximally_mixed((3, 3)))
     assert not any(frame.absorbed)

@@ -170,25 +170,33 @@ def test_the_value_is_covariant_under_local_frames(c, beta, axis, seed):
     assert abs(standard.value - want) <= 1e-12
 
 
-def reference_search(rho, seed, starts=3, maxfev=500) -> float:
+def reference_search(rho, seed, rotations=None, moved=None, starts=3, maxfev=500) -> float:
     """The least S at L <= EPS_L over every frame that scipy's Nelder-Mead
-    on S + mu L visits: U(2) x U(2) through ``FrameBuilder`` and
-    ``class_sums``, from the identity and seeded random starts, through
-    the penalty stages."""
-    frames = unitary.FrameBuilder(Preset().build((2, 2)), (2, 2))
+    on S + mu L visits: the preset's circuit on V† rho V, V the product of
+    ``rotations`` (None: no rotation), moving the columns ``moved`` (None:
+    every column), through ``FrameBuilder`` and ``class_sums``, from the
+    identity and seeded random starts, through the penalty stages."""
+    frames = unitary.FrameBuilder(Preset().build(rho.dims), rho.dims)
+    moved = np.arange(frames.n_theta) if moved is None else np.asarray(moved)
+    v = np.eye(1)
+    for d, r in zip(rho.dims, rotations or (None,) * len(rho.dims)):
+        v = np.kron(v, np.eye(d) if r is None else r)
+    entries = v.conj().T @ rho.entries @ v
     rng = np.random.default_rng(seed)
     best = math.inf
 
-    def penalized(theta, mu):
+    def penalized(y, mu):
         nonlocal best
-        rotated = unitary.conjugate(frames, rho.entries, theta[None])
+        theta = np.zeros(frames.n_theta)
+        theta[moved] = y
+        rotated = unitary.conjugate(frames, entries, theta[None])
         (s,), (l,) = coherence.class_sums(rotated, rho.dims, _S_AND_L)
         if l <= EPS_L:
             best = min(best, s)
         return s + mu * l
 
     for k in range(starts):
-        x = rng.uniform(-math.pi, math.pi, frames.n_theta) if k else np.zeros(frames.n_theta)
+        x = rng.uniform(-math.pi, math.pi, len(moved)) if k else np.zeros(len(moved))
         for mu in PENALTY_MUS:
             x = minimize(penalized, x, args=(mu,), method="Nelder-Mead",
                          options={"maxfev": maxfev, "xatol": 1e-10, "fatol": 1e-12}).x

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -342,9 +343,10 @@ def moved_columns(circuit, groups=None) -> list[int]:
 
 
 def mixed_marginals(dims, seed) -> DensityMatrix:
-    """A generic bipartite state whose marginals are I/d_A and I/d_B:
-    I/D plus a small sum of products of traceless Hermitian matrices, so
-    every marginal is one eigenvalue group and nothing rotates."""
+    """A generic state whose marginals are I/d_k: I/D plus a small sum of
+    products of traceless Hermitian matrices, one factor per party, so
+    every marginal is one eigenvalue group and nothing rotates.  The
+    single_party projection stalls on it, so the search runs."""
     rng = np.random.default_rng(seed)
 
     def traceless(d):
@@ -354,8 +356,36 @@ def mixed_marginals(dims, seed) -> DensityMatrix:
         return h / np.linalg.norm(h, 2)
 
     d = math.prod(dims)
-    x = sum(np.kron(traceless(dims[0]), traceless(dims[1])) for _ in range(3))
+    x = sum(functools.reduce(np.kron, [traceless(dk) for dk in dims]) for _ in range(3))
     return assert_valid(DensityMatrix(tuple(dims), np.eye(d) / d + x / (4 * d)))
+
+
+def with_local_noise(rho, weight, seed) -> DensityMatrix:
+    """(1 - weight) rho + weight (I/D + X) on two parties, so the
+    single_party projection stalls where rho alone is decided.  X has
+    local entries alone: diag(1, -1, 0, ...) on one party times a seeded
+    zero-diagonal Hermitian matrix on the other, both ways round, with
+    |X| <= 1/D.  Its diagonal is 0, and so is each of its partial traces
+    exactly, the -1 rows cancelling the 1 rows bit for bit; so where
+    rho's local entries are 0, the marginals keep their exact diagonals,
+    and where rho has L = 0, the mix has S = (1 - weight) S(rho) and
+    L = weight L(X) there."""
+    rng = np.random.default_rng(seed)
+
+    def off_diagonal(d):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = z + z.conj().T
+        np.fill_diagonal(h, 0.0)
+        return h / np.linalg.norm(h, 2)
+
+    def signs(d):
+        return np.diag([1.0, -1.0] + [0.0] * (d - 2))
+
+    d_a, d_b = rho.dims
+    d = d_a * d_b
+    x = (np.kron(signs(d_a), off_diagonal(d_b)) + np.kron(off_diagonal(d_a), signs(d_b))) / (2 * d)
+    return assert_valid(DensityMatrix(rho.dims, (1.0 - weight) * rho.entries
+                                      + weight * (np.eye(d) / d + x)))
 
 
 def maximally_mixed(dims) -> DensityMatrix:
@@ -376,12 +406,13 @@ def template_columns(frame) -> list[int]:
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2, 2), (2, 3, 2, 3)])
 @pytest.mark.parametrize("depth", [1, 3, 7])
 def test_preset_moves_the_columns_its_objective_sees(dims, depth):
-    # every marginal of I/D is one eigenvalue group, so the moved columns
-    # follow from the layer supports and dimensions alone (two qubits are
-    # decided in closed form and move none under single_party)
+    # every marginal of mixed_marginals is one eigenvalue group, and the
+    # single_party projection stalls on it, so the moved columns follow
+    # from the layer supports and dimensions alone (I/D has L = 0 and is
+    # decided, and two qubits are decided in closed form: neither moves any)
     for kind in (SINGLE_PARTY, NONGLOBAL):
         preset = Preset(kind, depth)
-        frame = preset.search_frame(maximally_mixed(dims))
+        frame = preset.search_frame(mixed_marginals(dims, seed=1))
         assert frame.moved.dtype == np.intp
         assert template_columns(frame) == moved_columns(preset.build(dims))
     frame = Preset().search_frame(mixed_marginals((2, 3), seed=1))
