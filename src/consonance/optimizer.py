@@ -27,15 +27,10 @@ an earlier report's circuit: ``SearchFrame.to_search`` checks its layers
 and moves it into the search's circuit and frame before any frame is
 evaluated, and the search keeps its unmoved columns as they are.
 Where no column moves, each identity or warm start is evaluated once and
-there are no random restarts, which would repeat the identity.  That
-covers states whose marginals have distinct eigenvalues, two-qubit
-states, whose zero-L frame of least S ``search_frame`` finds in closed
-form wherever one exists, and every other state whose frame the
-single-party Jacobi projection takes to L = 0 where it can show that no
-zero-L frame has a lower S (the qubit-qutrit family, isotropic and GHZ
-states in most frames).  Nelder-Mead runs under ``single_party`` only
-where the two-qubit rule finds no compatible pair, the projection
-stalls, or the least S is not shown.
+there are no random restarts, which would repeat the identity.  Under
+``single_party`` that is where ``decide.single_party`` settles the frame;
+its module docstring gives the chain of deciders and where each one
+leaves the search to run.
 ``consonance()`` then takes three steps: it steps every restart to its
 end, ranks the restarts with one key (feasible ones first, by S, then L,
 then index; the rest by L, then S, then index) and replays the circuit
@@ -115,11 +110,9 @@ class OptimizerConfig:
     well, and runs the polish only when all four end above it.
     Nelder-Mead runs over the columns that ``Preset.search_frame`` moves
     for the state, and is adaptive from 10 of them up.  Where no column
-    moves (``single_party`` on marginals with distinct eigenvalues, and on
-    states that the two-qubit rule or the Jacobi projection decides, the
-    latter where it shows that its frame has the least S),
-    ``restarts`` and ``max_evals`` go unused: each identity or warm start
-    is evaluated once.  ``eps_l`` reads the fixed feasibility
+    moves (``single_party`` where ``decide.single_party`` settles the
+    frame), ``restarts`` and ``max_evals`` go unused: each identity or
+    warm start is evaluated once.  ``eps_l`` reads the fixed feasibility
     tolerance ``EPS_L``.  ``warm_starts`` holds ``unitary.LocalCircuit``
     values on the input state; ``SearchFrame.to_search`` checks each one's
     layers and moves it into the search's frame, and the search keeps its

@@ -40,14 +40,14 @@ TOL_UNIT = 1e-12       # slack of a weight or probability past [0, 1]
 TOL_UNITARY = 1e-8     # max |u u^dagger - 1| entry params_for_unitary accepts
 TOL_RELABEL = 1e-10    # the same for a TpsRelabeling matrix
 # Marginal eigenvalues closer than TOL_DEGENERATE share one eigenspace in
-# unitary.Preset.search_frame.  eigh's eigenvectors across a gap g are off
+# decide.eigenframe.  eigh's eigenvectors across a gap g are off
 # by about eps * |rho_k| / g <= 2.2e-16 / g (a marginal has norm <= 1): at
 # g >= 1e-7 that is 2.2e-9, 450 times below the search's EPS_L = 1e-6, and
 # twice it summed over the few dozen local entries of these sizes stays
 # under EPS_L.  An exact degeneracy shows as a gap of order eps.
 TOL_DEGENERATE = 1e-7
 # A singular pair (n_A, n_B) of a two-qubit correlation matrix T is
-# compatible with the Bloch vectors a and b in unitary.Preset.search_frame
+# compatible with the Bloch vectors a and b in decide.two_qubit
 # when |a x n_A|, |b x n_B|, |n_A x T n_B| and |n_B x T^T n_A| are all at
 # most TOL_COMPATIBLE.  In the frame whose z axes are n_A and n_B, A's four
 # local entries are (a_perp +- (T n_B)_perp)/4 and their conjugates, so A's
@@ -59,7 +59,7 @@ TOL_DEGENERATE = 1e-7
 # values (S in their frames) differ by at most it count as tied, so a
 # reported S exceeds the least by at most 1e-9.
 TOL_COMPATIBLE = 1e-9
-# The Jacobi projection in unitary.Preset.search_frame has decided a frame
+# The Jacobi projection, decide.projection, has decided a frame
 # once its local sum, a float64 sum of |entries|, is at most TOL_ZERO_L.
 # Rounding leaves each local entry of a frame with L = 0 at a few eps
 # |rho|: on 69 decided inputs at D = 6 to 32 (the qubit-qutrit, isotropic
@@ -72,7 +72,7 @@ TOL_COMPATIBLE = 1e-9
 # wrong value.
 TOL_ZERO_L = 1e-13
 # A frame the projection decides is kept only where every zero-L frame is
-# shown to have the least S (unitary._least_turn), and one step of that proof
+# shown to have the least S (decide._least_turn), and one step of that proof
 # asks which local Hermitian h keep the decided state A.  An h of unit
 # entries counts as keeping A where |[h, A]|, read as the singular values
 # of the map h -> [h, A], is at most TOL_STABILIZER; such an h turns A by
@@ -361,6 +361,18 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     kept_dims = tuple(rho.dims[p] for p in keep)
     d = math.prod(kept_dims)
     return DensityMatrix(kept_dims, t.reshape(d, d))
+
+
+def in_local_frame(rho: DensityMatrix, rotations) -> DensityMatrix:
+    """``rho`` in the frame of one rotation V_k per party, V† rho V with V
+    the kron of the V_k, each None the identity on its party; ``rho``
+    itself where every V_k is None."""
+    if all(r is None for r in rotations):
+        return rho
+    v = np.eye(1)
+    for d, r in zip(rho.dims, rotations):
+        v = np.kron(v, np.eye(d) if r is None else r)
+    return DensityMatrix(rho.dims, v.conj().T @ rho.entries @ v)
 
 
 def partial_transpose(rho: DensityMatrix, party: int) -> np.ndarray:

@@ -48,10 +48,9 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .coherence import class_masks
-from .qstate import (TOL_COMPATIBLE, TOL_DEGENERATE, TOL_STABILIZER, TOL_UNITARY, TOL_ZERO_L,
-                     DensityMatrix, PureState, check_dims, check_integer, check_state,
-                     check_unitary, errors_at, json_float, json_text, partial_trace, read_json)
+from .decide import single_party
+from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims, check_integer, check_state,
+                     check_unitary, errors_at, in_local_frame, json_float, json_text, read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -340,49 +339,13 @@ class Preset:
     :meth:`search_frame` decides, for one state, the frame a search runs
     in and the theta columns it moves there.  Each kind states its columns
     as one mask over each searched layer's H, which :func:`_moved_columns`
-    reads through the chart: ``single_party`` marks the upper-triangle
-    entries inside one eigenvalue group, ``nonglobal`` every entry but the
-    last diagonal one.
-
-    S and L read only moduli, so a diagonal unitary multiplied onto a
-    circuit from the left changes neither.  In ``single_party`` every
-    layer is leftmost, so each layer's diagonal is gauge and never moves.
-    A frame with L = 0 also diagonalizes every party's marginal rho_k: an
-    off-diagonal entry of rho_k sums entries of rho that differ in party k
-    alone, which are local.  So every zero-L frame maps rho_k's eigenvectors to basis
-    vectors, up to a permutation and phases, which change neither S nor L,
-    and within each eigenspace by any unitary.  The search therefore runs
-    on rho in the marginals' eigenframe, and its mask marks only the
-    upper-triangle entries (i, j) of basis vectors in one eigenvalue group,
-    eigenvalues closer than ``TOL_DEGENERATE`` sharing a group.  A pair
-    spans a two-dimensional eigenspace exactly: every U(2) is D exp(iO),
-    D a diagonal unitary and O off-diagonal.  So where every eigenspace has
-    dimension <= 2 the restriction loses no zero-L frame; that the
-    off-diagonal columns of a larger eigenspace reach every unitary on it
-    is a heuristic.  A marginal with one group, or exactly diagonal, needs
-    no rotation, and its layer is searched as it is.  The unmoved columns
-    stay at their start values: 0 from the identity and random starts, a
-    warm start's own values from a warm start.
-
-    Where the eigenframe still leaves a moved column, two more decisions
-    come before any search, each giving a frame with no moved column.
-    Two qubits are decided in closed form (:func:`_two_qubit_rotations`):
-    the zero-L frames are the singular pairs of the correlation matrix T
-    compatible with the Bloch vectors, and the frame is the pair of least
-    S; where no pair is compatible, no frame has L = 0 and the search
-    runs.  Any other state goes through a Jacobi projection onto L = 0
-    (:func:`_projected_rotations`), which rotates the pairs inside one
-    eigenvalue group until L <= ``TOL_ZERO_L``.  Frames with L = 0 can
-    differ in S, so the frame is decided only where :func:`_least_turn`
-    shows which zero-L frame has the least S: where every one has the S
-    of the frame reached, or where the few left are tried in turn.  Where
-    a round does not halve L, or where that is not shown, the search runs
-    in the eigenframe, as without the projection.  So the chain is
-    eigenframe, two-qubit rule, projection, search, and "no column moves"
-    covers marginals with distinct eigenvalues, two qubits with a zero-L
-    frame, and every other state the projection decides (the
-    qubit-qutrit family, isotropic and GHZ states in most frames, and a
-    Bell-diagonal block beside a qutrit level).
+    reads through the chart.  ``single_party`` takes its rotations and
+    masks from :func:`decide.single_party`, whose module docstring gives
+    the chain that decides them: a mask marks the upper-triangle pairs a
+    search turns, none where the frame is decided, and never a diagonal
+    entry, which S and L do not see on a leftmost layer.  The unmoved
+    columns stay at their start values: 0 from the identity and random
+    starts, a warm start's own values from a warm start.
 
     ``nonglobal`` rotates nothing, since its pair layers do not keep the
     marginals; it leaves out what S and L cannot see instead.  A layer
@@ -432,25 +395,13 @@ class Preset:
         template = self.build(rho.dims)
         absorbed = _absorbed([layer.support for layer in template.layers])
         if self.kind == NONGLOBAL:
-            kept = [layer.params.dim for layer, gone in zip(template.layers, absorbed)
-                    if not gone]
+            kept = [layer.params.dim for layer, gone in zip(template.layers, absorbed) if not gone]
             # every entry of each kept layer's H but its last diagonal one, the trace
             masks = [np.arange(d * d).reshape(d, d) != d * d - 1 for d in kept]
-            return SearchFrame(template, rho.dims, absorbed, (None,) * len(absorbed),
-                               _moved_columns(masks))
-        rotations, groups = zip(*(_eigenframe(partial_trace(rho, [k]).entries)
-                                  for k in range(rho.n_parties)))
-        moved = _moved_columns([_same_group(g) for g in groups])
-        frame = SearchFrame(template, rho.dims, absorbed, rotations, moved)
-        if not len(moved):
-            return frame
-        if rho.dims == (2, 2):
-            decided = _two_qubit_rotations(rho, [not g.any() for g in groups])
+            rotations = (None,) * len(absorbed)
         else:
-            decided = _projected_rotations(frame.state(rho), rotations, groups)
-        if decided is None:
-            return frame
-        return SearchFrame(template, rho.dims, absorbed, decided, moved[:0])
+            rotations, masks = single_party(rho)
+        return SearchFrame(template, rho.dims, absorbed, rotations, _moved_columns(masks))
 
 
 def _absorbed(supports) -> tuple[bool, ...]:
@@ -473,493 +424,6 @@ def _moved_columns(masks) -> np.ndarray:
     return np.sort(np.concatenate((marked[marked < n_theta], pairs, pairs + 1)))
 
 
-def _same_group(groups: np.ndarray) -> np.ndarray:
-    """The upper-triangle pairs (p, q) of basis vectors in one eigenvalue
-    group, as a boolean mask over a layer's H."""
-    return np.triu(groups[:, None] == groups, k=1)
-
-
-def _groups(w: np.ndarray) -> np.ndarray:
-    """The group number of each of the ascending values ``w``: a value
-    closer than ``TOL_DEGENERATE`` to the one before joins its group."""
-    return np.concatenate(([0], np.cumsum(np.diff(w) > TOL_DEGENERATE)))
-
-
-def _eigenframe(m: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """(V, groups) of one party's marginal ``m``: ``groups[i]`` numbers the
-    eigenvalue group of basis vector i of the frame V, the eigenvectors of
-    ``m`` from ``eigh``.  V is None, the basis kept, where ``m`` has one
-    group or is exactly diagonal; the groups then come from its diagonal."""
-    w, v = np.linalg.eigh(m)
-    groups = _groups(w)
-    if not groups.any():
-        return None, groups
-    if np.any(m[~np.eye(len(m), dtype=bool)]):
-        return v, groups
-    diag = np.diag(m).real
-    order = np.argsort(diag, kind="stable")
-    groups[order] = _groups(diag[order])
-    return None, groups
-
-
-_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULI.setflags(write=False)
-_Z = np.array([0.0, 0.0, 1.0])
-# (x × y)_i = x_{i+1} y_{i+2} - x_{i+2} y_{i+1}, indices mod 3
-_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
-
-
-def _two_qubit_rotations(rho: DensityMatrix, one_group) -> tuple | None:
-    """The rotations (V_A, V_B) of the two-qubit frame with L = 0 and the
-    least S, or None where no frame has L = 0.
-
-    Write rho = (I + a.σ (x) I + I (x) b.σ + sum_ij T_ij σ_i (x) σ_j)/4.
-    A frame whose z axes are n_A and n_B has L = 0 exactly when a is along
-    n_A, b along n_B, T n_B along n_A and T^T n_A along n_B: (n_A, n_B) is
-    a singular pair of T compatible with a and b.  S there is the larger
-    singular value of T on the planes normal to the axes, the larger of
-    T's other two singular values (R. & M. Horodecki, PRA 54, 1838 (1996)
-    for the T picture).  A party whose marginal is one eigenvalue group
-    (``one_group``) counts as a = 0, and any singular pair of T is then
-    compatible on its side; a forced axis fixes its partner as T b̂ (or
-    T^T â), normalized, or a null vector of T where that is 0.  A pair is
-    compatible, and two values are tied, within ``TOL_COMPATIBLE``.  The
-    identity frame is kept, as (None, None), where it is a compatible pair
-    tied with the least value; otherwise V_k are the eigenvectors of
-    n_k.σ.  The candidates are checked by :func:`_pair_checks`, the
-    identity's (z, z) after them, and a tie between values picks the
-    lowest k.  On ``opt_bipartite``'s Werner inputs this takes about 0.14
-    ms a state on one core of a 2-core Xeon, BLAS on one thread."""
-    r = _pauli_traces(rho.entries)
-    a, b = (np.zeros(3) if zero else v for v, zero in zip((r[1:, 0], r[0, 1:]), one_group))
-    t = r[1:, 1:]
-    u, _, vh = np.linalg.svd(t)
-    if all(one_group):
-        pairs = np.stack((u.T, vh), axis=1)
-    elif one_group[1]:
-        n_a = a / np.linalg.norm(a)
-        pairs = np.array([(n_a, _partner(t.T @ n_a, vh[-1]))])
-    else:
-        n_b = b / np.linalg.norm(b)
-        pairs = np.array([(_partner(t @ n_b, u[:, -1]), n_b)])
-    compatible, values = _pair_checks(a, b, t, np.concatenate((pairs, [(_Z, _Z)])))
-    found = np.flatnonzero(compatible[:-1])
-    if not len(found):
-        return None
-    k = found[np.argmin(values[found])]
-    if compatible[-1] and values[-1] <= values[k] + TOL_COMPATIBLE:
-        return None, None
-    return tuple(_axis_frame(n) for n in pairs[k])
-
-
-def _pair_checks(a: np.ndarray, b: np.ndarray, t: np.ndarray,
-                 pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each pair of axes (n_A, n_B) of ``pairs`` (m, 2, 3) is
-    compatible with the Bloch vectors a and b and the correlation matrix T,
-    and its value, S in its frame: (m,) each, in one stack.
-
-    A pair is compatible where the largest norm of a × n_A, b × n_B,
-    n_A × T n_B and n_B × T^T n_A, written out by components, is at most
-    ``TOL_COMPATIBLE``.  Its value is the 2-norm of (1 - n_A n_A^T) T
-    (1 - n_B n_B^T), one batched SVD, bit for bit the norm of each matrix
-    alone.  Werner's three pairs tie in exact arithmetic, so which one a
-    frame keeps rests on the last bits of these values; the larger of T's
-    other two singular values, equal in exact arithmetic, rounds
-    differently and would keep another pair behind some frames."""
-    n_a, n_b = pairs.swapaxes(0, 1)
-    x = np.stack(([a] * len(pairs), [b] * len(pairs), n_a, n_b), axis=1)
-    y = np.stack((n_a, n_b, n_b @ t.T, n_a @ t), axis=1)
-    cross = x[..., _NEXT] * y[..., _LAST] - x[..., _LAST] * y[..., _NEXT]
-    compatible = np.linalg.norm(cross, axis=2).max(axis=1) <= TOL_COMPATIBLE
-    eye = np.eye(3)
-    values = np.linalg.norm((eye - n_a[:, :, None] * n_a[:, None, :]) @ t
-                            @ (eye - n_b[:, :, None] * n_b[:, None, :]), 2, axis=(1, 2))
-    return compatible, values
-
-
-def _pauli_traces(block: np.ndarray) -> np.ndarray:
-    """r_ij = tr(B σ_i (x) σ_j) of a 4 x 4 two-qubit operator B, σ_0 = I."""
-    return np.einsum("pqrs,irp,jsq->ij", block.reshape(2, 2, 2, 2), _PAULI, _PAULI).real
-
-
-def _axis_frame(n: np.ndarray) -> np.ndarray:
-    """The qubit frame whose z axis is the unit vector n: the eigenvectors
-    of n.σ."""
-    return np.linalg.eigh(np.tensordot(n, _PAULI[1:], 1))[1]
-
-
-def _partner(w: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """The axis ``w`` (T b̂ or T^T â) normalized, or the null vector ``null``
-    of T where ``w`` is within ``TOL_COMPATIBLE`` of 0."""
-    size = np.linalg.norm(w)
-    return w / size if size > TOL_COMPATIBLE else null
-
-
-# N'_pp - N'_qq = h.x for h = B (N_pp - N_qq, N_pq, N_qp), N' = G† N G
-_JACOBI_B = np.array([[1, 0, 0], [0, 1, 1], [0, -1j, 1j]])
-_JACOBI_B.setflags(write=False)
-
-
-def _projected_rotations(start: DensityMatrix, rotations, groups) -> tuple | None:
-    """The rotations V_k X_k of a frame with L = 0 and the least S that a
-    Jacobi projection reaches from the eigenframe, where ``start`` is
-    A = V† rho V and V the product of ``rotations``; None where it stalls
-    or where :func:`_least_turn` cannot show which zero-L frame has the
-    least S.
-
-    Each round visits every party k and every pair (p, q) of its basis
-    vectors in one eigenvalue group (``groups``: a zero-L frame is
-    block-diagonal in the eigenframe), and rotates the pair by the G of
-    :func:`_jacobi_rotation`: A <- G_k† A G_k and X_k <- X_k G.  The
-    entries that differ in party k alone are the off-diagonal entries of
-    its blocks at equal indices of the other parties, so L = 0 needs one
-    X_k that diagonalizes all of them, and G is the rotation of Cardoso &
-    Souloumiac (SIAM J. Matrix Anal. Appl. 17, 161 (1996)) for that joint
-    diagonalization, with one more term for the local entries G moves on
-    the diagonals of the blocks apart in every other party.  The frame is
-    reached once the local sum of A is at most ``TOL_ZERO_L``, at the
-    start with the rotations as they are, and the projection stalls at
-    the first round that does not halve the sum.  Every other round
-    halves it, and it starts at most at D, the largest sum of |entries|
-    of a state, so the projection ends within log2(D / TOL_ZERO_L)
-    rounds."""
-    dims = start.dims
-    local = class_masks(dims)[1]
-    a = start.entries
-    level = np.abs(a[local]).sum()
-    pairs = [np.argwhere(_same_group(g)) for g in groups]
-    # the block pairs (m, m') whose off-diagonal entries are nonlocal: m
-    # and m' apart in every other party
-    apart = [np.nonzero(~_party_last(local, dims, k)[:, 0, :, 1]) for k in range(len(dims))]
-    turns = [None] * len(dims)
-    while level > TOL_ZERO_L:
-        for k, party in enumerate(pairs):
-            if not len(party):
-                continue
-            t = _party_last(a, dims, k)
-            for p, q in party:
-                g = _jacobi_rotation(t, apart[k], p, q)
-                if g is not None:
-                    t = np.einsum("ji,ajbl,lk->aibk", g.conj(), t, g)
-                    turns[k] = g if turns[k] is None else turns[k] @ g
-            a = _party_back(t, dims, k)
-        last, level = level, np.abs(a[local]).sum()
-        if level > max(last / 2, TOL_ZERO_L):
-            return None
-    least = _least_turn(a, dims, groups)
-    if least is None:
-        return None
-    turns = [x if w is None else w if x is None else x @ w for x, w in zip(turns, least)]
-    return tuple(x if v is None else v if x is None else v @ x
-                 for v, x in zip(rotations, turns))
-
-
-def _least_turn(a: np.ndarray, dims: tuple[int, ...], groups) -> tuple | None:
-    """The turn W_k of each party (None for none) that takes A, a frame
-    with L = 0 inside the eigenvalue groups ``groups``, to the zero-L
-    frame with the least S; None where that is not shown, as on a
-    Bell-diagonal block with two equal |c_i|, whose zero-L axes form a
-    circle beside a third axis.
-
-    :func:`_classes` splits the groups into classes such that every zero-L
-    frame is, up to a permutation of each party's basis, A's frame turned
-    inside the classes, then by a local unitary that keeps A and so S.
-    Where every class holds one vector, such a turn is a phase, which
-    keeps S too: A's frame has the least S, and no party turns.  Where
-    two classes of two vectors are left, on two parties, the zero-L
-    frames are among those of :func:`_pair_turn`, and the least S among
-    them is read off.  On ``opt_bipartite``'s qubit-qutrit inputs this
-    takes about 0.17 ms (one core of a 2-core Xeon, BLAS on one thread):
-    six calls each of :func:`_class_rows` and :func:`_split` and one of
-    :func:`_reached`."""
-    classes = _classes(a, dims, groups)
-    if all(c.max() + 1 == len(c) for c in classes):
-        return (None,) * len(dims)
-    return _pair_turn(a, dims, classes)
-
-
-def _classes(a: np.ndarray, dims: tuple[int, ...], groups) -> list[np.ndarray]:
-    """Each party's classes (a class number per basis vector): ``groups``
-    split by three rules, each of which holds for every zero-L frame
-    turned from A inside the classes (:func:`_class_rows`,
-    :func:`_reached`).
-    - Every zero-L frame keeps diagonal A's blocks at equal indices of the
-      other parties, and so their sums over one class of each, which a
-      turn inside the classes leaves as they are.  Vectors whose diagonal
-      entries in these sums differ are split.
-    - On three or more parties, every reduced state of A on a proper
-      subset of the parties is diagonal in every zero-L frame: its
-      off-diagonal entries are sums of entries that agree in the parties
-      traced out, and so are local.  Its partial traces against every
-      operator of the subset's other parties then span one space of
-      diagonal matrices in every frame.  Vectors whose diagonal entries
-      differ at some index of those parties are split.
-    - Where neither rule splits, a party all of whose classes the local
-      unitaries that keep A reach is fixed in A's frame, each vector a
-      class of its own: any zero-L frame is one with that party in A's
-      frame, turned by such a unitary.
-
-    Classes are numbered 0 to m - 1, as ``groups`` and :func:`_split`
-    number them, so a party's class count is its largest number plus 1."""
-    classes = [np.asarray(g) for g in groups]
-    counts = [len(np.unique(c)) for c in classes]
-    diag = a.diagonal().real.reshape(dims)
-    while True:
-        classes = [_split(c, _class_rows(diag, classes, k)) for k, c in enumerate(classes)]
-        split = [c.max() + 1 for c in classes]
-        if split != counts:
-            counts = split
-            continue
-        loose = [k for k, (c, m) in enumerate(zip(classes, counts)) if m < len(c)]
-        k = next((k for k in loose if _reached(a, classes, k)), None)
-        if k is None:
-            return classes
-        classes[k] = np.arange(dims[k])
-        counts[k] = dims[k]
-
-
-def _pair_turn(a: np.ndarray, dims: tuple[int, ...], classes) -> tuple | None:
-    """The turns of the zero-L frame with the least S where one class of
-    two vectors is left on each of two parties j < k, and all others hold
-    one vector; None where the classes are not so, or where the zero-L
-    frames are not a few points.
-
-    The block B of A's reduced state on (j, k) that the two classes span
-    then turns as a two-qubit operator, and has L = 0 in every zero-L
-    frame.
-    Its Bloch vectors are 0, as the first rule of :func:`_classes` left
-    its marginals on the classes a multiple of I, so the zero-L frames'
-    axes are singular pairs of its correlation matrix T
-    (:func:`_two_qubit_rotations`).  Where T's singular values differ by
-    more than ``TOL_COMPATIBLE``, those are three pairs of axes: each is
-    tried on A, and the least S among those at L <= ``TOL_ZERO_L`` is
-    kept, A's own frame where it is tied with the least."""
-    loose = [(k, np.flatnonzero(c == label)) for k, c in enumerate(classes)
-             for label in np.unique(c) if np.count_nonzero(c == label) > 1]
-    if [len(vectors) for _, vectors in loose] != [2, 2] or loose[0][0] == loose[1][0]:
-        return None
-    (j, vj), (k, vk) = loose
-    reduced = partial_trace(DensityMatrix(dims, a), [j, k]).entries
-    block = reduced[np.ix_(*[(vj[:, None] * dims[k] + vk).ravel()] * 2)]
-    r = _pauli_traces(block)
-    u, singular, vh = np.linalg.svd(r[1:, 1:])
-    if np.any(-np.diff(singular) <= TOL_COMPATIBLE * r[0, 0]):
-        return None
-    _, local, nonlocal_ = class_masks(dims)
-    best, least = None, np.abs(a[nonlocal_]).sum() - TOL_COMPATIBLE
-    for axes in zip(u.T, vh):
-        turn = [None] * len(dims)
-        for party, vectors, n in zip((j, k), (vj, vk), axes):
-            turn[party] = np.eye(dims[party], dtype=np.complex128)
-            turn[party][np.ix_(vectors, vectors)] = _axis_frame(n)
-        w = np.eye(1)
-        for d, x in zip(dims, turn):
-            w = np.kron(w, np.eye(d) if x is None else x)
-        turned = w.conj().T @ a @ w
-        s = np.abs(turned[nonlocal_]).sum()
-        if np.abs(turned[local]).sum() <= TOL_ZERO_L and s < least:
-            best, least = tuple(turn), s - TOL_COMPATIBLE
-    return best or (None,) * len(dims)
-
-
-def _class_rows(diag: np.ndarray, classes, k: int) -> np.ndarray:
-    """Each of party k's basis vectors' diagonal entries of A (``diag``, by
-    party) summed over one class of every other party; on three or more
-    parties also summed over every index of one other party: (d_k, ...).
-    Every sum is one ``bincount`` of the diagonal, by :func:`_class_key`:
-    about 5 us a call on ``opt_bipartite``'s qubit-qutrit inputs, on one
-    core of a 2-core Xeon."""
-    key, width = _class_key(tuple(tuple(c.tolist()) for c in classes), k)
-    weights = np.tile(diag.ravel(), len(key) // diag.size)
-    return np.bincount(key, weights, minlength=diag.shape[k] * width).reshape(-1, width)
-
-
-@lru_cache(maxsize=256)
-def _class_key(classes: tuple[tuple[int, ...], ...], k: int) -> tuple[np.ndarray, int]:
-    """The bin of each diagonal entry of A in :func:`_class_rows`'s rows of
-    party k, once per set of sums, and the row length.  Its row is its
-    party-k index; its column, the other parties' class numbers in party
-    order (``classes``, numbered 0 to m - 1), or, for the sums over every
-    index of party j, the indices of the parties but j and k, where party j
-    counts as one class.  Read only."""
-    dims = tuple(len(c) for c in classes)
-    others = [j for j in range(len(dims)) if j != k]
-    whole = [np.arange(d) for d in dims]
-    sets = [[np.array(c) for c in classes]]
-    if len(dims) > 2:
-        sets += [[np.zeros_like(x) if i == j else x for i, x in enumerate(whole)]
-                 for j in others]
-    columns, width = [], 0
-    for labels in sets:
-        grid = np.ix_(*labels)
-        sizes = [labels[j].max() + 1 for j in others]
-        column = np.ravel_multi_index([grid[j] for j in others], sizes)
-        columns.append(np.broadcast_to(column, dims).ravel() + width)
-        width += math.prod(sizes)
-    row = np.broadcast_to(np.ix_(*whole)[k], dims).ravel()
-    key = np.tile(row, len(sets)) * width + np.concatenate(columns)
-    key.setflags(write=False)
-    return key, width
-
-
-def _split(labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``labels`` split so that two vectors share a class where they shared
-    one and their ``rows`` agree within ``TOL_DEGENERATE``.  The new
-    classes are numbered 0 to m - 1 in the order of their first vectors."""
-    firsts, split = [], []
-    for label, row in zip(labels.tolist(), rows.tolist()):
-        c = next((c for c, (first_label, first) in enumerate(firsts) if first_label == label
-                  and max(abs(x - y) for x, y in zip(first, row)) <= TOL_DEGENERATE),
-                 len(firsts))
-        if c == len(firsts):
-            firsts.append((label, row))
-        split.append(c)
-    return np.array(split)
-
-
-def _reached(a: np.ndarray, classes, k: int) -> bool:
-    """Whether the local unitaries inside ``classes`` that keep A reach
-    every turn of party k's classes: whether the Lie algebra of the
-    Hermitian h = sum_j h_j, each h_j on party j inside its classes, with
-    [h, A] = 0, projected on party k's traceless class blocks, holds su(n)
-    of each of them.  A unit h whose commutator is within
-    ``TOL_STABILIZER`` of 0 counts as keeping A.
-
-    The units on basis vectors p <= q of one class of party j are the
-    projector E_pp, and E_pq + E_qp and i (E_pq - E_qp).  Each entry h_rs
-    of a unit is 1 or ±i, so h A copies A's rows whose party-j index is s
-    to those whose index is r, times h_rs, and A h copies its columns at r
-    to those at s.  Every commutator is built that way, by flat indices
-    into A, in one (units, D, D) array, so each entry is an exact copy of
-    A's or the difference of two; the index arrays are laid out once per
-    set of classes (:func:`_units`).  About 0.07 ms a call on
-    ``opt_bipartite``'s qubit-qutrit inputs, on one core of a 2-core Xeon
-    with BLAS on one thread."""
-    units = _units(tuple(tuple(c.tolist()) for c in classes))
-    commutators = np.zeros((units.count, len(a), len(a)), dtype=np.complex128)
-    commutators[units.unit, units.rows] = units.factor * a[units.source]
-    commutators[units.unit, :, units.source] -= a[:, units.rows].T * units.factor
-    flat = commutators.reshape(units.count, -1)
-    s, vh = np.linalg.svd(np.concatenate((flat.real, flat.imag), axis=1).T,
-                          full_matrices=False)[1:]
-    keep = vh[s <= TOL_STABILIZER]
-    blocks = []
-    for off, diagonal in units.blocks[k]:
-        block = keep[:, diagonal]
-        blocks += [keep[:, off], block - block.mean(axis=1, keepdims=True)]
-    return np.linalg.matrix_rank(np.hstack(blocks), tol=TOL_STABILIZER) == units.want[k]
-
-
-class _Units(NamedTuple):
-    """The Hermitian units inside one set of classes, as :func:`_reached`
-    reads them: units party by party, class by class, pair by pair.  Each
-    copied row of A is one entry of the index arrays.  Every array is read
-    only."""
-
-    count: int
-    unit: np.ndarray     # the unit of each copied row
-    rows: np.ndarray     # the flat index, party-j index r, that h A fills
-    source: np.ndarray   # the flat index, party-j index s, it copies
-    factor: np.ndarray   # h_rs, as a complex column
-    blocks: tuple        # per party, per class of two or more: (off-diagonal, diagonal) units
-    want: tuple          # per party, the sum of n^2 - 1 over those classes
-
-
-@lru_cache(maxsize=256)
-def _units(classes: tuple[tuple[int, ...], ...]) -> _Units:
-    """The units of :func:`_reached` inside ``classes`` (a class number per
-    basis vector of each party)."""
-    dims = tuple(len(c) for c in classes)
-    size = math.prod(dims)
-    index = np.arange(size)
-    party, label, diagonal = [], [], []
-    unit, rows, source, factor = [], [], [], []
-    for j, labels in enumerate(map(np.array, classes)):
-        # row r: the flat indices whose party-j index is r, the others alike
-        by_index = index.reshape(-1, dims[j], size // math.prod(dims[:j + 1]))
-        by_index = by_index.swapaxes(0, 1).reshape(dims[j], -1)
-        for c in range(labels.max() + 1):
-            for p, q in itertools.combinations_with_replacement(np.flatnonzero(labels == c), 2):
-                units = ([[(p, p, 1)]] if p == q
-                         else [[(p, q, 1), (q, p, 1)], [(p, q, 1j), (q, p, -1j)]])
-                for h in units:
-                    for r, s, x in h:
-                        unit.append(np.full(by_index.shape[1], len(party)))
-                        rows.append(by_index[r])
-                        source.append(by_index[s])
-                        factor.append(np.full(by_index.shape[1], x, dtype=np.complex128))
-                    party.append(j)
-                    label.append(c)
-                    diagonal.append(p == q)
-    unit, rows, source, factor = map(np.concatenate, (unit, rows, source, factor))
-    factor = factor[:, None]
-    party, label, diagonal = map(np.array, (party, label, diagonal))
-    blocks, want = [], []
-    for k, labels in enumerate(map(np.array, classes)):
-        sizes = np.bincount(labels)
-        own = [(party == k) & (label == c) for c in np.flatnonzero(sizes > 1)]
-        blocks.append(tuple((np.flatnonzero(o & ~diagonal), np.flatnonzero(o & diagonal))
-                            for o in own))
-        want.append(int((sizes[sizes > 1] ** 2 - 1).sum()))
-    for arr in (unit, rows, source, factor, *(x for b in blocks for pair in b for x in pair)):
-        arr.setflags(write=False)
-    return _Units(len(party), unit, rows, source, factor, tuple(blocks), tuple(want))
-
-
-def _jacobi_rotation(t: np.ndarray, apart, p: int, q: int) -> np.ndarray | None:
-    """The rotation G of party k's pair (p, q) that leaves the least sum of
-    |.|^2 over the local entries of A it moves; None where those are all
-    0.  ``t`` is A laid out by :func:`_party_last`, so N = t[m, :, m', :]
-    is the block of A between the other parties' indices m and m', and
-    ``apart`` lists the (m, m') apart in every other party.
-
-    G is the identity but for G_pp = G_qq = c = sqrt((1 + x_0)/2),
-    G_qp = s = (x_1 - i x_2)/(2c) and G_pq = -conj(s), for a real unit
-    x with x_0 >= 0, and N' = G† N G has N'_pp - N'_qq = h.x.  G keeps
-    N'_pp + N'_qq and, with them, |N'_pp|^2 + |N'_qq|^2 + |N'_pq|^2 +
-    |N'_qp|^2, and the sum of |.|^2 over rows p and q of each other
-    column, and over columns p and q of each other row.  In a block at
-    equal indices m = m', the entries (p, q) and (q, p) are local and the
-    diagonal is not: their |.|^2 is a constant less |h.x|^2 / 2.  In a
-    block apart in every other party, the diagonal is local and the rest
-    is not: its |.|^2 is a constant plus |h.x|^2 / 2.  In any other block
-    every entry is local, and so are both entries of each row or column
-    pair in a block at equal indices, and neither in a block apart.  So x
-    is the top eigenvector of Re sum h h† over the blocks at equal indices
-    less the same over the blocks apart."""
-    m = np.arange(len(t))
-    a, b = apart
-    if not (t[m, p, m, q].any() or t[a, p, b, p].any() or t[a, q, b, q].any()):
-        return None
-    h_equal, h_apart = (_JACOBI_B @ np.array([t[i, p, j, p] - t[i, q, j, q], t[i, p, j, q],
-                                              t[i, q, j, p]])
-                        for i, j in ((m, m), (a, b)))
-    x = np.linalg.eigh((h_equal @ h_equal.conj().T - h_apart @ h_apart.conj().T).real)[1][:, -1]
-    x = x if x[0] >= 0 else -x
-    c = math.sqrt((1.0 + x[0]) / 2.0)
-    s = (x[1] - 1j * x[2]) / (2.0 * c)
-    g = np.eye(t.shape[1], dtype=np.complex128)
-    g[p, p] = g[q, q] = c
-    g[p, q], g[q, p] = -s.conjugate(), s
-    return g
-
-
-def _party_last(a: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
-    """A (D, D) as (r, d_k, r, d_k): party k's row and column axes moved
-    last on each side, the other parties' r = D / d_k indices first."""
-    n, d = len(dims), dims[k]
-    r = len(a) // d
-    return np.moveaxis(a.reshape(dims + dims), (k, n + k), (n - 1, 2 * n - 1)).reshape(r, d, r, d)
-
-
-def _party_back(t: np.ndarray, dims: tuple[int, ...], k: int) -> np.ndarray:
-    """The inverse of :func:`_party_last`."""
-    n = len(dims)
-    side = dims[:k] + dims[k + 1:] + dims[k:k + 1]
-    d = math.prod(dims)
-    return np.moveaxis(t.reshape(side + side), (n - 1, 2 * n - 1), (k, n + k)).reshape(d, d)
-
-
 @dataclass(frozen=True, eq=False)
 class SearchFrame:
     """The frame a search on one state runs in, from
@@ -968,10 +432,10 @@ class SearchFrame:
     template layer, whether the search leaves it out and its V_k (None for
     a layer searched as it is).  The search runs over :attr:`circuit`, the
     template without its absorbed layers, and moves its columns
-    ``moved``: none where the eigenframe, the two-qubit rule or the
-    projection decided the state, whose frame of least S the rotations
-    then hold, and which is evaluated once.  It runs on V† rho V, V the product of the
-    rotations, so a circuit W found there is W V† on rho, layer by layer.
+    ``moved``: none where :func:`decide.single_party` decided the frame,
+    which is then evaluated once.  It runs on V† rho V, V the product of
+    the rotations, so a circuit W found there is W V† on rho, layer by
+    layer.
     The chart inverse (:func:`params_for_unitary`) runs only where a layer
     rotates or a start's absorbed layer is not at theta = 0."""
 
@@ -991,12 +455,7 @@ class SearchFrame:
     def state(self, rho: DensityMatrix) -> DensityMatrix:
         """``rho`` in the search's frame, V† rho V; ``rho`` itself where no
         layer rotates."""
-        if all(r is None for r in self.rotations):
-            return rho
-        v = np.eye(1)
-        for d, r in zip(rho.dims, self.rotations):
-            v = np.kron(v, np.eye(d) if r is None else r)
-        return DensityMatrix(rho.dims, v.conj().T @ rho.entries @ v)
+        return in_local_frame(rho, self.rotations)
 
     def to_search(self, circuit: LocalCircuit) -> LocalCircuit:
         """A circuit U on rho, with the template's layers, as a search

@@ -1,6 +1,6 @@
 """The single-party decision against its earlier, per-pair arithmetic.
 
-``unitary`` decides two-qubit frames (``_two_qubit_rotations``, through
+``decide`` decides two-qubit frames (``two_qubit``, through
 ``_pair_checks``) and proves which zero-L frame of the projection has the
 least S (``_least_turn``, through ``_class_rows``, ``_split`` and
 ``_reached``) in stacked arrays.  The references here are the same rules
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from consonance import states, unitary
+from consonance import decide, states
 from consonance.optimizer import Preset
 from consonance.qstate import (TOL_COMPATIBLE, TOL_DEGENERATE, TOL_STABILIZER, DensityMatrix,
                                partial_trace)
@@ -33,7 +33,7 @@ from test_two_qubit_frame import CASES, behind_a_frame, fano, x_state
 def reference_pair_checks(rho, one_group):
     """(a, b, T, the candidate pairs, whether each is compatible, its value)
     of the two-qubit rule, one pair at a time, the identity's (z, z) last."""
-    r = unitary._pauli_traces(rho.entries)
+    r = decide._pauli_traces(rho.entries)
     a, b = (np.zeros(3) if zero else v for v, zero in zip((r[1:, 0], r[0, 1:]), one_group))
     t = r[1:, 1:]
     u, _, vh = np.linalg.svd(t)
@@ -41,10 +41,10 @@ def reference_pair_checks(rho, one_group):
         pairs = list(zip(u.T, vh))
     elif one_group[1]:
         n_a = a / np.linalg.norm(a)
-        pairs = [(n_a, unitary._partner(t.T @ n_a, vh[-1]))]
+        pairs = [(n_a, decide._partner(t.T @ n_a, vh[-1]))]
     else:
         n_b = b / np.linalg.norm(b)
-        pairs = [(unitary._partner(t @ n_b, u[:, -1]), n_b)]
+        pairs = [(decide._partner(t @ n_b, u[:, -1]), n_b)]
 
     def residual(n_a, n_b):
         return max(np.linalg.norm(np.cross(x, y))
@@ -54,12 +54,12 @@ def reference_pair_checks(rho, one_group):
         return np.linalg.norm((np.eye(3) - np.outer(n_a, n_a)) @ t
                               @ (np.eye(3) - np.outer(n_b, n_b)), 2)
 
-    every = pairs + [(unitary._Z, unitary._Z)]
+    every = pairs + [(decide._Z, decide._Z)]
     return (a, b, t, pairs, [residual(*p) <= TOL_COMPATIBLE for p in every],
             [value(*p) for p in every])
 
 
-def reference_two_qubit_rotations(rho, one_group):
+def reference_two_qubit(rho, one_group):
     *_, pairs, compatible, values = reference_pair_checks(rho, one_group)
     found = [(values[k], k) for k in range(len(pairs)) if compatible[k]]
     if not found:
@@ -67,7 +67,7 @@ def reference_two_qubit_rotations(rho, one_group):
     least, k = min(found)
     if compatible[-1] and values[-1] <= least + TOL_COMPATIBLE:
         return None, None
-    return tuple(unitary._axis_frame(n) for n in pairs[k])
+    return tuple(decide._axis_frame(n) for n in pairs[k])
 
 
 def reference_class_rows(diag, classes, k):
@@ -151,7 +151,7 @@ def reference_least_turn(a, dims, groups):
     classes = reference_classes(a, dims, groups)
     if all(len(np.unique(c)) == len(c) for c in classes):
         return (None,) * len(dims)
-    return unitary._pair_turn(a, dims, classes)
+    return decide._pair_turn(a, dims, classes)
 
 
 # --- the checks ----------------------------------------------------------
@@ -169,26 +169,26 @@ def same_rotations(got, want) -> bool:
 def one_group(rho):
     """Whether each party's marginal is one eigenvalue group, as
     ``Preset.search_frame`` reads it."""
-    return [not unitary._eigenframe(partial_trace(rho, [k]).entries)[1].any()
+    return [not decide.eigenframe(partial_trace(rho, [k]).entries)[1].any()
             for k in range(rho.n_parties)]
 
 
 def check_two_qubit_rule(rho):
     flags = one_group(rho)
     a, b, t, pairs, compatible, values = reference_pair_checks(rho, flags)
-    got_compatible, got_values = unitary._pair_checks(
-        a, b, t, np.array(pairs + [(unitary._Z, unitary._Z)]))
+    got_compatible, got_values = decide._pair_checks(
+        a, b, t, np.array(pairs + [(decide._Z, decide._Z)]))
     assert got_compatible.tolist() == compatible
     assert got_values.tolist() == values
-    assert same_rotations(unitary._two_qubit_rotations(rho, flags),
-                          reference_two_qubit_rotations(rho, flags))
+    assert same_rotations(decide.two_qubit(rho, flags),
+                          reference_two_qubit(rho, flags))
 
 
 def check_least_turn(rho):
     """Run ``search_frame`` on rho, and at every ``_least_turn``,
     ``_class_rows`` and ``_reached`` call compare the decision with the
     reference's; returns the number of ``_least_turn`` calls."""
-    least_turn, class_rows, reached = unitary._least_turn, unitary._class_rows, unitary._reached
+    least_turn, class_rows, reached = decide._least_turn, decide._class_rows, decide._reached
     calls = []
 
     def spy_least_turn(a, dims, groups):
@@ -202,7 +202,7 @@ def check_least_turn(rho):
         want = reference_class_rows(diag, classes, k)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-15
-        assert np.array_equal(unitary._split(classes[k], got), reference_split(classes[k], want))
+        assert np.array_equal(decide._split(classes[k], got), reference_split(classes[k], want))
         return got
 
     def spy_reached(a, classes, k):
@@ -211,9 +211,9 @@ def check_least_turn(rho):
         return got
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(unitary, "_least_turn", spy_least_turn)
-        patch.setattr(unitary, "_class_rows", spy_class_rows)
-        patch.setattr(unitary, "_reached", spy_reached)
+        patch.setattr(decide, "_least_turn", spy_least_turn)
+        patch.setattr(decide, "_class_rows", spy_class_rows)
+        patch.setattr(decide, "_reached", spy_reached)
         Preset().search_frame(rho)
     return len(calls)
 
@@ -223,8 +223,8 @@ def check_search_frame(rho):
     as it does with every reference in place of the stacked helpers."""
     got = Preset().search_frame(rho)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(unitary, "_two_qubit_rotations", reference_two_qubit_rotations)
-        patch.setattr(unitary, "_least_turn", reference_least_turn)
+        patch.setattr(decide, "two_qubit", reference_two_qubit)
+        patch.setattr(decide, "_least_turn", reference_least_turn)
         want = Preset().search_frame(rho)
     assert same_rotations(got.rotations, want.rotations)
     assert np.array_equal(got.moved, want.moved)
@@ -335,9 +335,9 @@ def test_werner_behind_a_frame_keeps_the_pair_of_least_projected_norm():
         *_, pairs, compatible, values = reference_pair_checks(rho, [True, True])
         assert all(compatible[:3]) and not compatible[3]
         k = min((values[k], k) for k in range(3))[1]
-        got = unitary._two_qubit_rotations(rho, [True, True])
-        assert same_rotations(got, tuple(unitary._axis_frame(n) for n in pairs[k]))
-        singular = np.linalg.svd(unitary._pauli_traces(rho.entries)[1:, 1:], compute_uv=False)
+        got = decide.two_qubit(rho, [True, True])
+        assert same_rotations(got, tuple(decide._axis_frame(n) for n in pairs[k]))
+        singular = np.linalg.svd(decide._pauli_traces(rho.entries)[1:, 1:], compute_uv=False)
         shortcut = min((max(np.delete(singular, j)), j) for j in range(3))[1]
         differs += shortcut != k
     assert differs > 0

@@ -1,11 +1,11 @@
 """Single-party frames decided by the Jacobi projection onto L = 0.
 
 Where the marginals' eigenframe still leaves a moved column and the state
-is not two qubits, ``Preset.search_frame`` rotates each party's pairs of
+is not two qubits, ``decide.projection`` rotates each party's pairs of
 basis vectors inside one eigenvalue group by Jacobi rotations until the
 local sum falls to ``TOL_ZERO_L``.  That frame is decided, and evaluated
-once, only where ``unitary._one_value`` shows that every zero-L frame has
-its S.  Where a round does not halve the sum, or where that is not shown,
+once, only where the least-S proof, ``decide._least_turn``, shows which
+zero-L frame has the least S.  Where a round does not halve the sum, or where that is not shown,
 the eigenframe and its moved columns are returned unchanged and the search
 runs.  Every decided case here is checked against an exact value, its
 replay, and the Nelder-Mead reference of ``test_two_qubit_frame`` over the
@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from consonance import coherence, measures, states, unitary
+from consonance import coherence, decide, measures, states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.optimizer import Preset, consonance
 from consonance.qstate import DensityMatrix, density_from_pure, partial_trace
@@ -123,9 +123,9 @@ DECIDED = {
 
 def eigenframe(rho):
     """The marginals' eigenframe and the columns a search moves there:
-    ``_eigenframe``'s rotations, and this suite's ``moved_columns`` of
+    ``decide.eigenframe``'s rotations, and this suite's ``moved_columns`` of
     its eigenvalue groups."""
-    rotations, groups = zip(*(unitary._eigenframe(partial_trace(rho, [k]).entries)
+    rotations, groups = zip(*(decide.eigenframe(partial_trace(rho, [k]).entries)
                               for k in range(rho.n_parties)))
     return rotations, moved_columns(Preset().build(rho.dims), [g.tolist() for g in groups])
 
@@ -225,7 +225,7 @@ def test_a_stalled_projection_leaves_the_eigenframe(name):
 
 def _pair_mass(t, g):
     """The sum of |.|^2 over the local entries of A, laid out as
-    ``unitary._party_last`` of a two-party state, after G_k† A G_k."""
+    ``decide._party_last`` of a two-party state, after G_k† A G_k."""
     t = np.einsum("ji,ajbl,lk->aibk", g.conj(), t, g)
     r, d = t.shape[:2]
     local = np.ones(t.shape, dtype=bool)
@@ -243,10 +243,10 @@ def test_a_pair_rotation_leaves_the_least_local_mass(seed):
     rng = np.random.default_rng(seed)
     rho = states.random_density((3, 2), seed=seed)
     dims = rho.dims
-    t = unitary._party_last(rho.entries, dims, 0)
+    t = decide._party_last(rho.entries, dims, 0)
     local = coherence.class_masks(dims)[1]
-    apart = np.nonzero(~unitary._party_last(local, dims, 0)[:, 0, :, 1])
-    g = unitary._jacobi_rotation(t, apart, 0, 2)
+    apart = np.nonzero(~decide._party_last(local, dims, 0)[:, 0, :, 1])
+    g = decide._jacobi_rotation(t, apart, 0, 2)
     assert np.abs(g.conj().T @ g - np.eye(3)).max() <= 1e-15
     best = _pair_mass(t, g)
     assert best < _pair_mass(t, np.eye(3))
