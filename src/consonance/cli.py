@@ -321,18 +321,14 @@ def _claim_output(path):
 
 
 def _opt_config_from(args) -> optimizer.OptimizerConfig:
-    """The search config of the flags; a --warm-start circuit is checked
-    by the search, against its own circuit."""
-    kwargs = dict(preset=unitary.Preset(kind=args.preset, depth=args.depth),
-                  seed=args.seed)
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.max_evals is not None:
-        kwargs["max_evals"] = args.max_evals
-    # --warm-start exists on optimize only
-    if getattr(args, "warm_start", None):
-        kwargs["warm_starts"] = (unitary.load_circuit(args.warm_start),)
-    return optimizer.OptimizerConfig(**kwargs)
+    """The search config of the flags, whose defaults are the config's own;
+    a --warm-start circuit is checked by the search, against its own
+    circuit."""
+    warm = getattr(args, "warm_start", None)    # --warm-start exists on optimize only
+    return optimizer.OptimizerConfig(
+        preset=unitary.Preset(kind=args.preset, depth=args.depth), restarts=args.restarts,
+        seed=args.seed, max_evals=args.max_evals,
+        warm_starts=(unitary.load_circuit(warm),) if warm else ())
 
 
 def cmd_measure(args) -> int:
@@ -446,13 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_opt_flags(p, with_warm=False):
-        default = unitary.Preset()
-        p.add_argument("--preset", choices=default.KINDS, default=default.kind)
-        p.add_argument("--depth", type=int, default=default.depth,
+        default = optimizer.OptimizerConfig()
+        p.add_argument("--preset", choices=default.preset.KINDS, default=default.preset.kind)
+        p.add_argument("--depth", type=int, default=default.preset.depth,
                        help="layer budget for the nonglobal preset")
-        p.add_argument("--restarts", type=int, default=None)
-        p.add_argument("--max-evals", type=int, default=None, dest="max_evals")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--restarts", type=int, default=default.restarts)
+        p.add_argument("--max-evals", type=int, default=default.max_evals, dest="max_evals")
+        p.add_argument("--seed", type=int, default=default.seed)
         if with_warm:
             p.add_argument("--warm-start", metavar="CIRCUIT_JSON", default=None,
                            help="circuit file whose parameters seed one restart")
@@ -511,10 +507,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

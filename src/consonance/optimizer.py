@@ -54,14 +54,15 @@ operation, including where its ``maxfev`` budget cuts the search, so its
 points and result equal scipy's bit for bit.
 
 Every frame is evaluated in two steps, and this module does no linear
-algebra of its own.  ``_conjugated`` is the one chunk loop: it yields rho
-conjugated by the frames, U rho U† from ``unitary.conjugate``, in stacks
-of at most ``ORACLE_CHUNK`` frames.  Each caller then reduces the stacks
-itself.  The search gives every row to ``coherence.class_sums`` for S
-and L (``_frame_sums``).  The brute-force oracle wants only the rows with
-L <= EPS_L, so it first runs ``coherence.local_screen``, a float64
-estimate of L that keeps every such row, and sums only the survivors
-with ``class_sums``; only ``class_sums`` reports a class sum.
+algebra of its own.  rho is conjugated by the frames, U rho U† from
+``unitary.conjugate``, in stacks of at most ``ORACLE_CHUNK`` frames, and
+each caller reduces the stacks itself.  The search gives every row to
+``coherence.class_sums`` for S and L (``_frame_sums``).  The brute-force
+oracle draws its frames one chunk at a time, so its memory does not grow
+with its sample count.  It wants only the rows with L <= EPS_L, so it
+first runs ``coherence.local_screen``, a float64 estimate of L that keeps
+every such row, and sums only the survivors with ``class_sums``; only
+``class_sums`` reports a class sum.
 
 The replay runs the winning circuit on rho through the public
 ``unitary.apply``, whose density branch is one row of the same
@@ -84,12 +85,12 @@ from typing import ClassVar
 import numpy as np
 
 from . import coherence, unitary
-from .qstate import DensityMatrix, as_density, assert_valid, check_integer, check_seed
+from .qstate import DensityMatrix, as_density, assert_valid, check_integer, check_seed, philox
 from .unitary import Preset
 
 EPS_L = 1e-6
 PENALTY_MUS = (10.0, 100.0, 1000.0, 10000.0)    # mu = 10 * 10^k, at most four stages
-ORACLE_CHUNK = 1024    # frames per unitary.conjugate call; bounds peak memory
+ORACLE_CHUNK = 1024    # frames per unitary.conjugate call, and per oracle draw; bounds peak memory
 _S_AND_L = (coherence.CoherenceClass.NONLOCAL, coherence.CoherenceClass.LOCAL)
 
 
@@ -176,20 +177,15 @@ class ConsonanceReport:
         return sum(r.evals for r in self.per_restart)
 
 
-def _conjugated(frames: unitary.FrameBuilder, rho: DensityMatrix, thetas: np.ndarray):
-    """rho conjugated by the frames at a stack of parameter vectors
-    (B, n_theta), yielded as stacks of at most ``ORACLE_CHUNK`` frames."""
-    for start in range(0, len(thetas), ORACLE_CHUNK):
-        yield unitary.conjugate(frames, rho.entries, thetas[start:start + ORACLE_CHUNK])
-
-
 def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix,
                 thetas: np.ndarray) -> tuple[list[float], list[float]]:
     """S and L lists of rho conjugated by the frames at a stack of
-    parameter vectors (B, n_theta)."""
+    parameter vectors (B, n_theta), in stacks of at most ``ORACLE_CHUNK``
+    frames."""
     s: list[float] = []
     l: list[float] = []
-    for rotated in _conjugated(frames, rho, thetas):
+    for start in range(0, len(thetas), ORACLE_CHUNK):
+        rotated = unitary.conjugate(frames, rho.entries, thetas[start:start + ORACLE_CHUNK])
         chunk_s, chunk_l = coherence.class_sums(rotated, rho.dims, _S_AND_L)
         s += chunk_s
         l += chunk_l
@@ -332,9 +328,8 @@ def _start_points(config: OptimizerConfig, frame: unitary.SearchFrame):
     if not len(moved):
         return
     for j in range(1, config.restarts):
-        stream = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
         theta0 = np.zeros(n_theta)
-        theta0[moved] = stream.uniform(-math.pi, math.pi, size=n_theta)[moved]
+        theta0[moved] = philox(config.seed, j).uniform(-math.pi, math.pi, size=n_theta)[moved]
         yield "random", theta0
 
 
@@ -411,8 +406,9 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     Draws ``samples`` parameter vectors (the first is theta = 0) from a
     single Philox stream and keeps the minimum S among those with
     L <= ``EPS_L``, the search's feasibility tolerance, read at call time.
-    All frames are drawn at once, which gives the same numbers as drawing
-    them one by one, and evaluated in chunks of ``ORACLE_CHUNK``.  Only the
+    The frames are drawn and evaluated in chunks of ``ORACLE_CHUNK``, so
+    memory does not grow with ``samples``; chunked draws from one stream
+    give the same numbers as one draw of them all.  Only the
     frames that pass ``coherence.local_screen`` are summed exactly; the
     screen keeps every frame with L <= EPS_L, so the result is the same
     as summing them all.  Crude by design; used to confirm the optimizer
@@ -421,17 +417,18 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     samples = check_integer(samples, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    seed = check_seed(seed)
+    rng = philox(seed)    # checks the seed before any frame is built
     preset = Preset() if preset is None else preset
     _check_preset(preset)
     rho = assert_valid(as_density(rho))
     frames = unitary.FrameBuilder(preset.build(rho.dims), rho.dims)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    thetas = np.zeros((samples, frames.n_theta))
-    thetas[1:] = rng.uniform(-math.pi, math.pi, size=(samples - 1, frames.n_theta))
     best = math.inf
     feasible = 0
-    for rotated in _conjugated(frames, rho, thetas):
+    for start in range(0, samples, ORACLE_CHUNK):
+        first = int(start == 0)    # the first sample stays at theta = 0 and draws nothing
+        thetas = np.zeros((min(ORACLE_CHUNK, samples - start), frames.n_theta))
+        thetas[first:] = rng.uniform(-math.pi, math.pi, size=(len(thetas) - first, frames.n_theta))
+        rotated = unitary.conjugate(frames, rho.entries, thetas)
         screened = rotated[coherence.local_screen(rotated, rho.dims, EPS_L)]
         s, l = map(np.array, coherence.class_sums(screened, rho.dims, _S_AND_L))
         ok = l <= EPS_L

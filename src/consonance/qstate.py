@@ -135,6 +135,14 @@ def check_seed(seed) -> int:
     return seed
 
 
+def philox(seed, jump: int = 0) -> np.random.Generator:
+    """The package's one random stream: Philox keyed by the checked seed,
+    advanced by ``jump`` jumps.  ``jumped(0)`` would give the same stream
+    at twice the cost, so a stream with no jump is not jumped."""
+    bits = np.random.Philox(key=check_seed(seed))
+    return np.random.Generator(bits.jumped(jump) if jump else bits)
+
+
 def check_dims(dims) -> tuple[int, ...]:
     """``dims`` as a tuple of ints; rejects non-integers and degenerate
     factors."""
@@ -159,13 +167,15 @@ def json_float(x, what: str, error: type = ValidationError) -> float:
         raise error(f"{what} is too large for a float") from None
 
 
-def frozen_complex(data, shape, what: str) -> np.ndarray:
-    """A read-only complex copy of ``data``, checked for shape and finiteness."""
-    arr = np.array(data, dtype=np.complex128)
+def frozen_array(data, shape, what: str, dtype=np.complex128,
+                 error: type = ValidationError) -> np.ndarray:
+    """A read-only copy of ``data`` as ``dtype``, checked for shape
+    (ValueError) and finiteness (``error``)."""
+    arr = np.array(data, dtype=dtype)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{what} contains non-finite entries")
+        raise error(f"{what} contains non-finite entries")
     arr.setflags(write=False)
     return arr
 
@@ -179,7 +189,7 @@ class _State:
         """Check ``dims`` and the array's shape and finiteness; store both,
         the array as a read-only copy."""
         dims = check_dims(self.dims)
-        data = frozen_complex(self.data, (math.prod(dims),) * axes, what)
+        data = frozen_array(self.data, (math.prod(dims),) * axes, what)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, self._FIELD, data)
 

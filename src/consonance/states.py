@@ -17,8 +17,8 @@ import numpy as np
 
 from . import measures
 from .qstate import (TOL_RELABEL, DensityMatrix, PureState, ValidationError, assert_valid,
-                     check_dims, check_integer, check_normalized, check_seed, check_state,
-                     check_unit_interval, check_unitary, density_from_pure, frozen_complex)
+                     check_dims, check_integer, check_normalized, check_state,
+                     check_unit_interval, check_unitary, density_from_pure, frozen_array, philox)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -30,12 +30,15 @@ class FactorySpecError(ValueError):
 # --- two-qubit families --------------------------------------------------
 
 
-_BELL_AMPS = {
-    "phi+": ([0, 3], [1, 1]),
-    "phi-": ([0, 3], [1, -1]),
-    "psi+": ([1, 2], [1, 1]),
-    "psi-": ([1, 2], [1, -1]),
-}
+def _two_qubit(i: int, j: int, a, b) -> PureState:
+    """a|i> + b|j> over two qubits, i and j flat basis indices."""
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[i], amps[j] = a, b
+    return PureState((2, 2), amps)
+
+
+# kind: the two basis indices and the sign of the second amplitude
+_BELL_AMPS = {"phi+": (0, 3, 1), "phi-": (0, 3, -1), "psi+": (1, 2, 1), "psi-": (1, 2, -1)}
 
 
 def bell(kind: str = "phi+") -> PureState:
@@ -44,11 +47,8 @@ def bell(kind: str = "phi+") -> PureState:
     if kind not in _BELL_AMPS:
         raise ValidationError(f"unknown Bell state {kind!r}; "
                               f"choose from {sorted(_BELL_AMPS)}")
-    positions, signs = _BELL_AMPS[kind]
-    amps = np.zeros(4, dtype=np.complex128)
-    for pos, sign in zip(positions, signs):
-        amps[pos] = sign / _SQRT2
-    return PureState((2, 2), amps)
+    i, j, sign = _BELL_AMPS[kind]
+    return _two_qubit(i, j, 1 / _SQRT2, sign / _SQRT2)
 
 
 def _pair_amps(a=None, b=None, a2=None) -> tuple[complex, complex]:
@@ -70,18 +70,12 @@ def _pair_amps(a=None, b=None, a2=None) -> tuple[complex, complex]:
 
 def bell_like(a=None, b=None, a2=None) -> PureState:
     """a|00> + b|11>; accepts a2 = |a|^2, and b defaults to sqrt(1 - |a|^2)."""
-    a, b = _pair_amps(a, b, a2)
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0], amps[3] = a, b
-    return PureState((2, 2), amps)
+    return _two_qubit(0, 3, *_pair_amps(a, b, a2))
 
 
 def psi_like(a=None, b=None, a2=None) -> PureState:
     """a|01> + b|10>; accepts a2 = |a|^2, and b defaults to sqrt(1 - |a|^2)."""
-    a, b = _pair_amps(a, b, a2)
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[1], amps[2] = a, b
-    return PureState((2, 2), amps)
+    return _two_qubit(1, 2, *_pair_amps(a, b, a2))
 
 
 def pure_2x2(a, b, c, d) -> PureState:
@@ -232,7 +226,7 @@ class TpsRelabeling:
             raise ValueError(f"source dims {src} and target dims {tgt} have "
                              f"different total dimension")
         d = math.prod(src)
-        m = frozen_complex(self.matrix, (d, d), "relabeling matrix")
+        m = frozen_array(self.matrix, (d, d), "relabeling matrix")
         check_unitary(m, TOL_RELABEL, "relabeling matrix")
         object.__setattr__(self, "source_dims", src)
         object.__setattr__(self, "target_dims", tgt)
@@ -296,14 +290,10 @@ def tps_remap(rho: DensityMatrix, relabeling: TpsRelabeling) -> DensityMatrix:
 # --- random states -------------------------------------------------------
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=check_seed(seed)))
-
-
 def random_pure(dims, seed: int) -> PureState:
     dims = check_dims(dims)
     d = math.prod(dims)
-    rng = _rng(seed)
+    rng = philox(seed)
     z = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(dims, z / np.linalg.norm(z))
 
@@ -315,7 +305,7 @@ def random_density(dims, seed: int, rank: int | None = None) -> DensityMatrix:
     rank = d if rank is None else check_integer(rank, "rank")
     if not 1 <= rank <= d:
         raise ValueError(f"rank must be in 1..{d}, got {rank}")
-    rng = _rng(seed)
+    rng = philox(seed)
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     q, _ = np.linalg.qr(g)
     weights = rng.uniform(size=rank)

@@ -50,7 +50,8 @@ import scipy.linalg
 
 from .decide import single_party
 from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims, check_integer, check_state,
-                     check_unitary, errors_at, in_local_frame, json_float, json_text, read_json)
+                     check_unitary, errors_at, frozen_array, in_local_frame, json_float, json_text,
+                     read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -134,13 +135,7 @@ class UnitaryParams:
 
     def __post_init__(self):
         dim = check_integer(self.dim, "dimension")
-        size = n_params(dim)
-        theta = np.array(self.theta, dtype=np.float64)
-        if theta.shape != (size,):
-            raise ValueError(f"theta must have shape ({size},), got {theta.shape}")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta contains non-finite entries")
-        theta.setflags(write=False)
+        theta = frozen_array(self.theta, (n_params(dim),), "theta", np.float64, ValueError)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "theta", theta)
 
@@ -156,7 +151,7 @@ def build_unitary(params: UnitaryParams) -> np.ndarray:
 
 
 def params_for_unitary(u) -> UnitaryParams:
-    """Invert the chart: find theta with build_unitary(theta) ~ u.
+    """Invert the chart: find theta whose :func:`build_unitary` is ~ u.
 
     Uses the principal matrix logarithm, so it is defined for every
     unitary; branch choices make the round trip exact only up to the
@@ -334,7 +329,9 @@ class Preset:
     is ``depth`` layers on the first ``depth`` entries of
     :func:`default_supports`, cycling through the pool again if ``depth``
     exceeds its length.  ``depth`` is checked for both kinds but read only
-    by ``nonglobal``.
+    by ``nonglobal``.  So ``nonglobal`` at depth 3 on four or more parties
+    never touches party 3 or any later one: its supports are (0,), (0, 1)
+    and (0, 2).
 
     :meth:`search_frame` decides, for one state, the frame a search runs
     in and the theta columns it moves there.  Each kind states its columns
@@ -466,19 +463,16 @@ class SearchFrame:
         ValueError, naming both layer lists, unless ``circuit`` has the
         template's layers by support and dimension."""
         _check_layers(circuit, self.template, "a warm start must have the search's layers")
-        layers, below = [], None
-        for layer, gone in zip(_times(circuit, self.rotations).layers, self.absorbed):
-            if below is not None:
-                inside = CircuitLayer(tuple(map(layer.support.index, below.support)),
-                                      below.params)
-                lifted = circuit_unitary(LocalCircuit((inside,)),
-                                         [self.dims[p] for p in layer.support])
-                product = build_unitary(layer.params) @ lifted
-                layer = CircuitLayer(layer.support, params_for_unitary(product))
-            below = layer if gone and layer.params.theta.any() else None
-            if not gone:
-                layers.append(layer)
-        return LocalCircuit(tuple(layers), preset=circuit.preset)
+        factors = list(self.rotations)    # a lift replaces no V_k: no preset has both
+        for k, (below, gone) in enumerate(zip(circuit.layers, self.absorbed)):
+            if gone and below.params.theta.any():
+                support = circuit.layers[k + 1].support
+                inside = CircuitLayer(tuple(map(support.index, below.support)), below.params)
+                factors[k + 1] = circuit_unitary(LocalCircuit((inside,)),
+                                                 [self.dims[p] for p in support])
+        layers = _times(circuit, factors).layers
+        return LocalCircuit(tuple(layer for layer, gone in zip(layers, self.absorbed) if not gone),
+                            preset=circuit.preset)
 
     def to_state(self, circuit: LocalCircuit) -> LocalCircuit:
         """A circuit W the search found as the circuit on rho: U = W V†,
@@ -512,7 +506,9 @@ def _check_layers(circuit, want: LocalCircuit, rule: str) -> None:
 
 def _times(circuit: LocalCircuit, mats) -> LocalCircuit:
     """``circuit`` with each layer's unitary multiplied from the right by
-    its entry of ``mats``; a layer whose entry is None is kept as it is."""
+    its entry of ``mats``; a layer whose entry is None is kept as it is.
+    The one place a layer is re-charted: a search frame moves circuits
+    both ways through it."""
     layers = tuple(
         layer if m is None else CircuitLayer(
             layer.support, params_for_unitary(build_unitary(layer.params) @ m))

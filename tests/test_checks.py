@@ -326,6 +326,8 @@ INPUT_CHECKS = {
                                  "^no closed-form consonance for family 'w'$"),
     "UnitaryParams-shape": (lambda: unitary.UnitaryParams(2, np.zeros(3)), ValueError,
                             r"^theta must have shape \(4,\), got \(3,\)$"),
+    "UnitaryParams-non_finite": (lambda: unitary.UnitaryParams(2, [0.0, np.nan, 0.0, 0.0]),
+                                 ValueError, "^theta contains non-finite entries$"),
     "params_for_unitary-not_square": (lambda: unitary.params_for_unitary(np.eye(2, 3)),
                                       ValueError, r"^expected a square matrix, got \(2, 3\)$"),
     "CircuitLayer-negative_party": (

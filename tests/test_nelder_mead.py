@@ -70,6 +70,13 @@ def _plateaus(x):
     return float(np.round(np.sum(x * x) * 2))
 
 
+def _noisy(x):
+    # a hash-like landscape: from (0.3, -0.2) an outside contraction that
+    # loses to its reflection turns into a shrink, 3 times in 60 evaluations
+    v = math.sin(x @ np.array([12.9898, 78.233])) * 43758.5453
+    return float(v - math.floor(v))
+
+
 @pytest.mark.parametrize("n,adaptive", [(4, False), (12, True), (12, False)])
 def test_converges_by_tolerance_like_scipy(n, adaptive):
     maxfev = 50_000
@@ -112,7 +119,8 @@ def test_budget_cuts_a_shrink(maxfev, sizes):
 
 @pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("f,x0", [(_plateaus, np.linspace(-2, 2, 11)),
-                                  (_quadratic(11, seed=3), np.zeros(11))])
+                                  (_quadratic(11, seed=3), np.zeros(11)),
+                                  (_noisy, np.array([0.3, -0.2]))])
 def test_every_budget_matches_scipy(f, x0, adaptive):
     for maxfev in range(1, 160):
         _same_as_scipy(f, x0, maxfev, adaptive=adaptive)

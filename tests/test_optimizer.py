@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from consonance import optimizer, states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
-from consonance.optimizer import (EPS_L, PENALTY_MUS, ConsonanceReport,
+from consonance.optimizer import (EPS_L, ORACLE_CHUNK, PENALTY_MUS, ConsonanceReport,
                                   OptimizerConfig, Preset, config_to_json,
                                   consonance, oracle_consonance, report_to_json)
 from consonance.qstate import DensityMatrix, as_density, density_from_pure
@@ -404,6 +405,22 @@ def test_oracle_is_deterministic():
     a = oracle_consonance(rho, samples=500, seed=4)
     b = oracle_consonance(rho, samples=500, seed=4)
     assert a == b
+
+
+def test_oracle_memory_does_not_grow_with_samples():
+    # the frames are drawn and evaluated one ORACLE_CHUNK at a time
+    rho, preset = as_density(states.ghz(3)), unitary.Preset(NONGLOBAL, 3)
+    oracle_consonance(rho, preset, samples=2, seed=1)    # fills the plan caches
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            oracle_consonance(rho, preset, samples=samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16 * ORACLE_CHUNK) - peak(2 * ORACLE_CHUNK) <= 2 ** 20
 
 
 # --- serialization -------------------------------------------------------

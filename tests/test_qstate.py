@@ -49,6 +49,15 @@ def test_integer_inputs_reject_non_integers(fn, args):
         fn(*args)
 
 
+def test_philox_is_the_keyed_stream_jumped_as_asked():
+    key = 2 ** 100 + 3
+    for jump in (0, 1, 3):
+        want = np.random.Generator(np.random.Philox(key=key).jumped(jump))
+        assert np.array_equal(qstate.philox(key, jump).random(5), want.random(5))
+    with pytest.raises(ValueError, match="seed"):
+        qstate.philox(-1)
+
+
 def test_dims_store_numpy_integers_as_int():
     dims = qstate.check_dims(np.array([2, 3]))
     assert dims == (2, 3) and all(type(d) is int for d in dims)
