@@ -26,11 +26,14 @@ set to 0.  A warm start is a circuit on rho, such as a circuit file or
 an earlier report's circuit: ``SearchFrame.to_search`` checks its layers
 and moves it into the search's circuit and frame before any frame is
 evaluated, and the search keeps its unmoved columns as they are.
-Where no column moves, each identity or warm start is evaluated once and
-there are no random restarts, which would repeat the identity.  Under
-``single_party`` that is where ``decide.single_party`` settles the frame;
-its module docstring gives the chain of deciders and where each one
-leaves the search to run.
+Where no column moves, which under ``single_party`` is where
+``decide.single_party`` settles the frame (its module docstring gives
+the chain of deciders and where each one leaves the search to run), no
+search runs: there are no random restarts, which would repeat the
+identity, and no Nelder-Mead.  The identity's record is ``class_sums``
+of the searched state V† rho V as it is, with no frame built, since the
+chart at theta = 0 is exactly the identity; the warm starts, if any, are
+evaluated once each in one stack.
 ``consonance()`` then takes three steps: it steps every restart to its
 end, ranks the restarts with one key (feasible ones first, by S, then L,
 then index; the rest by L, then S, then index) and replays the circuit
@@ -112,12 +115,13 @@ class OptimizerConfig:
     Nelder-Mead runs over the columns that ``Preset.search_frame`` moves
     for the state, and is adaptive from 10 of them up.  Where no column
     moves (``single_party`` where ``decide.single_party`` settles the
-    frame), ``restarts`` and ``max_evals`` go unused: each identity or
-    warm start is evaluated once.  ``eps_l`` reads the fixed feasibility
-    tolerance ``EPS_L``.  ``warm_starts`` holds ``unitary.LocalCircuit``
-    values on the input state; ``SearchFrame.to_search`` checks each one's
-    layers and moves it into the search's frame, and the search keeps its
-    unmoved columns as they are.
+    frame), no search runs and ``restarts`` and ``max_evals`` go unused:
+    the identity and each warm start are evaluated once.  ``eps_l`` reads
+    the fixed feasibility tolerance ``EPS_L``.  ``warm_starts`` holds
+    ``unitary.LocalCircuit`` values on the input state;
+    ``SearchFrame.to_search`` checks each one's layers and moves it into
+    the search's frame, and the search keeps its unmoved columns as they
+    are.
     """
 
     preset: Preset = field(default_factory=Preset)
@@ -286,15 +290,12 @@ def _search_one(x0: np.ndarray, config: OptimizerConfig):
     """One restart over the moved columns ``x0``: the penalty stages, each
     followed by a look at its end frame, until one ends with L <= eps_L,
     which ends the restart there; if none does, the polish and a last look
-    at its frame.  With no moved column, one look alone.  Yields stacks of
-    moved columns, receives their (S, L) arrays, and returns (x, S, L) at
-    the end.
+    at its frame.  ``x0`` holds at least one column: ``consonance()``
+    runs no search where none moves.  Yields stacks of moved columns,
+    receives their (S, L) arrays, and returns (x, (S, L)) at the end.
 
     A stage minimizer with L = 0 minimizes every later stage too: L >= 0,
     so S + mu' L >= S + mu L for mu' > mu, with equality where L = 0."""
-    if not len(x0):
-        s, l = yield x0[None]
-        return x0, float(s[0]), float(l[0])
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
     adaptive = len(x0) >= 10
     x = np.asarray(x0, dtype=np.float64)
@@ -305,12 +306,12 @@ def _search_one(x0: np.ndarray, config: OptimizerConfig):
         x = sim[0]
         s, l = yield x[None]
         if l[0] <= EPS_L:
-            return x, float(s[0]), float(l[0])
+            return x, (float(s[0]), float(l[0]))
     sim, _ = yield from _nelder_mead(lambda sl: sl[1], x, budget, 1e-10, 1e-14,
                                      adaptive)
     x = sim[0]
     s, l = yield x[None]
-    return x, float(s[0]), float(l[0])
+    return x, (float(s[0]), float(l[0]))
 
 
 def _start_points(config: OptimizerConfig, frame: unitary.SearchFrame):
@@ -356,14 +357,20 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     rho = assert_valid(as_density(rho))
     frame = config.preset.search_frame(rho)
     template = frame.circuit
-    frames = unitary.FrameBuilder(template, rho.dims)
     moved, searched = frame.moved, frame.state(rho)
     kinds, thetas0 = zip(*_start_points(config, frame))
     thetas0 = np.array(thetas0)
-    searches = [_search_one(theta0[moved], config) for theta0 in thetas0]
-    live = {i: next(search) for i, search in enumerate(searches)}   # index: its points
-    evals = [0] * len(kinds)
-    ends = [None] * len(kinds)
+    if len(moved):
+        frames = unitary.FrameBuilder.of(template, rho.dims)
+        searches = [_search_one(theta0[moved], config) for theta0 in thetas0]
+        live = {i: next(search) for i, search in enumerate(searches)}   # index: its points
+        evals, ends = [0] * len(kinds), [None] * len(kinds)
+    else:    # decided: the identity start is V† rho V as it is; warm starts are one stack
+        s, l = coherence.class_sums(searched.entries, rho.dims, _S_AND_L)
+        if len(thetas0) > 1:
+            warm = _frame_sums(unitary.FrameBuilder.of(template, rho.dims), searched, thetas0[1:])
+            s, l = s + warm[0], l + warm[1]
+        live, evals, ends = {}, [1] * len(s), list(zip(s, l))
     while live:
         owners = [i for i, points in live.items() for _ in range(len(points))]
         thetas = thetas0.take(owners, axis=0)
@@ -377,16 +384,14 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
                 live[i] = searches[i].send((s[row:row + n], l[row:row + n]))
             except StopIteration as stop:
                 del live[i]
-                ends[i] = stop.value
+                thetas0[i, moved], ends[i] = stop.value    # the row now holds its end point
             row += n
 
     records = [RestartRecord(i, kind, value, l_res, evals[i])
-               for i, (kind, (_, value, l_res)) in enumerate(zip(kinds, ends))]
+               for i, (kind, (value, l_res)) in enumerate(zip(kinds, ends))]
     best = min(records, key=_rank)
 
-    theta = thetas0[best.index].copy()
-    theta[moved] = ends[best.index][0]
-    circuit = frame.to_state(unitary.with_theta(template, theta))
+    circuit = frame.to_state(unitary.with_theta(template, thetas0[best.index]))
     rotated = unitary.apply(circuit, rho)
     (value,), (l_res,) = coherence.class_sums(rotated.entries, rho.dims, _S_AND_L)
     return ConsonanceReport(value, l_res, circuit, tuple(records))
@@ -421,7 +426,7 @@ def oracle_consonance(rho: DensityMatrix, preset: Preset | None = None,
     preset = Preset() if preset is None else preset
     _check_preset(preset)
     rho = assert_valid(as_density(rho))
-    frames = unitary.FrameBuilder(preset.build(rho.dims), rho.dims)
+    frames = unitary.FrameBuilder.of(preset.build(rho.dims), rho.dims)
     best = math.inf
     feasible = 0
     for start in range(0, samples, ORACLE_CHUNK):

@@ -25,13 +25,17 @@ penalty search, the brute-force oracle and the replay all go through
 both: the density branch of :func:`apply` is the one-row case of
 :func:`conjugate`, so a report's value and its search record are the same
 arithmetic.  The frame builder works from index plans laid out once per
-circuit shape.  Its chart reads theta in place:
+circuit shape, and the search, the oracle and :func:`apply` share one
+builder per shape and dims (:meth:`FrameBuilder.of`), as they share a
+preset's circuit per dims (:meth:`Preset.build`); every array in either
+is read only.  Its chart reads theta in place:
 ``off = re + 1j * im`` over every layer's upper triangle, and one gather
 from the source row [theta | off | conj(off)] builds every layer's H,
 with the layers in circuit order, each at its own theta offset.  Each run
 of adjacent layers of one dimension runs one batched eigh and exp, and a
 gather lifts every layer unitary to the full space.
-:func:`build_unitary` is the chart for one layer and one row.  The
+:func:`build_unitary` is the chart for one layer and one row, which at
+theta = 0 is exactly the identity, returned as it is.  The
 scalar reference that every row matches with == (chart, exp and a
 kron-and-transpose embed, one frame at a time) lives in the tests.
 """
@@ -76,6 +80,13 @@ class _ChartLayout(NamedTuple):
 
 
 @lru_cache(maxsize=None)
+def _upper(d: int) -> tuple[np.ndarray, ...]:
+    """The row and column indices of the strict upper triangle of a d x d
+    matrix, in row-major order; cached per d, and read only."""
+    return tuple(frozen_array(i, i.shape, "upper triangle", np.intp) for i in np.triu_indices(d, 1))
+
+
+@lru_cache(maxsize=None)
 def _chart_layout(layer_dims: tuple[int, ...]) -> _ChartLayout:
     """The chart of layers of the given dimensions, in circuit order."""
     n_theta = sum(d * d for d in layer_dims)
@@ -87,15 +98,13 @@ def _chart_layout(layer_dims: tuple[int, ...]) -> _ChartLayout:
         src = np.concatenate((o + np.arange(d),
                               n_theta + len(re) + np.arange(m),
                               n_theta + n_off + len(re) + np.arange(m)))
-        iu = np.triu_indices(d, k=1)
+        iu = _upper(d)
         h = np.diag(src[:d])
         h[iu] = src[d:d + m]
         h[iu[::-1]] = src[d + m:]
         plan += h.ravel().tolist()
         re += range(o + d, o + d * d, 2)
-    re, plan = (np.array(x, dtype=np.intp) for x in (re, plan))
-    for arr in (re, plan):
-        arr.setflags(write=False)
+    re, plan = (frozen_array(x, (len(x),), "chart plan", np.intp) for x in (re, plan))
     groups, lo = [], 0
     for d, run in itertools.groupby(layer_dims):
         k = len(list(run))
@@ -145,8 +154,12 @@ class UnitaryParams:
 
 
 def build_unitary(params: UnitaryParams) -> np.ndarray:
-    """exp(iH(theta)): the frame builder's chart for one layer and one row."""
+    """exp(iH(theta)): the frame builder's chart for one layer and one row.
+    At theta = 0, -0.0 entries included, that chart is exactly the
+    identity, which is returned without running it."""
     dim = params.dim
+    if not params.theta.any():
+        return np.eye(dim, dtype=np.complex128)
     return _layer_stack(_chart_layout((dim,)), params.theta[None])[0, :-1].reshape(dim, dim)
 
 
@@ -167,12 +180,8 @@ def params_for_unitary(u) -> UnitaryParams:
     t, z = scipy.linalg.schur(u, output="complex")
     h = (z * np.angle(np.diag(t))) @ z.conj().T
     h = (h + h.conj().T) / 2.0
-    theta = np.empty(d * d)
-    theta[:d] = np.diag(h).real
-    iu = np.triu_indices(d, k=1)
-    theta[d::2] = h[iu].real
-    theta[d + 1::2] = h[iu].imag
-    return UnitaryParams(d, theta)
+    # the diagonal, then the upper triangle's (re, im) pairs
+    return UnitaryParams(d, np.concatenate((np.diag(h).real, h[_upper(d)].view(np.float64))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,11 +228,11 @@ def _check_layer(layer: CircuitLayer, dims: tuple[int, ...]) -> None:
                          f"{d_need}-dimensional unitary, got {layer.params.dim}")
 
 
-@lru_cache(maxsize=None)
 def _embed_index(support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
     """Where each entry of u (x) identity, lifted to the full space and
-    read row-major, sits in u.ravel(); -1 where the entry is 0.  Cached
-    per support and dims, and read only.
+    read row-major, sits in u.ravel(); -1 where the entry is 0.  Run once
+    per layer of each circuit shape, as :meth:`FrameBuilder.of` builds
+    each shape's builder once.
 
     The kron-and-transpose of the lift, run once on an array of positions.
     """
@@ -236,20 +245,19 @@ def _embed_index(support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
     d_rest = math.prod(dims[p] for p in rest)
     marks = np.kron(np.arange(1, dim * dim + 1).reshape(dim, dim),
                     np.eye(d_rest, dtype=np.intp))
-    index = marks.reshape(shape + shape).transpose(perm + [n + q for q in perm]).ravel() - 1
-    index.setflags(write=False)
-    return index
+    return marks.reshape(shape + shape).transpose(perm + [n + q for q in perm]).ravel() - 1
 
 
 class FrameBuilder:
     """The unitaries of one circuit shape at a stack of parameter vectors.
 
-    Built once per circuit and dims, which validates every layer and lays
-    out the plans; ``unitaries(thetas)`` maps thetas (B, n_theta) to the
-    circuit unitaries (B, D, D).  The chart pass (:func:`_layer_stack`)
-    reads H from [theta | off | conj(off)] and leaves the layer unitaries
-    in one stack in circuit order, each at its layer's theta offset, whose
-    last column is 0.  One gather through the layers' :func:`_embed_index`
+    Built for one circuit shape and dims, which validates every layer and
+    lays out the plans; :meth:`of` shares one builder per shape and dims.
+    ``unitaries(thetas)`` maps thetas (B, n_theta) to the circuit unitaries
+    (B, D, D).  The chart pass (:func:`_layer_stack`) reads H from
+    [theta | off | conj(off)] and leaves the layer unitaries in one stack
+    in circuit order, each at its layer's theta offset, whose last column
+    is 0.  One gather through the layers' :func:`_embed_index`
     plans, each pointed at its layer's theta offset, lifts them all to the
     full space.  The first layer starts the chain; each later one
     multiplies it from the left.
@@ -270,6 +278,14 @@ class FrameBuilder:
         self._embed = np.array(index, dtype=np.intp).reshape(-1, self.d, self.d)
         self._embed.setflags(write=False)
 
+    @classmethod
+    def of(cls, circuit: LocalCircuit, dims) -> FrameBuilder:
+        """The builder of ``circuit``'s shape on ``dims``, shared: it is built,
+        which checks every layer, once per (layer supports, layer dims, dims),
+        so a shape whose check fails is built, and raises, on every call."""
+        shape = tuple((layer.support, layer.params.dim) for layer in circuit.layers)
+        return _shared_builder(shape, check_dims(dims))
+
     def unitaries(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
         if thetas.ndim != 2 or thetas.shape[1] != self.n_theta:
@@ -284,10 +300,17 @@ class FrameBuilder:
         return total
 
 
+@lru_cache(maxsize=None)
+def _shared_builder(shape: tuple, dims: tuple[int, ...]) -> FrameBuilder:
+    """The frame builder of layers of the given (support, dimension) on
+    ``dims``, from :meth:`FrameBuilder.of`."""
+    layers = (CircuitLayer(support, UnitaryParams.identity(dim)) for support, dim in shape)
+    return FrameBuilder(LocalCircuit(tuple(layers)), dims)
+
+
 def circuit_unitary(circuit: LocalCircuit, dims) -> np.ndarray:
     """The circuit's unitary: the single-row case of :class:`FrameBuilder`."""
-    frames = FrameBuilder(circuit, dims)
-    return frames.unitaries(theta_vector(circuit)[None])[0]
+    return FrameBuilder.of(circuit, dims).unitaries(theta_vector(circuit)[None])[0]
 
 
 def conjugate(frames: FrameBuilder, entries, thetas) -> np.ndarray:
@@ -300,7 +323,7 @@ def conjugate(frames: FrameBuilder, entries, thetas) -> np.ndarray:
 def apply(circuit: LocalCircuit, state):
     """Conjugate a state by the circuit unitary (or rotate a pure vector):
     one row of :func:`conjugate`, the conjugation the search runs."""
-    frames = FrameBuilder(circuit, check_state(state).dims)
+    frames = FrameBuilder.of(circuit, check_state(state).dims)
     thetas = theta_vector(circuit)[None]
     if isinstance(state, PureState):
         return PureState(state.dims, frames.unitaries(thetas)[0] @ state.amps)
@@ -379,8 +402,12 @@ class Preset:
 
     def build(self, dims) -> LocalCircuit:
         """The preset's circuit on ``dims`` at theta = 0, tagged
-        ``single_party`` or ``nonglobal:depth=N``."""
-        dims = check_dims(dims)
+        ``single_party`` or ``nonglobal:depth=N``: built once per preset and
+        dims and shared, its parameters read only."""
+        return self._build(check_dims(dims))
+
+    @lru_cache(maxsize=None)
+    def _build(self, dims: tuple[int, ...]) -> LocalCircuit:
         layers = tuple(CircuitLayer(s, UnitaryParams.identity(math.prod(dims[p] for p in s)))
                        for s in self.supports(len(dims)))
         tag = self.kind if self.kind == SINGLE_PARTY else f"{NONGLOBAL}:depth={self.depth}"
@@ -414,6 +441,8 @@ def _moved_columns(masks) -> np.ndarray:
     found through the layers' chart, ascending.  So each layer's diagonal
     columns come first, then its pairs in row-major order.  Entries below
     the diagonal are not read."""
+    if not any(m.any() for m in masks):    # nothing marked, as in a decided frame
+        return np.zeros(0, dtype=np.intp)
     layout = _chart_layout(tuple(len(m) for m in masks))
     n_theta = len(layout.plan)
     marked = layout.plan[np.concatenate([np.triu(m).ravel() for m in masks])]
@@ -526,10 +555,13 @@ def theta_vector(circuit: LocalCircuit) -> np.ndarray:
 
 
 def with_theta(circuit: LocalCircuit, theta) -> LocalCircuit:
-    """The same circuit shape with all layer parameters replaced by ``theta``."""
+    """The same circuit shape with all layer parameters replaced by
+    ``theta``; ``circuit`` itself where ``theta`` has its bits already."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (circuit.n_theta,):
         raise ValueError(f"theta must have shape ({circuit.n_theta},), got {theta.shape}")
+    if theta.tobytes() == theta_vector(circuit).tobytes():
+        return circuit
     layers = []
     off = 0
     for layer in circuit.layers:

@@ -180,9 +180,8 @@ def test_frame_layout_is_cached_and_read_only():
     arrays = [a for a in first._chart if isinstance(a, np.ndarray)] + [first._embed]
     assert len(arrays) == 3
     assert not any(a.flags.writeable for a in arrays)
-    index = unitary._embed_index((0, 1), dims)
-    assert index is unitary._embed_index((0, 1), dims)
-    assert not index.flags.writeable
+    # the embed plan is laid out once per shape, in the builder every caller shares
+    assert FrameBuilder.of(template, dims) is FrameBuilder.of(template, list(dims))
 
 
 @pytest.mark.parametrize("layer_dims", [(2,), (3,), (2, 2), (4, 2), (2, 3, 6, 2, 6),

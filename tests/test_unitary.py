@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import consonance
-from consonance import optimizer, states
+from consonance import optimizer, states, unitary
+from consonance.coherence import CoherenceClass, class_sums
 from consonance.qstate import (DensityMatrix, assert_valid, density_from_pure,
                                hermitian_eigenvalues)
-from consonance.unitary import (NONGLOBAL, SINGLE_PARTY, CircuitLayer,
+from consonance.unitary import (NONGLOBAL, SINGLE_PARTY, CircuitLayer, FrameBuilder,
                                 LocalCircuit, Preset, UnitaryParams, apply,
                                 build_unitary, circuit_from_json,
-                                circuit_to_json, circuit_unitary,
+                                circuit_to_json, circuit_unitary, conjugate,
                                 default_supports, load_circuit, n_params,
                                 params_for_unitary, save_circuit,
                                 theta_vector, with_theta)
@@ -40,6 +41,55 @@ def test_zero_theta_is_identity():
     for d in (2, 3, 4):
         u = build_unitary(UnitaryParams.identity(d))
         assert np.allclose(u, np.eye(d), atol=1e-14)
+
+
+# --- theta = 0 is the exact identity ------------------------------------
+# build_unitary returns np.eye at theta = 0 without running the chart, and
+# a decided frame's identity record is class_sums of the bare matrix; both
+# rest on these pins, compared bit for bit, signs of zeros included
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def zero_thetas(dim):
+    """theta = 0 as +0.0 entries, as -0.0 entries (a JSON circuit can carry
+    them), and with the signs alternating."""
+    n = dim * dim
+    return [np.zeros(n), np.full(n, -0.0), np.where(np.arange(n) % 2, -0.0, 0.0)]
+
+
+ZERO_DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_the_full_chart_and_build_unitary_are_exactly_the_identity_at_theta_zero(dim):
+    eye = np.eye(dim, dtype=np.complex128)
+    for theta in zero_thetas(dim):
+        chart = unitary._layer_stack(unitary._chart_layout((dim,)), theta[None])
+        assert same_bits(chart[0, :-1].reshape(dim, dim), eye)
+        assert same_bits(build_unitary(UnitaryParams(dim, theta)), eye)
+
+
+@pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
+@pytest.mark.parametrize("dims", ZERO_DIMS, ids=str)
+def test_a_preset_frame_is_exactly_the_identity_at_theta_zero(dims, kind):
+    frames = FrameBuilder(Preset(kind).build(dims), dims)
+    zeros = np.zeros((1, frames.n_theta))
+    assert same_bits(frames.unitaries(zeros)[0], np.eye(math.prod(dims), dtype=np.complex128))
+
+
+@pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
+@pytest.mark.parametrize("dims", ZERO_DIMS, ids=str)
+def test_class_sums_at_theta_zero_are_those_of_the_bare_matrix(dims, kind):
+    frames = FrameBuilder(Preset(kind).build(dims), dims)
+    classes = tuple(CoherenceClass)
+    for seed in range(3):
+        rho = states.random_density(dims, seed=seed, rank=1 + seed)
+        rotated = conjugate(frames, rho.entries, np.zeros((1, frames.n_theta)))
+        assert class_sums(rotated, dims, classes) == class_sums(rho.entries, dims, classes)
 
 
 def test_param_count():
@@ -163,6 +213,53 @@ def test_layer_validation_through_circuit_unitary():
     out_of_range = CircuitLayer((2,), UnitaryParams.identity(2))
     with pytest.raises(ValueError):
         circuit_unitary(LocalCircuit((out_of_range,)), (2, 2))
+
+
+# --- shared plans --------------------------------------------------------
+
+
+def test_a_presets_circuit_is_built_once_and_read_only():
+    circ = Preset(NONGLOBAL).build((2, 3, 2))
+    assert Preset(NONGLOBAL).build([2, np.int64(3), 2]) is circ
+    for layer in circ.layers:
+        assert not layer.params.theta.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            layer.params.theta[0] = 1.0
+
+
+def test_a_frame_builder_is_shared_per_shape_and_read_only():
+    dims = (2, 3, 2)
+    template = Preset(NONGLOBAL, depth=4).build(dims)
+    frames = FrameBuilder.of(template, list(dims))
+    moved = with_theta(template, np.linspace(-1.0, 1.0, template.n_theta))
+    assert FrameBuilder.of(moved, dims) is frames
+    assert FrameBuilder.of(Preset().build(dims), dims) is not frames
+    # one layer shape on other dims is another builder
+    first = LocalCircuit((CircuitLayer((0,), UnitaryParams.identity(2)),))
+    assert [FrameBuilder.of(first, d).d for d in [(2, 2), (2, 3), (2, 2)]] == [4, 6, 4]
+    arrays = [frames._embed, frames._chart.re, frames._chart.plan, *unitary._upper(3)]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+    assert np.array_equal(frames.unitaries(theta_vector(moved)[None]),
+                          FrameBuilder(moved, dims).unitaries(theta_vector(moved)[None]))
+
+
+@pytest.mark.parametrize("layer", [
+    CircuitLayer((0,), UnitaryParams(3, np.full(9, 0.2))),        # the wrong dimension
+    CircuitLayer((2,), UnitaryParams(2, np.full(4, 0.2))),        # a party out of range
+    CircuitLayer((0, 1), UnitaryParams(4, np.full(16, 0.2))),     # a global support
+], ids=["dimension", "out-of-range", "global"])
+def test_a_bad_layer_raises_on_every_call_through_a_shared_builder(layer):
+    rho = states.random_density((2, 2), seed=3)
+    circ = LocalCircuit((CircuitLayer((1,), UnitaryParams.identity(2)), layer))
+    with pytest.raises(ValueError) as direct:
+        FrameBuilder(circ, rho.dims)
+    for _ in range(2):
+        with pytest.raises(ValueError) as shared:
+            apply(circ, rho)
+        assert str(shared.value) == str(direct.value)
 
 
 def test_layer_support_must_be_sorted():
@@ -536,6 +633,16 @@ def test_theta_vector_round_trip():
     empty = LocalCircuit(())
     assert theta_vector(empty).shape == (0,) and theta_vector(empty).dtype == np.float64
     assert with_theta(empty, theta_vector(empty)).layers == ()
+
+
+def test_with_theta_keeps_a_circuit_that_has_the_theta_bit_for_bit():
+    zero = Preset().build((2, 3))
+    assert with_theta(zero, np.zeros(13)) is zero
+    circ = with_theta(zero, np.linspace(-1.0, 1.0, 13))
+    assert with_theta(circ, np.linspace(-1.0, 1.0, 13)) is circ
+    # -0.0 == 0.0, but a report writes its sign, so it is a new circuit
+    signed = with_theta(zero, np.full(13, -0.0))
+    assert signed is not zero and np.signbit(theta_vector(signed)).all()
 
 
 def test_circuit_json_round_trip(tmp_path):
