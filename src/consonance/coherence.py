@@ -53,7 +53,8 @@ def _check_parties(dims) -> tuple[int, ...]:
 
 
 def classify(row, col, dims) -> CoherenceClass:
-    """Class of the element at multi-index ``(row, col)``.
+    """Class of the element at multi-index ``(row, col)``, read from
+    :func:`class_masks`, the one statement of the rule.
 
     Parameters
     ----------
@@ -68,12 +69,8 @@ def classify(row, col, dims) -> CoherenceClass:
     for name, multi in (("row", row), ("col", col)):
         if any(not 0 <= i < d for i, d in zip(multi, dims)):
             raise ValueError(f"{name} index {multi} out of range for dims {dims}")
-    agree = [i == j for i, j in zip(row, col)]
-    if all(agree):
-        return CoherenceClass.DIAGONAL
-    if not any(agree):
-        return CoherenceClass.NONLOCAL
-    return CoherenceClass.LOCAL
+    at = (np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims))
+    return next(c for c, mask in zip(CoherenceClass, class_masks(dims)) if mask[at])
 
 
 def class_masks(dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -16,10 +16,11 @@ constraint is violated: after each stage the search looks at its end
 frame, and a restart whose stage ends with L <= eps_L ends there.
 L >= 0, so S + mu' L >= S + mu L for every mu' > mu, with equality where
 L = 0: a stage minimizer with L = 0 minimizes every later stage too.  A
-restart whose last stage still ends with L above eps_L gets a
-feasibility polish that minimizes L alone.  Nelder-Mead over the moved
-columns is the inner search, with multiple restarts: the identity frame
-first (theta = 0), then optional caller-supplied warm starts, then
+restart whose last penalty stage still ends with L above eps_L gets a
+feasibility polish, a fifth stage taken the same way, that minimizes L
+alone.  Nelder-Mead over the moved columns is the inner search, with
+multiple restarts: the identity frame first (theta = 0), then optional
+caller-supplied warm starts, then
 uniform random draws in [-pi, pi]^P from a counter-based Philox stream
 keyed by the seed, one jump per restart index, with the unmoved columns
 set to 0.  A warm start is a circuit on rho, such as a circuit file or
@@ -106,12 +107,13 @@ def _check_preset(preset) -> None:
 class OptimizerConfig:
     """Settings of the multi-start penalty search.
 
-    ``max_evals`` is a budget per restart, not a total: each of the four
-    penalty stages and the feasibility polish may use ``max_evals // 5``
+    ``max_evals`` is a budget per restart, not a total: a restart runs at
+    most five stages, the four penalty stages and then the feasibility
+    polish as the last, each of which may use ``max_evals // 5``
     evaluations (at least 50), and each stage end costs one more look.  A
     restart stops at the first stage that ends with L <= eps_L, since a
     stage minimizer with L = 0 minimizes every later, larger-mu stage as
-    well, and runs the polish only when all four end above it.
+    well, so it reaches the polish only when all four end above it.
     Nelder-Mead runs over the columns that ``Preset.search_frame`` moves
     for the state, and is adaptive from 10 of them up.  Where no column
     moves (``single_party`` where ``decide.single_party`` settles the
@@ -287,30 +289,27 @@ def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
 
 
 def _search_one(x0: np.ndarray, config: OptimizerConfig):
-    """One restart over the moved columns ``x0``: the penalty stages, each
-    followed by a look at its end frame, until one ends with L <= eps_L,
-    which ends the restart there; if none does, the polish and a last look
-    at its frame.  ``x0`` holds at least one column: ``consonance()``
-    runs no search where none moves.  Yields stacks of moved columns,
+    """One restart over the moved columns ``x0``: a list of stages, each an
+    (objective, xatol, fatol), run through one step, Nelder-Mead and then
+    a look at its end frame, until a stage ends with L <= eps_L, which
+    ends the restart there, or the last stage has run.  The stages are
+    the four penalty stages, then the feasibility polish, which minimizes
+    L alone.  ``x0`` holds at least one column: ``consonance()`` runs no
+    search where none moves.  Yields stacks of moved columns,
     receives their (S, L) arrays, and returns (x, (S, L)) at the end.
 
     A stage minimizer with L = 0 minimizes every later stage too: L >= 0,
     so S + mu' L >= S + mu L for mu' > mu, with equality where L = 0."""
-    budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
-    adaptive = len(x0) >= 10
+    stages = [(lambda sl, mu=mu: [s + mu * l for s, l in zip(*sl)], 1e-8, 1e-10)
+              for mu in PENALTY_MUS] + [(lambda sl: sl[1], 1e-10, 1e-14)]
+    budget = max(50, config.max_evals // len(stages))
     x = np.asarray(x0, dtype=np.float64)
-    for mu in PENALTY_MUS:
-        sim, _ = yield from _nelder_mead(
-            lambda sl, mu=mu: [s + mu * l for s, l in zip(*sl)], x, budget,
-            1e-8, 1e-10, adaptive)
+    for objective, xatol, fatol in stages:
+        sim, _ = yield from _nelder_mead(objective, x, budget, xatol, fatol, len(x0) >= 10)
         x = sim[0]
         s, l = yield x[None]
         if l[0] <= EPS_L:
-            return x, (float(s[0]), float(l[0]))
-    sim, _ = yield from _nelder_mead(lambda sl: sl[1], x, budget, 1e-10, 1e-14,
-                                     adaptive)
-    x = sim[0]
-    s, l = yield x[None]
+            break
     return x, (float(s[0]), float(l[0]))
 
 

@@ -241,9 +241,11 @@ class DensityMatrix(_State):
     Structure (shape, finiteness) is checked on construction; hermiticity,
     unit trace and positivity are checked by :func:`assert_valid`, through
     :func:`validate`.  It is called by the file loader, the factories
-    ``states.two_param_qubit_qutrit`` and ``states.random_density``, the
-    measures ``concurrence_2x2`` and ``negativity``, and the search's
-    setup.  No other builder calls it; among them are ``states.werner``,
+    ``states.bell_diagonal``, ``states.two_param_qubit_qutrit`` and
+    ``states.random_density``, the measures ``concurrence_2x2`` and
+    ``negativity``, and the setup of the search and of the oracle
+    (``optimizer.consonance`` and ``optimizer.oracle_consonance``, on
+    their input).  No other builder calls it; among them are ``states.werner``,
     ``states.tps_remap``, ``unitary.apply``, :func:`partial_trace`,
     :func:`tensor` and :func:`density_from_pure`.  The split keeps an
     escape hatch for deliberately non-physical inputs such as partial

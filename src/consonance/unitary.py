@@ -24,12 +24,16 @@ conjugation, :func:`conjugate`, turns them into U X U† (B, D, D).  The
 penalty search, the brute-force oracle and the replay all go through
 both: the density branch of :func:`apply` is the one-row case of
 :func:`conjugate`, so a report's value and its search record are the same
-arithmetic.  The frame builder works from index plans laid out once per
-circuit shape, and the search, the oracle and :func:`apply` share one
-builder per shape and dims (:meth:`FrameBuilder.of`), as they share a
-preset's circuit per dims (:meth:`Preset.build`); every array in either
-is read only.  Its chart reads theta in place:
-``off = re + 1j * im`` over every layer's upper triangle, and one gather
+arithmetic.  A circuit's shape, :attr:`LocalCircuit.shape`, is the
+(support, dimension) of each layer in circuit order: the tensor product
+structure a frame builder is laid out for, and all it reads of a circuit
+but its theta.  The builder is built from a shape and dims alone, which
+checks every layer and lays out its index plans, and the search, the
+oracle and :func:`apply` share one builder per shape and dims
+(:meth:`FrameBuilder.of`), as they share a preset's circuit per dims
+(:meth:`Preset.build`); every array in either is read only.  Its chart
+reads theta in place: ``off = re + 1j * im`` over every layer's upper
+triangle, and one gather
 from the source row [theta | off | conj(off)] builds every layer's H,
 with the layers in circuit order, each at its own theta offset.  Each run
 of adjacent layers of one dimension runs one batched eigh and exp, and a
@@ -214,18 +218,24 @@ class LocalCircuit:
     def n_theta(self) -> int:
         return sum(layer.params.theta.size for layer in self.layers)
 
+    @property
+    def shape(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The (support, dimension) of each layer, in circuit order: all a
+        frame builder reads of a circuit but its theta."""
+        return tuple((layer.support, layer.params.dim) for layer in self.layers)
 
-def _check_layer(layer: CircuitLayer, dims: tuple[int, ...]) -> None:
+
+def _check_layer(support: tuple[int, ...], dim: int, dims: tuple[int, ...]) -> None:
     n = len(dims)
-    if layer.support[-1] >= n:
-        raise ValueError(f"support {layer.support} out of range for {n} parties")
-    if len(layer.support) >= n:
-        raise ValueError(f"support {layer.support} is not a strict subset of "
+    if support[-1] >= n:
+        raise ValueError(f"support {support} out of range for {n} parties")
+    if len(support) >= n:
+        raise ValueError(f"support {support} is not a strict subset of "
                          f"{n} parties; global layers are not allowed")
-    d_need = math.prod(dims[p] for p in layer.support)
-    if layer.params.dim != d_need:
-        raise ValueError(f"layer on support {layer.support} of dims {dims} needs a "
-                         f"{d_need}-dimensional unitary, got {layer.params.dim}")
+    d_need = math.prod(dims[p] for p in support)
+    if dim != d_need:
+        raise ValueError(f"layer on support {support} of dims {dims} needs a "
+                         f"{d_need}-dimensional unitary, got {dim}")
 
 
 def _embed_index(support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
@@ -251,8 +261,12 @@ def _embed_index(support: tuple[int, ...], dims: tuple[int, ...]) -> np.ndarray:
 class FrameBuilder:
     """The unitaries of one circuit shape at a stack of parameter vectors.
 
-    Built for one circuit shape and dims, which validates every layer and
-    lays out the plans; :meth:`of` shares one builder per shape and dims.
+    ``FrameBuilder(shape, dims)`` is built from a shape, the (support,
+    dimension) of each layer in circuit order as
+    :attr:`LocalCircuit.shape` gives it, and dims; it checks every layer
+    and lays out the plans.  :meth:`of` is this constructor cached per
+    ``circuit.shape`` and dims, so every circuit of one shape shares one
+    builder whatever its theta and preset tag.
     ``unitaries(thetas)`` maps thetas (B, n_theta) to the circuit unitaries
     (B, D, D).  The chart pass (:func:`_layer_stack`) reads H from
     [theta | off | conj(off)] and leaves the layer unitaries in one stack
@@ -263,28 +277,25 @@ class FrameBuilder:
     multiplies it from the left.
     """
 
-    def __init__(self, circuit: LocalCircuit, dims):
+    def __init__(self, shape, dims):
         dims = check_dims(dims)
         self.d = math.prod(dims)
-        for layer in circuit.layers:
-            _check_layer(layer, dims)
-        self.n_theta = circuit.n_theta
-        self._chart = _chart_layout(tuple(layer.params.dim for layer in circuit.layers))
-        index, offset = [], 0
-        for layer in circuit.layers:
-            i = _embed_index(layer.support, dims)
-            index.append(np.where(i < 0, -1, i + offset))
-            offset += layer.params.theta.size
+        self.n_theta, index = 0, []
+        for support, dim in shape:
+            _check_layer(support, dim, dims)
+            i = _embed_index(support, dims)
+            index.append(np.where(i < 0, -1, i + self.n_theta))
+            self.n_theta += dim * dim
+        self._chart = _chart_layout(tuple(dim for _, dim in shape))
         self._embed = np.array(index, dtype=np.intp).reshape(-1, self.d, self.d)
         self._embed.setflags(write=False)
 
     @classmethod
     def of(cls, circuit: LocalCircuit, dims) -> FrameBuilder:
-        """The builder of ``circuit``'s shape on ``dims``, shared: it is built,
-        which checks every layer, once per (layer supports, layer dims, dims),
-        so a shape whose check fails is built, and raises, on every call."""
-        shape = tuple((layer.support, layer.params.dim) for layer in circuit.layers)
-        return _shared_builder(shape, check_dims(dims))
+        """The builder of ``circuit.shape`` on ``dims``, shared: it is built,
+        which checks every layer, once per shape and dims, so a shape whose
+        check fails is built, and raises, on every call."""
+        return _shared_builder(circuit.shape, check_dims(dims))
 
     def unitaries(self, thetas) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=np.float64)
@@ -300,12 +311,8 @@ class FrameBuilder:
         return total
 
 
-@lru_cache(maxsize=None)
-def _shared_builder(shape: tuple, dims: tuple[int, ...]) -> FrameBuilder:
-    """The frame builder of layers of the given (support, dimension) on
-    ``dims``, from :meth:`FrameBuilder.of`."""
-    layers = (CircuitLayer(support, UnitaryParams.identity(dim)) for support, dim in shape)
-    return FrameBuilder(LocalCircuit(tuple(layers)), dims)
+# the frame builder of one (shape, dims), from FrameBuilder.of: the constructor, cached
+_shared_builder = lru_cache(maxsize=None)(FrameBuilder)
 
 
 def circuit_unitary(circuit: LocalCircuit, dims) -> np.ndarray:
@@ -417,9 +424,10 @@ class Preset:
         """The frame a search on ``rho`` runs in: its circuit, its rotations
         and its moved columns."""
         template = self.build(rho.dims)
-        absorbed = _absorbed([layer.support for layer in template.layers])
+        supports, layer_dims = zip(*template.shape)
+        absorbed = _absorbed(supports)
         if self.kind == NONGLOBAL:
-            kept = [layer.params.dim for layer, gone in zip(template.layers, absorbed) if not gone]
+            kept = [d for d, gone in zip(layer_dims, absorbed) if not gone]
             # every entry of each kept layer's H but its last diagonal one, the trace
             masks = [np.arange(d * d).reshape(d, d) != d * d - 1 for d in kept]
             rotations = (None,) * len(absorbed)
@@ -522,7 +530,7 @@ def _layer_list(circuit) -> list | str:
     else, its type name."""
     if not isinstance(circuit, LocalCircuit):
         return type(circuit).__name__
-    return [(layer.support, layer.params.dim) for layer in circuit.layers]
+    return list(circuit.shape)
 
 
 def _check_layers(circuit, want: LocalCircuit, rule: str) -> None:

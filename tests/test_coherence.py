@@ -296,7 +296,7 @@ def test_screen_keeps_a_zero_l_state_in_its_own_frame():
     # theta = 0 in the standard frame: the identity frame leaves the Werner
     # state's local entries exactly zero
     rho = states.werner(0.4)
-    frames = unitary.FrameBuilder(unitary.Preset().build(rho.dims), rho.dims)
+    frames = unitary.FrameBuilder(unitary.Preset().build(rho.dims).shape, rho.dims)
     rotated = unitary.conjugate(frames, rho.entries, np.zeros((3, frames.n_theta)))
     assert _local_sums(rotated, rho.dims).tolist() == [0.0] * 3
     assert local_screen(rotated, rho.dims, 0.0).tolist() == [0, 1, 2]

@@ -81,7 +81,7 @@ def reference_consonance(rho, config):
     frame = config.preset.search_frame(rho)
     assert not len(frame.moved)
     template = frame.circuit
-    frames = unitary.FrameBuilder(template, rho.dims)
+    frames = unitary.FrameBuilder(template.shape, rho.dims)
     starts = [np.zeros(template.n_theta)] + [unitary.theta_vector(frame.to_search(w))
                                              for w in config.warm_starts]
     s, l = optimizer._frame_sums(frames, frame.state(rho), np.array(starts))
@@ -90,7 +90,7 @@ def reference_consonance(rho, config):
                for i, kind in enumerate(kinds)]
     best = min(records, key=optimizer._rank)
     circuit = reference_to_state(frame, reference_with_theta(template, starts[best.index]))
-    replay = unitary.FrameBuilder(circuit, rho.dims)
+    replay = unitary.FrameBuilder(circuit.shape, rho.dims)
     rotated = unitary.conjugate(replay, rho.entries, unitary.theta_vector(circuit)[None])
     (value,), (l_res,) = optimizer.coherence.class_sums(rotated, rho.dims, optimizer._S_AND_L)
     return optimizer.ConsonanceReport(value, l_res, circuit, tuple(records))

@@ -113,7 +113,7 @@ def _check_stack(dims, template, b, seed):
 
 def _check_rows(dims, template, thetas, seed):
     rho = states.random_density(dims, seed=seed)
-    frames = FrameBuilder(template, dims)
+    frames = FrameBuilder(template.shape, dims)
     got_u = frames.unitaries(thetas)
     got_s, got_l = _frame_sums(frames, rho, thetas)
     assert got_u.shape == (len(thetas),) + (math.prod(dims),) * 2
@@ -175,7 +175,7 @@ def test_circuit_unitary_is_the_single_row_case():
 
 def test_frame_layout_is_cached_and_read_only():
     dims, template = CASES[-1]     # five runs of adjacent layers, dims interleaved
-    first, second = FrameBuilder(template, dims), FrameBuilder(template, dims)
+    first, second = FrameBuilder(template.shape, dims), FrameBuilder(template.shape, dims)
     assert first._chart is second._chart
     arrays = [a for a in first._chart if isinstance(a, np.ndarray)] + [first._embed]
     assert len(arrays) == 3
@@ -214,12 +214,12 @@ def test_chart_reads_theta_in_place(layer_dims):
 
 
 def test_frames_without_layers_are_identities():
-    u = FrameBuilder(LocalCircuit(()), (2, 3)).unitaries(np.zeros((3, 0)))
+    u = FrameBuilder(LocalCircuit(()).shape, (2, 3)).unitaries(np.zeros((3, 0)))
     assert np.array_equal(u, np.broadcast_to(np.eye(6), (3, 6, 6)))
 
 
 def test_frames_reject_a_misshapen_stack():
-    frames = FrameBuilder(unitary.Preset().build((2, 2)), (2, 2))
+    frames = FrameBuilder(unitary.Preset().build((2, 2)).shape, (2, 2))
     with pytest.raises(ValueError):
         frames.unitaries(np.zeros(8))
     with pytest.raises(ValueError):

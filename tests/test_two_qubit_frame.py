@@ -176,7 +176,7 @@ def reference_search(rho, seed, rotations=None, moved=None, starts=3, maxfev=500
     ``rotations`` (None: no rotation), moving the columns ``moved`` (None:
     every column), through ``FrameBuilder`` and ``class_sums``, from the
     identity and seeded random starts, through the penalty stages."""
-    frames = unitary.FrameBuilder(Preset().build(rho.dims), rho.dims)
+    frames = unitary.FrameBuilder(Preset().build(rho.dims).shape, rho.dims)
     moved = np.arange(frames.n_theta) if moved is None else np.asarray(moved)
     v = np.eye(1)
     for d, r in zip(rho.dims, rotations or (None,) * len(rho.dims)):

@@ -76,7 +76,7 @@ def test_the_full_chart_and_build_unitary_are_exactly_the_identity_at_theta_zero
 @pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
 @pytest.mark.parametrize("dims", ZERO_DIMS, ids=str)
 def test_a_preset_frame_is_exactly_the_identity_at_theta_zero(dims, kind):
-    frames = FrameBuilder(Preset(kind).build(dims), dims)
+    frames = FrameBuilder(Preset(kind).build(dims).shape, dims)
     zeros = np.zeros((1, frames.n_theta))
     assert same_bits(frames.unitaries(zeros)[0], np.eye(math.prod(dims), dtype=np.complex128))
 
@@ -84,7 +84,7 @@ def test_a_preset_frame_is_exactly_the_identity_at_theta_zero(dims, kind):
 @pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
 @pytest.mark.parametrize("dims", ZERO_DIMS, ids=str)
 def test_class_sums_at_theta_zero_are_those_of_the_bare_matrix(dims, kind):
-    frames = FrameBuilder(Preset(kind).build(dims), dims)
+    frames = FrameBuilder(Preset(kind).build(dims).shape, dims)
     classes = tuple(CoherenceClass)
     for seed in range(3):
         rho = states.random_density(dims, seed=seed, rank=1 + seed)
@@ -243,7 +243,24 @@ def test_a_frame_builder_is_shared_per_shape_and_read_only():
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
     assert np.array_equal(frames.unitaries(theta_vector(moved)[None]),
-                          FrameBuilder(moved, dims).unitaries(theta_vector(moved)[None]))
+                          FrameBuilder(moved.shape, dims).unitaries(theta_vector(moved)[None]))
+
+
+@pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)], ids=str)
+def test_one_builder_serves_every_circuit_of_one_shape_whatever_its_theta_and_tag(dims, kind):
+    template = Preset(kind).build(dims)
+    supports = Preset(kind).supports(len(dims))
+    assert template.shape == tuple((s, math.prod(dims[p] for p in s)) for s in supports)
+    theta = np.random.default_rng(5).uniform(-math.pi, math.pi, template.n_theta)
+    moved = with_theta(template, theta)
+    custom = LocalCircuit(tuple(CircuitLayer(layer.support, layer.params)
+                                for layer in moved.layers))
+    assert (moved.preset, custom.preset) == (template.preset, "custom")
+    frames = FrameBuilder.of(template, dims)
+    assert FrameBuilder.of(moved, dims) is frames
+    assert FrameBuilder.of(custom, list(dims)) is frames
+    assert np.array_equal(frames.unitaries(theta[None])[0], circuit_unitary(custom, dims))
 
 
 @pytest.mark.parametrize("layer", [
@@ -255,7 +272,7 @@ def test_a_bad_layer_raises_on_every_call_through_a_shared_builder(layer):
     rho = states.random_density((2, 2), seed=3)
     circ = LocalCircuit((CircuitLayer((1,), UnitaryParams.identity(2)), layer))
     with pytest.raises(ValueError) as direct:
-        FrameBuilder(circ, rho.dims)
+        FrameBuilder(circ.shape, rho.dims)
     for _ in range(2):
         with pytest.raises(ValueError) as shared:
             apply(circ, rho)
