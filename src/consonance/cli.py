@@ -357,7 +357,6 @@ def cmd_optimize(args) -> int:
         report = optimizer.consonance(rho, config)
         obj = optimizer.report_to_json(report)
         obj["config"] = optimizer.config_to_json(config)
-        obj["seed"] = args.seed
         text = json_text(obj)
         save(text)
     print(text, end="")

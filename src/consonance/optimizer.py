@@ -6,8 +6,12 @@ coherence L.  The circuits are those of a ``unitary.Preset`` (also
 importable from here): ``Preset.search_frame`` decides, for the state,
 the circuit the search runs over, the frame it runs in and the columns
 it moves, and the search holds every other column at its start value.
-This module decides no support, builds no circuit and reads no layer
-list.  The search runs an exterior penalty scheme,
+Both kinds may run in the frame ``decide.single_party`` settles: a
+``nonglobal`` circuit that holds every party holds every product of
+single-party unitaries, so where that frame has L = 0 its identity
+restart starts feasible at the single-party value and ends after its
+first stage.  This module decides no support, builds no circuit and
+reads no layer list.  The search runs an exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 
@@ -74,7 +78,7 @@ The replay runs the winning circuit on rho through the public
 that S and L, the circuit and the restart records, and derives the rest
 from them, so its value always matches what a caller would reproduce
 from it and its feasibility is the replay's L against eps_L.  Where no
-layer rotates, both equal the winning restart's record bit for bit (an
+party rotates, both equal the winning restart's record bit for bit (an
 absorbed layer comes back as the exact identity); where one does, its
 circuit passes through the chart inverse, and they agree to rounding.
 """

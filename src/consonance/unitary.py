@@ -46,6 +46,7 @@ kron-and-transpose embed, one frame at a time) lives in the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import pathlib
@@ -56,10 +57,11 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 import scipy.linalg
 
+from .coherence import local_coherence
 from .decide import single_party
-from .qstate import (TOL_UNITARY, DensityMatrix, PureState, check_dims, check_integer, check_state,
-                     check_unitary, errors_at, frozen_array, in_local_frame, json_float, json_text,
-                     read_json)
+from .qstate import (TOL_UNITARY, TOL_ZERO_L, DensityMatrix, PureState, check_dims,
+                     check_integer, check_state, check_unitary, errors_at, frozen_array,
+                     in_local_frame, json_float, json_text, read_json)
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
@@ -374,17 +376,28 @@ class Preset:
     columns stay at their start values: 0 from the identity and random
     starts, a warm start's own values from a warm start.
 
-    ``nonglobal`` rotates nothing, since its pair layers do not keep the
-    marginals; it leaves out what S and L cannot see instead.  A layer
-    whose support lies inside the next layer's support, the one applied
-    right after it, is absorbed: U_next (U_k (x) 1) ranges over the same
+    ``nonglobal`` leaves out what S and L cannot see.  A layer whose
+    support lies inside the next layer's support, the one applied right
+    after it, is absorbed: U_next (U_k (x) 1) ranges over the same
     unitaries as U_next alone.  The search runs over the circuit without
     its absorbed layers, and its mask marks every entry of each remaining
     layer's H but its last diagonal one: the trace of H is a global phase,
     and any exp(iH) is a phase times exp(iH') with that entry of H' zero.
     At depth 3 on three or more parties the leading ``(0,)`` is absorbed,
-    and three qubits move 30 of 36 columns.  ``single_party`` absorbs nothing, as no
-    party's support holds another's.
+    and three qubits move 30 of 36 columns.  ``single_party`` absorbs
+    nothing, as no party's support holds another's.
+
+    ``nonglobal`` rotates only where its kept layers hold every party, as
+    at depth 3 on three parties and depth 2 on two, but not at depth 3 on
+    four or more or at depth 2 on three.  Such a circuit holds every
+    product of single-party unitaries, so its value is at most the
+    ``single_party`` one.  Where :func:`decide.single_party` settles a
+    frame (masks all False) whose local sum is at most ``TOL_ZERO_L``,
+    the search runs in that frame, and its identity start is feasible at
+    the single-party value; the masks stay those above, and each V_k
+    folds into a kept layer (:attr:`SearchFrame.factors`).  Everywhere
+    else no party rotates.  One call of :func:`decide.single_party` serves
+    both kinds.
     """
 
     KINDS: ClassVar[tuple[str, ...]] = (SINGLE_PARTY, NONGLOBAL)
@@ -426,13 +439,17 @@ class Preset:
         template = self.build(rho.dims)
         supports, layer_dims = zip(*template.shape)
         absorbed = _absorbed(supports)
+        kept = [s for s, gone in zip(supports, absorbed) if not gone]
+        # every single_party circuit holds every party; a nonglobal one may not
+        covered = set().union(*kept) == set(range(rho.n_parties))
+        rotations, masks = single_party(rho) if covered else ((None,) * rho.n_parties, [])
         if self.kind == NONGLOBAL:
-            kept = [d for d, gone in zip(layer_dims, absorbed) if not gone]
+            settled = (covered and not any(m.any() for m in masks)
+                       and local_coherence(in_local_frame(rho, rotations)) <= TOL_ZERO_L)
+            rotations = rotations if settled else (None,) * rho.n_parties
             # every entry of each kept layer's H but its last diagonal one, the trace
-            masks = [np.arange(d * d).reshape(d, d) != d * d - 1 for d in kept]
-            rotations = (None,) * len(absorbed)
-        else:
-            rotations, masks = single_party(rho)
+            masks = [np.arange(d * d).reshape(d, d) != d * d - 1
+                     for d, gone in zip(layer_dims, absorbed) if not gone]
         return SearchFrame(template, rho.dims, absorbed, rotations, _moved_columns(masks))
 
 
@@ -462,16 +479,20 @@ def _moved_columns(masks) -> np.ndarray:
 class SearchFrame:
     """The frame a search on one state runs in, from
     :meth:`Preset.search_frame`.  ``template`` is the preset's circuit at
-    theta = 0 on ``dims``, and ``absorbed`` and ``rotations`` hold, per
-    template layer, whether the search leaves it out and its V_k (None for
-    a layer searched as it is).  The search runs over :attr:`circuit`, the
-    template without its absorbed layers, and moves its columns
-    ``moved``: none where :func:`decide.single_party` decided the frame,
-    which is then evaluated once.  It runs on V† rho V, V the product of
-    the rotations, so a circuit W found there is W V† on rho, layer by
-    layer.
+    theta = 0 on ``dims``; ``absorbed`` holds, per template layer, whether
+    the search leaves it out, and ``rotations`` one V_k per party (None
+    for a party kept in its basis).  The search runs over :attr:`circuit`,
+    the template without its absorbed layers, and moves its columns
+    ``moved``: none where :func:`decide.single_party` decided a
+    ``single_party`` frame, which is then evaluated once.  It runs on
+    V† rho V, V the kron of the rotations, and V reaches the layers as
+    :attr:`factors`, one share per template layer, so a circuit W found
+    there is W V† on rho, layer by layer.  Under ``single_party`` the
+    factors are the rotations; under ``nonglobal`` a kept layer's factor
+    may hold two parties' V_k, and a start's absorbed layer is multiplied
+    into the next layer before its factor.
     The chart inverse (:func:`params_for_unitary`) runs only where a layer
-    rotates or a start's absorbed layer is not at theta = 0."""
+    has a factor or a start's absorbed layer is not at theta = 0."""
 
     template: LocalCircuit
     dims: tuple[int, ...]
@@ -488,41 +509,62 @@ class SearchFrame:
 
     def state(self, rho: DensityMatrix) -> DensityMatrix:
         """``rho`` in the search's frame, V† rho V; ``rho`` itself where no
-        layer rotates."""
+        party rotates."""
         return in_local_frame(rho, self.rotations)
+
+    @property
+    def factors(self) -> tuple:
+        """Each template layer's share of V, in circuit order: each party's
+        V_k folds into the first kept layer whose support holds it, as the
+        kron over that support with the identity on its other parties.
+        None for an absorbed layer and for a layer that takes no rotated
+        party; under ``single_party`` the factors are the rotations."""
+        factors, held = [], set()
+        for (support, _), gone in zip(self.template.shape, self.absorbed):
+            mine = set() if gone else set(support) - held
+            held |= mine
+            turned = {p for p in mine if self.rotations[p] is not None}
+            factors.append(functools.reduce(np.kron, [
+                self.rotations[p] if p in turned else np.eye(self.dims[p]) for p in support])
+                if turned else None)
+        return tuple(factors)
 
     def to_search(self, circuit: LocalCircuit) -> LocalCircuit:
         """A circuit U on rho, with the template's layers, as a search
         start: W = U V, each absorbed layer U_k multiplied into the next
-        one as U_next (U_k (x) 1), the lift being the circuit unitary of
-        U_k alone on the next layer's parties.  An absorbed layer at
-        theta = 0 is dropped and leaves the next one as it is.  Raises
-        ValueError, naming both layer lists, unless ``circuit`` has the
-        template's layers by support and dimension."""
+        one as U_next (U_k (x) 1) F_next, the lift being the circuit unitary
+        of U_k alone on the next layer's parties and F_next that layer's
+        :attr:`factors` entry.  An absorbed layer at theta = 0 is dropped
+        and leaves the next one as U_next F_next.  Raises ValueError,
+        naming both layer lists, unless ``circuit`` has the template's
+        layers by support and dimension."""
         _check_layers(circuit, self.template, "a warm start must have the search's layers")
-        factors = list(self.rotations)    # a lift replaces no V_k: no preset has both
+        factors = list(self.factors)
         for k, (below, gone) in enumerate(zip(circuit.layers, self.absorbed)):
             if gone and below.params.theta.any():
                 support = circuit.layers[k + 1].support
                 inside = CircuitLayer(tuple(map(support.index, below.support)), below.params)
-                factors[k + 1] = circuit_unitary(LocalCircuit((inside,)),
-                                                 [self.dims[p] for p in support])
+                lift = circuit_unitary(LocalCircuit((inside,)), [self.dims[p] for p in support])
+                factors[k + 1] = lift if factors[k + 1] is None else lift @ factors[k + 1]
         layers = _times(circuit, factors).layers
         return LocalCircuit(tuple(layer for layer, gone in zip(layers, self.absorbed) if not gone),
                             preset=circuit.preset)
 
     def to_state(self, circuit: LocalCircuit) -> LocalCircuit:
         """A circuit W the search found as the circuit on rho: U = W V†,
-        each absorbed layer back in its place at theta = 0.  Raises
-        ValueError, naming both layer lists, unless ``circuit`` has the
-        layers of :attr:`circuit` by support and dimension."""
+        each layer times its :attr:`factors` entry's adjoint, each absorbed
+        layer back in its place at theta = 0.  A factor acts only on
+        parties no earlier kept layer touches, so it commutes past them
+        and the layers' products are W V†.  Raises ValueError, naming both
+        layer lists, unless ``circuit`` has the layers of :attr:`circuit`
+        by support and dimension."""
         _check_layers(circuit, self.circuit,
                       "a found circuit must have the search circuit's layers")
         found = iter(circuit.layers)
         layers = tuple(layer if gone else next(found)
                        for layer, gone in zip(self.template.layers, self.absorbed))
         return _times(LocalCircuit(layers, preset=circuit.preset),
-                      [None if r is None else r.conj().T for r in self.rotations])
+                      [None if f is None else f.conj().T for f in self.factors])
 
 
 def _layer_list(circuit) -> list | str:

@@ -21,6 +21,7 @@ from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance
 from consonance.qstate import TOL_DEGENERATE, PureState, density_from_pure, partial_trace
 from consonance.unitary import NONGLOBAL, circuit_unitary
 from test_acceptance import GHZ3_WITNESS, OPT_SMALL, W3_WITNESS
+from test_nonglobal_lift import noisy_ghz3_behind_a_haar_frame
 from test_optimizer import _behind_a_frame, _circuit_of, _inverse
 from test_unitary import maximally_mixed, mixed_marginals, template_columns, with_local_noise
 
@@ -156,6 +157,27 @@ def test_the_nonglobal_search_circuit_loses_no_frame(dims, depth, seed):
     assert np.abs(circuit_unitary(back, dims) - circuit_unitary(circuit, dims)).max() <= 1e-12
     for layer, gone in zip(back.layers, frame.absorbed):
         assert layer.params.theta.any() != gone
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_warm_start_with_an_absorbed_layer_enters_a_lifted_frame(seed):
+    # the search circuit's (0, 1) layer is U_01 (U_0 (x) 1)(V_0 (x) V_1): the
+    # absorbed layer's lift first, then the rotation, and the round trip
+    # back to rho keeps the circuit unitary
+    rho = noisy_ghz3_behind_a_haar_frame(0.6, seed)
+    frame = Preset(NONGLOBAL, 3).search_frame(rho)
+    assert all(r is not None for r in frame.rotations)
+    rng = np.random.default_rng(seed)
+    circuit = unitary.with_theta(frame.template,
+                                 rng.uniform(-math.pi, math.pi, frame.template.n_theta))
+    assert circuit.layers[0].params.theta.any() and frame.absorbed[0]
+    v = np.kron(np.kron(*frame.rotations[:2]), frame.rotations[2])
+    search = frame.to_search(circuit)
+    u = circuit_unitary(circuit, rho.dims)
+    assert np.abs(circuit_unitary(search, rho.dims) - u @ v).max() <= 1e-12
+    back = frame.to_state(search)
+    assert _shape(back) == _shape(circuit) and not back.layers[0].params.theta.any()
+    assert np.abs(circuit_unitary(back, rho.dims) - u).max() <= 1e-12
 
 
 @pytest.mark.parametrize("path", [GHZ3_WITNESS, W3_WITNESS])

@@ -540,7 +540,8 @@ def test_a_nonglobal_search_frame_rotates_nothing(depth):
     for rho in (density_from_pure(states.w_state(3)), density_from_pure(states.ghz(3))):
         frame = preset.search_frame(rho)
         template = preset.build(rho.dims)
-        assert frame.rotations == (None,) * depth
+        assert frame.rotations == (None,) * 3
+        assert frame.factors == (None,) * depth
         assert frame.absorbed == tuple(absorbed_layers(template))
         assert [(layer.support, layer.params.dim, layer.params.theta.any())
                 for layer in frame.circuit.layers] == \
