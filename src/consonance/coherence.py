@@ -11,9 +11,11 @@ The magnitudes summed over the last two classes give the local coherence
 value L and the nonlocal sum S.  S evaluated after the optimal local
 frame change is the consonance of the state.  Only :func:`class_sums`
 reports a class sum, over a stack of bare arrays; S, L and
-:func:`profile` are its calls on one :class:`DensityMatrix`.  Each sum is
-``math.fsum``, which is correctly rounded, so a matrix gives the same
-bits alone or in any stack.
+:func:`profile` are its calls on one :class:`DensityMatrix`.  It reads
+every listed class through one index, built once per dims and class
+list.  Each sum is ``math.fsum``, which is correctly rounded, so a
+matrix gives the same bits alone, in any stack and in any order of its
+terms.
 
 :func:`local_screen` reports no sum: it picks the rows of a stack whose L
 may be at most a bound, from a float64 estimate (one ``abs`` and one
@@ -101,24 +103,39 @@ def _class_positions(*dims):
     return masks, positions
 
 
-def _flat_rows(mats, dims):
+def _stack_rows(mats, shape, dims):
     """A stack (B, D, D), or one (D, D) as a stack of one, as rows
-    (B, D^2), and the class positions of dims."""
-    masks, positions = _class_positions(*dims)
-    shape = masks[0].shape
+    (B, D^2), once its matrices are checked to have ``shape`` (D, D)."""
     if mats.ndim not in (2, 3) or mats.shape[-2:] != shape:
         raise ValueError(f"matrices of shape {mats.shape} do not match dims {dims}")
-    return mats.reshape(-1, shape[0] * shape[1]), positions
+    return mats.reshape(-1, shape[0] * shape[1])
 
 
 def class_sums(mats, dims, classes) -> list[list[float]]:
     """The sums of |entries| of each :class:`CoherenceClass` in ``classes``,
     in that order, one float per matrix of a stack (B, D, D); an array
-    (D, D) is a stack of one.  One ``abs`` pass serves every class."""
-    rows, positions = _flat_rows(mats, dims)
-    rows = np.abs(rows)
-    return [list(map(math.fsum, rows.take(positions[c], axis=1).tolist()))
-            for c in classes]
+    (D, D) is a stack of one.  A call is one ``take``, one ``abs``, one
+    ``tolist`` and a ``math.fsum`` per class slice of each row."""
+    return _bound_sums(tuple(classes), *dims)(mats)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _bound_sums(classes, *dims):
+    """:func:`class_sums` bound to ``classes`` and ``dims``, with the
+    positions of every listed class, in that order, as one index.  Typed,
+    as :func:`_class_positions` is, so dims that compare equal to cached
+    ones but are not ints miss the cache and meet ``check_dims``."""
+    masks, positions = _class_positions(*dims)
+    shape = masks[0].shape
+    index = np.concatenate([np.empty(0, np.intp)] + [positions[c] for c in classes])
+    index.setflags(write=False)
+    ends = np.cumsum([len(positions[c]) for c in classes]).tolist()
+    slices = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+    def sums(mats) -> list[list[float]]:
+        rows = np.abs(_stack_rows(mats, shape, dims).take(index, axis=1)).tolist()
+        return [[math.fsum(row[at]) for row in rows] for at in slices]
+    return sums
 
 
 # A float64 sum of n non-negative terms, in any order, is within
@@ -136,7 +153,8 @@ def local_screen(mats, dims, bound: float) -> np.ndarray:
     more.  The estimate of each L is one ``abs`` over the local positions
     and one float64 ``sum``; a row holding a NaN is left out, as its L
     is never at most any bound."""
-    rows, positions = _flat_rows(mats, dims)
+    masks, positions = _class_positions(*dims)
+    rows = _stack_rows(mats, masks[0].shape, dims)
     local = np.abs(rows.take(positions[CoherenceClass.LOCAL], axis=1))
     return np.flatnonzero(local.sum(axis=1) <= _SCREEN_FACTOR * bound)
 

@@ -134,8 +134,7 @@ def two_qubit(rho: DensityMatrix, one_group) -> tuple | None:
     tied with the least value; otherwise V_k are the eigenvectors of
     n_k.σ.  The candidates are checked by :func:`_pair_checks`, the
     identity's (z, z) after them, and a tie between values picks the
-    lowest k.  On ``opt_bipartite``'s Werner inputs this takes about 0.14
-    ms a state on one core of a 2-core Xeon, BLAS on one thread."""
+    lowest k."""
     r = _pauli_traces(rho.entries)
     a, b = (np.zeros(3) if zero else v for v, zero in zip((r[1:, 0], r[0, 1:]), one_group))
     t = r[1:, 1:]
@@ -273,8 +272,7 @@ def _least_turn(a: np.ndarray, dims: tuple[int, ...], groups) -> tuple | None:
     keeps S too: A's frame has the least S, and no party turns.  Where
     two classes of two vectors are left, on two parties, the zero-L
     frames are among those of :func:`_pair_turn`, and the least S among
-    them is read off.  On ``opt_bipartite``'s qubit-qutrit inputs this
-    takes about 0.17 ms (one core of a 2-core Xeon, BLAS on one thread):
+    them is read off.  On ``opt_bipartite``'s qubit-qutrit inputs that is
     six calls each of :func:`_class_rows` and :func:`_split` and one of
     :func:`_reached`."""
     classes = _classes(a, dims, groups)

@@ -70,7 +70,7 @@ oracle draws its frames one chunk at a time, so its memory does not grow
 with its sample count.  It wants only the rows with L <= EPS_L, so it
 first runs ``coherence.local_screen``, a float64 estimate of L that keeps
 every such row, and sums only the survivors with ``class_sums``; only
-``class_sums`` reports a class sum.
+``coherence`` reports a class sum.
 
 The replay runs the winning circuit on rho through the public
 ``unitary.apply``, whose density branch is one row of the same
@@ -204,7 +204,7 @@ def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix,
 
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ind = fsim.argsort()
-    return sim[ind], fsim[ind]
+    return sim.take(ind, axis=0), fsim.take(ind)
 
 
 def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
@@ -217,7 +217,12 @@ def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
     It is scipy's ``_minimize_neldermead`` with no bounds, no callback and
     no ``maxiter``, operation for operation: the same coefficients (the
     adaptive ones of Gao & Han, Comput. Optim. Appl. 51:259, 2012), the
-    same initial simplex, orderings and xatol/fatol test.  It stops where
+    same initial simplex and orderings.  The xatol/fatol test decides as
+    scipy's does, with its value side taken first and read off the sorted
+    values: where fsim is sorted, NaNs last, max |fsim[0] - fsim[1:]| is
+    fsim[-1] - fsim[0] to the bit, since rounding is monotone and odd.
+    Both sides are pure, and the value side fails first on almost every
+    iteration of a search.  It stops where
     scipy's maxfev wrapper raises: the initial simplex is cut at maxfev
     vertices, no expand or contract point is asked for once the budget is
     spent, and a shrink evaluates only what is left of the budget but
@@ -244,8 +249,8 @@ def _nelder_mead(objective, x0: np.ndarray, maxfev: int, xatol: float,
     sim, fsim = _order(sim, fsim)
 
     while nfev < maxfev:
-        if (np.abs(sim[1:] - sim[0]).max() <= xatol
-                and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+        if (fsim[-1] - fsim[0] <= fatol
+                and np.abs(sim[1:] - sim[0]).max() <= xatol):
             break
         fbest, fnext, fworst = fsim[0], fsim[-2], fsim[-1]
         xbar = np.add.reduce(sim[:-1], 0) / n

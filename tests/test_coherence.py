@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consonance import states, unitary
-from consonance.coherence import (CoherenceClass, _class_positions,
+from consonance.coherence import (CoherenceClass, _bound_sums, _class_positions,
                                   class_masks, class_sums, classify,
                                   local_coherence, local_screen, nonlocal_sum,
                                   profile)
@@ -223,6 +223,7 @@ def test_float_dims_are_rejected_whatever_the_cache_holds():
     # alone let float dims through once (2, 2) had been looked up
     m = states.werner(0.3).entries
     _class_positions.cache_clear()
+    _bound_sums.cache_clear()
     for _ in range(2):     # first with nothing cached, then with (2, 2) cached
         for bad in ((2.0, 2), (2, 2.0), (True, 2), (np.float64(2), 2)):
             with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from consonance.optimizer import (EPS_L, PENALTY_MUS, OptimizerConfig, Preset,
 from consonance.qstate import density_from_pure
 from test_acceptance import OPT_SMALL
 from test_frames import reference_sums, reference_unitary
+from test_nonglobal_lift import noisy_ghz3_behind_a_haar_frame
 from test_unitary import (absorbed_layers, mixed_marginals, moved_columns, search_circuit,
                           with_local_noise)
 
@@ -117,6 +118,39 @@ def test_budget_cuts_a_shrink(maxfev, sizes):
     assert [len(s) for s in stacks] == sizes
 
 
+def _flat(x):
+    return 0.0
+
+
+def _steep_kink(x):
+    return float(1e6 * (abs(x[0] - 0.3) + abs(x[1] + 0.2)))
+
+
+def _nfev(f, x0, maxfev, xatol, fatol):
+    return minimize(f, np.array(x0, dtype=float), method="Nelder-Mead",
+                    options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol,
+                             "disp": False}).nfev
+
+
+@pytest.mark.parametrize("f,x0,xatol,fatol,held", [
+    # every value ties, so the f spread is 0 from the start; only the
+    # shrinking simplex spread keeps the search going
+    (_flat, [0.5, -0.4, 1.0], 1e-4, 1e-10, "f"),
+    # a slope of 1e6: the simplex spread meets 1e-4 long before the f
+    # spread meets 1e-3
+    (_steep_kink, [0.0, 0.0], 1e-4, 1e-3, "x"),
+], ids=["f-spread-within-fatol", "simplex-spread-within-xatol"])
+def test_a_one_sided_stop_test_stops_where_scipy_stops(f, x0, xatol, fatol, held):
+    maxfev = 5000
+    stacks = _same_as_scipy(f, x0, maxfev, xatol=xatol, fatol=fatol)
+    nfev = sum(len(s) for s in stacks)
+    assert nfev < maxfev       # stopped by the test, not by the budget
+    # with the side that held made always true, scipy stops earlier: there
+    # that side held while the other did not
+    one_side = (xatol, math.inf) if held == "x" else (math.inf, fatol)
+    assert _nfev(f, x0, maxfev, *one_side) < nfev
+
+
 @pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("f,x0", [(_plateaus, np.linspace(-2, 2, 11)),
                                   (_quadratic(11, seed=3), np.zeros(11)),
@@ -199,16 +233,58 @@ def test_lockstep_restarts_match_solo_runs_on_a_degenerate_marginal():
     _lockstep_matches_solo_runs(rho, Preset(), groups=[[0, 0], [0, 0, 1]])
 
 
-def _lockstep_matches_solo_runs(rho, preset, groups=None):
-    config = OptimizerConfig(preset=preset, restarts=4, seed=9, max_evals=1000)
+@pytest.mark.parametrize("rho", [
+    density_from_pure(states.ghz(3)),
+    noisy_ghz3_behind_a_haar_frame(1.0, seed=1),
+], ids=["standard", "behind-a-frame"])
+def test_rounds_with_one_restart_live_match_solo_runs(rho):
+    # the search runs in the decided frame, so the references run on
+    # frame.state(rho), whose own search frame rotates no party; the
+    # identity restart starts feasible there and ends after its first
+    # stage, and the random restart runs every later round alone
+    preset = Preset(kind=unitary.NONGLOBAL, depth=3)
+    searched = preset.search_frame(rho).state(rho)
+    assert preset.search_frame(searched).rotations == (None,) * 3
+    identity, random = _lockstep_matches_solo_runs(searched, preset, restarts=2)
+    assert identity.l_residual <= EPS_L
+    assert identity.evals == 1000 // (len(PENALTY_MUS) + 1) + 1 < random.evals
+
+
+def test_a_warm_start_left_alone_keeps_its_unmoved_columns():
+    # the identity restart ends after its first stage, and the warm start
+    # then runs alone, with its own value in the last diagonal column of
+    # each layer, which the search does not move
+    preset = Preset(kind=unitary.NONGLOBAL, depth=3)
+    rho = density_from_pure(states.ghz(3))
+    layers = preset.build(rho.dims)
+    template = search_circuit(layers)
+    x0 = np.linspace(-1.0, 1.1, template.n_theta)
+    config = OptimizerConfig(preset=preset, restarts=1, seed=9, max_evals=1000,
+                             warm_starts=(_on_the_layers(layers, x0),))
+    identity, warm = consonance(rho, config).per_restart
+    assert identity.evals == 1000 // (len(PENALTY_MUS) + 1) + 1 < warm.evals
+    assert (warm.value, warm.l_residual, warm.evals) == \
+        _scipy_restart(rho, template, x0, config)
+
+
+def _on_the_layers(layers, x0):
+    """A start ``x0`` over the search's circuit as a warm start on the
+    preset's ``layers``, with each absorbed layer at theta = 0."""
+    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
+                           for layer, gone in zip(layers.layers, absorbed_layers(layers))])
+    theta = np.zeros(layers.n_theta)
+    theta[kept] = x0
+    return unitary.with_theta(layers, theta)
+
+
+def _lockstep_matches_solo_runs(rho, preset, groups=None, restarts=4):
+    """Check every restart's record of a lockstep search against its
+    scipy reference and against a solo run; returns the records."""
+    config = OptimizerConfig(preset=preset, restarts=restarts, seed=9, max_evals=1000)
     lockstep = consonance(rho, config)
     layers = preset.build(rho.dims)
     template = search_circuit(layers)
     assert preset.search_frame(rho).moved.tolist() == moved_columns(template, groups)
-    # a start over the search's circuit is a warm start on the preset's
-    # layers with each absorbed layer at theta = 0
-    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
-                           for layer, gone in zip(layers.layers, absorbed_layers(layers))])
     for j, record in enumerate(lockstep.per_restart):
         x0 = (_random_start(config, j, template, groups) if j
               else np.zeros(template.n_theta))
@@ -216,17 +292,15 @@ def _lockstep_matches_solo_runs(rho, preset, groups=None):
             _scipy_restart(rho, template, x0, config, groups)
         if j == 0:
             continue
-        theta = np.zeros(layers.n_theta)
-        theta[kept] = x0
-        warm = unitary.with_theta(layers, theta)
         solo = consonance(rho, OptimizerConfig(preset=preset, restarts=1,
                                                seed=config.seed,
                                                max_evals=config.max_evals,
-                                               warm_starts=(warm,)))
+                                               warm_starts=(_on_the_layers(layers, x0),)))
         assert solo.per_restart[0] == lockstep.per_restart[0]
         got = solo.per_restart[1]
         assert (got.value, got.l_residual, got.evals) == \
             (record.value, record.l_residual, record.evals)
+    return lockstep.per_restart
 
 
 def test_a_warm_start_keeps_the_columns_the_search_does_not_move():

@@ -1,0 +1,59 @@
+"""Rules about where code lives, read from the package's source text.
+
+Each test states one rule as a search over the source files, so a change
+that breaks the rule fails here with the offending lines.  A span is
+what ``sed -n '/^START/,/^def /p'`` prints: from the first line that
+starts with START through the next line that starts a top-level
+``def``."""
+
+import re
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "consonance"
+
+
+def _lines(*names: str) -> list[tuple[str, str]]:
+    """(file: line number, line) of every line of the named modules, or of
+    every module of the package where none is named."""
+    paths = ([PACKAGE / name for name in names] if names
+             else sorted(PACKAGE.rglob("*.py")))
+    return [(f"{path.name}:{k}", line) for path in paths
+            for k, line in enumerate(path.read_text().splitlines(), 1)]
+
+
+def _matching(pattern: str, *names: str) -> list[tuple[str, str]]:
+    return [(at, line) for at, line in _lines(*names) if re.search(pattern, line)]
+
+
+def _span(start: str, name: str) -> str:
+    lines = (PACKAGE / name).read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if re.match(start, line))
+    last = next((k for k in range(first + 1, len(lines)) if lines[k].startswith("def ")),
+                len(lines) - 1)
+    return "\n".join(lines[first:last + 1])
+
+
+def test_the_package_uses_no_private_numpy_api():
+    assert _matching(r"_umath_linalg|(numpy|np)\.linalg\._|(numpy|np)\._core") == []
+
+
+def test_frame_builder_is_the_one_embed():
+    # _embed_index is called at its definition and in FrameBuilder alone
+    calls = [(at, line) for at, line in _matching(r"_embed_index\(")
+             if "def _embed_index(" not in line]
+    assert len(calls) == 1, calls
+    assert "_embed_index(" in _span(r"class FrameBuilder", "unitary.py")
+
+
+def test_a_layer_is_re_charted_in_times_alone():
+    # build_unitary and params_for_unitary are called at their definitions
+    # and in unitary._times alone
+    calls = [(at, line) for at, line in _matching(r"build_unitary\(|params_for_unitary\(")
+             if not re.search(r"def (build_unitary|params_for_unitary)\(", line)]
+    assert len(calls) == 1, calls
+    assert "params_for_unitary(build_unitary(" in _span(r"def _times", "unitary.py")
+
+
+def test_coherence_is_the_one_reporter_of_a_class_sum():
+    # the search and the frame code sum no magnitudes of their own
+    assert _matching(r"fsum", "optimizer.py", "unitary.py") == []
