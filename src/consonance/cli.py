@@ -444,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         default = optimizer.OptimizerConfig()
         p.add_argument("--preset", choices=default.preset.KINDS, default=default.preset.kind)
         p.add_argument("--depth", type=int, default=default.preset.depth,
-                       help="layer budget for the nonglobal preset")
+                       help="layer budget for the nonglobal preset; a layer the next "
+                            "one absorbs is not built")
         p.add_argument("--restarts", type=int, default=default.restarts)
         p.add_argument("--max-evals", type=int, default=default.max_evals, dest="max_evals")
         p.add_argument("--seed", type=int, default=default.seed)

@@ -5,7 +5,7 @@ Under the ``single_party`` preset a frame is one unitary V_k per party.
 the pairs of basis vectors the search turns there.  Its one caller is
 ``unitary.Preset.search_frame``, for both preset kinds: a ``single_party``
 search runs in the frame and turns the pairs, and a ``nonglobal`` search
-whose kept layers hold every party starts in the frame where it is
+whose layers hold every party starts in the frame where it is
 settled (no pair to turn) at a local sum of at most ``TOL_ZERO_L``, as
 such a circuit holds every product of the V_k.  It runs three
 deciders in this order, each only where the one before left a pair to

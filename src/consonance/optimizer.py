@@ -78,9 +78,9 @@ The replay runs the winning circuit on rho through the public
 that S and L, the circuit and the restart records, and derives the rest
 from them, so its value always matches what a caller would reproduce
 from it and its feasibility is the replay's L against eps_L.  Where no
-party rotates, both equal the winning restart's record bit for bit (an
-absorbed layer comes back as the exact identity); where one does, its
-circuit passes through the chart inverse, and they agree to rounding.
+party rotates, both equal the winning restart's record bit for bit;
+where one does, its circuit passes through the chart inverse, and they
+agree to rounding.
 """
 
 from __future__ import annotations
@@ -364,19 +364,19 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     config = config or OptimizerConfig()
     rho = assert_valid(as_density(rho))
     frame = config.preset.search_frame(rho)
-    template = frame.circuit
     moved, searched = frame.moved, frame.state(rho)
     kinds, thetas0 = zip(*_start_points(config, frame))
     thetas0 = np.array(thetas0)
     if len(moved):
-        frames = unitary.FrameBuilder.of(template, rho.dims)
+        frames = unitary.FrameBuilder.of(frame.circuit, rho.dims)
         searches = [_search_one(theta0[moved], config) for theta0 in thetas0]
         live = {i: next(search) for i, search in enumerate(searches)}   # index: its points
         evals, ends = [0] * len(kinds), [None] * len(kinds)
     else:    # decided: the identity start is V† rho V as it is; warm starts are one stack
         s, l = coherence.class_sums(searched.entries, rho.dims, _S_AND_L)
         if len(thetas0) > 1:
-            warm = _frame_sums(unitary.FrameBuilder.of(template, rho.dims), searched, thetas0[1:])
+            warm = _frame_sums(unitary.FrameBuilder.of(frame.circuit, rho.dims), searched,
+                               thetas0[1:])
             s, l = s + warm[0], l + warm[1]
         live, evals, ends = {}, [1] * len(s), list(zip(s, l))
     while live:
@@ -399,7 +399,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
                for i, (kind, (value, l_res)) in enumerate(zip(kinds, ends))]
     best = min(records, key=_rank)
 
-    circuit = frame.to_state(unitary.with_theta(template, thetas0[best.index]))
+    circuit = frame.to_state(unitary.with_theta(frame.circuit, thetas0[best.index]))
     rotated = unitary.apply(circuit, rho)
     (value,), (l_res,) = coherence.class_sums(rotated.entries, rho.dims, _S_AND_L)
     return ConsonanceReport(value, l_res, circuit, tuple(records))
@@ -459,8 +459,7 @@ def config_to_json(config: OptimizerConfig) -> dict:
     the most penalty stages a restart runs: one stops at its first stage
     that ends with L <= eps_L."""
     return {
-        "preset": {"kind": config.preset.kind, "depth": config.preset.depth,
-                   "supports": None},
+        "preset": {"kind": config.preset.kind, "depth": config.preset.depth},
         "restarts": config.restarts,
         "seed": config.seed,
         "mu0": PENALTY_MUS[0],

@@ -13,10 +13,11 @@ unitary is U_L ... U_2 U_1.
 A search ranges over the circuits of one :class:`Preset`, and only the
 preset knows its shape: it checks its kind and depth once, lists its
 layer supports in circuit order (:meth:`Preset.supports`, the one place
-the supports are chosen), builds its circuit at theta = 0 with its tag
-(:meth:`Preset.build`) and decides, for a state, the circuit its search
-runs over, the frame it runs in and the theta columns it moves there
-(:meth:`Preset.search_frame`, a :class:`SearchFrame`).
+the supports are chosen, and where a layer the next one absorbs is left
+out), builds its circuit at theta = 0 with its tag (:meth:`Preset.build`)
+and decides, for a state, the frame its search runs in and the theta
+columns it moves there (:meth:`Preset.search_frame`, a
+:class:`SearchFrame`).
 
 One frame builder, :class:`FrameBuilder`, turns a stack of parameter
 vectors (B, P) into the stacked circuit unitaries (B, D, D), and one
@@ -358,17 +359,21 @@ class Preset:
     """The circuit shape a search optimizes over, decided here alone.
 
     ``single_party`` is one layer per party, in party order.  ``nonglobal``
-    is ``depth`` layers on the first ``depth`` entries of
-    :func:`default_supports`, cycling through the pool again if ``depth``
-    exceeds its length.  ``depth`` is checked for both kinds but read only
-    by ``nonglobal``.  So ``nonglobal`` at depth 3 on four or more parties
-    never touches party 3 or any later one: its supports are (0,), (0, 1)
-    and (0, 2).
+    takes the first ``depth`` entries of :func:`default_supports`, cycling
+    through the pool again if ``depth`` exceeds its length, and builds each
+    of them but those the next one absorbs: a layer whose support lies
+    inside the next layer's support, the one applied right after it, adds
+    nothing, as U_next (U_k (x) 1) ranges over the same unitaries as U_next
+    alone.  ``depth`` is checked for both kinds but read only by
+    ``nonglobal``.  So at depth 3 the leading ``(0,)`` is never built: on
+    three or more parties the supports are (0, 1) and (0, 2), and on four
+    or more they never touch party 3 or any later one.  ``single_party``
+    absorbs nothing, as no party's support holds another's.
 
     :meth:`search_frame` decides, for one state, the frame a search runs
     in and the theta columns it moves there.  Each kind states its columns
-    as one mask over each searched layer's H, which :func:`_moved_columns`
-    reads through the chart.  ``single_party`` takes its rotations and
+    as one mask over each layer's H, which :func:`_moved_columns` reads
+    through the chart.  ``single_party`` takes its rotations and
     masks from :func:`decide.single_party`, whose module docstring gives
     the chain that decides them: a mask marks the upper-triangle pairs a
     search turns, none where the frame is decided, and never a diagonal
@@ -376,18 +381,13 @@ class Preset:
     columns stay at their start values: 0 from the identity and random
     starts, a warm start's own values from a warm start.
 
-    ``nonglobal`` leaves out what S and L cannot see.  A layer whose
-    support lies inside the next layer's support, the one applied right
-    after it, is absorbed: U_next (U_k (x) 1) ranges over the same
-    unitaries as U_next alone.  The search runs over the circuit without
-    its absorbed layers, and its mask marks every entry of each remaining
-    layer's H but its last diagonal one: the trace of H is a global phase,
-    and any exp(iH) is a phase times exp(iH') with that entry of H' zero.
-    At depth 3 on three or more parties the leading ``(0,)`` is absorbed,
-    and three qubits move 30 of 36 columns.  ``single_party`` absorbs
-    nothing, as no party's support holds another's.
+    ``nonglobal`` leaves out what S and L cannot see: its mask marks every
+    entry of each layer's H but its last diagonal one, since the trace of
+    H is a global phase, and any exp(iH) is a phase times exp(iH') with
+    that entry of H' zero.  So three qubits at depth 3 move 30 of 32
+    columns.
 
-    ``nonglobal`` rotates only where its kept layers hold every party, as
+    ``nonglobal`` rotates only where its layers hold every party, as
     at depth 3 on three parties and depth 2 on two, but not at depth 3 on
     four or more or at depth 2 on three.  Such a circuit holds every
     product of single-party unitaries, so its value is at most the
@@ -395,7 +395,7 @@ class Preset:
     frame (masks all False) whose local sum is at most ``TOL_ZERO_L``,
     the search runs in that frame, and its identity start is feasible at
     the single-party value; the masks stay those above, and each V_k
-    folds into a kept layer (:attr:`SearchFrame.factors`).  Everywhere
+    folds into a layer (:attr:`SearchFrame.factors`).  Everywhere
     else no party rotates.  One call of :func:`decide.single_party` serves
     both kinds.
     """
@@ -418,7 +418,9 @@ class Preset:
         pool = default_supports(n)
         if self.kind == SINGLE_PARTY:
             return [s for s in pool if len(s) == 1]
-        return [pool[k % len(pool)] for k in range(self.depth)]
+        layers = [pool[k % len(pool)] for k in range(self.depth)]
+        # leave out each layer the next one absorbs; the last one never is
+        return [s for s, t in zip(layers, layers[1:] + [()]) if not set(s) <= set(t)]
 
     def build(self, dims) -> LocalCircuit:
         """The preset's circuit on ``dims`` at theta = 0, tagged
@@ -436,27 +438,18 @@ class Preset:
     def search_frame(self, rho: DensityMatrix) -> SearchFrame:
         """The frame a search on ``rho`` runs in: its circuit, its rotations
         and its moved columns."""
-        template = self.build(rho.dims)
-        supports, layer_dims = zip(*template.shape)
-        absorbed = _absorbed(supports)
-        kept = [s for s, gone in zip(supports, absorbed) if not gone]
+        circuit = self.build(rho.dims)
+        supports, layer_dims = zip(*circuit.shape)
         # every single_party circuit holds every party; a nonglobal one may not
-        covered = set().union(*kept) == set(range(rho.n_parties))
+        covered = set().union(*supports) == set(range(rho.n_parties))
         rotations, masks = single_party(rho) if covered else ((None,) * rho.n_parties, [])
         if self.kind == NONGLOBAL:
             settled = (covered and not any(m.any() for m in masks)
                        and local_coherence(in_local_frame(rho, rotations)) <= TOL_ZERO_L)
             rotations = rotations if settled else (None,) * rho.n_parties
-            # every entry of each kept layer's H but its last diagonal one, the trace
-            masks = [np.arange(d * d).reshape(d, d) != d * d - 1
-                     for d, gone in zip(layer_dims, absorbed) if not gone]
-        return SearchFrame(template, rho.dims, absorbed, rotations, _moved_columns(masks))
-
-
-def _absorbed(supports) -> tuple[bool, ...]:
-    """Whether each layer, given the supports in circuit order, is absorbed:
-    its support lies inside the next layer's.  The last layer never is."""
-    return tuple(set(s) <= set(t) for s, t in zip(supports, supports[1:])) + (False,)
+            # every entry of each layer's H but its last diagonal one, the trace
+            masks = [np.arange(d * d).reshape(d, d) != d * d - 1 for d in layer_dims]
+        return SearchFrame(circuit, rho.dims, rotations, _moved_columns(masks))
 
 
 def _moved_columns(masks) -> np.ndarray:
@@ -478,34 +471,23 @@ def _moved_columns(masks) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SearchFrame:
     """The frame a search on one state runs in, from
-    :meth:`Preset.search_frame`.  ``template`` is the preset's circuit at
-    theta = 0 on ``dims``; ``absorbed`` holds, per template layer, whether
-    the search leaves it out, and ``rotations`` one V_k per party (None
-    for a party kept in its basis).  The search runs over :attr:`circuit`,
-    the template without its absorbed layers, and moves its columns
-    ``moved``: none where :func:`decide.single_party` decided a
-    ``single_party`` frame, which is then evaluated once.  It runs on
-    V† rho V, V the kron of the rotations, and V reaches the layers as
-    :attr:`factors`, one share per template layer, so a circuit W found
-    there is W V† on rho, layer by layer.  Under ``single_party`` the
-    factors are the rotations; under ``nonglobal`` a kept layer's factor
-    may hold two parties' V_k, and a start's absorbed layer is multiplied
-    into the next layer before its factor.
-    The chart inverse (:func:`params_for_unitary`) runs only where a layer
-    has a factor or a start's absorbed layer is not at theta = 0."""
+    :meth:`Preset.search_frame`.  ``circuit`` is the preset's circuit at
+    theta = 0 on ``dims``, the one the search runs over, and ``rotations``
+    holds one V_k per party (None for a party kept in its basis).  The
+    search moves the circuit's columns ``moved``: none where
+    :func:`decide.single_party` decided a ``single_party`` frame, which is
+    then evaluated once.  It runs on V† rho V, V the kron of the
+    rotations, and V reaches the layers as :attr:`factors`, one share per
+    layer, so a circuit W found there is W V† on rho, layer by layer.
+    Under ``single_party`` the factors are the rotations; under
+    ``nonglobal`` a layer's factor may hold two parties' V_k.  The chart
+    inverse (:func:`params_for_unitary`) runs only where a layer has a
+    factor."""
 
-    template: LocalCircuit
+    circuit: LocalCircuit
     dims: tuple[int, ...]
-    absorbed: tuple[bool, ...]
     rotations: tuple
     moved: np.ndarray
-
-    @property
-    def circuit(self) -> LocalCircuit:
-        """The circuit the search runs over, at theta = 0."""
-        return LocalCircuit(tuple(layer for layer, gone
-                                  in zip(self.template.layers, self.absorbed) if not gone),
-                            preset=self.template.preset)
 
     def state(self, rho: DensityMatrix) -> DensityMatrix:
         """``rho`` in the search's frame, V† rho V; ``rho`` itself where no
@@ -514,14 +496,14 @@ class SearchFrame:
 
     @property
     def factors(self) -> tuple:
-        """Each template layer's share of V, in circuit order: each party's
-        V_k folds into the first kept layer whose support holds it, as the
-        kron over that support with the identity on its other parties.
-        None for an absorbed layer and for a layer that takes no rotated
-        party; under ``single_party`` the factors are the rotations."""
+        """Each layer's share of V, in circuit order: each party's V_k
+        folds into the first layer whose support holds it, as the kron
+        over that support with the identity on its other parties.  None
+        for a layer that takes no rotated party; under ``single_party``
+        the factors are the rotations."""
         factors, held = [], set()
-        for (support, _), gone in zip(self.template.shape, self.absorbed):
-            mine = set() if gone else set(support) - held
+        for support, _ in self.circuit.shape:
+            mine = set(support) - held
             held |= mine
             turned = {p for p in mine if self.rotations[p] is not None}
             factors.append(functools.reduce(np.kron, [
@@ -530,41 +512,23 @@ class SearchFrame:
         return tuple(factors)
 
     def to_search(self, circuit: LocalCircuit) -> LocalCircuit:
-        """A circuit U on rho, with the template's layers, as a search
-        start: W = U V, each absorbed layer U_k multiplied into the next
-        one as U_next (U_k (x) 1) F_next, the lift being the circuit unitary
-        of U_k alone on the next layer's parties and F_next that layer's
-        :attr:`factors` entry.  An absorbed layer at theta = 0 is dropped
-        and leaves the next one as U_next F_next.  Raises ValueError,
-        naming both layer lists, unless ``circuit`` has the template's
-        layers by support and dimension."""
-        _check_layers(circuit, self.template, "a warm start must have the search's layers")
-        factors = list(self.factors)
-        for k, (below, gone) in enumerate(zip(circuit.layers, self.absorbed)):
-            if gone and below.params.theta.any():
-                support = circuit.layers[k + 1].support
-                inside = CircuitLayer(tuple(map(support.index, below.support)), below.params)
-                lift = circuit_unitary(LocalCircuit((inside,)), [self.dims[p] for p in support])
-                factors[k + 1] = lift if factors[k + 1] is None else lift @ factors[k + 1]
-        layers = _times(circuit, factors).layers
-        return LocalCircuit(tuple(layer for layer, gone in zip(layers, self.absorbed) if not gone),
-                            preset=circuit.preset)
+        """A circuit U on rho as a search start: W = U V, each layer times
+        its :attr:`factors` entry.  Raises ValueError, naming both layer
+        lists, unless ``circuit`` has the layers of :attr:`circuit` by
+        support and dimension."""
+        _check_layers(circuit, self.circuit, "a warm start must have the search's layers")
+        return _times(circuit, self.factors)
 
     def to_state(self, circuit: LocalCircuit) -> LocalCircuit:
         """A circuit W the search found as the circuit on rho: U = W V†,
-        each layer times its :attr:`factors` entry's adjoint, each absorbed
-        layer back in its place at theta = 0.  A factor acts only on
-        parties no earlier kept layer touches, so it commutes past them
-        and the layers' products are W V†.  Raises ValueError, naming both
-        layer lists, unless ``circuit`` has the layers of :attr:`circuit`
-        by support and dimension."""
+        each layer times its :attr:`factors` entry's adjoint.  A factor
+        acts only on parties no earlier layer touches, so it commutes past
+        them and the layers' products are W V†.  Raises ValueError,
+        naming both layer lists, unless ``circuit`` has the layers of
+        :attr:`circuit` by support and dimension."""
         _check_layers(circuit, self.circuit,
                       "a found circuit must have the search circuit's layers")
-        found = iter(circuit.layers)
-        layers = tuple(layer if gone else next(found)
-                       for layer, gone in zip(self.template.layers, self.absorbed))
-        return _times(LocalCircuit(layers, preset=circuit.preset),
-                      [None if f is None else f.conj().T for f in self.factors])
+        return _times(circuit, [None if f is None else f.conj().T for f in self.factors])
 
 
 def _layer_list(circuit) -> list | str:

@@ -237,15 +237,14 @@ W3_WITNESS = GHZ3_WITNESS.with_name("w3_witness.json")
 
 
 def _ghz_witness_theta():
-    """Depth-3 frame at the default supports (0,), (0, 1), (0, 2) that takes
-    GHZ(3) to |000>: the identity on (0,), a CNOT on (0, 1), then the
-    inverse Bell-basis change on (0, 2)."""
+    """Depth-3 frame on the preset's supports (0, 1), (0, 2) that takes
+    GHZ(3) to |000>: a CNOT on (0, 1), then the inverse Bell-basis change
+    on (0, 2)."""
     u_bell = np.column_stack([states.bell(k).amps
                               for k in ("phi+", "phi-", "psi+", "psi-")])
     cnot = np.zeros((4, 4), dtype=complex)
     cnot[0, 0] = cnot[1, 1] = cnot[2, 3] = cnot[3, 2] = 1.0
     return np.concatenate([
-        np.zeros(4),
         unitary.params_for_unitary(cnot).theta,
         unitary.params_for_unitary(u_bell.conj().T).theta,
     ])
@@ -284,10 +283,10 @@ def test_criterion_8_ghz_witness_certificate():
 
 
 def _w_witness_theta():
-    """Depth-3 frame at the default supports (0,), (0, 1), (0, 2) that takes
-    W(3) to |000>: the identity on (0,); on (0, 1) a gate taking psi+ to
-    |11>, then a CNOT, which leaves sqrt(2/3)|10>|0> + (1/sqrt 3)|00>|1>;
-    on (0, 2) a gate taking (1/sqrt 3)|01> + sqrt(2/3)|10> to |00>."""
+    """Depth-3 frame on the preset's supports (0, 1), (0, 2) that takes
+    W(3) to |000>: on (0, 1) a gate taking psi+ to |11>, then a CNOT,
+    which leaves sqrt(2/3)|10>|0> + (1/sqrt 3)|00>|1>; on (0, 2) a gate
+    taking (1/sqrt 3)|01> + sqrt(2/3)|10> to |00>."""
     ket = np.eye(4)
     psi_plus, psi_minus = (ket[1] + ket[2]) / math.sqrt(2), (ket[1] - ket[2]) / math.sqrt(2)
     g = (np.outer(ket[0], ket[0]) + np.outer(ket[3], psi_plus)
@@ -298,7 +297,6 @@ def _w_witness_theta():
     other = np.array([0.0, math.sqrt(2.0), -1.0, 0.0]) / math.sqrt(3.0)
     to_zero = np.column_stack([rest, ket[0], other, ket[3]]).T
     return np.concatenate([
-        np.zeros(4),
         unitary.params_for_unitary(cnot @ g).theta,
         unitary.params_for_unitary(to_zero).theta,
     ])

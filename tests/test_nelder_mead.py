@@ -20,8 +20,7 @@ from consonance.qstate import density_from_pure
 from test_acceptance import OPT_SMALL
 from test_frames import reference_sums, reference_unitary
 from test_nonglobal_lift import noisy_ghz3_behind_a_haar_frame
-from test_unitary import (absorbed_layers, mixed_marginals, moved_columns, search_circuit,
-                          with_local_noise)
+from test_unitary import mixed_marginals, moved_columns, with_local_noise
 
 
 def _drive(f, x0, maxfev, xatol, fatol, adaptive):
@@ -166,12 +165,12 @@ def test_every_budget_matches_scipy(f, x0, adaptive):
 def _scipy_restart(rho, template, x0, config, groups=None, stage_ls=None):
     """One restart on scipy's Nelder-Mead, one frame at a time through the
     scalar reference: the search as it ran before the restarts were put
-    in lockstep, on none of the package's frame code.  ``template`` is the
-    search's circuit (``search_circuit`` of a nonglobal preset's).  Scipy
-    moves the search's columns (``moved_columns`` of ``groups``); the
-    others stay at their values in ``x0``.  The restart ends at the first stage whose end
-    has L <= eps_L, and runs the polish only if none does; ``stage_ls``,
-    if given, gets each stage end's L."""
+    in lockstep, on none of the package's frame code, over the preset's
+    circuit ``template``.  Scipy moves the search's columns
+    (``moved_columns`` of ``groups``); the others stay at their values in
+    ``x0``.  The restart ends at the first stage whose end has L <= eps_L,
+    and runs the polish only if none does; ``stage_ls``, if given, gets
+    each stage end's L."""
     stage_ls = [] if stage_ls is None else stage_ls
     budget = max(50, config.max_evals // (len(PENALTY_MUS) + 1))
     moved = moved_columns(template, groups)
@@ -256,25 +255,14 @@ def test_a_warm_start_left_alone_keeps_its_unmoved_columns():
     # each layer, which the search does not move
     preset = Preset(kind=unitary.NONGLOBAL, depth=3)
     rho = density_from_pure(states.ghz(3))
-    layers = preset.build(rho.dims)
-    template = search_circuit(layers)
+    template = preset.build(rho.dims)
     x0 = np.linspace(-1.0, 1.1, template.n_theta)
     config = OptimizerConfig(preset=preset, restarts=1, seed=9, max_evals=1000,
-                             warm_starts=(_on_the_layers(layers, x0),))
+                             warm_starts=(unitary.with_theta(template, x0),))
     identity, warm = consonance(rho, config).per_restart
     assert identity.evals == 1000 // (len(PENALTY_MUS) + 1) + 1 < warm.evals
     assert (warm.value, warm.l_residual, warm.evals) == \
         _scipy_restart(rho, template, x0, config)
-
-
-def _on_the_layers(layers, x0):
-    """A start ``x0`` over the search's circuit as a warm start on the
-    preset's ``layers``, with each absorbed layer at theta = 0."""
-    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
-                           for layer, gone in zip(layers.layers, absorbed_layers(layers))])
-    theta = np.zeros(layers.n_theta)
-    theta[kept] = x0
-    return unitary.with_theta(layers, theta)
 
 
 def _lockstep_matches_solo_runs(rho, preset, groups=None, restarts=4):
@@ -282,8 +270,7 @@ def _lockstep_matches_solo_runs(rho, preset, groups=None, restarts=4):
     scipy reference and against a solo run; returns the records."""
     config = OptimizerConfig(preset=preset, restarts=restarts, seed=9, max_evals=1000)
     lockstep = consonance(rho, config)
-    layers = preset.build(rho.dims)
-    template = search_circuit(layers)
+    template = preset.build(rho.dims)
     assert preset.search_frame(rho).moved.tolist() == moved_columns(template, groups)
     for j, record in enumerate(lockstep.per_restart):
         x0 = (_random_start(config, j, template, groups) if j
@@ -295,7 +282,8 @@ def _lockstep_matches_solo_runs(rho, preset, groups=None, restarts=4):
         solo = consonance(rho, OptimizerConfig(preset=preset, restarts=1,
                                                seed=config.seed,
                                                max_evals=config.max_evals,
-                                               warm_starts=(_on_the_layers(layers, x0),)))
+                                               warm_starts=(unitary.with_theta(template,
+                                                                               x0),)))
         assert solo.per_restart[0] == lockstep.per_restart[0]
         got = solo.per_restart[1]
         assert (got.value, got.l_residual, got.evals) == \

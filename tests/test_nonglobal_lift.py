@@ -2,7 +2,7 @@
 
 The depth-3 nonglobal circuit on three parties holds every product
 V_0 (x) V_1 (x) V_2: V_0 (x) V_1 on its (0, 1) layer and 1 (x) V_2 on its
-(0, 2) layer.  So where every party lies in a kept layer's support and
+(0, 2) layer.  So where every party lies in a layer's support and
 ``decide.single_party`` settles a frame with L = 0, the search runs in
 that frame, its identity restart starts feasible at the single-party
 value, and no feasible nonglobal value lies above it.  Everywhere else
@@ -19,7 +19,7 @@ from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.decide import single_party
 from consonance.optimizer import Preset, consonance, report_to_json
 from consonance.qstate import DensityMatrix, density_from_pure, in_local_frame
-from consonance.unitary import NONGLOBAL, SearchFrame, apply
+from consonance.unitary import NONGLOBAL, SearchFrame, apply, circuit_unitary, with_theta
 from test_acceptance import OPT_SMALL
 
 
@@ -62,17 +62,14 @@ def test_no_feasible_nonglobal_value_lies_above_the_single_party_value(p, seed):
 
 def _unrotated_frame(preset: Preset, rho) -> SearchFrame:
     """The nonglobal frame as it was before the lift: no party rotates,
-    and every column of each kept layer moves but its last diagonal one,
-    which the chart puts at d - 1 (the diagonal first, then the pairs)."""
-    template = preset.build(rho.dims)
-    supports = [s for s, _ in template.shape]
-    absorbed = tuple(set(s) <= set(t) for s, t in zip(supports, supports[1:])) + (False,)
+    and every column of each layer moves but its last diagonal one, which
+    the chart puts at d - 1 (the diagonal first, then the pairs)."""
+    circuit = preset.build(rho.dims)
     moved, offset = [], 0
-    for (_, d), gone in zip(template.shape, absorbed):
-        if not gone:
-            moved += [c for c in range(offset, offset + d * d) if c != offset + d - 1]
-            offset += d * d
-    return SearchFrame(template, rho.dims, absorbed, (None,) * len(rho.dims),
+    for _, d in circuit.shape:
+        moved += [c for c in range(offset, offset + d * d) if c != offset + d - 1]
+        offset += d * d
+    return SearchFrame(circuit, rho.dims, (None,) * len(rho.dims),
                        np.array(moved, dtype=np.intp))
 
 
@@ -95,11 +92,10 @@ def test_an_input_that_is_not_lifted_keeps_the_unrotated_frame_and_report(monkey
                                                                           depth):
     preset = Preset(NONGLOBAL, depth)
     frame, want = preset.search_frame(rho), _unrotated_frame(preset, rho)
-    assert frame.template is want.template
+    assert frame.circuit is want.circuit
     assert frame.dims == want.dims
-    assert frame.absorbed == want.absorbed
     assert frame.rotations == want.rotations
-    assert frame.factors == (None,) * depth
+    assert frame.factors == (None,) * len(frame.circuit.layers)
     assert frame.moved.tolist() == want.moved.tolist() and frame.moved.dtype == want.moved.dtype
     assert frame.state(rho) is rho
     config = optimizer.OptimizerConfig(preset, restarts=2, seed=11, max_evals=1000)
@@ -114,11 +110,16 @@ def test_a_lifted_frame_is_the_single_party_frame_folded_into_the_kept_layers():
     rotations, masks = single_party(rho)
     assert not any(m.any() for m in masks)
     assert all((got == want).all() for got, want in zip(frame.rotations, rotations))
-    none, first, second = frame.factors
-    assert none is None
+    first, second = frame.factors
     assert (first == np.kron(rotations[0], rotations[1])).all()
     assert (second == np.kron(np.eye(2), rotations[2])).all()
     # the identity start sits at the single-party value, L = 0 to rounding
     searched = frame.state(rho)
     assert local_coherence(searched) <= 1e-13
     assert nonlocal_sum(searched) == nonlocal_sum(in_local_frame(rho, rotations))
+    # a start U on rho enters as U V, and the round trip back keeps U
+    circuit = with_theta(frame.circuit, np.random.default_rng(2).uniform(-3, 3, 32))
+    u, v = circuit_unitary(circuit, rho.dims), np.kron(first, rotations[2])
+    search = frame.to_search(circuit)
+    assert np.abs(circuit_unitary(search, rho.dims) - u @ v).max() <= 1e-12
+    assert np.abs(circuit_unitary(frame.to_state(search), rho.dims) - u).max() <= 1e-12

@@ -13,7 +13,7 @@ from consonance.optimizer import (EPS_L, ORACLE_CHUNK, PENALTY_MUS, ConsonanceRe
                                   consonance, oracle_consonance, report_to_json)
 from consonance.qstate import DensityMatrix, as_density, density_from_pure
 from consonance.unitary import NONGLOBAL, apply, with_theta
-from test_acceptance import GHZ3_WITNESS
+from test_acceptance import GHZ3_WITNESS, W3_WITNESS
 from test_unitary import mixed_marginals, with_local_noise
 
 CHEAP = OptimizerConfig(restarts=2, seed=7, max_evals=3000)
@@ -337,12 +337,12 @@ def _circuit_of(shape):
 
 
 @pytest.mark.parametrize("warm", [
-    # the preset's 36 parameters, on other parties
-    _circuit_of([((2,), 2), ((1, 2), 4), ((0, 1), 4)]),
-    # the search's supports, with the first two layer dimensions swapped
-    _circuit_of([((0,), 4), ((0, 1), 2), ((0, 2), 4)]),
+    # the preset's 32 parameters, on other parties
+    _circuit_of([((1, 2), 4), ((0, 2), 4)]),
+    # the search's supports, with the first layer on a qubit's dimension
+    _circuit_of([((0, 1), 2), ((0, 2), 4)]),
     # a raw parameter vector of the right length
-    np.zeros(36),
+    np.zeros(32),
 ], ids=["other-supports", "other-dimensions", "raw-array"])
 def test_warm_start_must_match_the_search_circuit(monkeypatch, warm):
     no_frames(monkeypatch)
@@ -350,6 +350,22 @@ def test_warm_start_must_match_the_search_circuit(monkeypatch, warm):
                              warm_starts=(warm,))
     with pytest.raises(ValueError) as err:
         consonance(density_from_pure(states.ghz(3)), config)
+    assert "[((0, 1), 4), ((0, 2), 4)]" in str(err.value)
+
+
+@pytest.mark.parametrize("path", [GHZ3_WITNESS, W3_WITNESS])
+def test_a_witness_with_its_old_absorbed_layer_is_refused(monkeypatch, path):
+    # the witness as it was committed while the preset still built the
+    # (0,) layer that (0, 1) absorbs: an identity layer in front
+    witness = unitary.load_circuit(path)
+    identity = unitary.CircuitLayer((0,), unitary.UnitaryParams.identity(2))
+    old = unitary.LocalCircuit((identity,) + witness.layers, preset=witness.preset)
+    no_frames(monkeypatch)
+    config = OptimizerConfig(preset=Preset(kind=NONGLOBAL, depth=3), restarts=2,
+                             warm_starts=(old,))
+    with pytest.raises(ValueError) as err:
+        consonance(density_from_pure(states.ghz(3)), config)
+    assert "[((0, 1), 4), ((0, 2), 4)]" in str(err.value)
     assert "[((0,), 2), ((0, 1), 4), ((0, 2), 4)]" in str(err.value)
 
 
@@ -431,7 +447,7 @@ def test_config_report_json():
     blob = config_to_json(config)
     assert blob["restarts"] == 2
     assert blob["seed"] == 9
-    assert blob["preset"] == {"kind": "single_party", "depth": 3, "supports": None}
+    assert blob["preset"] == {"kind": "single_party", "depth": 3}
     # the fixed penalty schedule is written out with every config
     assert (blob["mu0"], blob["mu_growth"], blob["mu_stages"]) == (10.0, 10.0, 4)
     assert "tol_value" not in blob

@@ -5,11 +5,12 @@ the search runs on rho in the marginals' eigenframe and moves only the
 pairs inside one eigenvalue group.  Where every group is one eigenvalue,
 nothing moves and the eigenframe alone decides the state.
 
-A nonglobal search leaves out what S and L cannot see: each layer whose
-support lies inside the next layer's, and each remaining layer's last
-diagonal column, which carries only the trace.
+A nonglobal preset builds no layer whose support lies inside the next
+layer's, and its search leaves out what S and L cannot see: each layer's
+last diagonal column, which carries only the trace.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,9 +22,8 @@ from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance
 from consonance.qstate import TOL_DEGENERATE, PureState, density_from_pure, partial_trace
 from consonance.unitary import NONGLOBAL, circuit_unitary
 from test_acceptance import GHZ3_WITNESS, OPT_SMALL, W3_WITNESS
-from test_nonglobal_lift import noisy_ghz3_behind_a_haar_frame
 from test_optimizer import _behind_a_frame, _circuit_of, _inverse
-from test_unitary import maximally_mixed, mixed_marginals, template_columns, with_local_noise
+from test_unitary import maximally_mixed, mixed_marginals, with_local_noise
 
 
 def _schmidt_2x3(p0):
@@ -131,7 +131,7 @@ def test_a_warm_start_on_a_rotated_layer_starts_from_its_frame():
     assert abs(warm.value - measures.consonance_pure_bipartite(psi)) <= 1e-12
 
 
-# --- nonglobal: no absorbed layer and no trace column moves --------------
+# --- nonglobal: no absorbed layer is built and no trace column moves ----
 
 
 def _shape(circuit):
@@ -142,78 +142,52 @@ def _shape(circuit):
 @pytest.mark.parametrize("depth", [2, 3, 4])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_the_nonglobal_search_circuit_loses_no_frame(dims, depth, seed):
-    # a start's absorbed layer is multiplied into the next one, and a
-    # found circuit gets it back at theta = 0: the circuit unitary is kept
+    # a start moves into the search's frame and a found circuit back onto
+    # rho, layer by layer: the circuit unitary is kept
     preset = Preset(NONGLOBAL, depth)
     frame = preset.search_frame(states.random_density(dims, seed=seed))
-    assert frame.absorbed[0] and not any(frame.absorbed[1:])
     rng = np.random.default_rng(seed)
-    circuit = unitary.with_theta(preset.build(dims),
-                                 rng.uniform(-math.pi, math.pi, frame.template.n_theta))
+    circuit = unitary.with_theta(frame.circuit,
+                                 rng.uniform(-math.pi, math.pi, frame.circuit.n_theta))
     search = frame.to_search(circuit)
     assert _shape(search) == _shape(frame.circuit)
     back = frame.to_state(search)
     assert _shape(back) == _shape(circuit) and back.preset == circuit.preset
     assert np.abs(circuit_unitary(back, dims) - circuit_unitary(circuit, dims)).max() <= 1e-12
-    for layer, gone in zip(back.layers, frame.absorbed):
-        assert layer.params.theta.any() != gone
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_a_warm_start_with_an_absorbed_layer_enters_a_lifted_frame(seed):
-    # the search circuit's (0, 1) layer is U_01 (U_0 (x) 1)(V_0 (x) V_1): the
-    # absorbed layer's lift first, then the rotation, and the round trip
-    # back to rho keeps the circuit unitary
-    rho = noisy_ghz3_behind_a_haar_frame(0.6, seed)
-    frame = Preset(NONGLOBAL, 3).search_frame(rho)
-    assert all(r is not None for r in frame.rotations)
-    rng = np.random.default_rng(seed)
-    circuit = unitary.with_theta(frame.template,
-                                 rng.uniform(-math.pi, math.pi, frame.template.n_theta))
-    assert circuit.layers[0].params.theta.any() and frame.absorbed[0]
-    v = np.kron(np.kron(*frame.rotations[:2]), frame.rotations[2])
-    search = frame.to_search(circuit)
-    u = circuit_unitary(circuit, rho.dims)
-    assert np.abs(circuit_unitary(search, rho.dims) - u @ v).max() <= 1e-12
-    back = frame.to_state(search)
-    assert _shape(back) == _shape(circuit) and not back.layers[0].params.theta.any()
-    assert np.abs(circuit_unitary(back, rho.dims) - u).max() <= 1e-12
 
 
 @pytest.mark.parametrize("path", [GHZ3_WITNESS, W3_WITNESS])
 def test_a_witness_enters_the_nonglobal_search_bit_for_bit(path):
-    # the witnesses hold their (0,) layer at theta = 0, so no product is taken
+    # no party rotates, so no product is taken
     witness = unitary.load_circuit(path)
     frame = Preset(NONGLOBAL).search_frame(states.random_density((2, 2, 2), seed=1))
     search = frame.to_search(witness)
-    assert (unitary.theta_vector(search) == unitary.theta_vector(witness)[4:]).all()
+    assert (unitary.theta_vector(search) == unitary.theta_vector(witness)).all()
     assert (unitary.theta_vector(frame.to_state(search))
             == unitary.theta_vector(witness)).all()
 
 
-def test_a_depth_3_search_on_three_qubits_moves_30_of_36_columns():
+def test_a_depth_3_search_on_three_qubits_moves_30_of_32_columns():
     frame = Preset(NONGLOBAL, 3).search_frame(density_from_pure(states.ghz(3)))
-    assert frame.template.n_theta == 36
-    # none in the absorbed (0,) layer, none at a layer's last diagonal entry
-    assert template_columns(frame) == [c for c in range(4, 36) if c not in (4 + 3, 20 + 3)]
-    assert frame.absorbed == (True, False, False)
+    # the leading (0,) is not built: (0, 1) absorbs it
     assert _shape(frame.circuit) == [((0, 1), 4), ((0, 2), 4)]
+    assert frame.circuit.n_theta == 32
+    # none at a layer's last diagonal entry
     assert frame.moved.tolist() == [c for c in range(32) if c not in (3, 19)]
 
 
-@pytest.mark.parametrize("dims,depth", [((2, 2, 2), 1), ((2, 3, 2, 2), 1), ((2, 2), 1),
-                                        ((2, 2), 4), ((3, 2), 3)])
-def test_depth_one_and_two_parties_absorb_nothing(dims, depth):
-    # a two-party preset cycles (0,), (1,), and neither holds the other
-    preset = Preset(NONGLOBAL, depth)
-    frame = preset.search_frame(maximally_mixed(dims))
-    assert not any(frame.absorbed)
-    assert _shape(frame.circuit) == _shape(preset.build(dims))
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 3, 2, 2)])
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_no_built_nonglobal_layer_lies_inside_the_next_one(dims, depth):
+    # and the search moves every H entry but each layer's last diagonal one
+    frame = Preset(NONGLOBAL, depth).search_frame(maximally_mixed(dims))
+    supports = [set(s) for s, _ in _shape(frame.circuit)]
+    assert not any(s <= t for s, t in zip(supports, supports[1:]))
     columns, offset = [], 0
     for _, d in _shape(frame.circuit):
         columns += [offset + k for k in range(d * d) if k != d - 1]
         offset += d * d
-    assert frame.moved.tolist() == template_columns(frame) == columns
+    assert frame.moved.tolist() == columns
 
 
 def test_the_single_party_moved_columns_are_unchanged():
@@ -228,15 +202,16 @@ def test_the_single_party_moved_columns_are_unchanged():
                          (mixed_marginals((2, 2, 2), seed=1), [2, 3, 6, 7, 10, 11])]:
         assert Preset().search_frame(rho).moved.tolist() == columns
     frame = Preset().search_frame(maximally_mixed((3, 3)))
-    assert not any(frame.absorbed)
     assert _shape(frame.circuit) == _shape(Preset().build((3, 3)))
 
 
 @pytest.mark.parametrize("preset,dims,side,layers", [
-    # the search's own 2 layers, which came back as 1 layer and 16 columns
-    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", [((0, 1), 4), ((0, 2), 4)]),
-    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", [((0,), 4), ((0, 1), 2), ((0, 2), 4)]),
-    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", np.zeros(36)),
+    # one layer of the search's two, the two swapped, and the three layers
+    # a depth-3 circuit had while it still built the absorbed (0,)
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", [((0, 1), 4)]),
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", [((0, 2), 4), ((0, 1), 4)]),
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", np.zeros(32)),
+    (Preset(NONGLOBAL, 3), (2, 2, 2), "to_search", [((0,), 2), ((0, 1), 4), ((0, 2), 4)]),
     # one layer of the search's two, which ran out of layers mid-circuit
     (Preset(NONGLOBAL, 3), (2, 2, 2), "to_state", [((0, 2), 4)]),
     (Preset(), (2, 3), "to_state", [((0,), 3), ((1,), 2)]),
@@ -244,22 +219,22 @@ def test_the_single_party_moved_columns_are_unchanged():
     (Preset(), (2, 3), "to_search", [((0,), 2)]),
     (Preset(), (2, 3), "to_search", [((0,), 3), ((1,), 2)]),
 ], ids=["to_search-fewer", "to_search-swapped", "to_search-raw-array",
+        "to_search-absorbed-layer",
         "to_state-fewer", "to_state-swapped", "to_state-raw-array",
         "to_search-single-party-fewer", "to_search-single-party-swapped"])
 def test_a_frame_converts_only_circuits_of_its_layers(preset, dims, side, layers):
-    # to_search takes the preset's layers and to_state the search's
+    # both take the search's layers, which are the preset's
     frame = preset.search_frame(maximally_mixed(dims))
-    want = frame.template if side == "to_search" else frame.circuit
     given = layers if isinstance(layers, np.ndarray) else _circuit_of(layers)
     with pytest.raises(ValueError) as err:
         getattr(frame, side)(given)
-    assert str(_shape(want)) in str(err.value)
+    assert str(_shape(frame.circuit)) in str(err.value)
     assert str(layers if isinstance(layers, list) else "ndarray") in str(err.value)
 
 
 def test_the_nonglobal_search_evaluates_its_own_circuit(monkeypatch):
-    # frames of 32 columns, not 36; the report has the preset's layers,
-    # the absorbed one at theta = 0 and each trace column at its start, 0
+    # frames of 32 columns; the report has the preset's layers, each
+    # trace column at its start, 0
     widths = set()
     frame_sums = optimizer._frame_sums
 
@@ -273,6 +248,27 @@ def test_the_nonglobal_search_evaluates_its_own_circuit(monkeypatch):
     report = consonance(states.ghz(3), config)
     assert widths == {32}
     assert _shape(report.circuit) == _shape(Preset(NONGLOBAL, 3).build((2, 2, 2)))
-    layers = [layer.params.theta for layer in report.circuit.layers]
-    assert not layers[0].any()
-    assert layers[1][3] == layers[2][3] == 0.0
+    first, second = [layer.params.theta for layer in report.circuit.layers]
+    assert first[3] == second[3] == 0.0
+
+
+def _ghz3_with_phase(phi):
+    """(|000> + e^{i phi} |111>) / sqrt 2."""
+    amps = np.zeros(8, dtype=np.complex128)
+    amps[0], amps[7] = 1.0 / math.sqrt(2.0), np.exp(1j * phi) / math.sqrt(2.0)
+    return density_from_pure(PureState((2, 2, 2), amps))
+
+
+@pytest.mark.parametrize("frame", ["standard", "random"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_nonglobal_report_replays_with_an_identity_layer_put_back_in_front(frame, seed):
+    # the (0,) layer the preset no longer builds was the exact identity in
+    # every report, so a replay with it put back gives the report's bits
+    rho = _ghz3_with_phase(np.random.default_rng(seed).uniform(-math.pi, math.pi))
+    rho = _behind_a_frame(rho, seed) if frame == "random" else rho
+    report = consonance(rho, dataclasses.replace(OPT_SMALL, preset=Preset(NONGLOBAL, 3)))
+    identity = unitary.CircuitLayer((0,), unitary.UnitaryParams.identity(2))
+    replayed = unitary.apply(unitary.LocalCircuit((identity,) + report.circuit.layers,
+                                                  preset=report.circuit.preset), rho)
+    assert (report.value, report.l_residual) == (nonlocal_sum(replayed),
+                                                 local_coherence(replayed))

@@ -1,15 +1,18 @@
-"""Rules about where code lives, read from the package's source text.
+"""Rules about where code lives, read from the package's source text,
+and rules the committed circuits keep, read from them as plain JSON.
 
-Each test states one rule as a search over the source files, so a change
-that breaks the rule fails here with the offending lines.  A span is
-what ``sed -n '/^START/,/^def /p'`` prints: from the first line that
+Each source test states one rule as a search over the source files, so a
+change that breaks the rule fails here with the offending lines.  A span
+is what ``sed -n '/^START/,/^def /p'`` prints: from the first line that
 starts with START through the next line that starts a top-level
 ``def``."""
 
+import json
 import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "consonance"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "consonance"
 
 
 def _lines(*names: str) -> list[tuple[str, str]]:
@@ -57,3 +60,36 @@ def test_a_layer_is_re_charted_in_times_alone():
 def test_coherence_is_the_one_reporter_of_a_class_sum():
     # the search and the frame code sum no magnitudes of their own
     assert _matching(r"fsum", "optimizer.py", "unitary.py") == []
+
+
+def test_a_preset_is_decided_in_preset_alone():
+    # optimizer and cli build no circuit and check no depth
+    assert _matching(r"class Preset|depth must be|UnitaryParams\.identity|CircuitLayer\(",
+                     "optimizer.py", "cli.py") == []
+
+
+def test_cli_decides_nothing_about_a_warm_start():
+    # the search checks a warm start, in unitary.SearchFrame
+    assert _matching(r"theta_vector|\.supports\(", "cli.py") == []
+
+
+def test_optimizer_reads_no_layer_list():
+    # a search's layers are read and checked in unitary.SearchFrame alone
+    assert _matching(r"\.template|\.layers|_layer_shape", "optimizer.py") == []
+
+
+def test_every_committed_nonglobal_circuit_builds_no_absorbed_layer_and_holds_every_party():
+    # the nonglobal reports and the witnesses their runs start from are all
+    # on three qubits; a layer inside the next one would add nothing, since
+    # U_next (U_k (x) 1) ranges over the same unitaries as U_next alone
+    paths = sorted((ROOT / "results" / "multipartite").glob("*nonglobal*.json"))
+    circuits = {path.name: json.loads(path.read_text())["circuit"] for path in paths}
+    for name in ("ghz3_witness.json", "w3_witness.json"):
+        circuits[name] = json.loads((ROOT / "results" / name).read_text())
+    assert len(circuits) == 4, sorted(circuits)
+    for name, circuit in circuits.items():
+        supports = [set(layer["support"]) for layer in circuit["layers"]]
+        assert [len(layer["theta"]) for layer in circuit["layers"]] == \
+            [4 ** len(s) for s in supports], name
+        assert not any(s <= t for s, t in zip(supports, supports[1:])), name
+        assert set().union(*supports) == {0, 1, 2}, name

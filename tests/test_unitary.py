@@ -344,12 +344,18 @@ def test_default_supports():
     assert default_supports(3) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
 
 
-# every singleton and pair support in lexicographic order; a pair is
-# global, so left out, at two parties
-POOLS = {
-    2: [(0,), (1,)],
-    3: [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)],
-    4: [(0,), (0, 1), (0, 2), (0, 3), (1,), (1, 2), (1, 3), (2,), (2, 3), (3,)],
+# the nonglobal supports at depths 1 to 7: the first ``depth`` singleton
+# and pair supports in lexicographic order, cycled, less each layer whose
+# support lies inside the next one's (here a (p,) followed by a pair that
+# holds p); a pair is global, so left out, at two parties
+NONGLOBAL_SUPPORTS = {
+    2: [[(0,), (1,)] * (depth // 2) + [(0,)] * (depth % 2) for depth in range(1, 8)],
+    3: [[(0,)], [(0, 1)], [(0, 1), (0, 2)], [(0, 1), (0, 2), (1,)],
+        [(0, 1), (0, 2), (1, 2)], [(0, 1), (0, 2), (1, 2), (2,)],
+        [(0, 1), (0, 2), (1, 2), (2,), (0,)]],
+    4: [[(0,)], [(0, 1)], [(0, 1), (0, 2)], [(0, 1), (0, 2), (0, 3)],
+        [(0, 1), (0, 2), (0, 3), (1,)], [(0, 1), (0, 2), (0, 3), (1, 2)],
+        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]],
 }
 
 
@@ -357,9 +363,8 @@ POOLS = {
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_preset_builds_its_supports_at_theta_zero(dims, depth):
     n = len(dims)
-    pool = POOLS[n]
     want = {SINGLE_PARTY: [(p,) for p in range(n)],
-            NONGLOBAL: [pool[k % len(pool)] for k in range(depth)]}
+            NONGLOBAL: NONGLOBAL_SUPPORTS[n][depth - 1]}
     tags = {SINGLE_PARTY: "single_party", NONGLOBAL: f"nonglobal:depth={depth}"}
     for kind in (SINGLE_PARTY, NONGLOBAL):
         preset = Preset(kind, depth)
@@ -381,7 +386,7 @@ def test_preset_builds_its_supports_at_theta_zero(dims, depth):
 def test_preset_defaults_and_equality():
     assert optimizer.Preset is consonance.Preset is Preset
     assert (Preset().kind, Preset().depth) == (SINGLE_PARTY, 3)
-    assert Preset(NONGLOBAL).build((2, 2, 2)).n_theta == 4 + 16 + 16
+    assert Preset(NONGLOBAL).build((2, 2, 2)).n_theta == 16 + 16
     # equal presets are equal keys (the benchmark keys its cases by preset)
     same = Preset(NONGLOBAL, np.int64(3))
     assert same == Preset(kind=NONGLOBAL, depth=3)
@@ -415,37 +420,19 @@ def test_preset_stores_numpy_integers_as_int():
     assert p.depth == 2 and type(p.depth) is int
 
 
-def absorbed_layers(circuit) -> list[bool]:
-    """Whether each layer's support lies inside the next layer's, the one
-    applied right after it: U_next (U_k (x) 1) ranges over the same
-    unitaries as U_next alone, so a nonglobal search leaves it out."""
-    layers = circuit.layers
-    return [k + 1 < len(layers) and set(layer.support) <= set(layers[k + 1].support)
-            for k, layer in enumerate(layers)]
-
-
-def search_circuit(circuit) -> LocalCircuit:
-    """The circuit a nonglobal search runs over: ``circuit`` without its
-    absorbed layers."""
-    return LocalCircuit(tuple(layer for layer, gone
-                              in zip(circuit.layers, absorbed_layers(circuit)) if not gone),
-                        preset=circuit.preset)
-
-
 def moved_columns(circuit, groups=None) -> list[int]:
     """The theta columns a search over ``circuit`` moves, from its layer
     supports and dimensions alone: a single_party layer's upper-triangle
     (re, im) pairs, d..d^2-1 of its d^2, since its diagonal is gauge; in
-    any other circuit, none of an absorbed layer and every column of the
-    others but the last diagonal one, d - 1, since the trace is a global
-    phase.  ``groups``, one list per single_party layer, keeps only the
-    pairs (i, j) with groups[i] == groups[j]."""
+    any other circuit, every column of each layer but the last diagonal
+    one, d - 1, since the trace is a global phase.  ``groups``, one list
+    per single_party layer, keeps only the pairs (i, j) with
+    groups[i] == groups[j]."""
     moved, offset = [], 0
-    for k, (layer, gone) in enumerate(zip(circuit.layers, absorbed_layers(circuit))):
+    for k, layer in enumerate(circuit.layers):
         d = layer.params.dim
         if circuit.preset != SINGLE_PARTY:
-            if not gone:
-                moved += [c for c in range(offset, offset + d * d) if c != offset + d - 1]
+            moved += [c for c in range(offset, offset + d * d) if c != offset + d - 1]
         else:
             g = groups[k] if groups else [0] * d
             pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
@@ -508,15 +495,6 @@ def maximally_mixed(dims) -> DensityMatrix:
     return DensityMatrix(tuple(dims), np.eye(d) / d)
 
 
-def template_columns(frame) -> list[int]:
-    """The frame's moved columns read on its template: the search's
-    circuit is the template without its absorbed layers, so a column of
-    the one is the column of the same kept layer in the other."""
-    kept = np.concatenate([np.full(layer.params.theta.size, not gone)
-                           for layer, gone in zip(frame.template.layers, frame.absorbed)])
-    return np.flatnonzero(kept)[frame.moved].tolist()
-
-
 @pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2, 2), (2, 3, 2, 3)])
 @pytest.mark.parametrize("depth", [1, 3, 7])
 def test_preset_moves_the_columns_its_objective_sees(dims, depth):
@@ -528,7 +506,7 @@ def test_preset_moves_the_columns_its_objective_sees(dims, depth):
         preset = Preset(kind, depth)
         frame = preset.search_frame(mixed_marginals(dims, seed=1))
         assert frame.moved.dtype == np.intp
-        assert template_columns(frame) == moved_columns(preset.build(dims))
+        assert frame.moved.tolist() == moved_columns(preset.build(dims))
     frame = Preset().search_frame(mixed_marginals((2, 3), seed=1))
     assert len(frame.moved) == 2 + 6 < frame.circuit.n_theta == 13
 
@@ -539,17 +517,10 @@ def test_a_nonglobal_search_frame_rotates_nothing(depth):
     preset = Preset(NONGLOBAL, depth)
     for rho in (density_from_pure(states.w_state(3)), density_from_pure(states.ghz(3))):
         frame = preset.search_frame(rho)
-        template = preset.build(rho.dims)
+        assert frame.circuit is preset.build(rho.dims)
         assert frame.rotations == (None,) * 3
-        assert frame.factors == (None,) * depth
-        assert frame.absorbed == tuple(absorbed_layers(template))
-        assert [(layer.support, layer.params.dim, layer.params.theta.any())
-                for layer in frame.circuit.layers] == \
-            [(layer.support, layer.params.dim, False)
-             for layer in search_circuit(template).layers]
-        assert frame.circuit.preset == template.preset
+        assert frame.factors == (None,) * len(frame.circuit.layers)
         assert frame.moved.tolist() == moved_columns(frame.circuit)
-        assert template_columns(frame) == moved_columns(template)
         assert frame.state(rho) is rho
 
 
@@ -665,7 +636,7 @@ def test_with_theta_keeps_a_circuit_that_has_the_theta_bit_for_bit():
 
 def test_circuit_json_round_trip(tmp_path):
     circ = with_theta(Preset(NONGLOBAL).build((2, 2, 2)),
-                      np.linspace(-2.0, 2.0, 36))
+                      np.linspace(-2.0, 2.0, 32))
     obj = circuit_to_json(circ)
     assert obj["preset"] == "nonglobal:depth=3"
     back = circuit_from_json(obj)
