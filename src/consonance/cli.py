@@ -444,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         default = optimizer.OptimizerConfig()
         p.add_argument("--preset", choices=default.preset.KINDS, default=default.preset.kind)
         p.add_argument("--depth", type=int, default=default.preset.depth,
-                       help="layer budget for the nonglobal preset; a layer the next "
-                            "one absorbs is not built")
+                       help="nonglobal on n >= 3 parties: max(depth - 1, n - 1) pair layers "
+                            "cycling through (0,1), ..., (0,n-1); two parties run single_party")
         p.add_argument("--restarts", type=int, default=default.restarts)
         p.add_argument("--max-evals", type=int, default=default.max_evals, dest="max_evals")
         p.add_argument("--seed", type=int, default=default.seed)

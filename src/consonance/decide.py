@@ -3,13 +3,15 @@
 Under the ``single_party`` preset a frame is one unitary V_k per party.
 :func:`single_party` decides, for a state, the frame a search runs in and
 the pairs of basis vectors the search turns there.  Its one caller is
-``unitary.Preset.search_frame``, for both preset kinds: a ``single_party``
-search runs in the frame and turns the pairs, and a ``nonglobal`` search
-whose layers hold every party starts in the frame where it is
-settled (no pair to turn) at a local sum of at most ``TOL_ZERO_L``, as
-such a circuit holds every product of the V_k.  It runs three
-deciders in this order, each only where the one before left a pair to
-turn, and a frame a decider settles leaves none, so it is evaluated once.
+``unitary.Preset.search_frame``, for both preset kinds: a search on
+single-party layers (``single_party``, and ``nonglobal`` on two parties)
+runs in the frame and turns the pairs, and a ``nonglobal`` search on
+three or more parties, whose layers hold every party, starts in the
+frame where it is settled (no pair to turn) at a local sum of at most
+``TOL_ZERO_L``, as such a circuit holds every product of the V_k.  It
+runs three deciders in this order, each only where the one before left a
+pair to turn, and a frame a decider settles leaves none, so it is
+evaluated once.
 
 1. :func:`eigenframe`.  S and L read only moduli, so a diagonal unitary
    multiplied onto a circuit from the left changes neither; every

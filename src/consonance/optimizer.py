@@ -6,12 +6,13 @@ coherence L.  The circuits are those of a ``unitary.Preset`` (also
 importable from here): ``Preset.search_frame`` decides, for the state,
 the circuit the search runs over, the frame it runs in and the columns
 it moves, and the search holds every other column at its start value.
-Both kinds may run in the frame ``decide.single_party`` settles: a
-``nonglobal`` circuit that holds every party holds every product of
-single-party unitaries, so where that frame has L = 0 its identity
-restart starts feasible at the single-party value and ends after its
-first stage.  This module decides no support, builds no circuit and
-reads no layer list.  The search runs an exterior penalty scheme,
+Both kinds may run in the frame ``decide.single_party`` settles: every
+``nonglobal`` circuit holds every party (on two parties it is the
+``single_party`` circuit), so it holds every product of single-party
+unitaries, and where that frame has L = 0 its identity restart starts
+feasible at the single-party value and ends after its first stage.
+This module decides no support, builds no circuit and reads no layer
+list.  The search runs an exterior penalty scheme,
 
     minimize  S(theta) + mu * L(theta),
 

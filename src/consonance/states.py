@@ -402,8 +402,8 @@ FAMILIES = (
            discord=lambda alpha, gamma: measures.discord_2x3(alpha, gamma)),
     Family("ghz", ghz, {"n": int}, "n", consonance=_one,
            note="attained in the state's own frame, where L = 0; non-global "
-                "circuits go lower: at depth 3, a CNOT then the inverse "
-                "Bell-basis change takes GHZ(3) to |000>, where S = 0"),
+                "circuits go lower: under the nonglobal preset, a CNOT then the "
+                "inverse Bell-basis change takes GHZ(3) to |000>, where S = 0"),
     Family("w", w_state, {"n": int}, "n", aliases=("w_state",),
            note="no closed form is implemented for W; for n >= 3 W(n) has no "
                 "zero-L single_party frame: an L = 0 frame diagonalizes every "
@@ -411,9 +411,9 @@ FAMILIES = (
                 "to permutations and phases, and L = n - 1 there (as background, "
                 "an L = 0 frame of a pure state is a generalized Schmidt form "
                 "sum_k c_k |k...k>, and W(n) is not LU-equivalent to any: Dur, "
-                "Vidal & Cirac, PRA 62, 062314 (2000)); W(2) is psi+; under the nonglobal depth-3 preset W(3) "
-                "reaches S = L = 0 (criterion 8's witness), so search values "
-                "there are upper bounds on 0"),
+                "Vidal & Cirac, PRA 62, 062314 (2000)); W(2) is psi+; under the "
+                "nonglobal preset W(3) reaches S = L = 0 (criterion 8's witness), "
+                "so search values there are upper bounds on 0"),
 )
 
 _BY_NAME = {name: fam for fam in FAMILIES for name in (fam.name,) + fam.aliases}

@@ -13,8 +13,9 @@ unitary is U_L ... U_2 U_1.
 A search ranges over the circuits of one :class:`Preset`, and only the
 preset knows its shape: it checks its kind and depth once, lists its
 layer supports in circuit order (:meth:`Preset.supports`, the one place
-the supports are chosen, and where a layer the next one absorbs is left
-out), builds its circuit at theta = 0 with its tag (:meth:`Preset.build`)
+a layer is chosen: one per party, or on three or more parties the
+staircase of pairs (0, 1), ..., (0, n - 1), which holds every party),
+builds its circuit at theta = 0 with its tag (:meth:`Preset.build`)
 and decides, for a state, the frame its search runs in and the theta
 columns it moves there (:meth:`Preset.search_frame`, a
 :class:`SearchFrame`).
@@ -343,61 +344,47 @@ def apply(circuit: LocalCircuit, state):
 # --- presets -------------------------------------------------------------
 
 
-def default_supports(n: int) -> list[tuple[int, ...]]:
-    """All singleton and pair supports of n parties in lexicographic order."""
-    if n < 2:
-        raise ValueError("need at least two parties")
-    pool = [(p,) for p in range(n)]
-    if n > 2:
-        # pairs are global (hence disallowed) when n == 2
-        pool += [(p, q) for p in range(n) for q in range(p + 1, n)]
-    return sorted(pool)
-
-
 @dataclass(frozen=True)
 class Preset:
     """The circuit shape a search optimizes over, decided here alone.
 
-    ``single_party`` is one layer per party, in party order.  ``nonglobal``
-    takes the first ``depth`` entries of :func:`default_supports`, cycling
-    through the pool again if ``depth`` exceeds its length, and builds each
-    of them but those the next one absorbs: a layer whose support lies
-    inside the next layer's support, the one applied right after it, adds
-    nothing, as U_next (U_k (x) 1) ranges over the same unitaries as U_next
-    alone.  ``depth`` is checked for both kinds but read only by
-    ``nonglobal``.  So at depth 3 the leading ``(0,)`` is never built: on
-    three or more parties the supports are (0, 1) and (0, 2), and on four
-    or more they never touch party 3 or any later one.  ``single_party``
-    absorbs nothing, as no party's support holds another's.
+    ``single_party`` is one layer per party, in party order.  On two
+    parties ``nonglobal`` is that circuit too: a pair layer there is
+    global, and every non-global unitary of two parties is a product of
+    single-party ones.  On n >= 3 parties ``nonglobal`` is
+    ``max(depth - 1, n - 1)`` pair layers that cycle through the
+    staircase (0, 1), (0, 2), ..., (0, n - 1), so every circuit holds
+    every party and no layer's support lies inside the next one's.
+    ``depth`` counts a party-0 layer in front, which (0, 1) absorbs and
+    which is not built, so depth 3 on three parties is (0, 1), (0, 2).
+    ``depth`` is checked for both kinds but read only by ``nonglobal``
+    on three or more parties.
 
     :meth:`search_frame` decides, for one state, the frame a search runs
-    in and the theta columns it moves there.  Each kind states its columns
+    in and the theta columns it moves there.  Each circuit states its columns
     as one mask over each layer's H, which :func:`_moved_columns` reads
-    through the chart.  ``single_party`` takes its rotations and
-    masks from :func:`decide.single_party`, whose module docstring gives
-    the chain that decides them: a mask marks the upper-triangle pairs a
-    search turns, none where the frame is decided, and never a diagonal
-    entry, which S and L do not see on a leftmost layer.  The unmoved
-    columns stay at their start values: 0 from the identity and random
-    starts, a warm start's own values from a warm start.
+    through the chart.  A circuit of single-party layers takes its
+    rotations and masks from :func:`decide.single_party`, whose module
+    docstring gives the chain that decides them: a mask marks the
+    upper-triangle pairs a search turns, none where the frame is decided,
+    and never a diagonal entry, which S and L do not see on a leftmost
+    layer.  The unmoved columns stay at their start values: 0 from the
+    identity and random starts, a warm start's own values from a warm
+    start.
 
-    ``nonglobal`` leaves out what S and L cannot see: its mask marks every
+    A staircase leaves out what S and L cannot see: its mask marks every
     entry of each layer's H but its last diagonal one, since the trace of
     H is a global phase, and any exp(iH) is a phase times exp(iH') with
     that entry of H' zero.  So three qubits at depth 3 move 30 of 32
-    columns.
-
-    ``nonglobal`` rotates only where its layers hold every party, as
-    at depth 3 on three parties and depth 2 on two, but not at depth 3 on
-    four or more or at depth 2 on three.  Such a circuit holds every
-    product of single-party unitaries, so its value is at most the
+    columns.  A staircase holds every party, so it holds every product
+    of single-party unitaries, and its value is at most the
     ``single_party`` one.  Where :func:`decide.single_party` settles a
     frame (masks all False) whose local sum is at most ``TOL_ZERO_L``,
     the search runs in that frame, and its identity start is feasible at
     the single-party value; the masks stay those above, and each V_k
-    folds into a layer (:attr:`SearchFrame.factors`).  Everywhere
-    else no party rotates.  One call of :func:`decide.single_party` serves
-    both kinds.
+    folds into a layer (:attr:`SearchFrame.factors`).  Everywhere else
+    no party rotates.  One call of :func:`decide.single_party` serves
+    every circuit.
     """
 
     KINDS: ClassVar[tuple[str, ...]] = (SINGLE_PARTY, NONGLOBAL)
@@ -415,12 +402,11 @@ class Preset:
 
     def supports(self, n: int) -> list[tuple[int, ...]]:
         """The layer supports for n parties, in circuit order."""
-        pool = default_supports(n)
-        if self.kind == SINGLE_PARTY:
-            return [s for s in pool if len(s) == 1]
-        layers = [pool[k % len(pool)] for k in range(self.depth)]
-        # leave out each layer the next one absorbs; the last one never is
-        return [s for s, t in zip(layers, layers[1:] + [()]) if not set(s) <= set(t)]
+        if n < 2:
+            raise ValueError("need at least two parties")
+        if self.kind == SINGLE_PARTY or n == 2:
+            return [(p,) for p in range(n)]
+        return [(0, 1 + k % (n - 1)) for k in range(max(self.depth - 1, n - 1))]
 
     def build(self, dims) -> LocalCircuit:
         """The preset's circuit on ``dims`` at theta = 0, tagged
@@ -440,11 +426,9 @@ class Preset:
         and its moved columns."""
         circuit = self.build(rho.dims)
         supports, layer_dims = zip(*circuit.shape)
-        # every single_party circuit holds every party; a nonglobal one may not
-        covered = set().union(*supports) == set(range(rho.n_parties))
-        rotations, masks = single_party(rho) if covered else ((None,) * rho.n_parties, [])
-        if self.kind == NONGLOBAL:
-            settled = (covered and not any(m.any() for m in masks)
+        rotations, masks = single_party(rho)
+        if len(supports[0]) > 1:    # a staircase of pair layers
+            settled = (not any(m.any() for m in masks)
                        and local_coherence(in_local_frame(rho, rotations)) <= TOL_ZERO_L)
             rotations = rotations if settled else (None,) * rho.n_parties
             # every entry of each layer's H but its last diagonal one, the trace
@@ -475,14 +459,14 @@ class SearchFrame:
     theta = 0 on ``dims``, the one the search runs over, and ``rotations``
     holds one V_k per party (None for a party kept in its basis).  The
     search moves the circuit's columns ``moved``: none where
-    :func:`decide.single_party` decided a ``single_party`` frame, which is
-    then evaluated once.  It runs on V† rho V, V the kron of the
-    rotations, and V reaches the layers as :attr:`factors`, one share per
-    layer, so a circuit W found there is W V† on rho, layer by layer.
-    Under ``single_party`` the factors are the rotations; under
-    ``nonglobal`` a layer's factor may hold two parties' V_k.  The chart
-    inverse (:func:`params_for_unitary`) runs only where a layer has a
-    factor."""
+    :func:`decide.single_party` decided the frame of a circuit of
+    single-party layers, which is then evaluated once.  It runs on
+    V† rho V, V the kron of the rotations, and V reaches the layers as
+    :attr:`factors`, one share per layer, so a circuit W found there is
+    W V† on rho, layer by layer.  On single-party layers the factors are
+    the rotations; on a staircase the (0, 1) layer's factor holds two
+    parties' V_k.  The chart inverse (:func:`params_for_unitary`) runs
+    only where a layer has a factor."""
 
     circuit: LocalCircuit
     dims: tuple[int, ...]
@@ -499,7 +483,7 @@ class SearchFrame:
         """Each layer's share of V, in circuit order: each party's V_k
         folds into the first layer whose support holds it, as the kron
         over that support with the identity on its other parties.  None
-        for a layer that takes no rotated party; under ``single_party``
+        for a layer that takes no rotated party; on single-party layers
         the factors are the rotations."""
         factors, held = [], set()
         for support, _ in self.circuit.shape:

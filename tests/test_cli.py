@@ -656,6 +656,17 @@ def test_optimize_report_round_trip(tmp_path, capsys):
     assert replayed == pytest.approx(obj["value"], abs=1e-9)
 
 
+def test_optimize_nonglobal_on_two_parties_is_decided_in_one_evaluation(capsys):
+    # a pair layer is global on two parties, so nonglobal runs the
+    # single_party circuit, which the two-qubit rule decides in closed form
+    code, out, _ = run(capsys, "optimize", "--family", "werner:0.5", "--preset", "nonglobal")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["preset"], obj["n_evals"]) == ("nonglobal:depth=3", 1)
+    assert [layer["support"] for layer in obj["circuit"]["layers"]] == [[0], [1]]
+    assert abs(obj["value"] - 0.5) <= 1e-12
+
+
 def test_optimize_rejects_a_warm_start_on_other_supports(tmp_path, capsys):
     # the same 32 parameters as the preset's (0, 1), (0, 2), on other parties
     layers = [{"support": s, "theta": [0.1] * (4 ** len(s))}

@@ -115,7 +115,7 @@ def test_ghz_note_does_not_claim_a_lower_bound():
 def test_w_note_says_there_is_no_closed_form_and_nonglobal_values_bound_zero():
     note = states.get_family("w").note
     assert "no closed form" in note
-    assert "nonglobal depth-3" in note and "S = L = 0" in note
+    assert "under the nonglobal preset" in note and "S = L = 0" in note
     assert "upper bounds on 0" in note
     assert "no zero-L single_party frame" in note and "n >= 3" in note
     assert "generalized Schmidt form" in note and "PRA 62, 062314" in note

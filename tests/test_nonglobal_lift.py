@@ -1,12 +1,13 @@
 """A nonglobal search starts in the single-party decided frame.
 
-The depth-3 nonglobal circuit on three parties holds every product
-V_0 (x) V_1 (x) V_2: V_0 (x) V_1 on its (0, 1) layer and 1 (x) V_2 on its
-(0, 2) layer.  So where every party lies in a layer's support and
-``decide.single_party`` settles a frame with L = 0, the search runs in
-that frame, its identity restart starts feasible at the single-party
-value, and no feasible nonglobal value lies above it.  Everywhere else
-the frame, and so the report, is the unrotated one bit for bit.
+The nonglobal circuit on three or more parties, the staircase (0, 1),
+..., (0, n - 1), holds every product V_0 (x) ... (x) V_n-1: on three
+parties V_0 (x) V_1 on its (0, 1) layer and 1 (x) V_2 on its (0, 2)
+layer.  So where ``decide.single_party`` settles a frame with L = 0, the
+search runs in that frame, its identity restart starts feasible at the
+single-party value, and no feasible nonglobal value lies above it.
+Everywhere else the frame, and so the report, is the unrotated one bit
+for bit.
 """
 
 import dataclasses
@@ -83,11 +84,16 @@ def _random_density_in_its_eigenframe():
 
 
 @pytest.mark.parametrize("rho,depth", [
+    # the eigenframe is settled, but at L > 0
     (_random_density_in_its_eigenframe(), 3),
+    # W(3)'s eigenframe is its own, and L = 2 there
     (density_from_pure(states.w_state(3)), 2),
+    # GHZ(4) is decided in its own basis, on the staircase (0, 1), (0, 2), (0, 3)
     (density_from_pure(states.ghz(4)), 3),
+    # and so is GHZ(3)
     (density_from_pure(states.ghz(3)), 3),
-], ids=["random-density-eigenframe-l", "w3-depth-2", "ghz4-depth-3", "ghz3-standard"])
+], ids=["random-density-eigenframe-l", "w3-eigenframe-l-2", "ghz4-own-basis",
+        "ghz3-standard"])
 def test_an_input_that_is_not_lifted_keeps_the_unrotated_frame_and_report(monkeypatch, rho,
                                                                           depth):
     preset = Preset(NONGLOBAL, depth)

@@ -5,9 +5,12 @@ the search runs on rho in the marginals' eigenframe and moves only the
 pairs inside one eigenvalue group.  Where every group is one eigenvalue,
 nothing moves and the eigenframe alone decides the state.
 
-A nonglobal preset builds no layer whose support lies inside the next
-layer's, and its search leaves out what S and L cannot see: each layer's
-last diagonal column, which carries only the trace.
+A nonglobal preset on two parties is the single_party circuit, and its
+search is the single-party one.  On three or more parties it is the
+staircase of pair layers (0, 1), ..., (0, n - 1), cycled: every circuit
+holds every party, no layer's support lies inside the next layer's, and
+its search leaves out what S and L cannot see: each layer's last
+diagonal column, which carries only the trace.
 """
 
 import dataclasses
@@ -18,11 +21,12 @@ import pytest
 
 from consonance import measures, optimizer, states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
-from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance
+from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance, report_to_json
 from consonance.qstate import TOL_DEGENERATE, PureState, density_from_pure, partial_trace
 from consonance.unitary import NONGLOBAL, circuit_unitary
 from test_acceptance import GHZ3_WITNESS, OPT_SMALL, W3_WITNESS
 from test_optimizer import _behind_a_frame, _circuit_of, _inverse
+from test_projection import DECIDED
 from test_unitary import maximally_mixed, mixed_marginals, with_local_noise
 
 
@@ -131,7 +135,7 @@ def test_a_warm_start_on_a_rotated_layer_starts_from_its_frame():
     assert abs(warm.value - measures.consonance_pure_bipartite(psi)) <= 1e-12
 
 
-# --- nonglobal: no absorbed layer is built and no trace column moves ----
+# --- nonglobal: a staircase on three or more parties, no trace column moves ----
 
 
 def _shape(circuit):
@@ -169,25 +173,66 @@ def test_a_witness_enters_the_nonglobal_search_bit_for_bit(path):
 
 def test_a_depth_3_search_on_three_qubits_moves_30_of_32_columns():
     frame = Preset(NONGLOBAL, 3).search_frame(density_from_pure(states.ghz(3)))
-    # the leading (0,) is not built: (0, 1) absorbs it
+    # depth 3 counts a leading (0,), which (0, 1) absorbs and which is not built
+    assert _shape(Preset(NONGLOBAL, 3).build((2, 2, 2))) == [((0, 1), 4), ((0, 2), 4)]
     assert _shape(frame.circuit) == [((0, 1), 4), ((0, 2), 4)]
     assert frame.circuit.n_theta == 32
     # none at a layer's last diagonal entry
     assert frame.moved.tolist() == [c for c in range(32) if c not in (3, 19)]
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 3, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2), (2, 3, 2, 2), (2, 2, 2, 2, 2)])
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_no_built_nonglobal_layer_lies_inside_the_next_one(dims, depth):
-    # and the search moves every H entry but each layer's last diagonal one
+    # and every circuit holds every party; on three or more parties the
+    # search moves every H entry but each layer's last diagonal one, and
+    # on two it is the single_party search, which decides I/D
     frame = Preset(NONGLOBAL, depth).search_frame(maximally_mixed(dims))
     supports = [set(s) for s, _ in _shape(frame.circuit)]
     assert not any(s <= t for s, t in zip(supports, supports[1:]))
+    assert set().union(*supports) == set(range(len(dims)))
+    if len(dims) == 2:
+        assert _shape(frame.circuit) == _shape(Preset().build(dims))
+        assert frame.moved.tolist() == []
+        return
+    assert all(len(s) == 2 for s in supports)
     columns, offset = [], 0
     for _, d in _shape(frame.circuit):
         columns += [offset + k for k in range(d * d) if k != d - 1]
         offset += d * d
     assert frame.moved.tolist() == columns
+
+
+TWO_PARTY = {"werner-0.5": states.werner(0.5),
+             "qubit-qutrit-0.1-0.3": states.two_param_qubit_qutrit(0.1, 0.3),
+             **{name: rho for name, (rho, _) in DECIDED.items() if rho.n_parties == 2}}
+
+
+@pytest.mark.parametrize("name", list(TWO_PARTY))
+def test_on_two_parties_nonglobal_is_the_single_party_decision(name):
+    # a pair layer is global on two parties, so nonglobal builds the
+    # single_party circuit and its search is the single-party one, decided
+    # in one evaluation: the reports differ in their preset tags alone
+    rho = TWO_PARTY[name]
+    party = report_to_json(consonance(rho, OPT_SMALL))
+    found = report_to_json(consonance(rho, dataclasses.replace(
+        OPT_SMALL, preset=Preset(NONGLOBAL, 3))))
+    assert found["n_evals"] == 1
+    assert (found["preset"], found["circuit"]["preset"]) == ("nonglobal:depth=3",) * 2
+    assert (party["preset"], party["circuit"]["preset"]) == ("single_party",) * 2
+    for report in (party, found):
+        report["preset"] = report["circuit"]["preset"] = None
+    assert found == party
+
+
+def test_ghz4_under_nonglobal_holds_every_party_and_ends_feasible():
+    # the staircase (0, 1), (0, 2), (0, 3) reaches party 3; GHZ(4) is
+    # decided in its own basis, where S = 1, so no party rotates
+    config = dataclasses.replace(OPT_SMALL, preset=Preset(NONGLOBAL, 3))
+    report = consonance(states.ghz(4), config)
+    assert _shape(report.circuit) == [((0, 1), 4), ((0, 2), 4), ((0, 3), 4)]
+    assert report.feasible
+    assert report.value <= 1.0 + 1e-12
 
 
 def test_the_single_party_moved_columns_are_unchanged():

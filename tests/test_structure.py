@@ -1,5 +1,6 @@
 """Rules about where code lives, read from the package's source text,
-and rules the committed circuits keep, read from them as plain JSON.
+and rules the committed reports and circuits keep, read from them as
+plain JSON.
 
 Each source test states one rule as a search over the source files, so a
 change that breaks the rule fails here with the offending lines.  A span
@@ -8,6 +9,7 @@ starts with START through the next line that starts a top-level
 ``def``."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -68,6 +70,11 @@ def test_a_preset_is_decided_in_preset_alone():
                      "optimizer.py", "cli.py") == []
 
 
+def test_every_circuit_shares_one_single_party_decision():
+    # both preset kinds take their frame from one call in Preset.search_frame
+    assert len(_matching(r"single_party\(", "unitary.py")) == 1
+
+
 def test_cli_decides_nothing_about_a_warm_start():
     # the search checks a warm start, in unitary.SearchFrame
     assert _matching(r"theta_vector|\.supports\(", "cli.py") == []
@@ -78,12 +85,18 @@ def test_optimizer_reads_no_layer_list():
     assert _matching(r"\.template|\.layers|_layer_shape", "optimizer.py") == []
 
 
+def _reports(pattern: str = "*") -> dict[str, dict]:
+    """The committed reports of results/multipartite/ matching ``pattern``,
+    by file name, read as plain JSON."""
+    paths = sorted((ROOT / "results" / "multipartite").glob(f"{pattern}.json"))
+    return {path.name: json.loads(path.read_text()) for path in paths}
+
+
 def test_every_committed_nonglobal_circuit_builds_no_absorbed_layer_and_holds_every_party():
     # the nonglobal reports and the witnesses their runs start from are all
     # on three qubits; a layer inside the next one would add nothing, since
     # U_next (U_k (x) 1) ranges over the same unitaries as U_next alone
-    paths = sorted((ROOT / "results" / "multipartite").glob("*nonglobal*.json"))
-    circuits = {path.name: json.loads(path.read_text())["circuit"] for path in paths}
+    circuits = {name: r["circuit"] for name, r in _reports("*nonglobal*").items()}
     for name in ("ghz3_witness.json", "w3_witness.json"):
         circuits[name] = json.loads((ROOT / "results" / name).read_text())
     assert len(circuits) == 4, sorted(circuits)
@@ -93,3 +106,36 @@ def test_every_committed_nonglobal_circuit_builds_no_absorbed_layer_and_holds_ev
             [4 ** len(s) for s in supports], name
         assert not any(s <= t for s, t in zip(supports, supports[1:])), name
         assert set().union(*supports) == {0, 1, 2}, name
+
+
+def test_each_committed_report_agrees_with_itself():
+    reports = _reports()
+    assert reports
+    for name, r in reports.items():
+        assert r["feasible"] == (r["l_residual"] <= r["config"]["eps_l"]), name
+        assert r["preset"] == r["circuit"]["preset"], name
+        assert r["n_evals"] == sum(x["evals"] for x in r["per_restart"]), name
+
+
+def test_every_party_of_the_committed_single_party_reports_keeps_its_basis():
+    # no marginal is rotated, so each circuit keeps its start's zeros on
+    # every layer's diagonal
+    reports = _reports("*single_party*")
+    assert reports
+    for name, r in reports.items():
+        for k, layer in enumerate(r["circuit"]["layers"]):
+            d = math.isqrt(len(layer["theta"]))
+            assert not any(x != 0 for x in layer["theta"][:d]), (name, k)
+
+
+def test_the_committed_w3_single_party_report_is_its_eigenframe():
+    # one evaluation, at L = 2
+    r = _reports("w__single_party")["w__single_party.json"]
+    assert r["n_evals"] == 1 and abs(r["l_residual"] - 2.0) <= 1e-12, r
+
+
+def test_the_committed_ghz3_single_party_report_is_its_own_frame():
+    # one evaluation, at L = 0 and S = 1
+    r = _reports("ghz__single_party")["ghz__single_party.json"]
+    assert r["n_evals"] == 1 and r["l_residual"] <= 1e-12, r
+    assert abs(r["value"] - 1.0) <= 1e-12, r

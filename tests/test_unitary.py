@@ -20,7 +20,7 @@ from consonance.unitary import (NONGLOBAL, SINGLE_PARTY, CircuitLayer, FrameBuil
                                 LocalCircuit, Preset, UnitaryParams, apply,
                                 build_unitary, circuit_from_json,
                                 circuit_to_json, circuit_unitary, conjugate,
-                                default_supports, load_circuit, n_params,
+                                load_circuit, n_params,
                                 params_for_unitary, save_circuit,
                                 theta_vector, with_theta)
 from test_acceptance import GHZ3_WITNESS
@@ -339,23 +339,18 @@ def test_ghz_witness_cnot_cnot_h_form():
 # --- presets -------------------------------------------------------------
 
 
-def test_default_supports():
-    assert default_supports(2) == [(0,), (1,)]
-    assert default_supports(3) == [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
-
-
-# the nonglobal supports at depths 1 to 7: the first ``depth`` singleton
-# and pair supports in lexicographic order, cycled, less each layer whose
-# support lies inside the next one's (here a (p,) followed by a pair that
-# holds p); a pair is global, so left out, at two parties
+# the nonglobal supports at depths 1 to 7: on two parties the single-party
+# circuit, as a pair is global there; on n >= 3 parties max(depth - 1, n - 1)
+# pair layers cycling through the staircase (0, 1), ..., (0, n - 1)
 NONGLOBAL_SUPPORTS = {
-    2: [[(0,), (1,)] * (depth // 2) + [(0,)] * (depth % 2) for depth in range(1, 8)],
-    3: [[(0,)], [(0, 1)], [(0, 1), (0, 2)], [(0, 1), (0, 2), (1,)],
-        [(0, 1), (0, 2), (1, 2)], [(0, 1), (0, 2), (1, 2), (2,)],
-        [(0, 1), (0, 2), (1, 2), (2,), (0,)]],
-    4: [[(0,)], [(0, 1)], [(0, 1), (0, 2)], [(0, 1), (0, 2), (0, 3)],
-        [(0, 1), (0, 2), (0, 3), (1,)], [(0, 1), (0, 2), (0, 3), (1, 2)],
-        [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]],
+    2: [[(0,), (1,)]] * 7,
+    3: [[(0, 1), (0, 2)]] * 3 + [[(0, 1), (0, 2), (0, 1)],
+                                 [(0, 1), (0, 2), (0, 1), (0, 2)],
+                                 [(0, 1), (0, 2), (0, 1), (0, 2), (0, 1)],
+                                 [(0, 1), (0, 2), (0, 1), (0, 2), (0, 1), (0, 2)]],
+    4: [[(0, 1), (0, 2), (0, 3)]] * 4 + [[(0, 1), (0, 2), (0, 3), (0, 1)],
+                                         [(0, 1), (0, 2), (0, 3), (0, 1), (0, 2)],
+                                         [(0, 1), (0, 2), (0, 3), (0, 1), (0, 2), (0, 3)]],
 }
 
 
@@ -422,16 +417,15 @@ def test_preset_stores_numpy_integers_as_int():
 
 def moved_columns(circuit, groups=None) -> list[int]:
     """The theta columns a search over ``circuit`` moves, from its layer
-    supports and dimensions alone: a single_party layer's upper-triangle
-    (re, im) pairs, d..d^2-1 of its d^2, since its diagonal is gauge; in
-    any other circuit, every column of each layer but the last diagonal
-    one, d - 1, since the trace is a global phase.  ``groups``, one list
-    per single_party layer, keeps only the pairs (i, j) with
-    groups[i] == groups[j]."""
+    supports and dimensions alone: a single-party layer's upper-triangle
+    (re, im) pairs, d..d^2-1 of its d^2, since its diagonal is gauge; a
+    pair layer's every column but the last diagonal one, d - 1, since the
+    trace is a global phase.  ``groups``, one list per single-party
+    layer, keeps only the pairs (i, j) with groups[i] == groups[j]."""
     moved, offset = [], 0
     for k, layer in enumerate(circuit.layers):
         d = layer.params.dim
-        if circuit.preset != SINGLE_PARTY:
+        if len(layer.support) > 1:
             moved += [c for c in range(offset, offset + d * d) if c != offset + d - 1]
         else:
             g = groups[k] if groups else [0] * d
