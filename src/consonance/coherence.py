@@ -116,7 +116,14 @@ def class_sums(mats, dims, classes) -> list[list[float]]:
     in that order, one float per matrix of a stack (B, D, D); an array
     (D, D) is a stack of one.  A call is one ``take``, one ``abs``, one
     ``tolist`` and a ``math.fsum`` per class slice of each row."""
-    return _bound_sums(tuple(classes), *dims)(mats)
+    return class_summer(dims, classes)(mats)
+
+
+def class_summer(dims, classes):
+    """:func:`class_sums` bound to ``dims`` and ``classes``, a function of
+    the stack alone: a caller that sums many stacks over one dims looks
+    it up once."""
+    return _bound_sums(tuple(classes), *dims)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -36,7 +36,7 @@ Where no column moves, which under ``single_party`` is where
 ``decide.single_party`` settles the frame (its module docstring gives
 the chain of deciders and where each one leaves the search to run), no
 search runs: there are no random restarts, which would repeat the
-identity, and no Nelder-Mead.  The identity's record is ``class_sums``
+identity, and no Nelder-Mead.  The identity's record is the class sums
 of the searched state V† rho V as it is, with no frame built, since the
 chart at theta = 0 is exactly the identity; the warm starts, if any, are
 evaluated once each in one stack.
@@ -50,9 +50,11 @@ Every restart runs in lockstep with the others.  Each restart is a
 generator that yields the points it needs next (its initial simplex, one
 reflect/expand/contract point, or a shrink) and receives their S and L.
 A round stacks the pending points of every live restart and writes the
-stack into its restarts' start rows with one gather and one scatter.  It
-evaluates the frames in one call, in chunks of at most ``ORACLE_CHUNK``
-frames.  A restart's path depends only on its own values, and each
+stack into its restarts' start rows with one gather and one scatter; a
+round with one live restart repeats that restart's row once per point
+and writes its points in.  It evaluates the frames in one call, which
+conjugates once per stack of at most ``ORACLE_CHUNK`` frames, so once in
+every round of a search.  A restart's path depends only on its own values, and each
 evaluated row is independent of the stack it sits in, so the lockstep
 search returns the same report as running the restarts one after
 another.
@@ -66,7 +68,10 @@ Every frame is evaluated in two steps, and this module does no linear
 algebra of its own.  rho is conjugated by the frames, U rho U† from
 ``unitary.conjugate``, in stacks of at most ``ORACLE_CHUNK`` frames, and
 each caller reduces the stacks itself.  The search gives every row to
-``coherence.class_sums`` for S and L (``_frame_sums``).  The brute-force
+its S and L summer (``_frame_sums``), ``coherence.class_summer`` bound
+once per ``consonance()`` call to the state's dims, so a round looks
+nothing up; the identity record of a decided frame and the replay use
+the same summer.  The brute-force
 oracle draws its frames one chunk at a time, so its memory does not grow
 with its sample count.  It wants only the rows with L <= EPS_L, so it
 first runs ``coherence.local_screen``, a float64 estimate of L that keeps
@@ -75,7 +80,7 @@ every such row, and sums only the survivors with ``class_sums``; only
 
 The replay runs the winning circuit on rho through the public
 ``unitary.apply``, whose density branch is one row of the same
-``unitary.conjugate``, and one ``class_sums`` call.  The report holds
+``unitary.conjugate``, and one call of the summer.  The report holds
 that S and L, the circuit and the restart records, and derives the rest
 from them, so its value always matches what a caller would reproduce
 from it and its feasibility is the replay's L against eps_L.  Where no
@@ -188,19 +193,15 @@ class ConsonanceReport:
         return sum(r.evals for r in self.per_restart)
 
 
-def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix,
-                thetas: np.ndarray) -> tuple[list[float], list[float]]:
+def _frame_sums(frames: unitary.FrameBuilder, rho: DensityMatrix, thetas: np.ndarray,
+                sums) -> list[list[float]]:
     """S and L lists of rho conjugated by the frames at a stack of
-    parameter vectors (B, n_theta), in stacks of at most ``ORACLE_CHUNK``
-    frames."""
-    s: list[float] = []
-    l: list[float] = []
-    for start in range(0, len(thetas), ORACLE_CHUNK):
-        rotated = unitary.conjugate(frames, rho.entries, thetas[start:start + ORACLE_CHUNK])
-        chunk_s, chunk_l = coherence.class_sums(rotated, rho.dims, _S_AND_L)
-        s += chunk_s
-        l += chunk_l
-    return s, l
+    parameter vectors (B, n_theta), summed by ``sums``, the search's
+    ``coherence.class_summer`` for S and L: one ``unitary.conjugate`` call
+    for each stack of at most ``ORACLE_CHUNK`` frames."""
+    chunks = [sums(unitary.conjugate(frames, rho.entries, thetas[start:start + ORACLE_CHUNK]))
+              for start in range(0, len(thetas), ORACLE_CHUNK)]
+    return chunks[0] if len(chunks) == 1 else [sum(sl, []) for sl in zip(*chunks)]
 
 
 def _order(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,23 +369,28 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     moved, searched = frame.moved, frame.state(rho)
     kinds, thetas0 = zip(*_start_points(config, frame))
     thetas0 = np.array(thetas0)
+    frames = unitary.FrameBuilder.of(frame.circuit, rho.dims)
+    sums = coherence.class_summer(rho.dims, _S_AND_L)
     if len(moved):
-        frames = unitary.FrameBuilder.of(frame.circuit, rho.dims)
         searches = [_search_one(theta0[moved], config) for theta0 in thetas0]
         live = {i: next(search) for i, search in enumerate(searches)}   # index: its points
         evals, ends = [0] * len(kinds), [None] * len(kinds)
     else:    # decided: the identity start is V† rho V as it is; warm starts are one stack
-        s, l = coherence.class_sums(searched.entries, rho.dims, _S_AND_L)
+        s, l = sums(searched.entries)
         if len(thetas0) > 1:
-            warm = _frame_sums(unitary.FrameBuilder.of(frame.circuit, rho.dims), searched,
-                               thetas0[1:])
+            warm = _frame_sums(frames, searched, thetas0[1:], sums)
             s, l = s + warm[0], l + warm[1]
         live, evals, ends = {}, [1] * len(s), list(zip(s, l))
     while live:
-        owners = [i for i, points in live.items() for _ in range(len(points))]
-        thetas = thetas0.take(owners, axis=0)
-        thetas[:, moved] = np.concatenate(list(live.values()))
-        s, l = _frame_sums(frames, searched, thetas)
+        if len(live) == 1:
+            ((i, points),) = live.items()
+            thetas = thetas0[i:i + 1].repeat(len(points), axis=0)
+            thetas[:, moved] = points
+        else:
+            owners = [i for i, points in live.items() for _ in range(len(points))]
+            thetas = thetas0.take(owners, axis=0)
+            thetas[:, moved] = np.concatenate(list(live.values()))
+        s, l = _frame_sums(frames, searched, thetas, sums)
         row = 0
         for i, points in list(live.items()):
             n = len(points)
@@ -401,8 +407,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
     best = min(records, key=_rank)
 
     circuit = frame.to_state(unitary.with_theta(frame.circuit, thetas0[best.index]))
-    rotated = unitary.apply(circuit, rho)
-    (value,), (l_res,) = coherence.class_sums(rotated.entries, rho.dims, _S_AND_L)
+    (value,), (l_res,) = sums(unitary.apply(circuit, rho).entries)
     return ConsonanceReport(value, l_res, circuit, tuple(records))
 
 

@@ -34,12 +34,13 @@ checks every layer and lays out its index plans, and the search, the
 oracle and :func:`apply` share one builder per shape and dims
 (:meth:`FrameBuilder.of`), as they share a preset's circuit per dims
 (:meth:`Preset.build`); every array in either is read only.  Its chart
-reads theta in place: ``off = re + 1j * im`` over every layer's upper
-triangle, and one gather
-from the source row [theta | off | conj(off)] builds every layer's H,
-with the layers in circuit order, each at its own theta offset.  Each run
-of adjacent layers of one dimension runs one batched eigh and exp, and a
-gather lifts every layer unitary to the full space.
+reads theta in place, with no complex intermediate: two real gathers
+fill every layer's H, its real parts from theta and its imaginary parts
+from the row [theta | 0 | -theta], so each (re, im) pair is read as
+written, signed zeros too, with the layers in circuit order, each at its
+own theta offset.  Each run of adjacent layers of one dimension runs one
+batched eigh and exp, written straight into the stack the embed reads,
+and a gather lifts every layer unitary to the full space.
 :func:`build_unitary` is the chart for one layer and one row, which at
 theta = 0 is exactly the identity, returned as it is.  The
 scalar reference that every row matches with == (chart, exp and a
@@ -57,7 +58,6 @@ from functools import lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .coherence import local_coherence
 from .decide import single_party
@@ -82,8 +82,8 @@ class _ChartLayout(NamedTuple):
     entries, and its unitary in the stack, sit at its own theta offset.
     Every array is read only."""
 
-    re: np.ndarray    # theta column of each Re part; its Im part is the next
-    plan: np.ndarray  # where each H entry sits in [theta | off | conj(off)]
+    real: np.ndarray  # the theta column of each H entry's real part
+    imag: np.ndarray  # where each H entry's imaginary part sits in [theta | 0 | -theta]
     groups: tuple     # (dim, k, lo, hi): a run of k adjacent layers fills columns lo:hi
 
 
@@ -96,51 +96,49 @@ def _upper(d: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _chart_layout(layer_dims: tuple[int, ...]) -> _ChartLayout:
-    """The chart of layers of the given dimensions, in circuit order."""
+    """The chart of layers of the given dimensions, in circuit order: a
+    diagonal entry reads its theta column, with imaginary part 0, an
+    upper-triangle entry its (re, im) pair, and the entry below it re and
+    -im."""
     n_theta = sum(d * d for d in layer_dims)
-    n_off = (n_theta - sum(layer_dims)) // 2
-    re, plan = [], []
+    real, imag, o = np.empty(n_theta, np.intp), np.full(n_theta, n_theta), 0
     for d in layer_dims:
-        o, m = len(plan), d * (d - 1) // 2
-        # this layer's source row: its diagonal, upper triangle, conjugates
-        src = np.concatenate((o + np.arange(d),
-                              n_theta + len(re) + np.arange(m),
-                              n_theta + n_off + len(re) + np.arange(m)))
-        iu = _upper(d)
-        h = np.diag(src[:d])
-        h[iu] = src[d:d + m]
-        h[iu[::-1]] = src[d + m:]
-        plan += h.ravel().tolist()
-        re += range(o + d, o + d * d, 2)
-    re, plan = (frozen_array(x, (len(x),), "chart plan", np.intp) for x in (re, plan))
+        re, im = real[o:o + d * d].reshape(d, d), imag[o:o + d * d].reshape(d, d)
+        iu, pairs = _upper(d), o + d + 2 * np.arange(d * (d - 1) // 2)
+        re[np.diag_indices(d)], re[iu], re[iu[::-1]] = o + np.arange(d), pairs, pairs
+        im[iu], im[iu[::-1]] = pairs + 1, n_theta + 2 + pairs    # -theta[c] is at n_theta + 1 + c
+        o += d * d
     groups, lo = [], 0
     for d, run in itertools.groupby(layer_dims):
         k = len(list(run))
         groups.append((d, k, lo, lo + k * d * d))
         lo += k * d * d
-    return _ChartLayout(re, plan, tuple(groups))
+    real, imag = (frozen_array(x, (n_theta,), "chart plan", np.intp) for x in (real, imag))
+    return _ChartLayout(real, imag, tuple(groups))
 
 
 def _layer_stack(layout: _ChartLayout, thetas: np.ndarray) -> np.ndarray:
     """Every layer's exp(iH) at a stack of thetas (B, P), as rows (B, P + 1):
-    the unitaries row-major, each at its layer's theta offset, then a 0.  H
-    is gathered from [theta | off | conj(off)]; each run of adjacent layers
-    of one dimension runs one batched ``eigh`` and exp on its column range."""
-    b = len(thetas)
-    off = thetas.take(layout.re, axis=1) + 1j * thetas[:, 1:].take(layout.re, axis=1)
-    h = np.concatenate((thetas, off, off.conj()), axis=1).take(layout.plan, axis=1)
-    stack = np.zeros((b, len(layout.plan) + 1), dtype=np.complex128)
+    the unitaries row-major, each at its layer's theta offset, then a 0.
+    H is filled by two real gathers, its real parts from theta and its
+    imaginary parts from [theta | 0 | -theta], so each (re, im) pair is
+    read as written; each run of adjacent layers of one dimension runs one
+    batched ``eigh`` and exp on its column range, written in place."""
+    b, p = thetas.shape
+    h = np.empty((b, p), dtype=np.complex128)
+    h.real = thetas.take(layout.real, axis=1)
+    h.imag = np.concatenate((thetas, np.zeros((b, 1)), -thetas), axis=1).take(layout.imag, axis=1)
+    stack = np.zeros((b, p + 1), dtype=np.complex128)
     for dim, k, lo, hi in layout.groups:
-        u = _expi_stack(h[:, lo:hi].reshape(b, k, dim, dim))
-        stack[:, lo:hi] = u.reshape(b, hi - lo)
+        _expi_stack(h[:, lo:hi].reshape(b, k, dim, dim), stack[:, lo:hi].reshape(b, k, dim, dim))
     return stack
 
 
-def _expi_stack(h: np.ndarray) -> np.ndarray:
-    """exp(iH) over a stack of Hermitian matrices (..., d, d), by
-    eigendecomposition, so the columns are exactly unitary."""
+def _expi_stack(h: np.ndarray, out: np.ndarray) -> None:
+    """exp(iH) over a stack of Hermitian matrices (..., d, d), written to
+    ``out``, by eigendecomposition, so the columns are exactly unitary."""
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    np.matmul(v * np.exp(1j * w)[..., None, :], v.conj().swapaxes(-1, -2), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,8 +176,12 @@ def params_for_unitary(u) -> UnitaryParams:
     unitary; branch choices make the round trip exact only up to the
     principal branch.  A unitary is normal, so its complex Schur form
     Z T Z† has T diagonal, and H = Z diag(arg t_ii) Z† with each arg in
-    (-pi, pi].  Raises ValidationError if ``u`` is not unitary.
+    (-pi, pi].  Raises ValidationError if ``u`` is not unitary.  The
+    package's one scipy call; scipy is imported here, on first use, so
+    importing the package does not load it.
     """
+    import scipy.linalg
+
     u = np.asarray(u, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"expected a square matrix, got {u.shape}")
@@ -272,13 +274,13 @@ class FrameBuilder:
     ``circuit.shape`` and dims, so every circuit of one shape shares one
     builder whatever its theta and preset tag.
     ``unitaries(thetas)`` maps thetas (B, n_theta) to the circuit unitaries
-    (B, D, D).  The chart pass (:func:`_layer_stack`) reads H from
-    [theta | off | conj(off)] and leaves the layer unitaries in one stack
-    in circuit order, each at its layer's theta offset, whose last column
-    is 0.  One gather through the layers' :func:`_embed_index`
-    plans, each pointed at its layer's theta offset, lifts them all to the
-    full space.  The first layer starts the chain; each later one
-    multiplies it from the left.
+    (B, D, D).  The chart pass (:func:`_layer_stack`) reads H straight
+    from theta, its imaginary parts from [theta | 0 | -theta], and writes
+    the layer unitaries into one stack in circuit order, each at its
+    layer's theta offset, whose last column is 0.  One gather through
+    the layers' :func:`_embed_index` plans, each pointed at its layer's
+    theta offset, lifts them all to the full space.  The first layer
+    starts the chain; each later one multiplies it from the left.
     """
 
     def __init__(self, shape, dims):
@@ -440,16 +442,13 @@ def _moved_columns(masks) -> np.ndarray:
     """The theta columns a search moves in consecutive layers, from a
     boolean mask over each layer's H: the column of each marked diagonal
     entry and the (re, im) columns of each marked upper-triangle entry,
-    found through the layers' chart, ascending.  So each layer's diagonal
+    read through the layers' chart, ascending.  So each layer's diagonal
     columns come first, then its pairs in row-major order.  Entries below
     the diagonal are not read."""
-    if not any(m.any() for m in masks):    # nothing marked, as in a decided frame
-        return np.zeros(0, dtype=np.intp)
     layout = _chart_layout(tuple(len(m) for m in masks))
-    n_theta = len(layout.plan)
-    marked = layout.plan[np.concatenate([np.triu(m).ravel() for m in masks])]
-    pairs = layout.re[marked[marked >= n_theta] - n_theta]
-    return np.sort(np.concatenate((marked[marked < n_theta], pairs, pairs + 1)))
+    marked = np.concatenate([np.triu(m).ravel() for m in masks])
+    columns = np.concatenate((layout.real[marked], layout.imag[marked]))
+    return np.sort(columns[columns < len(layout.real)])    # the diagonal's Im is the 0
 
 
 @dataclass(frozen=True, eq=False)

@@ -656,6 +656,17 @@ def test_optimize_report_round_trip(tmp_path, capsys):
     assert replayed == pytest.approx(obj["value"], abs=1e-9)
 
 
+def test_a_two_qubit_single_party_report_is_one_evaluation_at_s_one_half(tmp_path, capsys):
+    # decided in closed form: one evaluation of the Werner(0.5) frame, read
+    # from the report file as plain JSON; the identity frame's S sums the
+    # singlet's two coherences, 0.4999999999999999 in floats
+    path = tmp_path / "werner.json"
+    code, _, _ = run(capsys, "optimize", "--family", "werner:0.5", "--report", str(path))
+    assert code == 0
+    r = json.loads(path.read_text())
+    assert r["n_evals"] == 1 and abs(r["value"] - 0.5) <= 1e-12, r
+
+
 def test_optimize_nonglobal_on_two_parties_is_decided_in_one_evaluation(capsys):
     # a pair layer is global on two parties, so nonglobal runs the
     # single_party circuit, which the two-qubit rule decides in closed form

@@ -17,6 +17,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from consonance import optimizer, states, unitary
 from consonance.optimizer import OptimizerConfig, Preset, consonance, report_to_json
@@ -41,7 +42,7 @@ def reference_params_for_unitary(u):
     u = np.asarray(u, dtype=np.complex128)
     d = u.shape[0]
     check_unitary(u, unitary.TOL_UNITARY, "matrix")
-    t, z = unitary.scipy.linalg.schur(u, output="complex")
+    t, z = scipy.linalg.schur(u, output="complex")
     h = (z * np.angle(np.diag(t))) @ z.conj().T
     h = (h + h.conj().T) / 2.0
     theta = np.empty(d * d)
@@ -84,7 +85,9 @@ def reference_consonance(rho, config):
     frames = unitary.FrameBuilder(template.shape, rho.dims)
     starts = [np.zeros(template.n_theta)] + [unitary.theta_vector(frame.to_search(w))
                                              for w in config.warm_starts]
-    s, l = optimizer._frame_sums(frames, frame.state(rho), np.array(starts))
+    s, l = optimizer._frame_sums(frames, frame.state(rho), np.array(starts),
+                                 lambda m: optimizer.coherence.class_sums(m, rho.dims,
+                                                                          optimizer._S_AND_L))
     kinds = ["identity"] + ["warm"] * len(config.warm_starts)
     records = [optimizer.RestartRecord(i, kind, float(s[i]), float(l[i]), 1)
                for i, kind in enumerate(kinds)]

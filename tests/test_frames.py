@@ -1,10 +1,15 @@
-"""The batched frame evaluator against a scalar reference built here.
+"""The batched frame evaluator against references built here.
 
-The reference builds one frame at a time from scalar functions kept in
-this file: hermitian_from_theta -> expi_hermitian -> embed_matrix, chained
-from the identity, then conjugates and sums each class with its own
-boolean-mask fsum, masked_l1.  The batched path must match it exactly
-(==), not just to a tolerance.
+The scalar reference builds one frame at a time from scalar functions
+kept in this file: hermitian_from_theta -> expi_hermitian -> embed_matrix,
+chained from the identity, then conjugates and sums each class with its
+own boolean-mask fsum, masked_l1.  hermitian_from_theta reads each
+(re, im) pair as written, as the chart does.  The earlier chart, which
+built ``off = re + 1j * im`` and gathered H from [theta | off | conj(off)],
+is written out here too (earlier_layer_unitaries); it differs only where a
+theta entry is -0.0, and elsewhere the batched path must match it.  The
+batched path must match each reference exactly (==), not just to a
+tolerance.
 """
 
 import math
@@ -50,7 +55,8 @@ def hermitian_from_theta(dim: int, theta) -> np.ndarray:
                          f"got shape {theta.shape}")
     h = np.diag(theta[:dim].astype(np.complex128))
     iu = np.triu_indices(dim, k=1)
-    off = theta[dim::2] + 1j * theta[dim + 1::2]
+    off = np.empty(len(iu[0]), dtype=np.complex128)
+    off.real, off.imag = theta[dim::2], theta[dim + 1::2]   # as written, signed zeros too
     h[iu] = off
     h[(iu[1], iu[0])] = off.conj()
     return h
@@ -94,6 +100,49 @@ def reference_unitary(template, dims, theta):
     return total
 
 
+def earlier_hermitians(layer_dims, thetas):
+    """Every layer's H at each row (B, P) by the earlier chart: off = re +
+    1j * im over every layer's upper triangle, then one gather from the
+    source row [theta | off | conj(off)]."""
+    n_theta = thetas.shape[1]
+    n_off = (n_theta - sum(layer_dims)) // 2
+    re, plan = [], []
+    for d in layer_dims:
+        o, m = len(plan), d * (d - 1) // 2
+        iu = np.triu_indices(d, k=1)
+        h = np.diag(o + np.arange(d))
+        h[iu] = n_theta + len(re) + np.arange(m)
+        h[iu[::-1]] = n_theta + n_off + len(re) + np.arange(m)
+        plan += h.ravel().tolist()
+        re += range(o + d, o + d * d, 2)
+    off = thetas[:, re] + 1j * thetas[:, np.array(re, dtype=int) + 1]
+    return np.concatenate((thetas, off, off.conj()), axis=1)[:, plan]
+
+
+def earlier_layer_unitaries(layer_dims, thetas):
+    """Each layer's unitaries (B, d, d) by the earlier chart: its H, then
+    eigh and exp per layer."""
+    h, out, o = earlier_hermitians(layer_dims, thetas), [], 0
+    for d in layer_dims:
+        w, v = np.linalg.eigh(h[:, o:o + d * d].reshape(-1, d, d))
+        out.append((v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        o += d * d
+    return out
+
+
+def earlier_unitaries(template, dims, thetas):
+    """The circuit unitary of each row by the earlier chart, each layer
+    lifted by the kron-and-transpose embed and chained from the identity."""
+    layers = earlier_layer_unitaries([layer.params.dim for layer in template.layers], thetas)
+    out = []
+    for k in range(len(thetas)):
+        total = np.eye(math.prod(dims), dtype=np.complex128)
+        for layer, u in zip(template.layers, layers):
+            total = embed_matrix(u[k], layer.support, dims) @ total
+        out.append(total)
+    return out
+
+
 def masked_l1(entries, dims, mask_index):
     """fsum of |entries| under one boolean class mask (0 diagonal, 1 local,
     2 nonlocal), read in C order."""
@@ -115,7 +164,8 @@ def _check_rows(dims, template, thetas, seed):
     rho = states.random_density(dims, seed=seed)
     frames = FrameBuilder(template.shape, dims)
     got_u = frames.unitaries(thetas)
-    got_s, got_l = _frame_sums(frames, rho, thetas)
+    got_s, got_l = _frame_sums(frames, rho, thetas,
+                               coherence.class_summer(dims, optimizer._S_AND_L))
     assert got_u.shape == (len(thetas),) + (math.prod(dims),) * 2
     for k, theta in enumerate(thetas):
         ref_u = reference_unitary(template, dims, theta)
@@ -135,6 +185,61 @@ def test_batched_frames_match_reference(dims, template, b):
 ])
 def test_batched_frames_match_reference_past_one_chunk(dims, preset):
     _check_stack(dims, preset.build(dims), ORACLE_CHUNK + 3, seed=5)
+
+
+EARLIER_CASES = [((2, 2), Preset()), ((2, 3), Preset()), ((3, 3), Preset()),
+                ((2, 2, 2), Preset(kind=unitary.NONGLOBAL, depth=3)),
+                ((2, 2, 2, 2), Preset(kind=unitary.NONGLOBAL, depth=3))]
+
+
+@pytest.mark.parametrize("b", [1, 2, 31, ORACLE_CHUNK + 1])
+@pytest.mark.parametrize("dims,preset", EARLIER_CASES, ids=[str(d) for d, _ in EARLIER_CASES])
+def test_frames_and_sums_match_the_earlier_chart_where_no_theta_is_negative_zero(dims, preset, b):
+    # random rows with exact +0.0 entries, and the row theta = 0
+    template = preset.build(dims)
+    rng = np.random.default_rng(b + len(dims))
+    thetas = rng.uniform(-math.pi, math.pi, size=(b, template.n_theta))
+    thetas[rng.random(thetas.shape) < 0.3] = 0.0
+    thetas[0] = 0.0
+    assert not np.signbit(thetas[thetas == 0]).any()
+    rho = states.random_density(dims, seed=b)
+    frames = FrameBuilder(template.shape, dims)
+    got_u = frames.unitaries(thetas)
+    got_s, got_l = _frame_sums(frames, rho, thetas,
+                               coherence.class_summer(dims, optimizer._S_AND_L))
+    for k, ref_u in enumerate(earlier_unitaries(template, dims, thetas)):
+        assert np.array_equal(got_u[k], ref_u)
+        assert (got_s[k], got_l[k]) == reference_sums(rho, ref_u)
+
+
+def test_the_chart_reads_a_negative_zero_as_written(monkeypatch):
+    # H takes each (re, im) pair with its signs, -0.0 included, and the
+    # entry below the diagonal is (re, -im).  The earlier chart's
+    # re + 1j * im turned an Im of -0.0 into +0.0 and an Re of -0.0 into
+    # copysign(0, im): the one place the two charts differ, and only in
+    # the sign of a zero
+    d, dims, seen = 4, (4, 2), []
+    rng = np.random.default_rng(3)
+    thetas = rng.uniform(-3, 3, size=(4, d * d))
+    thetas[0, d:] = np.where(rng.random(d * d - d) < 0.5, -0.0, thetas[0, d:])
+    thetas[1, d::2] = -0.0                                          # every Re
+    thetas[2, d + 1::2] = -0.0                                      # every Im
+    thetas[3, d:] = np.where(np.arange(d * d - d) % 2, 0.0, -0.0)   # Re -0.0, Im +0.0
+    expi_stack = unitary._expi_stack
+
+    def spy(h, out):
+        seen.append(h.copy())
+        return expi_stack(h, out)
+
+    monkeypatch.setattr(unitary, "_expi_stack", spy)
+    got = FrameBuilder((((0,), d),), dims).unitaries(thetas)
+    want_h = np.array([hermitian_from_theta(d, theta) for theta in thetas])
+    assert seen[0].reshape(want_h.shape).tobytes() == want_h.tobytes()
+    earlier_h = earlier_hermitians((d,), thetas).reshape(want_h.shape)
+    assert np.array_equal(earlier_h, want_h)
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(earlier_h, want_h))
+    for k, h in enumerate(want_h):
+        assert np.array_equal(got[k], embed_matrix(expi_hermitian(h), (0,), dims))
 
 
 def _edge_thetas(n_theta, seed):
@@ -179,7 +284,11 @@ def test_frame_layout_is_cached_and_read_only():
     assert first._chart is second._chart
     arrays = [a for a in first._chart if isinstance(a, np.ndarray)] + [first._embed]
     assert len(arrays) == 3
-    assert not any(a.flags.writeable for a in arrays)
+    assert arrays[:2] == [first._chart.real, first._chart.imag]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
     # the embed plan is laid out once per shape, in the builder every caller shares
     assert FrameBuilder.of(template, dims) is FrameBuilder.of(template, list(dims))
 
@@ -187,23 +296,23 @@ def test_frame_layout_is_cached_and_read_only():
 @pytest.mark.parametrize("layer_dims", [(2,), (3,), (2, 2), (4, 2), (2, 3, 6, 2, 6),
                                         (2, 2, 3, 3, 2)], ids=str)
 def test_chart_reads_theta_in_place(layer_dims):
-    # each layer's plan block sits at its theta offset; the plan points each
-    # diagonal entry straight at its theta column, and each off-diagonal
-    # pair at off, or at conj(off) below the diagonal
+    # each layer's plan block sits at its theta offset; a diagonal entry
+    # reads its theta column and the 0 of [theta | 0 | -theta], an upper
+    # entry its (re, im) pair in row-major order, the entry below it re and
+    # the pair's -im
     layout = unitary._chart_layout(layer_dims)
     n_theta = sum(d * d for d in layer_dims)
-    n_off = len(layout.re)
-    assert n_off == (n_theta - sum(layer_dims)) // 2
-    assert len(layout.plan) == n_theta
+    assert len(layout.real) == len(layout.imag) == n_theta
     runs, o = [], 0
     for d in layer_dims:
-        h = layout.plan[o:o + d * d].reshape(d, d)
-        assert h.diagonal().tolist() == list(range(o, o + d))
+        re = layout.real[o:o + d * d].reshape(d, d)
+        im = layout.imag[o:o + d * d].reshape(d, d)
+        assert re.diagonal().tolist() == list(range(o, o + d))
+        assert im.diagonal().tolist() == [n_theta] * d
         iu = np.triu_indices(d, k=1)
-        upper = h[iu] - n_theta
-        assert 0 <= upper.min() and upper.max() < n_off
-        assert layout.re[upper].tolist() == list(range(o + d, o + d * d, 2))
-        assert (h[iu[::-1]] - h[iu]).tolist() == [n_off] * len(upper)
+        assert re[iu].tolist() == re[iu[::-1]].tolist() == list(range(o + d, o + d * d, 2))
+        assert im[iu].tolist() == list(range(o + d + 1, o + d * d, 2))
+        assert (im[iu[::-1]] - n_theta - 1).tolist() == im[iu].tolist()
         if runs and runs[-1][0] == d:
             runs[-1] = (d, runs[-1][1] + 1, runs[-1][2], o + d * d)
         else:

@@ -283,9 +283,9 @@ def test_the_nonglobal_search_evaluates_its_own_circuit(monkeypatch):
     widths = set()
     frame_sums = optimizer._frame_sums
 
-    def spy(frames, rho, thetas):
+    def spy(frames, rho, thetas, sums):
         widths.add(thetas.shape[1])
-        return frame_sums(frames, rho, thetas)
+        return frame_sums(frames, rho, thetas, sums)
 
     monkeypatch.setattr(optimizer, "_frame_sums", spy)
     config = OptimizerConfig(preset=Preset(NONGLOBAL, 3), restarts=3, seed=1,

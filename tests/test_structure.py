@@ -10,7 +10,10 @@ starts with START through the next line that starts a top-level
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +86,76 @@ def test_cli_decides_nothing_about_a_warm_start():
 def test_optimizer_reads_no_layer_list():
     # a search's layers are read and checked in unitary.SearchFrame alone
     assert _matching(r"\.template|\.layers|_layer_shape", "optimizer.py") == []
+
+
+def test_the_package_never_calls_np_cross():
+    # the single-party decision writes its cross products out in one stack
+    assert _matching(r"np\.cross\(") == []
+
+
+def test_the_package_reads_no_environment_variable():
+    assert _matching(r"os\.environ|getenv") == []
+
+
+def test_measures_does_not_import_states():
+    # so the package has no import cycle
+    assert _matching(r"from \.states|import states", "measures.py") == []
+
+
+def test_philox_streams_are_built_in_qstate_alone():
+    # so every random draw of the package is keyed and checked in one place
+    assert [(at, line) for at, line in _matching(r"Philox\(")
+            if not at.startswith("qstate.py:")] == []
+
+
+# the modules that read a state's kind and physicality from qstate
+KIND_FREE = ("cli.py", "states.py", "optimizer.py", "measures.py", "coherence.py")
+
+
+def test_a_states_kind_is_decided_in_qstate_alone():
+    # these modules never test for PureState or DensityMatrix
+    assert _matching(r"isinstance\([^)]*(PureState|DensityMatrix)", *KIND_FREE) == []
+
+
+def test_physicality_is_decided_in_qstate_alone():
+    # these modules never call validate or name the verdict assert_valid records
+    assert _matching(r"\bvalidate\(|_physical", *KIND_FREE, "unitary.py") == []
+
+
+def test_the_tolerances_live_in_qstate_beside_their_checks():
+    assert _matching(r"\b1e-(8|10|12)\b",
+                     "states.py", "measures.py", "unitary.py", "decide.py") == []
+
+
+def test_the_single_party_decision_lives_in_decide_alone():
+    # unitary and optimizer name none of its helpers
+    assert _matching(r"_jacobi_rotation|_least_turn|_pair_turn|_pauli_traces|_projected",
+                     "unitary.py", "optimizer.py") == []
+
+
+def test_a_circuits_shape_is_spelled_once():
+    # in LocalCircuit.shape alone
+    assert len(_matching(re.escape("(layer.support, layer.params.dim)"))) == 1
+
+
+def test_the_shared_frame_builder_builds_no_circuit_layer():
+    # it is the constructor behind a cache
+    assert "CircuitLayer(" not in _span(r"(def )?_shared_builder\b", "unitary.py")
+
+
+def test_a_restarts_stages_run_through_one_step():
+    # the polish included, so _search_one calls _nelder_mead once
+    body = _span(r"def _search_one", "optimizer.py").splitlines()
+    assert sum("_nelder_mead(" in line for line in body) == 1
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy_linalg():
+    # scipy.linalg is imported where a layer is re-charted, on first use
+    code = "import sys, consonance, consonance.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def _reports(pattern: str = "*") -> dict[str, dict]:

@@ -237,7 +237,7 @@ def test_a_frame_builder_is_shared_per_shape_and_read_only():
     # one layer shape on other dims is another builder
     first = LocalCircuit((CircuitLayer((0,), UnitaryParams.identity(2)),))
     assert [FrameBuilder.of(first, d).d for d in [(2, 2), (2, 3), (2, 2)]] == [4, 6, 4]
-    arrays = [frames._embed, frames._chart.re, frames._chart.plan, *unitary._upper(3)]
+    arrays = [frames._embed, frames._chart.real, frames._chart.imag, *unitary._upper(3)]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
