@@ -15,8 +15,7 @@ from .qstate import (DensityMatrix, PureState, ValidationError, Violation, as_de
                      singular_values, tensor, validate)
 from .coherence import (CoherenceClass, CoherenceProfile, classify,
                         local_coherence, nonlocal_sum, profile)
-from .unitary import (CircuitLayer, LocalCircuit, Preset, UnitaryParams, apply,
-                      build_unitary, params_for_unitary)
+from .unitary import LocalCircuit, Preset, apply, build_unitary, params_for_unitary
 from .optimizer import (ConsonanceReport, OptimizerConfig, consonance,
                         oracle_consonance)
 from .measures import (SchmidtDecomposition, concurrence_2x2,

@@ -335,7 +335,7 @@ def _start_points(config: OptimizerConfig, frame: unitary.SearchFrame):
     n_theta, moved = frame.circuit.n_theta, frame.moved
     yield "identity", np.zeros(n_theta)
     for w in config.warm_starts:
-        yield "warm", unitary.theta_vector(frame.to_search(w))
+        yield "warm", frame.to_search(w).theta
     if not len(moved):
         return
     for j in range(1, config.restarts):
@@ -413,7 +413,7 @@ def consonance(rho: DensityMatrix, config: OptimizerConfig | None = None) -> Con
 
 @dataclass(frozen=True)
 class OracleResult:
-    value: float           # inf over feasible samples; inf if none
+    value: float           # least S over feasible samples; inf if none
     feasible_count: int
     samples: int
 
@@ -473,7 +473,7 @@ def config_to_json(config: OptimizerConfig) -> dict:
         "mu_stages": len(PENALTY_MUS),
         "eps_l": EPS_L,
         "max_evals": config.max_evals,
-        "warm_starts": [unitary.theta_vector(w).tolist() for w in config.warm_starts],
+        "warm_starts": [w.theta.tolist() for w in config.warm_starts],
     }
 
 

@@ -318,7 +318,9 @@ def random_density(dims, seed: int, rank: int | None = None) -> DensityMatrix:
 
 
 def _complex(text: str) -> complex:
-    return complex(text.replace("i", "j"))
+    """A complex number as Python writes it, or with a trailing i for j:
+    only the imaginary unit is mapped, so ``inf`` stays a number."""
+    return complex(text[:-1] + "j" if text.endswith("i") else text)
 
 
 def _one(**params) -> float:

@@ -5,10 +5,12 @@ Hermitian matrix H(theta): the first d entries fill the diagonal, the
 remaining d(d-1) entries fill the strict upper triangle in row-major
 order as (re, im) pairs.  U = exp(iH), so theta = 0 gives the identity.
 
-A circuit is an ordered list of layers; each layer acts on a strict
-subset of the parties (its support) and is embedded in the full space as
-U_layer (x) identity.  Layers are applied first to last, so the overall
-unitary is U_L ... U_2 U_1.
+A circuit, :class:`LocalCircuit`, is its shape and one theta vector.
+Its shape is the (support, dimension) of each layer in circuit order:
+each layer acts on a strict subset of the parties (its support) and is
+embedded in the full space as U_layer (x) identity.  Its theta holds each
+layer's d^2 chart entries in the same order.  Layers are applied first
+to last, so the overall unitary is U_L ... U_2 U_1.
 
 A search ranges over the circuits of one :class:`Preset`, and only the
 preset knows its shape: it checks its kind and depth once, lists its
@@ -26,10 +28,9 @@ conjugation, :func:`conjugate`, turns them into U X U† (B, D, D).  The
 penalty search, the brute-force oracle and the replay all go through
 both: the density branch of :func:`apply` is the one-row case of
 :func:`conjugate`, so a report's value and its search record are the same
-arithmetic.  A circuit's shape, :attr:`LocalCircuit.shape`, is the
-(support, dimension) of each layer in circuit order: the tensor product
-structure a frame builder is laid out for, and all it reads of a circuit
-but its theta.  The builder is built from a shape and dims alone, which
+arithmetic.  A circuit's shape is the tensor product structure a frame
+builder is laid out for, and all it reads of a circuit but its theta.
+The builder is built from a shape and dims alone, which
 checks every layer and lays out its index plans, and the search, the
 oracle and :func:`apply` share one builder per shape and dims
 (:meth:`FrameBuilder.of`), as they share a preset's circuit per dims
@@ -41,8 +42,8 @@ written, signed zeros too, with the layers in circuit order, each at its
 own theta offset.  Each run of adjacent layers of one dimension runs one
 batched eigh and exp, written straight into the stack the embed reads,
 and a gather lifts every layer unitary to the full space.
-:func:`build_unitary` is the chart for one layer and one row, which at
-theta = 0 is exactly the identity, returned as it is.  The
+:func:`build_unitary` is the chart for one layer's theta and one row,
+which at theta = 0 is exactly the identity, returned as it is.  The
 scalar reference that every row matches with == (chart, exp and a
 kron-and-transpose embed, one frame at a time) lives in the tests.
 """
@@ -67,14 +68,6 @@ from .qstate import (TOL_UNITARY, TOL_ZERO_L, DensityMatrix, PureState, check_di
 
 SINGLE_PARTY = "single_party"
 NONGLOBAL = "nonglobal"
-
-
-def n_params(dim: int) -> int:
-    """Number of real parameters of a dim-dimensional unitary chart."""
-    dim = check_integer(dim, "dimension")
-    if dim < 1:
-        raise ValueError(f"dimension must be positive, got {dim}")
-    return dim * dim
 
 
 class _ChartLayout(NamedTuple):
@@ -141,36 +134,24 @@ def _expi_stack(h: np.ndarray, out: np.ndarray) -> None:
     np.matmul(v * np.exp(1j * w)[..., None, :], v.conj().swapaxes(-1, -2), out=out)
 
 
-@dataclass(frozen=True, eq=False)
-class UnitaryParams:
-    """Chart point theta in R^(dim^2); theta = 0 is the identity."""
-
-    dim: int
-    theta: np.ndarray
-
-    def __post_init__(self):
-        dim = check_integer(self.dim, "dimension")
-        theta = frozen_array(self.theta, (n_params(dim),), "theta", np.float64, ValueError)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "theta", theta)
-
-    @classmethod
-    def identity(cls, dim: int) -> "UnitaryParams":
-        return cls(dim, np.zeros(n_params(dim)))
-
-
-def build_unitary(params: UnitaryParams) -> np.ndarray:
-    """exp(iH(theta)): the frame builder's chart for one layer and one row.
-    At theta = 0, -0.0 entries included, that chart is exactly the
-    identity, which is returned without running it."""
-    dim = params.dim
-    if not params.theta.any():
+def build_unitary(theta) -> np.ndarray:
+    """exp(iH(theta)) of one layer's theta, d^2 entries: the frame builder's
+    chart for one layer and one row.  At theta = 0, -0.0 entries included,
+    that chart is exactly the identity, which is returned without running
+    it."""
+    theta = np.asarray(theta, dtype=np.float64)
+    dim = math.isqrt(theta.size)
+    if dim < 1 or theta.shape != (dim * dim,):
+        raise ValueError(f"theta must hold d^2 entries for a d >= 1, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta contains non-finite entries")
+    if not theta.any():
         return np.eye(dim, dtype=np.complex128)
-    return _layer_stack(_chart_layout((dim,)), params.theta[None])[0, :-1].reshape(dim, dim)
+    return _layer_stack(_chart_layout((dim,)), theta[None])[0, :-1].reshape(dim, dim)
 
 
-def params_for_unitary(u) -> UnitaryParams:
-    """Invert the chart: find theta whose :func:`build_unitary` is ~ u.
+def params_for_unitary(u) -> np.ndarray:
+    """Invert the chart: find the theta whose :func:`build_unitary` is ~ u.
 
     Uses the principal matrix logarithm, so it is defined for every
     unitary; branch choices make the round trip exact only up to the
@@ -191,44 +172,56 @@ def params_for_unitary(u) -> UnitaryParams:
     h = (z * np.angle(np.diag(t))) @ z.conj().T
     h = (h + h.conj().T) / 2.0
     # the diagonal, then the upper triangle's (re, im) pairs
-    return UnitaryParams(d, np.concatenate((np.diag(h).real, h[_upper(d)].view(np.float64))))
+    return np.concatenate((np.diag(h).real, h[_upper(d)].view(np.float64)))
 
 
-@dataclass(frozen=True, eq=False)
-class CircuitLayer:
-    """One unitary acting on ``support`` (sorted 0-based party indices)."""
-
-    support: tuple[int, ...]
-    params: UnitaryParams
-
-    def __post_init__(self):
-        support = tuple(check_integer(p, "party index") for p in self.support)
-        if not support:
-            raise ValueError("layer support must not be empty")
-        if any(p < 0 for p in support):
-            raise ValueError(f"negative party index in support {support}")
-        if any(a >= b for a, b in zip(support, support[1:])):
-            raise ValueError(f"support must be strictly increasing, got {support}")
-        object.__setattr__(self, "support", support)
+def _checked_layer(support, dim) -> tuple[tuple[int, ...], int]:
+    """A layer's (support, dimension), its dimension and party indices as
+    ints.  Raises ValueError unless the dimension is a positive integer
+    and the support non-empty, non-negative and strictly increasing."""
+    dim = check_integer(dim, "dimension")
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    support = tuple(check_integer(p, "party index") for p in support)
+    if not support:
+        raise ValueError("layer support must not be empty")
+    if any(p < 0 for p in support):
+        raise ValueError(f"negative party index in support {support}")
+    if any(a >= b for a, b in zip(support, support[1:])):
+        raise ValueError(f"support must be strictly increasing, got {support}")
+    return support, dim
 
 
 @dataclass(frozen=True, eq=False)
 class LocalCircuit:
-    layers: tuple[CircuitLayer, ...]
+    """A circuit of layers, as the frame builder reads it.
+
+    ``shape`` is the (support, dimension) of each layer in circuit order:
+    the tensor product structure a frame builder is laid out for, and all
+    it reads of a circuit but its theta.  ``theta`` is one read-only
+    float64 vector that holds each layer's d^2 chart entries in circuit
+    order.  Both are checked here; whether the layers fit a state's dims
+    is checked where a builder is built for them."""
+
+    shape: tuple[tuple[tuple[int, ...], int], ...]
+    theta: np.ndarray
     preset: str = "custom"
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
+        shape = tuple(_checked_layer(support, dim) for support, dim in self.shape)
+        theta = frozen_array(self.theta, (sum(d * d for _, d in shape),), "theta",
+                             np.float64, ValueError)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "theta", theta)
 
     @property
     def n_theta(self) -> int:
-        return sum(layer.params.theta.size for layer in self.layers)
+        return self.theta.size
 
-    @property
-    def shape(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """The (support, dimension) of each layer, in circuit order: all a
-        frame builder reads of a circuit but its theta."""
-        return tuple((layer.support, layer.params.dim) for layer in self.layers)
+    def layer_thetas(self) -> list[np.ndarray]:
+        """Each layer's d^2 entries of :attr:`theta`, in circuit order."""
+        ends = list(itertools.accumulate(d * d for _, d in self.shape))
+        return [self.theta[end - d * d:end] for (_, d), end in zip(self.shape, ends)]
 
 
 def _check_layer(support: tuple[int, ...], dim: int, dims: tuple[int, ...]) -> None:
@@ -321,11 +314,6 @@ class FrameBuilder:
 _shared_builder = lru_cache(maxsize=None)(FrameBuilder)
 
 
-def circuit_unitary(circuit: LocalCircuit, dims) -> np.ndarray:
-    """The circuit's unitary: the single-row case of :class:`FrameBuilder`."""
-    return FrameBuilder.of(circuit, dims).unitaries(theta_vector(circuit)[None])[0]
-
-
 def conjugate(frames: FrameBuilder, entries, thetas) -> np.ndarray:
     """``entries`` (D, D) conjugated by the frames at a stack of parameter
     vectors (B, n_theta): U X U† for each, as a stack (B, D, D)."""
@@ -337,7 +325,7 @@ def apply(circuit: LocalCircuit, state):
     """Conjugate a state by the circuit unitary (or rotate a pure vector):
     one row of :func:`conjugate`, the conjugation the search runs."""
     frames = FrameBuilder.of(circuit, check_state(state).dims)
-    thetas = theta_vector(circuit)[None]
+    thetas = circuit.theta[None]
     if isinstance(state, PureState):
         return PureState(state.dims, frames.unitaries(thetas)[0] @ state.amps)
     return DensityMatrix(state.dims, conjugate(frames, state.entries, thetas)[0])
@@ -418,10 +406,9 @@ class Preset:
 
     @lru_cache(maxsize=None)
     def _build(self, dims: tuple[int, ...]) -> LocalCircuit:
-        layers = tuple(CircuitLayer(s, UnitaryParams.identity(math.prod(dims[p] for p in s)))
-                       for s in self.supports(len(dims)))
+        shape = tuple((s, math.prod(dims[p] for p in s)) for s in self.supports(len(dims)))
         tag = self.kind if self.kind == SINGLE_PARTY else f"{NONGLOBAL}:depth={self.depth}"
-        return LocalCircuit(layers, preset=tag)
+        return LocalCircuit(shape, np.zeros(sum(d * d for _, d in shape)), preset=tag)
 
     def search_frame(self, rho: DensityMatrix) -> SearchFrame:
         """The frame a search on ``rho`` runs in: its circuit, its rotations
@@ -535,38 +522,20 @@ def _times(circuit: LocalCircuit, mats) -> LocalCircuit:
     its entry of ``mats``; a layer whose entry is None is kept as it is.
     The one place a layer is re-charted: a search frame moves circuits
     both ways through it."""
-    layers = tuple(
-        layer if m is None else CircuitLayer(
-            layer.support, params_for_unitary(build_unitary(layer.params) @ m))
-        for layer, m in zip(circuit.layers, mats))
-    return LocalCircuit(layers, preset=circuit.preset)
-
-
-# --- flat parameter vector <-> circuit ----------------------------------
-
-
-def theta_vector(circuit: LocalCircuit) -> np.ndarray:
-    if not circuit.layers:
-        return np.zeros(0)
-    return np.concatenate([layer.params.theta for layer in circuit.layers])
+    thetas = [theta if m is None else params_for_unitary(build_unitary(theta) @ m)
+              for theta, m in zip(circuit.layer_thetas(), mats)]
+    return LocalCircuit(circuit.shape, np.concatenate(thetas), preset=circuit.preset)
 
 
 def with_theta(circuit: LocalCircuit, theta) -> LocalCircuit:
-    """The same circuit shape with all layer parameters replaced by
-    ``theta``; ``circuit`` itself where ``theta`` has its bits already."""
+    """The same circuit shape with ``theta`` in place of its parameters;
+    ``circuit`` itself where ``theta`` has its bits already."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (circuit.n_theta,):
-        raise ValueError(f"theta must have shape ({circuit.n_theta},), got {theta.shape}")
-    if theta.tobytes() == theta_vector(circuit).tobytes():
+    if theta.shape != circuit.theta.shape:
+        raise ValueError(f"theta must have shape {circuit.theta.shape}, got {theta.shape}")
+    if theta.tobytes() == circuit.theta.tobytes():
         return circuit
-    layers = []
-    off = 0
-    for layer in circuit.layers:
-        k = layer.params.theta.size
-        layers.append(CircuitLayer(layer.support,
-                                   UnitaryParams(layer.params.dim, theta[off:off + k])))
-        off += k
-    return LocalCircuit(tuple(layers), preset=circuit.preset)
+    return LocalCircuit(circuit.shape, theta, preset=circuit.preset)
 
 
 # --- serialization -------------------------------------------------------
@@ -575,10 +544,8 @@ def with_theta(circuit: LocalCircuit, theta) -> LocalCircuit:
 def circuit_to_json(circuit: LocalCircuit) -> dict:
     return {
         "preset": circuit.preset,
-        "layers": [
-            {"support": list(layer.support), "theta": layer.params.theta.tolist()}
-            for layer in circuit.layers
-        ],
+        "layers": [{"support": list(support), "theta": theta.tolist()}
+                   for (support, _), theta in zip(circuit.shape, circuit.layer_thetas())],
     }
 
 
@@ -587,7 +554,7 @@ def circuit_from_json(obj: dict) -> LocalCircuit:
     layer's index."""
     if not isinstance(obj, dict) or not isinstance(obj.get("layers"), list):
         raise ValueError("circuit JSON must be an object with a 'layers' list")
-    layers = []
+    shape, thetas = [], [np.zeros(0)]
     for k, entry in enumerate(obj["layers"]):
         with errors_at(f"circuit layer {k}"):
             if not (isinstance(entry, dict) and isinstance(entry.get("support"), list)
@@ -599,8 +566,12 @@ def circuit_from_json(obj: dict) -> LocalCircuit:
             dim = math.isqrt(theta.size)
             if dim * dim != theta.size:
                 raise ValueError(f"theta length {theta.size} is not a perfect square")
-            layers.append(CircuitLayer(tuple(entry["support"]), UnitaryParams(dim, theta)))
-    return LocalCircuit(tuple(layers), preset=str(obj.get("preset", "custom")))
+            if not np.isfinite(theta).all():
+                raise ValueError("theta contains non-finite entries")
+            shape.append(_checked_layer(entry["support"], dim))
+            thetas.append(theta)
+    return LocalCircuit(tuple(shape), np.concatenate(thetas),
+                        preset=str(obj.get("preset", "custom")))
 
 
 def save_circuit(circuit: LocalCircuit, path) -> None:

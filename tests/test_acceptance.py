@@ -245,8 +245,8 @@ def _ghz_witness_theta():
     cnot = np.zeros((4, 4), dtype=complex)
     cnot[0, 0] = cnot[1, 1] = cnot[2, 3] = cnot[3, 2] = 1.0
     return np.concatenate([
-        unitary.params_for_unitary(cnot).theta,
-        unitary.params_for_unitary(u_bell.conj().T).theta,
+        unitary.params_for_unitary(cnot),
+        unitary.params_for_unitary(u_bell.conj().T),
     ])
 
 
@@ -265,9 +265,9 @@ def test_criterion_8_classifier_and_profiles():
 
 def test_criterion_8_ghz_witness_certificate():
     witness = unitary.load_circuit(GHZ3_WITNESS)
-    assert [l.support for l in witness.layers] == Preset(kind=NONGLOBAL).supports(3)
+    assert [s for s, _ in witness.shape] == Preset(kind=NONGLOBAL).supports(3)
     # a tolerance, not ==: the chart inverse goes through the complex Schur form
-    theta = unitary.theta_vector(witness)
+    theta = witness.theta
     assert np.max(np.abs(theta - _ghz_witness_theta())) <= 1e-12
     final = apply(witness, states.ghz(3))
     target = np.zeros(8)
@@ -297,16 +297,16 @@ def _w_witness_theta():
     other = np.array([0.0, math.sqrt(2.0), -1.0, 0.0]) / math.sqrt(3.0)
     to_zero = np.column_stack([rest, ket[0], other, ket[3]]).T
     return np.concatenate([
-        unitary.params_for_unitary(cnot @ g).theta,
-        unitary.params_for_unitary(to_zero).theta,
+        unitary.params_for_unitary(cnot @ g),
+        unitary.params_for_unitary(to_zero),
     ])
 
 
 def test_criterion_8_w_witness_certificate():
     witness = unitary.load_circuit(W3_WITNESS)
-    assert [l.support for l in witness.layers] == Preset(kind=NONGLOBAL).supports(3)
+    assert [s for s, _ in witness.shape] == Preset(kind=NONGLOBAL).supports(3)
     # a tolerance, not ==: the chart inverse goes through the complex Schur form
-    theta = unitary.theta_vector(witness)
+    theta = witness.theta
     assert np.max(np.abs(theta - _w_witness_theta())) <= 1e-12
     final = density_from_pure(apply(witness, states.w_state(3)))
     assert nonlocal_sum(final) <= 1e-12

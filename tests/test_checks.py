@@ -324,14 +324,20 @@ INPUT_CHECKS = {
                             r"^rank must be in 1\.\.4, got 5$"),
     "consonance_closed_form-w": (lambda: states.consonance_closed_form("w"), ValueError,
                                  "^no closed-form consonance for family 'w'$"),
-    "UnitaryParams-shape": (lambda: unitary.UnitaryParams(2, np.zeros(3)), ValueError,
-                            r"^theta must have shape \(4,\), got \(3,\)$"),
-    "UnitaryParams-non_finite": (lambda: unitary.UnitaryParams(2, [0.0, np.nan, 0.0, 0.0]),
+    "LocalCircuit-theta_shape": (lambda: unitary.LocalCircuit((((0,), 2),), np.zeros(3)),
+                                 ValueError, r"^theta must have shape \(4,\), got \(3,\)$"),
+    "LocalCircuit-non_finite": (
+        lambda: unitary.LocalCircuit((((0,), 2),), [0.0, np.nan, 0.0, 0.0]), ValueError,
+        "^theta contains non-finite entries$"),
+    "build_unitary-not_d_squared": (lambda: unitary.build_unitary(np.zeros(3)), ValueError,
+                                    r"^theta must hold d\^2 entries for a d >= 1, got shape "
+                                    r"\(3,\)$"),
+    "build_unitary-non_finite": (lambda: unitary.build_unitary([0.0, np.inf, 0.0, 0.0]),
                                  ValueError, "^theta contains non-finite entries$"),
     "params_for_unitary-not_square": (lambda: unitary.params_for_unitary(np.eye(2, 3)),
                                       ValueError, r"^expected a square matrix, got \(2, 3\)$"),
-    "CircuitLayer-negative_party": (
-        lambda: unitary.CircuitLayer((-1,), unitary.UnitaryParams.identity(2)), ValueError,
+    "LocalCircuit-negative_party": (
+        lambda: unitary.LocalCircuit((((-1,), 2),), np.zeros(4)), ValueError,
         r"^negative party index in support \(-1,\)$"),
     "SweepSpec-no_measures": (
         lambda: cli.SweepSpec(family="werner", axis="a", start=0.0, stop=1.0, points=3,

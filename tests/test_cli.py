@@ -19,6 +19,8 @@ from test_acceptance import GHZ3_WITNESS
 from test_optimizer import no_frames
 from test_qstate import UNREADABLE
 
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -351,6 +353,14 @@ def test_sweep_fig3_small(capsys):
     assert got["0.25"] == pytest.approx(0.25, abs=1e-12)
     assert got["0.5"] == pytest.approx(0.25, abs=1e-12)
     assert got["1"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("recipe", sorted(cli.RECIPES))
+def test_each_fig_recipe_reproduces_its_committed_table_byte_for_byte(recipe):
+    # in process, at the search budget the committed tables were made with
+    config = optimizer.OptimizerConfig(restarts=16, max_evals=12000, seed=0)
+    text = cli.run_sweep(cli.RECIPES[recipe](), config, 0)
+    assert text.encode() == (RESULTS / f"{recipe}.csv").read_bytes()
 
 
 def test_sweep_is_byte_identical(capsys):
@@ -836,6 +846,16 @@ def test_pair_family_out_of_range_stays_invalid_state(capsys):
     code, _, _ = run(capsys, "measure", "--measure", "discord",
                      "--family", "bell_like:a2=1.5")
     assert code == 1
+
+
+@pytest.mark.parametrize("spec", ["bell_like:a=inf", "bell_like:a=-inf", "bell_like:a=1e999",
+                                  "psi_like:a=inf,b=0", "pure_2x2:a=inf,b=0,c=0,d=0",
+                                  "pure_2x2:a=1,b=0,c=0,d=1e999"])
+def test_an_infinite_amplitude_is_an_invalid_state_however_it_is_written(capsys, spec):
+    # only a trailing i is the imaginary unit, so inf parses as a number
+    code, out, err = run(capsys, "measure", "--measure", "discord", "--family", spec)
+    assert (code, out) == (1, "")
+    assert err == "error: amplitudes are not normalized: residual inf\n"
 
 
 @pytest.mark.parametrize("spec, want", [("bell_like:a=1.00000000004,b=0", 0.0),

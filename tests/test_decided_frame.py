@@ -14,6 +14,7 @@ report must be equal with ==, as JSON.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from test_two_qubit_frame import behind_a_frame
 # --- the references ------------------------------------------------------
 
 
-def reference_build_unitary(params):
-    """exp(iH(theta)) through the full chart, at theta = 0 as well."""
-    d = params.dim
-    stack = unitary._layer_stack(unitary._chart_layout((d,)), params.theta[None])
+def reference_build_unitary(theta):
+    """exp(iH(theta)) of one layer through the full chart, at theta = 0 as
+    well."""
+    d = math.isqrt(theta.size)
+    stack = unitary._layer_stack(unitary._chart_layout((d,)), theta[None])
     return stack[0, :-1].reshape(d, d)
 
 
@@ -50,28 +52,24 @@ def reference_params_for_unitary(u):
     iu = np.triu_indices(d, k=1)
     theta[d::2] = h[iu].real
     theta[d + 1::2] = h[iu].imag
-    return unitary.UnitaryParams(d, theta)
+    return theta
 
 
 def reference_with_theta(circuit, theta):
-    """The circuit's layers, each rebuilt at its slice of ``theta``."""
-    layers, off = [], 0
-    for layer in circuit.layers:
-        k = layer.params.theta.size
-        params = unitary.UnitaryParams(layer.params.dim, theta[off:off + k])
-        layers.append(unitary.CircuitLayer(layer.support, params))
-        off += k
-    return unitary.LocalCircuit(tuple(layers), preset=circuit.preset)
+    """The circuit's shape, rebuilt at ``theta``."""
+    return unitary.LocalCircuit(circuit.shape, theta, preset=circuit.preset)
 
 
 def reference_to_state(frame, circuit):
     """``SearchFrame.to_state`` of a single_party frame, every layer
     re-charted through the full chart."""
-    layers = tuple(
-        layer if r is None else unitary.CircuitLayer(layer.support, reference_params_for_unitary(
-            reference_build_unitary(layer.params) @ r.conj().T))
-        for layer, r in zip(circuit.layers, frame.rotations))
-    return unitary.LocalCircuit(layers, preset=circuit.preset)
+    thetas, off = [], 0
+    for (_, d), r in zip(circuit.shape, frame.rotations):
+        theta = circuit.theta[off:off + d * d]
+        thetas.append(theta if r is None else reference_params_for_unitary(
+            reference_build_unitary(theta) @ r.conj().T))
+        off += d * d
+    return unitary.LocalCircuit(circuit.shape, np.concatenate(thetas), preset=circuit.preset)
 
 
 def reference_consonance(rho, config):
@@ -83,7 +81,7 @@ def reference_consonance(rho, config):
     assert not len(frame.moved)
     template = frame.circuit
     frames = unitary.FrameBuilder(template.shape, rho.dims)
-    starts = [np.zeros(template.n_theta)] + [unitary.theta_vector(frame.to_search(w))
+    starts = [np.zeros(template.n_theta)] + [frame.to_search(w).theta
                                              for w in config.warm_starts]
     s, l = optimizer._frame_sums(frames, frame.state(rho), np.array(starts),
                                  lambda m: optimizer.coherence.class_sums(m, rho.dims,
@@ -94,7 +92,7 @@ def reference_consonance(rho, config):
     best = min(records, key=optimizer._rank)
     circuit = reference_to_state(frame, reference_with_theta(template, starts[best.index]))
     replay = unitary.FrameBuilder(circuit.shape, rho.dims)
-    rotated = unitary.conjugate(replay, rho.entries, unitary.theta_vector(circuit)[None])
+    rotated = unitary.conjugate(replay, rho.entries, circuit.theta[None])
     (value,), (l_res,) = optimizer.coherence.class_sums(rotated, rho.dims, optimizer._S_AND_L)
     return optimizer.ConsonanceReport(value, l_res, circuit, tuple(records))
 

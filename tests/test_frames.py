@@ -21,15 +21,18 @@ import pytest
 from consonance import coherence, optimizer, states, unitary
 from consonance.optimizer import (ORACLE_CHUNK, Preset, _frame_sums,
                                   oracle_consonance)
-from consonance.unitary import (CircuitLayer, FrameBuilder, LocalCircuit,
-                                UnitaryParams, circuit_unitary)
+from consonance.unitary import FrameBuilder, LocalCircuit
 
 
 def explicit_circuit(dims, supports) -> LocalCircuit:
     """Identity layers on the given supports, in that order."""
-    return LocalCircuit(tuple(
-        CircuitLayer(s, UnitaryParams.identity(math.prod(dims[p] for p in s)))
-        for s in supports))
+    shape = tuple((s, math.prod(dims[p] for p in s)) for s in supports)
+    return LocalCircuit(shape, np.zeros(sum(d * d for _, d in shape)))
+
+
+def circuit_unitary(circuit, dims) -> np.ndarray:
+    """A circuit's unitary: one row of its shape's frame builder."""
+    return FrameBuilder.of(circuit, dims).unitaries(circuit.theta[None])[0]
 
 
 DIMS = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]
@@ -44,7 +47,7 @@ CASES = [(dims, p.build(dims)) for dims in DIMS for p in PRESETS] + [
     ]]
 # the last field names the explicit supports, None for a preset's circuit
 CASE_IDS = [f"{d}-{c.preset}-"
-            f"{tuple(layer.support for layer in c.layers) if c.preset == 'custom' else None}"
+            f"{tuple(s for s, _ in c.shape) if c.preset == 'custom' else None}"
             for d, c in CASES]
 
 
@@ -92,10 +95,9 @@ def embed_matrix(u: np.ndarray, support: tuple[int, ...], dims: tuple[int, ...])
 def reference_unitary(template, dims, theta):
     total = np.eye(math.prod(dims), dtype=np.complex128)
     off = 0
-    for layer in template.layers:
-        dim = layer.params.dim
+    for support, dim in template.shape:
         u = expi_hermitian(hermitian_from_theta(dim, theta[off:off + dim * dim]))
-        total = embed_matrix(u, layer.support, dims) @ total
+        total = embed_matrix(u, support, dims) @ total
         off += dim * dim
     return total
 
@@ -133,12 +135,12 @@ def earlier_layer_unitaries(layer_dims, thetas):
 def earlier_unitaries(template, dims, thetas):
     """The circuit unitary of each row by the earlier chart, each layer
     lifted by the kron-and-transpose embed and chained from the identity."""
-    layers = earlier_layer_unitaries([layer.params.dim for layer in template.layers], thetas)
+    layers = earlier_layer_unitaries([dim for _, dim in template.shape], thetas)
     out = []
     for k in range(len(thetas)):
         total = np.eye(math.prod(dims), dtype=np.complex128)
-        for layer, u in zip(template.layers, layers):
-            total = embed_matrix(u[k], layer.support, dims) @ total
+        for (support, _), u in zip(template.shape, layers):
+            total = embed_matrix(u[k], support, dims) @ total
         out.append(total)
     return out
 
@@ -265,17 +267,18 @@ def test_build_unitary_is_the_single_row_chart():
     rng = np.random.default_rng(8)
     for dim in (2, 3, 4):
         for theta in [rng.uniform(-3, 3, dim * dim), *_edge_thetas(dim * dim, dim)]:
-            assert np.array_equal(unitary.build_unitary(unitary.UnitaryParams(dim, theta)),
+            assert np.array_equal(unitary.build_unitary(theta),
                                   expi_hermitian(hermitian_from_theta(dim, theta)))
 
 
-def test_circuit_unitary_is_the_single_row_case():
+def test_apply_to_a_pure_state_is_the_single_row_case():
     dims = (2, 3, 2)
     template = Preset(kind=unitary.NONGLOBAL, depth=4).build(dims)
     theta = np.random.default_rng(2).uniform(-3, 3, template.n_theta)
     circuit = unitary.with_theta(template, theta)
-    assert np.array_equal(circuit_unitary(circuit, dims),
-                          reference_unitary(template, dims, theta))
+    psi = states.random_pure(dims, seed=2)
+    assert np.array_equal(unitary.apply(circuit, psi).amps,
+                          reference_unitary(template, dims, theta) @ psi.amps)
 
 
 def test_frame_layout_is_cached_and_read_only():
@@ -323,7 +326,7 @@ def test_chart_reads_theta_in_place(layer_dims):
 
 
 def test_frames_without_layers_are_identities():
-    u = FrameBuilder(LocalCircuit(()).shape, (2, 3)).unitaries(np.zeros((3, 0)))
+    u = FrameBuilder(LocalCircuit((), np.zeros(0)).shape, (2, 3)).unitaries(np.zeros((3, 0)))
     assert np.array_equal(u, np.broadcast_to(np.eye(6), (3, 6, 6)))
 
 

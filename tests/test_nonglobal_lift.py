@@ -20,8 +20,9 @@ from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.decide import single_party
 from consonance.optimizer import Preset, consonance, report_to_json
 from consonance.qstate import DensityMatrix, density_from_pure, in_local_frame
-from consonance.unitary import NONGLOBAL, SearchFrame, apply, circuit_unitary, with_theta
+from consonance.unitary import NONGLOBAL, SearchFrame, apply, with_theta
 from test_acceptance import OPT_SMALL
+from test_frames import circuit_unitary
 
 
 def _haar(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,7 +102,7 @@ def test_an_input_that_is_not_lifted_keeps_the_unrotated_frame_and_report(monkey
     assert frame.circuit is want.circuit
     assert frame.dims == want.dims
     assert frame.rotations == want.rotations
-    assert frame.factors == (None,) * len(frame.circuit.layers)
+    assert frame.factors == (None,) * len(frame.circuit.shape)
     assert frame.moved.tolist() == want.moved.tolist() and frame.moved.dtype == want.moved.dtype
     assert frame.state(rho) is rho
     config = optimizer.OptimizerConfig(preset, restarts=2, seed=11, max_evals=1000)

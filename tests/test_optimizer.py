@@ -209,14 +209,13 @@ def test_report_is_the_winning_restarts_record(rho, preset, feasible, want):
 def _inverse(circuit):
     """The circuit undoing a single_party ``circuit``, through the chart
     inverse, so its diagonal columns are not 0."""
-    return unitary.LocalCircuit(tuple(
-        unitary.CircuitLayer(layer.support, unitary.params_for_unitary(
-            unitary.build_unitary(layer.params).conj().T))
-        for layer in circuit.layers), preset=circuit.preset)
+    return unitary.LocalCircuit(circuit.shape, np.concatenate([
+        unitary.params_for_unitary(unitary.build_unitary(theta).conj().T)
+        for theta in circuit.layer_thetas()]), preset=circuit.preset)
 
 
 def _diagonals(circuit):
-    return [layer.params.theta[:layer.params.dim].tolist() for layer in circuit.layers]
+    return [theta[:d].tolist() for (_, d), theta in zip(circuit.shape, circuit.layer_thetas())]
 
 
 @pytest.mark.parametrize("kind", ["identity", "random", "warm"])
@@ -331,9 +330,7 @@ def no_frames(monkeypatch):
 
 def _circuit_of(shape):
     """A circuit with the given (support, dimension) layers, theta = 0.1."""
-    return unitary.LocalCircuit(tuple(
-        unitary.CircuitLayer(s, unitary.UnitaryParams(d, np.full(d * d, 0.1)))
-        for s, d in shape))
+    return unitary.LocalCircuit(shape, np.full(sum(d * d for _, d in shape), 0.1))
 
 
 @pytest.mark.parametrize("warm", [
@@ -358,8 +355,8 @@ def test_a_witness_with_its_old_absorbed_layer_is_refused(monkeypatch, path):
     # the witness as it was committed while the preset still built the
     # (0,) layer that (0, 1) absorbs: an identity layer in front
     witness = unitary.load_circuit(path)
-    identity = unitary.CircuitLayer((0,), unitary.UnitaryParams.identity(2))
-    old = unitary.LocalCircuit((identity,) + witness.layers, preset=witness.preset)
+    old = unitary.LocalCircuit((((0,), 2),) + witness.shape,
+                               np.concatenate((np.zeros(4), witness.theta)), preset=witness.preset)
     no_frames(monkeypatch)
     config = OptimizerConfig(preset=Preset(kind=NONGLOBAL, depth=3), restarts=2,
                              warm_starts=(old,))

@@ -157,7 +157,7 @@ def test_a_state_with_l_0_in_its_eigenframe_keeps_its_rotations(rho):
     assert all(r is None for r in frame.rotations)
     assert frame.moved.tolist() == []
     report = consonance(rho, OPT_SMALL)
-    assert not unitary.theta_vector(report.circuit).any()
+    assert not report.circuit.theta.any()
     assert (report.value, report.l_residual) == (nonlocal_sum(rho), 0.0)
 
 

@@ -23,8 +23,9 @@ from consonance import measures, optimizer, states, unitary
 from consonance.coherence import local_coherence, nonlocal_sum
 from consonance.optimizer import EPS_L, OptimizerConfig, Preset, consonance, report_to_json
 from consonance.qstate import TOL_DEGENERATE, PureState, density_from_pure, partial_trace
-from consonance.unitary import NONGLOBAL, circuit_unitary
+from consonance.unitary import NONGLOBAL
 from test_acceptance import GHZ3_WITNESS, OPT_SMALL, W3_WITNESS
+from test_frames import circuit_unitary
 from test_optimizer import _behind_a_frame, _circuit_of, _inverse
 from test_projection import DECIDED
 from test_unitary import maximally_mixed, mixed_marginals, with_local_noise
@@ -138,10 +139,6 @@ def test_a_warm_start_on_a_rotated_layer_starts_from_its_frame():
 # --- nonglobal: a staircase on three or more parties, no trace column moves ----
 
 
-def _shape(circuit):
-    return [(layer.support, layer.params.dim) for layer in circuit.layers]
-
-
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
 @pytest.mark.parametrize("depth", [2, 3, 4])
 @pytest.mark.parametrize("seed", [1, 2])
@@ -154,9 +151,9 @@ def test_the_nonglobal_search_circuit_loses_no_frame(dims, depth, seed):
     circuit = unitary.with_theta(frame.circuit,
                                  rng.uniform(-math.pi, math.pi, frame.circuit.n_theta))
     search = frame.to_search(circuit)
-    assert _shape(search) == _shape(frame.circuit)
+    assert search.shape == frame.circuit.shape
     back = frame.to_state(search)
-    assert _shape(back) == _shape(circuit) and back.preset == circuit.preset
+    assert back.shape == circuit.shape and back.preset == circuit.preset
     assert np.abs(circuit_unitary(back, dims) - circuit_unitary(circuit, dims)).max() <= 1e-12
 
 
@@ -166,16 +163,15 @@ def test_a_witness_enters_the_nonglobal_search_bit_for_bit(path):
     witness = unitary.load_circuit(path)
     frame = Preset(NONGLOBAL).search_frame(states.random_density((2, 2, 2), seed=1))
     search = frame.to_search(witness)
-    assert (unitary.theta_vector(search) == unitary.theta_vector(witness)).all()
-    assert (unitary.theta_vector(frame.to_state(search))
-            == unitary.theta_vector(witness)).all()
+    assert (search.theta == witness.theta).all()
+    assert (frame.to_state(search).theta == witness.theta).all()
 
 
 def test_a_depth_3_search_on_three_qubits_moves_30_of_32_columns():
     frame = Preset(NONGLOBAL, 3).search_frame(density_from_pure(states.ghz(3)))
     # depth 3 counts a leading (0,), which (0, 1) absorbs and which is not built
-    assert _shape(Preset(NONGLOBAL, 3).build((2, 2, 2))) == [((0, 1), 4), ((0, 2), 4)]
-    assert _shape(frame.circuit) == [((0, 1), 4), ((0, 2), 4)]
+    assert list(Preset(NONGLOBAL, 3).build((2, 2, 2)).shape) == [((0, 1), 4), ((0, 2), 4)]
+    assert list(frame.circuit.shape) == [((0, 1), 4), ((0, 2), 4)]
     assert frame.circuit.n_theta == 32
     # none at a layer's last diagonal entry
     assert frame.moved.tolist() == [c for c in range(32) if c not in (3, 19)]
@@ -188,16 +184,16 @@ def test_no_built_nonglobal_layer_lies_inside_the_next_one(dims, depth):
     # search moves every H entry but each layer's last diagonal one, and
     # on two it is the single_party search, which decides I/D
     frame = Preset(NONGLOBAL, depth).search_frame(maximally_mixed(dims))
-    supports = [set(s) for s, _ in _shape(frame.circuit)]
+    supports = [set(s) for s, _ in frame.circuit.shape]
     assert not any(s <= t for s, t in zip(supports, supports[1:]))
     assert set().union(*supports) == set(range(len(dims)))
     if len(dims) == 2:
-        assert _shape(frame.circuit) == _shape(Preset().build(dims))
+        assert frame.circuit.shape == Preset().build(dims).shape
         assert frame.moved.tolist() == []
         return
     assert all(len(s) == 2 for s in supports)
     columns, offset = [], 0
-    for _, d in _shape(frame.circuit):
+    for _, d in frame.circuit.shape:
         columns += [offset + k for k in range(d * d) if k != d - 1]
         offset += d * d
     assert frame.moved.tolist() == columns
@@ -230,7 +226,7 @@ def test_ghz4_under_nonglobal_holds_every_party_and_ends_feasible():
     # decided in its own basis, where S = 1, so no party rotates
     config = dataclasses.replace(OPT_SMALL, preset=Preset(NONGLOBAL, 3))
     report = consonance(states.ghz(4), config)
-    assert _shape(report.circuit) == [((0, 1), 4), ((0, 2), 4), ((0, 3), 4)]
+    assert list(report.circuit.shape) == [((0, 1), 4), ((0, 2), 4), ((0, 3), 4)]
     assert report.feasible
     assert report.value <= 1.0 + 1e-12
 
@@ -247,7 +243,7 @@ def test_the_single_party_moved_columns_are_unchanged():
                          (mixed_marginals((2, 2, 2), seed=1), [2, 3, 6, 7, 10, 11])]:
         assert Preset().search_frame(rho).moved.tolist() == columns
     frame = Preset().search_frame(maximally_mixed((3, 3)))
-    assert _shape(frame.circuit) == _shape(Preset().build((3, 3)))
+    assert frame.circuit.shape == Preset().build((3, 3)).shape
 
 
 @pytest.mark.parametrize("preset,dims,side,layers", [
@@ -273,7 +269,7 @@ def test_a_frame_converts_only_circuits_of_its_layers(preset, dims, side, layers
     given = layers if isinstance(layers, np.ndarray) else _circuit_of(layers)
     with pytest.raises(ValueError) as err:
         getattr(frame, side)(given)
-    assert str(_shape(frame.circuit)) in str(err.value)
+    assert str(list(frame.circuit.shape)) in str(err.value)
     assert str(layers if isinstance(layers, list) else "ndarray") in str(err.value)
 
 
@@ -292,8 +288,8 @@ def test_the_nonglobal_search_evaluates_its_own_circuit(monkeypatch):
                              max_evals=300)
     report = consonance(states.ghz(3), config)
     assert widths == {32}
-    assert _shape(report.circuit) == _shape(Preset(NONGLOBAL, 3).build((2, 2, 2)))
-    first, second = [layer.params.theta for layer in report.circuit.layers]
+    assert report.circuit.shape == Preset(NONGLOBAL, 3).build((2, 2, 2)).shape
+    first, second = report.circuit.layer_thetas()
     assert first[3] == second[3] == 0.0
 
 
@@ -312,8 +308,9 @@ def test_a_nonglobal_report_replays_with_an_identity_layer_put_back_in_front(fra
     rho = _ghz3_with_phase(np.random.default_rng(seed).uniform(-math.pi, math.pi))
     rho = _behind_a_frame(rho, seed) if frame == "random" else rho
     report = consonance(rho, dataclasses.replace(OPT_SMALL, preset=Preset(NONGLOBAL, 3)))
-    identity = unitary.CircuitLayer((0,), unitary.UnitaryParams.identity(2))
-    replayed = unitary.apply(unitary.LocalCircuit((identity,) + report.circuit.layers,
-                                                  preset=report.circuit.preset), rho)
+    circuit = report.circuit
+    replayed = unitary.apply(unitary.LocalCircuit(
+        (((0,), 2),) + circuit.shape, np.concatenate((np.zeros(4), circuit.theta)),
+        preset=circuit.preset), rho)
     assert (report.value, report.l_residual) == (nonlocal_sum(replayed),
                                                  local_coherence(replayed))

@@ -69,7 +69,7 @@ def test_coherence_is_the_one_reporter_of_a_class_sum():
 
 def test_a_preset_is_decided_in_preset_alone():
     # optimizer and cli build no circuit and check no depth
-    assert _matching(r"class Preset|depth must be|UnitaryParams\.identity|CircuitLayer\(",
+    assert _matching(r"class Preset|depth must be|LocalCircuit\(|_checked_layer\(",
                      "optimizer.py", "cli.py") == []
 
 
@@ -80,12 +80,13 @@ def test_every_circuit_shares_one_single_party_decision():
 
 def test_cli_decides_nothing_about_a_warm_start():
     # the search checks a warm start, in unitary.SearchFrame
-    assert _matching(r"theta_vector|\.supports\(", "cli.py") == []
+    assert _matching(r"\.theta\b|layer_thetas|\.supports\(", "cli.py") == []
 
 
 def test_optimizer_reads_no_layer_list():
     # a search's layers are read and checked in unitary.SearchFrame alone
-    assert _matching(r"\.template|\.layers|_layer_shape", "optimizer.py") == []
+    assert _matching(r"\.template|\.layers|_layer_shape|circuit\.shape|layer_thetas",
+                     "optimizer.py") == []
 
 
 def test_the_package_never_calls_np_cross():
@@ -134,13 +135,19 @@ def test_the_single_party_decision_lives_in_decide_alone():
 
 
 def test_a_circuits_shape_is_spelled_once():
-    # in LocalCircuit.shape alone
-    assert len(_matching(re.escape("(layer.support, layer.params.dim)"))) == 1
+    # as LocalCircuit.shape, stored once, in LocalCircuit.__post_init__;
+    # no module reads a layer's support, dimension or theta off a layer
+    # object or a list of them
+    assert len(_matching(r'__setattr__\(self, "shape"')) == 1
+    assert "__setattr__(self, \"shape\"" in _span(r"class LocalCircuit", "unitary.py")
+    assert _matching(r"\.(support|layers)\b|\.params\.(dim|theta)\b") == []
 
 
 def test_the_shared_frame_builder_builds_no_circuit_layer():
-    # it is the constructor behind a cache
-    assert "CircuitLayer(" not in _span(r"(def )?_shared_builder\b", "unitary.py")
+    # it is the constructor behind a cache: it builds no circuit and checks
+    # no layer of one
+    span = _span(r"(def )?_shared_builder\b", "unitary.py")
+    assert not re.search(r"LocalCircuit\(|_checked_layer\(", span), span
 
 
 def test_a_restarts_stages_run_through_one_step():

@@ -104,7 +104,7 @@ def test_the_rule_decides_the_state_in_one_evaluation(name):
 def test_the_identity_frame_reports_its_own_s_bit_for_bit(name):
     rho = CASES[name][0]
     report = consonance(rho, OPT_SMALL)
-    assert not unitary.theta_vector(report.circuit).any()
+    assert not report.circuit.theta.any()
     assert report.value == nonlocal_sum(rho)
 
 

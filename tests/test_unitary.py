@@ -16,15 +16,12 @@ from consonance import optimizer, states, unitary
 from consonance.coherence import CoherenceClass, class_sums
 from consonance.qstate import (DensityMatrix, assert_valid, density_from_pure,
                                hermitian_eigenvalues)
-from consonance.unitary import (NONGLOBAL, SINGLE_PARTY, CircuitLayer, FrameBuilder,
-                                LocalCircuit, Preset, UnitaryParams, apply,
-                                build_unitary, circuit_from_json,
-                                circuit_to_json, circuit_unitary, conjugate,
-                                load_circuit, n_params,
-                                params_for_unitary, save_circuit,
-                                theta_vector, with_theta)
+from consonance.unitary import (NONGLOBAL, SINGLE_PARTY, FrameBuilder, LocalCircuit,
+                                Preset, apply, build_unitary, circuit_from_json,
+                                circuit_to_json, conjugate, load_circuit,
+                                params_for_unitary, save_circuit, with_theta)
 from test_acceptance import GHZ3_WITNESS
-from test_frames import embed_matrix, hermitian_from_theta
+from test_frames import circuit_unitary, embed_matrix, hermitian_from_theta
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 CNOT = np.array([[1, 0, 0, 0],
@@ -39,7 +36,7 @@ SWAP = np.array([[1, 0, 0, 0],
 
 def test_zero_theta_is_identity():
     for d in (2, 3, 4):
-        u = build_unitary(UnitaryParams.identity(d))
+        u = build_unitary(np.zeros(d * d))
         assert np.allclose(u, np.eye(d), atol=1e-14)
 
 
@@ -70,7 +67,7 @@ def test_the_full_chart_and_build_unitary_are_exactly_the_identity_at_theta_zero
     for theta in zero_thetas(dim):
         chart = unitary._layer_stack(unitary._chart_layout((dim,)), theta[None])
         assert same_bits(chart[0, :-1].reshape(dim, dim), eye)
-        assert same_bits(build_unitary(UnitaryParams(dim, theta)), eye)
+        assert same_bits(build_unitary(theta), eye)
 
 
 @pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
@@ -92,11 +89,6 @@ def test_class_sums_at_theta_zero_are_those_of_the_bare_matrix(dims, kind):
         assert class_sums(rotated, dims, classes) == class_sums(rho.entries, dims, classes)
 
 
-def test_param_count():
-    assert n_params(2) == 4
-    assert n_params(3) == 9
-
-
 def test_hermitian_from_theta_layout():
     # first d entries feed the diagonal, then (re, im) pairs row-major
     h = hermitian_from_theta(2, [0.5, -1.0, 2.0, 3.0])
@@ -111,8 +103,8 @@ def test_hermitian_from_theta_layout():
 @settings(max_examples=40, deadline=None)
 def test_build_unitary_is_unitary(seed, dim):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    theta = rng.uniform(-np.pi, np.pi, size=n_params(dim))
-    u = build_unitary(UnitaryParams(dim, theta))
+    theta = rng.uniform(-np.pi, np.pi, size=dim * dim)
+    u = build_unitary(theta)
     assert np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-12)
 
 
@@ -186,33 +178,29 @@ def test_embed_swap_on_outer_pair():
 
 def test_disjoint_supports_commute():
     rng = np.random.Generator(np.random.Philox(key=5))
-    u = build_unitary(UnitaryParams(2, rng.uniform(-1, 1, 4)))
-    v = build_unitary(UnitaryParams(2, rng.uniform(-1, 1, 4)))
+    u = build_unitary(rng.uniform(-1, 1, 4))
+    v = build_unitary(rng.uniform(-1, 1, 4))
     a = embed_matrix(u, (0,), (2, 2, 2)) @ embed_matrix(v, (2,), (2, 2, 2))
     b = embed_matrix(v, (2,), (2, 2, 2)) @ embed_matrix(u, (0,), (2, 2, 2))
     assert np.allclose(a, b, atol=1e-13)
 
 
-def test_circuit_unitary_applies_layers_in_order():
+def test_a_circuit_applies_its_layers_in_order():
     h = params_for_unitary(HADAMARD)
     g = params_for_unitary(np.diag([1.0, 1j]))
-    circ = LocalCircuit((CircuitLayer((0,), h), CircuitLayer((0,), g)))
+    circ = LocalCircuit((((0,), 2), ((0,), 2)), np.concatenate((h, g)))
     got = circuit_unitary(circ, (2, 2))
     e_h = embed_matrix(build_unitary(h), (0,), (2, 2))
     e_g = embed_matrix(build_unitary(g), (0,), (2, 2))
     assert np.allclose(got, e_g @ e_h, atol=1e-13)
 
 
-def test_layer_validation_through_circuit_unitary():
-    full = CircuitLayer((0, 1), UnitaryParams.identity(4))
-    with pytest.raises(ValueError):
-        circuit_unitary(LocalCircuit((full,)), (2, 2))  # global support
-    bad_dim = CircuitLayer((0,), UnitaryParams.identity(3))
-    with pytest.raises(ValueError):
-        circuit_unitary(LocalCircuit((bad_dim,)), (2, 2))
-    out_of_range = CircuitLayer((2,), UnitaryParams.identity(2))
-    with pytest.raises(ValueError):
-        circuit_unitary(LocalCircuit((out_of_range,)), (2, 2))
+def test_layer_validation_through_the_frame_builder():
+    for layer in [((0, 1), 4),      # a global support
+                  ((0,), 3),        # the wrong dimension
+                  ((2,), 2)]:       # a party out of range
+        with pytest.raises(ValueError):
+            FrameBuilder.of(LocalCircuit((layer,), np.zeros(layer[1] ** 2)), (2, 2))
 
 
 # --- shared plans --------------------------------------------------------
@@ -221,10 +209,9 @@ def test_layer_validation_through_circuit_unitary():
 def test_a_presets_circuit_is_built_once_and_read_only():
     circ = Preset(NONGLOBAL).build((2, 3, 2))
     assert Preset(NONGLOBAL).build([2, np.int64(3), 2]) is circ
-    for layer in circ.layers:
-        assert not layer.params.theta.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            layer.params.theta[0] = 1.0
+    assert not circ.theta.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        circ.theta[0] = 1.0
 
 
 def test_a_frame_builder_is_shared_per_shape_and_read_only():
@@ -235,15 +222,15 @@ def test_a_frame_builder_is_shared_per_shape_and_read_only():
     assert FrameBuilder.of(moved, dims) is frames
     assert FrameBuilder.of(Preset().build(dims), dims) is not frames
     # one layer shape on other dims is another builder
-    first = LocalCircuit((CircuitLayer((0,), UnitaryParams.identity(2)),))
+    first = LocalCircuit((((0,), 2),), np.zeros(4))
     assert [FrameBuilder.of(first, d).d for d in [(2, 2), (2, 3), (2, 2)]] == [4, 6, 4]
     arrays = [frames._embed, frames._chart.real, frames._chart.imag, *unitary._upper(3)]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
-    assert np.array_equal(frames.unitaries(theta_vector(moved)[None]),
-                          FrameBuilder(moved.shape, dims).unitaries(theta_vector(moved)[None]))
+    assert np.array_equal(frames.unitaries(moved.theta[None]),
+                          FrameBuilder(moved.shape, dims).unitaries(moved.theta[None]))
 
 
 @pytest.mark.parametrize("kind", [SINGLE_PARTY, NONGLOBAL])
@@ -254,8 +241,7 @@ def test_one_builder_serves_every_circuit_of_one_shape_whatever_its_theta_and_ta
     assert template.shape == tuple((s, math.prod(dims[p] for p in s)) for s in supports)
     theta = np.random.default_rng(5).uniform(-math.pi, math.pi, template.n_theta)
     moved = with_theta(template, theta)
-    custom = LocalCircuit(tuple(CircuitLayer(layer.support, layer.params)
-                                for layer in moved.layers))
+    custom = LocalCircuit(moved.shape, moved.theta)
     assert (moved.preset, custom.preset) == (template.preset, "custom")
     frames = FrameBuilder.of(template, dims)
     assert FrameBuilder.of(moved, dims) is frames
@@ -264,13 +250,14 @@ def test_one_builder_serves_every_circuit_of_one_shape_whatever_its_theta_and_ta
 
 
 @pytest.mark.parametrize("layer", [
-    CircuitLayer((0,), UnitaryParams(3, np.full(9, 0.2))),        # the wrong dimension
-    CircuitLayer((2,), UnitaryParams(2, np.full(4, 0.2))),        # a party out of range
-    CircuitLayer((0, 1), UnitaryParams(4, np.full(16, 0.2))),     # a global support
+    ((0,), 3),        # the wrong dimension
+    ((2,), 2),        # a party out of range
+    ((0, 1), 4),      # a global support
 ], ids=["dimension", "out-of-range", "global"])
 def test_a_bad_layer_raises_on_every_call_through_a_shared_builder(layer):
     rho = states.random_density((2, 2), seed=3)
-    circ = LocalCircuit((CircuitLayer((1,), UnitaryParams.identity(2)), layer))
+    theta = np.concatenate((np.zeros(4), np.full(layer[1] ** 2, 0.2)))
+    circ = LocalCircuit((((1,), 2), layer), theta)
     with pytest.raises(ValueError) as direct:
         FrameBuilder(circ.shape, rho.dims)
     for _ in range(2):
@@ -280,10 +267,10 @@ def test_a_bad_layer_raises_on_every_call_through_a_shared_builder(layer):
 
 
 def test_layer_support_must_be_sorted():
-    with pytest.raises(ValueError):
-        CircuitLayer((1, 0), UnitaryParams.identity(4))
-    with pytest.raises(ValueError):
-        CircuitLayer((), UnitaryParams.identity(1))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        LocalCircuit((((1, 0), 4),), np.zeros(16))
+    with pytest.raises(ValueError, match="must not be empty"):
+        LocalCircuit((((), 1),), np.zeros(1))
 
 
 # --- applying circuits ---------------------------------------------------
@@ -327,12 +314,9 @@ def test_ghz_witness_reaches_product_state():
 
 
 def test_ghz_witness_cnot_cnot_h_form():
-    layers = (
-        CircuitLayer((0, 1), params_for_unitary(CNOT)),
-        CircuitLayer((0, 2), params_for_unitary(CNOT)),
-        CircuitLayer((0,), params_for_unitary(HADAMARD)),
-    )
-    out = apply(LocalCircuit(layers), states.ghz(3))
+    theta = np.concatenate([params_for_unitary(CNOT), params_for_unitary(CNOT),
+                            params_for_unitary(HADAMARD)])
+    out = apply(LocalCircuit((((0, 1), 4), ((0, 2), 4), ((0,), 2)), theta), states.ghz(3))
     assert abs(abs(out.amps[0]) - 1.0) < 1e-8
 
 
@@ -366,11 +350,10 @@ def test_preset_builds_its_supports_at_theta_zero(dims, depth):
         assert preset.supports(n) == want[kind]
         circ = preset.build(dims)
         assert circ.preset == tags[kind]
-        assert [l.support for l in circ.layers] == want[kind]
-        assert [l.params.dim for l in circ.layers] == [
-            math.prod(dims[p] for p in s) for s in want[kind]]
-        assert circ.n_theta == sum(l.params.dim ** 2 for l in circ.layers)
-        assert np.array_equal(theta_vector(circ), np.zeros(circ.n_theta))
+        assert [s for s, _ in circ.shape] == want[kind]
+        assert [d for _, d in circ.shape] == [math.prod(dims[p] for p in s) for s in want[kind]]
+        assert circ.n_theta == sum(d ** 2 for _, d in circ.shape)
+        assert np.array_equal(circ.theta, np.zeros(circ.n_theta))
         assert np.allclose(circuit_unitary(circ, dims), np.eye(math.prod(dims)),
                            atol=1e-15)
     # depth is read by nonglobal only: single_party is the same circuit at every depth
@@ -423,9 +406,8 @@ def moved_columns(circuit, groups=None) -> list[int]:
     trace is a global phase.  ``groups``, one list per single-party
     layer, keeps only the pairs (i, j) with groups[i] == groups[j]."""
     moved, offset = [], 0
-    for k, layer in enumerate(circuit.layers):
-        d = layer.params.dim
-        if len(layer.support) > 1:
+    for k, (support, d) in enumerate(circuit.shape):
+        if len(support) > 1:
             moved += [c for c in range(offset, offset + d * d) if c != offset + d - 1]
         else:
             g = groups[k] if groups else [0] * d
@@ -513,7 +495,7 @@ def test_a_nonglobal_search_frame_rotates_nothing(depth):
         frame = preset.search_frame(rho)
         assert frame.circuit is preset.build(rho.dims)
         assert frame.rotations == (None,) * 3
-        assert frame.factors == (None,) * len(frame.circuit.layers)
+        assert frame.factors == (None,) * len(frame.circuit.shape)
         assert frame.moved.tolist() == moved_columns(frame.circuit)
         assert frame.state(rho) is rho
 
@@ -526,7 +508,8 @@ def test_an_unrotated_search_frame_keeps_the_state_and_the_circuit():
     assert frame.state(rho) is rho
     circuit = with_theta(Preset().build((2, 3)), np.linspace(-1.0, 1.0, 13))
     for convert in (frame.to_search, frame.to_state):
-        assert convert(circuit).layers == circuit.layers
+        assert convert(circuit).shape == circuit.shape
+        assert same_bits(convert(circuit).theta, circuit.theta)
 
 
 def test_a_rotated_search_frame_moves_rho_and_circuits_between_frames():
@@ -562,7 +545,7 @@ def test_every_qubit_unitary_is_a_diagonal_times_an_off_diagonal_exp(seed):
     d = np.diag(np.exp(1j * np.angle(np.diag(u))))
     assert np.abs(d @ e - u).max() <= 1e-12
     off = [t * math.cos(phi), t * math.sin(phi)]     # (re, im) of z, diagonal 0
-    chart = build_unitary(UnitaryParams(2, [0.0, 0.0] + off))
+    chart = build_unitary([0.0, 0.0] + off)
     assert np.abs(chart - e).max() <= 1e-12
 
 
@@ -576,46 +559,45 @@ def test_preset_needs_two_parties(kind):
                                      "01"])
 def test_layer_rejects_non_integer_party_indices(support):
     with pytest.raises(ValueError, match="integer"):
-        CircuitLayer(support, UnitaryParams.identity(2))
+        LocalCircuit(((support, 2),), np.zeros(4))
 
 
 def test_layer_stores_numpy_integers_as_int():
-    layer = CircuitLayer((np.int64(0), np.int32(2)), UnitaryParams.identity(4))
-    assert layer.support == (0, 2)
-    assert all(type(p) is int for p in layer.support)
+    circ = LocalCircuit((((np.int64(0), np.int32(2)), np.int64(4)),), np.zeros(16))
+    assert circ.shape == (((0, 2), 4),)
+    (support, dim), = circ.shape
+    assert all(type(p) is int for p in support) and type(dim) is int
 
 
 @pytest.mark.parametrize("dim", [2.9, 2.0, True, "2"])
 def test_dimension_must_be_an_integer(dim):
     with pytest.raises(ValueError, match="integer"):
-        n_params(dim)
-    with pytest.raises(ValueError, match="integer"):
-        UnitaryParams(dim, np.zeros(4))
+        LocalCircuit((((0,), dim),), np.zeros(4))
 
 
 @pytest.mark.parametrize("dim,theta", [(0, []), (-1, [0.3]), (-2, np.zeros(4))])
 def test_dimension_must_be_positive(dim, theta):
     with pytest.raises(ValueError, match=f"dimension must be positive, got {dim}"):
-        n_params(dim)
-    with pytest.raises(ValueError, match=f"dimension must be positive, got {dim}"):
-        UnitaryParams(dim, theta)
+        LocalCircuit((((0,), dim),), theta)
 
 
-# --- flat parameters and serialization -----------------------------------
+# --- theta and serialization ---------------------------------------------
 
 
-def test_theta_vector_round_trip():
+def test_a_circuits_theta_holds_its_layers_in_circuit_order():
     circ = Preset(NONGLOBAL).build((2, 2))
-    assert np.array_equal(theta_vector(circ), np.zeros(circ.n_theta))
+    assert np.array_equal(circ.theta, np.zeros(circ.n_theta))
     theta = np.arange(circ.n_theta, dtype=float) / 7.0
-    again = theta_vector(with_theta(circ, theta))
-    assert np.array_equal(again, theta)
+    again = with_theta(circ, theta)
+    assert np.array_equal(again.theta, theta)
+    assert [t.tolist() for t in again.layer_thetas()] == [theta[:4].tolist(), theta[4:].tolist()]
     with pytest.raises(ValueError):
         with_theta(circ, theta[:-1])
     # a circuit without layers has the empty vector, and takes it back
-    empty = LocalCircuit(())
-    assert theta_vector(empty).shape == (0,) and theta_vector(empty).dtype == np.float64
-    assert with_theta(empty, theta_vector(empty)).layers == ()
+    empty = LocalCircuit((), [])
+    assert empty.theta.shape == (0,) and empty.theta.dtype == np.float64
+    assert empty.layer_thetas() == []
+    assert with_theta(empty, np.zeros(0)) is empty
 
 
 def test_with_theta_keeps_a_circuit_that_has_the_theta_bit_for_bit():
@@ -625,25 +607,27 @@ def test_with_theta_keeps_a_circuit_that_has_the_theta_bit_for_bit():
     assert with_theta(circ, np.linspace(-1.0, 1.0, 13)) is circ
     # -0.0 == 0.0, but a report writes its sign, so it is a new circuit
     signed = with_theta(zero, np.full(13, -0.0))
-    assert signed is not zero and np.signbit(theta_vector(signed)).all()
+    assert signed is not zero and np.signbit(signed.theta).all()
 
 
 def test_circuit_json_round_trip(tmp_path):
-    circ = with_theta(Preset(NONGLOBAL).build((2, 2, 2)),
-                      np.linspace(-2.0, 2.0, 32))
-    obj = circuit_to_json(circ)
-    assert obj["preset"] == "nonglobal:depth=3"
-    back = circuit_from_json(obj)
-    assert back.preset == circ.preset
-    assert [l.support for l in back.layers] == [l.support for l in circ.layers]
-    assert np.array_equal(theta_vector(back), theta_vector(circ))
-
-    path = tmp_path / "circ.json"
-    save_circuit(circ, path)
-    loaded = load_circuit(path)
-    assert np.array_equal(theta_vector(loaded), theta_vector(circ))
-    assert np.allclose(circuit_unitary(loaded, (2, 2, 2)),
-                       circuit_unitary(circ, (2, 2, 2)), atol=1e-14)
+    signed = np.linspace(-2.0, 2.0, 32)
+    signed[[0, 5, 31]] = -0.0
+    for dims, preset, theta, tag in [
+            ((2, 2, 2), Preset(NONGLOBAL), np.linspace(-2.0, 2.0, 32), "nonglobal:depth=3"),
+            ((2, 2, 2), Preset(NONGLOBAL), signed, "nonglobal:depth=3"),
+            ((2, 3), Preset(), np.linspace(-1.0, 1.0, 13), "single_party")]:
+        circ = with_theta(preset.build(dims), theta)
+        obj = circuit_to_json(circ)
+        assert obj["preset"] == tag
+        assert [layer["support"] for layer in obj["layers"]] == [list(s) for s, _ in circ.shape]
+        path = tmp_path / "circ.json"
+        save_circuit(circ, path)
+        # every layer's theta bit for bit, signed zeros too
+        for back in (circuit_from_json(obj), load_circuit(path)):
+            assert (back.preset, back.shape) == (circ.preset, circ.shape)
+            assert same_bits(back.theta, circ.theta)
+            assert same_bits(circuit_unitary(back, dims), circuit_unitary(circ, dims))
 
 
 @pytest.mark.parametrize("support", [[1.7], [True], [0, 1.0]])
@@ -667,7 +651,7 @@ def test_circuit_json_theta_entries_must_be_floats(bad, why):
 
 def test_circuit_json_keeps_integer_theta_entries():
     circ = circuit_from_json({"layers": [{"support": [0], "theta": [1, 0, -2, 0]}]})
-    assert theta_vector(circ).tolist() == [1.0, 0.0, -2.0, 0.0]
+    assert circ.theta.tolist() == [1.0, 0.0, -2.0, 0.0]
 
 
 def test_load_circuit_names_a_file_that_is_not_json(tmp_path):
